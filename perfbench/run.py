@@ -11,13 +11,16 @@ Workloads: solver-bound, interp-bound, cluster-batch (see README.md).
 The first call builds perfbench/ (and the src/ tree it compiles) with
 CMake into $CARGO_TARGET_DIR/perfbench, default .bench_build/perfbench.
 Then the benchmark binary runs one fixed-work repetition per process,
-fresh processes until --seconds have passed, so no repetition inherits
-another's heap. An untimed warm-up repetition comes first; it also
-replays the relevant test cases. With --trace 1, traced and untraced
-repetitions alternate.
+fresh processes until --seconds have passed and at least a fixed number
+(TIMED) of repetitions are done, so no repetition inherits another's
+heap. An untimed warm-up repetition comes first; it also replays the
+relevant test cases. With --trace 1, traced and untraced repetitions
+alternate.
 
-End-to-end times come from the fastest repetition, set-up time and
-per-layer times are medians; every work count must repeat exactly, and at the default seed must equal perfbench/expected_counts.json
+End-to-end times come from the fastest of the first TIMED repetitions,
+set-up time and per-layer times are medians; every work count must
+repeat exactly, and at the default seed must equal
+perfbench/expected_counts.json
 (`--record` rewrites that file's entry for the workload instead). The
 last stdout line is the JSON result. Exits non-zero, printing no result,
 when the build or a repetition fails to run.
@@ -37,6 +40,10 @@ EXPECTED = os.path.join(HERE, "expected_counts.json")
 DEFAULT_SEED = 1
 WORKLOADS = ("solver-bound", "interp-bound", "cluster-batch")
 END_TO_END = ("explore_s", "hl_paths", "hl_paths_per_s", "jobs_per_s")
+# End-to-end times come from the fastest of a workload's first TIMED
+# repetitions, so the statistic rests on the same number of samples however
+# fast the code is. About TIMED repetitions fit in 25 s.
+TIMED = {"solver-bound": 20, "interp-bound": 16, "cluster-batch": 20}
 
 
 def build():
@@ -143,7 +150,9 @@ def main():
     plain, traced = [], []
     ledger_text = []
     start = time.monotonic()
-    while (not plain or (args.trace and not traced)
+    # Traced runs report no end-to-end times, so they need no TIMED floor.
+    timed = 1 if args.trace else TIMED[args.workload]
+    while (len(plain) < timed or (args.trace and not traced)
            or time.monotonic() - start < args.seconds):
         trace = bool(args.trace) and len(traced) < len(plain)
         result = run_repetition(directory, args, trace, replay=False)
@@ -168,13 +177,14 @@ def main():
 
     metrics = []  # (name, value, unit, samples)
     if not args.trace:
-        # Times come from the fastest repetition. The host's speed drifts
-        # in phases of minutes, which move a run's median far more than
-        # its minimum (README.md, "Steadiness").
-        fastest = min(plain, key=lambda r: r["metrics"]["explore_s"]["value"])
+        # Times come from the fastest timed repetition. The host's speed
+        # drifts in phases of minutes, which move a run's median far more
+        # than its minimum (README.md, "Steadiness").
+        fastest = min(plain[:timed],
+                      key=lambda r: r["metrics"]["explore_s"]["value"])
         for name in END_TO_END:
             metric = fastest["metrics"][name]
-            metrics.append((name, metric["value"], metric["unit"], len(plain)))
+            metrics.append((name, metric["value"], metric["unit"], timed))
         coverage = warmup["metrics"]["line_coverage_pct"]
         metrics.append(("line_coverage_pct", coverage["value"], "%",
                         coverage["samples"]))

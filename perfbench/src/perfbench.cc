@@ -194,11 +194,11 @@ MakePlan(const std::string& name, WorkloadPlan* plan)
     plan->name = name;
     if (name == "solver-bound") {
         // xlrd exhausts its 58 runs; nearly every selection is a SAT call.
-        AddSessions(plan, "py/xlrd", 8, kExhaust);
-        AddSessions(plan, "lua/moonscript", 4, 100);
+        AddSessions(plan, "py/xlrd", 4, kExhaust);
+        AddSessions(plan, "lua/moonscript", 2, 100);
     } else if (name == "interp-bound") {
-        AddSessions(plan, "py/unicodecsv", 6, kExhaust);
-        AddSessions(plan, "lua/haml", 6, kExhaust);
+        AddSessions(plan, "py/unicodecsv", 3, kExhaust);
+        AddSessions(plan, "lua/haml", 3, kExhaust);
         // The Table-3 hang. Breadth-first order reaches it with the same
         // work at every seed; CUPA's hang count (and so its cost) swings
         // with the seed.
@@ -207,7 +207,9 @@ MakePlan(const std::string& name, WorkloadPlan* plan)
         plan->packages = {"py/argparse", "py/ConfigParser", "py/HTMLParser",
                           "py/simplejson", "py/unicodecsv", "lua/cliargs",
                           "lua/haml",      "lua/markdown"};
-        plan->seeds_per_package = 24;
+        // Short repetitions: more of them fit in a run, and the fastest
+        // of a fixed number is steadier than one long batch.
+        plan->seeds_per_package = 12;
         plan->job_max_runs = 100;
         plan->shards = 2;
     } else {
