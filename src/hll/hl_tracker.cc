@@ -1,7 +1,6 @@
 #include "hll/hl_tracker.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "support/diagnostics.h"
 #include "support/strings.h"
@@ -22,18 +21,27 @@ HlExecutionTree::Reset()
 }
 
 uint32_t
-HlExecutionTree::Advance(uint32_t node, uint64_t hlpc)
+HlExecutionTree::Advance(uint32_t node, uint64_t hlpc, bool* created)
 {
     CHEF_CHECK(node < nodes_.size());
-    auto it = nodes_[node].children.find(hlpc);
-    if (it != nodes_[node].children.end()) {
-        return it->second;
+    for (uint32_t child = nodes_[node].first_child; child != kNoId;
+         child = nodes_[child].next_sibling) {
+        if (nodes_[child].hlpc == hlpc) {
+            if (created != nullptr) {
+                *created = false;
+            }
+            return child;
+        }
     }
     const uint32_t child = static_cast<uint32_t>(nodes_.size());
     Node fresh;
     fresh.hlpc = hlpc;
-    nodes_.push_back(std::move(fresh));
-    nodes_[node].children.emplace(hlpc, child);
+    fresh.next_sibling = nodes_[node].first_child;
+    nodes_.push_back(fresh);
+    nodes_[node].first_child = child;
+    if (created != nullptr) {
+        *created = true;
+    }
     return child;
 }
 
@@ -52,38 +60,47 @@ HlExecutionTree::MarkTerminal(uint32_t node)
 void
 HlCfg::Reset()
 {
+    ids_.clear();
     nodes_.clear();
     branching_opcodes_.clear();
-    potential_points_.clear();
     distance_.clear();
+    num_potential_ = 0;
+}
+
+uint32_t
+HlCfg::Intern(uint64_t hlpc)
+{
+    auto [it, inserted] =
+        ids_.emplace(hlpc, static_cast<uint32_t>(nodes_.size()));
+    if (inserted) {
+        nodes_.emplace_back();
+    }
+    return it->second;
 }
 
 void
-HlCfg::RecordNode(uint64_t hlpc, uint32_t opcode)
+HlCfg::RecordEdgeById(uint32_t from, uint32_t to)
 {
-    NodeInfo& info = nodes_[hlpc];
-    info.opcode = opcode;
-    ++info.exec_count;
-}
-
-void
-HlCfg::RecordEdge(uint64_t from, uint64_t to)
-{
-    nodes_[from].successors.insert(to);
-    nodes_[to].predecessors.insert(from);
+    std::vector<uint32_t>& successors = nodes_[from].successors;
+    if (std::find(successors.begin(), successors.end(), to) !=
+        successors.end()) {
+        return;
+    }
+    successors.push_back(to);
+    nodes_[to].predecessors.push_back(from);
 }
 
 void
 HlCfg::RecomputeAnalysis(double drop_fraction)
 {
     branching_opcodes_.clear();
-    potential_points_.clear();
-    distance_.clear();
+    distance_.assign(nodes_.size(), UINT32_MAX);
+    num_potential_ = 0;
 
     // Step 1 (§3.4): candidate branching opcodes are those of instructions
     // observed with out-degree >= 2.
     std::unordered_map<uint32_t, uint64_t> opcode_counts;
-    for (const auto& [hlpc, info] : nodes_) {
+    for (const NodeInfo& info : nodes_) {
         if (info.successors.size() >= 2) {
             opcode_counts[info.opcode] += info.exec_count;
         }
@@ -112,32 +129,25 @@ HlCfg::RecomputeAnalysis(double drop_fraction)
     }
 
     // Step 3: potential branching points have a branching opcode but only
-    // one successor so far.
-    for (const auto& [hlpc, info] : nodes_) {
-        if (info.successors.size() == 1 &&
-            branching_opcodes_.count(info.opcode)) {
-            potential_points_.insert(hlpc);
+    // one successor so far; they seed the BFS at distance 0.
+    std::vector<uint32_t> queue;
+    for (uint32_t id = 0; id < nodes_.size(); ++id) {
+        if (nodes_[id].successors.size() == 1 &&
+            branching_opcodes_.count(nodes_[id].opcode)) {
+            distance_[id] = 0;
+            queue.push_back(id);
         }
     }
+    num_potential_ = queue.size();
 
     // Step 4: multi-source BFS on reversed edges computes, for every
     // instruction, the forward distance to the nearest potential branching
     // point.
-    std::deque<uint64_t> queue;
-    for (uint64_t hlpc : potential_points_) {
-        distance_[hlpc] = 0;
-        queue.push_back(hlpc);
-    }
-    while (!queue.empty()) {
-        const uint64_t hlpc = queue.front();
-        queue.pop_front();
-        const uint32_t d = distance_[hlpc];
-        auto it = nodes_.find(hlpc);
-        if (it == nodes_.end()) {
-            continue;
-        }
-        for (uint64_t pred : it->second.predecessors) {
-            if (!distance_.count(pred)) {
+    for (size_t head = 0; head < queue.size(); ++head) {
+        const uint32_t id = queue[head];
+        const uint32_t d = distance_[id];
+        for (uint32_t pred : nodes_[id].predecessors) {
+            if (distance_[pred] == UINT32_MAX) {
                 distance_[pred] = d + 1;
                 queue.push_back(pred);
             }
@@ -151,17 +161,14 @@ HlCfg::IsBranchingOpcode(uint32_t opcode) const
     return branching_opcodes_.count(opcode) > 0;
 }
 
-bool
-HlCfg::IsPotentialBranchPoint(uint64_t hlpc) const
-{
-    return potential_points_.count(hlpc) > 0;
-}
-
 uint32_t
 HlCfg::DistanceToBranchPoint(uint64_t hlpc) const
 {
-    auto it = distance_.find(hlpc);
-    return it == distance_.end() ? UINT32_MAX : it->second;
+    auto it = ids_.find(hlpc);
+    if (it == ids_.end() || it->second >= distance_.size()) {
+        return UINT32_MAX;
+    }
+    return distance_[it->second];
 }
 
 double
@@ -198,8 +205,6 @@ void
 HlpcTracker::BeginRun()
 {
     current_node_ = 0;
-    last_hlpc_ = 0;
-    has_last_ = false;
     trace_.clear();
 }
 
@@ -218,13 +223,19 @@ HlpcTracker::EndRun()
 void
 HlpcTracker::OnLogPc(uint64_t hlpc, uint32_t opcode)
 {
-    current_node_ = tree_.Advance(current_node_, hlpc);
-    cfg_.RecordNode(hlpc, opcode);
-    if (has_last_) {
-        cfg_.RecordEdge(last_hlpc_, hlpc);
+    const uint32_t parent = current_node_;
+    bool created = false;
+    current_node_ = tree_.Advance(parent, hlpc, &created);
+    if (created) {
+        // The only time the transfer parent -> hlpc is new to the tree, so
+        // the only time its CFG edge can be new (see the file comment).
+        const uint32_t id = cfg_.Intern(hlpc);
+        tree_.set_cfg_id(current_node_, id);
+        if (parent != 0) {
+            cfg_.RecordEdgeById(tree_.cfg_id_of(parent), id);
+        }
     }
-    last_hlpc_ = hlpc;
-    has_last_ = true;
+    cfg_.RecordNodeById(tree_.cfg_id_of(current_node_), opcode);
     trace_.push_back(hlpc);
     if (runtime_ != nullptr) {
         runtime_->SetHlPosition(hlpc, current_node_, opcode);

@@ -13,6 +13,22 @@
 ///    set of observed successors and execution counts;
 ///  - the branching-opcode inference and distance-to-potential-branching-
 ///    point analysis used by coverage-optimized CUPA (§3.4).
+///
+/// Layout. Both structures are flat vectors indexed by dense ids:
+///  - tree nodes live in one vector in creation order and link their
+///    children through first-child / next-sibling indices. The node id is
+///    the dynamic HLPC stamped into alternate states, so ids never move;
+///  - the CFG interns a static HLPC to a dense id the first time a tree
+///    node with that HLPC is created, and keeps opcode, execution count
+///    and successor / predecessor id lists in a vector indexed by it. Each
+///    tree node caches its HLPC's CFG id.
+///
+/// Edges are recorded only when a tree node is new. A log_pc event that
+/// moves from node p to an existing child c repeats the transfer
+/// (hlpc_of(p), hlpc_of(c)), and that edge was recorded when c was
+/// created. Recording it on creation alone therefore yields the same
+/// successor and predecessor sets, and an event on a known path costs one
+/// child probe, a counter increment and an opcode store.
 
 #include <cstdint>
 #include <unordered_map>
@@ -23,8 +39,11 @@
 
 namespace chef::hll {
 
-/// Prefix tree over HLPC sequences. Node ids are dense indices; node 0 is
-/// the root (before the first high-level instruction).
+/// Id meaning "no node" in the tree's links and "not interned" for CFG ids.
+inline constexpr uint32_t kNoId = UINT32_MAX;
+
+/// Prefix tree over HLPC sequences. Node ids are dense indices in creation
+/// order; node 0 is the root (before the first high-level instruction).
 class HlExecutionTree
 {
   public:
@@ -32,8 +51,9 @@ class HlExecutionTree
 
     void Reset();
 
-    /// Returns the child of \p node labeled \p hlpc, creating it if absent.
-    uint32_t Advance(uint32_t node, uint64_t hlpc);
+    /// Returns the child of \p node labeled \p hlpc, creating it if absent;
+    /// \p created (if given) reports whether it was created.
+    uint32_t Advance(uint32_t node, uint64_t hlpc, bool* created = nullptr);
 
     /// Marks that a run ended at \p node; returns true if this is the first
     /// run to end exactly there (i.e., the run covered a new high-level
@@ -44,10 +64,19 @@ class HlExecutionTree
     size_t num_nodes() const { return nodes_.size(); }
     uint64_t num_terminal_paths() const { return num_terminals_; }
 
+    /// The CFG id of \p node's HLPC, as set by set_cfg_id(); kNoId if unset.
+    uint32_t cfg_id_of(uint32_t node) const { return nodes_[node].cfg_id; }
+    void set_cfg_id(uint32_t node, uint32_t cfg_id)
+    {
+        nodes_[node].cfg_id = cfg_id;
+    }
+
   private:
     struct Node {
         uint64_t hlpc = 0;
-        std::unordered_map<uint64_t, uint32_t> children;
+        uint32_t first_child = kNoId;
+        uint32_t next_sibling = kNoId;
+        uint32_t cfg_id = kNoId;
         bool terminal = false;
     };
 
@@ -55,17 +84,39 @@ class HlExecutionTree
     uint64_t num_terminals_ = 0;
 };
 
-/// Dynamically discovered high-level control-flow graph.
+/// Dynamically discovered high-level control-flow graph. Static HLPCs are
+/// interned to dense ids; the hlpc-keyed calls intern on the fly, the
+/// id-keyed ones serve the tracker's per-event path.
 class HlCfg
 {
   public:
     void Reset();
 
+    /// Returns the dense id of \p hlpc, assigning the next free one on
+    /// first sight.
+    uint32_t Intern(uint64_t hlpc);
+
     /// Records execution of the instruction at \p hlpc with \p opcode.
-    void RecordNode(uint64_t hlpc, uint32_t opcode);
+    void RecordNode(uint64_t hlpc, uint32_t opcode)
+    {
+        RecordNodeById(Intern(hlpc), opcode);
+    }
+    /// RecordNode for an id returned by Intern().
+    void RecordNodeById(uint32_t id, uint32_t opcode)
+    {
+        NodeInfo& info = nodes_[id];
+        info.opcode = opcode;
+        ++info.exec_count;
+    }
 
     /// Records an observed control transfer between consecutive HLPCs.
-    void RecordEdge(uint64_t from, uint64_t to);
+    void RecordEdge(uint64_t from, uint64_t to)
+    {
+        const uint32_t from_id = Intern(from);
+        RecordEdgeById(from_id, Intern(to));
+    }
+    /// RecordEdge for ids returned by Intern().
+    void RecordEdgeById(uint32_t from, uint32_t to);
 
     /// Re-runs the branching-opcode inference and the distance analysis.
     /// \p drop_fraction is the paper's cutoff eliminating the least
@@ -77,7 +128,10 @@ class HlCfg
 
     /// True if the instruction is a potential branching point: it has a
     /// branching opcode but only one observed successor.
-    bool IsPotentialBranchPoint(uint64_t hlpc) const;
+    bool IsPotentialBranchPoint(uint64_t hlpc) const
+    {
+        return DistanceToBranchPoint(hlpc) == 0;
+    }
 
     /// Distance in CFG hops from \p hlpc to the nearest potential branching
     /// point; UINT32_MAX if none is reachable.
@@ -88,23 +142,24 @@ class HlCfg
     double DistanceWeight(uint64_t hlpc) const;
 
     size_t num_nodes() const { return nodes_.size(); }
-    size_t num_potential_branch_points() const
-    {
-        return potential_points_.size();
-    }
+    size_t num_potential_branch_points() const { return num_potential_; }
 
   private:
     struct NodeInfo {
         uint32_t opcode = 0;
         uint64_t exec_count = 0;
-        std::unordered_set<uint64_t> successors;
-        std::unordered_set<uint64_t> predecessors;
+        std::vector<uint32_t> successors;
+        std::vector<uint32_t> predecessors;
     };
 
-    std::unordered_map<uint64_t, NodeInfo> nodes_;
+    std::unordered_map<uint64_t, uint32_t> ids_;
+    std::vector<NodeInfo> nodes_;
     std::unordered_set<uint32_t> branching_opcodes_;
-    std::unordered_set<uint64_t> potential_points_;
-    std::unordered_map<uint64_t, uint32_t> distance_;
+    /// Per id, as of the last RecomputeAnalysis: hops to the nearest
+    /// potential branching point (0 for the points themselves), UINT32_MAX
+    /// if none. Ids interned since then are not covered.
+    std::vector<uint32_t> distance_;
+    size_t num_potential_ = 0;
 };
 
 /// Per-run summary produced by the tracker.
@@ -142,6 +197,9 @@ class HlpcTracker
     void OnLogPc(uint64_t hlpc, uint32_t opcode);
 
     const HlExecutionTree& tree() const { return tree_; }
+    /// Mutable for RecomputeAnalysis. Clear the CFG only through Reset():
+    /// the tree caches CFG ids and relies on edges recorded at node
+    /// creation.
     HlCfg& cfg() { return cfg_; }
     const HlCfg& cfg() const { return cfg_; }
 
@@ -156,8 +214,6 @@ class HlpcTracker
     HlExecutionTree tree_;
     HlCfg cfg_;
     uint32_t current_node_ = 0;
-    uint64_t last_hlpc_ = 0;
-    bool has_last_ = false;
     std::vector<uint64_t> trace_;
 };
 

@@ -78,6 +78,7 @@ ExecutionTree::Advance(Cursor& cursor, uint64_t llpc, bool taken,
     if (node.status[other_index] == EdgeStatus::kUnknown) {
         AlternateState state;
         state.id = next_state_id_++;
+        state.path_condition.reserve(cursor.path_condition_.size() + 1);
         state.path_condition = cursor.path_condition_;
         state.path_condition.push_back(negated_constraint);
         state.node = static_cast<uint32_t>(slot);

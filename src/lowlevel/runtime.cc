@@ -1,16 +1,8 @@
 #include "lowlevel/runtime.h"
 
 #include "support/diagnostics.h"
-#include "support/strings.h"
 
 namespace chef::lowlevel {
-
-uint64_t
-LlpcFromLocation(const char* file, int line)
-{
-    uint64_t h = FnvHash(file, std::char_traits<char>::length(file));
-    return HashCombine(h, static_cast<uint64_t>(line));
-}
 
 LowLevelRuntime::LowLevelRuntime(ExecutionTree* tree, solver::Solver* solver,
                                  Options options)

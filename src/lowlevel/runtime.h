@@ -29,11 +29,13 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "lowlevel/exec_tree.h"
 #include "lowlevel/symvalue.h"
 #include "solver/solver.h"
+#include "support/strings.h"
 
 namespace chef::lowlevel {
 
@@ -82,11 +84,25 @@ struct VarDecl {
     uint64_t default_value = 0;
 };
 
-/// Computes a stable low-level PC from a source location. Interpreters tag
-/// each guest-data-dependent branch site with CHEF_LLPC.
-uint64_t LlpcFromLocation(const char* file, int line);
+/// Computes a stable low-level PC from a source location: the FNV-1a hash
+/// of \p file (as FnvHash computes it) combined with \p line. Interpreters
+/// tag each guest-data-dependent branch site with CHEF_LLPC.
+constexpr uint64_t
+LlpcFromLocation(const char* file, int line)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (; *file != '\0'; ++file) {
+        h ^= static_cast<uint8_t>(*file);
+        h *= 0x100000001b3ull;
+    }
+    return HashCombine(h, static_cast<uint64_t>(line));
+}
 
-#define CHEF_LLPC (::chef::lowlevel::LlpcFromLocation(__FILE__, __LINE__))
+/// The site's LLPC, computed at compile time.
+#define CHEF_LLPC                                                        \
+    (::std::integral_constant<                                           \
+        uint64_t, ::chef::lowlevel::LlpcFromLocation(__FILE__,           \
+                                                     __LINE__)>::value)
 
 /// Guest-facing concolic runtime; one instance per symbolic test session
 /// (or per exploration worker of a parallel session).

@@ -35,7 +35,7 @@ std::string EscapeBytes(const std::vector<uint8_t>& bytes);
 uint64_t FnvHash(const void* data, size_t size, uint64_t seed = 0xcbf29ce484222325ull);
 
 /// Combines two hash values (boost-style).
-inline uint64_t
+constexpr uint64_t
 HashCombine(uint64_t a, uint64_t b)
 {
     return a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2));

@@ -1,10 +1,19 @@
 /// \file
 /// Tests for high-level tracking: the HL execution tree, the dynamic CFG,
-/// branching-opcode inference, and distance analysis.
+/// branching-opcode inference, distance analysis, and a differential
+/// check of the tracker against a map-based reference.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <deque>
+#include <map>
+#include <random>
+#include <set>
+
 #include "hll/hl_tracker.h"
+#include "support/strings.h"
 
 namespace chef::hll {
 namespace {
@@ -204,6 +213,239 @@ TEST(HlpcTracker, DistinguishesHlPaths)
     tracker.BeginRun();
     runtime.LogPc(100, kOpLoad);
     EXPECT_TRUE(tracker.EndRun().is_new_path);
+}
+
+/// The straightforward map-based tracker: a per-node map of children, and
+/// every log_pc event records its node and the edge from the previous
+/// HLPC in hlpc-keyed maps. The reference for the differential test.
+class ReferenceTracker
+{
+  public:
+    ReferenceTracker() : nodes_(1) {}
+
+    void BeginRun()
+    {
+        node_ = 0;
+        has_last_ = false;
+        trace_.clear();
+    }
+
+    uint32_t OnLogPc(uint64_t hlpc, uint32_t opcode)
+    {
+        auto it = nodes_[node_].children.find(hlpc);
+        if (it != nodes_[node_].children.end()) {
+            node_ = it->second;
+        } else {
+            const uint32_t child = static_cast<uint32_t>(nodes_.size());
+            nodes_[node_].children.emplace(hlpc, child);
+            nodes_.emplace_back();
+            node_ = child;
+        }
+        CfgInfo& info = cfg_[hlpc];
+        info.opcode = opcode;
+        ++info.exec_count;
+        if (has_last_) {
+            cfg_[last_hlpc_].successors.insert(hlpc);
+            cfg_[hlpc].predecessors.insert(last_hlpc_);
+        }
+        last_hlpc_ = hlpc;
+        has_last_ = true;
+        trace_.push_back(hlpc);
+        return node_;
+    }
+
+    HlPathInfo EndRun()
+    {
+        HlPathInfo info;
+        info.final_node = node_;
+        info.length = trace_.size();
+        info.is_new_path = !nodes_[node_].terminal;
+        nodes_[node_].terminal = true;
+        info.path_hash =
+            FnvHash(trace_.data(), trace_.size() * sizeof(uint64_t));
+        return info;
+    }
+
+    void RecomputeAnalysis(double drop_fraction)
+    {
+        branching_opcodes_.clear();
+        distance_.clear();
+        std::map<uint32_t, uint64_t> opcode_counts;
+        for (const auto& [hlpc, info] : cfg_) {
+            if (info.successors.size() >= 2) {
+                opcode_counts[info.opcode] += info.exec_count;
+            }
+        }
+        uint64_t total = 0;
+        std::vector<std::pair<uint64_t, uint32_t>> by_count;
+        for (const auto& [opcode, count] : opcode_counts) {
+            total += count;
+            by_count.push_back({count, opcode});
+        }
+        std::sort(by_count.begin(), by_count.end());
+        uint64_t dropped = 0;
+        for (const auto& [count, opcode] : by_count) {
+            if (total > 0 &&
+                static_cast<double>(dropped + count) <=
+                    drop_fraction * static_cast<double>(total)) {
+                dropped += count;
+                continue;
+            }
+            branching_opcodes_.insert(opcode);
+        }
+        std::deque<uint64_t> queue;
+        for (const auto& [hlpc, info] : cfg_) {
+            if (info.successors.size() == 1 &&
+                branching_opcodes_.count(info.opcode)) {
+                distance_[hlpc] = 0;
+                queue.push_back(hlpc);
+            }
+        }
+        while (!queue.empty()) {
+            const uint64_t hlpc = queue.front();
+            queue.pop_front();
+            for (uint64_t pred : cfg_[hlpc].predecessors) {
+                if (!distance_.count(pred)) {
+                    distance_[pred] = distance_[hlpc] + 1;
+                    queue.push_back(pred);
+                }
+            }
+        }
+    }
+
+    bool IsBranchingOpcode(uint32_t opcode) const
+    {
+        return branching_opcodes_.count(opcode) > 0;
+    }
+    uint32_t DistanceToBranchPoint(uint64_t hlpc) const
+    {
+        auto it = distance_.find(hlpc);
+        return it == distance_.end() ? UINT32_MAX : it->second;
+    }
+
+    size_t num_nodes() const { return nodes_.size(); }
+    size_t num_cfg_nodes() const { return cfg_.size(); }
+
+  private:
+    struct Node {
+        std::map<uint64_t, uint32_t> children;
+        bool terminal = false;
+    };
+    struct CfgInfo {
+        uint32_t opcode = 0;
+        uint64_t exec_count = 0;
+        std::set<uint64_t> successors;
+        std::set<uint64_t> predecessors;
+    };
+
+    std::vector<Node> nodes_;
+    uint32_t node_ = 0;
+    uint64_t last_hlpc_ = 0;
+    bool has_last_ = false;
+    std::vector<uint64_t> trace_;
+    std::map<uint64_t, CfgInfo> cfg_;
+    std::set<uint32_t> branching_opcodes_;
+    std::map<uint64_t, uint32_t> distance_;
+};
+
+TEST(HlpcTracker, MatchesMapBasedReferenceOnRandomStreams)
+{
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+        std::mt19937_64 rng(seed);
+        // A random guest program: static instructions with scattered
+        // HLPCs, a few opcodes and one to three successors each, so walks
+        // repeat HLPCs and run around loops.
+        const size_t num_sites = 8 + rng() % 40;
+        std::vector<uint64_t> hlpcs(num_sites);
+        std::vector<uint32_t> opcodes(num_sites);
+        std::vector<std::vector<size_t>> successors(num_sites);
+        for (size_t i = 0; i < num_sites; ++i) {
+            hlpcs[i] = rng();
+            opcodes[i] = static_cast<uint32_t>(1 + rng() % 6);
+            const size_t fanout = 1 + rng() % 3;
+            for (size_t k = 0; k < fanout; ++k) {
+                successors[i].push_back(rng() % num_sites);
+            }
+        }
+
+        HlpcTracker tracker;
+        tracker.Reset();
+        ReferenceTracker reference;
+        std::set<uint64_t> seen;
+        for (int run = 0; run < 400; ++run) {
+            tracker.BeginRun();
+            reference.BeginRun();
+            size_t site = rng() % 3;
+            const size_t length = rng() % 60;
+            for (size_t step = 0; step < length; ++step) {
+                // A rare opcode change at a site: the last one recorded
+                // wins in both implementations.
+                if (rng() % 500 == 0) {
+                    opcodes[site] = static_cast<uint32_t>(1 + rng() % 6);
+                }
+                tracker.OnLogPc(hlpcs[site], opcodes[site]);
+                ASSERT_EQ(tracker.current_node(),
+                          reference.OnLogPc(hlpcs[site], opcodes[site]))
+                    << "seed " << seed << " run " << run;
+                seen.insert(hlpcs[site]);
+                site = successors[site][rng() % successors[site].size()];
+            }
+            const HlPathInfo got = tracker.EndRun();
+            const HlPathInfo want = reference.EndRun();
+            ASSERT_EQ(got.final_node, want.final_node);
+            ASSERT_EQ(got.length, want.length);
+            ASSERT_EQ(got.is_new_path, want.is_new_path);
+            ASSERT_EQ(got.path_hash, want.path_hash);
+
+            if (run % 50 != 49) {
+                continue;
+            }
+            const double drop_fraction = (run / 50) % 3 * 0.15;
+            tracker.cfg().RecomputeAnalysis(drop_fraction);
+            reference.RecomputeAnalysis(drop_fraction);
+            ASSERT_EQ(tracker.tree().num_nodes(), reference.num_nodes());
+            ASSERT_EQ(tracker.cfg().num_nodes(), reference.num_cfg_nodes());
+            for (uint32_t opcode = 0; opcode <= 7; ++opcode) {
+                EXPECT_EQ(tracker.cfg().IsBranchingOpcode(opcode),
+                          reference.IsBranchingOpcode(opcode));
+            }
+            size_t potential = 0;
+            for (uint64_t hlpc : seen) {
+                const uint32_t d = reference.DistanceToBranchPoint(hlpc);
+                potential += d == 0;
+                EXPECT_EQ(tracker.cfg().IsPotentialBranchPoint(hlpc), d == 0);
+                EXPECT_EQ(tracker.cfg().DistanceToBranchPoint(hlpc), d)
+                    << "seed " << seed << " run " << run;
+            }
+            EXPECT_EQ(tracker.cfg().num_potential_branch_points(), potential);
+        }
+    }
+}
+
+TEST(HlCfg, UnknownHlpcHasNoDistance)
+{
+    HlCfg cfg;
+    cfg.RecordNode(10, kOpJumpIf);
+    cfg.RecordEdge(10, 11);
+    cfg.RecomputeAnalysis();
+    // Interned after the analysis ran: not covered until the next one.
+    cfg.RecordNode(12, kOpLoad);
+    EXPECT_EQ(cfg.DistanceToBranchPoint(12), UINT32_MAX);
+    EXPECT_EQ(cfg.DistanceToBranchPoint(99), UINT32_MAX);
+    EXPECT_FALSE(cfg.IsPotentialBranchPoint(99));
+}
+
+// CHEF_LLPC and its two run-time forms, expanded at one site so they see
+// the same __FILE__ and __LINE__.
+#define LLPC_FORMS                                                       \
+    {CHEF_LLPC, lowlevel::LlpcFromLocation(__FILE__, __LINE__),          \
+     HashCombine(FnvHash(__FILE__, std::strlen(__FILE__)), __LINE__)}
+
+TEST(Llpc, SiteConstantMatchesRuntimeHash)
+{
+    const uint64_t forms[3] = LLPC_FORMS;
+    EXPECT_EQ(forms[0], forms[1]);
+    EXPECT_EQ(forms[0], forms[2]);
 }
 
 }  // namespace
