@@ -206,7 +206,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
     std::vector<char> have_result(jobs.size(), 0);
     std::vector<WireJob> pending_requeue;
     size_t live_shards = num_shards;
-    bool quorum_broken = false;
 
     const auto record_result = [&](service::JobResult&& job) {
         if (job.job_index >= results_.size()) {
@@ -563,7 +562,10 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         }
 
         // Dispatch: initial partitions to freshly greeted shards, then
-        // the requeue backlog to the first idle survivor.
+        // the requeue backlog to the first idle survivor. The quorum is
+        // read live, not from the previous sweep: a death seen in this
+        // sweep, a send failure earlier in this loop included, that broke
+        // it must keep the dead shard's jobs off an already idle survivor.
         for (size_t shard = 0; shard < num_shards; ++shard) {
             Runtime& rt = runtime[shard];
             if (rt.state != State::kIdle) {
@@ -574,7 +576,7 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
                 partitions[shard].clear();
                 send_run(shard, std::move(batch));
                 progressed = true;
-            } else if (!pending_requeue.empty() && !quorum_broken) {
+            } else if (!pending_requeue.empty() && live_shards >= quorum) {
                 const uint64_t t0 = tracer.NowMicros();
                 const size_t count = pending_requeue.size();
                 std::vector<WireJob> batch = std::move(pending_requeue);
@@ -588,8 +590,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
             }
         }
 
-        quorum_broken = live_shards < quorum;
-
         // Done once nothing is running, greeting, or pending respawn,
         // and the backlog is empty (or undispatchable: quorum broke).
         bool waiting = false;
@@ -601,7 +601,8 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
                 break;
             }
         }
-        if (!waiting && (pending_requeue.empty() || quorum_broken)) {
+        if (!waiting &&
+            (pending_requeue.empty() || live_shards < quorum)) {
             break;
         }
         if (!progressed) {

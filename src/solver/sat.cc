@@ -8,28 +8,30 @@
 namespace chef::solver {
 
 void
-CnfFormula::AddClause(std::vector<Lit> lits)
+CnfFormula::Add(Lit* lits, size_t size)
 {
-    // Normalize: drop duplicate literals; detect tautologies.
-    std::sort(lits.begin(), lits.end(),
+    // Normalize: sort by variable (negative literal first), drop duplicate
+    // literals; detect tautologies.
+    std::sort(lits, lits + size,
               [](Lit a, Lit b) { return std::abs(a) < std::abs(b) ||
                                         (std::abs(a) == std::abs(b) && a < b); });
-    std::vector<Lit> normalized;
-    for (size_t i = 0; i < lits.size(); ++i) {
+    const size_t start = lits_.size();
+    for (size_t i = 0; i < size; ++i) {
         CHEF_CHECK(lits[i] != 0 && std::abs(lits[i]) <= num_vars_);
         if (i > 0 && lits[i] == lits[i - 1]) {
             continue;  // Duplicate literal.
         }
         if (i > 0 && lits[i] == -lits[i - 1]) {
+            lits_.resize(start);
             return;  // Tautology; clause is always satisfied.
         }
-        normalized.push_back(lits[i]);
+        lits_.push_back(lits[i]);
     }
-    if (normalized.empty()) {
+    if (lits_.size() == start) {
         trivially_unsat_ = true;
         return;
     }
-    clauses_.push_back(std::move(normalized));
+    starts_.push_back(static_cast<uint32_t>(lits_.size()));
 }
 
 SatSolver::SatSolver(Options options) : options_(options) {}
@@ -42,104 +44,100 @@ SatSolver::Encode(Lit lit)
     return (var << 1) | (lit < 0 ? 1u : 0u);
 }
 
-uint8_t
-SatSolver::ValueOf(ILit lit) const
+SatSolver::CRef
+SatSolver::AllocClause(const ILit* lits, size_t size, bool learned)
 {
-    const uint8_t v = assign_[VarOf(lit)];
-    if (v == kUndef) {
-        return kUndef;
-    }
-    return v ^ static_cast<uint8_t>(lit & 1);
+    CHEF_CHECK(size >= 2 && arena_.size() + 1 + size < kNoClause);
+    const auto clause = static_cast<CRef>(arena_.size());
+    arena_.push_back(static_cast<uint32_t>(size << 1) | (learned ? 1u : 0u));
+    arena_.insert(arena_.end(), lits, lits + size);
+    return clause;
+}
+
+void
+SatSolver::AttachClause(CRef clause)
+{
+    const ILit* lits = ClauseLits(clause);
+    watches_[NegateLit(lits[0])].push_back({clause, lits[1]});
+    watches_[NegateLit(lits[1])].push_back({clause, lits[0]});
 }
 
 bool
-SatSolver::AttachClause(uint32_t clause_index)
-{
-    Clause& clause = clauses_[clause_index];
-    CHEF_CHECK(clause.lits.size() >= 2);
-    watches_[NegateLit(clause.lits[0])].push_back(
-        {clause_index, clause.lits[1]});
-    watches_[NegateLit(clause.lits[1])].push_back(
-        {clause_index, clause.lits[0]});
-    return true;
-}
-
-bool
-SatSolver::Enqueue(ILit lit, int32_t reason)
+SatSolver::Enqueue(ILit lit, CRef reason)
 {
     const uint8_t value = ValueOf(lit);
     if (value != kUndef) {
         return value == 1;
     }
     const uint32_t var = VarOf(lit);
-    assign_[var] = static_cast<uint8_t>(1 ^ (lit & 1));
-    phase_[var] = assign_[var];
+    value_[lit] = 1;
+    value_[NegateLit(lit)] = 0;
+    phase_[var] = static_cast<uint8_t>(1 ^ (lit & 1));
     reason_[var] = reason;
     level_[var] = static_cast<int32_t>(trail_limits_.size());
     trail_.push_back(lit);
     return true;
 }
 
-int32_t
+SatSolver::CRef
 SatSolver::Propagate()
 {
     while (propagate_head_ < trail_.size()) {
         const ILit lit = trail_[propagate_head_++];
+        const ILit false_lit = NegateLit(lit);
         ++stats_.propagations;
+        // Raw pointers stay valid: clauses never move during propagation,
+        // and a watcher only ever moves to another literal's list.
         std::vector<Watcher>& watch_list = watches_[lit];
-        size_t keep = 0;
-        for (size_t i = 0; i < watch_list.size(); ++i) {
-            const Watcher watcher = watch_list[i];
+        Watcher* const end = watch_list.data() + watch_list.size();
+        Watcher* keep = watch_list.data();
+        for (Watcher* it = watch_list.data(); it != end; ++it) {
+            const Watcher watcher = *it;
             // Fast path: the blocker literal is already true.
             if (ValueOf(watcher.blocker) == 1) {
-                watch_list[keep++] = watcher;
+                *keep++ = watcher;
                 continue;
             }
-            Clause& clause = clauses_[watcher.clause_index];
+            ILit* const lits = ClauseLits(watcher.clause);
             // Ensure the falsified literal is in slot 1.
-            const ILit false_lit = NegateLit(lit);
-            if (clause.lits[0] == false_lit) {
-                std::swap(clause.lits[0], clause.lits[1]);
+            if (lits[0] == false_lit) {
+                std::swap(lits[0], lits[1]);
             }
-            const ILit first = clause.lits[0];
+            const ILit first = lits[0];
             if (first != watcher.blocker && ValueOf(first) == 1) {
-                watch_list[keep++] = {watcher.clause_index, first};
+                *keep++ = {watcher.clause, first};
                 continue;
             }
             // Look for a new literal to watch.
-            bool found = false;
-            for (size_t k = 2; k < clause.lits.size(); ++k) {
-                if (ValueOf(clause.lits[k]) != 0) {
-                    std::swap(clause.lits[1], clause.lits[k]);
-                    watches_[NegateLit(clause.lits[1])].push_back(
-                        {watcher.clause_index, first});
-                    found = true;
-                    break;
-                }
+            const uint32_t size = ClauseSize(watcher.clause);
+            uint32_t k = 2;
+            while (k < size && ValueOf(lits[k]) == 0) {
+                ++k;
             }
-            if (found) {
+            if (k < size) {
+                std::swap(lits[1], lits[k]);
+                watches_[NegateLit(lits[1])].push_back(
+                    {watcher.clause, first});
                 continue;  // This watcher moves to another list.
             }
             // Clause is unit or conflicting.
-            watch_list[keep++] = {watcher.clause_index, first};
-            if (!Enqueue(first,
-                         static_cast<int32_t>(watcher.clause_index))) {
+            *keep++ = {watcher.clause, first};
+            if (!Enqueue(first, watcher.clause)) {
                 // Conflict: restore the remaining watchers and report.
-                for (size_t k = i + 1; k < watch_list.size(); ++k) {
-                    watch_list[keep++] = watch_list[k];
-                }
-                watch_list.resize(keep);
+                keep = std::copy(it + 1, end, keep);
+                watch_list.resize(
+                    static_cast<size_t>(keep - watch_list.data()));
                 propagate_head_ = trail_.size();
-                return static_cast<int32_t>(watcher.clause_index);
+                return watcher.clause;
             }
         }
-        watch_list.resize(keep);
+        watch_list.resize(static_cast<size_t>(keep - watch_list.data()));
     }
-    return -1;
+    return kNoClause;
 }
 
 void
-SatSolver::Analyze(int32_t conflict_index, std::vector<ILit>* learned,
+SatSolver::Analyze(CRef conflict, std::vector<ILit>* learned,
                    int* backtrack_level)
 {
     learned->clear();
@@ -148,19 +146,20 @@ SatSolver::Analyze(int32_t conflict_index, std::vector<ILit>* learned,
     int counter = 0;
     ILit asserting = 0;
     bool first_round = true;
-    int32_t clause_index = conflict_index;
+    CRef clause = conflict;
     size_t trail_pos = trail_.size();
     const int current_level = static_cast<int>(trail_limits_.size());
 
     for (;;) {
-        CHEF_CHECK(clause_index >= 0);
-        const Clause& clause = clauses_[clause_index];
+        CHEF_CHECK(clause != kNoClause);
+        const ILit* lits = ClauseLits(clause);
+        const uint32_t size = ClauseSize(clause);
         // Skip lits[0] on non-conflict rounds: it is the asserting literal
         // whose reason we are expanding.
-        const size_t start = first_round ? 0 : 1;
+        const uint32_t start = first_round ? 0 : 1;
         first_round = false;
-        for (size_t i = start; i < clause.lits.size(); ++i) {
-            const ILit q = clause.lits[i];
+        for (uint32_t i = start; i < size; ++i) {
+            const ILit q = lits[i];
             const uint32_t var = VarOf(q);
             if (seen_[var] || level_[var] == 0) {
                 continue;
@@ -185,7 +184,7 @@ SatSolver::Analyze(int32_t conflict_index, std::vector<ILit>* learned,
         if (counter == 0) {
             break;
         }
-        clause_index = reason_[var];
+        clause = reason_[var];
     }
     (*learned)[0] = NegateLit(asserting);
 
@@ -219,9 +218,11 @@ SatSolver::Backtrack(int target_level)
     }
     const size_t new_size = trail_limits_[target_level];
     for (size_t i = trail_.size(); i > new_size; --i) {
-        const uint32_t var = VarOf(trail_[i - 1]);
-        assign_[var] = kUndef;
-        reason_[var] = -1;
+        const ILit lit = trail_[i - 1];
+        const uint32_t var = VarOf(lit);
+        value_[lit] = kUndef;
+        value_[NegateLit(lit)] = kUndef;
+        reason_[var] = kNoClause;
         HeapInsert(var);
     }
     trail_.resize(new_size);
@@ -236,9 +237,9 @@ SatSolver::ResetState()
     root_unsat_ = false;
     num_vars_ = 0;
     num_learned_ = 0;
-    clauses_.clear();
+    arena_.clear();
     watches_.clear();
-    assign_.clear();
+    value_.clear();
     phase_.clear();
     reason_.clear();
     level_.clear();
@@ -258,9 +259,9 @@ SatSolver::GrowVars(int num_vars)
     CHEF_CHECK(num_vars >= num_vars_);
     const int old_vars = num_vars_;
     num_vars_ = num_vars;
-    assign_.resize(num_vars_, kUndef);
+    value_.resize(2 * static_cast<size_t>(num_vars_), kUndef);
     phase_.resize(num_vars_, 0);
-    reason_.resize(num_vars_, -1);
+    reason_.resize(num_vars_, kNoClause);
     level_.resize(num_vars_, 0);
     activity_.resize(num_vars_, 0.0);
     seen_.resize(num_vars_, 0);
@@ -368,7 +369,7 @@ SatSolver::PickBranchLit()
     for (;;) {
         CHEF_CHECK(!heap_.empty());
         const uint32_t var = HeapPopMax();
-        if (assign_[var] != kUndef) {
+        if (ValueOf(var << 1) != kUndef) {
             continue;
         }
         // Phase saving: re-use the last assigned polarity.
@@ -387,39 +388,36 @@ SatSolver::PurgeLearned()
 {
     CHEF_CHECK(trail_limits_.empty());
 
-    // Clauses locked as the reason for a root assignment must survive
-    // (conflict analysis may still expand them).
-    std::vector<uint8_t> locked(clauses_.size(), 0);
-    for (const ILit lit : trail_) {
-        const int32_t reason = reason_[VarOf(lit)];
-        if (reason >= 0) {
-            locked[static_cast<size_t>(reason)] = 1;
-        }
-    }
-
     // Score learned clauses by the mean VSIDS activity of their
     // variables: a clause over currently hot variables is the one likely
     // to prune again, and normalizing by length keeps a long stale
     // clause from outscoring a tight one by volume. The newest clause
     // (this conflict's lesson) is exempt so a purge can never erase the
-    // conflict that triggered it.
+    // conflict that triggered it, and clauses locked as the reason for a
+    // root assignment must survive (conflict analysis may still expand
+    // them).
     struct Candidate {
-        uint32_t index;
+        CRef clause;
         double score;
     };
     std::vector<Candidate> candidates;
     candidates.reserve(num_learned_);
-    for (uint32_t i = 0; i + 1 < clauses_.size(); ++i) {
-        const Clause& clause = clauses_[i];
-        if (!clause.learned || locked[i]) {
-            continue;
+    for (CRef clause = 0; clause < arena_.size();) {
+        const uint32_t size = ClauseSize(clause);
+        const CRef next = clause + 1 + size;
+        if (next == arena_.size()) {
+            break;  // The newest clause.
         }
-        double score = 0.0;
-        for (const ILit lit : clause.lits) {
-            score += activity_[VarOf(lit)];
+        if (ClauseLearned(clause) && !Locked(clause)) {
+            const ILit* lits = ClauseLits(clause);
+            double score = 0.0;
+            for (uint32_t k = 0; k < size; ++k) {
+                score += activity_[VarOf(lits[k])];
+            }
+            candidates.push_back(
+                {clause, score / static_cast<double>(size)});
         }
-        candidates.push_back(
-            {i, score / static_cast<double>(clause.lits.size())});
+        clause = next;
     }
     const size_t target = std::min(candidates.size(), num_learned_ / 2);
     if (target == 0) {
@@ -428,37 +426,40 @@ SatSolver::PurgeLearned()
     std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& a, const Candidate& b) {
                   return a.score < b.score ||
-                         (a.score == b.score && a.index < b.index);
+                         (a.score == b.score && a.clause < b.clause);
               });
-    std::vector<uint8_t> drop(clauses_.size(), 0);
+    std::vector<CRef> dropped(target);
     for (size_t i = 0; i < target; ++i) {
-        drop[candidates[i].index] = 1;
+        dropped[i] = candidates[i].clause;
     }
+    std::sort(dropped.begin(), dropped.end());
 
-    // Compact the clause vector and remap the root reasons.
-    std::vector<int32_t> remap(clauses_.size(), -1);
-    size_t out = 0;
-    for (size_t i = 0; i < clauses_.size(); ++i) {
-        if (drop[i]) {
+    // Compact the arena in place, in clause order. A surviving clause
+    // only moves down, so a reason already remapped to a new offset can
+    // never be mistaken for a later clause's old one.
+    CRef out = 0;
+    size_t next_drop = 0;
+    for (CRef clause = 0; clause < arena_.size();) {
+        const uint32_t words = 1 + ClauseSize(clause);
+        if (next_drop < dropped.size() && dropped[next_drop] == clause) {
+            ++next_drop;
+            clause += words;
             continue;
         }
-        remap[i] = static_cast<int32_t>(out);
-        if (i != out) {
-            clauses_[out] = std::move(clauses_[i]);
+        if (Locked(clause)) {
+            reason_[VarOf(ClauseLits(clause)[0])] = out;
         }
-        ++out;
-    }
-    const size_t removed = clauses_.size() - out;
-    clauses_.resize(out);
-    num_learned_ -= removed;
-    stats_.purged_clauses += removed;
-    for (const ILit lit : trail_) {
-        int32_t& reason = reason_[VarOf(lit)];
-        if (reason >= 0) {
-            reason = remap[reason];
-            CHEF_CHECK(reason >= 0);
+        if (out != clause) {
+            std::copy(arena_.begin() + clause,
+                      arena_.begin() + clause + words,
+                      arena_.begin() + out);
         }
+        out += words;
+        clause += words;
     }
+    arena_.resize(out);
+    num_learned_ -= target;
+    stats_.purged_clauses += target;
 
     // Rebuild the watch lists. Watchers only fire on future enqueues, so
     // (as in LoadIncrement) each clause must watch two literals that are
@@ -469,19 +470,21 @@ SatSolver::PurgeLearned()
     for (std::vector<Watcher>& list : watches_) {
         list.clear();
     }
-    for (uint32_t i = 0; i < clauses_.size(); ++i) {
-        Clause& clause = clauses_[i];
-        size_t nonfalse = 0;
-        for (size_t k = 0; k < clause.lits.size() && nonfalse < 2; ++k) {
-            if (ValueOf(clause.lits[k]) != 0) {
-                std::swap(clause.lits[nonfalse], clause.lits[k]);
+    for (CRef clause = 0; clause < arena_.size();
+         clause += 1 + ClauseSize(clause)) {
+        ILit* const lits = ClauseLits(clause);
+        const uint32_t size = ClauseSize(clause);
+        uint32_t nonfalse = 0;
+        for (uint32_t k = 0; k < size && nonfalse < 2; ++k) {
+            if (ValueOf(lits[k]) != 0) {
+                std::swap(lits[nonfalse], lits[k]);
                 ++nonfalse;
             }
         }
         if (nonfalse >= 2) {
-            AttachClause(i);
+            AttachClause(clause);
         } else {
-            CHEF_CHECK(nonfalse == 1 && ValueOf(clause.lits[0]) == 1);
+            CHEF_CHECK(nonfalse == 1 && ValueOf(lits[0]) == 1);
         }
     }
 }
@@ -489,22 +492,20 @@ SatSolver::PurgeLearned()
 bool
 SatSolver::LoadIncrement(const CnfFormula& formula)
 {
-    const std::vector<std::vector<Lit>>& clauses = formula.clauses();
-    clauses_.reserve(clauses_.size() + (clauses.size() - loaded_clauses_));
-    for (size_t i = loaded_clauses_; i < clauses.size(); ++i) {
-        const std::vector<Lit>& clause = clauses[i];
+    std::vector<ILit> internal;
+    for (size_t i = loaded_clauses_; i < formula.num_clauses(); ++i) {
+        const ClauseView clause = formula.clause(i);
         if (clause.size() == 1) {
             // Root-level unit: permanently true.
-            if (!Enqueue(Encode(clause[0]), -1)) {
+            if (!Enqueue(Encode(clause[0]), kNoClause)) {
                 loaded_clauses_ = i + 1;
                 return false;
             }
             continue;
         }
-        Clause internal;
-        internal.lits.reserve(clause.size());
+        internal.clear();
         for (Lit lit : clause) {
-            internal.lits.push_back(Encode(lit));
+            internal.push_back(Encode(lit));
         }
         // Root assignments are permanent, and watchers only fire on
         // *future* enqueues — a clause attached with already-falsified
@@ -513,10 +514,9 @@ SatSolver::LoadIncrement(const CnfFormula& formula)
         // slots; clauses already unit or conflicting at load time are
         // resolved here instead.
         size_t nonfalse = 0;
-        for (size_t k = 0; k < internal.lits.size() && nonfalse < 2;
-             ++k) {
-            if (ValueOf(internal.lits[k]) != 0) {
-                std::swap(internal.lits[nonfalse], internal.lits[k]);
+        for (size_t k = 0; k < internal.size() && nonfalse < 2; ++k) {
+            if (ValueOf(internal[k]) != 0) {
+                std::swap(internal[nonfalse], internal[k]);
                 ++nonfalse;
             }
         }
@@ -529,17 +529,14 @@ SatSolver::LoadIncrement(const CnfFormula& formula)
             // Unit under the root assignment: its surviving literal is
             // forced (or already true, making the clause redundant
             // forever — no need to attach it either way).
-            if (ValueOf(internal.lits[0]) == kUndef) {
-                clauses_.push_back(std::move(internal));
-                const auto index =
-                    static_cast<uint32_t>(clauses_.size() - 1);
-                CHEF_CHECK(Enqueue(clauses_[index].lits[0],
-                                   static_cast<int32_t>(index)));
+            if (ValueOf(internal[0]) == kUndef) {
+                const CRef reason =
+                    AllocClause(internal.data(), internal.size(), false);
+                CHEF_CHECK(Enqueue(internal[0], reason));
             }
             continue;
         }
-        clauses_.push_back(std::move(internal));
-        AttachClause(static_cast<uint32_t>(clauses_.size() - 1));
+        AttachClause(AllocClause(internal.data(), internal.size(), false));
         // Bump variables that appear in clauses so branching prefers
         // constrained variables.
         for (Lit lit : clause) {
@@ -551,7 +548,7 @@ SatSolver::LoadIncrement(const CnfFormula& formula)
             }
         }
     }
-    loaded_clauses_ = clauses.size();
+    loaded_clauses_ = formula.num_clauses();
     return true;
 }
 
@@ -564,8 +561,8 @@ SatSolver::Search(const std::vector<Lit>& assumptions)
     std::vector<ILit> learned;
 
     for (;;) {
-        const int32_t conflict = Propagate();
-        if (conflict >= 0) {
+        const CRef conflict = Propagate();
+        if (conflict != kNoClause) {
             ++stats_.conflicts;
             ++conflicts_since_restart;
             if (trail_limits_.empty()) {
@@ -581,19 +578,14 @@ SatSolver::Search(const std::vector<Lit>& assumptions)
             Analyze(conflict, &learned, &backtrack_level);
             Backtrack(backtrack_level);
             if (learned.size() == 1) {
-                CHEF_CHECK(Enqueue(learned[0], -1));
+                CHEF_CHECK(Enqueue(learned[0], kNoClause));
             } else {
-                Clause clause;
-                clause.lits = learned;
-                clause.learned = true;
-                clauses_.push_back(std::move(clause));
+                const CRef clause =
+                    AllocClause(learned.data(), learned.size(), true);
                 ++stats_.learned_clauses;
                 ++num_learned_;
-                const auto index =
-                    static_cast<uint32_t>(clauses_.size() - 1);
-                AttachClause(index);
-                CHEF_CHECK(Enqueue(learned[0],
-                                   static_cast<int32_t>(index)));
+                AttachClause(clause);
+                CHEF_CHECK(Enqueue(learned[0], clause));
             }
             DecayActivities();
             if (options_.max_learned_clauses != 0 &&
@@ -622,7 +614,7 @@ SatSolver::Search(const std::vector<Lit>& assumptions)
             }
             trail_limits_.push_back(trail_.size());
             if (value == kUndef) {
-                CHEF_CHECK(Enqueue(next, -1));
+                CHEF_CHECK(Enqueue(next, kNoClause));
             }
             continue;
         }
@@ -642,7 +634,7 @@ SatSolver::Search(const std::vector<Lit>& assumptions)
         }
         ++stats_.decisions;
         trail_limits_.push_back(trail_.size());
-        CHEF_CHECK(Enqueue(PickBranchLit(), -1));
+        CHEF_CHECK(Enqueue(PickBranchLit(), kNoClause));
     }
 }
 
@@ -663,7 +655,7 @@ SatSolver::SolveIncremental(const CnfFormula& formula,
     }
     Backtrack(0);
     GrowVars(formula.num_vars());
-    if (!LoadIncrement(formula) || Propagate() >= 0) {
+    if (!LoadIncrement(formula) || Propagate() != kNoClause) {
         root_unsat_ = true;
         return SatStatus::kUnsat;
     }
@@ -674,8 +666,7 @@ bool
 SatSolver::ModelValue(int var) const
 {
     CHEF_CHECK(var >= 1 && var <= num_vars_);
-    const uint8_t v = assign_[var - 1];
-    return v == 1;
+    return ValueOf(static_cast<ILit>(var - 1) << 1) == 1;
 }
 
 }  // namespace chef::solver

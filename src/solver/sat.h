@@ -8,6 +8,32 @@
 /// literal propagation, 1UIP conflict analysis, VSIDS-style branching with
 /// phase saving, and geometric restarts. Sized for the CNF instances produced
 /// by bit-blasting path conditions over tens to hundreds of input bytes.
+///
+/// Data layout. Propagation dominates the solver's time (an incremental
+/// session's assumptions are mostly refuted by propagation alone), so the
+/// hot structures are flat:
+///   - Every attached clause lives inline in one `uint32_t` arena: a header
+///     word `(size << 1) | learned`, then its internal literals. A clause
+///     is named by the arena offset of its header (`CRef`); watchers and
+///     per-variable reasons hold these offsets.
+///   - Truth values are indexed by internal literal (`2*var + negated`):
+///     `ValueOf` is one load, and assigning a variable writes both
+///     polarities.
+///   - `CnfFormula` stores its clauses flat too, as one literal vector
+///     plus clause start offsets: adding or loading a clause allocates
+///     nothing beyond the amortized growth of those vectors.
+///   - PurgeLearned compacts the arena in place, in clause order, and
+///     remaps each locked reason from its old offset to its new one.
+///
+/// Bit-identity contract. The search (every decision, propagation order,
+/// learned clause and therefore every model) is a function of clause order,
+/// watch-list order, in-clause literal order, the VSIDS bump order and the
+/// floating-point order of the purge score. Models feed the engine's
+/// generated inputs and through them exploration order and fingerprints,
+/// which the fixed-work benchmark guards exactly. A layout or speed change
+/// here must keep all of those orders; `SatGolden.SearchIsBitIdentical` in
+/// tests/sat_test.cc pins a digest of statuses, models and SatStats over
+/// long capped incremental sessions and must not be re-pinned for one.
 
 #include <cstddef>
 #include <cstdint>
@@ -25,7 +51,24 @@ enum class SatStatus {
     kUnknown,  ///< Resource limit exceeded.
 };
 
-/// Accumulates a CNF formula.
+/// Literals of one CnfFormula clause: a view into the formula's flat
+/// literal storage, valid until the next clause is added.
+class ClauseView
+{
+  public:
+    ClauseView(const Lit* begin, const Lit* end) : begin_(begin), end_(end) {}
+    const Lit* begin() const { return begin_; }
+    const Lit* end() const { return end_; }
+    size_t size() const { return static_cast<size_t>(end_ - begin_); }
+    Lit operator[](size_t i) const { return begin_[i]; }
+
+  private:
+    const Lit* begin_;
+    const Lit* end_;
+};
+
+/// Accumulates a CNF formula. Clauses are stored flat: the literals of
+/// clause i are lits_[starts_[i], starts_[i + 1]).
 class CnfFormula
 {
   public:
@@ -34,20 +77,39 @@ class CnfFormula
 
     int num_vars() const { return num_vars_; }
 
-    /// Adds a clause given as DIMACS literals. Empty clauses make the
-    /// formula trivially unsatisfiable.
-    void AddClause(std::vector<Lit> lits);
-    void AddUnit(Lit a) { AddClause({a}); }
-    void AddBinary(Lit a, Lit b) { AddClause({a, b}); }
-    void AddTernary(Lit a, Lit b, Lit c) { AddClause({a, b, c}); }
+    /// Adds a clause given as DIMACS literals. The clause is normalized
+    /// (literals sorted by variable, negative first; duplicates dropped;
+    /// tautologies dropped whole); its literal order decides the watches
+    /// the solver starts from. Empty clauses make the formula trivially
+    /// unsatisfiable.
+    void AddClause(std::vector<Lit> lits) { Add(lits.data(), lits.size()); }
+    void AddUnit(Lit a) { Add(&a, 1); }
+    void AddBinary(Lit a, Lit b)
+    {
+        Lit lits[2] = {a, b};
+        Add(lits, 2);
+    }
+    void AddTernary(Lit a, Lit b, Lit c)
+    {
+        Lit lits[3] = {a, b, c};
+        Add(lits, 3);
+    }
 
-    const std::vector<std::vector<Lit>>& clauses() const { return clauses_; }
+    size_t num_clauses() const { return starts_.size() - 1; }
+    ClauseView clause(size_t i) const
+    {
+        return {lits_.data() + starts_[i], lits_.data() + starts_[i + 1]};
+    }
     bool trivially_unsat() const { return trivially_unsat_; }
 
   private:
+    /// Normalizes \p lits in place and appends the clause.
+    void Add(Lit* lits, size_t size);
+
     int num_vars_ = 0;
     bool trivially_unsat_ = false;
-    std::vector<std::vector<Lit>> clauses_;
+    std::vector<Lit> lits_;
+    std::vector<uint32_t> starts_ = {0};
 };
 
 /// Solver statistics for one Solve() call.
@@ -117,23 +179,26 @@ class SatSolver
   private:
     // Internal literal encoding: 2*var + (negated ? 1 : 0), var 0-based.
     using ILit = uint32_t;
+    // Clause reference: arena offset of the clause's header word.
+    using CRef = uint32_t;
 
     enum : uint8_t { kUndef = 2 };
-
-    struct Clause {
-        std::vector<ILit> lits;
-        bool learned = false;
-    };
+    static constexpr CRef kNoClause = UINT32_MAX;
 
     struct Watcher {
-        uint32_t clause_index;
+        CRef clause;
         ILit blocker;
     };
 
     static ILit Encode(Lit lit);
     ILit NegateLit(ILit lit) const { return lit ^ 1; }
     uint32_t VarOf(ILit lit) const { return lit >> 1; }
-    uint8_t ValueOf(ILit lit) const;
+    uint8_t ValueOf(ILit lit) const { return value_[lit]; }
+
+    uint32_t ClauseSize(CRef clause) const { return arena_[clause] >> 1; }
+    bool ClauseLearned(CRef clause) const { return arena_[clause] & 1; }
+    ILit* ClauseLits(CRef clause) { return &arena_[clause + 1]; }
+    const ILit* ClauseLits(CRef clause) const { return &arena_[clause + 1]; }
 
     /// Discards every clause, assignment and heuristic state (the one-shot
     /// Solve() entry point).
@@ -148,15 +213,24 @@ class SatSolver
     /// placed as forced first decisions.
     SatStatus Search(const std::vector<Lit>& assumptions);
 
-    bool AttachClause(uint32_t clause_index);
+    /// Appends a clause to the arena and returns its reference.
+    CRef AllocClause(const ILit* lits, size_t size, bool learned);
+    void AttachClause(CRef clause);
+    /// True when \p clause is the reason for its first literal's current
+    /// assignment (reasons always imply slot 0).
+    bool Locked(CRef clause) const
+    {
+        return reason_[VarOf(ClauseLits(clause)[0])] == clause;
+    }
     /// Drops the lowest-scoring half of the learned clauses (score: mean
-    /// VSIDS activity of a clause's variables) and rebuilds watches and
-    /// reason indices. Requires the trail at root level with propagation
-    /// complete; clauses locked as root-assignment reasons are kept.
+    /// VSIDS activity of a clause's variables), compacts the arena and
+    /// rebuilds watches and reason offsets. Requires the trail at root
+    /// level with propagation complete; clauses locked as root-assignment
+    /// reasons are kept.
     void PurgeLearned();
-    bool Enqueue(ILit lit, int32_t reason);
-    int32_t Propagate();
-    void Analyze(int32_t conflict_index, std::vector<ILit>* learned,
+    bool Enqueue(ILit lit, CRef reason);
+    CRef Propagate();
+    void Analyze(CRef conflict, std::vector<ILit>* learned,
                  int* backtrack_level);
     void Backtrack(int level);
     void BumpVar(uint32_t var);
@@ -183,13 +257,15 @@ class SatSolver
     bool root_unsat_ = false;
 
     int num_vars_ = 0;
-    /// Learned clauses currently in clauses_ (purge trigger gauge).
+    /// Learned clauses currently in the arena (purge trigger gauge).
     size_t num_learned_ = 0;
-    std::vector<Clause> clauses_;
+    /// Clause arena: per clause a header word (size << 1) | learned, then
+    /// its literals. Clauses appear in the order they were added.
+    std::vector<uint32_t> arena_;
     std::vector<std::vector<Watcher>> watches_;  // indexed by ILit
-    std::vector<uint8_t> assign_;                // per var: 0/1/kUndef
+    std::vector<uint8_t> value_;                 // per ILit: 0/1/kUndef
     std::vector<uint8_t> phase_;                 // saved phase per var
-    std::vector<int32_t> reason_;                // clause index or -1
+    std::vector<CRef> reason_;                   // per var, or kNoClause
     std::vector<int32_t> level_;
     std::vector<ILit> trail_;
     std::vector<size_t> trail_limits_;

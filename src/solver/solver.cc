@@ -436,7 +436,7 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
             sat_options.max_learned_clauses = options_.max_learned_clauses;
             session_ = std::make_unique<SatSession>(sat_options);
         }
-        const size_t clauses_before = session_->cnf.clauses().size();
+        const size_t clauses_before = session_->cnf.num_clauses();
         const int vars_before = session_->cnf.num_vars();
         std::vector<Lit> assumptions;
         assumptions.reserve(live.size());
@@ -445,7 +445,7 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
         }
         stats_.cnf_vars +=
             static_cast<uint64_t>(session_->cnf.num_vars() - vars_before);
-        stats_.cnf_clauses += session_->cnf.clauses().size() - clauses_before;
+        stats_.cnf_clauses += session_->cnf.num_clauses() - clauses_before;
         ++stats_.sat_calls;
         ++stats_.incremental_sat_calls;
         const size_t loaded_before = session_->sat.loaded_clauses();
@@ -476,8 +476,8 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
             blaster.AssertTrue(assertion);
         }
         stats_.cnf_vars += cnf.num_vars();
-        stats_.cnf_clauses += cnf.clauses().size();
-        stats_.clauses_loaded += cnf.clauses().size();
+        stats_.cnf_clauses += cnf.num_clauses();
+        stats_.clauses_loaded += cnf.num_clauses();
 
         SatSolver::Options sat_options;
         sat_options.max_conflicts = options_.max_conflicts;

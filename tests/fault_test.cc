@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -281,6 +283,24 @@ RunWithFaultyShard(ShardCoordinator* coordinator,
     return ok;
 }
 
+/// A shard that greets, then drops dead (SIGKILL, as the wire sees it)
+/// the moment it is handed a batch.
+void
+CloseOnFirstRun(Transport* endpoint)
+{
+    ASSERT_TRUE(endpoint->Send(EncodeHello()));
+    std::string line;
+    Message message;
+    std::string decode_error;
+    while (endpoint->Receive(&line, -1) == Transport::RecvStatus::kMessage) {
+        if (DecodeMessage(line, &message, &decode_error) &&
+            message.type == MessageType::kRun) {
+            endpoint->Close();
+            return;
+        }
+    }
+}
+
 /// Blocks until the peer closes (the coordinator condemning the shard).
 void
 DrainUntilClosed(Transport* endpoint)
@@ -344,20 +364,7 @@ TEST(CoordinatorFaults, MidBatchCloseRequeuesDeterministically)
     ShardCoordinator coordinator(FaultyCoordinatorOptions());
     const bool ok = RunWithFaultyShard(
         &coordinator, jobs,
-        [](Transport* endpoint) {
-            ASSERT_TRUE(endpoint->Send(EncodeHello()));
-            std::string line;
-            Message message;
-            std::string decode_error;
-            while (endpoint->Receive(&line, -1) ==
-                   Transport::RecvStatus::kMessage) {
-                if (DecodeMessage(line, &message, &decode_error) &&
-                    message.type == MessageType::kRun) {
-                    endpoint->Close();  // SIGKILL, as the wire sees it.
-                    return;
-                }
-            }
-        },
+        CloseOnFirstRun,
         &error);
 
     EXPECT_TRUE(ok) << error;
@@ -437,20 +444,7 @@ TEST(CoordinatorFaults, BrokenQuorumDegradesToAPartialReport)
     std::string error;
     const bool ok = RunWithFaultyShard(
         &coordinator, jobs,
-        [](Transport* endpoint) {
-            ASSERT_TRUE(endpoint->Send(EncodeHello()));
-            std::string line;
-            Message message;
-            std::string decode_error;
-            while (endpoint->Receive(&line, -1) ==
-                   Transport::RecvStatus::kMessage) {
-                if (DecodeMessage(line, &message, &decode_error) &&
-                    message.type == MessageType::kRun) {
-                    endpoint->Close();
-                    return;
-                }
-            }
-        },
+        CloseOnFirstRun,
         &error);
 
     // Still true: a degraded partial report, not a batch error.
@@ -475,6 +469,99 @@ TEST(CoordinatorFaults, BrokenQuorumDegradesToAPartialReport)
     // were not requeued below quorum.
     EXPECT_GT(completed, 0u);
     EXPECT_GT(lost, 0u);
+}
+
+/// Coordinator-side endpoint decorator that signals once the coordinator
+/// has received a final result message from the peer.
+class ResultSignalingTransport : public Transport
+{
+  public:
+    explicit ResultSignalingTransport(Transport* inner) : inner_(inner) {}
+
+    bool Send(const std::string& message) override
+    {
+        return inner_->Send(message);
+    }
+
+    RecvStatus Receive(std::string* message, int timeout_ms) override
+    {
+        const RecvStatus status = inner_->Receive(message, timeout_ms);
+        Message decoded;
+        std::string error;
+        if (status == RecvStatus::kMessage &&
+            DecodeMessage(*message, &decoded, &error) &&
+            decoded.type == MessageType::kResult) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            result_seen_ = true;
+            cv_.notify_all();
+        }
+        return status;
+    }
+
+    void Close() override { inner_->Close(); }
+
+    /// Waits for the first result; gives up after a minute so a broken
+    /// survivor fails the test instead of hanging it.
+    void WaitForResult()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait_for(lock, std::chrono::minutes(1),
+                     [this] { return result_seen_; });
+    }
+
+  private:
+    Transport* inner_;
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool result_seen_ = false;
+};
+
+TEST(CoordinatorFaults, BrokenQuorumHoldsWhenTheSurvivorIsAlreadyIdle)
+{
+    // The ordering behind BrokenQuorumDegradesToAPartialReport's rare
+    // failure, forced: the survivor reports its whole partition before
+    // the faulty shard even greets, so it sits idle when the faulty shard
+    // dies. The dead shard's jobs must still not be requeued onto it in
+    // the same sweep that broke the quorum.
+    const std::vector<JobSpec> jobs = SmallBatch(4);
+    ShardCoordinator::Options options = FaultyCoordinatorOptions();
+    options.min_live_shards = 2;
+    ShardCoordinator coordinator(options);
+
+    LoopbackPair good = CreateLoopbackPair();
+    LoopbackPair bad = CreateLoopbackPair();
+    ResultSignalingTransport watched(good.a.get());
+    std::thread survivor([&] {
+        ShardWorker worker(ShardWorker::Options{}, good.b.get());
+        worker.Serve();
+    });
+    std::thread faulty([&] {
+        watched.WaitForResult();
+        CloseOnFirstRun(bad.b.get());
+    });
+    std::string error;
+    const bool ok = coordinator.Run(jobs, {&watched, bad.a.get()}, &error);
+    good.a->Close();
+    bad.a->Close();
+    survivor.join();
+    faulty.join();
+
+    EXPECT_TRUE(ok) << error;
+    EXPECT_TRUE(coordinator.degraded());
+    ASSERT_EQ(coordinator.results().size(), jobs.size());
+    size_t completed = 0;
+    size_t lost = 0;
+    for (const JobResult& result : coordinator.results()) {
+        if (result.status == JobStatus::kCompleted) {
+            ++completed;
+        } else {
+            EXPECT_EQ(result.stop_source, "shard_death");
+            ++lost;
+        }
+    }
+    EXPECT_EQ(completed, 2u);  // The survivor's partition: jobs 0 and 2.
+    EXPECT_EQ(lost, 2u);       // The dead shard's: jobs 1 and 3.
+    EXPECT_EQ(coordinator.shards()[0].jobs_assigned, 2u);
 }
 
 TEST(CoordinatorFaults, WorkerCancelsInFlightBatchWhenCoordinatorDies)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "solver/bitblast.h"
+#include "solver/expr.h"
 #include "support/rng.h"
 
 namespace chef::solver {
@@ -51,7 +53,7 @@ TEST(Sat, TautologicalClauseIsDropped)
     CnfFormula formula;
     const int x = formula.NewVar();
     formula.AddClause({x, -x});
-    EXPECT_EQ(formula.clauses().size(), 0u);
+    EXPECT_EQ(formula.num_clauses(), 0u);
 }
 
 TEST(Sat, SimpleImplicationChain)
@@ -154,9 +156,9 @@ TEST(Sat, ModelSatisfiesAllClauses)
     }
     SatSolver solver;
     ASSERT_EQ(solver.Solve(formula), SatStatus::kSat);
-    for (const auto& clause : formula.clauses()) {
+    for (size_t i = 0; i < formula.num_clauses(); ++i) {
         bool satisfied = false;
-        for (Lit lit : clause) {
+        for (Lit lit : formula.clause(i)) {
             const bool value = solver.ModelValue(std::abs(lit));
             satisfied |= (lit > 0) == value;
         }
@@ -171,9 +173,9 @@ BruteForceSat(const CnfFormula& formula)
     const int n = formula.num_vars();
     for (uint32_t bits = 0; bits < (1u << n); ++bits) {
         bool all = true;
-        for (const auto& clause : formula.clauses()) {
+        for (size_t i = 0; i < formula.num_clauses(); ++i) {
             bool sat = false;
-            for (Lit lit : clause) {
+            for (Lit lit : formula.clause(i)) {
                 const bool value = (bits >> (std::abs(lit) - 1)) & 1;
                 sat |= (lit > 0) == value;
             }
@@ -453,6 +455,248 @@ TEST(SatIncremental, LearnedClausePurgeBoundsLongSession)
     EXPECT_LE(session.stats().learned_clauses -
                   session.stats().purged_clauses,
               2 * capped.max_learned_clauses);
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity golden: the solver's search is pinned, not just its answers.
+// Each digest folds every call's status, model bits, cumulative SatStats
+// and loaded-clause count. Models feed the engine's generated inputs (and
+// through them exploration order and fingerprints), so a data-layout
+// change to the solver must leave this digest exactly where it is. Do not
+// re-pin it to make a change pass: a moved digest means the search moved.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over 64-bit words.
+class SearchDigest
+{
+  public:
+    void Mix(uint64_t word)
+    {
+        for (int i = 0; i < 8; ++i) {
+            hash_ ^= (word >> (8 * i)) & 0xff;
+            hash_ *= 0x100000001b3ull;
+        }
+    }
+
+    void MixCall(const SatSolver& solver, SatStatus status, int num_vars)
+    {
+        Mix(static_cast<uint64_t>(status));
+        if (status == SatStatus::kSat) {
+            uint64_t bits = 0;
+            for (int v = 1; v <= num_vars; ++v) {
+                bits = (bits << 1) | (solver.ModelValue(v) ? 1u : 0u);
+                if (v % 64 == 0 || v == num_vars) {
+                    Mix(bits);
+                    bits = 0;
+                }
+            }
+        }
+        const SatStats& stats = solver.stats();
+        Mix(stats.decisions);
+        Mix(stats.propagations);
+        Mix(stats.conflicts);
+        Mix(stats.restarts);
+        Mix(stats.learned_clauses);
+        Mix(stats.purged_clauses);
+        Mix(solver.loaded_clauses());
+    }
+
+    uint64_t value() const { return hash_; }
+
+  private:
+    uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/// Adds \p count random 3-literal clauses satisfied by \p planted.
+void
+AddPlantedClauses(Rng* rng, const std::vector<bool>& planted, int count,
+                  CnfFormula* formula)
+{
+    const int num_vars = static_cast<int>(planted.size()) - 1;
+    for (int i = 0; i < count; ++i) {
+        std::vector<Lit> clause;
+        bool satisfied = false;
+        for (int k = 0; k < 3; ++k) {
+            const int v = 1 + static_cast<int>(rng->NextBelow(num_vars));
+            const bool positive = rng->Chance(0.5);
+            clause.push_back(positive ? v : -v);
+            satisfied |= (positive == planted[v]);
+        }
+        if (!satisfied) {
+            const int v = std::abs(clause[0]);
+            clause[0] = planted[v] ? v : -v;
+        }
+        formula->AddClause(clause);
+    }
+}
+
+/// A long incremental session over a growing planted 3-SAT formula, with
+/// assumptions that change every call and a learned-clause cap small
+/// enough that PurgeLearned compacts the database many times. With
+/// \p var_decay 1 activities stay integers, so purge scores tie and the
+/// tie-break order decides which clauses go.
+uint64_t
+PlantedSessionDigest(uint64_t seed, double var_decay, uint64_t* purged)
+{
+    Rng rng(seed);
+    CnfFormula formula;
+    const int num_vars = 90;
+    std::vector<bool> planted(num_vars + 1);
+    for (int v = 1; v <= num_vars; ++v) {
+        formula.NewVar();
+        planted[v] = rng.Chance(0.5);
+    }
+    SatSolver::Options options;
+    options.max_learned_clauses = 20;
+    options.restart_base = 30;
+    options.var_decay = var_decay;
+    SatSolver session(options);
+    SearchDigest digest;
+    for (int step = 0; step < 40; ++step) {
+        AddPlantedClauses(&rng, planted, 12, &formula);
+        std::vector<Lit> contrary;
+        std::vector<Lit> agreeing;
+        for (int k = 0; k < 6; ++k) {
+            const int v = 1 + static_cast<int>(rng.NextBelow(num_vars));
+            contrary.push_back(planted[v] ? -v : v);
+            agreeing.push_back(planted[v] ? v : -v);
+        }
+        for (const std::vector<Lit>* assumptions :
+             {&contrary, &agreeing}) {
+            const SatStatus status =
+                session.SolveIncremental(formula, *assumptions);
+            digest.MixCall(session, status, formula.num_vars());
+        }
+        const SatStatus status = session.SolveIncremental(formula, {});
+        EXPECT_EQ(status, SatStatus::kSat);
+        digest.MixCall(session, status, formula.num_vars());
+    }
+    *purged = session.stats().purged_clauses;
+    return digest.value();
+}
+
+/// Repeated one-shot solves of random near-threshold 3-SAT instances on
+/// one capped solver (each Solve() resets the clause database).
+uint64_t
+OneShotDigest(uint64_t seed)
+{
+    Rng rng(seed);
+    SatSolver::Options options;
+    options.max_learned_clauses = 12;
+    SatSolver solver(options);
+    SearchDigest digest;
+    for (int round = 0; round < 30; ++round) {
+        CnfFormula formula;
+        const int num_vars = 30 + static_cast<int>(rng.NextBelow(20));
+        for (int v = 0; v < num_vars; ++v) {
+            formula.NewVar();
+        }
+        const int num_clauses = static_cast<int>(num_vars * 4.26);
+        for (int i = 0; i < num_clauses; ++i) {
+            std::vector<Lit> clause;
+            for (int k = 0; k < 3; ++k) {
+                const int v =
+                    1 + static_cast<int>(rng.NextBelow(num_vars));
+                clause.push_back(rng.Chance(0.5) ? v : -v);
+            }
+            formula.AddClause(clause);
+        }
+        const SatStatus status = solver.Solve(formula);
+        digest.MixCall(solver, status, formula.num_vars());
+    }
+    return digest.value();
+}
+
+ExprRef
+RandomTerm(Rng* rng, const std::vector<ExprRef>& vars, int depth)
+{
+    if (depth == 0 || rng->Chance(0.25)) {
+        if (rng->Chance(0.75)) {
+            return vars[rng->NextBelow(vars.size())];
+        }
+        return MakeConst(rng->NextBelow(256), 8);
+    }
+    const ExprRef a = RandomTerm(rng, vars, depth - 1);
+    const ExprRef b = RandomTerm(rng, vars, depth - 1);
+    switch (rng->NextBelow(6)) {
+      case 0: return MakeAdd(a, b);
+      case 1: return MakeSub(a, b);
+      case 2: return MakeMul(a, b);
+      case 3: return MakeXor(a, b);
+      case 4: return MakeAnd(a, b);
+      default: return MakeOr(a, b);
+    }
+}
+
+ExprRef
+RandomAtom(Rng* rng, const std::vector<ExprRef>& vars)
+{
+    const ExprRef a = RandomTerm(rng, vars, 3);
+    const ExprRef b = RandomTerm(rng, vars, 2);
+    switch (rng->NextBelow(4)) {
+      case 0: return MakeEq(a, b);
+      case 1: return MakeNe(a, b);
+      case 2: return MakeUlt(a, b);
+      default: return MakeSle(a, b);
+    }
+}
+
+/// The solver's own incremental shape: one bit-blasted formula that grows
+/// as new path constraints arrive, each call assuming the literals of a
+/// changing subset of them.
+uint64_t
+BitBlastedSessionDigest(uint64_t seed, uint64_t* purged)
+{
+    Rng rng(seed);
+    std::vector<ExprRef> vars;
+    for (uint32_t id = 0; id < 4; ++id) {
+        vars.push_back(MakeVar(id, "x" + std::to_string(id), 8));
+    }
+    CnfFormula formula;
+    BitBlaster blaster(&formula);
+    SatSolver::Options options;
+    options.max_learned_clauses = 16;
+    options.restart_base = 20;
+    SatSolver session(options);
+    SearchDigest digest;
+    std::vector<ExprRef> pool;
+    for (int step = 0; step < 30; ++step) {
+        pool.push_back(RandomAtom(&rng, vars));
+        pool.push_back(RandomAtom(&rng, vars));
+        std::vector<Lit> assumptions;
+        const size_t picks = 2 + rng.NextBelow(4);
+        for (size_t k = 0; k < picks; ++k) {
+            assumptions.push_back(
+                blaster.BlastBool(pool[rng.NextBelow(pool.size())]));
+        }
+        const SatStatus status =
+            session.SolveIncremental(formula, assumptions);
+        digest.MixCall(session, status, formula.num_vars());
+    }
+    *purged = session.stats().purged_clauses;
+    return digest.value();
+}
+
+TEST(SatGolden, SearchIsBitIdentical)
+{
+    uint64_t planted_purged = 0;
+    uint64_t blasted_purged = 0;
+    SearchDigest all;
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+        uint64_t purged = 0;
+        for (const double var_decay : {0.95, 1.0, 0.5}) {
+            all.Mix(PlantedSessionDigest(seed, var_decay, &purged));
+            planted_purged += purged;
+        }
+        all.Mix(OneShotDigest(seed));
+        all.Mix(BitBlastedSessionDigest(seed, &purged));
+        blasted_purged += purged;
+    }
+    // The sessions must exercise PurgeLearned's compaction and reason
+    // remapping, or the digest would not pin them.
+    EXPECT_GT(planted_purged, 0u);
+    EXPECT_GT(blasted_purged, 0u);
+    EXPECT_EQ(all.value(), 0x74b2c9aeda178315ull) << std::hex << all.value();
 }
 
 }  // namespace
