@@ -1,5 +1,6 @@
 #include "chef/engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -40,10 +41,12 @@ SolverOptionsFor(const Engine::Options& options)
     return solver_options;
 }
 
+}  // namespace
+
 /// A persistent pool of exploration worker threads dispatching one round of
 /// indexed jobs at a time. Run() blocks until every job of the round has
 /// completed (the round barrier).
-class RoundPool
+class Engine::RoundPool
 {
   public:
     explicit RoundPool(size_t threads)
@@ -118,11 +121,10 @@ class RoundPool
     bool stop_ = false;
 };
 
-}  // namespace
-
-/// Per-exploration-thread context: own solver (with its own persistent SAT
-/// session) and own runtime used in recording mode, sharing the engine's
-/// tree (untouched while recording) and shared solver cache (if any).
+/// Per-exploration-thread context: own solver (answering the runtime's
+/// queries during a run) and own runtime used in recording mode, sharing
+/// the engine's tree (untouched while recording) and shared solver cache
+/// (if any).
 struct Engine::WorkerContext {
     explicit WorkerContext(Engine& engine)
         : solver(SolverOptionsFor(engine.options_)),
@@ -137,8 +139,9 @@ struct Engine::WorkerContext {
     lowlevel::LowLevelRuntime runtime;
 };
 
-/// One unit of parallel work: the assignment to run under, the claimed
-/// state it came from (if any), and the recorded results.
+/// One run of a round: the assignment to run under, the claimed state it
+/// came from (if any), and the run's results (with its recorded log when it
+/// ran on a worker).
 struct Engine::RoundItem {
     solver::Assignment assignment;
     bool from_pending = false;
@@ -168,8 +171,6 @@ Engine::Engine(Options options)
         m_run_latency_ = registry.histogram("engine.run_seconds");
         m_par_in_flight_ = registry.gauge("engine.parallel.states_in_flight");
         m_par_claims_ = registry.counter("engine.parallel.claims");
-        m_par_contention_ =
-            registry.counter("engine.parallel.claim_contention");
         m_par_rounds_ = registry.counter("engine.parallel.rounds");
         m_par_barrier_wait_ =
             registry.histogram("engine.parallel.barrier_wait_seconds");
@@ -184,8 +185,8 @@ Engine::Engine(Options options)
             // Fork attribution: state ids are monotone, so the
             // high-water mark charges each registered state exactly
             // once (ReleaseClaim re-announces with an old id). The
-            // hook runs under the tree lock; in round mode all
-            // registrations happen on the serial commit path, so the
+            // hook runs under the tree lock; all registrations happen
+            // on the serial commit path (or the live run), so the
             // charge order is thread-count-invariant.
             if (options_.obs.attribution != nullptr &&
                 state.id > attr_last_fork_id_) {
@@ -238,32 +239,22 @@ Engine::CompleteInputsFor(const lowlevel::LowLevelRuntime& runtime)
 std::vector<TestCase>
 Engine::Explore(const RunFn& run)
 {
-    if (options_.exploration_threads <= 1) {
-        return ExploreSerial(run);
+    start_ = Clock::now();
+    const uint32_t threads =
+        std::max<uint32_t>(1, options_.exploration_threads);
+    const bool parallel = threads > 1;
+    stats_.threads_used = threads;
+    std::vector<std::unique_ptr<WorkerContext>> workers;
+    std::unique_ptr<RoundPool> pool;
+    if (parallel) {
+        for (uint32_t i = 0; i < threads; ++i) {
+            workers.push_back(std::make_unique<WorkerContext>(*this));
+        }
+        pool = std::make_unique<RoundPool>(threads);
     }
-    if (options_.free_running) {
-        return ExploreFreeRunning(run);
-    }
-    return ExploreRounds(run);
-}
-
-std::vector<TestCase>
-Engine::ExploreSerial(const RunFn& run)
-{
-    const auto start = Clock::now();
-    auto elapsed = [&start] {
-        return std::chrono::duration<double>(Clock::now() - start).count();
-    };
-    auto stop_requested = [this] {
-        return options_.stop_requested && options_.stop_requested();
-    };
 
     std::vector<TestCase> test_cases;
-    solver::Assignment assignment;  // First run uses declared defaults.
-    // Attribution origin of the upcoming run: the hl_pc of the claimed
-    // state it explores, 0 for the defaults run and assume retries —
-    // matching round mode, where carryover items carry no claim.
-    uint64_t run_origin = 0;
+    std::vector<RoundItem> round(1);  // The first run uses declared defaults.
     // Whether the loop actually exited because of the cancellation hook
     // (recorded at the exit points: re-evaluating the hook after the loop
     // would misreport a naturally completed session whose budget expires
@@ -271,145 +262,216 @@ Engine::ExploreSerial(const RunFn& run)
     bool stopped = false;
 
     while (stats_.ll_paths < options_.max_runs &&
-           elapsed() < options_.max_seconds) {
-        if (stop_requested()) {
+           Elapsed() < options_.max_seconds) {
+        if (StopRequested()) {
             stopped = true;
             break;
         }
-        // One concolic iteration: the interpreter dispatch loop runs
-        // inside run(), so this span is the "where does interpreter time
-        // go" row of the trace.
-        const auto run_start = Clock::now();
-        runtime_.BeginRun(assignment);
-        tracker_.BeginRun();
-        GuestOutcome outcome;
-        {
-            CHEF_OBS_SPAN(run_span, options_.obs.tracer, "engine/run",
-                          "engine");
-            outcome = run(runtime_);
+        if (parallel) {
+            RunRecorded(run, &round, workers, *pool, &stopped);
+        } else {
+            RunLive(run, &round.front());
         }
-        const lowlevel::RunStats run_stats = runtime_.EndRun();
-        const hll::HlPathInfo hl_info = tracker_.EndRun();
-        if (m_runs_ != nullptr) {
-            m_runs_->Add();
-            m_run_latency_->Record(
-                std::chrono::duration<double>(Clock::now() - run_start)
-                    .count());
-        }
-        stats_.states_registered += run_stats.registered_states;
-        ChargeRunAttribution(
-            run_origin, hl_info.is_new_path,
-            run_stats.status == lowlevel::PathStatus::kAssumeViolated);
 
-        if (run_stats.status == lowlevel::PathStatus::kAssumeViolated) {
-            // The inputs violate a test assumption. Re-solve the current
-            // path condition (which includes the assumption) and rerun.
-            ++stats_.assume_retries;
-            solver::Assignment model;
-            const obs::ScopedLocation solve_location(LastTraceLocation());
-            if (solver_.Solve(runtime_.current_path_condition(), &model) !=
-                solver::QueryResult::kSat) {
-                // The symbolic test's assumptions are unsatisfiable on
-                // this path prefix; fall through to state selection.
-            } else {
-                assignment = model;
-                run_origin = 0;
+        // -- Commit phase: serial, in selection order. Identical shared
+        //    state evolution no matter how the run phase was scheduled.
+        //    Assume-retry assignments enter the next round unclaimed, and
+        //    items a mid-round stop skipped are kept for the release below.
+        std::vector<RoundItem> next;
+        for (RoundItem& item : round) {
+            if (!item.ran) {
+                next.push_back(std::move(item));
                 continue;
             }
-        } else {
-            TestCase test_case;
-            test_case.inputs = CompleteInputsFor(runtime_);
-            test_case.status = run_stats.status;
-            test_case.new_hl_path = hl_info.is_new_path;
-            test_case.hl_final_node = hl_info.final_node;
-            test_case.hl_path_fingerprint = hl_info.path_hash;
-            test_case.hl_length = hl_info.length;
-            test_case.ll_steps = run_stats.steps;
-            if (run_stats.status == lowlevel::PathStatus::kHang) {
-                ++stats_.hangs;
-                test_case.outcome_kind = "hang";
-                test_case.outcome_detail = outcome.detail;
-            } else {
-                test_case.outcome_kind = outcome.kind;
-                test_case.outcome_detail = outcome.detail;
-            }
-            ++stats_.ll_paths;
-            if (hl_info.is_new_path) {
-                ++stats_.hl_paths;
-                if (m_hl_paths_ != nullptr) {
-                    m_hl_paths_->Add();
-                }
-            }
-            test_cases.push_back(std::move(test_case));
-
-            if (options_.collect_timeline) {
-                stats_.timeline.push_back(
-                    {elapsed(), stats_.ll_paths, stats_.hl_paths});
+            RoundItem retry;
+            if (CommitRun(item, parallel, &test_cases, &retry.assignment)) {
+                next.push_back(std::move(retry));
             }
         }
-
+        round = std::move(next);
         // Coverage-optimized CUPA consults CFG distances; refresh the
         // analysis with the newly observed edges.
         if (options_.strategy == StrategyKind::kCupaCoverage) {
             tracker_.cfg().RecomputeAnalysis(
                 options_.branch_opcode_drop_fraction);
         }
-
-        // Select the next feasible alternate state. The wall-clock budget
-        // applies here too: draining a large pool of infeasible states
-        // (runaway loops) must not stall the session.
-        bool found = false;
-        CHEF_OBS_SPAN(select_span, options_.obs.tracer, "engine/select",
-                      "engine");
-        while (!strategy_->empty() && elapsed() < options_.max_seconds) {
-            if (stop_requested()) {
-                stopped = true;
-                break;
-            }
-            // Claim through the tree even though there is no competing
-            // worker: every strategy call site then holds the tree lock
-            // first, the one lock order the parallel modes rely on
-            // (strategy selection may re-enter the tree to read state
-            // attributes).
-            lowlevel::AlternateState state;
-            if (!tree_.ClaimState(
-                    [this] { return strategy_->ClaimState(); }, &state)) {
-                break;
-            }
-            frontier_inspector_.RecordPick(
-                StrategyKindName(options_.strategy), state.static_hlpc,
-                state.depth);
-            solver::Assignment model;
-            solver::QueryResult result;
-            {
-                const obs::ScopedLocation solve_location(
-                    state.static_hlpc);
-                result = solver_.Solve(state.path_condition, &model);
-            }
-            if (result == solver::QueryResult::kSat) {
-                tree_.CompleteClaim(state.id);
-                assignment = model;
-                run_origin = state.static_hlpc;
-                found = true;
-                break;
-            }
-            tree_.MarkInfeasible(state);
-            if (result == solver::QueryResult::kUnsat) {
-                ++stats_.infeasible_states;
-                if (m_infeasible_ != nullptr) {
-                    m_infeasible_->Add();
-                }
-            } else {
-                ++stats_.solver_failures;
+        if (parallel) {
+            ++stats_.rounds;
+            if (m_par_rounds_ != nullptr) {
+                m_par_rounds_->Add();
             }
         }
-        if (!found) {
-            break;  // Exploration exhausted.
+        if (stopped) {
+            break;
+        }
+
+        // -- Selection phase. A parallel round never runs more than the
+        //    runs left in the budget. The one-thread round is not capped:
+        //    it solves its next state before the budget check ends the
+        //    session, and the fixed-work benchmark's pinned solver counts
+        //    include that solve.
+        const size_t runs_left =
+            static_cast<size_t>(options_.max_runs - stats_.ll_paths);
+        SelectRound(parallel ? std::min(kRoundWidth, runs_left) : 1, &round,
+                    &stopped);
+        if (stopped || round.empty()) {
+            break;  // Stopped, or exploration exhausted.
+        }
+    }
+    // States claimed for a round that never ran go back to the pending
+    // pool, so the tree's bookkeeping stays consistent.
+    for (const RoundItem& item : round) {
+        if (item.from_pending) {
+            tree_.ReleaseClaim(item.claimed);
         }
     }
     stats_.stopped = stopped;
-    FinalizeStats(elapsed(), {});
+    FinalizeStats(workers);
     return test_cases;
+}
+
+void
+Engine::RunLive(const RunFn& run, RoundItem* item)
+{
+    // The interpreter dispatch loop runs inside run(), so the span is the
+    // "where does interpreter time go" row of the trace.
+    const auto run_start = Clock::now();
+    runtime_.BeginRun(item->assignment);
+    tracker_.BeginRun();
+    {
+        CHEF_OBS_SPAN(run_span, options_.obs.tracer, "engine/run", "engine");
+        item->outcome = run(runtime_);
+    }
+    item->run_stats = runtime_.EndRun();
+    item->complete_inputs = CompleteInputsFor(runtime_);
+    item->ran = true;
+    if (m_runs_ != nullptr) {
+        m_runs_->Add();
+        m_run_latency_->Record(
+            std::chrono::duration<double>(Clock::now() - run_start).count());
+    }
+}
+
+void
+Engine::RunRecorded(const RunFn& run, std::vector<RoundItem>* round,
+                    const std::vector<std::unique_ptr<WorkerContext>>& workers,
+                    RoundPool& pool, bool* stopped)
+{
+    // The guest runs execute in parallel, purely as a function of their
+    // assignment (recording mode).
+    const size_t threads = workers.size();
+    std::atomic<bool> round_stop{false};
+    std::vector<Clock::time_point> last_finish(threads);
+    std::vector<char> worker_ran(threads, 0);
+    pool.Run(round->size(), [&](size_t worker, size_t index) {
+        RoundItem& item = (*round)[index];
+        if (round_stop.load(std::memory_order_relaxed)) {
+            return;
+        }
+        if (StopRequested()) {
+            round_stop.store(true, std::memory_order_relaxed);
+            return;
+        }
+        WorkerContext& context = *workers[worker];
+        if (m_par_in_flight_ != nullptr) {
+            m_par_in_flight_->Add(1);
+        }
+        const auto run_start = Clock::now();
+        context.runtime.BeginRecordedRun(item.assignment, &item.log);
+        {
+            CHEF_OBS_SPAN(run_span, options_.obs.tracer,
+                          "engine/parallel_run", "engine");
+            item.outcome = run(context.runtime);
+        }
+        item.run_stats = context.runtime.EndRun();
+        item.complete_inputs = CompleteInputsFor(context.runtime);
+        item.ran = true;
+        if (m_runs_ != nullptr) {
+            m_runs_->Add();
+            m_run_latency_->Record(
+                std::chrono::duration<double>(Clock::now() - run_start)
+                    .count());
+        }
+        if (m_par_in_flight_ != nullptr) {
+            m_par_in_flight_->Add(-1);
+        }
+        last_finish[worker] = Clock::now();
+        worker_ran[worker] = 1;
+    });
+    const auto round_end = Clock::now();
+    for (size_t worker = 0; worker < threads; ++worker) {
+        if (worker_ran[worker] == 0) {
+            continue;
+        }
+        const double wait =
+            std::chrono::duration<double>(round_end - last_finish[worker])
+                .count();
+        stats_.barrier_wait_seconds += wait;
+        if (m_par_barrier_wait_ != nullptr) {
+            m_par_barrier_wait_->Record(wait);
+        }
+    }
+    if (round_stop.load(std::memory_order_relaxed)) {
+        *stopped = true;
+    }
+}
+
+void
+Engine::SelectRound(size_t limit, std::vector<RoundItem>* round,
+                    bool* stopped)
+{
+    // Serial, on the session solver, in strategy order: deterministic
+    // regardless of the thread count. The wall-clock budget applies here
+    // too: draining a large pool of infeasible states (runaway loops) must
+    // not stall the session.
+    CHEF_OBS_SPAN(select_span, options_.obs.tracer, "engine/select",
+                  "engine");
+    const bool parallel = stats_.threads_used > 1;
+    while (round->size() < limit && !strategy_->empty() &&
+           Elapsed() < options_.max_seconds) {
+        if (StopRequested()) {
+            *stopped = true;
+            return;
+        }
+        // The worker pool is idle here, but strategy calls still go
+        // through the tree lock: strategy selection may re-enter the tree
+        // to read state attributes.
+        lowlevel::AlternateState state;
+        if (!tree_.ClaimState([this] { return strategy_->ClaimState(); },
+                              &state)) {
+            return;
+        }
+        if (parallel) {
+            ++stats_.claims;
+            if (m_par_claims_ != nullptr) {
+                m_par_claims_->Add();
+            }
+        }
+        frontier_inspector_.RecordPick(StrategyKindName(options_.strategy),
+                                       state.static_hlpc, state.depth);
+        solver::Assignment model;
+        solver::QueryResult result;
+        {
+            const obs::ScopedLocation solve_location(state.static_hlpc);
+            result = solver_.Solve(state.path_condition, &model);
+        }
+        if (result == solver::QueryResult::kSat) {
+            RoundItem& item = round->emplace_back();
+            item.assignment = std::move(model);
+            item.from_pending = true;
+            item.claimed = std::move(state);
+            continue;
+        }
+        tree_.MarkInfeasible(state);
+        if (result == solver::QueryResult::kUnsat) {
+            ++stats_.infeasible_states;
+            if (m_infeasible_ != nullptr) {
+                m_infeasible_->Add();
+            }
+        } else {
+            ++stats_.solver_failures;
+        }
+    }
 }
 
 void
@@ -448,14 +510,20 @@ Engine::LastTraceLocation() const
 }
 
 bool
-Engine::CommitRun(const RoundItem& item, double t_now,
+Engine::CommitRun(RoundItem& item, bool replay,
                   std::vector<TestCase>* test_cases,
-                  solver::Solver* retry_solver, solver::Assignment* retry)
+                  solver::Assignment* retry)
 {
-    tracker_.BeginRun();
-    const lowlevel::RunStats replay = runtime_.CommitRecordedRun(item.log);
+    // A live run has already fed the tree and tracker; a recorded one is
+    // replayed into them here.
+    uint64_t registered_states = item.run_stats.registered_states;
+    if (replay) {
+        tracker_.BeginRun();
+        registered_states =
+            runtime_.CommitRecordedRun(item.log).registered_states;
+    }
     const hll::HlPathInfo hl_info = tracker_.EndRun();
-    stats_.states_registered += replay.registered_states;
+    stats_.states_registered += registered_states;
     ChargeRunAttribution(
         item.from_pending ? item.claimed.static_hlpc : 0,
         hl_info.is_new_path,
@@ -465,21 +533,23 @@ Engine::CommitRun(const RoundItem& item, double t_now,
     }
 
     if (item.run_stats.status == lowlevel::PathStatus::kAssumeViolated) {
+        // The inputs violate a test assumption. Re-solve the run's path
+        // condition (which includes the assumption) to rerun it.
         ++stats_.assume_retries;
         solver::Assignment model;
         const obs::ScopedLocation solve_location(LastTraceLocation());
-        if (retry_solver->Solve(runtime_.current_path_condition(), &model) ==
+        if (solver_.Solve(runtime_.current_path_condition(), &model) ==
             solver::QueryResult::kSat) {
             *retry = std::move(model);
             return true;
         }
         // The symbolic test's assumptions are unsatisfiable on this path
-        // prefix; the chain ends here, as in the serial loop.
+        // prefix; the chain ends here.
         return false;
     }
 
     TestCase test_case;
-    test_case.inputs = item.complete_inputs;
+    test_case.inputs = std::move(item.complete_inputs);
     test_case.status = item.run_stats.status;
     test_case.new_hl_path = hl_info.is_new_path;
     test_case.hl_final_node = hl_info.final_node;
@@ -489,10 +559,10 @@ Engine::CommitRun(const RoundItem& item, double t_now,
     if (item.run_stats.status == lowlevel::PathStatus::kHang) {
         ++stats_.hangs;
         test_case.outcome_kind = "hang";
-        test_case.outcome_detail = item.outcome.detail;
+        test_case.outcome_detail = std::move(item.outcome.detail);
     } else {
-        test_case.outcome_kind = item.outcome.kind;
-        test_case.outcome_detail = item.outcome.detail;
+        test_case.outcome_kind = std::move(item.outcome.kind);
+        test_case.outcome_detail = std::move(item.outcome.detail);
     }
     ++stats_.ll_paths;
     if (hl_info.is_new_path) {
@@ -503,407 +573,26 @@ Engine::CommitRun(const RoundItem& item, double t_now,
     }
     test_cases->push_back(std::move(test_case));
     if (options_.collect_timeline) {
-        stats_.timeline.push_back({t_now, stats_.ll_paths, stats_.hl_paths});
+        stats_.timeline.push_back(
+            {Elapsed(), stats_.ll_paths, stats_.hl_paths});
     }
     return false;
 }
 
-std::vector<TestCase>
-Engine::ExploreRounds(const RunFn& run)
+double
+Engine::Elapsed() const
 {
-    const auto start = Clock::now();
-    auto elapsed = [&start] {
-        return std::chrono::duration<double>(Clock::now() - start).count();
-    };
-    auto stop_requested = [this] {
-        return options_.stop_requested && options_.stop_requested();
-    };
-
-    const uint32_t threads = options_.exploration_threads;
-    const uint32_t width = std::max<uint32_t>(1, options_.round_width);
-    stats_.threads_used = threads;
-
-    std::vector<std::unique_ptr<WorkerContext>> workers;
-    workers.reserve(threads);
-    for (uint32_t i = 0; i < threads; ++i) {
-        workers.push_back(std::make_unique<WorkerContext>(*this));
-    }
-    RoundPool pool(threads);
-
-    std::vector<TestCase> test_cases;
-    // Assignments that enter the next round without consuming a claim: the
-    // initial defaults run, then assume-retry reruns.
-    std::vector<solver::Assignment> carryover;
-    carryover.emplace_back();
-    bool stopped = false;
-
-    for (;;) {
-        if (stats_.ll_paths >= options_.max_runs ||
-            elapsed() >= options_.max_seconds) {
-            break;
-        }
-        if (stop_requested()) {
-            stopped = true;
-            break;
-        }
-
-        // -- Selection phase: serial, on the session solver, in strategy
-        //    order. Deterministic regardless of the thread count.
-        std::vector<RoundItem> round;
-        for (solver::Assignment& assignment : carryover) {
-            RoundItem item;
-            item.assignment = std::move(assignment);
-            round.push_back(std::move(item));
-        }
-        carryover.clear();
-        {
-            CHEF_OBS_SPAN(select_span, options_.obs.tracer, "engine/select",
-                          "engine");
-            while (round.size() < width &&
-                   stats_.ll_paths + round.size() < options_.max_runs &&
-                   elapsed() < options_.max_seconds) {
-                if (stop_requested()) {
-                    stopped = true;
-                    break;
-                }
-                lowlevel::AlternateState state;
-                const bool claimed = tree_.ClaimState(
-                    [this] {
-                        return strategy_->empty()
-                                   ? lowlevel::StateId(0)
-                                   : strategy_->ClaimState();
-                    },
-                    &state);
-                if (!claimed) {
-                    break;  // Nothing pending.
-                }
-                ++stats_.claims;
-                if (m_par_claims_ != nullptr) {
-                    m_par_claims_->Add();
-                }
-                frontier_inspector_.RecordPick(
-                    StrategyKindName(options_.strategy),
-                    state.static_hlpc, state.depth);
-                solver::Assignment model;
-                solver::QueryResult result;
-                {
-                    const obs::ScopedLocation solve_location(
-                        state.static_hlpc);
-                    result = solver_.Solve(state.path_condition, &model);
-                }
-                if (result == solver::QueryResult::kSat) {
-                    RoundItem item;
-                    item.assignment = std::move(model);
-                    item.from_pending = true;
-                    item.claimed = std::move(state);
-                    round.push_back(std::move(item));
-                } else {
-                    tree_.MarkInfeasible(state);
-                    if (result == solver::QueryResult::kUnsat) {
-                        ++stats_.infeasible_states;
-                        if (m_infeasible_ != nullptr) {
-                            m_infeasible_->Add();
-                        }
-                    } else {
-                        ++stats_.solver_failures;
-                    }
-                }
-            }
-        }
-        if (round.empty()) {
-            break;  // Exploration exhausted (or stopped with no work left).
-        }
-
-        // -- Run phase: the guest runs execute in parallel, purely as a
-        //    function of their assignment (recording mode).
-        std::atomic<bool> round_stop{stopped};
-        std::vector<Clock::time_point> last_finish(threads);
-        std::vector<char> worker_ran(threads, 0);
-        pool.Run(round.size(), [&](size_t worker, size_t index) {
-            RoundItem& item = round[index];
-            if (round_stop.load(std::memory_order_relaxed)) {
-                return;
-            }
-            if (stop_requested()) {
-                round_stop.store(true, std::memory_order_relaxed);
-                return;
-            }
-            WorkerContext& context = *workers[worker];
-            if (m_par_in_flight_ != nullptr) {
-                m_par_in_flight_->Add(1);
-            }
-            const auto run_start = Clock::now();
-            context.runtime.BeginRecordedRun(item.assignment, &item.log);
-            {
-                CHEF_OBS_SPAN(run_span, options_.obs.tracer,
-                              "engine/parallel_run", "engine");
-                item.outcome = run(context.runtime);
-            }
-            item.run_stats = context.runtime.EndRun();
-            item.complete_inputs = CompleteInputsFor(context.runtime);
-            item.ran = true;
-            if (m_runs_ != nullptr) {
-                m_runs_->Add();
-                m_run_latency_->Record(
-                    std::chrono::duration<double>(Clock::now() - run_start)
-                        .count());
-            }
-            if (m_par_in_flight_ != nullptr) {
-                m_par_in_flight_->Add(-1);
-            }
-            last_finish[worker] = Clock::now();
-            worker_ran[worker] = 1;
-        });
-        const auto round_end = Clock::now();
-        for (uint32_t worker = 0; worker < threads; ++worker) {
-            if (worker_ran[worker] == 0) {
-                continue;
-            }
-            const double wait = std::chrono::duration<double>(
-                                    round_end - last_finish[worker])
-                                    .count();
-            stats_.barrier_wait_seconds += wait;
-            if (m_par_barrier_wait_ != nullptr) {
-                m_par_barrier_wait_->Record(wait);
-            }
-        }
-        if (round_stop.load(std::memory_order_relaxed)) {
-            stopped = true;
-        }
-
-        // -- Commit phase: serial, in selection order. Identical shared
-        //    state evolution no matter how the run phase was scheduled.
-        for (RoundItem& item : round) {
-            if (!item.ran) {
-                // Skipped by a mid-round stop: hand the lease back so the
-                // tree's bookkeeping stays consistent.
-                if (item.from_pending) {
-                    tree_.ReleaseClaim(item.claimed);
-                }
-                continue;
-            }
-            solver::Assignment retry;
-            if (CommitRun(item, elapsed(), &test_cases, &solver_, &retry)) {
-                carryover.push_back(std::move(retry));
-            }
-        }
-        // Coverage-optimized CUPA consults CFG distances; refresh once per
-        // round with the newly observed edges.
-        if (options_.strategy == StrategyKind::kCupaCoverage) {
-            tracker_.cfg().RecomputeAnalysis(
-                options_.branch_opcode_drop_fraction);
-        }
-        ++stats_.rounds;
-        if (m_par_rounds_ != nullptr) {
-            m_par_rounds_->Add();
-        }
-        if (stopped) {
-            break;
-        }
-    }
-    stats_.stopped = stopped;
-    FinalizeStats(elapsed(), workers);
-    return test_cases;
+    return std::chrono::duration<double>(Clock::now() - start_).count();
 }
 
-std::vector<TestCase>
-Engine::ExploreFreeRunning(const RunFn& run)
+bool
+Engine::StopRequested() const
 {
-    const auto start = Clock::now();
-    auto elapsed = [&start] {
-        return std::chrono::duration<double>(Clock::now() - start).count();
-    };
-    auto stop_requested = [this] {
-        return options_.stop_requested && options_.stop_requested();
-    };
-
-    const uint32_t threads = options_.exploration_threads;
-    stats_.threads_used = threads;
-    std::vector<std::unique_ptr<WorkerContext>> workers;
-    workers.reserve(threads);
-    for (uint32_t i = 0; i < threads; ++i) {
-        workers.push_back(std::make_unique<WorkerContext>(*this));
-    }
-
-    std::vector<TestCase> test_cases;
-    // Coordination: commits, stats, the tracker and the commit runtime are
-    // all guarded by coord; busy counts workers holding unfinished work so
-    // exhaustion ("strategy empty and nobody running") is detected exactly.
-    std::mutex coord;
-    std::condition_variable cv;
-    size_t busy = 0;
-    bool initial_dispatched = false;
-    bool stopped = false;  // Guarded by coord.
-    std::atomic<bool> wind_down{false};
-
-    auto worker_fn = [&](size_t worker_index) {
-        WorkerContext& context = *workers[worker_index];
-        for (;;) {
-            solver::Assignment assignment;
-            bool from_pending = false;
-            lowlevel::AlternateState claimed;
-            {
-                std::unique_lock<std::mutex> lock(coord);
-                for (;;) {
-                    if (wind_down.load(std::memory_order_relaxed)) {
-                        return;
-                    }
-                    if (stop_requested()) {
-                        stopped = true;
-                        wind_down.store(true, std::memory_order_relaxed);
-                        cv.notify_all();
-                        return;
-                    }
-                    if (stats_.ll_paths >= options_.max_runs ||
-                        elapsed() >= options_.max_seconds) {
-                        wind_down.store(true, std::memory_order_relaxed);
-                        cv.notify_all();
-                        return;
-                    }
-                    if (!initial_dispatched) {
-                        initial_dispatched = true;
-                        ++busy;
-                        break;
-                    }
-                    if (tree_.ClaimState(
-                            [this] {
-                                return strategy_->empty()
-                                           ? lowlevel::StateId(0)
-                                           : strategy_->ClaimState();
-                            },
-                            &claimed)) {
-                        ++stats_.claims;
-                        if (m_par_claims_ != nullptr) {
-                            m_par_claims_->Add();
-                        }
-                        frontier_inspector_.RecordPick(
-                            StrategyKindName(options_.strategy),
-                            claimed.static_hlpc, claimed.depth);
-                        from_pending = true;
-                        ++busy;
-                        break;
-                    }
-                    if (busy == 0) {
-                        // Nothing pending and nobody running: exhausted.
-                        cv.notify_all();
-                        return;
-                    }
-                    cv.wait_for(lock, std::chrono::milliseconds(20));
-                }
-            }
-
-            // Work acquired (busy held until the chain below finishes).
-            bool chain = true;
-            while (chain) {
-                chain = false;
-                if (from_pending) {
-                    // Solve on this worker's own solver, in parallel with
-                    // other workers' solves and runs.
-                    solver::Assignment model;
-                    solver::QueryResult result;
-                    {
-                        const obs::ScopedLocation solve_location(
-                            claimed.static_hlpc);
-                        result = context.solver.Solve(
-                            claimed.path_condition, &model);
-                    }
-                    if (result != solver::QueryResult::kSat) {
-                        std::lock_guard<std::mutex> lock(coord);
-                        tree_.MarkInfeasible(claimed);
-                        if (result == solver::QueryResult::kUnsat) {
-                            ++stats_.infeasible_states;
-                            if (m_infeasible_ != nullptr) {
-                                m_infeasible_->Add();
-                            }
-                        } else {
-                            ++stats_.solver_failures;
-                        }
-                        break;
-                    }
-                    assignment = std::move(model);
-                }
-                if (wind_down.load(std::memory_order_relaxed)) {
-                    if (from_pending) {
-                        std::lock_guard<std::mutex> lock(coord);
-                        tree_.ReleaseClaim(claimed);
-                    }
-                    break;
-                }
-
-                RoundItem item;
-                item.from_pending = from_pending;
-                item.claimed = claimed;
-                if (m_par_in_flight_ != nullptr) {
-                    m_par_in_flight_->Add(1);
-                }
-                const auto run_start = Clock::now();
-                context.runtime.BeginRecordedRun(assignment, &item.log);
-                {
-                    CHEF_OBS_SPAN(run_span, options_.obs.tracer,
-                                  "engine/parallel_run", "engine");
-                    item.outcome = run(context.runtime);
-                }
-                item.run_stats = context.runtime.EndRun();
-                item.complete_inputs = CompleteInputsFor(context.runtime);
-                item.ran = true;
-                if (m_runs_ != nullptr) {
-                    m_runs_->Add();
-                    m_run_latency_->Record(std::chrono::duration<double>(
-                                               Clock::now() - run_start)
-                                               .count());
-                }
-                if (m_par_in_flight_ != nullptr) {
-                    m_par_in_flight_->Add(-1);
-                }
-
-                solver::Assignment retry;
-                bool has_retry = false;
-                {
-                    std::lock_guard<std::mutex> lock(coord);
-                    has_retry = CommitRun(item, elapsed(), &test_cases,
-                                          &context.solver, &retry);
-                    if (options_.strategy == StrategyKind::kCupaCoverage) {
-                        tracker_.cfg().RecomputeAnalysis(
-                            options_.branch_opcode_drop_fraction);
-                    }
-                    // The commit may have registered new pending states.
-                    cv.notify_all();
-                }
-                if (has_retry &&
-                    !wind_down.load(std::memory_order_relaxed)) {
-                    // Assume-retry: rerun under the repaired assignment
-                    // without releasing the work token.
-                    assignment = std::move(retry);
-                    from_pending = false;
-                    chain = true;
-                }
-            }
-
-            {
-                std::lock_guard<std::mutex> lock(coord);
-                --busy;
-                cv.notify_all();
-            }
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (uint32_t i = 0; i < threads; ++i) {
-        pool.emplace_back(worker_fn, i);
-    }
-    for (std::thread& worker : pool) {
-        worker.join();
-    }
-
-    stats_.stopped = stopped;
-    FinalizeStats(elapsed(), workers);
-    return test_cases;
+    return options_.stop_requested && options_.stop_requested();
 }
 
 void
 Engine::FinalizeStats(
-    double elapsed_seconds,
     const std::vector<std::unique_ptr<WorkerContext>>& workers)
 {
     stats_.solver_queries = solver_.stats().queries;
@@ -927,11 +616,7 @@ Engine::FinalizeStats(
         stats_.solver_clauses_loaded += solver_stats.clauses_loaded;
         stats_.solver_seconds += solver_stats.solve_seconds;
     }
-    stats_.claim_contention = tree_.claim_contention();
-    if (m_par_contention_ != nullptr && stats_.claim_contention > 0) {
-        m_par_contention_->Add(stats_.claim_contention);
-    }
-    stats_.elapsed_seconds = elapsed_seconds;
+    stats_.elapsed_seconds = Elapsed();
     if (options_.obs.attribution != nullptr) {
         stats_.attribution = options_.obs.attribution->Snapshot();
     }

@@ -12,22 +12,21 @@
 /// next alternate state, validate its path condition with the solver, and
 /// re-run under the satisfying assignment.
 ///
-/// With Options::exploration_threads > 1 one session is explored by several
-/// worker threads over the shared execution tree. Two modes:
+/// Exploration runs in rounds: select alternate states in strategy order
+/// and solve them on the session solver, run the guest under each
+/// satisfying assignment, then commit the runs serially in selection order
+/// and select the next round. Options::exploration_threads picks how a
+/// round runs:
 ///
-///  - Deterministic round mode (default): the driver claims up to
-///    round_width states in strategy order and solves them serially on the
-///    session solver, the workers execute the guest runs in parallel in
-///    recording mode, and the driver commits the recorded logs serially in
-///    selection order, then barriers and repeats. Because round_width is
-///    independent of the thread count and all shared-state mutation is
-///    serial and canonically ordered, the produced test cases, fingerprints
-///    and stats are bit-identical for any exploration_threads >= 2 (and
-///    exploration_threads = 1 bypasses all of this, running the classic
-///    serial loop).
-///  - Free-running mode (Options::free_running): workers claim, solve (on
-///    their own solver), run and commit continuously with no barrier —
-///    maximum throughput, nondeterministic interleaving.
+///  - 1 thread (the default): a round holds one state and the guest runs
+///    live on the session runtime. This is the classic serial loop,
+///    bit-identical to the pre-parallel engine for a fixed seed.
+///  - N >= 2 threads: a round holds up to kRoundWidth states, worker
+///    threads run their guests in parallel on private recording runtimes,
+///    and the commit phase replays the recorded logs into the shared tree
+///    and tracker. The width does not depend on the thread count and all
+///    shared-state mutation is serial and canonically ordered, so test
+///    cases, fingerprints and stats are identical for any N >= 2.
 
 #include <chrono>
 #include <cstdint>
@@ -90,9 +89,9 @@ struct EngineStats {
     uint64_t solver_failures = 0;
     uint64_t states_registered = 0;
     /// Total solver queries issued during the session (aggregated over the
-    /// session solver and every per-worker solver at the end of Explore so
-    /// callers can total per-session work without reaching into the
-    /// solvers).
+    /// session solver and every worker runtime's solver at the end of
+    /// Explore so callers can total per-session work without reaching into
+    /// the solvers).
     uint64_t solver_queries = 0;
     /// Queries answered by the batch-shared solver cache / satisfied by a
     /// sibling session's published model (0 unless
@@ -113,16 +112,14 @@ struct EngineStats {
     bool stopped = false;
     double elapsed_seconds = 0.0;
 
-    // -- Parallel exploration (all 0 / 1 when exploration_threads == 1) ----
+    // -- Parallel exploration (all 0 / 1 when exploration_threads <= 1) ----
 
     /// Exploration threads actually used.
     uint32_t threads_used = 1;
-    /// Deterministic rounds executed (round mode only).
+    /// Parallel rounds executed.
     uint64_t rounds = 0;
-    /// States leased to workers via the claim protocol.
+    /// States claimed for parallel rounds.
     uint64_t claims = 0;
-    /// Times a claim found the tree lock contended (from the tree).
-    uint64_t claim_contention = 0;
     /// Total worker-idle time at round barriers (sum over workers of the
     /// gap between finishing their last run of a round and the round
     /// completing).
@@ -183,18 +180,10 @@ class Engine
         bool collect_timeline = true;
         /// Intra-session parallelism: number of exploration worker
         /// threads driving this session's shared execution tree. 1 (the
-        /// default) runs the classic serial loop, bit-identical to
-        /// pre-parallel engines. >= 2 selects deterministic round mode
-        /// unless free_running is set.
+        /// default; 0 means the same) runs one state per round live on
+        /// the session runtime, bit-identical to pre-parallel engines.
+        /// >= 2 runs kRoundWidth states per round in parallel.
         uint32_t exploration_threads = 1;
-        /// With exploration_threads >= 2: opt out of deterministic round
-        /// mode into free-running mode (workers claim/solve/run/commit
-        /// continuously; nondeterministic, maximum throughput).
-        bool free_running = false;
-        /// Round mode: maximum states claimed + solved per round. Kept
-        /// independent of exploration_threads so results are invariant in
-        /// the thread count.
-        uint32_t round_width = 8;
         /// Cooperative cancellation hook. Checked between concolic
         /// iterations and between state-selection solver calls; under
         /// parallel exploration it is additionally polled between claims,
@@ -214,8 +203,8 @@ class Engine
         /// dispatch) and engine/select (state selection) spans plus
         /// engine.* counters, and under parallel exploration
         /// engine/parallel_run per-worker spans plus engine.parallel.*
-        /// counters (states in flight, claims, claim contention, round
-        /// barrier wait).
+        /// counters (states in flight, claims, rounds, round barrier
+        /// wait).
         obs::ObsContext obs;
     };
 
@@ -230,6 +219,10 @@ class Engine
     /// this is invoked concurrently on distinct runtimes, so it must not
     /// mutate shared state of its own.
     using RunFn = std::function<GuestOutcome(lowlevel::LowLevelRuntime&)>;
+
+    /// States selected per round with exploration_threads >= 2. Fixed,
+    /// so results do not depend on the thread count.
+    static constexpr size_t kRoundWidth = 8;
 
     Engine() : Engine(Options{}) {}
     explicit Engine(Options options);
@@ -247,22 +240,35 @@ class Engine
   private:
     struct WorkerContext;
     struct RoundItem;
+    class RoundPool;
 
     std::unique_ptr<cupa::SearchStrategy> MakeStrategy();
     static solver::Assignment CompleteInputsFor(
         const lowlevel::LowLevelRuntime& runtime);
 
-    std::vector<TestCase> ExploreSerial(const RunFn& run);
-    std::vector<TestCase> ExploreRounds(const RunFn& run);
-    std::vector<TestCase> ExploreFreeRunning(const RunFn& run);
+    /// Runs one round item's guest live on the session runtime, feeding
+    /// the tree and tracker as it goes (the one-thread round).
+    void RunLive(const RunFn& run, RoundItem* item);
+    /// Runs a round's guests in parallel on the workers' recording
+    /// runtimes. A stop request skips the items not yet started and sets
+    /// *stopped.
+    void RunRecorded(const RunFn& run, std::vector<RoundItem>* round,
+                     const std::vector<std::unique_ptr<WorkerContext>>& workers,
+                     RoundPool& pool, bool* stopped);
+    /// Claims and solves states in strategy order until the round holds
+    /// \p limit items, the strategy runs dry or the wall-clock budget is
+    /// spent. A stop request sets *stopped.
+    void SelectRound(size_t limit, std::vector<RoundItem>* round,
+                     bool* stopped);
 
-    /// Serial commit of one recorded run: replays the log into the shared
-    /// tree + tracker, produces the test case or queues the assume-retry
-    /// assignment, and updates stats. Returns true if the commit produced
-    /// an assume-retry assignment in *retry.
-    bool CommitRun(const RoundItem& item, double t_now,
+    /// Serial commit of one run that has finished (live, or recorded and
+    /// replayed here when \p replay): closes its high-level path, produces
+    /// the test case or solves the assume-retry assignment, and updates
+    /// stats, moving the run's results out of \p item. Returns true if the
+    /// commit produced an assume-retry assignment in *retry.
+    bool CommitRun(RoundItem& item, bool replay,
                    std::vector<TestCase>* test_cases,
-                   solver::Solver* retry_solver, solver::Assignment* retry);
+                   solver::Assignment* retry);
 
     /// Charges one committed run to the attribution profiler: a step
     /// per trace entry (with discovery-parent links), the run and its
@@ -276,12 +282,16 @@ class Engine
     /// the run recorded none) — the assume-violation site.
     uint64_t LastTraceLocation() const;
 
+    /// Seconds since Explore started.
+    double Elapsed() const;
+    bool StopRequested() const;
+
     void FinalizeStats(
-        double elapsed_seconds,
         const std::vector<std::unique_ptr<WorkerContext>>& workers);
 
     Options options_;
     Rng rng_;
+    std::chrono::steady_clock::time_point start_;
     // Resolved once at construction; null when Options::obs carries no
     // registry.
     obs::Counter* m_runs_ = nullptr;
@@ -290,7 +300,6 @@ class Engine
     obs::Histogram* m_run_latency_ = nullptr;
     obs::Gauge* m_par_in_flight_ = nullptr;
     obs::Counter* m_par_claims_ = nullptr;
-    obs::Counter* m_par_contention_ = nullptr;
     obs::Counter* m_par_rounds_ = nullptr;
     obs::Histogram* m_par_barrier_wait_ = nullptr;
     solver::Solver solver_;

@@ -124,11 +124,7 @@ bool
 ExecutionTree::ClaimState(const std::function<StateId()>& select,
                           AlternateState* out)
 {
-    std::unique_lock<std::recursive_mutex> lock(mutex_, std::try_to_lock);
-    if (!lock.owns_lock()) {
-        claim_contention_.fetch_add(1, std::memory_order_relaxed);
-        lock.lock();
-    }
+    std::lock_guard<std::recursive_mutex> lock(mutex_);
     const StateId id = select();
     if (id == 0) {
         return false;

@@ -207,13 +207,6 @@ class ExecutionTree
     /// Number of leased (claimed, not yet resolved) states.
     size_t states_in_flight() const;
 
-    /// Times a claim found the tree lock already held (lock contention
-    /// between exploration workers).
-    uint64_t claim_contention() const
-    {
-        return claim_contention_.load(std::memory_order_relaxed);
-    }
-
     /// Pending states dropped because a run explored their direction
     /// before the strategy picked them (Advance's stale-alternate path).
     /// With concurrent runs the count depends on interleaving: every
@@ -289,7 +282,6 @@ class ExecutionTree
     std::unordered_map<StateId, std::chrono::steady_clock::time_point>
         in_flight_;
     StateId next_state_id_ = 1;
-    std::atomic<uint64_t> claim_contention_{0};
     std::atomic<uint64_t> states_overtaken_{0};
     std::function<void(StateId)> on_pending_removed_;
     std::function<void(const AlternateState&)> on_state_added_;

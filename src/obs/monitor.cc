@@ -22,10 +22,9 @@ std::string RenderMonitorFrame(const ClusterSeries& series,
                   window_seconds);
     out += line;
     std::snprintf(line, sizeof(line),
-                  "%-10s %8s %8s %10s %10s %9s %8s %8s %8s %9s %-8s\n",
+                  "%-10s %8s %8s %10s %10s %9s %8s %8s %8s %-8s\n",
                   "source", "jobs/s", "fp/s", "solv-s/s", "p95(s)",
-                  "cachehit", "corpus", "cancels", "inflight", "clmcnt/s",
-                  "state");
+                  "cachehit", "corpus", "cancels", "inflight", "state");
     out += line;
     for (const std::string& source : series.Sources()) {
         const std::vector<SeriesSample>& samples = *series.SeriesFor(source);
@@ -49,15 +48,13 @@ std::string RenderMonitorFrame(const ClusterSeries& series,
                                    window_seconds, &delta)
                 ? delta.QuantileSeconds(0.95)
                 : 0.0;
-        const double contention_rate = WindowedCounterRate(
-            samples, kClaimContentionCounter, window_seconds);
         const char* state = samples.size() < 2 ? "warming"
                             : fp_rate > 0.0    ? "climbing"
                                                : "flat";
         std::snprintf(
             line, sizeof(line),
             "%-10s %8.2f %8.2f %10.3f %10.4f %9.2f %8lld %8llu %8lld "
-            "%9.2f %-8s\n",
+            "%-8s\n",
             source.c_str(), jobs_rate, fp_rate, solver_rate, p95, hit_rate,
             static_cast<long long>(
                 SnapshotGauge(latest.metrics, kCorpusSizeGauge)),
@@ -65,7 +62,7 @@ std::string RenderMonitorFrame(const ClusterSeries& series,
                 latest.metrics.CounterValue(kPlateauCancelsCounter)),
             static_cast<long long>(
                 SnapshotGauge(latest.metrics, kStatesInFlightGauge)),
-            contention_rate, state);
+            state);
         out += line;
     }
     return out;

@@ -18,11 +18,10 @@ namespace chef::obs {
 /// Renders one monitor frame: a header line (cluster time, sources,
 /// sample count, merged totals) plus one row per shard with windowed
 /// jobs/s, new-fingerprints/s, solver-seconds/s, shared-cache hit rate,
-/// solver p95 over the window, corpus size, plateau cancels, the
-/// intra-session parallelism view (states in flight, claim-contention
-/// events/s), and a coarse state tag ("warming" with < 2 samples,
-/// "climbing" while the fingerprint rate is positive, "flat" once it
-/// hits zero).
+/// solver p95 over the window, corpus size, plateau cancels, states in
+/// flight in parallel sessions, and a coarse state tag ("warming" with
+/// < 2 samples, "climbing" while the fingerprint rate is positive, "flat"
+/// once it hits zero).
 std::string RenderMonitorFrame(const ClusterSeries& series,
                                double window_seconds);
 

@@ -219,16 +219,22 @@ AssumeViolatedByDefaultGuest(LowLevelRuntime& rt)
     return {};
 }
 
+// The re-solved assignment carries into the next run, both live (one
+// thread) and replayed from a recording (three threads).
 TEST(Engine, RecoversFromViolatedAssumption)
 {
-    Engine::Options options;
-    options.max_runs = 20;
-    Engine engine(options);
-    const std::vector<TestCase> tests =
-        engine.Explore(AssumeViolatedByDefaultGuest);
-    EXPECT_GE(engine.stats().assume_retries, 1u);
-    ASSERT_EQ(tests.size(), 1u);
-    EXPECT_GT(tests[0].inputs.Get(1), 100u);
+    for (const uint32_t threads : {1u, 3u}) {
+        Engine::Options options;
+        options.max_runs = 20;
+        options.exploration_threads = threads;
+        Engine engine(options);
+        const std::vector<TestCase> tests =
+            engine.Explore(AssumeViolatedByDefaultGuest);
+        EXPECT_GE(engine.stats().assume_retries, 1u) << threads;
+        ASSERT_EQ(tests.size(), 1u) << threads;
+        EXPECT_GT(tests[0].inputs.Get(1), 100u) << threads;
+        EXPECT_NE(tests[0].status, PathStatus::kAssumeViolated) << threads;
+    }
 }
 
 /// Infeasible alternate states are pruned without being executed.
@@ -271,6 +277,19 @@ TEST(Engine, RespectsRunBudget)
     Engine engine(options);
     engine.Explore(ThreeBranchGuest);
     EXPECT_EQ(engine.stats().ll_paths, 3u);
+}
+
+// The one-thread round selects and solves its next state before the run
+// budget ends the session: the fixed-work benchmark's pinned solver
+// counts include that solve.
+TEST(Engine, SolvesOneStatePastTheRunBudget)
+{
+    Engine::Options options;
+    options.max_runs = 3;
+    Engine engine(options);
+    engine.Explore(ThreeBranchGuest);
+    EXPECT_EQ(engine.stats().ll_paths, 3u);
+    EXPECT_EQ(engine.stats().solver_queries, 3u);
 }
 
 TEST(Engine, TimelineIsMonotonic)
@@ -360,8 +379,7 @@ GoldenGuest(LowLevelRuntime& rt)
 /// fingerprints, statuses, lengths and complete inputs, plus the
 /// exploration-shape stats. Timeline and wall-clock stats are excluded.
 uint64_t
-SessionDigest(StrategyKind strategy, uint64_t seed, uint32_t threads,
-              bool free_running = false)
+SessionDigest(StrategyKind strategy, uint64_t seed, uint32_t threads)
 {
     Engine::Options options;
     options.strategy = strategy;
@@ -370,7 +388,6 @@ SessionDigest(StrategyKind strategy, uint64_t seed, uint32_t threads,
     options.max_seconds = 60.0;
     options.collect_timeline = false;
     options.exploration_threads = threads;
-    options.free_running = free_running;
     Engine engine(options);
     const std::vector<TestCase> tests = engine.Explore(GoldenGuest);
     uint64_t digest = 0xcbf29ce484222325ull;
@@ -393,7 +410,8 @@ SessionDigest(StrategyKind strategy, uint64_t seed, uint32_t threads,
 }
 
 // Golden digests captured from the pre-refactor serial engine (PR 8 tree).
-// exploration_threads = 1 must keep reproducing these bit-for-bit.
+// exploration_threads = 1 must keep reproducing these bit-for-bit, and 0
+// means the same.
 TEST(EngineParallel, SerialPathBitIdenticalToPreRefactorEngine)
 {
     const struct {
@@ -412,10 +430,13 @@ TEST(EngineParallel, SerialPathBitIdenticalToPreRefactorEngine)
         {StrategyKind::kCupaCoverage, 1ull, 0xcae8f67f9c61359bull},
         {StrategyKind::kCupaCoverage, 42ull, 0x726b7dae98c97713ull},
     };
-    for (const auto& golden : kGolden) {
-        EXPECT_EQ(SessionDigest(golden.strategy, golden.seed, 1),
-                  golden.digest)
-            << StrategyKindName(golden.strategy) << " seed " << golden.seed;
+    for (const uint32_t threads : {0u, 1u}) {
+        for (const auto& golden : kGolden) {
+            EXPECT_EQ(SessionDigest(golden.strategy, golden.seed, threads),
+                      golden.digest)
+                << StrategyKindName(golden.strategy) << " seed "
+                << golden.seed << " threads " << threads;
+        }
     }
 }
 
@@ -459,49 +480,33 @@ TEST(EngineParallel, RoundModeReachesSerialFingerprintSet)
     EXPECT_EQ(fingerprints(1), fingerprints(4));
 }
 
-// Free-running mode gives up ordering determinism but must still explore
-// the same path set when the guest is exhaustible.
-TEST(EngineParallel, FreeRunningReachesSerialFingerprintSet)
+/// A guest with five independent byte branches: 32 feasible paths.
+Engine::GuestOutcome
+FiveBranchGuest(LowLevelRuntime& rt)
 {
-    Engine::Options options;
-    options.max_runs = 100;
-    options.strategy = StrategyKind::kCupaPath;
-    options.exploration_threads = 4;
-    options.free_running = true;
-    Engine engine(options);
-    std::set<uint64_t> parallel_set;
-    for (const TestCase& test : engine.Explore(ThreeBranchGuest)) {
-        parallel_set.insert(test.hl_path_fingerprint);
+    for (uint64_t i = 0; i < 5; ++i) {
+        SymValue byte = rt.MakeSymbolicValue("x" + std::to_string(i), 8, 0);
+        rt.LogPc(i + 1, kOpCmp);
+        rt.Branch(SvUgt(byte, SymValue(100, 8)), 5000 + i);
     }
-    EXPECT_EQ(engine.stats().ll_paths, 8u);
-    EXPECT_EQ(engine.stats().threads_used, 4u);
-
-    Engine::Options serial_options;
-    serial_options.max_runs = 100;
-    serial_options.strategy = StrategyKind::kCupaPath;
-    Engine serial_engine(serial_options);
-    std::set<uint64_t> serial_set;
-    for (const TestCase& test : serial_engine.Explore(ThreeBranchGuest)) {
-        serial_set.insert(test.hl_path_fingerprint);
-    }
-    EXPECT_EQ(parallel_set, serial_set);
+    rt.LogPc(100, kOpStmt);
+    return {};
 }
 
-// Free-running assume-retry: the retry chain must keep the worker's work
-// token so exhaustion is not declared while a retry is about to rerun.
-TEST(EngineParallel, FreeRunningHandlesAssumeRetries)
+// The run budget is exact at any thread count, including a budget that is
+// not a multiple of the round width.
+TEST(EngineParallel, RoundModeStopsExactlyAtMaxRuns)
 {
-    Engine::Options options;
-    options.max_runs = 100;
-    options.exploration_threads = 3;
-    options.free_running = true;
-    Engine engine(options);
-    const std::vector<TestCase> tests =
-        engine.Explore(AssumeViolatedByDefaultGuest);
-    EXPECT_GE(engine.stats().assume_retries, 1u);
-    ASSERT_EQ(tests.size(), 1u);
-    EXPECT_GT(tests[0].inputs.Get(1), 100u);
-    EXPECT_NE(tests[0].status, PathStatus::kAssumeViolated);
+    static_assert(13 % Engine::kRoundWidth != 0);
+    for (const uint32_t threads : {1u, 4u}) {
+        Engine::Options options;
+        options.max_runs = 13;
+        options.exploration_threads = threads;
+        Engine engine(options);
+        const std::vector<TestCase> tests = engine.Explore(FiveBranchGuest);
+        EXPECT_EQ(engine.stats().ll_paths, 13u) << threads;
+        EXPECT_EQ(tests.size(), 13u) << threads;
+    }
 }
 
 /// Guest with plenty of states whose runs take a measurable ~10ms each, so
@@ -531,7 +536,6 @@ TEST(EngineParallel, MidRoundStopWindsDownWorkersPromptly)
     options.max_runs = 500;
     options.max_seconds = 60.0;
     options.exploration_threads = 4;
-    options.round_width = 8;
     options.stop_requested = [&runs_started] {
         return runs_started.load() >= 3;
     };
