@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
 
 #include "support/json.h"
 
@@ -377,7 +378,11 @@ DecodeAttributionSnapshot(const support::JsonValue& object,
 {
     snapshot->workloads.clear();
     snapshot->dropped_locations = 0;
-    object.GetUint64("dropped_locations", &snapshot->dropped_locations);
+    if (!object.GetUint64("dropped_locations",
+                          &snapshot->dropped_locations)) {
+        *error = "attribution: missing or invalid dropped_locations";
+        return false;
+    }
     const support::JsonValue* workloads = object.Find("workloads");
     if (workloads == nullptr ||
         workloads->kind != support::JsonValue::Kind::kArray) {
@@ -405,15 +410,28 @@ DecodeAttributionSnapshot(const support::JsonValue& object,
                 return false;
             }
             AttributionRow& row = table[hl_pc];
-            location.GetUint64("parent", &row.parent);
-            location.GetUint64("solver_nanos", &row.solver_nanos);
-            location.GetUint64("solver_queries", &row.solver_queries);
-            location.GetUint64("steps", &row.steps);
-            location.GetUint64("forks", &row.forks);
-            location.GetUint64("assume_failures", &row.assume_failures);
-            location.GetUint64("new_fingerprints",
-                               &row.new_fingerprints);
-            location.GetUint64("runs", &row.runs);
+            // "parent" is written only for locations that have one.
+            if (location.Find("parent") != nullptr &&
+                !location.GetUint64("parent", &row.parent)) {
+                *error = "attribution: invalid parent";
+                return false;
+            }
+            const std::pair<const char*, uint64_t*> columns[] = {
+                {"solver_nanos", &row.solver_nanos},
+                {"solver_queries", &row.solver_queries},
+                {"steps", &row.steps},
+                {"forks", &row.forks},
+                {"assume_failures", &row.assume_failures},
+                {"new_fingerprints", &row.new_fingerprints},
+                {"runs", &row.runs},
+            };
+            for (const auto& [key, out] : columns) {
+                if (!location.GetUint64(key, out)) {
+                    *error = std::string("attribution: missing or invalid ") +
+                             key;
+                    return false;
+                }
+            }
         }
     }
     return true;

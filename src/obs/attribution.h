@@ -292,9 +292,10 @@ class FrontierInspector
 void WriteAttributionSnapshot(support::JsonWriter& json,
                               const AttributionSnapshot& snapshot);
 
-/// Inverse of WriteAttributionSnapshot. Unknown keys are ignored
-/// (forward compatibility); returns false with \p error on missing or
-/// mistyped required fields.
+/// Inverse of WriteAttributionSnapshot. Every field the writer always
+/// emits is required (dropped_locations, hl_pc and each counter column),
+/// so a missing or mistyped one returns false with \p error instead of
+/// decoding as 0; "parent" stays optional, and unknown keys are skipped.
 bool DecodeAttributionSnapshot(const support::JsonValue& object,
                                AttributionSnapshot* snapshot,
                                std::string* error);

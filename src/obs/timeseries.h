@@ -34,7 +34,7 @@
 /// source's last value at-or-before t — order- and arrival-independent,
 /// and monotone whenever the per-source counters are.
 ///
-/// Serialization: strict JSON sample arrays (wire v2.1 "series" fields,
+/// Serialization: strict JSON sample arrays (wire "series" fields,
 /// report telemetry), NDJSON lines for --stats-out streaming, and the
 /// per-workload coverage_curves CSV that reproduces Figure 9.
 
@@ -259,7 +259,7 @@ class ClusterSeries
 /// Serializes samples as a JSON array:
 ///   [{"index":n,"t_seconds":s,"metrics":{...}},...]
 /// with metrics in the WriteMetricsSnapshot schema. This is the wire
-/// v2.1 "series" payload and the report's per-source series form.
+/// "series" payload and the report's per-source series form.
 void WriteSeriesSamples(support::JsonWriter& json,
                         const std::vector<SeriesSample>& samples);
 

@@ -169,6 +169,11 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         /// but-unreported discoveries; merging them at the end keeps
         /// the merged corpus key set identical to an undisturbed run.
         service::TestCorpus::Delta retained;
+        /// Metrics and attribution totals of the runs this shard has
+        /// already reported. Each run starts its counters from zero, so
+        /// a requeue round's telemetry stacks on top of these.
+        obs::MetricsSnapshot reported_metrics;
+        obs::AttributionSnapshot reported_attribution;
     };
     std::vector<Runtime> runtime(num_shards);
 
@@ -216,10 +221,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         return true;
     };
 
-    ServiceConfig shipped = options_.service;
-    shipped.heartbeat_interval_seconds =
-        heartbeats ? options_.heartbeat_interval_seconds : 0.0;
-
     // send_run can kill (send failure) and mark_dead requeues what
     // send_run dispatched — std::function closes the cycle.
     std::function<void(size_t, const std::string&)> mark_dead;
@@ -229,7 +230,9 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         RunRequest request;
         request.shard_id = shard;
         request.num_shards = num_shards;
-        request.service = shipped;
+        request.heartbeat_interval_seconds =
+            heartbeats ? options_.heartbeat_interval_seconds : 0.0;
+        request.service = options_.service;
         request.jobs = std::move(batch);
         const std::string line = EncodeRun(request);
         rt.inflight = std::move(request.jobs);
@@ -298,34 +301,42 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         }
     };
 
-    const auto merge_result = [&](size_t shard, ResultMessage&& result) {
+    // One path for the telemetry of gossip and result frames alike: the
+    // bundle's metrics and attribution are cumulative over the shard's
+    // current run, so the latest replaces the previous one, on top of
+    // the runs the shard already reported; the cluster series
+    // deduplicates samples by index.
+    const auto absorb_telemetry = [&](size_t shard, Telemetry&& telemetry) {
         ShardOutcome& outcome = shards_[shard];
-        Runtime& rt = runtime[shard];
-        // The result's series tail closes the shard's curve at its
-        // final counter totals.
-        if (!result.series.empty() &&
+        const Runtime& rt = runtime[shard];
+        if (!telemetry.series.empty() &&
             cluster_series_.Update("shard" + std::to_string(shard),
-                                   result.series) > 0 &&
+                                   telemetry.series) > 0 &&
             options_.on_series_update) {
             options_.on_series_update(shard);
         }
+        if (rt.reported_once) {
+            outcome.telemetry = rt.reported_metrics;
+            outcome.telemetry.MergeFrom(telemetry.metrics);
+            outcome.attribution = rt.reported_attribution;
+            outcome.attribution.MergeFrom(telemetry.attribution);
+        } else {
+            outcome.telemetry = std::move(telemetry.metrics);
+            outcome.attribution = std::move(telemetry.attribution);
+        }
+    };
+
+    const auto merge_result = [&](size_t shard, ResultMessage&& result) {
+        ShardOutcome& outcome = shards_[shard];
+        Runtime& rt = runtime[shard];
+        cluster_telemetry_.MergeFrom(result.telemetry.metrics);
+        absorb_telemetry(shard, std::move(result.telemetry));
+        rt.reported_once = true;
+        rt.reported_metrics = outcome.telemetry;
+        rt.reported_attribution = outcome.attribution;
         AccumulateShardStats(&outcome.stats, result.stats);
         outcome.remote_entries += result.remote_entries;
         outcome.remote_duplicate_hits += result.remote_duplicate_hits;
-        // The final snapshot supersedes whatever gossip delivered live;
-        // a requeue-round report merges on top of the first so counters
-        // stay cumulative.
-        if (rt.reported_once) {
-            outcome.telemetry.MergeFrom(result.telemetry);
-            outcome.attribution.MergeFrom(result.attribution);
-        } else {
-            outcome.telemetry = result.telemetry;
-            // Authoritative final table: supersedes the live gossip
-            // snapshots (which are cumulative prefixes of it).
-            outcome.attribution = std::move(result.attribution);
-        }
-        rt.reported_once = true;
-        cluster_telemetry_.MergeFrom(result.telemetry);
         trace_events_.insert(trace_events_.end(), result.trace.begin(),
                              result.trace.end());
         for (service::JobResult& job : result.results) {
@@ -362,23 +373,8 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
             // Telemetry piggybacked on the delta keeps the cluster view
             // live mid-batch; it is coordinator-local and never
             // forwarded to sibling shards.
-            if (message.has_telemetry) {
-                shards_[shard].telemetry = std::move(message.telemetry);
-            }
-            // Attribution snapshots are cumulative: replace-by-latest,
-            // so a redelivered or out-of-cadence snapshot is idempotent.
-            // Once the shard has reported a final table, later gossip
-            // (a requeue round's fresh prefix) must not clobber it —
-            // merge_result folds those rounds in instead.
-            if (message.has_attribution && !rt.reported_once) {
-                shards_[shard].attribution =
-                    std::move(message.attribution);
-            }
-            if (!message.series.empty() &&
-                cluster_series_.Update("shard" + std::to_string(shard),
-                                       message.series) > 0 &&
-                options_.on_series_update) {
-                options_.on_series_update(shard);
+            if (message.telemetry) {
+                absorb_telemetry(shard, std::move(*message.telemetry));
             }
             if (!options_.gossip) {
                 break;
@@ -745,7 +741,6 @@ ShardCoordinator::RenderMergedReport(
     json.BeginObject();
     json.Key("report"), json.Value("chef-shard-coordinator");
     json.Key("protocol_version"), json.Value(kProtocolVersion);
-    json.Key("protocol_minor"), json.Value(kProtocolVersionMinor);
     json.Key("num_shards"), json.Value(shards_.size());
     json.Key("gossip_enabled"), json.Value(options_.gossip);
     // True when any shard died mid-batch: results may mix reruns,

@@ -90,12 +90,12 @@ class ShardCoordinator
         /// Reading cluster_series() from inside is safe; Run() is
         /// blocked while the callback executes.
         std::function<void(size_t shard_id)> on_series_update;
-        /// Cadence at which busy workers must beat (wire v2.2); each
-        /// beat also streams the results completed since the last one,
-        /// which is what narrows requeue to the unfinished remainder.
-        /// 0 disables heartbeats entirely — the kRun encoding is then
-        /// byte-identical to v2.1 and death is detected by EOF / failed
-        /// send / supervisor probe only.
+        /// Cadence at which busy workers must beat, shipped in every
+        /// RunRequest; each beat also streams the results completed
+        /// since the last one, which is what narrows requeue to the
+        /// unfinished remainder. 0 disables heartbeats entirely — death
+        /// is then detected by EOF / failed send / supervisor probe
+        /// only.
         double heartbeat_interval_seconds = 0.25;
         /// Silence from a *busy* shard beyond this declares it dead
         /// (hung worker, wedged pipe). Only meaningful with heartbeats
@@ -142,11 +142,9 @@ class ShardCoordinator
         /// snapshot when the shard reports (merged across requeue
         /// rounds when the shard reported more than once).
         obs::MetricsSnapshot telemetry;
-        /// Latest per-location attribution table (wire v2.4), same
-        /// lifecycle as `telemetry`: replace-by-latest from gossip
-        /// (snapshots are cumulative, so redelivery is idempotent),
-        /// authoritative final from the result message, merged across
-        /// requeue rounds.
+        /// Latest per-location attribution table, same lifecycle as
+        /// `telemetry` (snapshots are cumulative, so redelivery is
+        /// idempotent).
         obs::AttributionSnapshot attribution;
         /// Fault-tolerance outcome. dead reflects the shard's *final*
         /// state — a successfully respawned shard is not dead, but
@@ -254,7 +252,7 @@ class ShardCoordinator
     obs::AttributionSnapshot ClusterAttribution() const;
 
     /// Merged cluster time-series: one series per shard ("shard<N>"),
-    /// fed live from v2.1 gossip and completed by each result's tail.
+    /// fed live from gossip and completed by each result's tail.
     /// Mid-batch reads are only safe from Options::on_series_update
     /// (same thread as Run); after Run returns, any thread may read.
     const obs::ClusterSeries& cluster_series() const

@@ -9,11 +9,9 @@
 ///
 ///   chef_shard --coordinator --workers N [options]
 ///     Spawns N `chef_shard --worker` subprocesses over pipes, fans the
-///     batch out, and writes the merged JSON report. With --smoke it
-///     additionally runs the same batch on one in-process loopback
-///     shard and asserts the multi-process merged corpus covers the
-///     single-shard corpus, the report parses strictly, and the
-///     cross-shard dedup stats are present — the CI contract.
+///     batch out, and writes the merged JSON report. The files it writes
+///     are checked end to end by tests/shard_process_test.cc, which runs
+///     this binary as a black box.
 ///
 /// Batch options (coordinator): repeat --job WORKLOAD[xCOUNT] to build
 /// the batch (default: a small mixed py/lua batch), --max-runs,
@@ -46,23 +44,21 @@
 /// flamegraph.pl or speedscope. --monitor appends a "hot locations"
 /// panel ranked by solver cost and by fingerprint yield per solver
 /// second. Attribution is on by default in every worker; the tables
-/// ride gossip at the metrics cadence (wire v2.4) and always arrive
-/// with the final result.
+/// ride gossip at the metrics cadence and always arrive with the final
+/// result.
 ///
 /// Fault-tolerance options (coordinator): --heartbeat-interval MS sets
-/// the worker heartbeat cadence (v2.2; 0 disables), --respawns N lets
+/// the worker heartbeat cadence (0 disables), --respawns N lets
 /// the coordinator respawn each dead worker up to N times,
 /// --min-live-shards K degrades the batch to a partial report below K
 /// live shards, and --chaos kill-one SIGKILLs the first shard to
 /// heartbeat — a built-in crash drill: the run must still complete,
 /// flagged "degraded" with the dead shard's jobs requeued onto
-/// survivors. With --smoke the chaos run additionally asserts the
-/// merged corpus is key-for-key identical to an undisturbed
-/// single-shard run.
+/// survivors, and its merged corpus key-for-key equal to an undisturbed
+/// run's.
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -87,7 +83,6 @@
 namespace {
 
 using chef::service::JobSpec;
-using chef::service::TestCorpus;
 using chef::shard::ShardCoordinator;
 using chef::shard::ShardWorker;
 using chef::shard::Transport;
@@ -106,7 +101,6 @@ struct CliOptions {
     double budget_seconds = 0.0;
     bool plateau = false;
     bool gossip = true;
-    bool smoke = false;
     std::string report_path = "chef_shard_report.json";
     /// Non-empty enables worker phase tracing; the merged trace lands
     /// here as Chrome trace-event JSON.
@@ -129,7 +123,7 @@ struct CliOptions {
     /// Fault-injection drill: "" (off) or "kill-one" (SIGKILL the first
     /// shard that heartbeats — provably mid-batch).
     std::string chaos;
-    /// Worker heartbeat cadence in milliseconds (0 disables v2.2
+    /// Worker heartbeat cadence in milliseconds (0 disables
     /// heartbeats and the streamed-results channel).
     double heartbeat_interval_ms = 250.0;
     /// Respawn budget per dead worker.
@@ -155,7 +149,7 @@ Usage(const char* argv0)
         "           [--attr-out PATH] [--flame-out PATH]\n"
         "           [--heartbeat-interval MS] [--respawns N]\n"
         "           [--min-live-shards K] [--chaos kill-one]\n"
-        "           [--monitor] [--smoke]\n",
+        "           [--monitor]\n",
         argv0, argv0);
 }
 
@@ -325,8 +319,6 @@ ParseArgs(int argc, char** argv, CliOptions* options)
             options->plateau = true;
         } else if (arg == "--no-gossip") {
             options->gossip = false;
-        } else if (arg == "--smoke") {
-            options->smoke = true;
         } else if (arg == "--report") {
             const char* value = next("--report");
             if (value == nullptr) {
@@ -425,24 +417,6 @@ CoordinatorOptions(const CliOptions& options)
 }
 
 bool
-ReadFileOrComplain(const std::string& path, std::string* contents)
-{
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
-        std::fprintf(stderr, "failed to read %s\n", path.c_str());
-        return false;
-    }
-    contents->clear();
-    char buffer[65536];
-    size_t n = 0;
-    while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-        contents->append(buffer, n);
-    }
-    std::fclose(file);
-    return true;
-}
-
-bool
 WriteFileOrComplain(const std::string& path, const std::string& contents)
 {
     std::FILE* file = std::fopen(path.c_str(), "wb");
@@ -538,23 +512,6 @@ RunWorker()
         STDIN_FILENO, STDOUT_FILENO, /*owns_fds=*/false);
     ShardWorker worker(ShardWorker::Options{}, transport.get());
     return worker.Serve() ? 0 : 1;
-}
-
-/// True when every key of \p subset is present in \p superset.
-bool
-CoversCorpus(const std::vector<TestCorpus::Key>& superset,
-             const std::vector<TestCorpus::Key>& subset)
-{
-    size_t i = 0;
-    for (const TestCorpus::Key& key : subset) {
-        while (i < superset.size() && superset[i] < key) {
-            ++i;
-        }
-        if (i >= superset.size() || !(superset[i] == key)) {
-            return false;
-        }
-    }
-    return true;
 }
 
 int
@@ -726,8 +683,8 @@ RunCoordinator(const CliOptions& options, const char* argv0)
         return 1;
     }
 
-    const std::string report = coordinator.RenderMergedReport();
-    if (!WriteFileOrComplain(options.report_path, report)) {
+    if (!WriteFileOrComplain(options.report_path,
+                             coordinator.RenderMergedReport())) {
         return 1;
     }
     if (!options.trace_path.empty()) {
@@ -738,13 +695,11 @@ RunCoordinator(const CliOptions& options, const char* argv0)
             return 1;
         }
     }
-    std::string curves_csv;
-    if (!options.curves_path.empty()) {
-        curves_csv =
-            chef::obs::RenderCoverageCurvesCsv(coordinator.cluster_series());
-        if (!WriteFileOrComplain(options.curves_path, curves_csv)) {
-            return 1;
-        }
+    if (!options.curves_path.empty() &&
+        !WriteFileOrComplain(options.curves_path,
+                             chef::obs::RenderCoverageCurvesCsv(
+                                 coordinator.cluster_series()))) {
+        return 1;
     }
     if (!options.series_path.empty() &&
         !WriteFileOrComplain(
@@ -755,22 +710,18 @@ RunCoordinator(const CliOptions& options, const char* argv0)
     }
     const chef::obs::AttributionSnapshot cluster_attribution =
         coordinator.ClusterAttribution();
-    std::string attr_json;
     if (!options.attr_path.empty()) {
         chef::support::JsonWriter json;
         chef::obs::WriteAttributionSnapshot(json, cluster_attribution);
-        attr_json = json.Take();
-        if (!WriteFileOrComplain(options.attr_path, attr_json)) {
+        if (!WriteFileOrComplain(options.attr_path, json.Take())) {
             return 1;
         }
     }
-    std::string flame_stacks;
-    if (!options.flame_path.empty()) {
-        flame_stacks =
-            chef::obs::RenderAttributionFoldedStacks(cluster_attribution);
-        if (!WriteFileOrComplain(options.flame_path, flame_stacks)) {
-            return 1;
-        }
+    if (!options.flame_path.empty() &&
+        !WriteFileOrComplain(
+            options.flame_path,
+            chef::obs::RenderAttributionFoldedStacks(cluster_attribution))) {
+        return 1;
     }
 
     const ShardCoordinator::CrossShardStats& cross =
@@ -836,583 +787,6 @@ RunCoordinator(const CliOptions& options, const char* argv0)
         }
     }
 
-    if (!options.smoke) {
-        return 0;
-    }
-
-    // --- Smoke assertions (the CI contract) ----------------------------
-    int failures = 0;
-
-    // 1. The merged report is strict JSON with the cross-shard dedup
-    //    stats and per-shard sections present.
-    chef::support::JsonValue parsed;
-    std::string parse_error;
-    if (!chef::support::ParseJson(report, &parsed, &parse_error)) {
-        std::fprintf(stderr, "FAIL: merged report is not strict JSON: %s\n",
-                     parse_error.c_str());
-        ++failures;
-    } else {
-        const chef::support::JsonValue* cross_obj =
-            parsed.Find("cross_shard");
-        for (const char* key :
-             {"fingerprints_gossiped", "remote_duplicate_hits",
-              "jobs_suppressed", "merge_duplicates"}) {
-            uint64_t value = 0;
-            if (cross_obj == nullptr ||
-                !cross_obj->GetUint64(key, &value)) {
-                std::fprintf(stderr,
-                             "FAIL: cross_shard.%s missing from the "
-                             "merged report\n",
-                             key);
-                ++failures;
-            }
-        }
-        const chef::support::JsonValue* shards_arr = parsed.Find("shards");
-        if (shards_arr == nullptr ||
-            shards_arr->items.size() != options.num_workers) {
-            std::fprintf(stderr,
-                         "FAIL: expected %zu per-shard stats sections\n",
-                         options.num_workers);
-            ++failures;
-        }
-        // Telemetry section: per-shard snapshots plus the cluster merge,
-        // each with counters/histograms objects, and the cluster's
-        // solver.queries equal to the sum over shards (MergeFrom sums
-        // name-keyed counters, so a drift here means a shard's snapshot
-        // was dropped or double-merged).
-        const chef::support::JsonValue* telemetry =
-            parsed.Find("telemetry");
-        const chef::support::JsonValue* tele_shards =
-            telemetry != nullptr ? telemetry->Find("shards") : nullptr;
-        const chef::support::JsonValue* cluster =
-            telemetry != nullptr ? telemetry->Find("cluster") : nullptr;
-        if (tele_shards == nullptr ||
-            tele_shards->items.size() != options.num_workers ||
-            cluster == nullptr || cluster->Find("counters") == nullptr ||
-            cluster->Find("histograms") == nullptr) {
-            std::fprintf(stderr,
-                         "FAIL: telemetry section missing per-shard or "
-                         "cluster snapshots\n");
-            ++failures;
-        } else {
-            // Dead shards never report, so their (gossiped, partial)
-            // snapshots are excluded from the cluster merge: sum the
-            // survivors only, and on a degraded run accept cluster >=
-            // sum (requeue rounds from since-dead shards may have
-            // merged work no surviving per-shard snapshot shows).
-            uint64_t shard_queries = 0;
-            for (size_t i = 0; i < tele_shards->items.size(); ++i) {
-                if (i < coordinator.shards().size() &&
-                    coordinator.shards()[i].dead) {
-                    continue;
-                }
-                const chef::support::JsonValue& entry =
-                    tele_shards->items[i];
-                const chef::support::JsonValue* counters =
-                    entry.Find("metrics") != nullptr
-                        ? entry.Find("metrics")->Find("counters")
-                        : nullptr;
-                uint64_t value = 0;
-                if (counters != nullptr) {
-                    counters->GetUint64("solver.queries", &value);
-                }
-                shard_queries += value;
-            }
-            uint64_t cluster_queries = 0;
-            cluster->Find("counters")->GetUint64("solver.queries",
-                                                 &cluster_queries);
-            const bool consistent =
-                coordinator.degraded()
-                    ? cluster_queries >= shard_queries
-                    : cluster_queries == shard_queries;
-            if (cluster_queries == 0 || !consistent) {
-                std::fprintf(stderr,
-                             "FAIL: cluster solver.queries %llu != "
-                             "per-shard sum %llu (or zero)\n",
-                             static_cast<unsigned long long>(
-                                 cluster_queries),
-                             static_cast<unsigned long long>(
-                                 shard_queries));
-                ++failures;
-            }
-        }
-        // Attribution section: one table per shard plus the cluster
-        // fold, always present (tables are empty when attribution is
-        // off, never absent).
-        const chef::support::JsonValue* attr_section =
-            telemetry != nullptr ? telemetry->Find("attribution")
-                                 : nullptr;
-        const chef::support::JsonValue* attr_shards =
-            attr_section != nullptr ? attr_section->Find("shards")
-                                    : nullptr;
-        if (attr_shards == nullptr ||
-            attr_shards->items.size() != options.num_workers ||
-            attr_section->Find("cluster") == nullptr) {
-            std::fprintf(stderr,
-                         "FAIL: telemetry.attribution missing per-shard "
-                         "tables or the cluster fold\n");
-            ++failures;
-        }
-        // Labeled solver-time views: total (aggregate work) and
-        // max-shard (critical-path share) must both be present and
-        // ordered total >= max.
-        double solver_total = 0.0;
-        double solver_max = 0.0;
-        if (!parsed.GetDouble("solver_seconds_total", &solver_total) ||
-            !parsed.GetDouble("solver_seconds_max_shard", &solver_max) ||
-            solver_total + 1e-12 < solver_max) {
-            std::fprintf(stderr,
-                         "FAIL: solver_seconds_total/max_shard missing "
-                         "or inconsistent\n");
-            ++failures;
-        }
-    }
-
-    // 1b. With tracing on: the trace file is strict JSON, and spans
-    //     arrived from every worker shard (pids 1..N; pid 0 would be a
-    //     coordinator-side tracer).
-    if (!options.trace_path.empty()) {
-        // Validate exactly what the streaming writer put on disk.
-        std::string trace;
-        chef::support::JsonValue trace_doc;
-        std::string trace_error;
-        if (!ReadFileOrComplain(options.trace_path, &trace)) {
-            ++failures;
-        } else if (!chef::support::ParseJson(trace, &trace_doc,
-                                             &trace_error)) {
-            std::fprintf(stderr,
-                         "FAIL: trace is not strict JSON: %s\n",
-                         trace_error.c_str());
-            ++failures;
-        } else {
-            const chef::support::JsonValue* events =
-                trace_doc.Find("traceEvents");
-            std::vector<bool> seen(options.num_workers + 1, false);
-            size_t spans = 0;
-            if (events != nullptr) {
-                for (const chef::support::JsonValue& event :
-                     events->items) {
-                    uint64_t pid = 0;
-                    if (event.GetUint64("pid", &pid) &&
-                        pid < seen.size()) {
-                        seen[pid] = true;
-                        ++spans;
-                    }
-                }
-            }
-            // A dead shard's spans die with it (they ship in the final
-            // result), so only surviving shards owe spans.
-            bool all_shards = true;
-            for (size_t shard = 1; shard <= options.num_workers;
-                 ++shard) {
-                if (shard - 1 < coordinator.shards().size() &&
-                    coordinator.shards()[shard - 1].dead) {
-                    continue;
-                }
-                all_shards = all_shards && seen[shard];
-            }
-            if (events == nullptr || spans == 0 || !all_shards) {
-                std::fprintf(stderr,
-                             "FAIL: trace lacks spans from every worker "
-                             "shard (%zu spans)\n",
-                             spans);
-                ++failures;
-            } else {
-                std::printf("  smoke: trace has %zu spans from all %zu "
-                            "shards\n",
-                            spans, options.num_workers);
-            }
-        }
-    }
-
-    // 1c. With --stats-out: the stream on disk is valid NDJSON — every
-    //     line strict-parses with the per-sample schema — and at least 5
-    //     samples arrived (2 shards at a 100 ms cadence cross that in
-    //     well under a second of batch time).
-    if (!options.stats_path.empty()) {
-        std::string ndjson;
-        size_t valid_lines = 0;
-        size_t event_lines = 0;
-        bool malformed = false;
-        if (!ReadFileOrComplain(options.stats_path, &ndjson)) {
-            ++failures;
-        } else {
-            size_t begin = 0;
-            while (begin < ndjson.size()) {
-                size_t end = ndjson.find('\n', begin);
-                if (end == std::string::npos) {
-                    end = ndjson.size();
-                }
-                const std::string line = ndjson.substr(begin, end - begin);
-                begin = end + 1;
-                if (line.empty()) {
-                    continue;
-                }
-                chef::support::JsonValue sample;
-                std::string sample_error;
-                if (!chef::support::ParseJson(line, &sample,
-                                              &sample_error)) {
-                    malformed = true;
-                    std::fprintf(stderr,
-                                 "FAIL: invalid NDJSON sample: %.120s\n",
-                                 line.c_str());
-                    break;
-                }
-                // Fault events share the stream with samples; they
-                // carry "event" instead of the sample schema.
-                if (sample.Find("event") != nullptr) {
-                    if (sample.Find("shard") == nullptr ||
-                        sample.Find("cause") == nullptr) {
-                        malformed = true;
-                        std::fprintf(
-                            stderr,
-                            "FAIL: invalid NDJSON event: %.120s\n",
-                            line.c_str());
-                        break;
-                    }
-                    ++event_lines;
-                    continue;
-                }
-                if (sample.Find("source") == nullptr ||
-                    sample.Find("index") == nullptr ||
-                    sample.Find("t_seconds") == nullptr ||
-                    sample.Find("jobs_per_second") == nullptr ||
-                    sample.Find("fingerprints_per_second") == nullptr ||
-                    sample.Find("cluster") == nullptr) {
-                    malformed = true;
-                    std::fprintf(stderr,
-                                 "FAIL: invalid NDJSON sample: %.120s\n",
-                                 line.c_str());
-                    break;
-                }
-                ++valid_lines;
-            }
-            // A degraded run can cut sample volume (a shard died early),
-            // but every shard death must have left an event record.
-            const size_t need_samples = coordinator.degraded() ? 1 : 5;
-            const bool events_accounted =
-                event_lines >=
-                static_cast<size_t>(coordinator.fault().deaths);
-            if (malformed || valid_lines < need_samples ||
-                !events_accounted) {
-                std::fprintf(stderr,
-                             "FAIL: --stats-out produced %zu valid NDJSON "
-                             "samples + %zu events (need >= %zu samples, "
-                             ">= %llu events)\n",
-                             valid_lines, event_lines, need_samples,
-                             static_cast<unsigned long long>(
-                                 coordinator.fault().deaths));
-                ++failures;
-            } else {
-                std::printf("  smoke: %zu valid NDJSON samples + %zu "
-                            "event records streamed\n",
-                            valid_lines, event_lines);
-            }
-        }
-    }
-
-    // 1d. With --curves-out: the cluster "__all__" coverage curve is
-    //     monotone and ends exactly at the report's cluster telemetry
-    //     totals (the recorder's final sample is taken after all batch
-    //     accounting, so the curve and the report must agree).
-    if (!options.curves_path.empty() && coordinator.degraded()) {
-        // A dead shard's curve ends at its last gossiped sample while
-        // the cluster totals include survivors' reruns; the tail-match
-        // contract only holds for undisturbed runs.
-        std::printf("  smoke: degraded run — skipping the coverage-CSV "
-                    "tail match\n");
-    } else if (!options.curves_path.empty()) {
-        uint64_t last_jobs = 0;
-        uint64_t last_fp = 0;
-        bool monotone = true;
-        size_t all_rows = 0;
-        size_t begin = curves_csv.find('\n');  // Skip the header.
-        begin = begin == std::string::npos ? curves_csv.size() : begin + 1;
-        while (begin < curves_csv.size()) {
-            size_t end = curves_csv.find('\n', begin);
-            if (end == std::string::npos) {
-                end = curves_csv.size();
-            }
-            const std::string row = curves_csv.substr(begin, end - begin);
-            begin = end + 1;
-            if (row.compare(0, 8, "__all__,") != 0) {
-                continue;
-            }
-            unsigned long long jobs = 0;
-            unsigned long long fp = 0;
-            double t = 0.0;
-            if (std::sscanf(row.c_str(), "__all__,%lf,%llu,%llu", &t,
-                            &jobs, &fp) == 3) {
-                monotone = monotone && jobs >= last_jobs && fp >= last_fp;
-                last_jobs = jobs;
-                last_fp = fp;
-                ++all_rows;
-            }
-        }
-        uint64_t cluster_jobs = 0;
-        uint64_t cluster_fp = 0;
-        const chef::support::JsonValue* telemetry = parsed.Find("telemetry");
-        const chef::support::JsonValue* cluster =
-            telemetry != nullptr ? telemetry->Find("cluster") : nullptr;
-        const chef::support::JsonValue* counters =
-            cluster != nullptr ? cluster->Find("counters") : nullptr;
-        if (counters != nullptr) {
-            counters->GetUint64("service.jobs_finished", &cluster_jobs);
-            counters->GetUint64("corpus.fingerprints_new", &cluster_fp);
-        }
-        if (all_rows == 0 || !monotone || last_jobs != cluster_jobs ||
-            last_fp != cluster_fp) {
-            std::fprintf(stderr,
-                         "FAIL: coverage CSV disagrees with the report "
-                         "(%zu rows, monotone=%d, jobs %llu vs %llu, "
-                         "fingerprints %llu vs %llu)\n",
-                         all_rows, monotone ? 1 : 0,
-                         static_cast<unsigned long long>(last_jobs),
-                         static_cast<unsigned long long>(cluster_jobs),
-                         static_cast<unsigned long long>(last_fp),
-                         static_cast<unsigned long long>(cluster_fp));
-            ++failures;
-        } else {
-            std::printf("  smoke: coverage CSV matches the report "
-                        "(%llu jobs, %llu fingerprints over %zu points)\n",
-                        static_cast<unsigned long long>(last_jobs),
-                        static_cast<unsigned long long>(last_fp),
-                        all_rows);
-        }
-    }
-
-    // 1e. With --attr-out: the attribution table on disk is strict JSON
-    //     with at least one charged location, its cluster solver-seconds
-    //     total agrees with the report's solver_seconds_total (both sides
-    //     measure the very same Solve calls — the profiler charges the
-    //     ScopedTimer's own elapsed reading — so only double-vs-nanos
-    //     rounding separates them), and the folded-stack file is
-    //     non-empty.
-    if (!options.attr_path.empty()) {
-        chef::support::JsonValue attr_doc;
-        std::string attr_error;
-        size_t attr_locations = 0;
-        if (!chef::support::ParseJson(attr_json, &attr_doc,
-                                      &attr_error)) {
-            std::fprintf(stderr,
-                         "FAIL: attribution table is not strict JSON: "
-                         "%s\n",
-                         attr_error.c_str());
-            ++failures;
-        } else {
-            const chef::support::JsonValue* workloads =
-                attr_doc.Find("workloads");
-            if (workloads != nullptr) {
-                for (const chef::support::JsonValue& group :
-                     workloads->items) {
-                    const chef::support::JsonValue* locations =
-                        group.Find("locations");
-                    attr_locations +=
-                        locations != nullptr ? locations->items.size()
-                                             : 0;
-                }
-            }
-            if (attr_locations == 0) {
-                std::fprintf(stderr,
-                             "FAIL: attribution table charged no "
-                             "locations\n");
-                ++failures;
-            }
-        }
-        double report_solver_total = 0.0;
-        parsed.GetDouble("solver_seconds_total", &report_solver_total);
-        const double attr_solver_total =
-            cluster_attribution.SolverSecondsTotal();
-        const double tolerance = 0.05 * report_solver_total + 0.05;
-        // A dead shard's stats never merge but its last gossiped table
-        // may linger: the totals only owe agreement on a clean run.
-        if (!coordinator.degraded() &&
-            std::abs(attr_solver_total - report_solver_total) >
-                tolerance) {
-            std::fprintf(stderr,
-                         "FAIL: attributed solver seconds %.6f disagree "
-                         "with solver_seconds_total %.6f (tolerance "
-                         "%.6f)\n",
-                         attr_solver_total, report_solver_total,
-                         tolerance);
-            ++failures;
-        } else {
-            std::printf("  smoke: attribution table has %zu locations; "
-                        "%.3fs attributed vs %.3fs reported\n",
-                        attr_locations, attr_solver_total,
-                        report_solver_total);
-        }
-    }
-    if (!options.flame_path.empty()) {
-        if (flame_stacks.empty() ||
-            flame_stacks.find(';') == std::string::npos ||
-            flame_stacks.back() != '\n') {
-            std::fprintf(stderr,
-                         "FAIL: folded-stack file is empty or malformed\n");
-            ++failures;
-        } else {
-            size_t stack_lines = 0;
-            for (const char c : flame_stacks) {
-                stack_lines += c == '\n' ? 1 : 0;
-            }
-            std::printf("  smoke: %zu folded stacks written\n",
-                        stack_lines);
-        }
-    }
-
-    // 2. The multi-process merged corpus covers a single-shard run of
-    //    the same batch (identical global-index seeds make the corpora
-    //    comparable key-for-key).
-    ShardCoordinator::Options single_options = CoordinatorOptions(options);
-    single_options.service.plateau_policy = {};  // Run every job.
-    ShardCoordinator single(single_options);
-    const bool baseline_ok =
-        chef::shard::RunLoopbackShards(&single, jobs, 1, &error);
-    if (!baseline_ok) {
-        std::fprintf(stderr, "FAIL: single-shard baseline: %s\n",
-                     error.c_str());
-        ++failures;
-    } else if (!options.plateau) {
-        const std::vector<TestCorpus::Key> merged_keys =
-            coordinator.corpus().Keys();
-        const std::vector<TestCorpus::Key> single_keys =
-            single.corpus().Keys();
-        if (!CoversCorpus(merged_keys, single_keys)) {
-            std::fprintf(stderr,
-                         "FAIL: merged corpus (%zu keys) does not cover "
-                         "the single-shard corpus (%zu keys)\n",
-                         merged_keys.size(), single_keys.size());
-            ++failures;
-        } else {
-            std::printf("  smoke: merged corpus covers the single-shard "
-                        "corpus (%zu keys)\n",
-                        single_keys.size());
-        }
-    }
-
-    // 2b. Intra-session parallelism parity: deterministic round mode
-    //    must produce exactly the corpus a single-threaded run of the
-    //    same batch does (sessions are bounded by max_runs, so their
-    //    results are thread-count-invariant).
-    if (baseline_ok && !options.plateau && options.engine_threads > 1) {
-        ShardCoordinator::Options serial_options =
-            CoordinatorOptions(options);
-        serial_options.service.plateau_policy = {};
-        serial_options.service.engine_threads = 1;
-        ShardCoordinator serial(serial_options);
-        if (!chef::shard::RunLoopbackShards(&serial, jobs, 1, &error)) {
-            std::fprintf(stderr,
-                         "FAIL: engine-threads=1 parity baseline: %s\n",
-                         error.c_str());
-            ++failures;
-        } else {
-            const std::vector<TestCorpus::Key> wide_keys =
-                single.corpus().Keys();
-            const std::vector<TestCorpus::Key> serial_keys =
-                serial.corpus().Keys();
-            if (!CoversCorpus(wide_keys, serial_keys) ||
-                !CoversCorpus(serial_keys, wide_keys)) {
-                std::fprintf(stderr,
-                             "FAIL: engine-threads corpus parity broken "
-                             "— %u threads: %zu keys vs 1 thread: %zu "
-                             "keys\n",
-                             options.engine_threads, wide_keys.size(),
-                             serial_keys.size());
-                ++failures;
-            } else {
-                std::printf("  smoke: engine-threads corpus parity holds "
-                            "(%u threads, %zu keys)\n",
-                            options.engine_threads, serial_keys.size());
-            }
-            // 2c. Attribution thread parity: every count column of the
-            //    table (steps, forks, runs, fingerprints, ...) is
-            //    charged on serial commit paths, so deterministic round
-            //    mode must produce *identical* counts at any thread
-            //    width. Solver wall-nanos are real time and excluded
-            //    (AttributionCountsEqual compares counts only).
-            if (!chef::obs::AttributionCountsEqual(
-                    single.ClusterAttribution(),
-                    serial.ClusterAttribution())) {
-                std::fprintf(stderr,
-                             "FAIL: attribution counts differ between "
-                             "%u engine threads and 1\n",
-                             options.engine_threads);
-                ++failures;
-            } else {
-                std::printf("  smoke: attribution tables identical at "
-                            "%u threads vs 1 (count columns)\n",
-                            options.engine_threads);
-            }
-        }
-    }
-
-    // 3. Chaos contract: the injected kill must have actually degraded
-    //    the batch (death + requeue recorded, report flagged), and the
-    //    recovery must be *lossless* — the merged corpus key set equals
-    //    the undisturbed single-shard run's exactly, in both directions.
-    if (!options.chaos.empty()) {
-        const ShardCoordinator::FaultStats& fault = coordinator.fault();
-        bool report_degraded = false;
-        parsed.GetBool("degraded", &report_degraded);
-        if (!chaos_killed || !coordinator.degraded() ||
-            !report_degraded || fault.deaths < 1) {
-            std::fprintf(stderr,
-                         "FAIL: chaos kill-one did not degrade the batch "
-                         "(killed=%d, degraded=%d, report=%d, deaths="
-                         "%llu)\n",
-                         chaos_killed ? 1 : 0,
-                         coordinator.degraded() ? 1 : 0,
-                         report_degraded ? 1 : 0,
-                         static_cast<unsigned long long>(fault.deaths));
-            ++failures;
-        }
-        if (fault.jobs_requeued < 1) {
-            std::fprintf(stderr,
-                         "FAIL: chaos kill-one left no jobs to requeue "
-                         "(victim killed too late?)\n");
-            ++failures;
-        }
-        bool victim_attributed = false;
-        for (const ShardCoordinator::ShardOutcome& shard :
-             coordinator.shards()) {
-            victim_attributed =
-                victim_attributed || !shard.death_cause.empty();
-        }
-        if (!victim_attributed) {
-            std::fprintf(stderr,
-                         "FAIL: no shard carries a death cause\n");
-            ++failures;
-        }
-        if (baseline_ok && !options.plateau) {
-            const std::vector<TestCorpus::Key> merged_keys =
-                coordinator.corpus().Keys();
-            const std::vector<TestCorpus::Key> single_keys =
-                single.corpus().Keys();
-            if (!CoversCorpus(merged_keys, single_keys) ||
-                !CoversCorpus(single_keys, merged_keys)) {
-                std::fprintf(stderr,
-                             "FAIL: chaos corpus parity broken — merged "
-                             "%zu keys vs undisturbed %zu keys\n",
-                             merged_keys.size(), single_keys.size());
-                ++failures;
-            } else {
-                std::printf("  smoke: chaos corpus parity holds (%zu "
-                            "keys, %llu jobs requeued, %llu death(s))\n",
-                            merged_keys.size(),
-                            static_cast<unsigned long long>(
-                                fault.jobs_requeued),
-                            static_cast<unsigned long long>(
-                                fault.deaths));
-            }
-        }
-    }
-
-    if (failures > 0) {
-        std::fprintf(stderr, "chef_shard --smoke: %d failure(s)\n",
-                     failures);
-        return 1;
-    }
-    std::printf("  smoke: OK\n");
     return 0;
 }
 

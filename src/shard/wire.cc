@@ -1,5 +1,6 @@
 #include "shard/wire.h"
 
+#include <cstdint>
 #include <utility>
 
 #include "obs/timeseries.h"
@@ -95,6 +96,24 @@ ReadU64(const JsonValue& object, const char* key, uint64_t* out,
     return true;
 }
 
+/// A u64 that must fit 32 bits: a larger value fails the frame rather
+/// than wrapping to a small thread count.
+bool
+ReadU32(const JsonValue& object, const char* key, uint32_t* out,
+        std::string* error)
+{
+    uint64_t value = 0;
+    if (!ReadU64(object, key, &value, error)) {
+        return false;
+    }
+    if (value > UINT32_MAX) {
+        return DecodeFail(error, std::string("'") + key +
+                                     "' exceeds 32 bits");
+    }
+    *out = static_cast<uint32_t>(value);
+    return true;
+}
+
 bool
 ReadSize(const JsonValue& object, const char* key, size_t* out,
          std::string* error)
@@ -140,6 +159,32 @@ ReadString(const JsonValue& object, const char* key, std::string* out,
     return true;
 }
 
+/// The member \p key of \p object when it has \p kind; nullptr (with
+/// \p error) when it is missing or of another kind.
+const JsonValue*
+ReadMember(const JsonValue& object, const char* key, JsonValue::Kind kind,
+           std::string* error)
+{
+    const JsonValue* member = object.Find(key);
+    if (member == nullptr || member->kind != kind) {
+        DecodeFail(error, std::string("missing or invalid '") + key + "'");
+        return nullptr;
+    }
+    return member;
+}
+
+const JsonValue*
+ReadObject(const JsonValue& object, const char* key, std::string* error)
+{
+    return ReadMember(object, key, JsonValue::Kind::kObject, error);
+}
+
+const JsonValue*
+ReadArray(const JsonValue& object, const char* key, std::string* error)
+{
+    return ReadMember(object, key, JsonValue::Kind::kArray, error);
+}
+
 // ---------------------------------------------------------------------------
 // JobSpec.
 // ---------------------------------------------------------------------------
@@ -173,12 +218,8 @@ WriteJobSpec(JsonWriter& json, const JobSpec& spec)
     json.Key("branch_opcode_drop_fraction"),
         json.Value(spec.options.branch_opcode_drop_fraction);
     json.Key("collect_timeline"), json.Value(spec.options.collect_timeline);
-    // v2.3: per-job exploration-thread request, omitted at the default.
-    if (spec.options.exploration_threads > 1) {
-        json.Key("exploration_threads"),
-            json.Value(static_cast<uint64_t>(
-                spec.options.exploration_threads));
-    }
+    json.Key("exploration_threads"),
+        json.Value(static_cast<uint64_t>(spec.options.exploration_threads));
     const solver::Solver::Options& so = spec.options.solver_options;
     json.Key("solver");
     json.BeginObject();
@@ -206,11 +247,9 @@ DecodeJobSpec(const JsonValue& object, JobSpec* spec, std::string* error)
         !ReadBool(object, "exact_seed", &spec->exact_seed, error)) {
         return false;
     }
-    const JsonValue* build = object.Find("build");
-    if (build == nullptr) {
-        return DecodeFail(error, "missing 'build'");
-    }
-    if (!ReadBool(*build, "avoid_symbolic_pointers",
+    const JsonValue* build = ReadObject(object, "build", error);
+    if (build == nullptr ||
+        !ReadBool(*build, "avoid_symbolic_pointers",
                   &spec->build.avoid_symbolic_pointers, error) ||
         !ReadBool(*build, "neutralize_hashes",
                   &spec->build.neutralize_hashes, error) ||
@@ -218,12 +257,10 @@ DecodeJobSpec(const JsonValue& object, JobSpec* spec, std::string* error)
                   &spec->build.eliminate_fast_paths, error)) {
         return false;
     }
-    const JsonValue* engine = object.Find("engine");
-    if (engine == nullptr) {
-        return DecodeFail(error, "missing 'engine'");
-    }
+    const JsonValue* engine = ReadObject(object, "engine", error);
     std::string strategy;
-    if (!ReadString(*engine, "strategy", &strategy, error) ||
+    if (engine == nullptr ||
+        !ReadString(*engine, "strategy", &strategy, error) ||
         !ReadU64(*engine, "max_runs", &spec->options.max_runs, error) ||
         !ReadDouble(*engine, "max_seconds", &spec->options.max_seconds,
                     error) ||
@@ -234,28 +271,18 @@ DecodeJobSpec(const JsonValue& object, JobSpec* spec, std::string* error)
         !ReadDouble(*engine, "branch_opcode_drop_fraction",
                     &spec->options.branch_opcode_drop_fraction, error) ||
         !ReadBool(*engine, "collect_timeline",
-                  &spec->options.collect_timeline, error)) {
+                  &spec->options.collect_timeline, error) ||
+        !ReadU32(*engine, "exploration_threads",
+                 &spec->options.exploration_threads, error)) {
         return false;
     }
     if (!StrategyFromName(strategy, &spec->options.strategy)) {
         return DecodeFail(error, "unknown strategy '" + strategy + "'");
     }
-    // v2.3: optional per-job exploration-thread request, default 1.
-    if (engine->Find("exploration_threads") != nullptr) {
-        uint64_t exploration_threads = 1;
-        if (!ReadU64(*engine, "exploration_threads", &exploration_threads,
-                     error)) {
-            return false;
-        }
-        spec->options.exploration_threads =
-            static_cast<uint32_t>(exploration_threads);
-    }
-    const JsonValue* sol = engine->Find("solver");
-    if (sol == nullptr) {
-        return DecodeFail(error, "missing 'solver'");
-    }
+    const JsonValue* sol = ReadObject(*engine, "solver", error);
     solver::Solver::Options& so = spec->options.solver_options;
-    return ReadBool(*sol, "enable_query_cache", &so.enable_query_cache,
+    return sol != nullptr &&
+           ReadBool(*sol, "enable_query_cache", &so.enable_query_cache,
                     error) &&
            ReadBool(*sol, "enable_model_reuse", &so.enable_model_reuse,
                     error) &&
@@ -294,11 +321,12 @@ WriteYields(JsonWriter& json, const TestCorpus::YieldMap& yields)
 }
 
 bool
-DecodeYields(const JsonValue* array, TestCorpus::YieldMap* yields,
+DecodeYields(const JsonValue& object, TestCorpus::YieldMap* yields,
              std::string* error)
 {
-    if (array == nullptr || array->kind != JsonValue::Kind::kArray) {
-        return DecodeFail(error, "missing or invalid 'yields'");
+    const JsonValue* array = ReadArray(object, "yields", error);
+    if (array == nullptr) {
+        return false;
     }
     for (const JsonValue& item : array->items) {
         std::string workload;
@@ -356,9 +384,9 @@ DecodeCorpusEntryFull(const JsonValue& object, TestCorpus::Entry* entry,
         !ReadU64(object, "ll_steps", &entry->ll_steps, error)) {
         return false;
     }
-    const JsonValue* inputs = object.Find("inputs");
-    if (inputs == nullptr || inputs->kind != JsonValue::Kind::kArray) {
-        return DecodeFail(error, "missing or invalid 'inputs'");
+    const JsonValue* inputs = ReadArray(object, "inputs", error);
+    if (inputs == nullptr) {
+        return false;
     }
     for (const JsonValue& pair : inputs->items) {
         if (pair.kind != JsonValue::Kind::kArray ||
@@ -367,7 +395,7 @@ DecodeCorpusEntryFull(const JsonValue& object, TestCorpus::Entry* entry,
         }
         uint64_t var_id = 0;
         uint64_t value = 0;
-        if (!pair.items[0].AsUint64(&var_id) ||
+        if (!pair.items[0].AsUint64(&var_id) || var_id > UINT32_MAX ||
             !pair.items[1].AsUint64(&value)) {
             return DecodeFail(error, "malformed input pair");
         }
@@ -432,18 +460,9 @@ DecodeServiceStats(const JsonValue& object, ServiceStats* stats,
         !ReadSize(object, "num_workers", &stats->num_workers, error) ||
         !ReadString(object, "schedule_policy", &policy, error) ||
         !ReadU64(object, "events_delivered", &stats->events_delivered,
-                 error)) {
-        return false;
-    }
-    // v2.3 additions: absent from pre-v2.3 peers, default to 1 / 0.
-    if (object.Find("engine_threads") != nullptr) {
-        uint64_t engine_threads = 1;
-        if (!ReadU64(object, "engine_threads", &engine_threads, error)) {
-            return false;
-        }
-        stats->engine_threads = static_cast<uint32_t>(engine_threads);
-    }
-    if (object.Find("wide_sessions_granted") != nullptr &&
+                 error) ||
+        !ReadU32(object, "engine_threads", &stats->engine_threads,
+                 error) ||
         !ReadSize(object, "wide_sessions_granted",
                   &stats->wide_sessions_granted, error)) {
         return false;
@@ -498,17 +517,10 @@ DecodeJobResult(const JsonValue& object, JobResult* result,
         !ReadBool(object, "stopped", &result->engine_stats.stopped,
                   error) ||
         !ReadDouble(object, "elapsed_seconds",
-                    &result->engine_stats.elapsed_seconds, error)) {
+                    &result->engine_stats.elapsed_seconds, error) ||
+        !ReadU32(object, "threads_used", &result->engine_stats.threads_used,
+                 error)) {
         return false;
-    }
-    // v2.3 addition: absent from pre-v2.3 peers, default 1.
-    if (object.Find("threads_used") != nullptr) {
-        uint64_t threads_used = 1;
-        if (!ReadU64(object, "threads_used", &threads_used, error)) {
-            return false;
-        }
-        result->engine_stats.threads_used =
-            static_cast<uint32_t>(threads_used);
     }
     if (!JobStatusFromName(status, &result->status)) {
         return DecodeFail(error, "unknown job status '" + status + "'");
@@ -519,6 +531,61 @@ DecodeJobResult(const JsonValue& object, JobResult* result,
         return DecodeFail(error, "invalid 'error'");
     }
     return true;
+}
+
+bool
+DecodeJobResults(const JsonValue& object, std::vector<JobResult>* results,
+                 std::string* error)
+{
+    const JsonValue* array = ReadArray(object, "results", error);
+    if (array == nullptr) {
+        return false;
+    }
+    for (const JsonValue& item : array->items) {
+        JobResult job;
+        if (!DecodeJobResult(item, &job, error)) {
+            return false;
+        }
+        results->push_back(std::move(job));
+    }
+    return true;
+}
+
+// ---------------------------------------------------------------------------
+// Telemetry bundle.
+// ---------------------------------------------------------------------------
+
+void
+WriteTelemetry(JsonWriter& json, const Telemetry& telemetry)
+{
+    json.BeginObject();
+    json.Key("metrics");
+    obs::WriteMetricsSnapshot(json, telemetry.metrics);
+    json.Key("series");
+    obs::WriteSeriesSamples(json, telemetry.series);
+    json.Key("attribution");
+    obs::WriteAttributionSnapshot(json, telemetry.attribution);
+    json.EndObject();
+}
+
+bool
+DecodeTelemetry(const JsonValue& object, Telemetry* telemetry,
+                std::string* error)
+{
+    const JsonValue* metrics = ReadObject(object, "metrics", error);
+    if (metrics == nullptr ||
+        !obs::DecodeMetricsSnapshot(*metrics, &telemetry->metrics, error)) {
+        return false;
+    }
+    const JsonValue* series = ReadArray(object, "series", error);
+    if (series == nullptr ||
+        !obs::DecodeSeriesSamples(*series, &telemetry->series, error)) {
+        return false;
+    }
+    const JsonValue* attribution = ReadObject(object, "attribution", error);
+    return attribution != nullptr &&
+           obs::DecodeAttributionSnapshot(*attribution,
+                                          &telemetry->attribution, error);
 }
 
 }  // namespace
@@ -612,7 +679,6 @@ EncodeHello()
     json.BeginObject();
     json.Key("type"), json.Value("hello");
     json.Key("protocol_version"), json.Value(kProtocolVersion);
-    json.Key("protocol_minor"), json.Value(kProtocolVersionMinor);
     json.EndObject();
     return json.Take();
 }
@@ -625,6 +691,8 @@ EncodeRun(const RunRequest& request)
     json.Key("type"), json.Value("run");
     json.Key("shard_id"), json.Value(request.shard_id);
     json.Key("num_shards"), json.Value(request.num_shards);
+    json.Key("heartbeat_interval_seconds"),
+        json.Value(request.heartbeat_interval_seconds);
     json.Key("service");
     json.BeginObject();
     json.Key("seed"), json.HexValue(request.service.seed);
@@ -640,20 +708,8 @@ EncodeRun(const RunRequest& request)
     json.Key("tracing"), json.Value(request.service.tracing);
     json.Key("metrics_interval_seconds"),
         json.Value(request.service.metrics_interval_seconds);
-    // v2.2 heartbeat cadence; old decoders ignore unknown keys, and
-    // omitting the field at 0 keeps the encoding of a heartbeat-free
-    // run byte-identical to a v2.1 coordinator's.
-    if (request.service.heartbeat_interval_seconds > 0.0) {
-        json.Key("heartbeat_interval_seconds"),
-            json.Value(request.service.heartbeat_interval_seconds);
-    }
-    // v2.3 intra-session parallelism; omitted at the default of 1 so a
-    // single-threaded run encodes byte-identically to a v2.2 one.
-    if (request.service.engine_threads > 1) {
-        json.Key("engine_threads"),
-            json.Value(static_cast<uint64_t>(
-                request.service.engine_threads));
-    }
+    json.Key("engine_threads"),
+        json.Value(static_cast<uint64_t>(request.service.engine_threads));
     json.Key("plateau");
     json.BeginObject();
     json.Key("enabled"), json.Value(request.service.plateau_policy.enabled);
@@ -661,7 +717,6 @@ EncodeRun(const RunRequest& request)
         json.Value(request.service.plateau_policy.deprioritize_after);
     json.Key("cancel_after"),
         json.Value(request.service.plateau_policy.cancel_after);
-    // v2.1 rate-mode fields; old decoders ignore unknown keys.
     json.Key("rate_mode"),
         json.Value(request.service.plateau_policy.rate_mode);
     json.Key("min_yield_per_second"),
@@ -688,9 +743,7 @@ EncodeRun(const RunRequest& request)
 
 std::string
 EncodeGossip(const service::TestCorpus::Delta& delta,
-             const obs::MetricsSnapshot* telemetry,
-             const std::vector<obs::SeriesSample>* series,
-             const obs::AttributionSnapshot* attribution)
+             const Telemetry* telemetry)
 {
     JsonWriter json;
     json.BeginObject();
@@ -699,17 +752,7 @@ EncodeGossip(const service::TestCorpus::Delta& delta,
     json.Key("sequence"), json.Value(delta.sequence);
     if (telemetry != nullptr) {
         json.Key("telemetry");
-        obs::WriteMetricsSnapshot(json, *telemetry);
-    }
-    if (series != nullptr && !series->empty()) {
-        json.Key("series");
-        obs::WriteSeriesSamples(json, *series);
-    }
-    // v2.4: cumulative attribution table, omitted when empty so a run
-    // without attribution encodes byte-identically to v2.3.
-    if (attribution != nullptr && !attribution->empty()) {
-        json.Key("attribution");
-        obs::WriteAttributionSnapshot(json, *attribution);
+        WriteTelemetry(json, *telemetry);
     }
     // Group fingerprints by workload: entries arrive sorted by
     // (workload, fingerprint), so one linear pass emits each group.
@@ -787,17 +830,7 @@ EncodeResult(const ResultMessage& result)
     json.Key("remote_duplicate_hits"),
         json.Value(result.remote_duplicate_hits);
     json.Key("telemetry");
-    obs::WriteMetricsSnapshot(json, result.telemetry);
-    if (!result.series.empty()) {
-        json.Key("series");
-        obs::WriteSeriesSamples(json, result.series);
-    }
-    // v2.4: final attribution table, omitted when empty (byte-compat
-    // with v2.3 when attribution is off).
-    if (!result.attribution.empty()) {
-        json.Key("attribution");
-        obs::WriteAttributionSnapshot(json, result.attribution);
-    }
+    WriteTelemetry(json, result.telemetry);
     json.Key("trace");
     obs::WriteTraceEvents(json, result.trace);
     json.EndObject();
@@ -841,34 +874,25 @@ DecodeMessage(const std::string& line, Message* message,
 
     if (type == "hello") {
         message->type = MessageType::kHello;
-        uint64_t version = 0;
-        if (!ReadU64(root, "protocol_version", &version, error)) {
+        uint32_t version = 0;
+        if (!ReadU32(root, "protocol_version", &version, error)) {
             return false;
         }
         message->protocol_version = static_cast<int>(version);
-        // v2.0 peers never announce a minor; default 0.
-        uint64_t minor = 0;
-        if (root.Find("protocol_minor") != nullptr &&
-            !ReadU64(root, "protocol_minor", &minor, error)) {
-            return false;
-        }
-        message->protocol_minor = static_cast<int>(minor);
         return true;
     }
 
     if (type == "run") {
         message->type = MessageType::kRun;
         RunRequest& run = message->run;
-        if (!ReadSize(root, "shard_id", &run.shard_id, error) ||
-            !ReadSize(root, "num_shards", &run.num_shards, error)) {
-            return false;
-        }
-        const JsonValue* svc = root.Find("service");
-        if (svc == nullptr) {
-            return DecodeFail(error, "missing 'service'");
-        }
+        const JsonValue* svc = ReadObject(root, "service", error);
         std::string policy;
-        if (!ReadU64(*svc, "seed", &run.service.seed, error) ||
+        if (!ReadSize(root, "shard_id", &run.shard_id, error) ||
+            !ReadSize(root, "num_shards", &run.num_shards, error) ||
+            !ReadDouble(root, "heartbeat_interval_seconds",
+                        &run.heartbeat_interval_seconds, error) ||
+            svc == nullptr ||
+            !ReadU64(*svc, "seed", &run.service.seed, error) ||
             !ReadSize(*svc, "num_workers", &run.service.num_workers,
                       error) ||
             !ReadDouble(*svc, "max_total_seconds",
@@ -880,74 +904,42 @@ DecodeMessage(const std::string& line, Message* message,
             !ReadString(*svc, "schedule_policy", &policy, error) ||
             !ReadBool(*svc, "tracing", &run.service.tracing, error) ||
             !ReadDouble(*svc, "metrics_interval_seconds",
-                        &run.service.metrics_interval_seconds, error)) {
+                        &run.service.metrics_interval_seconds, error) ||
+            !ReadU32(*svc, "engine_threads", &run.service.engine_threads,
+                     error)) {
             return false;
-        }
-        // v2.2 heartbeat cadence: optional, default 0 (no heartbeats)
-        // when a pre-v2.2 coordinator omits it.
-        if (svc->Find("heartbeat_interval_seconds") != nullptr &&
-            !ReadDouble(*svc, "heartbeat_interval_seconds",
-                        &run.service.heartbeat_interval_seconds, error)) {
-            return false;
-        }
-        // v2.3 intra-session parallelism: optional, default 1 when a
-        // pre-v2.3 coordinator omits it.
-        if (svc->Find("engine_threads") != nullptr) {
-            uint64_t engine_threads = 1;
-            if (!ReadU64(*svc, "engine_threads", &engine_threads, error)) {
-                return false;
-            }
-            run.service.engine_threads =
-                static_cast<uint32_t>(engine_threads);
         }
         if (!SchedulePolicyFromName(policy,
                                     &run.service.schedule_policy)) {
             return DecodeFail(error,
                               "unknown schedule policy '" + policy + "'");
         }
-        const JsonValue* plateau = svc->Find("plateau");
-        if (plateau == nullptr) {
-            return DecodeFail(error, "missing 'plateau'");
-        }
-        if (!ReadBool(*plateau, "enabled",
-                      &run.service.plateau_policy.enabled, error) ||
-            !ReadSize(*plateau, "deprioritize_after",
-                      &run.service.plateau_policy.deprioritize_after,
-                      error) ||
-            !ReadSize(*plateau, "cancel_after",
-                      &run.service.plateau_policy.cancel_after, error)) {
-            return false;
-        }
-        // v2.1 rate-mode fields: optional, keep PlateauPolicy defaults
-        // when a v2.0 coordinator omits them.
+        const JsonValue* plateau = ReadObject(*svc, "plateau", error);
         PlateauPolicy& pp = run.service.plateau_policy;
-        if ((plateau->Find("rate_mode") != nullptr &&
-             !ReadBool(*plateau, "rate_mode", &pp.rate_mode, error)) ||
-            (plateau->Find("min_yield_per_second") != nullptr &&
-             !ReadDouble(*plateau, "min_yield_per_second",
-                         &pp.min_yield_per_second, error)) ||
-            (plateau->Find("rate_window_seconds") != nullptr &&
-             !ReadDouble(*plateau, "rate_window_seconds",
-                         &pp.rate_window_seconds, error)) ||
-            (plateau->Find("rate_min_jobs") != nullptr &&
-             !ReadSize(*plateau, "rate_min_jobs", &pp.rate_min_jobs,
-                       error))) {
+        if (plateau == nullptr ||
+            !ReadBool(*plateau, "enabled", &pp.enabled, error) ||
+            !ReadSize(*plateau, "deprioritize_after",
+                      &pp.deprioritize_after, error) ||
+            !ReadSize(*plateau, "cancel_after", &pp.cancel_after, error) ||
+            !ReadBool(*plateau, "rate_mode", &pp.rate_mode, error) ||
+            !ReadDouble(*plateau, "min_yield_per_second",
+                        &pp.min_yield_per_second, error) ||
+            !ReadDouble(*plateau, "rate_window_seconds",
+                        &pp.rate_window_seconds, error) ||
+            !ReadSize(*plateau, "rate_min_jobs", &pp.rate_min_jobs,
+                      error)) {
             return false;
         }
-        const JsonValue* jobs = root.Find("jobs");
-        if (jobs == nullptr || jobs->kind != JsonValue::Kind::kArray) {
-            return DecodeFail(error, "missing or invalid 'jobs'");
+        const JsonValue* jobs = ReadArray(root, "jobs", error);
+        if (jobs == nullptr) {
+            return false;
         }
         for (const JsonValue& item : jobs->items) {
             WireJob job;
-            const JsonValue* spec = item.Find("spec");
-            if (!ReadSize(item, "job_index", &job.job_index, error)) {
-                return false;
-            }
-            if (spec == nullptr) {
-                return DecodeFail(error, "missing 'spec'");
-            }
-            if (!DecodeJobSpec(*spec, &job.spec, error)) {
+            const JsonValue* spec = ReadObject(item, "spec", error);
+            if (!ReadSize(item, "job_index", &job.job_index, error) ||
+                spec == nullptr ||
+                !DecodeJobSpec(*spec, &job.spec, error)) {
                 return false;
             }
             run.jobs.push_back(std::move(job));
@@ -962,43 +954,27 @@ DecodeMessage(const std::string& line, Message* message,
             !ReadU64(root, "sequence", &delta.sequence, error)) {
             return false;
         }
+        // The telemetry bundle rides only frames sent at the metrics
+        // cadence.
         const JsonValue* telemetry = root.Find("telemetry");
-        if (telemetry != nullptr) {
-            if (!obs::DecodeMetricsSnapshot(*telemetry,
-                                            &message->telemetry, error)) {
-                return false;
-            }
-            message->has_telemetry = true;
-        }
-        const JsonValue* series = root.Find("series");
-        if (series != nullptr &&
-            !obs::DecodeSeriesSamples(*series, &message->series, error)) {
+        if (telemetry != nullptr &&
+            !DecodeTelemetry(*telemetry, &message->telemetry.emplace(),
+                             error)) {
             return false;
         }
-        // v2.4: optional cumulative attribution table.
-        const JsonValue* attribution = root.Find("attribution");
-        if (attribution != nullptr) {
-            if (!obs::DecodeAttributionSnapshot(
-                    *attribution, &message->attribution, error)) {
-                return false;
-            }
-            message->has_attribution = true;
-        }
-        const JsonValue* workloads = root.Find("workloads");
-        if (workloads == nullptr ||
-            workloads->kind != JsonValue::Kind::kArray) {
-            return DecodeFail(error, "missing or invalid 'workloads'");
+        const JsonValue* workloads = ReadArray(root, "workloads", error);
+        if (workloads == nullptr) {
+            return false;
         }
         for (const JsonValue& group : workloads->items) {
             std::string workload;
             if (!ReadString(group, "workload", &workload, error)) {
                 return false;
             }
-            const JsonValue* fingerprints = group.Find("fingerprints");
-            if (fingerprints == nullptr ||
-                fingerprints->kind != JsonValue::Kind::kArray) {
-                return DecodeFail(error,
-                                  "missing or invalid 'fingerprints'");
+            const JsonValue* fingerprints =
+                ReadArray(group, "fingerprints", error);
+            if (fingerprints == nullptr) {
+                return false;
             }
             for (const JsonValue& fp : fingerprints->items) {
                 TestCorpus::Entry entry;
@@ -1013,7 +989,7 @@ DecodeMessage(const std::string& line, Message* message,
                 delta.entries.push_back(std::move(entry));
             }
         }
-        return DecodeYields(root.Find("yields"), &delta.yields, error);
+        return DecodeYields(root, &delta.yields, error);
     }
 
     if (type == "heartbeat") {
@@ -1023,19 +999,7 @@ DecodeMessage(const std::string& line, Message* message,
             !ReadU64(root, "sequence", &heartbeat.sequence, error)) {
             return false;
         }
-        const JsonValue* results = root.Find("results");
-        if (results == nullptr ||
-            results->kind != JsonValue::Kind::kArray) {
-            return DecodeFail(error, "missing or invalid 'results'");
-        }
-        for (const JsonValue& item : results->items) {
-            JobResult job;
-            if (!DecodeJobResult(item, &job, error)) {
-                return false;
-            }
-            heartbeat.results.push_back(std::move(job));
-        }
-        return true;
+        return DecodeJobResults(root, &heartbeat.results, error);
     }
 
     if (type == "result") {
@@ -1044,37 +1008,22 @@ DecodeMessage(const std::string& line, Message* message,
         if (!ReadSize(root, "shard_id", &result.shard_id, error)) {
             return false;
         }
-        const JsonValue* stats = root.Find("stats");
+        const JsonValue* stats = ReadObject(root, "stats", error);
         if (stats == nullptr ||
-            !DecodeServiceStats(*stats, &result.stats, error)) {
-            return stats == nullptr ? DecodeFail(error, "missing 'stats'")
-                                    : false;
+            !DecodeServiceStats(*stats, &result.stats, error) ||
+            !DecodeJobResults(root, &result.results, error)) {
+            return false;
         }
-        const JsonValue* results = root.Find("results");
-        if (results == nullptr ||
-            results->kind != JsonValue::Kind::kArray) {
-            return DecodeFail(error, "missing or invalid 'results'");
-        }
-        for (const JsonValue& item : results->items) {
-            JobResult job;
-            if (!DecodeJobResult(item, &job, error)) {
-                return false;
-            }
-            result.results.push_back(std::move(job));
-        }
-        const JsonValue* corpus = root.Find("corpus");
-        if (corpus == nullptr) {
-            return DecodeFail(error, "missing 'corpus'");
-        }
-        if (!ReadString(*corpus, "source", &result.corpus.source, error) ||
+        const JsonValue* corpus = ReadObject(root, "corpus", error);
+        if (corpus == nullptr ||
+            !ReadString(*corpus, "source", &result.corpus.source, error) ||
             !ReadU64(*corpus, "sequence", &result.corpus.sequence,
                      error)) {
             return false;
         }
-        const JsonValue* entries = corpus->Find("entries");
-        if (entries == nullptr ||
-            entries->kind != JsonValue::Kind::kArray) {
-            return DecodeFail(error, "missing or invalid 'entries'");
+        const JsonValue* entries = ReadArray(*corpus, "entries", error);
+        if (entries == nullptr) {
+            return false;
         }
         for (const JsonValue& item : entries->items) {
             TestCorpus::Entry entry;
@@ -1083,44 +1032,21 @@ DecodeMessage(const std::string& line, Message* message,
             }
             result.corpus.entries.push_back(std::move(entry));
         }
-        if (!DecodeYields(corpus->Find("yields"), &result.corpus.yields,
-                          error)) {
-            return false;
-        }
-        if (!ReadSize(root, "remote_entries", &result.remote_entries,
+        if (!DecodeYields(*corpus, &result.corpus.yields, error) ||
+            !ReadSize(root, "remote_entries", &result.remote_entries,
                       error) ||
             !ReadSize(root, "remote_duplicate_hits",
                       &result.remote_duplicate_hits, error)) {
             return false;
         }
-        const JsonValue* telemetry = root.Find("telemetry");
+        const JsonValue* telemetry = ReadObject(root, "telemetry", error);
         if (telemetry == nullptr ||
-            !obs::DecodeMetricsSnapshot(*telemetry, &result.telemetry,
-                                        error)) {
-            return telemetry == nullptr
-                       ? DecodeFail(error, "missing 'telemetry'")
-                       : false;
-        }
-        const JsonValue* trace = root.Find("trace");
-        if (trace == nullptr ||
-            !obs::DecodeTraceEvents(*trace, &result.trace, error)) {
-            return trace == nullptr ? DecodeFail(error, "missing 'trace'")
-                                    : false;
-        }
-        // v2.1: optional tail of unshipped time-series samples.
-        const JsonValue* series = root.Find("series");
-        if (series != nullptr &&
-            !obs::DecodeSeriesSamples(*series, &result.series, error)) {
+            !DecodeTelemetry(*telemetry, &result.telemetry, error)) {
             return false;
         }
-        // v2.4: optional final attribution table.
-        const JsonValue* attribution = root.Find("attribution");
-        if (attribution != nullptr &&
-            !obs::DecodeAttributionSnapshot(*attribution,
-                                            &result.attribution, error)) {
-            return false;
-        }
-        return true;
+        const JsonValue* trace = ReadArray(root, "trace", error);
+        return trace != nullptr &&
+               obs::DecodeTraceEvents(*trace, &result.trace, error);
     }
 
     if (type == "shutdown") {

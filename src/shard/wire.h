@@ -12,6 +12,16 @@
 /// and per-workload yield snapshots — never engine state or expression
 /// DAGs.
 ///
+/// There is one protocol version (kProtocolVersion). Every field of
+/// every frame is written every time and decoded as required, so schema
+/// drift fails the frame loudly instead of decoding to a default. Only
+/// two keys are optional: the telemetry bundle on a gossip frame (sent
+/// at the metrics cadence) and a job result's "error" (omitted when
+/// empty by the service report schema). Unknown keys are skipped. Every
+/// peer is the same build: loopback shards run in-process, and pipe
+/// workers are spawned from the coordinator's own binary, so there are
+/// no older peers whose fields need defaults.
+///
 /// Only the declarative subset of a JobSpec is serializable: callbacks
 /// (Engine stop_requested hooks) and shared pointers (a pre-wired
 /// solver_options.shared_cache) cannot cross a process boundary, and
@@ -21,6 +31,7 @@
 /// serialize as null and decode as 0.0 (support/json.h).
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,29 +44,9 @@
 
 namespace chef::shard {
 
-/// Bumped on incompatible wire changes; the coordinator refuses workers
-/// announcing a different version instead of mis-decoding mid-batch.
-/// v2: telemetry config in kRun, optional telemetry snapshots on
-/// kGossip, telemetry + trace events in kResult.
-constexpr int kProtocolVersion = 2;
-
-/// Bumped on *compatible* additions within a major version; peers never
-/// refuse a different minor. v2.1: optional "series" sample arrays on
-/// kGossip and kResult (time-series telemetry), optional rate-mode
-/// plateau fields in kRun. v2.2: optional "heartbeat_interval_seconds"
-/// in kRun and the kHeartbeat message — a worker only emits heartbeats
-/// when the run request asked for them, so a v2.1 coordinator (which
-/// never asks) never sees the new message type. A v2.0 peer ignores
-/// unknown optional fields and omits them on send; decoders default
-/// every v2.1/v2.2 field. v2.3: optional "engine_threads" in the kRun
-/// service config and optional "exploration_threads" per job spec
-/// (intra-session parallel exploration); both omitted at their default
-/// of 1, so a single-threaded run encodes byte-identically to v2.2.
-/// v2.4: optional "attribution" per-location cost/yield snapshot on
-/// kGossip and kResult (obs/attribution.h); omitted when the sender has
-/// no table, so a run without attribution encodes byte-identically to
-/// v2.3, and pre-v2.4 decoders ignore the key when present.
-constexpr int kProtocolVersionMinor = 4;
+/// The coordinator refuses a worker whose hello announces any other
+/// version instead of mis-decoding mid-batch.
+constexpr int kProtocolVersion = 3;
 
 enum class MessageType {
     kHello,      ///< worker -> coordinator: ready, protocol version.
@@ -97,15 +88,9 @@ struct ServiceConfig {
     /// Cadence for telemetry snapshots piggybacked on gossip (and for
     /// local kMetrics events); 0 means final-result telemetry only.
     double metrics_interval_seconds = 0.0;
-    /// v2.2: cadence for worker heartbeats while a batch runs; 0 (the
-    /// pre-v2.2 behavior) disables them. Heartbeats double as the
-    /// streamed-result channel: each one carries the jobs completed
-    /// since the previous beat, so the coordinator can requeue only the
-    /// genuinely unfinished remainder when the shard later dies.
-    double heartbeat_interval_seconds = 0.0;
-    /// v2.3: default intra-session exploration threads per job on the
-    /// worker (clamped there against its core budget); 1 (the pre-v2.3
-    /// behavior) keeps sessions single-threaded.
+    /// Default intra-session exploration threads per job on the worker
+    /// (clamped there against its core budget); 1 keeps sessions
+    /// single-threaded.
     uint32_t engine_threads = 1;
 
     service::ExplorationService::Options ToServiceOptions() const;
@@ -117,12 +102,19 @@ struct ServiceConfig {
 struct RunRequest {
     size_t shard_id = 0;
     size_t num_shards = 1;
+    /// Cadence for worker heartbeats while the batch runs; 0 disables
+    /// them. The coordinator fills it from its
+    /// Options::heartbeat_interval_seconds. Heartbeats double as the
+    /// streamed-result channel: each one carries the jobs completed
+    /// since the previous beat, so the coordinator can requeue only the
+    /// genuinely unfinished remainder when the shard later dies.
+    double heartbeat_interval_seconds = 0.0;
     ServiceConfig service;
     std::vector<WireJob> jobs;
 };
 
-/// worker -> coordinator while a batch runs (v2.2, only when the run
-/// request set heartbeat_interval_seconds > 0). Liveness signal plus
+/// worker -> coordinator while a batch runs (only when the run request
+/// set heartbeat_interval_seconds > 0). Liveness signal plus
 /// the completed results since the previous beat, already remapped to
 /// global job indices. The worker's pump sends the covering corpus
 /// gossip delta *before* the heartbeat on the same ordered transport,
@@ -134,6 +126,16 @@ struct HeartbeatMessage {
     /// Monotonic per-run beat counter (diagnostic only).
     uint64_t sequence = 0;
     std::vector<service::JobResult> results;
+};
+
+/// A shard's telemetry, one value on the wire. `metrics` and
+/// `attribution` are cumulative over the shard's current run, so the
+/// receiver keeps the latest; `series` holds only the samples not sent
+/// before, and the receiver deduplicates them by index.
+struct Telemetry {
+    obs::MetricsSnapshot metrics;
+    std::vector<obs::SeriesSample> series;
+    obs::AttributionSnapshot attribution;
 };
 
 /// worker -> coordinator at batch end. `corpus` carries the shard's
@@ -149,19 +151,12 @@ struct ResultMessage {
     /// merged in, and local discoveries suppressed by them.
     size_t remote_entries = 0;
     size_t remote_duplicate_hits = 0;
-    /// Final metrics snapshot of the shard's run (always present; empty
-    /// when the worker recorded nothing).
-    obs::MetricsSnapshot telemetry;
-    /// Completed trace spans, pid-stamped shard_id + 1 (present only
-    /// when the run request asked for tracing).
+    /// The run's final telemetry: its metrics and attribution totals and
+    /// the series samples gossip never shipped.
+    Telemetry telemetry;
+    /// Completed trace spans, pid-stamped shard_id + 1 (empty unless the
+    /// run request asked for tracing).
     std::vector<obs::TraceEvent> trace;
-    /// v2.1: time-series samples not yet shipped via gossip (the tail of
-    /// the worker's recorder). Empty from v2.0 workers or when the run
-    /// disabled the metrics interval.
-    std::vector<obs::SeriesSample> series;
-    /// v2.4: the shard's final per-location attribution table. Empty
-    /// from pre-v2.4 workers or when the run disabled attribution.
-    obs::AttributionSnapshot attribution;
 };
 
 /// One decoded message. Tagged union as plain struct: only the payload
@@ -169,25 +164,11 @@ struct ResultMessage {
 struct Message {
     MessageType type = MessageType::kError;
     int protocol_version = 0;                 ///< kHello.
-    /// kHello: minor protocol revision; 0 from pre-v2.1 peers that
-    /// never announce one.
-    int protocol_minor = 0;
     RunRequest run;                           ///< kRun.
     service::TestCorpus::Delta gossip;        ///< kGossip.
     /// kGossip: live telemetry piggybacked on the delta (worker ->
-    /// coordinator only, at the configured metrics interval).
-    bool has_telemetry = false;
-    obs::MetricsSnapshot telemetry;
-    /// kGossip/kResult (v2.1): incremental time-series samples from the
-    /// sender's recorder; empty from v2.0 peers.
-    std::vector<obs::SeriesSample> series;
-    /// kGossip (v2.4): cumulative attribution table piggybacked on the
-    /// delta at the metrics cadence. Replace-by-latest at the receiver
-    /// (each snapshot supersedes the previous one from that shard), so
-    /// redelivery is idempotent. For kResult the table lives in
-    /// `result.attribution`.
-    bool has_attribution = false;
-    obs::AttributionSnapshot attribution;
+    /// coordinator only, at the configured metrics cadence).
+    std::optional<Telemetry> telemetry;
     HeartbeatMessage heartbeat;               ///< kHeartbeat.
     ResultMessage result;                     ///< kResult.
     std::string error;                        ///< kError.
@@ -200,17 +181,11 @@ bool CheckSerializable(const service::JobSpec& spec, std::string* why);
 std::string EncodeHello();
 std::string EncodeRun(const RunRequest& request);
 /// Gossip is the compact form of a delta: per-workload fingerprint
-/// lists and the yield snapshot — no outcomes or inputs. A worker may
-/// piggyback a live metrics snapshot (\p telemetry non-null) and/or
-/// incremental time-series samples (\p series non-null and non-empty)
-/// so the coordinator's cluster view stays current mid-batch, and/or a
-/// cumulative attribution table (\p attribution non-null and non-empty;
-/// v2.4).
-std::string EncodeGossip(
-    const service::TestCorpus::Delta& delta,
-    const obs::MetricsSnapshot* telemetry = nullptr,
-    const std::vector<obs::SeriesSample>* series = nullptr,
-    const obs::AttributionSnapshot* attribution = nullptr);
+/// lists and the yield snapshot — no outcomes or inputs. A worker
+/// piggybacks its \p telemetry (non-null) at the metrics cadence so the
+/// coordinator's cluster view stays current mid-batch.
+std::string EncodeGossip(const service::TestCorpus::Delta& delta,
+                         const Telemetry* telemetry = nullptr);
 std::string EncodeHeartbeat(const HeartbeatMessage& heartbeat);
 std::string EncodeResult(const ResultMessage& result);
 std::string EncodeShutdown();

@@ -46,7 +46,7 @@ ShardWorker::HandleRun(const RunRequest& request)
     service_options.obs.tracer = request.service.tracing ? &tracer : nullptr;
     // Time-series recorder, sampled by the service's ticker thread at
     // the telemetry cadence; this thread drains it incrementally onto
-    // the gossip stream (wire v2.1 "series").
+    // the gossip stream.
     const bool live_telemetry =
         request.service.metrics_interval_seconds > 0.0;
     obs::TimeSeriesRecorder::Options recorder_options;
@@ -59,14 +59,13 @@ ShardWorker::HandleRun(const RunRequest& request)
         service_options.obs.timeseries = &recorder;
     }
 
-    // Heartbeats (v2.2) double as the streamed-result channel: every
+    // Heartbeats double as the streamed-result channel: every
     // completed job's full result is captured off the service's event
     // dispatcher and shipped on the next beat, so the coordinator can
     // requeue only the genuinely unfinished remainder if this process
     // dies later. Gated on the coordinator asking — streaming costs a
     // dispatcher thread the plain path doesn't need.
-    const bool heartbeats =
-        request.service.heartbeat_interval_seconds > 0.0;
+    const bool heartbeats = request.heartbeat_interval_seconds > 0.0;
     std::mutex completed_mutex;
     std::vector<std::shared_ptr<const service::JobResult>> completed;
     if (heartbeats) {
@@ -136,35 +135,25 @@ ShardWorker::HandleRun(const RunRequest& request)
             service.corpus().Snapshot(source, gossiped_sequence);
         last_gossip = Clock::now();
         gossiped_sequence = delta.sequence;
-        obs::MetricsSnapshot snapshot;
-        const obs::MetricsSnapshot* telemetry = nullptr;
-        std::vector<obs::SeriesSample> fresh_series;
-        const std::vector<obs::SeriesSample>* series = nullptr;
-        obs::AttributionSnapshot attr_snapshot;
-        const obs::AttributionSnapshot* attribution = nullptr;
-        if (live_telemetry &&
-            Clock::now() - last_telemetry >= telemetry_interval) {
+        Telemetry telemetry;
+        const bool with_telemetry =
+            live_telemetry &&
+            Clock::now() - last_telemetry >= telemetry_interval;
+        if (with_telemetry) {
             last_telemetry = Clock::now();
-            snapshot = metrics.Snapshot();
-            telemetry = &snapshot;
-            // Ship every sample recorded since the last gossip that
-            // carried series; the coordinator dedups by index, so a
-            // resend after a dropped send is harmless.
-            fresh_series = recorder.SamplesSince(shipped_series_index);
-            if (!fresh_series.empty()) {
-                shipped_series_index = fresh_series.back().index;
-                series = &fresh_series;
+            // Metrics and attribution are cumulative, so the coordinator
+            // keeps the latest; series carry every sample recorded since
+            // the last telemetry gossip, and the coordinator dedups them
+            // by index, so a resend after a dropped send is harmless.
+            telemetry.metrics = metrics.Snapshot();
+            telemetry.series = recorder.SamplesSince(shipped_series_index);
+            if (!telemetry.series.empty()) {
+                shipped_series_index = telemetry.series.back().index;
             }
-            // v2.4: cumulative attribution table at the same cadence.
-            // The coordinator replaces its per-shard latest, so a resend
-            // is idempotent.
-            attr_snapshot = service.attribution();
-            if (!attr_snapshot.empty()) {
-                attribution = &attr_snapshot;
-            }
+            telemetry.attribution = service.attribution();
         }
-        if (!transport_->Send(
-                EncodeGossip(delta, telemetry, series, attribution))) {
+        if (!transport_->Send(EncodeGossip(
+                delta, with_telemetry ? &telemetry : nullptr))) {
             on_peer_gone();
         }
     };
@@ -174,7 +163,7 @@ ShardWorker::HandleRun(const RunRequest& request)
     const auto heartbeat_interval =
         std::chrono::duration_cast<Clock::duration>(
             std::chrono::duration<double>(
-                request.service.heartbeat_interval_seconds));
+                request.heartbeat_interval_seconds));
     const auto pump_heartbeat = [&] {
         if (!heartbeats || peer_gone ||
             Clock::now() - last_heartbeat < heartbeat_interval) {
@@ -277,18 +266,16 @@ ShardWorker::HandleRun(const RunRequest& request)
     result.remote_entries = service.corpus().remote_entries();
     result.remote_duplicate_hits =
         service.corpus().remote_duplicate_hits();
-    result.telemetry = metrics.Snapshot();
-    // v2.4: the shard's final attribution table (empty when attribution
-    // is off — the encoder then omits the key entirely).
-    result.attribution = service.attribution();
-    if (request.service.tracing) {
-        result.trace = tracer.TakeEvents();
-    }
+    result.telemetry.metrics = metrics.Snapshot();
+    result.telemetry.attribution = service.attribution();
     // Samples the gossip stream never shipped — including the final one
     // RunBatch records after all accounting, so the cluster series ends
     // exactly at the reported totals.
     if (live_telemetry) {
-        result.series = recorder.SamplesSince(shipped_series_index);
+        result.telemetry.series = recorder.SamplesSince(shipped_series_index);
+    }
+    if (request.service.tracing) {
+        result.trace = tracer.TakeEvents();
     }
     return transport_->Send(EncodeResult(result));
 }

@@ -50,6 +50,21 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must
+// come from the same malloc the replaced deletes free.
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
+void*
+operator new[](std::size_t size, const std::nothrow_t& tag) noexcept
+{
+    return ::operator new(size, tag);
+}
+
 void
 operator delete(void* ptr) noexcept
 {
@@ -339,12 +354,13 @@ TEST(Attribution, JsonRoundTripPreservesEveryColumn)
 
 TEST(Attribution, DecodeIgnoresUnknownKeysAndRejectsMalformedTables)
 {
-    // Unknown keys at every level: forward compatibility with future
-    // minors that add columns or sections.
+    // Unknown keys at every level are skipped; every column is present.
     const std::string doc =
         "{\"future_section\":[1,2],\"dropped_locations\":1,"
         "\"workloads\":[{\"workload\":\"w\",\"future_flag\":true,"
-        "\"locations\":[{\"hl_pc\":\"0x10\",\"steps\":4,"
+        "\"locations\":[{\"hl_pc\":\"0x10\",\"solver_nanos\":0,"
+        "\"solver_queries\":0,\"steps\":4,\"forks\":0,"
+        "\"assume_failures\":0,\"new_fingerprints\":0,\"runs\":1,"
         "\"future_column\":9}]}]}";
     JsonValue value;
     ASSERT_TRUE(ParseJson(doc, &value));
@@ -355,12 +371,22 @@ TEST(Attribution, DecodeIgnoresUnknownKeysAndRejectsMalformedTables)
     EXPECT_EQ(decoded.workloads.at("w").at(0x10).steps, 4u);
     EXPECT_EQ(decoded.dropped_locations, 1u);
 
-    // Missing required fields fail loudly instead of half-decoding.
+    // Missing or mistyped required fields fail loudly instead of
+    // half-decoding: a column that reads as "x", or is absent, must not
+    // become 0.
     for (const char* bad :
          {"{\"dropped_locations\":0}",
           "{\"workloads\":[{\"locations\":[]}]}",
           "{\"workloads\":[{\"workload\":\"w\","
-          "\"locations\":[{\"steps\":1}]}]}"}) {
+          "\"locations\":[{\"steps\":1}]}]}",
+          "{\"dropped_locations\":0,\"workloads\":[{\"workload\":\"w\","
+          "\"locations\":[{\"hl_pc\":\"0x10\",\"solver_nanos\":0,"
+          "\"solver_queries\":0,\"steps\":\"x\",\"forks\":0,"
+          "\"assume_failures\":0,\"new_fingerprints\":0,\"runs\":1}]}]}",
+          "{\"dropped_locations\":0,\"workloads\":[{\"workload\":\"w\","
+          "\"locations\":[{\"hl_pc\":\"0x10\",\"solver_nanos\":0,"
+          "\"solver_queries\":0,\"forks\":0,\"assume_failures\":0,"
+          "\"new_fingerprints\":0,\"runs\":1}]}]}"}) {
         JsonValue bad_value;
         ASSERT_TRUE(ParseJson(bad, &bad_value)) << bad;
         AttributionSnapshot sink;

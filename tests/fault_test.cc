@@ -1,7 +1,7 @@
 /// \file
 /// Tests for the fault-tolerant shard runtime: the seeded
 /// FaultInjectingTransport decorator (drop / truncate / corrupt / close
-/// scripts, deterministic replay), the v2.2 heartbeat wire frames, and
+/// scripts, deterministic replay), the heartbeat wire frames, and
 /// the coordinator's failure paths end-to-end over loopback shards —
 /// heartbeat timeout, mid-batch transport close with deterministic
 /// requeue onto the survivor, malformed frames condemning the shard
@@ -169,7 +169,7 @@ TEST(FaultTransport, DelayHoldsTheMessageThenDeliversIt)
 }
 
 // ---------------------------------------------------------------------------
-// Heartbeat wire frames (v2.2).
+// Heartbeat wire frames.
 // ---------------------------------------------------------------------------
 
 TEST(WireHeartbeat, RoundTripsLivenessAndStreamedResults)
@@ -204,26 +204,23 @@ TEST(WireHeartbeat, RoundTripsLivenessAndStreamedResults)
     EXPECT_EQ(round.num_relevant_test_cases, 4u);
 }
 
-TEST(WireHeartbeat, RunRequestOmitsCadenceAtZeroAndRoundTripsIt)
+TEST(WireHeartbeat, RunRequestAlwaysCarriesTheCadenceAndRoundTripsIt)
 {
     RunRequest request;
     request.shard_id = 0;
     request.num_shards = 1;
 
-    // Heartbeats off: the v2.2 key must be absent so the frame stays
-    // byte-compatible with what a v2.1 coordinator would have sent.
-    request.service.heartbeat_interval_seconds = 0.0;
-    const std::string quiet = EncodeRun(request);
-    EXPECT_EQ(quiet.find("heartbeat_interval_seconds"), std::string::npos);
-    Message decoded;
-    std::string error;
-    ASSERT_TRUE(DecodeMessage(quiet, &decoded, &error)) << error;
-    EXPECT_EQ(decoded.run.service.heartbeat_interval_seconds, 0.0);
-
-    request.service.heartbeat_interval_seconds = 0.25;
-    ASSERT_TRUE(DecodeMessage(EncodeRun(request), &decoded, &error))
-        << error;
-    EXPECT_EQ(decoded.run.service.heartbeat_interval_seconds, 0.25);
+    // Heartbeats off is a value like any other: the key is written.
+    for (const double cadence : {0.0, 0.25}) {
+        request.heartbeat_interval_seconds = cadence;
+        const std::string line = EncodeRun(request);
+        EXPECT_NE(line.find("\"heartbeat_interval_seconds\""),
+                  std::string::npos);
+        Message decoded;
+        std::string error;
+        ASSERT_TRUE(DecodeMessage(line, &decoded, &error)) << error;
+        EXPECT_EQ(decoded.run.heartbeat_interval_seconds, cadence);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -429,6 +426,35 @@ TEST(CoordinatorFaults, MalformedFrameCondemnsTheShardNotTheBatch)
     // The post-mortem keeps a snippet of the offending frame.
     EXPECT_NE(cause.find("garbage frame"), std::string::npos) << cause;
     // The survivor absorbed the orphaned jobs: a full, valid report.
+    ASSERT_EQ(coordinator.results().size(), jobs.size());
+    for (const JobResult& result : coordinator.results()) {
+        EXPECT_EQ(result.status, JobStatus::kCompleted) << result.error;
+    }
+}
+
+TEST(CoordinatorFaults, OldProtocolHelloCondemnsTheShard)
+{
+    // The one compatibility rule left on the wire: a hello announcing
+    // another protocol version is refused before any job is sent.
+    const std::vector<JobSpec> jobs = SmallBatch(4);
+    ShardCoordinator coordinator(FaultyCoordinatorOptions());
+    std::string error;
+    const bool ok = RunWithFaultyShard(
+        &coordinator, jobs,
+        [](Transport* endpoint) {
+            ASSERT_TRUE(endpoint->Send(
+                "{\"type\":\"hello\",\"protocol_version\":2}"));
+            DrainUntilClosed(endpoint);
+        },
+        &error);
+
+    EXPECT_TRUE(ok) << error;
+    EXPECT_TRUE(coordinator.degraded());
+    ASSERT_EQ(coordinator.shards().size(), 2u);
+    EXPECT_TRUE(coordinator.shards()[1].dead);
+    EXPECT_EQ(coordinator.shards()[1].death_cause, "protocol version 2 != 3");
+    EXPECT_EQ(coordinator.shards()[1].jobs_assigned, 0u);
+    // The survivor ran the refused shard's partition.
     ASSERT_EQ(coordinator.results().size(), jobs.size());
     for (const JobResult& result : coordinator.results()) {
         EXPECT_EQ(result.status, JobStatus::kCompleted) << result.error;

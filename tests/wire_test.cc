@@ -142,7 +142,7 @@ RandomSpec(Rng& rng)
     spec.options.branch_opcode_drop_fraction =
         static_cast<double>(rng.Next() % 1000) / 1000.0;
     spec.options.collect_timeline = (rng.Next() & 1) != 0;
-    // 1 half the time (the omitted-on-wire default), 2..8 otherwise.
+    // 1 half the time (the default), 2..8 otherwise.
     spec.options.exploration_threads =
         (rng.Next() & 1) != 0
             ? 1
@@ -217,6 +217,12 @@ TEST(Wire, RunRequestRoundTripsRandomSpecs)
         request.service.plateau_policy.deprioritize_after =
             rng.Next() % 5;
         request.service.plateau_policy.cancel_after = rng.Next() % 9;
+        request.service.plateau_policy.rate_mode = (rng.Next() & 1) != 0;
+        request.service.plateau_policy.min_yield_per_second =
+            static_cast<double>(rng.Next() % 100) / 10.0;
+        request.service.plateau_policy.rate_window_seconds =
+            static_cast<double>(rng.Next() % 100) / 10.0;
+        request.service.plateau_policy.rate_min_jobs = rng.Next() % 7;
         request.service.engine_threads =
             static_cast<uint32_t>(1 + rng.Next() % 4);
         const size_t jobs = 1 + rng.Next() % 5;
@@ -247,6 +253,14 @@ TEST(Wire, RunRequestRoundTripsRandomSpecs)
                   request.service.plateau_policy.enabled);
         EXPECT_EQ(decoded.service.plateau_policy.cancel_after,
                   request.service.plateau_policy.cancel_after);
+        EXPECT_EQ(decoded.service.plateau_policy.rate_mode,
+                  request.service.plateau_policy.rate_mode);
+        EXPECT_DOUBLE_EQ(decoded.service.plateau_policy.min_yield_per_second,
+                         request.service.plateau_policy.min_yield_per_second);
+        EXPECT_DOUBLE_EQ(decoded.service.plateau_policy.rate_window_seconds,
+                         request.service.plateau_policy.rate_window_seconds);
+        EXPECT_EQ(decoded.service.plateau_policy.rate_min_jobs,
+                  request.service.plateau_policy.rate_min_jobs);
         ASSERT_EQ(decoded.jobs.size(), request.jobs.size());
         for (size_t i = 0; i < request.jobs.size(); ++i) {
             EXPECT_EQ(decoded.jobs[i].job_index,
@@ -414,7 +428,7 @@ TEST(Wire, ResultRoundTripsEntriesStatsAndNonFiniteDoubles)
 }
 
 // ---------------------------------------------------------------------------
-// v2.4 attribution snapshots and forward compatibility.
+// The telemetry bundle and unknown keys.
 // ---------------------------------------------------------------------------
 
 obs::AttributionSnapshot
@@ -436,69 +450,92 @@ SampleAttribution()
     return snapshot;
 }
 
-TEST(Wire, GossipCarriesAttributionWhenNonEmpty)
+Telemetry
+SampleTelemetry()
+{
+    Telemetry telemetry;
+    telemetry.metrics.counters = {{"solver.queries", 7}};
+    obs::SeriesSample sample;
+    sample.index = 3;
+    sample.t_seconds = 0.5;
+    sample.metrics.counters = {{"service.jobs_finished", 2}};
+    telemetry.series = {sample};
+    telemetry.attribution = SampleAttribution();
+    return telemetry;
+}
+
+void
+ExpectSampleTelemetry(const Telemetry& decoded)
+{
+    EXPECT_EQ(decoded.metrics.CounterValue("solver.queries"), 7u);
+    ASSERT_EQ(decoded.series.size(), 1u);
+    EXPECT_EQ(decoded.series[0].index, 3u);
+    EXPECT_DOUBLE_EQ(decoded.series[0].t_seconds, 0.5);
+    EXPECT_EQ(decoded.series[0].metrics.CounterValue("service.jobs_finished"),
+              2u);
+    EXPECT_TRUE(obs::AttributionCountsEqual(decoded.attribution,
+                                            SampleAttribution()));
+    const obs::AttributionRow& row =
+        decoded.attribution.workloads.at("py/argparse").at(0x10);
+    EXPECT_EQ(row.solver_nanos, 1'500'000u);
+    EXPECT_EQ(
+        decoded.attribution.workloads.at("py/argparse").at(0x20).parent,
+        0x10u);
+    EXPECT_EQ(decoded.attribution.dropped_locations, 5u);
+}
+
+TEST(Wire, GossipCarriesTheTelemetryBundleOnlyWhenGiven)
 {
     TestCorpus corpus;
     const TestCorpus::Delta delta = corpus.Snapshot("shard0", 0);
-
-    // Omitted when absent or empty: byte-compat with v2.3.
-    const obs::AttributionSnapshot empty;
-    EXPECT_EQ(EncodeGossip(delta), EncodeGossip(delta, nullptr, nullptr,
-                                                &empty));
-    EXPECT_EQ(EncodeGossip(delta).find("attribution"), std::string::npos);
-
-    const obs::AttributionSnapshot attribution = SampleAttribution();
-    const std::string line =
-        EncodeGossip(delta, nullptr, nullptr, &attribution);
-    ASSERT_TRUE(JsonValid(line)) << line;
     Message message;
     std::string error;
+
+    // Between metrics ticks a gossip frame is a bare delta.
+    const std::string bare = EncodeGossip(delta);
+    EXPECT_EQ(bare.find("telemetry"), std::string::npos);
+    ASSERT_TRUE(DecodeMessage(bare, &message, &error)) << error;
+    EXPECT_FALSE(message.telemetry.has_value());
+
+    const Telemetry telemetry = SampleTelemetry();
+    const std::string line = EncodeGossip(delta, &telemetry);
+    ASSERT_TRUE(JsonValid(line)) << line;
+    message = Message();
     ASSERT_TRUE(DecodeMessage(line, &message, &error)) << error;
-    ASSERT_TRUE(message.has_attribution);
-    const obs::AttributionRow& row =
-        message.attribution.workloads.at("py/argparse").at(0x10);
-    EXPECT_EQ(row.solver_nanos, 1'500'000u);
-    EXPECT_EQ(row.solver_queries, 3u);
-    EXPECT_EQ(row.steps, 42u);
-    EXPECT_EQ(row.new_fingerprints, 2u);
-    EXPECT_EQ(
-        message.attribution.workloads.at("py/argparse").at(0x20).parent,
-        0x10u);
-    EXPECT_EQ(message.attribution.dropped_locations, 5u);
+    ASSERT_TRUE(message.telemetry.has_value());
+    ExpectSampleTelemetry(*message.telemetry);
 }
 
-TEST(Wire, ResultRoundTripsAttribution)
+TEST(Wire, ResultAlwaysCarriesTheTelemetryBundle)
 {
     ResultMessage result;
     result.shard_id = 0;
     result.corpus.source = "shard0";
-    result.attribution = SampleAttribution();
+    result.telemetry = SampleTelemetry();
     const std::string line = EncodeResult(result);
     ASSERT_TRUE(JsonValid(line)) << line;
     Message message;
     std::string error;
     ASSERT_TRUE(DecodeMessage(line, &message, &error)) << error;
-    EXPECT_TRUE(obs::AttributionCountsEqual(message.result.attribution,
-                                            result.attribution));
-    EXPECT_EQ(message.result.attribution.workloads.at("py/argparse")
-                  .at(0x10)
-                  .solver_nanos,
-              1'500'000u);
+    ExpectSampleTelemetry(message.result.telemetry);
 
-    // Empty table: the key is omitted entirely (a v2.3 run's result
-    // encodes byte-identically).
+    // An empty bundle still writes every field.
     ResultMessage plain;
     plain.corpus.source = "shard0";
-    EXPECT_EQ(EncodeResult(plain).find("attribution"), std::string::npos);
+    const std::string empty = EncodeResult(plain);
+    for (const char* key : {"\"metrics\"", "\"series\"", "\"attribution\""}) {
+        EXPECT_NE(empty.find(key), std::string::npos) << key;
+    }
+    message = Message();
+    ASSERT_TRUE(DecodeMessage(empty, &message, &error)) << error;
+    EXPECT_TRUE(message.result.telemetry.series.empty());
+    EXPECT_TRUE(message.result.telemetry.attribution.empty());
 }
 
-// The forward-compatibility regression: a v2.3-shaped decoder is one
-// that does not know the v2.4 "attribution" key — and tomorrow's v2.5
-// will add keys today's decoder does not know. Every wire decoder and
-// DecodeMetricsSnapshot must ignore unknown keys rather than fail, so
-// mixed-minor clusters keep talking. Simulate the future by splicing
-// unknown keys into otherwise-valid frames.
-TEST(Wire, DecodersIgnoreUnknownKeysFromNewerMinors)
+// Unknown keys are skipped by every decoder: the wire has one version,
+// but a peer may still add a diagnostic key without breaking anyone.
+// Splice unknown keys into otherwise-valid frames.
+TEST(Wire, DecodersIgnoreUnknownKeys)
 {
     TestCorpus corpus;
     TestCorpus::Entry entry;
@@ -507,44 +544,43 @@ TEST(Wire, DecodersIgnoreUnknownKeysFromNewerMinors)
     entry.outcome_kind = "ok";
     ASSERT_TRUE(corpus.Insert(entry));
     const TestCorpus::Delta delta = corpus.Snapshot("shard0", 0);
-    const obs::AttributionSnapshot attribution = SampleAttribution();
+    const Telemetry telemetry = SampleTelemetry();
 
     const auto splice = [](std::string line, const std::string& extra) {
         // After the opening '{' of the top-level object.
         return "{" + extra + "," + line.substr(1);
     };
     const std::string unknown =
-        "\"v25_hint\":{\"nested\":[1,2,3]},\"v25_flag\":true";
+        "\"extra_hint\":{\"nested\":[1,2,3]},\"extra_flag\":true";
 
     Message message;
     std::string error;
 
-    // Gossip with unknown top-level keys, carrying v2.4 attribution a
-    // v2.3 decoder would also have skipped over.
-    const std::string gossip = splice(
-        EncodeGossip(delta, nullptr, nullptr, &attribution), unknown);
+    // Gossip with unknown top-level keys.
+    const std::string gossip =
+        splice(EncodeGossip(delta, &telemetry), unknown);
     ASSERT_TRUE(JsonValid(gossip));
     ASSERT_TRUE(DecodeMessage(gossip, &message, &error)) << error;
     EXPECT_EQ(message.type, MessageType::kGossip);
     ASSERT_EQ(message.gossip.entries.size(), 1u);
     EXPECT_EQ(message.gossip.entries[0].fingerprint, 0x1234u);
-    EXPECT_TRUE(message.has_attribution);
+    ASSERT_TRUE(message.telemetry.has_value());
 
     // Result with unknown keys at top level.
     ResultMessage result;
     result.shard_id = 2;
     result.corpus.source = "shard2";
-    result.attribution = attribution;
+    result.telemetry = telemetry;
     message = Message();
     const std::string result_line = splice(EncodeResult(result), unknown);
     ASSERT_TRUE(JsonValid(result_line));
     ASSERT_TRUE(DecodeMessage(result_line, &message, &error)) << error;
     EXPECT_EQ(message.result.shard_id, 2u);
-    EXPECT_TRUE(obs::AttributionCountsEqual(message.result.attribution,
-                                            attribution));
+    EXPECT_TRUE(obs::AttributionCountsEqual(
+        message.result.telemetry.attribution, telemetry.attribution));
 
-    // A metrics snapshot with unknown keys (as a future minor might
-    // embed) must decode its known fields and skip the rest.
+    // A metrics snapshot with unknown keys must decode its known fields
+    // and skip the rest.
     const std::string metrics_doc =
         "{\"future_section\":{\"x\":1},"
         "\"counters\":{\"solver.queries\":7},"
@@ -557,19 +593,25 @@ TEST(Wire, DecodersIgnoreUnknownKeysFromNewerMinors)
         << error;
     EXPECT_EQ(metrics.CounterValue("solver.queries"), 7u);
 
-    // Same for an attribution table whose locations grow new columns.
+    // Same for an attribution table with unknown keys at every level:
+    // every column is present, so the extras are all that is skipped.
     const std::string attr_doc =
         "{\"schema_rev\":9,\"dropped_locations\":0,"
         "\"workloads\":[{\"workload\":\"w\",\"future\":true,"
-        "\"locations\":[{\"hl_pc\":\"0x5\",\"steps\":3,"
-        "\"v25_column\":17}]}]}";
+        "\"locations\":[{\"hl_pc\":\"0x5\",\"solver_nanos\":11,"
+        "\"solver_queries\":1,\"steps\":3,\"forks\":2,"
+        "\"assume_failures\":0,\"new_fingerprints\":1,\"runs\":1,"
+        "\"extra_column\":17}]}]}";
     JsonValue attr_value;
     ASSERT_TRUE(ParseJson(attr_doc, &attr_value));
     obs::AttributionSnapshot decoded;
     ASSERT_TRUE(
         obs::DecodeAttributionSnapshot(attr_value, &decoded, &error))
         << error;
-    EXPECT_EQ(decoded.workloads.at("w").at(0x5).steps, 3u);
+    const obs::AttributionRow& row = decoded.workloads.at("w").at(0x5);
+    EXPECT_EQ(row.steps, 3u);
+    EXPECT_EQ(row.solver_nanos, 11u);
+    EXPECT_EQ(row.forks, 2u);
 }
 
 TEST(Wire, MalformedAndUnknownMessagesFailLoudly)
@@ -583,6 +625,48 @@ TEST(Wire, MalformedAndUnknownMessagesFailLoudly)
     // A run request with a missing field must not decode to defaults.
     EXPECT_FALSE(DecodeMessage("{\"type\":\"run\",\"shard_id\":0}",
                                &message, &error));
+
+    // Thread counts are 32-bit: 2^32 + 2 fails the frame instead of
+    // wrapping to 2, wherever a thread count travels.
+    const auto replace = [](std::string line, const std::string& from,
+                            const std::string& to) {
+        const size_t at = line.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return at == std::string::npos ? line
+                                       : line.replace(at, from.size(), to);
+    };
+    RunRequest request;
+    WireJob job;
+    job.spec.workload = "py/argparse";
+    request.jobs.push_back(job);
+    const std::string run = EncodeRun(request);
+    ASSERT_TRUE(DecodeMessage(run, &message, &error)) << error;
+    ResultMessage result;
+    result.results.emplace_back();
+    const std::string result_line = EncodeResult(result);
+    ASSERT_TRUE(DecodeMessage(result_line, &message, &error)) << error;
+    for (const std::string& bad :
+         {replace(run, "\"engine_threads\":1",
+                  "\"engine_threads\":4294967298"),
+          replace(run, "\"exploration_threads\":1",
+                  "\"exploration_threads\":4294967298"),
+          replace(result_line, "\"threads_used\":1",
+                  "\"threads_used\":4294967298"),
+          replace(result_line, "\"engine_threads\":1",
+                  "\"engine_threads\":4294967298")}) {
+        EXPECT_FALSE(DecodeMessage(bad, &message, &error)) << bad;
+        EXPECT_NE(error.find("exceeds 32 bits"), std::string::npos)
+            << error;
+    }
+    // So are corpus input variable ids.
+    TestCorpus::Entry entry;
+    entry.workload = "py/argparse";
+    entry.inputs = {{7, 0x41}};
+    result.corpus.entries.push_back(entry);
+    const std::string with_input = EncodeResult(result);
+    ASSERT_TRUE(DecodeMessage(with_input, &message, &error)) << error;
+    EXPECT_FALSE(DecodeMessage(
+        replace(with_input, "[7,", "[4294967303,"), &message, &error));
 
     EXPECT_TRUE(DecodeMessage(EncodeShutdown(), &message, &error));
     EXPECT_EQ(message.type, MessageType::kShutdown);
