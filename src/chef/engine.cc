@@ -28,16 +28,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// The session's solver shares the engine's telemetry context unless the
-/// caller wired a distinct one into solver_options directly.
+/// The session's solver shares each telemetry facility of the engine
+/// that the caller did not wire into solver_options directly.
 solver::Solver::Options
 SolverOptionsFor(const Engine::Options& options)
 {
     solver::Solver::Options solver_options = options.solver_options;
-    if (solver_options.obs.metrics == nullptr &&
-        solver_options.obs.tracer == nullptr) {
-        solver_options.obs = options.obs;
-    }
+    solver_options.obs = solver_options.obs.WithDefaultsFrom(options.obs);
     return solver_options;
 }
 
@@ -166,7 +163,9 @@ Engine::Engine(Options options)
     if (options_.obs.metrics != nullptr) {
         obs::MetricsRegistry& registry = *options_.obs.metrics;
         m_runs_ = registry.counter("engine.runs");
+        m_ll_paths_ = registry.counter("engine.ll_paths");
         m_hl_paths_ = registry.counter("engine.hl_paths");
+        m_hangs_ = registry.counter("engine.hangs");
         m_infeasible_ = registry.counter("engine.infeasible_states");
         m_run_latency_ = registry.histogram("engine.run_seconds");
         m_par_in_flight_ = registry.gauge("engine.parallel.states_in_flight");
@@ -558,6 +557,9 @@ Engine::CommitRun(RoundItem& item, bool replay,
     test_case.ll_steps = item.run_stats.steps;
     if (item.run_stats.status == lowlevel::PathStatus::kHang) {
         ++stats_.hangs;
+        if (m_hangs_ != nullptr) {
+            m_hangs_->Add();
+        }
         test_case.outcome_kind = "hang";
         test_case.outcome_detail = std::move(item.outcome.detail);
     } else {
@@ -565,6 +567,9 @@ Engine::CommitRun(RoundItem& item, bool replay,
         test_case.outcome_detail = std::move(item.outcome.detail);
     }
     ++stats_.ll_paths;
+    if (m_ll_paths_ != nullptr) {
+        m_ll_paths_->Add();
+    }
     if (hl_info.is_new_path) {
         ++stats_.hl_paths;
         if (m_hl_paths_ != nullptr) {

@@ -197,11 +197,12 @@ class Engine
         /// and user-requested shutdown without engine internals growing
         /// any thread-awareness beyond this.
         std::function<bool()> stop_requested;
-        /// Telemetry (obs/obs.h). Copied into solver_options.obs by the
-        /// constructor so the session's solver shares the same registry
-        /// and tracer; the engine itself emits engine/run (interpreter
-        /// dispatch) and engine/select (state selection) spans plus
-        /// engine.* counters, and under parallel exploration
+        /// Telemetry (obs/obs.h). Every facility solver_options.obs
+        /// leaves null is taken from here, so the session's solvers
+        /// share the same registry and tracer; the engine itself emits
+        /// engine/run (interpreter dispatch) and engine/select (state
+        /// selection) spans plus engine.* counters (runs, ll_paths,
+        /// hl_paths, hangs, ...), and under parallel exploration
         /// engine/parallel_run per-worker spans plus engine.parallel.*
         /// counters (states in flight, claims, rounds, round barrier
         /// wait).
@@ -295,7 +296,9 @@ class Engine
     // Resolved once at construction; null when Options::obs carries no
     // registry.
     obs::Counter* m_runs_ = nullptr;
+    obs::Counter* m_ll_paths_ = nullptr;
     obs::Counter* m_hl_paths_ = nullptr;
+    obs::Counter* m_hangs_ = nullptr;
     obs::Counter* m_infeasible_ = nullptr;
     obs::Histogram* m_run_latency_ = nullptr;
     obs::Gauge* m_par_in_flight_ = nullptr;

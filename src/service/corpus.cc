@@ -19,6 +19,15 @@ EntryOrder(const TestCorpus::Entry& a, const TestCorpus::Entry& b)
 
 }  // namespace
 
+void
+TestCorpus::CountInto(obs::MetricsRegistry* metrics)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    m_remote_entries_ = metrics->counter("corpus.remote_entries");
+    m_remote_duplicate_hits_ =
+        metrics->counter("corpus.remote_duplicate_hits");
+}
+
 size_t
 TestCorpus::KeyHash::operator()(const Key& key) const
 {
@@ -41,7 +50,9 @@ TestCorpus::Insert(Entry entry)
     if (it->second.remote) {
         // A shard rediscovered a path that gossip already delivered:
         // the duplicate exploration this layer exists to measure.
-        ++remote_duplicate_hits_;
+        if (m_remote_duplicate_hits_ != nullptr) {
+            m_remote_duplicate_hits_->Add();
+        }
     }
     return false;
 }
@@ -121,7 +132,9 @@ TestCorpus::MergeFrom(const Delta& delta)
             entries_.emplace(std::move(key), std::move(entry));
         if (inserted) {
             ++next_sequence_;
-            ++remote_entries_;
+            if (m_remote_entries_ != nullptr) {
+                m_remote_entries_->Add();
+            }
             ++stats.inserted;
         } else {
             ++stats.duplicates;
@@ -241,20 +254,6 @@ TestCorpus::LocalYields() const
     return yields;
 }
 
-size_t
-TestCorpus::remote_entries() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return remote_entries_;
-}
-
-size_t
-TestCorpus::remote_duplicate_hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return remote_duplicate_hits_;
-}
-
 void
 TestCorpus::Clear()
 {
@@ -263,8 +262,6 @@ TestCorpus::Clear()
     yields_.clear();
     remote_yields_.clear();
     next_sequence_ = 0;
-    remote_entries_ = 0;
-    remote_duplicate_hits_ = 0;
 }
 
 }  // namespace chef::service

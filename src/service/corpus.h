@@ -28,6 +28,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace chef::service {
 
 class TestCorpus
@@ -116,6 +118,13 @@ class TestCorpus
         YieldMap merged_yields;
     };
 
+    /// Counts the cross-shard dedup telemetry into \p metrics from here
+    /// on: corpus.remote_entries (entries that arrived via MergeFrom)
+    /// and corpus.remote_duplicate_hits (local Insert() calls rejected
+    /// because a *remote-origin* entry already covered the key —
+    /// exploration work another shard's gossip proved redundant).
+    void CountInto(obs::MetricsRegistry* metrics);
+
     /// Inserts the entry if its (workload, fingerprint) key is new.
     /// Returns true on insertion, false if a duplicate was already
     /// present (the existing entry is kept).
@@ -170,14 +179,6 @@ class TestCorpus
     /// into itself through a round-trip).
     YieldMap LocalYields() const;
 
-    /// Entries that arrived via MergeFrom.
-    size_t remote_entries() const;
-
-    /// Local Insert() calls rejected because a *remote-origin* entry
-    /// already covered the key: exploration work another shard's gossip
-    /// proved redundant (the per-shard cross-shard-dedup stat).
-    size_t remote_duplicate_hits() const;
-
     void Clear();
 
   private:
@@ -195,8 +196,9 @@ class TestCorpus
     /// MergeFrom for that source.
     std::map<std::string, YieldMap> remote_yields_;
     uint64_t next_sequence_ = 0;
-    size_t remote_entries_ = 0;
-    size_t remote_duplicate_hits_ = 0;
+    /// Null unless CountInto was called.
+    obs::Counter* m_remote_entries_ = nullptr;
+    obs::Counter* m_remote_duplicate_hits_ = nullptr;
 };
 
 }  // namespace chef::service

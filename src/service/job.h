@@ -185,7 +185,10 @@ struct JobResult {
     EngineStats engine_stats;
 };
 
-/// Aggregate statistics across every batch a service instance has run.
+/// Aggregate statistics across every batch a service instance has run,
+/// or across the shards of a cluster. Never summed by hand: the counts
+/// are read from a metrics snapshot by service::StatsFromMetrics, which
+/// documents the metric behind each field.
 struct ServiceStats {
     size_t jobs_submitted = 0;
     size_t jobs_completed = 0;
@@ -222,9 +225,9 @@ struct ServiceStats {
     size_t shared_cache_entries = 0;
     /// Size of the shared deduplicated corpus after the last batch.
     size_t corpus_size = 0;
-    /// Sum of per-session engine wall times (CPU-side work measure).
+    /// Sum of per-job wall times on the workers (CPU-side work measure).
     double engine_seconds = 0.0;
-    /// Wall time spent inside RunBatch.
+    /// Wall time spent inside RunBatch (a cluster: the slowest shard).
     double wall_seconds = 0.0;
     /// jobs_completed / wall_seconds (0 when no time has elapsed).
     double jobs_per_second = 0.0;

@@ -80,6 +80,75 @@ ExplorationService::ExplorationService(Options options)
     if (options_.num_workers == 0) {
         options_.num_workers = 1;
     }
+    if (options_.obs.metrics == nullptr) {
+        owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
+        options_.obs.metrics = owned_metrics_.get();
+    }
+    corpus_.CountInto(options_.obs.metrics);
+}
+
+ServiceStats
+StatsFromMetrics(const obs::MetricsSnapshot& snapshot)
+{
+    const auto count = [&snapshot](const char* name) {
+        return snapshot.CounterValue(name);
+    };
+    const auto level = [&snapshot](const std::string& name) {
+        const int64_t value = obs::SnapshotGauge(
+            snapshot, name, obs::SnapshotGauge(snapshot, name + "_total", 0));
+        return static_cast<size_t>(std::max<int64_t>(0, value));
+    };
+    const auto sum_seconds = [&snapshot](const char* name) {
+        const obs::HistogramSnapshot* histogram =
+            snapshot.FindHistogram(name);
+        return histogram == nullptr
+                   ? 0.0
+                   : static_cast<double>(histogram->sum_nanos) / 1e9;
+    };
+    ServiceStats stats;
+    stats.jobs_submitted = count("service.jobs_submitted");
+    stats.jobs_completed = count("service.jobs_completed");
+    stats.jobs_cancelled = count("service.jobs_cancelled");
+    stats.jobs_plateau_cancelled = count("service.jobs_plateau_cancelled");
+    stats.jobs_failed = count("service.jobs_failed");
+    stats.wide_sessions_granted = count("service.wide_sessions_granted");
+    stats.events_delivered = count("service.events_delivered");
+    stats.ll_paths = count("engine.ll_paths");
+    stats.hl_paths = count("engine.hl_paths");
+    stats.hangs = count("engine.hangs");
+    stats.solver_queries = count("solver.queries");
+    stats.solver_sliced_queries = count("solver.sliced_queries");
+    stats.solver_incremental_sat_calls =
+        count("solver.incremental_sat_calls");
+    stats.solver_clauses_loaded = count("solver.clauses_loaded");
+    stats.shared_cache_hits = count("shared_cache.hits");
+    stats.shared_cache_misses = count("shared_cache.misses");
+    stats.shared_cache_inserts = count("shared_cache.inserts");
+    stats.shared_cache_evictions = count("shared_cache.evictions");
+    stats.shared_cache_model_hits = count("shared_cache.model_hits");
+    stats.shared_cache_bytes = level("shared_cache.bytes");
+    stats.shared_cache_entries = level("shared_cache.entries");
+    stats.corpus_size = level(obs::kCorpusSizeGauge);
+    stats.solver_seconds = sum_seconds("solver.solve_seconds");
+    stats.engine_seconds = sum_seconds("service.job_seconds");
+    stats.wall_seconds = sum_seconds("service.batch_seconds");
+    stats.jobs_per_second =
+        stats.wall_seconds > 0.0
+            ? static_cast<double>(stats.jobs_completed) / stats.wall_seconds
+            : 0.0;
+    return stats;
+}
+
+ServiceStats
+ExplorationService::stats() const
+{
+    ServiceStats stats = StatsFromMetrics(options_.obs.metrics->Snapshot());
+    stats.corpus_size = corpus_.size();
+    stats.num_workers = options_.num_workers;
+    stats.engine_threads = std::max<uint32_t>(1, options_.engine_threads);
+    stats.schedule_policy = options_.schedule_policy;
+    stats.solver_cache_shared = options_.share_solver_cache;
+    return stats;
 }
 
 uint64_t
@@ -191,12 +260,10 @@ ExplorationService::RunJob(const JobSpec& spec, size_t job_index,
     const ThreadGrant grant = GrantExplorationThreads(spec);
     engine_options.exploration_threads = grant.threads;
     if (grant.wide) {
-        wide_sessions_.fetch_add(1, std::memory_order_relaxed);
+        options_.obs.metrics->counter("service.wide_sessions_granted")
+            ->Add();
     }
-    if (engine_options.obs.metrics == nullptr &&
-        engine_options.obs.tracer == nullptr) {
-        engine_options.obs = options_.obs;
-    }
+    engine_options.obs = engine_options.obs.WithDefaultsFrom(options_.obs);
     // One profiler per job, bound to the job's workload. Stack-owned:
     // the engine snapshots it into its stats before Explore returns,
     // and the solver pointers it flows to die with the engine.
@@ -291,10 +358,8 @@ ExplorationService::RunJob(const JobSpec& spec, size_t job_index,
         result.status = JobStatus::kFailed;
         result.error = error.what();
     }
-    if (options_.obs.metrics != nullptr) {
-        options_.obs.metrics->histogram("service.job_seconds")
-            ->Record(SecondsSince(start));
-    }
+    options_.obs.metrics->histogram("service.job_seconds")
+        ->Record(SecondsSince(start));
     if (!result.engine_stats.attribution.empty()) {
         std::lock_guard<std::mutex> lock(attribution_mutex_);
         attribution_.MergeFrom(result.engine_stats.attribution);
@@ -319,6 +384,8 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
     // serial-reuse footgun). Stops raised after this line — i.e. during
     // the batch — behave as documented.
     ClearStop();
+    obs::MetricsRegistry* metrics = options_.obs.metrics;
+    metrics->counter("service.jobs_submitted")->Add(jobs.size());
 
     // One shared solver cache per batch (when enabled): jobs in a batch
     // overlap heavily, across batches the workload may change entirely.
@@ -339,14 +406,15 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
         std::condition_variable cv;
         std::deque<JobEvent> queue;
         bool done = false;
-        uint64_t delivered = 0;
     };
     const bool streaming = static_cast<bool>(options_.on_job_event) ||
                            options_.event_queue != nullptr;
     EventPump pump;
     std::thread dispatcher;
     if (streaming) {
-        dispatcher = std::thread([this, &pump] {
+        obs::Counter* delivered =
+            metrics->counter("service.events_delivered");
+        dispatcher = std::thread([this, &pump, delivered] {
             for (;;) {
                 JobEvent event;
                 {
@@ -359,8 +427,8 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
                     }
                     event = std::move(pump.queue.front());
                     pump.queue.pop_front();
-                    ++pump.delivered;
                 }
+                delivered->Add();
                 if (options_.on_job_event) {
                     options_.on_job_event(event);
                 }
@@ -380,8 +448,7 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
     // CAS and renders one snapshot. No ticker thread, so cadence is
     // bounded below by job duration.
     std::atomic<double> last_metrics_emit{0.0};
-    const bool metrics_events = options_.obs.metrics != nullptr &&
-                                options_.metrics_interval_seconds > 0.0;
+    const bool metrics_events = options_.metrics_interval_seconds > 0.0;
     auto emit = [&](JobEvent event) {
         if (!streaming) {
             return;
@@ -414,23 +481,28 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
         active_scheduler_ = &scheduler;
     }
 
-    if (options_.obs.metrics != nullptr) {
-        // Pre-register the time-series instruments (and each workload's
-        // variants) so the first recorder sample already carries them
-        // at zero — coverage curves start at the origin instead of at
-        // the first completion.
-        obs::MetricsRegistry* metrics = options_.obs.metrics;
-        metrics->counter(obs::kJobsFinishedCounter);
-        metrics->counter(obs::kFingerprintsNewCounter);
-        metrics->gauge(obs::kCorpusSizeGauge)
-            ->Set(static_cast<int64_t>(corpus_.size()));
-        for (const JobSpec& spec : jobs) {
-            metrics->counter(std::string(obs::kJobsFinishedCounter) + "." +
-                             spec.workload);
-            metrics->counter(std::string(obs::kFingerprintsNewCounter) +
-                             "." + spec.workload);
-        }
+    // Pre-register the time-series instruments (and each workload's
+    // variants) so the first recorder sample already carries them at
+    // zero — coverage curves start at the origin instead of at the first
+    // completion.
+    metrics->counter(obs::kJobsFinishedCounter);
+    metrics->counter(obs::kFingerprintsNewCounter);
+    obs::Gauge* corpus_size = metrics->gauge(obs::kCorpusSizeGauge);
+    corpus_size->Set(static_cast<int64_t>(corpus_.size()));
+    for (const JobSpec& spec : jobs) {
+        metrics->counter(std::string(obs::kJobsFinishedCounter) + "." +
+                         spec.workload);
+        metrics->counter(std::string(obs::kFingerprintsNewCounter) + "." +
+                         spec.workload);
     }
+    // Indexed by JobStatus.
+    obs::Counter* const status_counters[] = {
+        metrics->counter("service.jobs_completed"),
+        metrics->counter("service.jobs_cancelled"),
+        metrics->counter("service.jobs_failed"),
+    };
+    obs::Counter* plateau_cancelled =
+        metrics->counter("service.jobs_plateau_cancelled");
     // Time-series sampling: when the caller supplied a recorder, a
     // ticker thread samples the registry at the recorder's cadence for
     // the life of the batch. One sample lands before any job runs and a
@@ -444,14 +516,14 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
     std::condition_variable sampler_cv;
     bool sampler_done = false;
     if (recorder != nullptr) {
-        recorder->SampleNow(*options_.obs.metrics);
+        recorder->SampleNow(*metrics);
         sampler = std::thread([&] {
             const auto interval = std::chrono::duration<double>(
                 recorder->options().interval_seconds);
             std::unique_lock<std::mutex> lock(sampler_mutex);
             while (!sampler_cv.wait_for(lock, interval,
                                         [&] { return sampler_done; })) {
-                recorder->SampleNow(*options_.obs.metrics);
+                recorder->SampleNow(*metrics);
             }
         });
     }
@@ -507,27 +579,26 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
             const size_t finished =
                 jobs_finished.fetch_add(1, std::memory_order_relaxed) + 1;
             const JobResult& result = results[index];
-            if (options_.obs.metrics != nullptr) {
-                // Per-completion counters, bumped as results land (the
-                // post-batch service.jobs_* totals only move once the
-                // whole batch drains — useless for a time series).
-                obs::MetricsRegistry* metrics = options_.obs.metrics;
-                metrics->counter(obs::kJobsFinishedCounter)->Add();
-                metrics
-                    ->counter(std::string(obs::kJobsFinishedCounter) + "." +
-                              result.workload)
-                    ->Add();
-                if (result.corpus_inserted > 0) {
-                    metrics->counter(obs::kFingerprintsNewCounter)
-                        ->Add(result.corpus_inserted);
-                    metrics
-                        ->counter(std::string(obs::kFingerprintsNewCounter) +
-                                  "." + result.workload)
-                        ->Add(result.corpus_inserted);
-                }
-                metrics->gauge(obs::kCorpusSizeGauge)
-                    ->Set(static_cast<int64_t>(corpus_.size()));
+            // Per-completion counters, bumped as results land so a time
+            // series sees them move.
+            status_counters[static_cast<size_t>(result.status)]->Add();
+            if (result.stop_source == "plateau") {
+                plateau_cancelled->Add();
             }
+            metrics->counter(obs::kJobsFinishedCounter)->Add();
+            metrics
+                ->counter(std::string(obs::kJobsFinishedCounter) + "." +
+                          result.workload)
+                ->Add();
+            if (result.corpus_inserted > 0) {
+                metrics->counter(obs::kFingerprintsNewCounter)
+                    ->Add(result.corpus_inserted);
+                metrics
+                    ->counter(std::string(obs::kFingerprintsNewCounter) +
+                              "." + result.workload)
+                    ->Add(result.corpus_inserted);
+            }
+            corpus_size->Set(static_cast<int64_t>(corpus_.size()));
             JobEvent completed;
             completed.kind = JobEvent::Kind::kJobCompleted;
             completed.job_index = index;
@@ -555,15 +626,14 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
                 if (now - last >= options_.metrics_interval_seconds &&
                     last_metrics_emit.compare_exchange_strong(last, now)) {
                     support::JsonWriter json;
-                    obs::WriteMetricsSnapshot(
-                        json, options_.obs.metrics->Snapshot());
-                    JobEvent metrics;
-                    metrics.kind = JobEvent::Kind::kMetrics;
-                    metrics.job_index = index;
-                    metrics.workload = result.workload;
-                    metrics.jobs_finished = finished;
-                    metrics.metrics_json = json.Take();
-                    emit(std::move(metrics));
+                    obs::WriteMetricsSnapshot(json, metrics->Snapshot());
+                    JobEvent snapshot;
+                    snapshot.kind = JobEvent::Kind::kMetrics;
+                    snapshot.job_index = index;
+                    snapshot.workload = result.workload;
+                    snapshot.jobs_finished = finished;
+                    snapshot.metrics_json = json.Take();
+                    emit(std::move(snapshot));
                 }
             }
         }
@@ -599,84 +669,34 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
         }
         pump.cv.notify_one();
         dispatcher.join();
-        stats_.events_delivered += pump.delivered;
     }
 
-    stats_.jobs_submitted += jobs.size();
-    obs::Counter* m_completed = nullptr;
-    obs::Counter* m_cancelled = nullptr;
-    obs::Counter* m_failed = nullptr;
-    if (options_.obs.metrics != nullptr) {
-        m_completed = options_.obs.metrics->counter("service.jobs_completed");
-        m_cancelled = options_.obs.metrics->counter("service.jobs_cancelled");
-        m_failed = options_.obs.metrics->counter("service.jobs_failed");
-    }
-    for (const JobResult& result : results) {
-        switch (result.status) {
-          case JobStatus::kCompleted:
-            ++stats_.jobs_completed;
-            if (m_completed != nullptr) {
-                m_completed->Add();
-            }
-            break;
-          case JobStatus::kCancelled:
-            ++stats_.jobs_cancelled;
-            if (m_cancelled != nullptr) {
-                m_cancelled->Add();
-            }
-            break;
-          case JobStatus::kFailed:
-            ++stats_.jobs_failed;
-            if (m_failed != nullptr) {
-                m_failed->Add();
-            }
-            break;
-        }
-        if (result.stop_source == "plateau") {
-            ++stats_.jobs_plateau_cancelled;
-        }
-        stats_.ll_paths += result.engine_stats.ll_paths;
-        stats_.hl_paths += result.engine_stats.hl_paths;
-        stats_.hangs += result.engine_stats.hangs;
-        stats_.solver_queries += result.engine_stats.solver_queries;
-        stats_.solver_sliced_queries +=
-            result.engine_stats.solver_sliced_queries;
-        stats_.solver_incremental_sat_calls +=
-            result.engine_stats.solver_incremental_sat_calls;
-        stats_.solver_clauses_loaded +=
-            result.engine_stats.solver_clauses_loaded;
-        stats_.solver_seconds += result.engine_stats.solver_seconds;
-        stats_.engine_seconds += result.engine_stats.elapsed_seconds;
-    }
-    stats_.solver_cache_shared = options_.share_solver_cache;
     if (shared_cache_ != nullptr) {
+        // The batch's cache dies with the next batch: its counts join
+        // the registry's running totals, its levels replace the last
+        // batch's.
         const cache::SharedSolverCache::Stats cache_stats =
             shared_cache_->stats();
-        stats_.shared_cache_hits += cache_stats.hits;
-        stats_.shared_cache_misses += cache_stats.misses;
-        stats_.shared_cache_inserts += cache_stats.inserts;
-        stats_.shared_cache_evictions += cache_stats.evictions;
-        stats_.shared_cache_model_hits += cache_stats.model_reuse_hits;
-        stats_.shared_cache_bytes = cache_stats.bytes;
-        stats_.shared_cache_entries = cache_stats.entries;
+        metrics->counter("shared_cache.hits")->Add(cache_stats.hits);
+        metrics->counter("shared_cache.misses")->Add(cache_stats.misses);
+        metrics->counter("shared_cache.inserts")->Add(cache_stats.inserts);
+        metrics->counter("shared_cache.evictions")
+            ->Add(cache_stats.evictions);
+        metrics->counter("shared_cache.model_hits")
+            ->Add(cache_stats.model_reuse_hits);
+        metrics->gauge("shared_cache.bytes")
+            ->Set(static_cast<int64_t>(cache_stats.bytes));
+        metrics->gauge("shared_cache.entries")
+            ->Set(static_cast<int64_t>(cache_stats.entries));
     }
-    stats_.corpus_size = corpus_.size();
-    stats_.wall_seconds += SecondsSince(batch_start);
-    stats_.num_workers = options_.num_workers;
-    stats_.engine_threads = std::max<uint32_t>(1, options_.engine_threads);
-    stats_.wide_sessions_granted +=
-        wide_sessions_.exchange(0, std::memory_order_relaxed);
-    stats_.schedule_policy = options_.schedule_policy;
-    stats_.jobs_per_second =
-        stats_.wall_seconds > 0.0
-            ? static_cast<double>(stats_.jobs_completed) /
-                  stats_.wall_seconds
-            : 0.0;
+    corpus_size->Set(static_cast<int64_t>(corpus_.size()));
+    metrics->histogram("service.batch_seconds")
+        ->Record(SecondsSince(batch_start));
     if (recorder != nullptr) {
         // Final sample after all accounting: the series' last point
         // matches the batch's final counters exactly, which the
         // coverage-CSV-vs-report smoke assertion relies on.
-        recorder->SampleNow(*options_.obs.metrics);
+        recorder->SampleNow(*metrics);
     }
     return results;
 }

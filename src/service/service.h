@@ -107,12 +107,13 @@ class ExplorationService
         /// Caller-owned pollable queue receiving the same events (either
         /// or both sinks may be set). Must outlive RunBatch.
         JobEventQueue* event_queue = nullptr;
-        /// Telemetry (obs/obs.h). Propagated into every job's engine (and
-        /// through it the solver) unless the spec wired its own context.
-        /// The service itself emits service/job spans and service.jobs_*
-        /// counters, and — when metrics_interval_seconds is set and
-        /// events are streaming — periodic kMetrics JobEvents carrying a
-        /// rendered registry snapshot.
+        /// Telemetry (obs/obs.h). Each facility is propagated into every
+        /// job's engine (and through it the solver) unless the spec wired
+        /// its own. The service itself emits service/job spans and
+        /// service.* counters, and — when metrics_interval_seconds is set
+        /// and events are streaming — periodic kMetrics JobEvents
+        /// carrying a rendered registry snapshot. Without a registry the
+        /// service owns one: stats() is read from it (StatsFromMetrics).
         obs::ObsContext obs;
         /// Cadence for streamed kMetrics events, in seconds. 0 disables
         /// them. Snapshots are taken on the worker that completes a job
@@ -169,7 +170,12 @@ class ExplorationService
     /// re-runs. No-op when no batch is running. Safe from any thread.
     void NotifyYieldsChanged();
 
-    const ServiceStats& stats() const { return stats_; }
+    /// Totals over every batch so far, read from the registry
+    /// (StatsFromMetrics), with the configuration fields and
+    /// corpus_size filled from this service. When the caller's registry
+    /// is shared with other producers, their counts are included.
+    ServiceStats stats() const;
+    /// The effective options: obs.metrics is never null.
     const Options& options() const { return options_; }
 
     /// Aggregate attribution table over every job completed so far
@@ -209,13 +215,12 @@ class ExplorationService
                                        size_t job_index, const char* error,
                                        const char* stop_source) const;
 
+    /// Set when Options::obs carried no registry; options_.obs.metrics
+    /// points at it.
+    std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
     Options options_;
     std::atomic<bool> stop_{false};
-    /// Wide-session grants handed out by the in-flight batch; folded
-    /// into stats_ when the batch drains.
-    std::atomic<size_t> wide_sessions_{0};
     TestCorpus corpus_;
-    ServiceStats stats_;
     /// The in-flight batch's scheduler (set for the duration of RunBatch;
     /// guarded so NotifyYieldsChanged can't race scheduler teardown).
     std::mutex scheduler_mutex_;
@@ -228,6 +233,37 @@ class ExplorationService
     mutable std::mutex attribution_mutex_;
     obs::AttributionSnapshot attribution_;
 };
+
+/// The one roll-up of batch counts: fills every count of a ServiceStats
+/// from \p snapshot, which may be one service's registry or a merge of
+/// many (a shard across requeue rounds, a whole cluster).
+///
+///   fields                                 metrics in the snapshot
+///   jobs_{submitted,completed,cancelled,   counters service.<field>
+///     plateau_cancelled,failed},
+///     wide_sessions_granted,
+///     events_delivered
+///   ll_paths, hl_paths, hangs              counters engine.<field>
+///   solver_queries                         counter solver.queries
+///   solver_{sliced_queries,                counters solver.<suffix>
+///     incremental_sat_calls,
+///     clauses_loaded}
+///   shared_cache_{hits,misses,inserts,     counters shared_cache.<suffix>
+///     evictions,model_hits}
+///   shared_cache_{bytes,entries}           gauges shared_cache.<suffix>
+///   corpus_size                            gauge corpus.size
+///   solver_seconds                         histogram solver.solve_seconds
+///   engine_seconds                         histogram service.job_seconds
+///   wall_seconds                           histogram service.batch_seconds
+///   jobs_per_second                        jobs_completed / wall_seconds
+///
+/// Seconds are a histogram's sum_nanos. A gauge is read under its own
+/// name in one registry's snapshot and as `<name>_total` in a merged one
+/// (MetricsSnapshot::MergeFrom). The configuration fields (num_workers,
+/// engine_threads, schedule_policy, solver_cache_shared) are left for
+/// the owner of the batch to set, as are the clock and corpus fields
+/// when the owner keeps its own.
+ServiceStats StatsFromMetrics(const obs::MetricsSnapshot& snapshot);
 
 }  // namespace chef::service
 

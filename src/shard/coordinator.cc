@@ -39,42 +39,27 @@ Fail(std::string* error, const std::string& reason)
     return false;
 }
 
-/// Folds one requeue round's worker stats into a shard's running total.
-/// Work counters and clocks sum (rounds run back-to-back on the same
-/// shard); gauge-like fields keep the latest round's value.
-void
-AccumulateShardStats(service::ServiceStats* into,
-                     const service::ServiceStats& s)
+// The coordinator's own counters. fault() and cross_shard() read them
+// back from coordinator_telemetry_.
+constexpr char kDeathsCounter[] = "shard.deaths_total";
+constexpr char kJobsRequeuedCounter[] = "shard.jobs_requeued_total";
+constexpr char kHeartbeatsMissedCounter[] = "shard.heartbeats_missed";
+constexpr char kRespawnsCounter[] = "shard.respawns_total";
+constexpr char kGossipMessagesCounter[] = "shard.gossip_messages";
+constexpr char kFingerprintsGossipedCounter[] = "shard.fingerprints_gossiped";
+constexpr char kMergeDuplicatesCounter[] = "shard.merge_duplicates";
+
+/// One shard's (or the cluster's) stats: the counts from its telemetry,
+/// the configuration every shard ran with.
+service::ServiceStats
+StatsFor(const obs::MetricsSnapshot& telemetry, const ServiceConfig& config)
 {
-    into->jobs_submitted += s.jobs_submitted;
-    into->jobs_completed += s.jobs_completed;
-    into->jobs_cancelled += s.jobs_cancelled;
-    into->jobs_plateau_cancelled += s.jobs_plateau_cancelled;
-    into->jobs_failed += s.jobs_failed;
-    into->ll_paths += s.ll_paths;
-    into->hl_paths += s.hl_paths;
-    into->hangs += s.hangs;
-    into->solver_queries += s.solver_queries;
-    into->solver_sliced_queries += s.solver_sliced_queries;
-    into->solver_incremental_sat_calls += s.solver_incremental_sat_calls;
-    into->solver_clauses_loaded += s.solver_clauses_loaded;
-    into->solver_seconds += s.solver_seconds;
-    into->solver_cache_shared =
-        into->solver_cache_shared || s.solver_cache_shared;
-    into->shared_cache_hits += s.shared_cache_hits;
-    into->shared_cache_misses += s.shared_cache_misses;
-    into->shared_cache_inserts += s.shared_cache_inserts;
-    into->shared_cache_evictions += s.shared_cache_evictions;
-    into->shared_cache_model_hits += s.shared_cache_model_hits;
-    into->shared_cache_bytes = s.shared_cache_bytes;
-    into->shared_cache_entries = s.shared_cache_entries;
-    into->engine_seconds += s.engine_seconds;
-    into->wall_seconds += s.wall_seconds;
-    into->num_workers = std::max(into->num_workers, s.num_workers);
-    into->events_delivered += s.events_delivered;
-    into->corpus_size = s.corpus_size;
-    into->jobs_per_second = s.jobs_per_second;
-    into->schedule_policy = s.schedule_policy;
+    service::ServiceStats stats = service::StatsFromMetrics(telemetry);
+    stats.num_workers = std::max<size_t>(1, config.num_workers);
+    stats.engine_threads = std::max<uint32_t>(1, config.engine_threads);
+    stats.schedule_policy = config.schedule_policy;
+    stats.solver_cache_shared = config.share_solver_cache;
+    return stats;
 }
 
 }  // namespace
@@ -110,26 +95,27 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
     corpus_.Clear();
     shards_.clear();
     shards_.resize(num_shards);
-    cross_shard_ = CrossShardStats{};
     merged_stats_ = service::ServiceStats{};
     degraded_ = false;
-    fault_ = FaultStats{};
     coordinator_telemetry_ = obs::MetricsSnapshot{};
     cluster_telemetry_ = obs::MetricsSnapshot{};
     cluster_series_.Clear();
     trace_events_.clear();
-    solver_seconds_max_shard_ = 0.0;
 
-    // Coordinator-side fault telemetry: counters for the merged report
-    // plus a pid-0 tracer, so death instants and requeue spans line up
-    // against the workers' spans (pid shard_id + 1) in one timeline.
+    // Coordinator-side telemetry: fault and gossip counters for the
+    // merged report plus a pid-0 tracer, so death instants and requeue
+    // spans line up against the workers' spans (pid shard_id + 1) in one
+    // timeline.
     obs::MetricsRegistry metrics;
-    obs::Counter* deaths_total = metrics.counter("shard.deaths_total");
-    obs::Counter* jobs_requeued_total =
-        metrics.counter("shard.jobs_requeued_total");
+    obs::Counter* deaths_total = metrics.counter(kDeathsCounter);
+    obs::Counter* jobs_requeued_total = metrics.counter(kJobsRequeuedCounter);
     obs::Counter* heartbeats_missed =
-        metrics.counter("shard.heartbeats_missed");
-    obs::Counter* respawns_total = metrics.counter("shard.respawns_total");
+        metrics.counter(kHeartbeatsMissedCounter);
+    obs::Counter* respawns_total = metrics.counter(kRespawnsCounter);
+    obs::Counter* gossip_messages = metrics.counter(kGossipMessagesCounter);
+    obs::Counter* fingerprints_gossiped =
+        metrics.counter(kFingerprintsGossipedCounter);
+    obs::Counter* merge_duplicates = metrics.counter(kMergeDuplicatesCounter);
     obs::PhaseTracer tracer;
     tracer.set_pid(0);
     tracer.set_enabled(options_.service.tracing);
@@ -242,7 +228,7 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         rt.silent_intervals = 0;
         rt.beat_seen = false;
         if (!rt.transport->Send(line)) {
-            mark_dead(shard, "send failed");
+            mark_dead(shard, "transport closed on send");
         }
     };
 
@@ -254,7 +240,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         rt.state = State::kDead;
         rt.transport->Close();
         degraded_ = true;
-        ++fault_.deaths;
         deaths_total->Add();
         shards_[shard].dead = true;
         shards_[shard].death_cause = cause;
@@ -281,7 +266,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         requeue(&rt.inflight);
         requeue(&partitions[shard]);  // Died before its first dispatch.
         shards_[shard].jobs_requeued += requeued;
-        fault_.jobs_requeued += requeued;
         jobs_requeued_total->Add(requeued);
         if (options_.on_shard_death) {
             options_.on_shard_death(shard, cause);
@@ -334,9 +318,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         rt.reported_once = true;
         rt.reported_metrics = outcome.telemetry;
         rt.reported_attribution = outcome.attribution;
-        AccumulateShardStats(&outcome.stats, result.stats);
-        outcome.remote_entries += result.remote_entries;
-        outcome.remote_duplicate_hits += result.remote_duplicate_hits;
         trace_events_.insert(trace_events_.end(), result.trace.begin(),
                              result.trace.end());
         for (service::JobResult& job : result.results) {
@@ -346,7 +327,7 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
             corpus_.MergeFrom(result.corpus);
         outcome.corpus_contributed += merge.inserted;
         outcome.corpus_duplicate += merge.duplicates;
-        cross_shard_.merge_duplicates += merge.duplicates;
+        merge_duplicates->Add(merge.duplicates);
         rt.inflight.clear();
         rt.state = State::kIdle;
     };
@@ -379,9 +360,8 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
             if (!options_.gossip) {
                 break;
             }
-            ++cross_shard_.gossip_messages;
-            cross_shard_.fingerprints_gossiped +=
-                message.gossip.entries.size();
+            gossip_messages->Add();
+            fingerprints_gossiped->Add(message.gossip.entries.size());
             rt.retained.entries.insert(rt.retained.entries.end(),
                                        message.gossip.entries.begin(),
                                        message.gossip.entries.end());
@@ -395,7 +375,7 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
                     continue;
                 }
                 if (!runtime[other].transport->Send(line_out)) {
-                    mark_dead(other, "send failed");
+                    mark_dead(other, "transport closed on send");
                 }
             }
             break;
@@ -440,7 +420,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
             }
             rt.respawn_scheduled = false;
             ++shards_[shard].respawns;
-            ++fault_.respawns;
             respawns_total->Add();
             Transport* fresh = options_.supervisor->Respawn(shard);
             if (fresh == nullptr) {
@@ -529,7 +508,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
                     const uint64_t missed =
                         missed_now - rt.silent_intervals;
                     rt.silent_intervals = missed_now;
-                    fault_.heartbeats_missed += missed;
                     heartbeats_missed->Add(missed);
                 }
                 if (silent >= heartbeat_timeout) {
@@ -665,45 +643,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         }
     }
 
-    // Merge per-shard totals into the batch view. Shards ran
-    // concurrently: wall clock takes the max (the critical path), work
-    // counters sum.
-    for (const ShardOutcome& outcome : shards_) {
-        const service::ServiceStats& s = outcome.stats;
-        service::ServiceStats& m = merged_stats_;
-        m.jobs_submitted += s.jobs_submitted;
-        m.jobs_completed += s.jobs_completed;
-        m.jobs_cancelled += s.jobs_cancelled;
-        m.jobs_plateau_cancelled += s.jobs_plateau_cancelled;
-        m.jobs_failed += s.jobs_failed;
-        m.ll_paths += s.ll_paths;
-        m.hl_paths += s.hl_paths;
-        m.hangs += s.hangs;
-        m.solver_queries += s.solver_queries;
-        m.solver_sliced_queries += s.solver_sliced_queries;
-        m.solver_incremental_sat_calls += s.solver_incremental_sat_calls;
-        m.solver_clauses_loaded += s.solver_clauses_loaded;
-        m.solver_seconds += s.solver_seconds;
-        solver_seconds_max_shard_ =
-            std::max(solver_seconds_max_shard_, s.solver_seconds);
-        m.solver_cache_shared =
-            m.solver_cache_shared || s.solver_cache_shared;
-        m.shared_cache_hits += s.shared_cache_hits;
-        m.shared_cache_misses += s.shared_cache_misses;
-        m.shared_cache_inserts += s.shared_cache_inserts;
-        m.shared_cache_evictions += s.shared_cache_evictions;
-        m.shared_cache_model_hits += s.shared_cache_model_hits;
-        m.shared_cache_bytes += s.shared_cache_bytes;
-        m.shared_cache_entries += s.shared_cache_entries;
-        m.engine_seconds += s.engine_seconds;
-        m.wall_seconds = std::max(m.wall_seconds, s.wall_seconds);
-        m.num_workers += s.num_workers;
-        m.events_delivered += s.events_delivered;
-        m.schedule_policy = s.schedule_policy;
-        cross_shard_.remote_duplicate_hits += outcome.remote_duplicate_hits;
-        cross_shard_.jobs_suppressed += s.jobs_plateau_cancelled;
-    }
-
     // The coordinator's own counters join the cluster view (all zero in
     // a fault-free run — cheap, and the report schema stays uniform).
     coordinator_telemetry_ = metrics.Snapshot();
@@ -713,14 +652,54 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         trace_events_.insert(trace_events_.end(), own.begin(), own.end());
     }
 
+    // Every stats view derives from the snapshots. Shards ran
+    // concurrently: the batch's wall clock is the slowest shard's (the
+    // critical path), while its counts sum in cluster_telemetry_.
+    merged_stats_ = StatsFor(cluster_telemetry_, options_.service);
+    merged_stats_.num_workers = 0;
+    merged_stats_.wall_seconds = 0.0;
+    for (ShardOutcome& outcome : shards_) {
+        outcome.stats = StatsFor(outcome.telemetry, options_.service);
+        merged_stats_.num_workers += outcome.stats.num_workers;
+        merged_stats_.wall_seconds =
+            std::max(merged_stats_.wall_seconds, outcome.stats.wall_seconds);
+    }
     merged_stats_.corpus_size = corpus_.size();
-    wall_seconds_ = SecondsSince(start);
     merged_stats_.jobs_per_second =
         merged_stats_.wall_seconds > 0.0
             ? static_cast<double>(merged_stats_.jobs_completed) /
                   merged_stats_.wall_seconds
             : 0.0;
+    wall_seconds_ = SecondsSince(start);
     return true;
+}
+
+ShardCoordinator::FaultStats
+ShardCoordinator::fault() const
+{
+    const obs::MetricsSnapshot& own = coordinator_telemetry_;
+    FaultStats fault;
+    fault.deaths = own.CounterValue(kDeathsCounter);
+    fault.jobs_requeued = own.CounterValue(kJobsRequeuedCounter);
+    fault.heartbeats_missed = own.CounterValue(kHeartbeatsMissedCounter);
+    fault.respawns = own.CounterValue(kRespawnsCounter);
+    return fault;
+}
+
+ShardCoordinator::CrossShardStats
+ShardCoordinator::cross_shard() const
+{
+    const obs::MetricsSnapshot& own = coordinator_telemetry_;
+    CrossShardStats cross;
+    cross.gossip_messages = own.CounterValue(kGossipMessagesCounter);
+    cross.fingerprints_gossiped =
+        own.CounterValue(kFingerprintsGossipedCounter);
+    cross.merge_duplicates = own.CounterValue(kMergeDuplicatesCounter);
+    cross.remote_duplicate_hits =
+        cluster_telemetry_.CounterValue("corpus.remote_duplicate_hits");
+    cross.jobs_suppressed =
+        cluster_telemetry_.CounterValue("service.jobs_plateau_cancelled");
+    return cross;
 }
 
 obs::AttributionSnapshot
@@ -749,6 +728,11 @@ ShardCoordinator::RenderMergedReport(
     // why.
     json.Key("degraded"), json.Value(degraded_);
     json.Key("coordinator_wall_seconds"), json.Value(wall_seconds_);
+    double solver_seconds_max_shard = 0.0;
+    for (const ShardOutcome& shard : shards_) {
+        solver_seconds_max_shard =
+            std::max(solver_seconds_max_shard, shard.stats.solver_seconds);
+    }
     // Two labeled views of solver time, because shards run concurrently:
     // the total is aggregate solver work across the cluster (it grows
     // with shard count), the max is the largest single shard's share —
@@ -757,24 +741,25 @@ ShardCoordinator::RenderMergedReport(
     json.Key("solver_seconds_total"),
         json.Value(merged_stats_.solver_seconds);
     json.Key("solver_seconds_max_shard"),
-        json.Value(solver_seconds_max_shard_);
+        json.Value(solver_seconds_max_shard);
+    const FaultStats fault_stats = fault();
     json.Key("fault");
     json.BeginObject();
-    json.Key("deaths"), json.Value(fault_.deaths);
-    json.Key("jobs_requeued"), json.Value(fault_.jobs_requeued);
-    json.Key("heartbeats_missed"), json.Value(fault_.heartbeats_missed);
-    json.Key("respawns"), json.Value(fault_.respawns);
+    json.Key("deaths"), json.Value(fault_stats.deaths);
+    json.Key("jobs_requeued"), json.Value(fault_stats.jobs_requeued);
+    json.Key("heartbeats_missed"), json.Value(fault_stats.heartbeats_missed);
+    json.Key("respawns"), json.Value(fault_stats.respawns);
     json.EndObject();
+    const CrossShardStats cross = cross_shard();
     json.Key("cross_shard");
     json.BeginObject();
-    json.Key("gossip_messages"), json.Value(cross_shard_.gossip_messages);
+    json.Key("gossip_messages"), json.Value(cross.gossip_messages);
     json.Key("fingerprints_gossiped"),
-        json.Value(cross_shard_.fingerprints_gossiped);
+        json.Value(cross.fingerprints_gossiped);
     json.Key("remote_duplicate_hits"),
-        json.Value(cross_shard_.remote_duplicate_hits);
-    json.Key("jobs_suppressed"), json.Value(cross_shard_.jobs_suppressed);
-    json.Key("merge_duplicates"),
-        json.Value(cross_shard_.merge_duplicates);
+        json.Value(cross.remote_duplicate_hits);
+    json.Key("jobs_suppressed"), json.Value(cross.jobs_suppressed);
+    json.Key("merge_duplicates"), json.Value(cross.merge_duplicates);
     json.EndObject();
     json.Key("shards");
     json.BeginArray();
@@ -786,9 +771,11 @@ ShardCoordinator::RenderMergedReport(
         json.Key("death_cause"), json.Value(shard.death_cause);
         json.Key("respawns"), json.Value(shard.respawns);
         json.Key("jobs_requeued"), json.Value(shard.jobs_requeued);
-        json.Key("remote_entries"), json.Value(shard.remote_entries);
+        json.Key("remote_entries"),
+            json.Value(shard.telemetry.CounterValue("corpus.remote_entries"));
         json.Key("remote_duplicate_hits"),
-            json.Value(shard.remote_duplicate_hits);
+            json.Value(shard.telemetry.CounterValue(
+                "corpus.remote_duplicate_hits"));
         json.Key("corpus_contributed"),
             json.Value(shard.corpus_contributed);
         json.Key("corpus_duplicate"), json.Value(shard.corpus_duplicate);

@@ -129,10 +129,10 @@ class ShardCoordinator
     struct ShardOutcome {
         size_t shard_id = 0;
         size_t jobs_assigned = 0;
+        /// Derived from `telemetry` when Run returns
+        /// (service::StatsFromMetrics), with the configuration fields
+        /// from Options::service.
         service::ServiceStats stats;
-        /// Cross-shard dedup counters reported by the worker.
-        size_t remote_entries = 0;
-        size_t remote_duplicate_hits = 0;
         /// Entries this shard contributed to the merged corpus vs. ones
         /// another shard had already merged (filled during the merge).
         size_t corpus_contributed = 0;
@@ -156,9 +156,9 @@ class ShardCoordinator
         size_t jobs_requeued = 0;
     };
 
-    /// Batch-wide fault counters (mirrored into coordinator telemetry
-    /// as shard.deaths_total / shard.jobs_requeued_total /
-    /// shard.heartbeats_missed / shard.respawns_total).
+    /// Batch-wide fault counters, read from the coordinator's telemetry:
+    /// shard.deaths_total / shard.jobs_requeued_total /
+    /// shard.heartbeats_missed / shard.respawns_total.
     struct FaultStats {
         uint64_t deaths = 0;
         uint64_t jobs_requeued = 0;
@@ -166,14 +166,17 @@ class ShardCoordinator
         uint64_t respawns = 0;
     };
 
-    /// Aggregated cross-shard telemetry.
+    /// Aggregated cross-shard telemetry, read from the snapshots: the
+    /// coordinator's shard.gossip_messages / shard.fingerprints_gossiped
+    /// / shard.merge_duplicates counters and the cluster's
+    /// corpus.remote_duplicate_hits / service.jobs_plateau_cancelled.
     struct CrossShardStats {
         /// Gossip deltas forwarded between shards.
         uint64_t gossip_messages = 0;
         /// Fingerprints those deltas carried.
         uint64_t fingerprints_gossiped = 0;
         /// Local discoveries suppressed at shards by gossiped
-        /// fingerprints (summed remote_duplicate_hits).
+        /// fingerprints (summed corpus.remote_duplicate_hits).
         uint64_t remote_duplicate_hits = 0;
         /// Jobs cancelled before dispatch because their workload
         /// plateaued, summed over shards. Counts *every* plateau
@@ -212,24 +215,28 @@ class ShardCoordinator
     /// The merged, deduplicated cross-shard corpus.
     const service::TestCorpus& corpus() const { return corpus_; }
 
-    /// Shard stats summed (wall_seconds is the max across shards — the
-    /// batch's critical path — while engine/solver seconds sum).
+    /// The batch's stats, derived from cluster_telemetry() when Run
+    /// returns (service::StatsFromMetrics): counts and engine/solver
+    /// seconds sum over shards, wall_seconds is the slowest shard's (the
+    /// batch's critical path) and corpus_size is the merged corpus's.
     const service::ServiceStats& merged_stats() const
     {
         return merged_stats_;
     }
 
     const std::vector<ShardOutcome>& shards() const { return shards_; }
-    const CrossShardStats& cross_shard() const { return cross_shard_; }
+    /// Read from the snapshots, so valid once Run returns.
+    CrossShardStats cross_shard() const;
 
     /// True when any shard died during the last Run (even if a respawn
     /// or requeue fully recovered the work — the report still flags
     /// that the batch did not execute as planned).
     bool degraded() const { return degraded_; }
-    const FaultStats& fault() const { return fault_; }
+    /// Read from coordinator_telemetry(), so valid once Run returns.
+    FaultStats fault() const;
 
-    /// Coordinator-side telemetry (fault counters), pid 0 in traces.
-    /// Also merged into cluster_telemetry().
+    /// Coordinator-side telemetry (fault and gossip counters), pid 0 in
+    /// traces. Also merged into cluster_telemetry().
     const obs::MetricsSnapshot& coordinator_telemetry() const
     {
         return coordinator_telemetry_;
@@ -303,19 +310,11 @@ class ShardCoordinator
     service::TestCorpus corpus_;
     service::ServiceStats merged_stats_;
     std::vector<ShardOutcome> shards_;
-    CrossShardStats cross_shard_;
     bool degraded_ = false;
-    FaultStats fault_;
     obs::MetricsSnapshot coordinator_telemetry_;
     obs::MetricsSnapshot cluster_telemetry_;
     obs::ClusterSeries cluster_series_;
     std::vector<obs::TraceEvent> trace_events_;
-    /// Largest single-shard solver time, kept alongside the summed
-    /// merged_stats_.solver_seconds: the sum is aggregate work, the max
-    /// is the concurrent batch's critical-path contribution. Reporting
-    /// only the sum made sharded solver time look worse than one
-    /// service's (it grows with shard count even at fixed wall time).
-    double solver_seconds_max_shard_ = 0.0;
     double wall_seconds_ = 0.0;
 };
 

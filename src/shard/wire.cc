@@ -16,7 +16,6 @@ using service::JobSpec;
 using service::JobStatus;
 using service::PlateauPolicy;
 using service::SchedulePolicy;
-using service::ServiceStats;
 using service::TestCorpus;
 using support::JsonValue;
 using support::JsonWriter;
@@ -405,76 +404,6 @@ DecodeCorpusEntryFull(const JsonValue& object, TestCorpus::Entry* entry,
 }
 
 // ---------------------------------------------------------------------------
-// ServiceStats (numeric mirror of service::WriteServiceStats).
-// ---------------------------------------------------------------------------
-
-bool
-DecodeServiceStats(const JsonValue& object, ServiceStats* stats,
-                   std::string* error)
-{
-    std::string policy;
-    if (!ReadSize(object, "jobs_submitted", &stats->jobs_submitted,
-                  error) ||
-        !ReadSize(object, "jobs_completed", &stats->jobs_completed,
-                  error) ||
-        !ReadSize(object, "jobs_cancelled", &stats->jobs_cancelled,
-                  error) ||
-        !ReadSize(object, "jobs_plateau_cancelled",
-                  &stats->jobs_plateau_cancelled, error) ||
-        !ReadSize(object, "jobs_failed", &stats->jobs_failed, error) ||
-        !ReadU64(object, "ll_paths", &stats->ll_paths, error) ||
-        !ReadU64(object, "hl_paths", &stats->hl_paths, error) ||
-        !ReadU64(object, "hangs", &stats->hangs, error) ||
-        !ReadU64(object, "solver_queries", &stats->solver_queries,
-                 error) ||
-        !ReadU64(object, "solver_sliced_queries",
-                 &stats->solver_sliced_queries, error) ||
-        !ReadU64(object, "solver_incremental_sat_calls",
-                 &stats->solver_incremental_sat_calls, error) ||
-        !ReadU64(object, "solver_clauses_loaded",
-                 &stats->solver_clauses_loaded, error) ||
-        !ReadDouble(object, "solver_seconds", &stats->solver_seconds,
-                    error) ||
-        !ReadBool(object, "solver_cache_shared",
-                  &stats->solver_cache_shared, error) ||
-        !ReadU64(object, "shared_cache_hits", &stats->shared_cache_hits,
-                 error) ||
-        !ReadU64(object, "shared_cache_misses",
-                 &stats->shared_cache_misses, error) ||
-        !ReadU64(object, "shared_cache_inserts",
-                 &stats->shared_cache_inserts, error) ||
-        !ReadU64(object, "shared_cache_evictions",
-                 &stats->shared_cache_evictions, error) ||
-        !ReadU64(object, "shared_cache_model_hits",
-                 &stats->shared_cache_model_hits, error) ||
-        !ReadSize(object, "shared_cache_bytes", &stats->shared_cache_bytes,
-                  error) ||
-        !ReadSize(object, "shared_cache_entries",
-                  &stats->shared_cache_entries, error) ||
-        !ReadSize(object, "corpus_size", &stats->corpus_size, error) ||
-        !ReadDouble(object, "engine_seconds", &stats->engine_seconds,
-                    error) ||
-        !ReadDouble(object, "wall_seconds", &stats->wall_seconds, error) ||
-        !ReadDouble(object, "jobs_per_second", &stats->jobs_per_second,
-                    error) ||
-        !ReadSize(object, "num_workers", &stats->num_workers, error) ||
-        !ReadString(object, "schedule_policy", &policy, error) ||
-        !ReadU64(object, "events_delivered", &stats->events_delivered,
-                 error) ||
-        !ReadU32(object, "engine_threads", &stats->engine_threads,
-                 error) ||
-        !ReadSize(object, "wide_sessions_granted",
-                  &stats->wide_sessions_granted, error)) {
-        return false;
-    }
-    if (!SchedulePolicyFromName(policy, &stats->schedule_policy)) {
-        return DecodeFail(error, "unknown schedule policy '" + policy +
-                                     "'");
-    }
-    return true;
-}
-
-// ---------------------------------------------------------------------------
 // JobResult (numeric mirror of service::WriteJobResult).
 // ---------------------------------------------------------------------------
 
@@ -805,8 +734,6 @@ EncodeResult(const ResultMessage& result)
     json.BeginObject();
     json.Key("type"), json.Value("result");
     json.Key("shard_id"), json.Value(result.shard_id);
-    json.Key("stats");
-    service::WriteServiceStats(json, result.stats);
     json.Key("results");
     json.BeginArray();
     for (const JobResult& job : result.results) {
@@ -826,9 +753,6 @@ EncodeResult(const ResultMessage& result)
     json.Key("yields");
     WriteYields(json, result.corpus.yields);
     json.EndObject();
-    json.Key("remote_entries"), json.Value(result.remote_entries);
-    json.Key("remote_duplicate_hits"),
-        json.Value(result.remote_duplicate_hits);
     json.Key("telemetry");
     WriteTelemetry(json, result.telemetry);
     json.Key("trace");
@@ -1005,12 +929,7 @@ DecodeMessage(const std::string& line, Message* message,
     if (type == "result") {
         message->type = MessageType::kResult;
         ResultMessage& result = message->result;
-        if (!ReadSize(root, "shard_id", &result.shard_id, error)) {
-            return false;
-        }
-        const JsonValue* stats = ReadObject(root, "stats", error);
-        if (stats == nullptr ||
-            !DecodeServiceStats(*stats, &result.stats, error) ||
+        if (!ReadSize(root, "shard_id", &result.shard_id, error) ||
             !DecodeJobResults(root, &result.results, error)) {
             return false;
         }
@@ -1032,11 +951,7 @@ DecodeMessage(const std::string& line, Message* message,
             }
             result.corpus.entries.push_back(std::move(entry));
         }
-        if (!DecodeYields(*corpus, &result.corpus.yields, error) ||
-            !ReadSize(root, "remote_entries", &result.remote_entries,
-                      error) ||
-            !ReadSize(root, "remote_duplicate_hits",
-                      &result.remote_duplicate_hits, error)) {
+        if (!DecodeYields(*corpus, &result.corpus.yields, error)) {
             return false;
         }
         const JsonValue* telemetry = ReadObject(root, "telemetry", error);

@@ -46,14 +46,14 @@ namespace chef::shard {
 
 /// The coordinator refuses a worker whose hello announces any other
 /// version instead of mis-decoding mid-batch.
-constexpr int kProtocolVersion = 3;
+constexpr int kProtocolVersion = 4;
 
 enum class MessageType {
     kHello,      ///< worker -> coordinator: ready, protocol version.
     kRun,        ///< coordinator -> worker: run this batch partition.
     kGossip,     ///< both directions: corpus fingerprint delta + yields.
     kHeartbeat,  ///< worker -> coordinator: liveness + streamed results.
-    kResult,     ///< worker -> coordinator: results, stats, local corpus.
+    kResult,     ///< worker -> coordinator: results, local corpus, telemetry.
     kShutdown,   ///< coordinator -> worker: exit cleanly.
     kError,      ///< either: fatal protocol/setup failure, with reason.
 };
@@ -141,16 +141,14 @@ struct Telemetry {
 /// worker -> coordinator at batch end. `corpus` carries the shard's
 /// *local-origin* entries in full (inputs included) plus its local yield
 /// view; gossip-seeded remote entries are excluded — the discovering
-/// shard reports those, so the union over shards has no echoes.
+/// shard reports those, so the union over shards has no echoes. The
+/// shard's batch totals travel only as counters in `telemetry.metrics`;
+/// the coordinator derives its ServiceStats from them
+/// (service::StatsFromMetrics).
 struct ResultMessage {
     size_t shard_id = 0;
-    service::ServiceStats stats;
     std::vector<service::JobResult> results;
     service::TestCorpus::Delta corpus;
-    /// Cross-shard dedup telemetry (see TestCorpus): gossip entries
-    /// merged in, and local discoveries suppressed by them.
-    size_t remote_entries = 0;
-    size_t remote_duplicate_hits = 0;
     /// The run's final telemetry: its metrics and attribution totals and
     /// the series samples gossip never shipped.
     Telemetry telemetry;

@@ -249,7 +249,6 @@ ShardWorker::HandleRun(const RunRequest& request)
 
     ResultMessage result;
     result.shard_id = request.shard_id;
-    result.stats = service.stats();
     result.results = std::move(results);
     for (size_t i = 0; i < result.results.size(); ++i) {
         // Local queue positions -> the coordinator's global indices.
@@ -263,9 +262,6 @@ ShardWorker::HandleRun(const RunRequest& request)
             entry.job_index = global_indices[entry.job_index];
         }
     }
-    result.remote_entries = service.corpus().remote_entries();
-    result.remote_duplicate_hits =
-        service.corpus().remote_duplicate_hits();
     result.telemetry.metrics = metrics.Snapshot();
     result.telemetry.attribution = service.attribution();
     // Samples the gossip stream never shipped — including the final one

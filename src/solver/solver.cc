@@ -38,7 +38,9 @@ class ScopedTimer
             static_cast<double>(elapsed_nanos) / 1e9;
         *total_ += elapsed;
         if (histogram_ != nullptr) {
-            histogram_->Record(elapsed);
+            // Whole nanoseconds, so the histogram's sum_nanos is the
+            // exact total the stats field accumulates in seconds.
+            histogram_->RecordNanos(static_cast<uint64_t>(elapsed_nanos));
         }
         if (attribution_ != nullptr) {
             attribution_->ChargeSolver(
@@ -67,6 +69,8 @@ Solver::Solver(Options options) : options_(options)
         m_sat_calls_ = registry.counter("solver.sat_calls");
         m_incremental_sat_calls_ =
             registry.counter("solver.incremental_sat_calls");
+        m_sliced_queries_ = registry.counter("solver.sliced_queries");
+        m_clauses_loaded_ = registry.counter("solver.clauses_loaded");
         m_solve_latency_ = registry.histogram("solver.solve_seconds");
         m_sat_latency_ = registry.histogram("solver.sat_seconds");
     }
@@ -188,6 +192,9 @@ Solver::Solve(const std::vector<ExprRef>& assertions, Assignment* model)
                           "solver");
             slice_span.set_detail(std::to_string(slices.size()) + " slices");
             ++stats_.sliced_queries;
+            if (m_sliced_queries_ != nullptr) {
+                m_sliced_queries_->Add();
+            }
             stats_.slices_solved += slices.size();
             // Whole-query shared prefetch: a sibling worker that solved
             // this exact query published it *whole* (below), so one
@@ -428,6 +435,7 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
 
     SatStatus status;
     Assignment extracted;
+    const uint64_t clauses_loaded_before = stats_.clauses_loaded;
 
     if (options_.enable_incremental_sat) {
         if (session_ == nullptr) {
@@ -491,6 +499,9 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
                 extracted.Set(var_id, blaster.ModelValue(sat, var_id));
             }
         }
+    }
+    if (m_clauses_loaded_ != nullptr) {
+        m_clauses_loaded_->Add(stats_.clauses_loaded - clauses_loaded_before);
     }
 
     if (status == SatStatus::kUnknown) {

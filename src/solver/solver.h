@@ -234,6 +234,8 @@ class Solver
     obs::Counter* m_model_reuse_hits_ = nullptr;
     obs::Counter* m_sat_calls_ = nullptr;
     obs::Counter* m_incremental_sat_calls_ = nullptr;
+    obs::Counter* m_sliced_queries_ = nullptr;
+    obs::Counter* m_clauses_loaded_ = nullptr;
     obs::Histogram* m_solve_latency_ = nullptr;
     obs::Histogram* m_sat_latency_ = nullptr;
     std::unordered_map<uint64_t, CacheEntry> cache_;

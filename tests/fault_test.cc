@@ -24,6 +24,7 @@
 #include "shard/transport.h"
 #include "shard/wire.h"
 #include "shard/worker.h"
+#include "stats_checks.h"
 
 namespace chef::shard {
 namespace {
@@ -391,6 +392,13 @@ TEST(CoordinatorFaults, MidBatchCloseRequeuesDeterministically)
     }
     // Corpus parity — the paper's merged-corpus invariant, under fire.
     EXPECT_EQ(reference.corpus().Keys(), coordinator.corpus().Keys());
+
+    // Shard 1 died before running anything, so shard 0 ran every job
+    // over two rounds; the stats derived from its telemetry span both,
+    // and still total the results.
+    EXPECT_EQ(coordinator.shards()[0].stats.jobs_submitted, jobs.size());
+    EXPECT_EQ(coordinator.shards()[1].stats.jobs_submitted, 0u);
+    checks::ExpectCoordinatorViewsAgree(coordinator);
 }
 
 TEST(CoordinatorFaults, MalformedFrameCondemnsTheShardNotTheBatch)
@@ -443,7 +451,8 @@ TEST(CoordinatorFaults, OldProtocolHelloCondemnsTheShard)
         &coordinator, jobs,
         [](Transport* endpoint) {
             ASSERT_TRUE(endpoint->Send(
-                "{\"type\":\"hello\",\"protocol_version\":2}"));
+                "{\"type\":\"hello\",\"protocol_version\":" +
+                std::to_string(kProtocolVersion - 1) + "}"));
             DrainUntilClosed(endpoint);
         },
         &error);
@@ -452,7 +461,9 @@ TEST(CoordinatorFaults, OldProtocolHelloCondemnsTheShard)
     EXPECT_TRUE(coordinator.degraded());
     ASSERT_EQ(coordinator.shards().size(), 2u);
     EXPECT_TRUE(coordinator.shards()[1].dead);
-    EXPECT_EQ(coordinator.shards()[1].death_cause, "protocol version 2 != 3");
+    EXPECT_EQ(coordinator.shards()[1].death_cause,
+              "protocol version " + std::to_string(kProtocolVersion - 1) +
+                  " != " + std::to_string(kProtocolVersion));
     EXPECT_EQ(coordinator.shards()[1].jobs_assigned, 0u);
     // The survivor ran the refused shard's partition.
     ASSERT_EQ(coordinator.results().size(), jobs.size());

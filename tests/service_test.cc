@@ -18,6 +18,7 @@
 #include "service/report.h"
 #include "service/service.h"
 #include "workloads/registry.h"
+#include "stats_checks.h"
 
 namespace chef::service {
 namespace {
@@ -296,39 +297,63 @@ TEST(ExplorationService, UnknownWorkloadFailsGracefully)
 
 TEST(ExplorationService, StatsTotalsEqualSumOfJobStats)
 {
-    const std::vector<JobSpec> jobs = SmallBatch();
+    // Two exploration threads per job put the solver work on the
+    // engines' worker-thread solvers; they must count too.
+    for (const uint32_t engine_threads : {1u, 2u}) {
+        SCOPED_TRACE("engine_threads " + std::to_string(engine_threads));
+        const std::vector<JobSpec> jobs = SmallBatch();
+        ExplorationService::Options options;
+        options.num_workers = 2;
+        options.seed = 7;
+        options.engine_threads = engine_threads;
+        options.core_budget = 2 * engine_threads;
+        ExplorationService service(options);
+        const std::vector<JobResult> results = service.RunBatch(jobs);
+
+        size_t corpus_inserted = 0;
+        for (const JobResult& result : results) {
+            EXPECT_EQ(result.engine_stats.threads_used, engine_threads);
+            corpus_inserted += result.corpus_inserted;
+        }
+
+        const ServiceStats stats = service.stats();
+        EXPECT_EQ(stats.jobs_completed, jobs.size());
+        // Per-job solver seconds sum doubles; the registry sums whole
+        // nanoseconds.
+        checks::ExpectStatsTotalResults(stats, results, 1e-6);
+        // Every corpus entry was inserted by exactly one job.
+        EXPECT_EQ(stats.corpus_size, corpus_inserted);
+        EXPECT_EQ(stats.corpus_size, service.corpus().size());
+        EXPECT_EQ(stats.engine_threads, engine_threads);
+        EXPECT_GT(stats.wall_seconds, 0.0);
+        EXPECT_GT(stats.jobs_per_second, 0.0);
+    }
+}
+
+TEST(ExplorationService, SpecWithOnlyATracerStillCountsIntoTheRegistry)
+{
+    // A job that wires its own tracer keeps the service's registry: each
+    // telemetry facility defaults on its own.
+    obs::MetricsRegistry metrics;
+    obs::PhaseTracer tracer;
+    std::vector<JobSpec> jobs = SmallBatch();
+    for (JobSpec& spec : jobs) {
+        spec.options.obs.tracer = &tracer;
+    }
     ExplorationService::Options options;
     options.num_workers = 2;
-    options.seed = 7;
+    options.obs.metrics = &metrics;
     ExplorationService service(options);
     const std::vector<JobResult> results = service.RunBatch(jobs);
 
-    uint64_t ll_paths = 0;
-    uint64_t hl_paths = 0;
-    uint64_t hangs = 0;
     uint64_t solver_queries = 0;
-    size_t corpus_inserted = 0;
     for (const JobResult& result : results) {
-        ll_paths += result.engine_stats.ll_paths;
-        hl_paths += result.engine_stats.hl_paths;
-        hangs += result.engine_stats.hangs;
         solver_queries += result.engine_stats.solver_queries;
-        corpus_inserted += result.corpus_inserted;
     }
-
-    const ServiceStats& stats = service.stats();
-    EXPECT_EQ(stats.jobs_submitted, jobs.size());
-    EXPECT_EQ(stats.jobs_completed, jobs.size());
-    EXPECT_EQ(stats.ll_paths, ll_paths);
-    EXPECT_EQ(stats.hl_paths, hl_paths);
-    EXPECT_EQ(stats.hangs, hangs);
-    EXPECT_EQ(stats.solver_queries, solver_queries);
-    EXPECT_GT(stats.solver_queries, 0u);
-    // Every corpus entry was inserted by exactly one job.
-    EXPECT_EQ(stats.corpus_size, corpus_inserted);
-    EXPECT_EQ(stats.corpus_size, service.corpus().size());
-    EXPECT_GT(stats.wall_seconds, 0.0);
-    EXPECT_GT(stats.jobs_per_second, 0.0);
+    EXPECT_GT(solver_queries, 0u);
+    EXPECT_EQ(metrics.Snapshot().CounterValue("solver.queries"),
+              solver_queries);
+    EXPECT_EQ(service.stats().solver_queries, solver_queries);
 }
 
 // ---------------------------------------------------------------------------

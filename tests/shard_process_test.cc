@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "obs/attribution.h"
+#include "shard/wire.h"
 #include "support/json.h"
 
 extern char** environ;
@@ -253,7 +254,7 @@ ExpectReportConsistent(const JsonValue& report, size_t workers)
 {
     uint64_t version = 0;
     EXPECT_TRUE(report.GetUint64("protocol_version", &version));
-    EXPECT_EQ(version, 3u);
+    EXPECT_EQ(version, static_cast<uint64_t>(shard::kProtocolVersion));
     EXPECT_EQ(report.Find("protocol_minor"), nullptr);
     for (const char* key : {"fingerprints_gossiped", "remote_duplicate_hits",
                             "jobs_suppressed", "merge_duplicates"}) {

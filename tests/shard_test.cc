@@ -24,6 +24,7 @@
 #include "shard/worker.h"
 #include "support/json.h"
 #include "workloads/registry.h"
+#include "stats_checks.h"
 
 namespace chef::shard {
 namespace {
@@ -53,6 +54,8 @@ MakeEntry(const std::string& workload, uint64_t fingerprint)
 TEST(CorpusDelta, SnapshotCutsOnSequenceAndSkipsRemoteEntries)
 {
     TestCorpus corpus;
+    obs::MetricsRegistry metrics;
+    corpus.CountInto(&metrics);
     ASSERT_TRUE(corpus.Insert(MakeEntry("a", 1)));
     ASSERT_TRUE(corpus.Insert(MakeEntry("a", 2)));
     const TestCorpus::Delta first = corpus.Snapshot("me", 0);
@@ -74,12 +77,14 @@ TEST(CorpusDelta, SnapshotCutsOnSequenceAndSkipsRemoteEntries)
     const TestCorpus::Delta second = corpus.Snapshot("me", first.sequence);
     ASSERT_EQ(second.entries.size(), 1u);
     EXPECT_EQ(second.entries[0].fingerprint, 3u);
-    EXPECT_EQ(corpus.remote_entries(), 1u);
+    EXPECT_EQ(metrics.Snapshot().CounterValue("corpus.remote_entries"), 1u);
 }
 
 TEST(CorpusDelta, MergeReportsDedupAndMergedYields)
 {
     TestCorpus corpus;
+    obs::MetricsRegistry metrics;
+    corpus.CountInto(&metrics);
     ASSERT_TRUE(corpus.Insert(MakeEntry("a", 1)));
     corpus.RecordJobYield("a", 4, 2);
 
@@ -111,11 +116,15 @@ TEST(CorpusDelta, MergeReportsDedupAndMergedYields)
 
     // A local rediscovery of a remote-seeded key counts as cross-shard
     // dedup.
+    const auto remote_duplicate_hits = [&metrics] {
+        return metrics.Snapshot().CounterValue(
+            "corpus.remote_duplicate_hits");
+    };
     EXPECT_FALSE(corpus.Insert(MakeEntry("a", 9)));
-    EXPECT_EQ(corpus.remote_duplicate_hits(), 1u);
+    EXPECT_EQ(remote_duplicate_hits(), 1u);
     // ... but rediscovering one's own entry does not.
     EXPECT_FALSE(corpus.Insert(MakeEntry("a", 1)));
-    EXPECT_EQ(corpus.remote_duplicate_hits(), 1u);
+    EXPECT_EQ(remote_duplicate_hits(), 1u);
 }
 
 TEST(CorpusDelta, MergeIsOrderIndependent)
@@ -298,11 +307,17 @@ TEST(Coordinator, PartitioningDoesNotChangePerJobResults)
     EXPECT_EQ(single.corpus().Keys(), sharded.corpus().Keys());
     EXPECT_GT(single.corpus().size(), 0u);
 
-    // Stats merged across shards account for every job.
+    // Stats merged across shards account for every job, and every stats
+    // view is the snapshot it was read from.
     EXPECT_EQ(sharded.merged_stats().jobs_submitted, jobs.size());
     EXPECT_EQ(sharded.merged_stats().jobs_completed, jobs.size());
     EXPECT_EQ(sharded.merged_stats().corpus_size,
               sharded.corpus().size());
+    for (const ShardCoordinator::ShardOutcome& shard : sharded.shards()) {
+        EXPECT_EQ(shard.stats.jobs_submitted, jobs.size() / 2);
+    }
+    checks::ExpectCoordinatorViewsAgree(sharded);
+    checks::ExpectCoordinatorViewsAgree(single);
 }
 
 TEST(Coordinator, MergedReportIsStrictJsonWithCrossShardStats)
