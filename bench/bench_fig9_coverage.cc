@@ -8,13 +8,16 @@
 /// The per-package progress curves (new high-level paths vs runs and vs
 /// wall time, the temporal axis of the paper's figure) go through the
 /// obs time-series machinery rather than ad-hoc collection: each
-/// aggregate-config run's engine timeline feeds a TimeSeriesRecorder
-/// (tier coarsening bounds memory on long runs), the recorders merge
-/// into a ClusterSeries keyed by package, and the standard
+/// aggregate-config run's engine timeline becomes a series of samples
+/// in a ClusterSeries keyed by package (its thinning bounds memory on
+/// long runs), and the standard
 /// coverage_curves CSV (obs::RenderCoverageCurvesCsv — the same
 /// artifact `chef_shard --curves-out` writes) lands next to the bench
 /// output as coverage_curves_fig9.csv. In that CSV "jobs_finished"
 /// carries completed engine runs (one run = one low-level path).
+
+#include <algorithm>
+#include <vector>
 
 #include "bench_common.h"
 #include "obs/timeseries.h"
@@ -22,16 +25,21 @@
 namespace chef::bench {
 namespace {
 
-/// Replays one run's engine timeline into the recorder/series pipeline
-/// under counter names the coverage-curves renderer knows.
+/// Replays one run's engine timeline into the cluster series under
+/// counter names the coverage-curves renderer knows.
 void
 CollectCurve(obs::ClusterSeries* curves, const std::string& workload,
              const RunOutcome& outcome)
 {
-    obs::TimeSeriesRecorder recorder;
+    std::vector<obs::SeriesSample> series;
+    series.reserve(outcome.timeline.size());
     for (const EngineStats::Sample& sample : outcome.timeline) {
-        obs::MetricsSnapshot snapshot;
-        snapshot.counters = {
+        obs::SeriesSample point;
+        point.index = series.size() + 1;
+        point.t_seconds = series.empty()
+                              ? sample.t
+                              : std::max(sample.t, series.back().t_seconds);
+        point.metrics.counters = {
             {obs::kFingerprintsNewCounter, sample.hl_paths},
             {std::string(obs::kFingerprintsNewCounter) + "." + workload,
              sample.hl_paths},
@@ -39,9 +47,9 @@ CollectCurve(obs::ClusterSeries* curves, const std::string& workload,
             {std::string(obs::kJobsFinishedCounter) + "." + workload,
              sample.ll_paths},
         };
-        recorder.Record(sample.t, std::move(snapshot));
+        series.push_back(std::move(point));
     }
-    curves->Update(workload, recorder.Retained());
+    curves->Update(workload, series);
 }
 
 template <typename Package, typename Runner>

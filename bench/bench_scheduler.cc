@@ -50,10 +50,8 @@ namespace {
 
 using chef::service::ExplorationService;
 using chef::service::JobEvent;
-using chef::service::JobEventQueue;
 using chef::service::JobResult;
 using chef::service::JobSpec;
-using chef::service::PlateauPolicy;
 using chef::service::SchedulePolicy;
 using chef::service::ServiceStats;
 
@@ -115,32 +113,28 @@ ConfigOutcome
 RunConfig(const std::vector<JobSpec>& jobs, SchedulePolicy policy,
           bool plateau, double budget_seconds, size_t workers)
 {
-    JobEventQueue events;
+    ConfigOutcome outcome;
     ExplorationService::Options options;
     options.num_workers = workers;
     options.seed = 2014;
     options.max_total_seconds = budget_seconds;
     options.schedule_policy = policy;
-    options.event_queue = &events;
-    if (plateau) {
-        options.plateau_policy.enabled = true;
-        options.plateau_policy.deprioritize_after = 1;
-        options.plateau_policy.cancel_after = 2;
-    }
+    options.plateau = plateau;
+    // Runs on the service's dispatcher thread, which RunBatch joins
+    // before it returns.
+    options.on_job_event = [&outcome](const JobEvent& event) {
+        if (event.kind == JobEvent::Kind::kJobCompleted) {
+            ++outcome.completed_events;
+        }
+    };
     ExplorationService service(options);
 
-    ConfigOutcome outcome;
     outcome.results = service.RunBatch(jobs);
     outcome.stats = service.stats();
     outcome.report_json = chef::service::RenderJsonReport(
         service.stats(), outcome.results, service.corpus());
     outcome.corpus_size = service.corpus().size();
     outcome.corpus_keys = service.corpus().Keys();
-    for (const JobEvent& event : events.Drain()) {
-        if (event.kind == JobEvent::Kind::kJobCompleted) {
-            ++outcome.completed_events;
-        }
-    }
     return outcome;
 }
 
@@ -283,12 +277,11 @@ main(int argc, char** argv)
     const auto run_bounded = [&](bool with_recorder, uint64_t* samples) {
         chef::obs::MetricsRegistry metrics;
         chef::obs::TimeSeriesRecorder recorder;  // 100 ms default.
-        JobEventQueue events;
         ExplorationService::Options options;
         options.num_workers = workers;
         options.seed = 2014;
         options.schedule_policy = SchedulePolicy::kYieldPriority;
-        options.event_queue = &events;
+        options.on_job_event = [](const JobEvent&) {};
         options.obs.metrics = &metrics;
         if (with_recorder) {
             options.obs.timeseries = &recorder;
@@ -296,7 +289,7 @@ main(int argc, char** argv)
         ExplorationService service(options);
         service.RunBatch(bounded);
         if (samples != nullptr) {
-            *samples = recorder.total_recorded();
+            *samples = recorder.last_index();
         }
         return service.stats().wall_seconds;
     };

@@ -82,7 +82,7 @@ std::vector<JobSpec>
 DedupBatch(bool smoke, size_t* duplicate_jobs)
 {
     // 6 identical copies per shard: enough that the local plateau floor
-    // (first copy yields, two zero-yield copies trip cancel_after=2)
+    // (first copy yields, two zero-yield copies reach the cancel threshold)
     // alone suppresses >= 50% of the duplicates; gossiped streaks and
     // fingerprints only raise the count.
     const int dups = 12;
@@ -127,11 +127,7 @@ RunShards(const std::vector<JobSpec>& jobs, size_t num_shards,
 {
     ShardCoordinator::Options options = BaseOptions();
     options.gossip = gossip;
-    if (plateau) {
-        options.service.plateau_policy.enabled = true;
-        options.service.plateau_policy.deprioritize_after = 1;
-        options.service.plateau_policy.cancel_after = 2;
-    }
+    options.service.plateau = plateau;
     ShardCoordinator coordinator(options);
     std::string error;
     Outcome outcome;

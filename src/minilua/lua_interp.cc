@@ -252,6 +252,15 @@ LuaInterp::LuaInterp(lowlevel::LowLevelRuntime* rt,
     g["table"] = LuaValue::Table(table_lib);
 }
 
+LuaInterp::~LuaInterp()
+{
+    for (const std::weak_ptr<LuaFunction>& closure : closures_) {
+        if (const std::shared_ptr<LuaFunction> function = closure.lock()) {
+            function->closure.reset();
+        }
+    }
+}
+
 void
 LuaInterp::LogNode(const LuaAst& node)
 {
@@ -788,6 +797,7 @@ LuaInterp::EvalExpr(const LuaAst& expr, const LuaEnvPtr& env)
         function->params = expr.strings;
         function->body = expr.kids[0].get();
         function->closure = env;
+        closures_.push_back(function);
         LuaValue value;
         value.type = LuaValue::Type::kFunction;
         value.function = std::move(function);

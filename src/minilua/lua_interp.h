@@ -44,6 +44,12 @@ class LuaInterp
 
     LuaInterp(lowlevel::LowLevelRuntime* rt,
               std::shared_ptr<LuaChunk> chunk, Options options);
+    /// Breaks the closure <-> environment reference cycles (a function
+    /// stored in the environment it captured) so the run's environments
+    /// and values are freed with the interpreter.
+    ~LuaInterp();
+    LuaInterp(const LuaInterp&) = delete;
+    LuaInterp& operator=(const LuaInterp&) = delete;
 
     /// Runs the chunk body in the global environment.
     LuaOutcome RunChunk();
@@ -126,6 +132,8 @@ class LuaInterp
     interp::InternTable interns_;
 
     LuaEnvPtr globals_;
+    /// Every closure this interpreter created, for the destructor.
+    std::vector<std::weak_ptr<LuaFunction>> closures_;
     std::vector<LuaValue> return_values_;
     std::string error_message_;
     bool error_raised_ = false;

@@ -165,20 +165,6 @@ TimeSeriesRecorder::TimeSeriesRecorder(Options options)
     if (options_.interval_seconds <= 0.0) {
         options_.interval_seconds = 0.1;
     }
-    if (options_.raw_capacity == 0) {
-        options_.raw_capacity = 1;
-    }
-    if (options_.tier_capacity == 0) {
-        options_.tier_capacity = 1;
-    }
-    if (options_.coarsen_factor < 2) {
-        options_.coarsen_factor = 2;
-    }
-    if (options_.default_window_seconds <= 0.0) {
-        options_.default_window_seconds = 2.0;
-    }
-    tiers_.resize(1 + options_.coarse_tiers);
-    arrivals_.assign(tiers_.size(), 0);
 }
 
 double TimeSeriesRecorder::ElapsedSeconds() const
@@ -196,20 +182,6 @@ void TimeSeriesRecorder::SampleNow(const MetricsRegistry& registry)
     RecordLocked(t, std::move(snapshot));
 }
 
-bool TimeSeriesRecorder::MaybeSample(const MetricsRegistry& registry)
-{
-    const double t = ElapsedSeconds();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (last_sample_t_ >= 0.0 &&
-            t - last_sample_t_ < options_.interval_seconds) {
-            return false;
-        }
-    }
-    SampleNow(registry);
-    return true;
-}
-
 void TimeSeriesRecorder::Record(double t_seconds, MetricsSnapshot snapshot)
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -224,33 +196,13 @@ void TimeSeriesRecorder::RecordLocked(double t_seconds,
     sample.t_seconds = std::max(t_seconds, last_sample_t_);
     sample.metrics = std::move(snapshot);
     last_sample_t_ = sample.t_seconds;
-
-    // Tier 0 always takes the sample; every coarsen_factor-th arrival
-    // at tier k also lands in tier k+1.
-    size_t k = 0;
-    while (true) {
-        arrivals_[k]++;
-        const size_t capacity =
-            k == 0 ? options_.raw_capacity : options_.tier_capacity;
-        tiers_[k].push_back(sample);
-        if (tiers_[k].size() > capacity) {
-            tiers_[k].pop_front();
-        }
-        if (k + 1 >= tiers_.size() ||
-            arrivals_[k] % options_.coarsen_factor != 0) {
-            break;
-        }
-        ++k;
+    ring_.push_back(std::move(sample));
+    if (ring_.size() > kSeriesRingCapacity) {
+        ring_.pop_front();
     }
 }
 
 uint64_t TimeSeriesRecorder::last_index() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return next_index_ - 1;
-}
-
-uint64_t TimeSeriesRecorder::total_recorded() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return next_index_ - 1;
@@ -261,7 +213,7 @@ std::vector<SeriesSample> TimeSeriesRecorder::SamplesSince(
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<SeriesSample> out;
-    for (const SeriesSample& sample : tiers_[0]) {
+    for (const SeriesSample& sample : ring_) {
         if (sample.index > since_index) {
             out.push_back(sample);
         }
@@ -269,79 +221,7 @@ std::vector<SeriesSample> TimeSeriesRecorder::SamplesSince(
     return out;
 }
 
-std::vector<SeriesSample> TimeSeriesRecorder::RetainedLocked() const
-{
-    std::vector<SeriesSample> out;
-    for (const auto& tier : tiers_) {
-        out.insert(out.end(), tier.begin(), tier.end());
-    }
-    std::sort(out.begin(), out.end(),
-              [](const SeriesSample& a, const SeriesSample& b) {
-                  return a.index < b.index;
-              });
-    out.erase(std::unique(out.begin(), out.end(),
-                          [](const SeriesSample& a, const SeriesSample& b) {
-                              return a.index == b.index;
-                          }),
-              out.end());
-    return out;
-}
-
-std::vector<SeriesSample> TimeSeriesRecorder::Retained() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return RetainedLocked();
-}
-
-bool TimeSeriesRecorder::Latest(SeriesSample* out) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (tiers_[0].empty()) {
-        return false;
-    }
-    *out = tiers_[0].back();
-    return true;
-}
-
-double TimeSeriesRecorder::WindowedRate(const std::string& counter,
-                                        double window_seconds) const
-{
-    if (window_seconds <= 0.0) {
-        window_seconds = options_.default_window_seconds;
-    }
-    return WindowedCounterRate(Retained(), counter, window_seconds);
-}
-
-double TimeSeriesRecorder::WindowedRatio(const std::string& numerator,
-                                         const std::string& denominator,
-                                         double window_seconds) const
-{
-    if (window_seconds <= 0.0) {
-        window_seconds = options_.default_window_seconds;
-    }
-    return WindowedCounterRatio(Retained(), numerator, denominator,
-                                window_seconds);
-}
-
-bool TimeSeriesRecorder::WindowedHistogram(const std::string& histogram,
-                                           HistogramSnapshot* delta,
-                                           double window_seconds) const
-{
-    if (window_seconds <= 0.0) {
-        window_seconds = options_.default_window_seconds;
-    }
-    return WindowedHistogramDelta(Retained(), histogram, window_seconds,
-                                  delta);
-}
-
 // --- ClusterSeries ----------------------------------------------------
-
-ClusterSeries::ClusterSeries(Options options) : options_(options)
-{
-    if (options_.max_samples_per_source < 8) {
-        options_.max_samples_per_source = 8;
-    }
-}
 
 size_t ClusterSeries::Update(const std::string& source,
                              const std::vector<SeriesSample>& samples)
@@ -365,7 +245,7 @@ size_t ClusterSeries::Update(const std::string& source,
         series.insert(it, sample);
         ++fresh;
     }
-    if (series.size() > options_.max_samples_per_source) {
+    if (series.size() > kMaxSamplesPerSource) {
         // Thin the older half: drop every second sample, keeping curve
         // shape while bounding retention.
         std::vector<SeriesSample> thinned;
@@ -476,17 +356,6 @@ std::vector<std::pair<double, uint64_t>> ClusterSeries::MergedCounterCurve(
         curve.emplace_back(t, total);
     }
     return curve;
-}
-
-double ClusterSeries::WindowedRate(const std::string& source,
-                                   const std::string& counter,
-                                   double window_seconds) const
-{
-    const std::vector<SeriesSample>* samples = SeriesFor(source);
-    if (samples == nullptr) {
-        return 0.0;
-    }
-    return WindowedCounterRate(*samples, counter, window_seconds);
 }
 
 // --- Serialization ----------------------------------------------------

@@ -4,29 +4,24 @@
 /// \file
 /// Time-series telemetry on top of the metrics registry: the temporal
 /// axis the paper's headline figures live on (Figure 9 plots coverage
-/// *over time*), and the data the rate-based plateau policy and the
-/// live cluster monitor consume.
+/// *over time*), and the data the live cluster monitor and the
+/// --stats-out stream consume.
 ///
 /// A TimeSeriesRecorder samples a MetricsRegistry on a steady-clock
-/// interval into bounded ring tiers:
+/// interval into one bounded ring of the most recent
+/// kSeriesRingCapacity samples. A shard worker drains the ring onto its
+/// gossip stream at the sampling cadence, so the coordinator's
+/// ClusterSeries holds the whole run; the ring only bounds the
+/// recorder's memory. Each sample is one whole MetricsSnapshot, so
+/// serialization, cluster merging, and windowed histogram quantiles all
+/// reuse the metrics machinery instead of inventing per-metric storage.
 ///
-///   tier 0  — every sample, a ring of the most recent `raw_capacity`
-///             snapshots (the "recent window" all rate queries hit);
-///   tier k  — every `coarsen_factor`^k-th sample, rings of
-///             `tier_capacity` snapshots each (the coarsened
-///             long-horizon view that survives tier-0 wraparound).
-///
-/// Each sample is one whole MetricsSnapshot, so serialization, cluster
-/// merging, and windowed histogram quantiles all reuse the PR 6
-/// machinery instead of inventing per-metric storage. Memory is bounded
-/// by (raw_capacity + coarse_tiers * tier_capacity) snapshots
-/// regardless of run length.
-///
-/// Windowed rates are counter deltas between the newest sample and the
-/// newest sample at least `window` seconds older (falling back to the
-/// oldest retained sample for short runs): jobs/s, new-fingerprints/s,
-/// solver-seconds/s, shared-cache hit rate. Windowed latency quantiles
-/// come from bucket-wise histogram deltas between the same two samples.
+/// Windowed rates over a sample vector are counter deltas between the
+/// newest sample and the newest sample at least `window` seconds older
+/// (falling back to the oldest sample for short runs): jobs/s,
+/// new-fingerprints/s, solver-seconds/s, shared-cache hit rate.
+/// Windowed latency quantiles come from bucket-wise histogram deltas
+/// between the same two samples.
 ///
 /// ClusterSeries is the coordinator-side merge: one series per source
 /// shard, updated idempotently from gossip (samples keyed by index),
@@ -39,6 +34,7 @@
 /// per-workload coverage_curves CSV that reproduces Figure 9.
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -114,6 +110,9 @@ bool WindowedHistogramDelta(const std::vector<SeriesSample>& samples,
                             const std::string& histogram,
                             double window_seconds, HistogramSnapshot* delta);
 
+/// Samples a TimeSeriesRecorder retains.
+inline constexpr size_t kSeriesRingCapacity = 256;
+
 /// Bounded-memory interval sampler over one MetricsRegistry. Thread-safe:
 /// the service's sampler thread records while the shard worker's protocol
 /// thread drains SamplesSince for gossip.
@@ -121,19 +120,9 @@ class TimeSeriesRecorder
 {
   public:
     struct Options {
-        /// Sampling cadence for MaybeSample (the service sampler thread
-        /// also sleeps this long between samples).
+        /// Sampling cadence: the service's sampler thread sleeps this
+        /// long between samples.
         double interval_seconds = 0.1;
-        /// Tier-0 ring: every sample, most recent window.
-        size_t raw_capacity = 256;
-        /// Coarse rings above tier 0.
-        size_t coarse_tiers = 2;
-        /// Every coarsen_factor-th sample of tier k promotes to k+1.
-        size_t coarsen_factor = 8;
-        /// Capacity of each coarse tier's ring.
-        size_t tier_capacity = 128;
-        /// Default window for the convenience rate queries below.
-        double default_window_seconds = 2.0;
     };
 
     // Delegation instead of a default argument: a `= Options()` default
@@ -150,46 +139,22 @@ class TimeSeriesRecorder
     /// Unconditionally snapshot \p registry now.
     void SampleNow(const MetricsRegistry& registry);
 
-    /// Snapshot iff at least interval_seconds elapsed since the last
-    /// sample. Returns true when a sample was taken.
-    bool MaybeSample(const MetricsRegistry& registry);
-
     /// Deterministic entry (tests, replay): record a pre-built snapshot
     /// at an explicit time. Times must be non-decreasing.
     void Record(double t_seconds, MetricsSnapshot snapshot);
 
-    /// Index of the newest sample; 0 when none recorded yet.
+    /// Index of the newest sample, which is also the number of samples
+    /// ever recorded; 0 when none recorded yet.
     uint64_t last_index() const;
-    /// Total samples ever recorded (>= retained).
-    uint64_t total_recorded() const;
 
-    /// Tier-0 samples with index > since_index, ascending. The gossip
+    /// Retained samples with index > since_index, ascending. The gossip
     /// shipper's incremental drain: callers remember the last shipped
-    /// index. After tier-0 wraparound older unshipped samples are gone —
+    /// index. After the ring wraps, older unshipped samples are gone —
     /// by design; shippers run at the same cadence as sampling.
     std::vector<SeriesSample> SamplesSince(uint64_t since_index) const;
 
-    /// Every retained sample across all tiers, deduplicated by index,
-    /// ascending. The long-horizon view: recent samples dense, older
-    /// samples coarsened.
-    std::vector<SeriesSample> Retained() const;
-
-    /// Newest sample; false when none.
-    bool Latest(SeriesSample* out) const;
-
-    // Windowed conveniences over Retained().
-    double WindowedRate(const std::string& counter,
-                        double window_seconds = 0.0) const;
-    double WindowedRatio(const std::string& numerator,
-                         const std::string& denominator,
-                         double window_seconds = 0.0) const;
-    bool WindowedHistogram(const std::string& histogram,
-                           HistogramSnapshot* delta,
-                           double window_seconds = 0.0) const;
-
   private:
     void RecordLocked(double t_seconds, MetricsSnapshot snapshot);
-    std::vector<SeriesSample> RetainedLocked() const;
 
     Options options_;
     std::chrono::steady_clock::time_point epoch_;
@@ -197,10 +162,8 @@ class TimeSeriesRecorder
     mutable std::mutex mutex_;
     uint64_t next_index_ = 1;
     double last_sample_t_ = -1.0;
-    /// tiers_[0] is raw; tiers_[k] holds every coarsen_factor^k-th
-    /// sample. arrivals_[k] counts samples ever offered to tier k.
-    std::vector<std::deque<SeriesSample>> tiers_;
-    std::vector<uint64_t> arrivals_;
+    /// The most recent kSeriesRingCapacity samples, oldest first.
+    std::deque<SeriesSample> ring_;
 };
 
 /// The coordinator's merged cluster view: one bounded series per source
@@ -210,14 +173,9 @@ class TimeSeriesRecorder
 class ClusterSeries
 {
   public:
-    struct Options {
-        /// Per-source retention bound; exceeding it thins the older
-        /// half (every second sample dropped), preserving curve shape.
-        size_t max_samples_per_source = 4096;
-    };
-
-    ClusterSeries() : ClusterSeries(Options()) {}
-    explicit ClusterSeries(Options options);
+    /// Per-source retention bound; exceeding it thins the older half
+    /// (every second sample dropped), preserving curve shape.
+    static constexpr size_t kMaxSamplesPerSource = 4096;
 
     /// Merges \p samples into \p source's series, deduplicating by
     /// sample index (re-delivery is a no-op). Returns how many samples
@@ -247,12 +205,7 @@ class ClusterSeries
     std::vector<std::pair<double, uint64_t>> MergedCounterCurve(
         const std::string& counter) const;
 
-    /// Windowed rate over one source's series (0 for unknown sources).
-    double WindowedRate(const std::string& source, const std::string& counter,
-                        double window_seconds) const;
-
   private:
-    Options options_;
     std::map<std::string, std::vector<SeriesSample>> series_;
 };
 

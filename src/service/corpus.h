@@ -80,7 +80,7 @@ class TestCorpus
         /// the workload's next job.
         double decayed_yield = 0.0;
         /// Completed jobs in a row that inserted nothing new (reset by
-        /// any accepted entry). Feeds PlateauPolicy.
+        /// any accepted entry). Feeds the plateau rule.
         uint64_t consecutive_zero_yield = 0;
     };
 

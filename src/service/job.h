@@ -74,52 +74,26 @@ enum class SchedulePolicy {
 
 const char* SchedulePolicyName(SchedulePolicy policy);
 
-/// Early-abort policy for workloads whose corpus yield has flattened.
-/// Off by default: cancelling pending jobs changes batch results, so
-/// callers opt in (unlike the ordering policy, which only permutes
-/// dispatch of jobs that all still run).
-struct PlateauPolicy {
-    bool enabled = false;
-    /// After this many consecutive zero-yield completed jobs, the
-    /// workload's remaining jobs sort behind every non-plateaued job.
-    size_t deprioritize_after = 2;
-    /// After this many, the workload's remaining jobs are cancelled
-    /// outright (status kCancelled, stop_source "plateau"). 0 keeps
-    /// deprioritizing without ever cancelling.
-    size_t cancel_after = 4;
-    /// Opt-in rate-based cancellation: instead of counting consecutive
-    /// zero-yield jobs, cancel a workload when its windowed
-    /// new-fingerprint *rate* — accepted corpus candidates per second,
-    /// merged across local completions and gossiped remote yields —
-    /// stays below min_yield_per_second over a full
-    /// rate_window_seconds. The count-based deprioritize_after rule
-    /// still applies for ordering; cancel_after is ignored in rate
-    /// mode. Thresholds are calibrated from the recorded Figure-9
-    /// coverage curves (see README).
-    bool rate_mode = false;
-    /// Cancel when the windowed yield rate drops below this (accepted
-    /// fingerprints per second).
-    double min_yield_per_second = 0.1;
-    /// The window must span at least this long before the rate rule
-    /// can trigger (protects short-lived workloads from a cold start).
-    double rate_window_seconds = 5.0;
-    /// And at least this many jobs must have completed for the
-    /// workload (locally or remotely) before cancelling on rate.
-    size_t rate_min_jobs = 2;
-};
+/// The plateau rule, when a batch enables it: a workload whose last
+/// kPlateauDeprioritizeAfter completed jobs all found nothing globally
+/// new sorts behind every workload still yielding, and once the streak
+/// reaches kPlateauCancelAfter its remaining jobs are cancelled before
+/// dispatch (status kCancelled, stop_source "plateau"). Off by default:
+/// cancelling pending jobs changes batch results, whereas the ordering
+/// policy only permutes the dispatch of jobs that all still run.
+inline constexpr size_t kPlateauDeprioritizeAfter = 1;
+inline constexpr size_t kPlateauCancelAfter = 2;
 
 struct JobResult;
 
-/// One streamed batch notification, delivered while RunBatch is still
-/// blocked: to Options::on_job_event (on the dispatcher thread) and/or
-/// a caller-polled JobEventQueue. Every job produces exactly one
-/// kJobCompleted event — including jobs cancelled before dispatch.
+/// One streamed batch notification, delivered to Options::on_job_event
+/// on the dispatcher thread while RunBatch is still blocked. Every job
+/// produces exactly one kJobCompleted event — including jobs cancelled
+/// before dispatch.
 struct JobEvent {
     enum class Kind {
         kJobStarted,    ///< A worker began running the job.
         kJobCompleted,  ///< The job reached a terminal status.
-        kBatchProgress, ///< Snapshot emitted after each completion.
-        kMetrics,       ///< Periodic metrics snapshot (metrics_json).
     };
     Kind kind = Kind::kJobStarted;
     size_t job_index = 0;
@@ -136,18 +110,11 @@ struct JobEvent {
     /// already visible in the shared corpus (RunJob inserts before the
     /// completion event fires).
     std::shared_ptr<const JobResult> result;
-    /// Batch snapshot at emit time (every kind).
+    /// Batch snapshot at emit time (both kinds).
     size_t jobs_finished = 0;
     size_t jobs_total = 0;
     size_t corpus_size = 0;
     double elapsed_seconds = 0.0;
-    /// kMetrics only: a rendered obs::MetricsSnapshot (the
-    /// WriteMetricsSnapshot schema). Kept as JSON text so the event type
-    /// stays cheap to copy for the common kinds. Emitted after a job
-    /// completion once Options::metrics_interval_seconds has elapsed
-    /// since the previous snapshot — piggybacked, no extra ticker thread,
-    /// so granularity is bounded by job duration.
-    std::string metrics_json;
 };
 
 const char* JobEventKindName(JobEvent::Kind kind);
@@ -165,8 +132,8 @@ struct JobResult {
     /// "service_stop" (RequestStop), "service_budget" (the service-wide
     /// wall clock), "job_hook" (the spec's own stop_requested hook —
     /// reported kCompleted, since the job's declared budget is not a
-    /// service cancellation), or "plateau" (PlateauPolicy cancelled the
-    /// job before dispatch).
+    /// service cancellation), or "plateau" (the plateau rule cancelled
+    /// the job before dispatch).
     std::string stop_source = "none";
     /// The seed the session actually ran with (derived, deterministic in
     /// (service_seed, job_index, spec seed) and independent of worker
@@ -194,8 +161,8 @@ struct ServiceStats {
     size_t jobs_completed = 0;
     size_t jobs_cancelled = 0;
     size_t jobs_failed = 0;
-    /// Jobs cancelled before dispatch because their workload crossed
-    /// PlateauPolicy::cancel_after (subset of jobs_cancelled).
+    /// Jobs cancelled before dispatch because their workload reached
+    /// kPlateauCancelAfter (subset of jobs_cancelled).
     size_t jobs_plateau_cancelled = 0;
     uint64_t ll_paths = 0;
     uint64_t hl_paths = 0;
@@ -242,8 +209,8 @@ struct ServiceStats {
     size_t wide_sessions_granted = 0;
     /// Dispatch order of the last batch.
     SchedulePolicy schedule_policy = SchedulePolicy::kYieldPriority;
-    /// Streamed events handed to Options::on_job_event / the event
-    /// queue, accumulated across batches (0 when streaming is off).
+    /// Streamed events handed to Options::on_job_event, accumulated
+    /// across batches (0 when streaming is off).
     uint64_t events_delivered = 0;
 };
 

@@ -147,34 +147,29 @@ RenderJsonReport(const ServiceStats& stats,
     json.Key("report"), json.Value("chef-exploration-service");
     json.Key("stats");
     WriteServiceStats(json, stats);
-    if (options.include_jobs) {
-        json.Key("jobs");
-        json.BeginArray();
-        for (const JobResult& result : results) {
-            WriteJobResult(json, result);
-        }
-        json.EndArray();
+    json.Key("jobs");
+    json.BeginArray();
+    for (const JobResult& result : results) {
+        WriteJobResult(json, result);
     }
-    if (options.include_corpus) {
-        const size_t total_entries = corpus.size();
-        json.Key("corpus_size"), json.Value(total_entries);
-        const std::vector<TestCorpus::Entry> entries =
-            corpus.Snapshot(options.max_corpus_entries);
-        // Entries dropped by max_corpus_entries: without this count a
-        // capped snapshot is indistinguishable from a small corpus.
-        // Consumers check corpus_truncated == 0 before treating the
-        // array as complete.
-        json.Key("corpus_truncated"),
-            json.Value(total_entries > entries.size()
-                           ? total_entries - entries.size()
-                           : 0);
-        json.Key("corpus");
-        json.BeginArray();
-        for (const TestCorpus::Entry& entry : entries) {
-            WriteCorpusEntry(json, entry, options.include_inputs);
-        }
-        json.EndArray();
+    json.EndArray();
+    const size_t total_entries = corpus.size();
+    json.Key("corpus_size"), json.Value(total_entries);
+    const std::vector<TestCorpus::Entry> entries =
+        corpus.Snapshot(options.max_corpus_entries);
+    // Entries dropped by max_corpus_entries: without this count a capped
+    // snapshot is indistinguishable from a small corpus. Consumers check
+    // corpus_truncated == 0 before treating the array as complete.
+    json.Key("corpus_truncated"),
+        json.Value(total_entries > entries.size()
+                       ? total_entries - entries.size()
+                       : 0);
+    json.Key("corpus");
+    json.BeginArray();
+    for (const TestCorpus::Entry& entry : entries) {
+        WriteCorpusEntry(json, entry, options.include_inputs);
     }
+    json.EndArray();
     json.EndObject();
     return json.Take();
 }

@@ -20,8 +20,6 @@ namespace chef::service {
 
 /// Controls how much of the batch goes into the report.
 struct ReportOptions {
-    bool include_jobs = true;
-    bool include_corpus = true;
     /// Cap on emitted corpus entries (0 = unlimited). The report records
     /// the full corpus size either way, and the `corpus_truncated` field
     /// counts the entries the cap dropped (0 when the array is the whole

@@ -23,55 +23,15 @@ JobEventKindName(JobEvent::Kind kind)
     switch (kind) {
       case JobEvent::Kind::kJobStarted: return "job_started";
       case JobEvent::Kind::kJobCompleted: return "job_completed";
-      case JobEvent::Kind::kBatchProgress: return "batch_progress";
-      case JobEvent::Kind::kMetrics: return "metrics";
     }
     return "?";
-}
-
-void
-JobEventQueue::Push(JobEvent event)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    events_.push_back(std::move(event));
-}
-
-bool
-JobEventQueue::Poll(JobEvent* event)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (events_.empty()) {
-        return false;
-    }
-    *event = std::move(events_.front());
-    events_.pop_front();
-    return true;
-}
-
-std::vector<JobEvent>
-JobEventQueue::Drain()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<JobEvent> drained(
-        std::make_move_iterator(events_.begin()),
-        std::make_move_iterator(events_.end()));
-    events_.clear();
-    return drained;
-}
-
-size_t
-JobEventQueue::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return events_.size();
 }
 
 BatchScheduler::BatchScheduler(std::vector<std::string> workloads,
                                TestCorpus* corpus, Options options)
     : options_(options),
       workloads_(std::move(workloads)),
-      corpus_(corpus),
-      epoch_(std::chrono::steady_clock::now())
+      corpus_(corpus)
 {
     pending_.reserve(workloads_.size());
     // Next-to-dispatch lives at the back, so seed in reverse submission
@@ -114,10 +74,9 @@ BatchScheduler::Resort()
             // Drains last: real work first, the (instant) cancellation
             // placeholders when workers have nothing better to do.
             rank.tier = 3;
-        } else if (options_.plateau.enabled &&
-                   yield.jobs_recorded > 0 &&
+        } else if (options_.plateau && yield.jobs_recorded > 0 &&
                    yield.consecutive_zero_yield >=
-                       options_.plateau.deprioritize_after) {
+                       kPlateauDeprioritizeAfter) {
             rank.tier = 2;
         } else if (yield.jobs_recorded == 0) {
             // Unknown yield: optimism under uncertainty. Trying every
@@ -165,71 +124,19 @@ BatchScheduler::OnJobCompleted(const std::string& workload, size_t offered,
     const TestCorpus::WorkloadYield yield = corpus_->YieldFor(workload);
     std::lock_guard<std::mutex> lock(mutex_);
     dirty_ = true;
-    if (!options_.plateau.enabled) {
-        return;
-    }
-    if (options_.plateau.rate_mode) {
-        // Rate mode replaces the consecutive-zero-yield cancel rule
-        // (deprioritization in Resort stays count-based either way).
-        UpdateRateLocked(workload, yield);
-    } else if (options_.plateau.cancel_after > 0 &&
-               yield.consecutive_zero_yield >=
-                   options_.plateau.cancel_after) {
-        if (cancelled_workloads_.insert(workload).second) {
-            MarkPlateauCancelled(workload);
-        }
-    }
-}
-
-double
-BatchScheduler::NowSeconds() const
-{
-    if (options_.now_seconds) {
-        return options_.now_seconds();
-    }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         epoch_)
-        .count();
-}
-
-void
-BatchScheduler::UpdateRateLocked(const std::string& workload,
-                                 const TestCorpus::WorkloadYield& yield)
-{
-    if (cancelled_workloads_.count(workload) != 0) {
-        return;
-    }
-    const double now = NowSeconds();
-    std::deque<RateObservation>& window = rate_windows_[workload];
-    window.push_back(RateObservation{now, yield.accepted_total});
-    // Keep the front as the *newest* observation at least a full
-    // window old, so the measured span is as close to the window as
-    // the data allows (never shorter).
-    while (window.size() >= 2 &&
-           now - window[1].t >= options_.plateau.rate_window_seconds) {
-        window.pop_front();
-    }
-    const RateObservation& baseline = window.front();
-    const double dt = now - baseline.t;
-    if (dt < options_.plateau.rate_window_seconds ||
-        yield.jobs_recorded < options_.plateau.rate_min_jobs) {
-        return;  // Not enough history to judge the rate yet.
-    }
-    const uint64_t gained =
-        yield.accepted_total > baseline.accepted_total
-            ? yield.accepted_total - baseline.accepted_total
-            : 0;
-    if (static_cast<double>(gained) / dt <
-        options_.plateau.min_yield_per_second) {
-        if (cancelled_workloads_.insert(workload).second) {
-            MarkPlateauCancelled(workload);
-        }
+    if (options_.plateau) {
+        CheckPlateauLocked(workload, yield);
     }
 }
 
 void
-BatchScheduler::MarkPlateauCancelled(const std::string& workload)
+BatchScheduler::CheckPlateauLocked(const std::string& workload,
+                                   const TestCorpus::WorkloadYield& yield)
 {
+    if (yield.consecutive_zero_yield < kPlateauCancelAfter ||
+        !cancelled_workloads_.insert(workload).second) {
+        return;
+    }
     if (options_.obs.metrics != nullptr) {
         options_.obs.metrics->counter("scheduler.plateau_cancels")->Add();
     }
@@ -244,10 +151,7 @@ BatchScheduler::NotifyYieldsChanged()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     dirty_ = true;
-    if (!options_.plateau.enabled) {
-        return;
-    }
-    if (!options_.plateau.rate_mode && options_.plateau.cancel_after == 0) {
+    if (!options_.plateau) {
         return;
     }
     // Remote yield can push a pending workload past its plateau
@@ -260,16 +164,7 @@ BatchScheduler::NotifyYieldsChanged()
             !seen.insert(workload).second) {
             continue;
         }
-        const TestCorpus::WorkloadYield yield =
-            corpus_->YieldFor(workload);
-        if (options_.plateau.rate_mode) {
-            UpdateRateLocked(workload, yield);
-        } else if (yield.consecutive_zero_yield >=
-                   options_.plateau.cancel_after) {
-            if (cancelled_workloads_.insert(workload).second) {
-                MarkPlateauCancelled(workload);
-            }
-        }
+        CheckPlateauLocked(workload, corpus_->YieldFor(workload));
     }
 }
 

@@ -2,33 +2,23 @@
 #define CHEF_SERVICE_SCHEDULER_H_
 
 /// \file
-/// Yield-weighted batch scheduling and the streaming event queue.
+/// Yield-weighted batch scheduling.
 ///
 /// BatchScheduler replaces RunBatch's FIFO index-race: workers pull from
 /// a mutex-guarded priority queue whose order derives from the corpus's
 /// per-workload yield tracking (TestCorpus::WorkloadYield) — exploration
 /// time goes where high-level coverage is still climbing, the paper's
 /// CUPA argument lifted to the batch level. The queue re-sorts lazily as
-/// completed jobs land new yield data, and a PlateauPolicy first
-/// deprioritizes, then cancels, workloads whose yield has flattened.
-/// Ordering never changes *per-job* results for bounded jobs (each
-/// session is seeded independently), so the service's worker-count
-/// determinism contract is unaffected; only plateau cancellation (opt-in)
-/// changes what runs.
-///
-/// JobEventQueue is the pollable half of the streaming surface: workers
-/// produce JobEvents as jobs start and finish, a dispatcher thread
-/// delivers them (see ExplorationService::Options::on_job_event), and
-/// callers on any thread can poll or drain the queue while RunBatch is
-/// still blocked.
+/// completed jobs land new yield data, and the opt-in plateau rule
+/// (service/job.h) first deprioritizes, then cancels, workloads whose
+/// yield has flattened. Ordering never changes *per-job* results for
+/// bounded jobs (each session is seeded independently), so the service's
+/// worker-count determinism contract is unaffected; only plateau
+/// cancellation changes what runs.
 
-#include <chrono>
 #include <cstddef>
-#include <deque>
-#include <functional>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -38,27 +28,6 @@
 
 namespace chef::service {
 
-/// Thread-safe queue of streamed batch events. The service pushes;
-/// callers poll from any thread (a dashboard ticker, a watchdog deciding
-/// to RequestStop). Unbounded: a batch emits at most ~3 events per job.
-class JobEventQueue
-{
-  public:
-    void Push(JobEvent event);
-
-    /// Pops the oldest event into \p event; false when empty.
-    bool Poll(JobEvent* event);
-
-    /// Pops everything at once (cheaper than a Poll loop under load).
-    std::vector<JobEvent> Drain();
-
-    size_t size() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::deque<JobEvent> events_;
-};
-
 /// Hands pending jobs of one batch to free workers, highest expected
 /// yield first. All jobs are known at construction; Acquire never
 /// blocks — an empty queue means the batch has drained.
@@ -67,22 +36,19 @@ class BatchScheduler
   public:
     struct Options {
         SchedulePolicy policy = SchedulePolicy::kYieldPriority;
-        PlateauPolicy plateau;
+        /// Apply the plateau rule (kPlateauDeprioritizeAfter,
+        /// kPlateauCancelAfter).
+        bool plateau = false;
         /// Telemetry (obs/obs.h): sched/resort spans, instant markers on
         /// plateau cancellations, scheduler.* counters.
         obs::ObsContext obs;
-        /// Clock for the rate-based plateau mode, in monotone seconds.
-        /// Defaults to the steady clock (seconds since scheduler
-        /// construction); tests inject a fake to drive the rate window
-        /// deterministically.
-        std::function<double()> now_seconds;
     };
 
     struct Dispatch {
         size_t job_index = 0;
         /// The job was popped only to be reported cancelled: its
-        /// workload crossed PlateauPolicy::cancel_after before the job
-        /// was dispatched. The caller records a cancelled result instead
+        /// workload reached kPlateauCancelAfter before the job was
+        /// dispatched. The caller records a cancelled result instead
         /// of running it.
         bool plateau_cancelled = false;
     };
@@ -118,45 +84,25 @@ class BatchScheduler
     /// Re-sorts pending_ so the back holds the next job to dispatch.
     void Resort();
 
-    /// Telemetry for a workload newly crossing cancel_after (counter +
-    /// instant trace marker). Called with mutex_ held.
-    void MarkPlateauCancelled(const std::string& workload);
-
-    double NowSeconds() const;
-
-    /// Rate-mode plateau check: records (now, merged accepted_total)
-    /// for \p workload, then cancels it once the windowed
-    /// new-fingerprint rate stays below PlateauPolicy::
-    /// min_yield_per_second across a full rate_window_seconds (and
-    /// rate_min_jobs completions). \p yield is the *merged* view from
-    /// TestCorpus::YieldFor, so gossiped remote completions move the
-    /// rate too. Called with mutex_ held.
-    void UpdateRateLocked(const std::string& workload,
-                          const TestCorpus::WorkloadYield& yield);
+    /// Cancels \p workload's pending jobs once its zero-yield streak
+    /// reaches kPlateauCancelAfter, with telemetry for a newly cancelled
+    /// workload (counter + instant trace marker). Called with mutex_
+    /// held and the plateau rule on.
+    void CheckPlateauLocked(const std::string& workload,
+                            const TestCorpus::WorkloadYield& yield);
 
     Options options_;
     std::vector<std::string> workloads_;
     TestCorpus* corpus_;
-    /// Steady-clock epoch for the default now_seconds.
-    std::chrono::steady_clock::time_point epoch_;
 
     mutable std::mutex mutex_;
     /// Pending job indices, next-to-dispatch at the back.
     std::vector<size_t> pending_;
     /// Yield data landed since the last sort.
     bool dirty_ = false;
-    /// Workloads past PlateauPolicy::cancel_after; their pending jobs
-    /// pop as plateau_cancelled.
+    /// Workloads past kPlateauCancelAfter; their pending jobs pop as
+    /// plateau_cancelled.
     std::unordered_set<std::string> cancelled_workloads_;
-    /// Rate mode: per-workload (t, merged accepted_total) observations,
-    /// pruned so the front is the newest observation at least
-    /// rate_window_seconds old.
-    struct RateObservation {
-        double t = 0.0;
-        uint64_t accepted_total = 0;
-    };
-    std::unordered_map<std::string, std::deque<RateObservation>>
-        rate_windows_;
 };
 
 }  // namespace chef::service

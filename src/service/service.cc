@@ -13,7 +13,6 @@
 #include "obs/attribution.h"
 #include "obs/obs.h"
 #include "obs/timeseries.h"
-#include "support/json.h"
 #include "support/strings.h"
 #include "workloads/registry.h"
 
@@ -330,9 +329,7 @@ ExplorationService::RunJob(const JobSpec& spec, size_t job_index,
             entry.outcome_detail = test.outcome_detail;
             entry.hl_length = test.hl_length;
             entry.ll_steps = test.ll_steps;
-            if (options_.record_corpus_inputs) {
-                entry.inputs = test.inputs.entries();
-            }
+            entry.inputs = test.inputs.entries();
             if (corpus_.Insert(std::move(entry))) {
                 ++result.corpus_inserted;
             }
@@ -383,7 +380,7 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
     // batch; left set it would silently cancel every job here (the
     // serial-reuse footgun). Stops raised after this line — i.e. during
     // the batch — behave as documented.
-    ClearStop();
+    stop_.store(false, std::memory_order_relaxed);
     obs::MetricsRegistry* metrics = options_.obs.metrics;
     metrics->counter("service.jobs_submitted")->Add(jobs.size());
 
@@ -391,8 +388,7 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
     // overlap heavily, across batches the workload may change entirely.
     shared_cache_.reset();
     if (options_.share_solver_cache) {
-        shared_cache_ = std::make_unique<cache::SharedSolverCache>(
-            options_.solver_cache_options);
+        shared_cache_ = std::make_unique<cache::SharedSolverCache>();
     }
 
     std::vector<JobResult> results(jobs.size());
@@ -407,8 +403,7 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
         std::deque<JobEvent> queue;
         bool done = false;
     };
-    const bool streaming = static_cast<bool>(options_.on_job_event) ||
-                           options_.event_queue != nullptr;
+    const bool streaming = static_cast<bool>(options_.on_job_event);
     EventPump pump;
     std::thread dispatcher;
     if (streaming) {
@@ -429,26 +424,15 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
                     pump.queue.pop_front();
                 }
                 delivered->Add();
-                if (options_.on_job_event) {
-                    options_.on_job_event(event);
-                }
-                if (options_.event_queue != nullptr) {
-                    options_.event_queue->Push(std::move(event));
-                }
+                options_.on_job_event(event);
             }
         });
     }
     std::atomic<size_t> jobs_finished{0};
     // Serializes the finished-counter increment with the enqueue of the
-    // events that snapshot it, so streamed kBatchProgress events are
+    // event that snapshots it, so streamed kJobCompleted events are
     // monotone in jobs_finished even when workers complete back-to-back.
     std::mutex completion_order_mutex;
-    // Periodic kMetrics emission is piggybacked on job completions: the
-    // completing worker that first observes the interval elapsed wins the
-    // CAS and renders one snapshot. No ticker thread, so cadence is
-    // bounded below by job duration.
-    std::atomic<double> last_metrics_emit{0.0};
-    const bool metrics_events = options_.metrics_interval_seconds > 0.0;
     auto emit = [&](JobEvent event) {
         if (!streaming) {
             return;
@@ -465,7 +449,7 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
 
     BatchScheduler::Options scheduler_options;
     scheduler_options.policy = options_.schedule_policy;
-    scheduler_options.plateau = options_.plateau_policy;
+    scheduler_options.plateau = options_.plateau;
     scheduler_options.obs = options_.obs;
     std::vector<std::string> job_workloads;
     job_workloads.reserve(jobs.size());
@@ -574,7 +558,7 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
                         results[index].corpus_inserted);
                 }
             }
-            std::unique_lock<std::mutex> completion_order(
+            std::lock_guard<std::mutex> completion_order(
                 completion_order_mutex);
             const size_t finished =
                 jobs_finished.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -612,30 +596,6 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
                 completed.result = std::make_shared<JobResult>(result);
             }
             emit(std::move(completed));
-            JobEvent progress;
-            progress.kind = JobEvent::Kind::kBatchProgress;
-            progress.job_index = index;
-            progress.workload = result.workload;
-            progress.jobs_finished = finished;
-            emit(std::move(progress));
-            completion_order.unlock();
-            if (streaming && metrics_events) {
-                const double now = SecondsSince(batch_start);
-                double last =
-                    last_metrics_emit.load(std::memory_order_relaxed);
-                if (now - last >= options_.metrics_interval_seconds &&
-                    last_metrics_emit.compare_exchange_strong(last, now)) {
-                    support::JsonWriter json;
-                    obs::WriteMetricsSnapshot(json, metrics->Snapshot());
-                    JobEvent snapshot;
-                    snapshot.kind = JobEvent::Kind::kMetrics;
-                    snapshot.job_index = index;
-                    snapshot.workload = result.workload;
-                    snapshot.jobs_finished = finished;
-                    snapshot.metrics_json = json.Take();
-                    emit(std::move(snapshot));
-                }
-            }
         }
     };
 

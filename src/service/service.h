@@ -27,10 +27,9 @@
 /// Dispatch order comes from a BatchScheduler (service/scheduler.h):
 /// yield-weighted priorities by default, plain FIFO via
 /// Options::schedule_policy, optional plateau early-abort via
-/// Options::plateau_policy. Long batches can stream progress while
-/// RunBatch blocks: Options::on_job_event is invoked — off the worker
-/// threads, on one dispatcher thread — as jobs start and finish, and/or
-/// events land in a caller-polled JobEventQueue.
+/// Options::plateau. Long batches can stream progress while RunBatch
+/// blocks: Options::on_job_event is invoked — off the worker threads, on
+/// one dispatcher thread — as each job starts and finishes.
 
 #include <atomic>
 #include <cstdint>
@@ -50,8 +49,8 @@ class ExplorationService
 {
   public:
     struct Options {
-        /// Worker threads in the pool (clamped to >= 1). Jobs are
-        /// dispatched from a shared queue in submission order.
+        /// Worker threads in the pool (clamped to >= 1). Workers pull
+        /// jobs from the batch scheduler in schedule_policy order.
         size_t num_workers = 1;
         /// Service seed; combined with each job's index and spec seed to
         /// derive the per-job engine seed.
@@ -75,50 +74,38 @@ class ExplorationService
         /// as every other worker keeps at least one core (a "wide
         /// session" — counted in ServiceStats::wide_sessions_granted).
         size_t core_budget = 0;
-        /// Store concrete inputs in corpus entries (disable to shrink
-        /// memory for very large corpora).
-        bool record_corpus_inputs = true;
         /// Share one solver cache (query results + counterexamples)
         /// across every job in a batch. Off by default because a shared
         /// hit may hand a session a different satisfying model than a
         /// fresh SAT call would, which makes per-job exploration depend
         /// on sibling jobs (sat/unsat outcomes stay invariant; see
         /// cache/shared_cache.h). A fresh cache is created per RunBatch
-        /// call and its stats land in ServiceStats / the JSON report.
+        /// call (SharedSolverCache defaults) and its stats land in
+        /// ServiceStats / the JSON report.
         bool share_solver_cache = false;
-        /// Configuration for the per-batch shared cache (shards, byte
-        /// budget, counterexample bound).
-        cache::SharedSolverCache::Options solver_cache_options = {};
         /// Dispatch order for pending jobs. Yield-weighted by default;
         /// ordering does not change per-job results for bounded jobs
         /// (sessions are seeded independently), so the worker-count
         /// determinism contract holds under either policy.
         SchedulePolicy schedule_policy = SchedulePolicy::kYieldPriority;
-        /// Early-abort for flat-yield workloads (off by default — when
-        /// enabled, pending jobs can be cancelled, which *does* change
-        /// batch results).
-        PlateauPolicy plateau_policy = {};
+        /// Early-abort for flat-yield workloads: the plateau rule of
+        /// service/job.h (kPlateauDeprioritizeAfter, kPlateauCancelAfter).
+        /// Off by default — when on, pending jobs can be cancelled, which
+        /// *does* change batch results.
+        bool plateau = false;
         /// Streaming callback, invoked for every JobEvent on a dedicated
         /// dispatcher thread (never a worker thread, so a slow consumer
         /// does not stall exploration; events queue up instead). Events
-        /// for one batch arrive in emit order; each job produces exactly
-        /// one kJobCompleted event.
+        /// for one batch arrive in emit order: a kJobStarted event for
+        /// every job a worker runs, and exactly one kJobCompleted event
+        /// for every job.
         std::function<void(const JobEvent&)> on_job_event;
-        /// Caller-owned pollable queue receiving the same events (either
-        /// or both sinks may be set). Must outlive RunBatch.
-        JobEventQueue* event_queue = nullptr;
         /// Telemetry (obs/obs.h). Each facility is propagated into every
         /// job's engine (and through it the solver) unless the spec wired
         /// its own. The service itself emits service/job spans and
-        /// service.* counters, and — when metrics_interval_seconds is set
-        /// and events are streaming — periodic kMetrics JobEvents
-        /// carrying a rendered registry snapshot. Without a registry the
-        /// service owns one: stats() is read from it (StatsFromMetrics).
+        /// service.* counters. Without a registry the service owns one:
+        /// stats() is read from it (StatsFromMetrics).
         obs::ObsContext obs;
-        /// Cadence for streamed kMetrics events, in seconds. 0 disables
-        /// them. Snapshots are taken on the worker that completes a job
-        /// once the interval has elapsed (no dedicated ticker thread).
-        double metrics_interval_seconds = 0.0;
         /// Per-location attribution profiling (obs/attribution.h): each
         /// job gets a profiler bound to its workload, the engine and
         /// solver charge work to high-level locations through it, and
@@ -145,11 +132,6 @@ class ExplorationService
     /// flag only affects the batch in flight: RunBatch clears any stop
     /// raised before it started.
     void RequestStop() { stop_.store(true, std::memory_order_relaxed); }
-
-    /// Re-arms a service that was stopped. Retained for callers that want
-    /// to clear a stop between RequestStop() and the next batch
-    /// explicitly; RunBatch does this itself at entry.
-    void ClearStop() { stop_.store(false, std::memory_order_relaxed); }
 
     bool stop_requested() const
     {

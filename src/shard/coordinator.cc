@@ -49,6 +49,13 @@ constexpr char kGossipMessagesCounter[] = "shard.gossip_messages";
 constexpr char kFingerprintsGossipedCounter[] = "shard.fingerprints_gossiped";
 constexpr char kMergeDuplicatesCounter[] = "shard.merge_duplicates";
 
+/// Idle sleep after a multiplex sweep in which no shard had a message
+/// (each sweep polls every transport without blocking).
+constexpr int kIdleSleepMs = 10;
+/// Seconds to wait for a worker's hello (subprocess spawn + exec can be
+/// slow under load).
+constexpr double kHelloTimeoutSeconds = 30.0;
+
 /// One shard's (or the cluster's) stats: the counts from its telemetry,
 /// the configuration every shard ran with.
 service::ServiceStats
@@ -160,6 +167,13 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         /// a requeue round's telemetry stacks on top of these.
         obs::MetricsSnapshot reported_metrics;
         obs::AttributionSnapshot reported_attribution;
+        /// Where the current run's time-series samples continue this
+        /// shard's series. Each run's recorder restarts its index at 1,
+        /// its clock at 0 and its counters at zero, so a later run's
+        /// samples are offset past the shard's last sample and stacked
+        /// on its counters and histograms (gauges are levels and stay
+        /// the run's own).
+        obs::SeriesSample series_base;
     };
     std::vector<Runtime> runtime(num_shards);
 
@@ -167,7 +181,7 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
     // spawn concurrently and their waits overlap, so per-shard serial
     // deadlines would let total patience grow with shard count.
     const auto hello_deadline =
-        start + DurationFrom(options_.hello_timeout_seconds);
+        start + DurationFrom(kHelloTimeoutSeconds);
     for (size_t shard = 0; shard < num_shards; ++shard) {
         shards_[shard].shard_id = shard;
         runtime[shard].transport = transports[shard];
@@ -213,6 +227,16 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
 
     const auto send_run = [&](size_t shard, std::vector<WireJob> batch) {
         Runtime& rt = runtime[shard];
+        const std::vector<obs::SeriesSample>* series =
+            cluster_series_.SeriesFor(rt.retained.source);
+        if (series != nullptr && !series->empty()) {
+            rt.series_base = series->back();
+            rt.series_base.metrics.gauges.clear();
+            // The new run's clock starts about now; the first run's
+            // started about when Run did.
+            rt.series_base.t_seconds =
+                std::max(rt.series_base.t_seconds, SecondsSince(start));
+        }
         RunRequest request;
         request.shard_id = shard;
         request.num_shards = num_shards;
@@ -288,14 +312,29 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
     // One path for the telemetry of gossip and result frames alike: the
     // bundle's metrics and attribution are cumulative over the shard's
     // current run, so the latest replaces the previous one, on top of
-    // the runs the shard already reported; the cluster series
-    // deduplicates samples by index.
+    // the runs the shard already reported. Series samples continue the
+    // shard's series from series_base; the cluster series deduplicates
+    // them by index.
     const auto absorb_telemetry = [&](size_t shard, Telemetry&& telemetry) {
         ShardOutcome& outcome = shards_[shard];
         const Runtime& rt = runtime[shard];
+        for (obs::SeriesSample& sample : telemetry.series) {
+            sample.index += rt.series_base.index;
+            sample.t_seconds += rt.series_base.t_seconds;
+            if (rt.series_base.index == 0) {
+                continue;  // The shard's first run: nothing to stack on.
+            }
+            obs::MetricsSnapshot stacked = rt.series_base.metrics;
+            std::vector<std::pair<std::string, int64_t>> gauges =
+                std::move(sample.metrics.gauges);
+            sample.metrics.gauges.clear();
+            stacked.MergeFrom(sample.metrics);
+            stacked.gauges = std::move(gauges);
+            sample.metrics = std::move(stacked);
+        }
         if (!telemetry.series.empty() &&
-            cluster_series_.Update("shard" + std::to_string(shard),
-                                   telemetry.series) > 0 &&
+            cluster_series_.Update(rt.retained.source, telemetry.series) >
+                0 &&
             options_.on_series_update) {
             options_.on_series_update(shard);
         }
@@ -406,7 +445,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
     // The unified multiplex loop: respawn due shards, drain every live
     // transport without blocking, enforce deadlines, dispatch work to
     // idle shards. One idle sleep per quiet sweep bounds the spin.
-    const int idle_sleep_ms = std::max(1, options_.poll_timeout_ms);
     for (;;) {
         const auto now = Clock::now();
         bool progressed = false;
@@ -430,7 +468,7 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
             rt.state = State::kAwaitingHello;
             rt.last_heard = Clock::now();
             rt.hello_deadline =
-                Clock::now() + DurationFrom(options_.hello_timeout_seconds);
+                Clock::now() + DurationFrom(kHelloTimeoutSeconds);
             // Alive again; death_cause stays as the latest obituary.
             shards_[shard].dead = false;
             tracer.RecordInstant("shard_respawn", "fault",
@@ -581,7 +619,7 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         }
         if (!progressed) {
             std::this_thread::sleep_for(
-                std::chrono::milliseconds(idle_sleep_ms));
+                std::chrono::milliseconds(kIdleSleepMs));
         }
     }
 

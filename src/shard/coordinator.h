@@ -78,12 +78,6 @@ class ShardCoordinator
         /// dedup at the final merge — the ablation baseline the bench
         /// measures against.
         bool gossip = true;
-        /// Idle sleep after a multiplex sweep in which no shard had a
-        /// message (each sweep polls every transport without blocking).
-        int poll_timeout_ms = 10;
-        /// Seconds to wait for every worker's hello (subprocess spawn +
-        /// exec can be slow under load).
-        double hello_timeout_seconds = 30.0;
         /// Invoked (on the coordinator's Run thread) after fresh
         /// time-series samples from \p shard_id merged into
         /// cluster_series() — the live monitor / NDJSON streaming hook.

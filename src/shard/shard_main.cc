@@ -16,7 +16,9 @@
 /// Batch options (coordinator): repeat --job WORKLOAD[xCOUNT] to build
 /// the batch (default: a small mixed py/lua batch), --max-runs,
 /// --seed, --shard-workers (worker threads per shard), --budget
-/// (service seconds per shard), --plateau, --no-gossip, --report PATH.
+/// (service seconds per shard), --plateau (deprioritize a workload after
+/// 1 zero-yield job, cancel its remaining jobs after 2), --no-gossip,
+/// --report PATH.
 ///
 /// Telemetry options: --trace-out PATH turns on phase tracing in every
 /// worker and writes the merged Chrome trace-event JSON (load in
@@ -391,11 +393,7 @@ CoordinatorOptions(const CliOptions& options)
     coordinator.service.num_workers = options.shard_workers;
     coordinator.service.engine_threads = options.engine_threads;
     coordinator.service.max_total_seconds = options.budget_seconds;
-    if (options.plateau) {
-        coordinator.service.plateau_policy.enabled = true;
-        coordinator.service.plateau_policy.deprioritize_after = 1;
-        coordinator.service.plateau_policy.cancel_after = 2;
-    }
+    coordinator.service.plateau = options.plateau;
     coordinator.gossip = options.gossip;
     coordinator.service.tracing = !options.trace_path.empty();
     coordinator.service.metrics_interval_seconds =

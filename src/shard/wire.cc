@@ -14,7 +14,6 @@ namespace {
 using service::JobResult;
 using service::JobSpec;
 using service::JobStatus;
-using service::PlateauPolicy;
 using service::SchedulePolicy;
 using service::TestCorpus;
 using support::JsonValue;
@@ -545,34 +544,14 @@ ServiceConfig::ToServiceOptions() const
     options.seed = seed;
     options.num_workers = num_workers;
     options.max_total_seconds = max_total_seconds;
-    options.record_corpus_inputs = record_corpus_inputs;
     options.share_solver_cache = share_solver_cache;
     options.schedule_policy = schedule_policy;
-    options.plateau_policy = plateau_policy;
-    options.metrics_interval_seconds = metrics_interval_seconds;
+    options.plateau = plateau;
     options.engine_threads = engine_threads;
     // Options::obs is deliberately left null: telemetry scopes never
     // cross the wire. The worker builds its own registry/tracer per run
     // (see ShardWorker::HandleRun) and wires them in there.
     return options;
-}
-
-ServiceConfig
-ServiceConfig::FromServiceOptions(
-    const service::ExplorationService::Options& options)
-{
-    ServiceConfig config;
-    config.seed = options.seed;
-    config.num_workers = options.num_workers;
-    config.max_total_seconds = options.max_total_seconds;
-    config.record_corpus_inputs = options.record_corpus_inputs;
-    config.share_solver_cache = options.share_solver_cache;
-    config.schedule_policy = options.schedule_policy;
-    config.plateau_policy = options.plateau_policy;
-    config.tracing = options.obs.tracing_enabled();
-    config.metrics_interval_seconds = options.metrics_interval_seconds;
-    config.engine_threads = options.engine_threads;
-    return config;
 }
 
 bool
@@ -628,8 +607,6 @@ EncodeRun(const RunRequest& request)
     json.Key("num_workers"), json.Value(request.service.num_workers);
     json.Key("max_total_seconds"),
         json.Value(request.service.max_total_seconds);
-    json.Key("record_corpus_inputs"),
-        json.Value(request.service.record_corpus_inputs);
     json.Key("share_solver_cache"),
         json.Value(request.service.share_solver_cache);
     json.Key("schedule_policy"),
@@ -639,22 +616,7 @@ EncodeRun(const RunRequest& request)
         json.Value(request.service.metrics_interval_seconds);
     json.Key("engine_threads"),
         json.Value(static_cast<uint64_t>(request.service.engine_threads));
-    json.Key("plateau");
-    json.BeginObject();
-    json.Key("enabled"), json.Value(request.service.plateau_policy.enabled);
-    json.Key("deprioritize_after"),
-        json.Value(request.service.plateau_policy.deprioritize_after);
-    json.Key("cancel_after"),
-        json.Value(request.service.plateau_policy.cancel_after);
-    json.Key("rate_mode"),
-        json.Value(request.service.plateau_policy.rate_mode);
-    json.Key("min_yield_per_second"),
-        json.Value(request.service.plateau_policy.min_yield_per_second);
-    json.Key("rate_window_seconds"),
-        json.Value(request.service.plateau_policy.rate_window_seconds);
-    json.Key("rate_min_jobs"),
-        json.Value(request.service.plateau_policy.rate_min_jobs);
-    json.EndObject();
+    json.Key("plateau"), json.Value(request.service.plateau);
     json.EndObject();
     json.Key("jobs");
     json.BeginArray();
@@ -821,8 +783,6 @@ DecodeMessage(const std::string& line, Message* message,
                       error) ||
             !ReadDouble(*svc, "max_total_seconds",
                         &run.service.max_total_seconds, error) ||
-            !ReadBool(*svc, "record_corpus_inputs",
-                      &run.service.record_corpus_inputs, error) ||
             !ReadBool(*svc, "share_solver_cache",
                       &run.service.share_solver_cache, error) ||
             !ReadString(*svc, "schedule_policy", &policy, error) ||
@@ -830,29 +790,14 @@ DecodeMessage(const std::string& line, Message* message,
             !ReadDouble(*svc, "metrics_interval_seconds",
                         &run.service.metrics_interval_seconds, error) ||
             !ReadU32(*svc, "engine_threads", &run.service.engine_threads,
-                     error)) {
+                     error) ||
+            !ReadBool(*svc, "plateau", &run.service.plateau, error)) {
             return false;
         }
         if (!SchedulePolicyFromName(policy,
                                     &run.service.schedule_policy)) {
             return DecodeFail(error,
                               "unknown schedule policy '" + policy + "'");
-        }
-        const JsonValue* plateau = ReadObject(*svc, "plateau", error);
-        PlateauPolicy& pp = run.service.plateau_policy;
-        if (plateau == nullptr ||
-            !ReadBool(*plateau, "enabled", &pp.enabled, error) ||
-            !ReadSize(*plateau, "deprioritize_after",
-                      &pp.deprioritize_after, error) ||
-            !ReadSize(*plateau, "cancel_after", &pp.cancel_after, error) ||
-            !ReadBool(*plateau, "rate_mode", &pp.rate_mode, error) ||
-            !ReadDouble(*plateau, "min_yield_per_second",
-                        &pp.min_yield_per_second, error) ||
-            !ReadDouble(*plateau, "rate_window_seconds",
-                        &pp.rate_window_seconds, error) ||
-            !ReadSize(*plateau, "rate_min_jobs", &pp.rate_min_jobs,
-                      error)) {
-            return false;
         }
         const JsonValue* jobs = ReadArray(root, "jobs", error);
         if (jobs == nullptr) {

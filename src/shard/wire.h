@@ -46,7 +46,7 @@ namespace chef::shard {
 
 /// The coordinator refuses a worker whose hello announces any other
 /// version instead of mis-decoding mid-batch.
-constexpr int kProtocolVersion = 4;
+constexpr int kProtocolVersion = 5;
 
 enum class MessageType {
     kHello,      ///< worker -> coordinator: ready, protocol version.
@@ -69,24 +69,24 @@ struct WireJob {
     service::JobSpec spec;
 };
 
-/// The serializable subset of ExplorationService::Options. Streaming
-/// sinks (on_job_event, event_queue) are coordinator-side concerns and
-/// never cross the wire.
+/// The serializable subset of ExplorationService::Options. The streaming
+/// sink (on_job_event) is a callback and never crosses the wire; the
+/// shard worker installs its own.
 struct ServiceConfig {
     uint64_t seed = 1;
     size_t num_workers = 1;
     double max_total_seconds = 0.0;
-    bool record_corpus_inputs = true;
     bool share_solver_cache = false;
     service::SchedulePolicy schedule_policy =
         service::SchedulePolicy::kYieldPriority;
-    service::PlateauPolicy plateau_policy;
+    /// The plateau rule (service/job.h), on or off.
+    bool plateau = false;
     /// Workers run their batch with phase tracing on and ship the spans
     /// back in the result message (obs contexts themselves never cross
     /// the wire — each worker builds its own registry/tracer).
     bool tracing = false;
-    /// Cadence for telemetry snapshots piggybacked on gossip (and for
-    /// local kMetrics events); 0 means final-result telemetry only.
+    /// The worker's cadence for time-series samples and for telemetry
+    /// piggybacked on gossip; 0 means final-result telemetry only.
     double metrics_interval_seconds = 0.0;
     /// Default intra-session exploration threads per job on the worker
     /// (clamped there against its core budget); 1 keeps sessions
@@ -94,8 +94,6 @@ struct ServiceConfig {
     uint32_t engine_threads = 1;
 
     service::ExplorationService::Options ToServiceOptions() const;
-    static ServiceConfig FromServiceOptions(
-        const service::ExplorationService::Options& options);
 };
 
 /// coordinator -> worker: the shard's partition of the batch.

@@ -4,7 +4,8 @@
 /// scripts, deterministic replay), the heartbeat wire frames, and
 /// the coordinator's failure paths end-to-end over loopback shards —
 /// heartbeat timeout, mid-batch transport close with deterministic
-/// requeue onto the survivor, malformed frames condemning the shard
+/// requeue onto the survivor (whose time series the requeue round must
+/// continue, not rewind), malformed frames condemning the shard
 /// (not the batch), quorum degradation to a partial report, and the
 /// worker cancelling its in-flight batch when the coordinator vanishes.
 
@@ -401,6 +402,54 @@ TEST(CoordinatorFaults, MidBatchCloseRequeuesDeterministically)
     checks::ExpectCoordinatorViewsAgree(coordinator);
 }
 
+TEST(CoordinatorFaults, RequeueRoundContinuesTheSurvivorsSeries)
+{
+    // Every run on a worker starts a fresh recorder: indices restart at
+    // 1, time at 0 and counters at zero. The survivor's requeue round
+    // must still extend its series, not rewind it.
+    const std::vector<JobSpec> jobs = SmallBatch(6);
+    ShardCoordinator::Options options = FaultyCoordinatorOptions();
+    options.service.metrics_interval_seconds = 0.005;
+    ShardCoordinator coordinator(options);
+    std::string error;
+    ASSERT_TRUE(RunWithFaultyShard(&coordinator, jobs, CloseOnFirstRun,
+                                   &error))
+        << error;
+    ASSERT_TRUE(coordinator.shards()[1].dead);
+    // Shard 1 died on its first batch, so shard 0 ran its own partition
+    // and then the requeued one: two runs.
+    ASSERT_EQ(coordinator.shards()[0].jobs_assigned, jobs.size());
+
+    const obs::ClusterSeries& series = coordinator.cluster_series();
+    ASSERT_FALSE(series.Sources().empty());
+    for (const std::string& source : series.Sources()) {
+        SCOPED_TRACE(source);
+        const std::vector<obs::SeriesSample>& samples =
+            *series.SeriesFor(source);
+        for (size_t i = 1; i < samples.size(); ++i) {
+            const obs::SeriesSample& before = samples[i - 1];
+            const obs::SeriesSample& after = samples[i];
+            EXPECT_GT(after.index, before.index);
+            EXPECT_GE(after.t_seconds, before.t_seconds) << after.index;
+            for (const auto& [name, value] : before.metrics.counters) {
+                EXPECT_GE(after.metrics.CounterValue(name), value)
+                    << name << " at sample " << after.index;
+            }
+        }
+    }
+    const std::vector<obs::SeriesSample>* survivor =
+        series.SeriesFor("shard0");
+    ASSERT_NE(survivor, nullptr);
+    ASSERT_FALSE(survivor->empty());
+    EXPECT_EQ(survivor->back().metrics.CounterValue(
+                  obs::kJobsFinishedCounter),
+              jobs.size());
+    EXPECT_EQ(survivor->back().metrics.CounterValue(
+                  obs::kJobsFinishedCounter),
+              coordinator.shards()[0].telemetry.CounterValue(
+                  obs::kJobsFinishedCounter));
+}
+
 TEST(CoordinatorFaults, MalformedFrameCondemnsTheShardNotTheBatch)
 {
     const std::vector<JobSpec> jobs = SmallBatch(4);
@@ -621,10 +670,8 @@ TEST(CoordinatorFaults, WorkerCancelsInFlightBatchWhenCoordinatorDies)
     RunRequest request;
     request.shard_id = 0;
     request.num_shards = 1;
-    service::ExplorationService::Options service_options;
-    service_options.seed = 2014;
-    service_options.num_workers = 1;
-    request.service = ServiceConfig::FromServiceOptions(service_options);
+    request.service.seed = 2014;
+    request.service.num_workers = 1;
     WireJob job;
     job.job_index = 0;
     job.spec.workload = "py/argparse";

@@ -213,10 +213,10 @@ TEST(BatchScheduler, PrefersUntriedThenHighestYield)
 TEST(BatchScheduler, PlateauDeprioritizesThenCancels)
 {
     TestCorpus corpus;
+    obs::MetricsRegistry metrics;
     BatchScheduler::Options options;
-    options.plateau.enabled = true;
-    options.plateau.deprioritize_after = 1;
-    options.plateau.cancel_after = 2;
+    options.plateau = true;
+    options.obs.metrics = &metrics;
     // Jobs: 0=a 1=a 2=a 3=a 4=b.
     BatchScheduler scheduler({"a", "a", "a", "a", "b"}, &corpus, options);
 
@@ -245,104 +245,9 @@ TEST(BatchScheduler, PlateauDeprioritizesThenCancels)
     EXPECT_EQ(dispatch.job_index, 3u);
     EXPECT_TRUE(dispatch.plateau_cancelled);
     EXPECT_FALSE(scheduler.Acquire(&dispatch));
-}
-
-TEST(BatchScheduler, RatePlateauCancelsDuplicateSkewedWorkload)
-{
-    // Rate mode on a fake clock: "dup" yields once then flatlines (the
-    // duplicate-skewed shape), "fresh" keeps yielding. Only "dup" may
-    // be cancelled, and only after its windowed rate stayed under the
-    // threshold for a full window.
-    TestCorpus corpus;
-    obs::MetricsRegistry metrics;
-    double now = 0.0;
-    BatchScheduler::Options options;
-    options.plateau.enabled = true;
-    options.plateau.deprioritize_after = 1;
-    options.plateau.rate_mode = true;
-    options.plateau.min_yield_per_second = 1.0;
-    options.plateau.rate_window_seconds = 5.0;
-    options.plateau.rate_min_jobs = 2;
-    options.obs.metrics = &metrics;
-    options.now_seconds = [&now] { return now; };
-    // Jobs: 0-4 = dup, 5-6 = fresh.
-    BatchScheduler scheduler(
-        {"dup", "dup", "dup", "dup", "dup", "fresh", "fresh"}, &corpus,
-        options);
-
-    BatchScheduler::Dispatch dispatch;
-    ASSERT_TRUE(scheduler.Acquire(&dispatch));
-    EXPECT_EQ(dispatch.job_index, 0u);   // FIFO while all untried.
-    scheduler.OnJobCompleted("dup", 10, 8);  // t=0: dup's only yield.
-
-    ASSERT_TRUE(scheduler.Acquire(&dispatch));
-    EXPECT_EQ(dispatch.job_index, 5u);   // fresh is untried.
-    now = 1.0;
-    scheduler.OnJobCompleted("fresh", 10, 6);
-
-    ASSERT_TRUE(scheduler.Acquire(&dispatch));
-    EXPECT_EQ(dispatch.job_index, 1u);   // dup yield 8 > fresh 6.
-    EXPECT_FALSE(dispatch.plateau_cancelled);
-    now = 3.0;
-    scheduler.OnJobCompleted("dup", 10, 0);
-    // Window spans only 3s of the required 5: no judgment yet, and the
-    // zero-yield count must NOT cancel (rate mode replaces it).
-
-    ASSERT_TRUE(scheduler.Acquire(&dispatch));
-    EXPECT_EQ(dispatch.job_index, 6u);   // dup deprioritized (streak 1).
-    EXPECT_FALSE(dispatch.plateau_cancelled);
-    now = 4.0;
-    scheduler.OnJobCompleted("fresh", 10, 6);  // fresh rate stays high.
-
-    ASSERT_TRUE(scheduler.Acquire(&dispatch));
-    EXPECT_EQ(dispatch.job_index, 2u);
-    EXPECT_FALSE(dispatch.plateau_cancelled);
-    now = 6.0;
-    scheduler.OnJobCompleted("dup", 10, 0);
-    // dup's window now spans 6s >= 5 with 0 accepted: rate 0 < 1.0/s.
-
-    // The remaining dup jobs pop as plateau cancellations; fresh never
-    // tripped the rule.
-    ASSERT_TRUE(scheduler.Acquire(&dispatch));
-    EXPECT_EQ(dispatch.job_index, 3u);
-    EXPECT_TRUE(dispatch.plateau_cancelled);
-    ASSERT_TRUE(scheduler.Acquire(&dispatch));
-    EXPECT_EQ(dispatch.job_index, 4u);
-    EXPECT_TRUE(dispatch.plateau_cancelled);
-    EXPECT_FALSE(scheduler.Acquire(&dispatch));
     // One cancellation event per workload, not per job.
     EXPECT_EQ(metrics.Snapshot().CounterValue("scheduler.plateau_cancels"),
               1u);
-}
-
-TEST(BatchScheduler, RatePlateauTriggersFromRemoteYieldGossip)
-{
-    // The same rule must fire from NotifyYieldsChanged alone: remote
-    // shards' gossiped completions flatten a workload's merged rate
-    // without any local job finishing.
-    TestCorpus corpus;
-    double now = 0.0;
-    BatchScheduler::Options options;
-    options.plateau.enabled = true;
-    options.plateau.rate_mode = true;
-    options.plateau.min_yield_per_second = 1.0;
-    options.plateau.rate_window_seconds = 5.0;
-    options.plateau.rate_min_jobs = 2;
-    options.now_seconds = [&now] { return now; };
-    BatchScheduler scheduler({"remote", "remote"}, &corpus, options);
-
-    corpus.RecordJobYield("remote", 10, 4);  // t=0, as merged by gossip.
-    scheduler.NotifyYieldsChanged();
-    now = 6.0;
-    corpus.RecordJobYield("remote", 10, 0);  // Flat across the window.
-    scheduler.NotifyYieldsChanged();
-
-    BatchScheduler::Dispatch dispatch;
-    ASSERT_TRUE(scheduler.Acquire(&dispatch));
-    EXPECT_TRUE(dispatch.plateau_cancelled);
-    ASSERT_TRUE(scheduler.Acquire(&dispatch));
-    EXPECT_TRUE(dispatch.plateau_cancelled);
-    EXPECT_FALSE(scheduler.Acquire(&dispatch));
 }
 
 // ---------------------------------------------------------------------------
@@ -399,28 +304,24 @@ TEST(Scheduler, OneCompletedEventPerJobAndOrdering)
 {
     const std::vector<JobSpec> jobs = MixedBatch();
 
-    JobEventQueue queue;
-    size_t callback_completed = 0;
+    std::vector<JobEvent> events;
     ExplorationService::Options options;
     options.num_workers = 2;
-    options.event_queue = &queue;
-    options.on_job_event = [&callback_completed](const JobEvent& event) {
+    options.on_job_event = [&events](const JobEvent& event) {
         // Runs on the dispatcher thread, strictly serialized; no lock
-        // needed as long as the count is read after RunBatch returns.
-        if (event.kind == JobEvent::Kind::kJobCompleted) {
-            ++callback_completed;
-        }
+        // needed as long as the events are read after RunBatch returns.
+        events.push_back(event);
     };
     ExplorationService service(options);
     const std::vector<JobResult> results = service.RunBatch(jobs);
 
-    const std::vector<JobEvent> events = queue.Drain();
     ASSERT_FALSE(events.empty());
+    // One started and one completed event per job, nothing else.
+    EXPECT_EQ(events.size(), 2 * jobs.size());
     EXPECT_EQ(service.stats().events_delivered, events.size());
 
     std::map<size_t, size_t> started, completed;
     size_t last_finished = 0;
-    size_t progress_events = 0;
     for (const JobEvent& event : events) {
         EXPECT_EQ(event.jobs_total, jobs.size());
         switch (event.kind) {
@@ -433,17 +334,12 @@ TEST(Scheduler, OneCompletedEventPerJobAndOrdering)
             ++completed[event.job_index];
             EXPECT_EQ(event.status, JobStatus::kCompleted);
             EXPECT_EQ(event.stop_source, "none");
-            break;
-          case JobEvent::Kind::kBatchProgress:
-            ++progress_events;
-            // Completions only accumulate.
-            EXPECT_GE(event.jobs_finished, last_finished);
+            // Completions count up by one, in delivery order.
+            EXPECT_EQ(event.jobs_finished, last_finished + 1);
             last_finished = event.jobs_finished;
             break;
         }
     }
-    EXPECT_EQ(callback_completed, jobs.size());
-    EXPECT_EQ(progress_events, jobs.size());
     EXPECT_EQ(last_finished, jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_EQ(started[i], 1u) << "job " << i;
@@ -469,10 +365,12 @@ TEST(Scheduler, EventOrderingUnderRequestStopMidStream)
     spec.options.collect_timeline = false;
     const std::vector<JobSpec> jobs = {spec, spec, spec};
 
-    JobEventQueue queue;
+    std::vector<JobEvent> events;
     ExplorationService::Options options;
     options.num_workers = 1;  // Jobs 1 and 2 sit in the queue.
-    options.event_queue = &queue;
+    options.on_job_event = [&events](const JobEvent& event) {
+        events.push_back(event);
+    };
     ExplorationService service(options);
 
     std::thread watchdog([&service] {
@@ -492,7 +390,7 @@ TEST(Scheduler, EventOrderingUnderRequestStopMidStream)
     // Every job still produced exactly one completed event — the
     // undispatched ones included — and only the dispatched job started.
     std::map<size_t, size_t> started, completed;
-    for (const JobEvent& event : queue.Drain()) {
+    for (const JobEvent& event : events) {
         if (event.kind == JobEvent::Kind::kJobStarted) {
             ++started[event.job_index];
         } else if (event.kind == JobEvent::Kind::kJobCompleted) {
@@ -510,10 +408,10 @@ TEST(Scheduler, EventOrderingUnderRequestStopMidStream)
 }
 
 // ---------------------------------------------------------------------------
-// Plateau policy through the service.
+// The plateau rule through the service.
 // ---------------------------------------------------------------------------
 
-TEST(Scheduler, PlateauPolicyCancelsAndAttributes)
+TEST(Scheduler, PlateauCancelsAndAttributes)
 {
     EnsureTestWorkloads();
 
@@ -528,13 +426,15 @@ TEST(Scheduler, PlateauPolicyCancelsAndAttributes)
         jobs.push_back(std::move(spec));
     }
 
-    JobEventQueue queue;
+    std::map<size_t, size_t> completed;
     ExplorationService::Options options;
     options.num_workers = 1;  // Deterministic completion order.
-    options.event_queue = &queue;
-    options.plateau_policy.enabled = true;
-    options.plateau_policy.deprioritize_after = 1;
-    options.plateau_policy.cancel_after = 2;
+    options.plateau = true;
+    options.on_job_event = [&completed](const JobEvent& event) {
+        if (event.kind == JobEvent::Kind::kJobCompleted) {
+            ++completed[event.job_index];
+        }
+    };
     ExplorationService service(options);
     const std::vector<JobResult> results = service.RunBatch(jobs);
 
@@ -557,12 +457,6 @@ TEST(Scheduler, PlateauPolicyCancelsAndAttributes)
     EXPECT_EQ(service.stats().jobs_completed, 3u);
 
     // One completed event per job, plateau cancellations included.
-    std::map<size_t, size_t> completed;
-    for (const JobEvent& event : queue.Drain()) {
-        if (event.kind == JobEvent::Kind::kJobCompleted) {
-            ++completed[event.job_index];
-        }
-    }
     for (size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_EQ(completed[i], 1u) << "job " << i;
     }
@@ -688,9 +582,8 @@ TEST(JsonReport, NewFieldsParseStrictOnRealBatch)
     spec.options.max_runs = 6;
     spec.options.collect_timeline = false;
 
-    JobEventQueue queue;
     ExplorationService::Options options;
-    options.event_queue = &queue;
+    options.on_job_event = [](const JobEvent&) {};
     ExplorationService service(options);
     const std::vector<JobResult> results = service.RunBatch({spec});
 

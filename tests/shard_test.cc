@@ -189,12 +189,11 @@ TEST(RemoteYield, GossipTripsPlateauWithoutLocalCompletions)
 {
     TestCorpus corpus;
     BatchScheduler::Options options;
-    options.plateau.enabled = true;
-    options.plateau.deprioritize_after = 1;
-    options.plateau.cancel_after = 2;
+    options.plateau = true;
     BatchScheduler scheduler({"dup", "dup", "fresh"}, &corpus, options);
 
-    // A sibling shard reports the workload flat (streak >= cancel_after)
+    // A sibling shard reports the workload flat (streak >= the cancel
+    // threshold)
     // and its fingerprints already cover it.
     TestCorpus::Delta delta;
     delta.source = "shard1";
@@ -439,16 +438,14 @@ TEST(Coordinator, PlateauPlusGossipSuppressesDuplicateJobs)
     }
 
     ShardCoordinator::Options options = CoordinatorOptions();
-    options.service.plateau_policy.enabled = true;
-    options.service.plateau_policy.deprioritize_after = 1;
-    options.service.plateau_policy.cancel_after = 2;
+    options.service.plateau = true;
     ShardCoordinator coordinator(options);
     std::string error;
     ASSERT_TRUE(RunLoopbackShards(&coordinator, jobs, 2, &error)) << error;
 
     // Both paths are in the merged corpus, every job is accounted for,
     // and at least the local plateau floor of duplicate jobs was
-    // suppressed (3 per shard with 6 jobs and cancel_after=2; gossip
+    // suppressed (3 per shard with 6 jobs and a cancel threshold of 2; gossip
     // can only raise this by propagating the streak earlier).
     EXPECT_EQ(coordinator.corpus().size(), 2u);
     size_t completed = 0;

@@ -1,8 +1,7 @@
 /// \file
-/// Tests for the time-series telemetry layer: tier-0 ring wraparound,
-/// coarse-tier promotion, windowed-rate correctness on synthetic
-/// counter curves, series JSON / NDJSON round trips through the strict
-/// parser, ClusterSeries merge order-independence and idempotent
+/// Tests for the time-series telemetry layer: recorder ring wraparound,
+/// windowed-rate correctness on synthetic counter curves, series JSON /
+/// NDJSON round trips through the strict parser, ClusterSeries merge order-independence and idempotent
 /// re-delivery, and a 2-shard loopback batch whose merged fingerprint
 /// curve must be monotone and equal to the sum of the per-shard curves.
 
@@ -49,60 +48,32 @@ Indices(const std::vector<SeriesSample>& samples)
 }
 
 // --------------------------------------------------------------------------
-// Recorder: ring wraparound and tier coarsening.
+// Recorder: ring wraparound.
 
 TEST(TimeSeriesTest, RawRingWrapsAndSamplesSinceStaysAscending)
 {
-    TimeSeriesRecorder::Options options;
-    options.raw_capacity = 4;
-    options.coarse_tiers = 0;
-    TimeSeriesRecorder recorder(options);
-    for (int i = 1; i <= 10; ++i) {
-        recorder.Record(static_cast<double>(i),
-                        CountersSnapshot({{"c", static_cast<uint64_t>(i)}}));
+    TimeSeriesRecorder recorder;
+    const uint64_t total = kSeriesRingCapacity + 6;
+    for (uint64_t i = 1; i <= total; ++i) {
+        recorder.Record(static_cast<double>(i), CountersSnapshot({{"c", i}}));
     }
-    EXPECT_EQ(recorder.last_index(), 10u);
-    EXPECT_EQ(recorder.total_recorded(), 10u);
-    // Only the newest raw_capacity samples survive in tier 0.
-    EXPECT_EQ(Indices(recorder.SamplesSince(0)),
-              (std::vector<uint64_t>{7, 8, 9, 10}));
-    EXPECT_EQ(Indices(recorder.SamplesSince(8)),
-              (std::vector<uint64_t>{9, 10}));
-    EXPECT_TRUE(recorder.SamplesSince(10).empty());
-    EXPECT_EQ(recorder.Retained().size(), 4u);
+    EXPECT_EQ(recorder.last_index(), total);
+    // Only the newest kSeriesRingCapacity samples survive: memory stays
+    // bounded no matter how long the run gets.
+    const std::vector<SeriesSample> retained = recorder.SamplesSince(0);
+    ASSERT_EQ(retained.size(), kSeriesRingCapacity);
+    EXPECT_EQ(retained.front().index, 7u);
+    for (size_t i = 1; i < retained.size(); ++i) {
+        EXPECT_EQ(retained[i].index, retained[i - 1].index + 1);
+    }
+    EXPECT_EQ(Indices(recorder.SamplesSince(total - 2)),
+              (std::vector<uint64_t>{total - 1, total}));
+    EXPECT_TRUE(recorder.SamplesSince(total).empty());
 
-    SeriesSample latest;
-    ASSERT_TRUE(recorder.Latest(&latest));
-    EXPECT_EQ(latest.index, 10u);
-    EXPECT_DOUBLE_EQ(latest.t_seconds, 10.0);
-    EXPECT_EQ(latest.metrics.CounterValue("c"), 10u);
-}
-
-TEST(TimeSeriesTest, CoarseTiersRetainLongHorizon)
-{
-    TimeSeriesRecorder::Options options;
-    options.raw_capacity = 4;
-    options.coarse_tiers = 2;
-    options.coarsen_factor = 2;
-    options.tier_capacity = 4;
-    TimeSeriesRecorder recorder(options);
-    for (int i = 1; i <= 64; ++i) {
-        recorder.Record(static_cast<double>(i),
-                        CountersSnapshot({{"c", static_cast<uint64_t>(i)}}));
-    }
-    // Tier 0 keeps 61..64; tier 1 every 2nd sample (58,60,62,64); tier 2
-    // every 4th (52,56,60,64). Retained() is the deduplicated ascending
-    // union — the long horizon survives tier-0 wraparound, coarsened.
-    EXPECT_EQ(Indices(recorder.Retained()),
-              (std::vector<uint64_t>{52, 56, 58, 60, 61, 62, 63, 64}));
-    // Memory stays bounded no matter how long the run gets.
-    for (int i = 65; i <= 1000; ++i) {
-        recorder.Record(static_cast<double>(i),
-                        CountersSnapshot({{"c", static_cast<uint64_t>(i)}}));
-    }
-    EXPECT_LE(recorder.Retained().size(),
-              options.raw_capacity + 2 * options.tier_capacity);
-    EXPECT_EQ(recorder.total_recorded(), 1000u);
+    const SeriesSample& latest = retained.back();
+    EXPECT_EQ(latest.index, total);
+    EXPECT_DOUBLE_EQ(latest.t_seconds, static_cast<double>(total));
+    EXPECT_EQ(latest.metrics.CounterValue("c"), total);
 }
 
 // --------------------------------------------------------------------------
@@ -131,29 +102,29 @@ TEST(TimeSeriesTest, WindowedRatesMatchSyntheticSlopes)
         snapshot.histograms.push_back(std::move(h));
         recorder.Record(static_cast<double>(t), std::move(snapshot));
     }
+    const std::vector<SeriesSample> samples = recorder.SamplesSince(0);
     // Baseline = newest sample at least `window` older than the newest.
-    EXPECT_DOUBLE_EQ(recorder.WindowedRate("jobs", 2.0), 10.0);
+    EXPECT_DOUBLE_EQ(WindowedCounterRate(samples, "jobs", 2.0), 10.0);
     // Window larger than the series: falls back to the oldest sample.
-    EXPECT_DOUBLE_EQ(recorder.WindowedRate("jobs", 100.0), 10.0);
-    // Default window comes from Options::default_window_seconds.
-    EXPECT_DOUBLE_EQ(recorder.WindowedRate("jobs"), 10.0);
-    EXPECT_DOUBLE_EQ(recorder.WindowedRatio("hits", "queries", 2.0), 0.5);
+    EXPECT_DOUBLE_EQ(WindowedCounterRate(samples, "jobs", 100.0), 10.0);
+    EXPECT_DOUBLE_EQ(WindowedCounterRatio(samples, "hits", "queries", 2.0),
+                     0.5);
     // Unknown counters read as flat zero, not an error.
-    EXPECT_DOUBLE_EQ(recorder.WindowedRate("absent", 2.0), 0.0);
+    EXPECT_DOUBLE_EQ(WindowedCounterRate(samples, "absent", 2.0), 0.0);
 
     HistogramSnapshot delta;
-    ASSERT_TRUE(recorder.WindowedHistogram("h", &delta, 2.0));
+    ASSERT_TRUE(WindowedHistogramDelta(samples, "h", 2.0, &delta));
     EXPECT_EQ(delta.count, 2u);
     EXPECT_EQ(delta.sum_nanos, 2000u);
-    EXPECT_FALSE(recorder.WindowedHistogram("absent", &delta, 2.0));
+    EXPECT_FALSE(WindowedHistogramDelta(samples, "absent", 2.0, &delta));
 
-    const std::vector<SeriesSample> samples = recorder.Retained();
     EXPECT_DOUBLE_EQ(WindowedHistogramSumRate(samples, "h", 2.0),
                      1000.0 / 1e9);
     // A single sample can never produce a rate.
     TimeSeriesRecorder lone;
     lone.Record(0.0, CountersSnapshot({{"jobs", 5}}));
-    EXPECT_DOUBLE_EQ(lone.WindowedRate("jobs", 2.0), 0.0);
+    EXPECT_DOUBLE_EQ(WindowedCounterRate(lone.SamplesSince(0), "jobs", 2.0),
+                     0.0);
 }
 
 TEST(TimeSeriesTest, CounterRateClampsAtZeroOnRegression)
@@ -163,7 +134,8 @@ TEST(TimeSeriesTest, CounterRateClampsAtZeroOnRegression)
     TimeSeriesRecorder recorder;
     recorder.Record(0.0, CountersSnapshot({{"jobs", 100}}));
     recorder.Record(1.0, CountersSnapshot({{"jobs", 40}}));
-    EXPECT_DOUBLE_EQ(recorder.WindowedRate("jobs", 10.0), 0.0);
+    EXPECT_DOUBLE_EQ(
+        WindowedCounterRate(recorder.SamplesSince(0), "jobs", 10.0), 0.0);
 }
 
 // --------------------------------------------------------------------------
@@ -179,7 +151,7 @@ TEST(TimeSeriesTest, SeriesSamplesJsonRoundTrip)
     recorder.Record(0.25, registry.Snapshot());
     registry.counter("solver.queries")->Add(4);
     recorder.Record(0.75, registry.Snapshot());
-    const std::vector<SeriesSample> original = recorder.Retained();
+    const std::vector<SeriesSample> original = recorder.SamplesSince(0);
 
     JsonWriter json;
     WriteSeriesSamples(json, original);

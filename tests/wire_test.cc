@@ -213,16 +213,7 @@ TEST(Wire, RunRequestRoundTripsRandomSpecs)
         request.service.schedule_policy = (rng.Next() & 1) != 0
                                               ? SchedulePolicy::kFifo
                                               : SchedulePolicy::kYieldPriority;
-        request.service.plateau_policy.enabled = (rng.Next() & 1) != 0;
-        request.service.plateau_policy.deprioritize_after =
-            rng.Next() % 5;
-        request.service.plateau_policy.cancel_after = rng.Next() % 9;
-        request.service.plateau_policy.rate_mode = (rng.Next() & 1) != 0;
-        request.service.plateau_policy.min_yield_per_second =
-            static_cast<double>(rng.Next() % 100) / 10.0;
-        request.service.plateau_policy.rate_window_seconds =
-            static_cast<double>(rng.Next() % 100) / 10.0;
-        request.service.plateau_policy.rate_min_jobs = rng.Next() % 7;
+        request.service.plateau = (rng.Next() & 1) != 0;
         request.service.engine_threads =
             static_cast<uint32_t>(1 + rng.Next() % 4);
         const size_t jobs = 1 + rng.Next() % 5;
@@ -249,18 +240,7 @@ TEST(Wire, RunRequestRoundTripsRandomSpecs)
                   request.service.engine_threads);
         EXPECT_EQ(decoded.service.schedule_policy,
                   request.service.schedule_policy);
-        EXPECT_EQ(decoded.service.plateau_policy.enabled,
-                  request.service.plateau_policy.enabled);
-        EXPECT_EQ(decoded.service.plateau_policy.cancel_after,
-                  request.service.plateau_policy.cancel_after);
-        EXPECT_EQ(decoded.service.plateau_policy.rate_mode,
-                  request.service.plateau_policy.rate_mode);
-        EXPECT_DOUBLE_EQ(decoded.service.plateau_policy.min_yield_per_second,
-                         request.service.plateau_policy.min_yield_per_second);
-        EXPECT_DOUBLE_EQ(decoded.service.plateau_policy.rate_window_seconds,
-                         request.service.plateau_policy.rate_window_seconds);
-        EXPECT_EQ(decoded.service.plateau_policy.rate_min_jobs,
-                  request.service.plateau_policy.rate_min_jobs);
+        EXPECT_EQ(decoded.service.plateau, request.service.plateau);
         ASSERT_EQ(decoded.jobs.size(), request.jobs.size());
         for (size_t i = 0; i < request.jobs.size(); ++i) {
             EXPECT_EQ(decoded.jobs[i].job_index,
