@@ -446,8 +446,6 @@ Engine::SelectRound(size_t limit, std::vector<RoundItem>* round,
                 m_par_claims_->Add();
             }
         }
-        frontier_inspector_.RecordPick(StrategyKindName(options_.strategy),
-                                       state.static_hlpc, state.depth);
         solver::Assignment model;
         solver::QueryResult result;
         {
@@ -625,8 +623,6 @@ Engine::FinalizeStats(
     if (options_.obs.attribution != nullptr) {
         stats_.attribution = options_.obs.attribution->Snapshot();
     }
-    stats_.frontier = tree_.SnapshotFrontier();
-    stats_.frontier.strategy_picks = frontier_inspector_.PickCounts();
 }
 
 }  // namespace chef

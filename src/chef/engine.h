@@ -139,10 +139,6 @@ struct EngineStats {
     /// solver charges wall time per query, then FinalizeStats snapshots
     /// the profiler here.
     obs::AttributionSnapshot attribution;
-    /// Frontier view at session end: pending depth histogram, tree
-    /// branching factor, lease ages, and per-strategy pick counts from
-    /// the strategy-decision audit ring.
-    obs::FrontierSnapshot frontier;
 };
 
 /// The engine. Owns the execution tree, solver, runtime, tracker, and
@@ -311,9 +307,6 @@ class Engine
     hll::HlpcTracker tracker_;
     std::unique_ptr<cupa::SearchStrategy> strategy_;
     EngineStats stats_;
-    /// Strategy-decision audit ring (claims record strategy, hl_pc,
-    /// depth); folded into stats_.frontier at FinalizeStats.
-    obs::FrontierInspector frontier_inspector_;
     /// High-water mark over announced state ids: ReleaseClaim
     /// re-announces a state through the state-added hook, so fork
     /// charges fire only for ids above the mark (exactly once per

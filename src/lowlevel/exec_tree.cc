@@ -1,7 +1,5 @@
 #include "lowlevel/exec_tree.h"
 
-#include <algorithm>
-
 #include "support/diagnostics.h"
 
 namespace chef::lowlevel {
@@ -130,7 +128,7 @@ ExecutionTree::ClaimState(const std::function<StateId()>& select,
         return false;
     }
     *out = TakePending(id);
-    in_flight_.emplace(id, std::chrono::steady_clock::now());
+    in_flight_.insert(id);
     return true;
 }
 
@@ -201,49 +199,6 @@ ExecutionTree::total_registered() const
 {
     std::lock_guard<std::recursive_mutex> lock(mutex_);
     return next_state_id_ - 1;
-}
-
-obs::FrontierSnapshot
-ExecutionTree::SnapshotFrontier() const
-{
-    std::lock_guard<std::recursive_mutex> lock(mutex_);
-    obs::FrontierSnapshot frontier;
-    frontier.pending = pending_.size();
-    frontier.in_flight = in_flight_.size();
-    // Exclude the root sentinel: it is not a branch site.
-    frontier.nodes = nodes_.empty() ? 0 : nodes_.size() - 1;
-    for (const auto& [id, state] : pending_) {
-        (void)id;
-        ++frontier.depth_histogram[obs::FrontierSnapshot::DepthBucket(
-            state.depth)];
-    }
-    uint64_t children = 0;
-    uint64_t branch_nodes = 0;
-    for (size_t i = 1; i < nodes_.size(); ++i) {
-        ++branch_nodes;
-        children += (nodes_[i].child[0] >= 0 ? 1 : 0) +
-                    (nodes_[i].child[1] >= 0 ? 1 : 0);
-    }
-    frontier.mean_branching =
-        branch_nodes == 0
-            ? 0.0
-            : static_cast<double>(children) /
-                  static_cast<double>(branch_nodes);
-    const auto now = std::chrono::steady_clock::now();
-    double age_sum = 0.0;
-    for (const auto& [id, since] : in_flight_) {
-        (void)id;
-        const double age =
-            std::chrono::duration<double>(now - since).count();
-        age_sum += age;
-        frontier.lease_age_max_seconds =
-            std::max(frontier.lease_age_max_seconds, age);
-    }
-    frontier.lease_age_mean_seconds =
-        in_flight_.empty()
-            ? 0.0
-            : age_sum / static_cast<double>(in_flight_.size());
-    return frontier;
 }
 
 }  // namespace chef::lowlevel

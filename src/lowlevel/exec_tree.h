@@ -23,14 +23,13 @@
 /// infeasible (MarkInfeasible), or hands them back (ReleaseClaim).
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
-#include "obs/attribution.h"
 #include "solver/expr.h"
 
 namespace chef::lowlevel {
@@ -238,13 +237,6 @@ class ExecutionTree
     size_t num_nodes() const;
     uint64_t total_registered() const;
 
-    /// Point-in-time frontier view (obs/attribution.h): pending count
-    /// and depth histogram, in-flight lease count and ages, node count,
-    /// and the tree's mean branching factor. strategy_picks is left
-    /// empty — the engine owns the strategy-decision audit ring and
-    /// fills it in. Takes the tree lock.
-    obs::FrontierSnapshot SnapshotFrontier() const;
-
     /// Observer invoked whenever a pending state disappears from the pool
     /// (selected by the strategy, overtaken by natural exploration, or
     /// proven infeasible). Used by search strategies for bookkeeping.
@@ -278,9 +270,8 @@ class ExecutionTree
 
     std::vector<Node> nodes_;
     std::unordered_map<StateId, AlternateState> pending_;
-    /// Leased states with their claim times (frontier lease ages).
-    std::unordered_map<StateId, std::chrono::steady_clock::time_point>
-        in_flight_;
+    /// Leased (claimed, not yet resolved) states.
+    std::unordered_set<StateId> in_flight_;
     StateId next_state_id_ = 1;
     std::atomic<uint64_t> states_overtaken_{0};
     std::function<void(StateId)> on_pending_removed_;

@@ -140,13 +140,6 @@ LowLevelRuntime::ApplyBranch(uint64_t llpc, bool taken,
             streak_active_ = true;
         }
         streak_ids_.push_back(advance.registered);
-        if (state_added_hook_) {
-            const AlternateState* state =
-                tree_->FindPending(advance.registered);
-            if (state != nullptr) {
-                state_added_hook_(*state);
-            }
-        }
     } else if (!streak_active_ || streak_llpc_ != llpc) {
         // A branch at a different site interrupts the streak.
         streak_active_ = false;

@@ -213,17 +213,6 @@ class LowLevelRuntime
     /// (live mode) or replayed log_pc event (commit).
     void set_log_pc_hook(LogPcHook hook) { log_pc_hook_ = std::move(hook); }
 
-    using StateAddedHook = std::function<void(const AlternateState&)>;
-
-    /// Invoked after a freshly registered alternate state has its
-    /// high-level bookkeeping filled in (search strategies subscribe).
-    /// Prefer ExecutionTree::set_on_state_added for shared-tree setups;
-    /// this runtime-level hook is kept for single-runtime callers.
-    void set_state_added_hook(StateAddedHook hook)
-    {
-        state_added_hook_ = std::move(hook);
-    }
-
     /// Current high-level position, written back by the tracker so that
     /// alternate states registered at low-level branches carry it.
     void SetHlPosition(uint64_t static_hlpc, uint64_t dynamic_hlpc,
@@ -258,7 +247,6 @@ class LowLevelRuntime
 
     RunStats stats_;
     LogPcHook log_pc_hook_;
-    StateAddedHook state_added_hook_;
 
     ExecutionTree::Cursor cursor_;
     RunLog* recording_ = nullptr;

@@ -287,55 +287,6 @@ CurrentAmbientLocation()
 }
 
 // ---------------------------------------------------------------------------
-// Frontier introspection
-
-size_t
-FrontierSnapshot::DepthBucket(uint32_t depth)
-{
-    size_t bucket = 0;
-    uint64_t value = static_cast<uint64_t>(depth) + 1;
-    while (value > 1 && bucket + 1 < kFrontierDepthBuckets) {
-        value >>= 1;
-        ++bucket;
-    }
-    return bucket;
-}
-
-void
-FrontierInspector::RecordPick(const char* strategy, uint64_t hl_pc,
-                              uint32_t depth)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Pick& slot = ring_[next_seq_ % kFrontierPickRing];
-    slot.seq = next_seq_++;
-    slot.hl_pc = hl_pc;
-    slot.depth = depth;
-    slot.strategy = strategy;
-    ++counts_[strategy == nullptr ? "" : strategy];
-}
-
-std::vector<FrontierInspector::Pick>
-FrontierInspector::RecentPicks() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<Pick> picks;
-    const uint64_t count =
-        next_seq_ < kFrontierPickRing ? next_seq_ : kFrontierPickRing;
-    picks.reserve(count);
-    for (uint64_t i = next_seq_ - count; i < next_seq_; ++i) {
-        picks.push_back(ring_[i % kFrontierPickRing]);
-    }
-    return picks;
-}
-
-std::map<std::string, uint64_t>
-FrontierInspector::PickCounts() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return counts_;
-}
-
-// ---------------------------------------------------------------------------
 // Serialization and rendering
 
 void
@@ -567,38 +518,6 @@ RenderHotLocations(const AttributionSnapshot& snapshot, size_t top_n)
         AppendHotTable(&out, yielding, top_n);
     }
     return out;
-}
-
-void
-WriteFrontierSnapshot(support::JsonWriter& json,
-                      const FrontierSnapshot& frontier)
-{
-    json.BeginObject();
-    json.Key("pending"), json.Value(frontier.pending);
-    json.Key("in_flight"), json.Value(frontier.in_flight);
-    json.Key("nodes"), json.Value(frontier.nodes);
-    json.Key("mean_branching"), json.Value(frontier.mean_branching);
-    json.Key("lease_age_max_seconds"),
-        json.Value(frontier.lease_age_max_seconds);
-    json.Key("lease_age_mean_seconds"),
-        json.Value(frontier.lease_age_mean_seconds);
-    json.Key("depth_histogram"), json.BeginArray();
-    for (size_t bucket = 0; bucket < kFrontierDepthBuckets; ++bucket) {
-        if (frontier.depth_histogram[bucket] == 0) {
-            continue;
-        }
-        json.BeginArray();
-        json.Value(bucket);
-        json.Value(frontier.depth_histogram[bucket]);
-        json.EndArray();
-    }
-    json.EndArray();
-    json.Key("strategy_picks"), json.BeginObject();
-    for (const auto& [strategy, picks] : frontier.strategy_picks) {
-        json.Key(strategy.c_str()), json.Value(picks);
-    }
-    json.EndObject();
-    json.EndObject();
 }
 
 }  // namespace chef::obs

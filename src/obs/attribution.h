@@ -3,7 +3,7 @@
 
 /// \file
 /// The exploration attribution profiler: per-location cost/yield
-/// accounting over the high-level PC space, plus frontier introspection.
+/// accounting over the high-level PC space.
 ///
 /// The telemetry layers below (metrics, traces, time series) say how
 /// much the system spends; this layer says *where in the guest program*
@@ -39,19 +39,12 @@
 /// before it in the interpreter trace). Walking parent links yields the
 /// folded-stack lines (`workload;0xroot;...;0xleaf value`) that standard
 /// flamegraph tools consume (RenderAttributionFoldedStacks).
-///
-/// FrontierInspector + FrontierSnapshot cover the other half of the
-/// question — not where past work went, but what the strategy is *about
-/// to* do: pending-state depth histogram, tree branching factor,
-/// in-flight lease ages, and per-strategy pick counts from a bounded
-/// strategy-decision audit ring.
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -102,7 +95,7 @@ struct AttributionRow {
 /// Point-in-time copy of one or more profilers: per-workload tables
 /// keyed by hl_pc. A plain value type with the MetricsSnapshot
 /// lifecycle — merged across jobs, shards, and requeue rounds;
-/// serialized on the gossip wire and into the report's
+/// serialized on the shard wire and into the report's
 /// telemetry.attribution section.
 struct AttributionSnapshot {
     /// workload -> hl_pc -> row. std::map keeps serialization
@@ -221,66 +214,6 @@ class ScopedLocation
 uint64_t CurrentAmbientLocation();
 
 // ---------------------------------------------------------------------------
-// Frontier introspection
-
-/// Depth buckets for the pending-state histogram: bucket b counts
-/// pending states with floor(log2(depth + 1)) == b (so bucket 0 is
-/// depth 0, bucket 1 is depth 1-2, ...), and the last bucket absorbs
-/// the tail.
-constexpr size_t kFrontierDepthBuckets = 16;
-
-/// Point-in-time view of the exploration frontier: what is pending,
-/// what is leased out, and how the strategy has been picking.
-struct FrontierSnapshot {
-    uint64_t pending = 0;    ///< States awaiting selection.
-    uint64_t in_flight = 0;  ///< States leased to workers.
-    uint64_t nodes = 0;      ///< Branch nodes in the low-level tree.
-    std::array<uint64_t, kFrontierDepthBuckets> depth_histogram{};
-    /// Mean explored children per non-leaf branch node.
-    double mean_branching = 0.0;
-    /// Ages of outstanding leases at snapshot time, seconds.
-    double lease_age_max_seconds = 0.0;
-    double lease_age_mean_seconds = 0.0;
-    /// strategy name -> states claimed through it.
-    std::map<std::string, uint64_t> strategy_picks;
-
-    static size_t DepthBucket(uint32_t depth);
-};
-
-/// Bounded audit ring over strategy decisions: every successful claim
-/// records (strategy, hl_pc, depth). The ring keeps the most recent
-/// kFrontierPickRing entries for inspection; totals per strategy are
-/// kept exactly.
-constexpr size_t kFrontierPickRing = 256;
-
-class FrontierInspector
-{
-  public:
-    struct Pick {
-        uint64_t seq = 0;
-        uint64_t hl_pc = 0;
-        uint32_t depth = 0;
-        /// Stable string (a literal or interned name owned by the
-        /// caller's strategy); the ring never copies it.
-        const char* strategy = nullptr;
-    };
-
-    void RecordPick(const char* strategy, uint64_t hl_pc, uint32_t depth);
-
-    /// Most recent picks, oldest first.
-    std::vector<Pick> RecentPicks() const;
-
-    /// Exact per-strategy totals over the whole run (not just the ring).
-    std::map<std::string, uint64_t> PickCounts() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::array<Pick, kFrontierPickRing> ring_{};
-    uint64_t next_seq_ = 0;
-    std::map<std::string, uint64_t> counts_;
-};
-
-// ---------------------------------------------------------------------------
 // Serialization and rendering
 
 /// Serializes a snapshot as one JSON object:
@@ -315,10 +248,6 @@ std::string RenderAttributionFoldedStacks(
 /// an empty snapshot.
 std::string RenderHotLocations(const AttributionSnapshot& snapshot,
                                size_t top_n);
-
-/// Serializes a frontier snapshot (report use; nothing decodes it).
-void WriteFrontierSnapshot(support::JsonWriter& json,
-                           const FrontierSnapshot& frontier);
 
 }  // namespace chef::obs
 

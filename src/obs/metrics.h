@@ -31,7 +31,7 @@
 /// conservatively high, which is the right direction for latency SLOs.
 ///
 /// Snapshots serialize through support/json (WriteMetricsSnapshot /
-/// DecodeMetricsSnapshot): this is the schema the shard gossip wire and
+/// DecodeMetricsSnapshot): this is the schema the shard wire and
 /// the merged report's `telemetry` section use.
 
 #include <array>
@@ -169,7 +169,7 @@ struct HistogramSnapshot {
 };
 
 /// Point-in-time copy of a whole registry: a plain value type that can
-/// be merged (cluster aggregation) and serialized (gossip wire, report
+/// be merged (cluster aggregation) and serialized (shard wire, report
 /// telemetry section) while recording continues. Entries are sorted by
 /// name, so two snapshots of the same registry diff cleanly.
 struct MetricsSnapshot {

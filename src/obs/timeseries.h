@@ -10,7 +10,7 @@
 /// A TimeSeriesRecorder samples a MetricsRegistry on a steady-clock
 /// interval into one bounded ring of the most recent
 /// kSeriesRingCapacity samples. A shard worker drains the ring onto its
-/// gossip stream at the sampling cadence, so the coordinator's
+/// progress frames at the sampling cadence, so the coordinator's
 /// ClusterSeries holds the whole run; the ring only bounds the
 /// recorder's memory. Each sample is one whole MetricsSnapshot, so
 /// serialization, cluster merging, and windowed histogram quantiles all
@@ -24,10 +24,11 @@
 /// between the same two samples.
 ///
 /// ClusterSeries is the coordinator-side merge: one series per source
-/// shard, updated idempotently from gossip (samples keyed by index),
-/// with merged counter curves defined as the sum over sources of each
-/// source's last value at-or-before t — order- and arrival-independent,
-/// and monotone whenever the per-source counters are.
+/// shard, updated idempotently from progress frames (samples keyed by
+/// index), with merged counter curves defined as the sum over sources of
+/// each source's last value at-or-before t — order- and
+/// arrival-independent, and monotone whenever the per-source counters
+/// are.
 ///
 /// Serialization: strict JSON sample arrays (wire "series" fields,
 /// report telemetry), NDJSON lines for --stats-out streaming, and the
@@ -115,7 +116,7 @@ inline constexpr size_t kSeriesRingCapacity = 256;
 
 /// Bounded-memory interval sampler over one MetricsRegistry. Thread-safe:
 /// the service's sampler thread records while the shard worker's protocol
-/// thread drains SamplesSince for gossip.
+/// thread drains SamplesSince onto its progress frames.
 class TimeSeriesRecorder
 {
   public:
@@ -147,8 +148,8 @@ class TimeSeriesRecorder
     /// ever recorded; 0 when none recorded yet.
     uint64_t last_index() const;
 
-    /// Retained samples with index > since_index, ascending. The gossip
-    /// shipper's incremental drain: callers remember the last shipped
+    /// Retained samples with index > since_index, ascending. The shard
+    /// worker's incremental drain: callers remember the last shipped
     /// index. After the ring wraps, older unshipped samples are gone —
     /// by design; shippers run at the same cadence as sampling.
     std::vector<SeriesSample> SamplesSince(uint64_t since_index) const;
@@ -167,7 +168,7 @@ class TimeSeriesRecorder
 };
 
 /// The coordinator's merged cluster view: one bounded series per source
-/// shard, fed idempotently from gossip/result "series" payloads.
+/// shard, fed idempotently from progress/result "series" payloads.
 /// Not internally synchronized — the coordinator mutates and reads it
 /// from its Run() thread only (monitor callbacks run on that thread).
 class ClusterSeries

@@ -105,8 +105,8 @@ struct JobEvent {
     size_t corpus_inserted = 0;
     /// kJobCompleted only: the job's full result, shared so the event
     /// stays cheap to copy through the dispatcher queue. The shard
-    /// worker streams these over heartbeats so a dying shard's finished
-    /// work survives it; by emit time the result's corpus inserts are
+    /// worker streams these on its progress frames so a dying shard's
+    /// finished work survives it; by emit time the result's corpus inserts are
     /// already visible in the shared corpus (RunJob inserts before the
     /// completion event fires).
     std::shared_ptr<const JobResult> result;

@@ -43,7 +43,6 @@ Fail(std::string* error, const std::string& reason)
 // back from coordinator_telemetry_.
 constexpr char kDeathsCounter[] = "shard.deaths_total";
 constexpr char kJobsRequeuedCounter[] = "shard.jobs_requeued_total";
-constexpr char kHeartbeatsMissedCounter[] = "shard.heartbeats_missed";
 constexpr char kRespawnsCounter[] = "shard.respawns_total";
 constexpr char kGossipMessagesCounter[] = "shard.gossip_messages";
 constexpr char kFingerprintsGossipedCounter[] = "shard.fingerprints_gossiped";
@@ -116,8 +115,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
     obs::MetricsRegistry metrics;
     obs::Counter* deaths_total = metrics.counter(kDeathsCounter);
     obs::Counter* jobs_requeued_total = metrics.counter(kJobsRequeuedCounter);
-    obs::Counter* heartbeats_missed =
-        metrics.counter(kHeartbeatsMissedCounter);
     obs::Counter* respawns_total = metrics.counter(kRespawnsCounter);
     obs::Counter* gossip_messages = metrics.counter(kGossipMessagesCounter);
     obs::Counter* fingerprints_gossiped =
@@ -127,11 +124,8 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
     tracer.set_pid(0);
     tracer.set_enabled(options_.service.tracing);
 
-    const bool heartbeats = options_.heartbeat_interval_seconds > 0.0;
-    const auto heartbeat_interval =
-        DurationFrom(options_.heartbeat_interval_seconds);
-    const auto heartbeat_timeout =
-        DurationFrom(options_.heartbeat_timeout_seconds);
+    const auto silence_timeout =
+        DurationFrom(options_.silence_timeout_seconds);
     const size_t quorum = std::max<size_t>(1, options_.min_live_shards);
 
     // Per-shard runtime state machine. kIdle means greeted and between
@@ -140,33 +134,21 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
     struct Runtime {
         State state = State::kAwaitingHello;
         Transport* transport = nullptr;
+        /// The shard's corpus source and series name ("shard<N>").
+        std::string source;
         Clock::time_point last_heard;
         Clock::time_point hello_deadline;
-        /// Heartbeat intervals of current silence already counted into
-        /// shard.heartbeats_missed (resets on any message).
-        uint64_t silent_intervals = 0;
-        /// Whether this shard has sent any heartbeat for the current
-        /// run. Missed-beat telemetry only counts gaps after the first
-        /// beat: run startup (service construction, thread spawn) is
-        /// legitimately silent and beats have not begun yet. The
-        /// heartbeat *timeout* still applies from dispatch, so a worker
-        /// that hangs before its first beat is still declared dead.
-        bool beat_seen = false;
-        /// Jobs dispatched in the current run, not yet reported.
+        /// Jobs dispatched in the current run.
         std::vector<WireJob> inflight;
-        bool reported_once = false;
         bool respawn_scheduled = false;
         Clock::time_point respawn_at;
-        /// Every fingerprint this shard gossiped. If the shard dies,
-        /// these placeholders are all that remains of its completed-
-        /// but-unreported discoveries; merging them at the end keeps
-        /// the merged corpus key set identical to an undisturbed run.
-        service::TestCorpus::Delta retained;
-        /// Metrics and attribution totals of the runs this shard has
-        /// already reported. Each run starts its counters from zero, so
-        /// a requeue round's telemetry stacks on top of these.
-        obs::MetricsSnapshot reported_metrics;
-        obs::AttributionSnapshot reported_attribution;
+        /// Metrics and attribution totals of this shard's runs that are
+        /// over (reported, or cut short by a death), once there is one.
+        /// Each run starts its counters from zero, so a later run's
+        /// telemetry stacks on top of these.
+        bool has_base = false;
+        obs::MetricsSnapshot base_metrics;
+        obs::AttributionSnapshot base_attribution;
         /// Where the current run's time-series samples continue this
         /// shard's series. Each run's recorder restarts its index at 1,
         /// its clock at 0 and its counters at zero, so a later run's
@@ -187,7 +169,7 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         runtime[shard].transport = transports[shard];
         runtime[shard].last_heard = start;
         runtime[shard].hello_deadline = hello_deadline;
-        runtime[shard].retained.source = "shard" + std::to_string(shard);
+        runtime[shard].source = "shard" + std::to_string(shard);
     }
 
     // Partition round-robin by global index, deriving each job's seed
@@ -206,8 +188,8 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         partitions[ShardFor(index, num_shards)].push_back(std::move(job));
     }
 
-    // Which global jobs already have a result — final, or streamed over
-    // a heartbeat by a shard that died later.
+    // Which global jobs already have a result, streamed on a progress
+    // frame (possibly by a shard that died later).
     std::vector<char> have_result(jobs.size(), 0);
     std::vector<WireJob> pending_requeue;
     size_t live_shards = num_shards;
@@ -228,7 +210,7 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
     const auto send_run = [&](size_t shard, std::vector<WireJob> batch) {
         Runtime& rt = runtime[shard];
         const std::vector<obs::SeriesSample>* series =
-            cluster_series_.SeriesFor(rt.retained.source);
+            cluster_series_.SeriesFor(rt.source);
         if (series != nullptr && !series->empty()) {
             rt.series_base = series->back();
             rt.series_base.metrics.gauges.clear();
@@ -240,8 +222,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         RunRequest request;
         request.shard_id = shard;
         request.num_shards = num_shards;
-        request.heartbeat_interval_seconds =
-            heartbeats ? options_.heartbeat_interval_seconds : 0.0;
         request.service = options_.service;
         request.jobs = std::move(batch);
         const std::string line = EncodeRun(request);
@@ -249,8 +229,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         shards_[shard].jobs_assigned += rt.inflight.size();
         rt.state = State::kBusy;
         rt.last_heard = Clock::now();
-        rt.silent_intervals = 0;
-        rt.beat_seen = false;
         if (!rt.transport->Send(line)) {
             mark_dead(shard, "transport closed on send");
         }
@@ -261,6 +239,14 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         if (rt.state == State::kDead) {
             return;
         }
+        if (rt.state == State::kBusy) {
+            // The run is over: its latest telemetry becomes the base a
+            // later run (after a respawn) stacks on, so its counts stay
+            // counted.
+            rt.has_base = true;
+            rt.base_metrics = shards_[shard].telemetry;
+            rt.base_attribution = shards_[shard].attribution;
+        }
         rt.state = State::kDead;
         rt.transport->Close();
         degraded_ = true;
@@ -270,16 +256,15 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         tracer.RecordInstant(
             "shard_death", "fault",
             "shard " + std::to_string(shard) + ": " + cause);
-        // Requeue the remainder. With gossip on, a heartbeat-
-        // acknowledged job's discoveries are already covered by this
-        // shard's retained fingerprints, so only genuinely unfinished
-        // jobs rerun; with gossip off nothing covers them, so every
-        // inflight job reruns — bit-identical thanks to global-index
-        // seeds, which makes overwriting a streamed result harmless.
+        // Requeue the remainder. A job with a streamed result already
+        // has its discoveries, inputs included, in the merged corpus
+        // (they rode the same progress frame), so only genuinely
+        // unfinished jobs rerun — bit-identical thanks to global-index
+        // seeds.
         size_t requeued = 0;
         const auto requeue = [&](std::vector<WireJob>* batch) {
             for (WireJob& job : *batch) {
-                if (options_.gossip && have_result[job.job_index]) {
+                if (have_result[job.job_index]) {
                     continue;
                 }
                 pending_requeue.push_back(std::move(job));
@@ -309,10 +294,10 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         }
     };
 
-    // One path for the telemetry of gossip and result frames alike: the
-    // bundle's metrics and attribution are cumulative over the shard's
-    // current run, so the latest replaces the previous one, on top of
-    // the runs the shard already reported. Series samples continue the
+    // One path for the telemetry of progress and result frames alike:
+    // the bundle's metrics and attribution are cumulative over the
+    // shard's current run, so the latest replaces the previous one, on
+    // top of the shard's runs that are over. Series samples continue the
     // shard's series from series_base; the cluster series deduplicates
     // them by index.
     const auto absorb_telemetry = [&](size_t shard, Telemetry&& telemetry) {
@@ -333,40 +318,78 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
             sample.metrics = std::move(stacked);
         }
         if (!telemetry.series.empty() &&
-            cluster_series_.Update(rt.retained.source, telemetry.series) >
-                0 &&
+            cluster_series_.Update(rt.source, telemetry.series) > 0 &&
             options_.on_series_update) {
             options_.on_series_update(shard);
         }
-        if (rt.reported_once) {
-            outcome.telemetry = rt.reported_metrics;
+        if (rt.has_base) {
+            outcome.telemetry = rt.base_metrics;
             outcome.telemetry.MergeFrom(telemetry.metrics);
-            outcome.attribution = rt.reported_attribution;
-            outcome.attribution.MergeFrom(telemetry.attribution);
         } else {
             outcome.telemetry = std::move(telemetry.metrics);
-            outcome.attribution = std::move(telemetry.attribution);
+        }
+        if (!telemetry.attribution) {
+            return;  // Between metrics ticks: keep the latest table.
+        }
+        if (rt.has_base) {
+            outcome.attribution = rt.base_attribution;
+            outcome.attribution.MergeFrom(*telemetry.attribution);
+        } else {
+            outcome.attribution = std::move(*telemetry.attribution);
         }
     };
 
-    const auto merge_result = [&](size_t shard, ResultMessage&& result) {
+    // Results and corpus entries arrive here, once each. The entries are
+    // full (inputs included), so a shard that dies later leaves nothing
+    // behind that the merged corpus lacks.
+    const auto merge_progress = [&](size_t shard,
+                                    ProgressMessage&& progress) {
         ShardOutcome& outcome = shards_[shard];
-        Runtime& rt = runtime[shard];
-        cluster_telemetry_.MergeFrom(result.telemetry.metrics);
-        absorb_telemetry(shard, std::move(result.telemetry));
-        rt.reported_once = true;
-        rt.reported_metrics = outcome.telemetry;
-        rt.reported_attribution = outcome.attribution;
-        trace_events_.insert(trace_events_.end(), result.trace.begin(),
-                             result.trace.end());
-        for (service::JobResult& job : result.results) {
+        const bool streamed = !progress.results.empty();
+        for (service::JobResult& job : progress.results) {
             record_result(std::move(job));
         }
         const service::TestCorpus::MergeStats merge =
-            corpus_.MergeFrom(result.corpus);
+            corpus_.MergeFrom(progress.corpus);
         outcome.corpus_contributed += merge.inserted;
         outcome.corpus_duplicate += merge.duplicates;
         merge_duplicates->Add(merge.duplicates);
+        if (progress.telemetry) {
+            absorb_telemetry(shard, std::move(*progress.telemetry));
+        }
+        if (options_.gossip) {
+            gossip_messages->Add();
+            fingerprints_gossiped->Add(progress.corpus.entries.size());
+            // Forward the compact form: receivers key remote state by
+            // delta.source, so rebroadcast order cannot skew the merged
+            // view. The producing shard never sees its own delta back.
+            const std::string line_out = EncodeGossip(progress.corpus);
+            for (size_t other = 0; other < num_shards; ++other) {
+                if (other == shard ||
+                    runtime[other].state != State::kBusy) {
+                    continue;
+                }
+                if (!runtime[other].transport->Send(line_out)) {
+                    mark_dead(other, "transport closed on send");
+                }
+            }
+        }
+        if (streamed && options_.on_results_streamed) {
+            options_.on_results_streamed(shard);
+        }
+    };
+
+    // The run's end: its final telemetry and trace. Its results and
+    // entries came on the progress frames before it.
+    const auto merge_result = [&](size_t shard, ResultMessage&& result) {
+        ShardOutcome& outcome = shards_[shard];
+        Runtime& rt = runtime[shard];
+        absorb_telemetry(shard, std::move(result.telemetry));
+        rt.has_base = true;
+        rt.base_metrics = outcome.telemetry;
+        rt.base_attribution = outcome.attribution;
+        trace_events_.insert(trace_events_.end(), result.trace.begin(),
+                             result.trace.end());
         rt.inflight.clear();
         rt.state = State::kIdle;
     };
@@ -374,7 +397,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
     const auto handle_message = [&](size_t shard, Message&& message) {
         Runtime& rt = runtime[shard];
         rt.last_heard = Clock::now();
-        rt.silent_intervals = 0;
         switch (message.type) {
           case MessageType::kHello:
             if (rt.state != State::kAwaitingHello) {
@@ -389,47 +411,8 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
             }
             rt.state = State::kIdle;
             break;
-          case MessageType::kGossip: {
-            // Telemetry piggybacked on the delta keeps the cluster view
-            // live mid-batch; it is coordinator-local and never
-            // forwarded to sibling shards.
-            if (message.telemetry) {
-                absorb_telemetry(shard, std::move(*message.telemetry));
-            }
-            if (!options_.gossip) {
-                break;
-            }
-            gossip_messages->Add();
-            fingerprints_gossiped->Add(message.gossip.entries.size());
-            rt.retained.entries.insert(rt.retained.entries.end(),
-                                       message.gossip.entries.begin(),
-                                       message.gossip.entries.end());
-            // Forward verbatim: receivers key remote state by
-            // delta.source, so rebroadcast order cannot skew the merged
-            // view. The producing shard never sees its own delta back.
-            const std::string line_out = EncodeGossip(message.gossip);
-            for (size_t other = 0; other < num_shards; ++other) {
-                if (other == shard ||
-                    runtime[other].state != State::kBusy) {
-                    continue;
-                }
-                if (!runtime[other].transport->Send(line_out)) {
-                    mark_dead(other, "transport closed on send");
-                }
-            }
-            break;
-          }
-          case MessageType::kHeartbeat:
-            // Liveness (last_heard above) plus the streamed-results
-            // channel: anything acknowledged here survives this shard's
-            // later death without a rerun.
-            rt.beat_seen = true;
-            for (service::JobResult& job : message.heartbeat.results) {
-                record_result(std::move(job));
-            }
-            if (options_.on_heartbeat) {
-                options_.on_heartbeat(shard);
-            }
+          case MessageType::kProgress:
+            merge_progress(shard, std::move(message.progress));
             break;
           case MessageType::kResult:
             merge_result(shard, std::move(message.result));
@@ -533,32 +516,18 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
                 progressed = true;
                 continue;
             }
-            if (heartbeats && rt.state == State::kBusy &&
-                heartbeat_interval.count() > 0) {
-                const auto silent = now - rt.last_heard;
-                // One interval of silence is ordinary cadence jitter (a
-                // beat in flight); only silence beyond that counts as
-                // skipped beats.
-                const uint64_t overdue =
-                    static_cast<uint64_t>(silent / heartbeat_interval);
-                const uint64_t missed_now = overdue > 1 ? overdue - 1 : 0;
-                if (rt.beat_seen && missed_now > rt.silent_intervals) {
-                    const uint64_t missed =
-                        missed_now - rt.silent_intervals;
-                    rt.silent_intervals = missed_now;
-                    heartbeats_missed->Add(missed);
-                }
-                if (silent >= heartbeat_timeout) {
-                    mark_dead(
-                        shard,
-                        "heartbeat timeout after " +
-                            std::to_string(
-                                std::chrono::duration<double>(silent)
-                                    .count()) +
-                            "s");
-                    progressed = true;
-                    continue;
-                }
+            // A busy worker sends progress every gossip interval, so
+            // long silence means a hung worker or a wedged pipe.
+            if (rt.state == State::kBusy &&
+                now - rt.last_heard >= silence_timeout) {
+                mark_dead(shard,
+                          "silence timeout after " +
+                              std::to_string(std::chrono::duration<double>(
+                                                 now - rt.last_heard)
+                                                 .count()) +
+                              "s");
+                progressed = true;
+                continue;
             }
             // Process-level probe: a pipe can buffer past its process's
             // death, and a SIGSTOPped worker never closes anything.
@@ -659,31 +628,20 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
         record_result(std::move(placeholder));
     }
 
-    // Dead shards' retained gossip merges last: fingerprints only, so a
-    // full entry reported by any survivor wins, and only discoveries
-    // nobody re-ran land as placeholders. This is what keeps the merged
-    // corpus key set equal to an undisturbed run's even when a shard
-    // dies after finishing (but before reporting) some of its jobs.
-    for (size_t shard = 0; shard < num_shards; ++shard) {
-        Runtime& rt = runtime[shard];
-        if (rt.state != State::kDead || rt.retained.entries.empty()) {
-            continue;
-        }
-        const service::TestCorpus::MergeStats merge =
-            corpus_.MergeFrom(rt.retained);
-        shards_[shard].corpus_contributed += merge.inserted;
-        shards_[shard].corpus_duplicate += merge.duplicates;
-    }
-
     for (size_t shard = 0; shard < num_shards; ++shard) {
         if (runtime[shard].state != State::kDead) {
             runtime[shard].transport->Send(EncodeShutdown());
         }
     }
 
-    // The coordinator's own counters join the cluster view (all zero in
-    // a fault-free run — cheap, and the report schema stays uniform).
+    // The cluster view: every shard's latest stacked telemetry (a dead
+    // shard's included, so the results it streamed stay counted) plus
+    // the coordinator's own counters (all zero in a fault-free run —
+    // cheap, and the report schema stays uniform).
     coordinator_telemetry_ = metrics.Snapshot();
+    for (const ShardOutcome& outcome : shards_) {
+        cluster_telemetry_.MergeFrom(outcome.telemetry);
+    }
     cluster_telemetry_.MergeFrom(coordinator_telemetry_);
     {
         std::vector<obs::TraceEvent> own = tracer.TakeEvents();
@@ -719,7 +677,6 @@ ShardCoordinator::fault() const
     FaultStats fault;
     fault.deaths = own.CounterValue(kDeathsCounter);
     fault.jobs_requeued = own.CounterValue(kJobsRequeuedCounter);
-    fault.heartbeats_missed = own.CounterValue(kHeartbeatsMissedCounter);
     fault.respawns = own.CounterValue(kRespawnsCounter);
     return fault;
 }
@@ -761,8 +718,8 @@ ShardCoordinator::RenderMergedReport(
     json.Key("num_shards"), json.Value(shards_.size());
     json.Key("gossip_enabled"), json.Value(options_.gossip);
     // True when any shard died mid-batch: results may mix reruns,
-    // heartbeat-streamed entries, and (below quorum) cancelled
-    // placeholders. The "fault" section and per-shard death causes say
+    // results a dead shard streamed before it died, and (below quorum)
+    // cancelled placeholders. The "fault" section and per-shard death causes say
     // why.
     json.Key("degraded"), json.Value(degraded_);
     json.Key("coordinator_wall_seconds"), json.Value(wall_seconds_);
@@ -785,7 +742,6 @@ ShardCoordinator::RenderMergedReport(
     json.BeginObject();
     json.Key("deaths"), json.Value(fault_stats.deaths);
     json.Key("jobs_requeued"), json.Value(fault_stats.jobs_requeued);
-    json.Key("heartbeats_missed"), json.Value(fault_stats.heartbeats_missed);
     json.Key("respawns"), json.Value(fault_stats.respawns);
     json.EndObject();
     const CrossShardStats cross = cross_shard();
@@ -823,8 +779,7 @@ ShardCoordinator::RenderMergedReport(
     }
     json.EndArray();
     // Cluster telemetry: per-shard metrics snapshots (final, or the
-    // latest gossiped one for a shard that never reported) plus their
-    // merge. Schema per snapshot: obs::WriteMetricsSnapshot.
+    // latest streamed one for a shard that died) plus their merge. Schema per snapshot: obs::WriteMetricsSnapshot.
     json.Key("telemetry");
     json.BeginObject();
     json.Key("shards");

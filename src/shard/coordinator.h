@@ -7,27 +7,30 @@
 /// The coordinator partitions a batch round-robin over the shards,
 /// pre-deriving every job's seed from its *global* index (so the
 /// partition cannot change per-job results — see JobSpec::exact_seed),
-/// then multiplexes the transports from one thread: gossip deltas from
-/// any shard are forwarded to every other shard (receivers merge per
-/// source, so forwarding order cannot skew the merged state), and
-/// result messages are collected until the batch is accounted for.
-/// Afterwards the shard corpora merge into one deduplicated corpus
-/// (duplicate keys across shards are the residual cross-shard overlap
-/// gossip didn't suppress in time) and the per-shard reports merge into
-/// one JSON document with per-shard and cross-shard-dedup stats.
+/// then multiplexes the transports from one thread. Each shard's
+/// progress frames merge as they arrive: job results into results(),
+/// full corpus entries into one deduplicated corpus (duplicate keys
+/// across shards are the residual cross-shard overlap gossip didn't
+/// suppress in time), telemetry into the shard's latest view. Their
+/// compact gossip form is forwarded to every other busy shard
+/// (receivers merge per source, so forwarding order cannot skew the
+/// merged state). A shard's result frame closes its run with the final
+/// telemetry and trace. The per-shard reports merge into one JSON
+/// document with per-shard and cross-shard-dedup stats.
 ///
 /// The batch survives shard death. A shard is declared dead on EOF, a
 /// failed send, a malformed wire line, a worker-announced error, a
-/// supervisor probe (waitpid), or heartbeat silence past the deadline;
-/// its unfinished jobs — everything inflight minus the results already
-/// streamed over heartbeats — requeue onto the next idle survivor, and
+/// supervisor probe (waitpid), or silence from a busy shard past the
+/// deadline. Its unfinished jobs — everything inflight minus the results
+/// it already streamed — requeue onto the next idle survivor, and
 /// because every seed derives from the *global* job index, the rerun is
-/// bit-identical to what the dead shard would have produced. Completed-
-/// but-unreported discoveries survive as gossip fingerprints the
-/// coordinator retains per shard. An optional ShardSupervisor can
-/// respawn dead pipe workers with bounded exponential backoff; below
-/// Options::min_live_shards the batch stops requeueing and degrades to
-/// a partial report (degraded() == true) instead of failing.
+/// bit-identical to what the dead shard would have produced. A streamed
+/// job's discoveries came on the same progress frame as its result, so
+/// they are already in the merged corpus, inputs included. An optional
+/// ShardSupervisor can respawn dead pipe workers with bounded
+/// exponential backoff; below Options::min_live_shards the batch stops
+/// requeueing and degrades to a partial report (degraded() == true)
+/// instead of failing.
 
 #include <cstdint>
 #include <functional>
@@ -75,8 +78,8 @@ class ShardCoordinator
         /// global-index seed derivation.
         ServiceConfig service;
         /// Forward corpus/yield gossip between shards. Off, shards only
-        /// dedup at the final merge — the ablation baseline the bench
-        /// measures against.
+        /// dedup at the coordinator's merge — the ablation baseline the
+        /// bench measures against.
         bool gossip = true;
         /// Invoked (on the coordinator's Run thread) after fresh
         /// time-series samples from \p shard_id merged into
@@ -84,18 +87,11 @@ class ShardCoordinator
         /// Reading cluster_series() from inside is safe; Run() is
         /// blocked while the callback executes.
         std::function<void(size_t shard_id)> on_series_update;
-        /// Cadence at which busy workers must beat, shipped in every
-        /// RunRequest; each beat also streams the results completed
-        /// since the last one, which is what narrows requeue to the
-        /// unfinished remainder. 0 disables heartbeats entirely — death
-        /// is then detected by EOF / failed send / supervisor probe
-        /// only.
-        double heartbeat_interval_seconds = 0.25;
-        /// Silence from a *busy* shard beyond this declares it dead
-        /// (hung worker, wedged pipe). Only meaningful with heartbeats
-        /// on; generous by default because a beat can legitimately
-        /// lag behind a long solver query.
-        double heartbeat_timeout_seconds = 10.0;
+        /// Silence on every frame from a *busy* shard beyond this
+        /// declares it dead (hung worker, wedged pipe). A busy worker
+        /// sends progress every ShardWorker gossip interval; the
+        /// deadline is generous because a loaded machine can stall it.
+        double silence_timeout_seconds = 10.0;
         /// Quorum: once fewer shards than this are live, the batch
         /// stops requeueing, fills the missing results with cancelled
         /// placeholders (stop_source "shard_death") and returns a
@@ -113,10 +109,11 @@ class ShardCoordinator
         /// after its remainder moved to the requeue list.
         std::function<void(size_t shard_id, const std::string& cause)>
             on_shard_death;
-        /// Invoked (on the Run thread) for every heartbeat received —
-        /// the chaos harness's trigger point ("kill the victim once it
-        /// is provably mid-batch").
-        std::function<void(size_t shard_id)> on_heartbeat;
+        /// Invoked (on the Run thread) for every progress frame that
+        /// carries at least one result, after it merged — the chaos
+        /// harness's trigger point ("kill the victim once it is provably
+        /// mid-batch").
+        std::function<void(size_t shard_id)> on_results_streamed;
     };
 
     /// Per-shard outcome, kept for the merged report.
@@ -128,13 +125,13 @@ class ShardCoordinator
         /// from Options::service.
         service::ServiceStats stats;
         /// Entries this shard contributed to the merged corpus vs. ones
-        /// another shard had already merged (filled during the merge).
+        /// already merged (filled as its progress frames merge).
         size_t corpus_contributed = 0;
         size_t corpus_duplicate = 0;
         /// Latest metrics snapshot: updated live from telemetry-bearing
-        /// gossip mid-batch, then replaced by the final result's
-        /// snapshot when the shard reports (merged across requeue
-        /// rounds when the shard reported more than once).
+        /// progress frames mid-batch, then replaced by the final
+        /// result's snapshot when the shard reports (stacked across the
+        /// shard's runs when it ran more than once).
         obs::MetricsSnapshot telemetry;
         /// Latest per-location attribution table, same lifecycle as
         /// `telemetry` (snapshots are cumulative, so redelivery is
@@ -152,11 +149,10 @@ class ShardCoordinator
 
     /// Batch-wide fault counters, read from the coordinator's telemetry:
     /// shard.deaths_total / shard.jobs_requeued_total /
-    /// shard.heartbeats_missed / shard.respawns_total.
+    /// shard.respawns_total.
     struct FaultStats {
         uint64_t deaths = 0;
         uint64_t jobs_requeued = 0;
-        uint64_t heartbeats_missed = 0;
         uint64_t respawns = 0;
     };
 
@@ -165,7 +161,7 @@ class ShardCoordinator
     /// / shard.merge_duplicates counters and the cluster's
     /// corpus.remote_duplicate_hits / service.jobs_plateau_cancelled.
     struct CrossShardStats {
-        /// Gossip deltas forwarded between shards.
+        /// Progress frames forwarded between shards as gossip.
         uint64_t gossip_messages = 0;
         /// Fingerprints those deltas carried.
         uint64_t fingerprints_gossiped = 0;
@@ -180,8 +176,8 @@ class ShardCoordinator
         /// Compare a gossip-on vs gossip-off run (bench_sharding does)
         /// to isolate the cross-shard contribution.
         uint64_t jobs_suppressed = 0;
-        /// Duplicate keys found when merging shard corpora at the end:
-        /// overlap gossip did not suppress in time.
+        /// Duplicate keys found when merging shard corpora: overlap
+        /// gossip did not suppress in time.
         uint64_t merge_duplicates = 0;
     };
 
@@ -189,9 +185,9 @@ class ShardCoordinator
 
     /// Runs \p jobs over the shard \p transports (one per worker, all
     /// already connected). Blocks until every job is accounted for —
-    /// by a surviving shard's result, a streamed heartbeat result from
-    /// a shard that died later, a deterministic rerun on a survivor,
-    /// or (below the quorum) a cancelled placeholder. Returns false
+    /// by a streamed result (from a shard that may have died later), a
+    /// deterministic rerun on a survivor, or (below the quorum) a
+    /// cancelled placeholder. Returns false
     /// with \p error only on caller mistakes (no transports,
     /// non-serializable specs); shard deaths degrade the report
     /// (degraded() == true) rather than fail the batch.
@@ -236,10 +232,11 @@ class ShardCoordinator
         return coordinator_telemetry_;
     }
 
-    /// Every shard's final snapshot merged into one cluster view:
-    /// counters and gauges sum, histograms add bucket-wise (so cluster
-    /// quantiles reflect every shard's latency samples). Live mid-batch
-    /// reads see whatever gossip has delivered so far.
+    /// Every shard's latest snapshot (a dead shard's included) and the
+    /// coordinator's merged into one cluster view: counters sum, gauges
+    /// fold into `_max`/`_total`, histograms add bucket-wise (so cluster
+    /// quantiles reflect every shard's latency samples). Valid once Run
+    /// returns.
     const obs::MetricsSnapshot& cluster_telemetry() const
     {
         return cluster_telemetry_;
@@ -253,7 +250,8 @@ class ShardCoordinator
     obs::AttributionSnapshot ClusterAttribution() const;
 
     /// Merged cluster time-series: one series per shard ("shard<N>"),
-    /// fed live from gossip and completed by each result's tail.
+    /// fed live from progress frames and completed by each result's
+    /// tail.
     /// Mid-batch reads are only safe from Options::on_series_update
     /// (same thread as Run); after Run returns, any thread may read.
     const obs::ClusterSeries& cluster_series() const

@@ -9,7 +9,7 @@
 /// truncate it, corrupt bytes inside it, or close the channel. The
 /// mangling is seeded, so a failing chaos run replays bit-identically —
 /// every coordinator failure path (EOF, send failure, malformed line,
-/// heartbeat silence) becomes a reproducible unit test instead of a
+/// silence) becomes a reproducible unit test instead of a
 /// kill -9 in a shell loop. `chef_shard --chaos` builds on the same
 /// decorator for the process-level smoke.
 ///

@@ -23,20 +23,21 @@
 /// Telemetry options: --trace-out PATH turns on phase tracing in every
 /// worker and writes the merged Chrome trace-event JSON (load in
 /// chrome://tracing or Perfetto); --metrics-interval MS sets the
-/// cadence of live metrics snapshots piggybacked on gossip. Both accept
-/// --flag=value and --flag value forms. The merged report always
-/// carries a "telemetry" section with per-shard and cluster-merged
-/// metrics snapshots.
+/// cadence of live telemetry bundles on the workers' progress frames.
+/// Both accept --flag=value and --flag value forms. The merged report
+/// always carries a "telemetry" section with per-shard and
+/// cluster-merged metrics snapshots.
 ///
 /// Time-series options (coordinator; all force a 100 ms metrics
 /// interval when none was set): --stats-out PATH streams one NDJSON
 /// line per shard sample (windowed jobs/s, fingerprints/s, solver p95,
-/// cluster totals) as gossip delivers them; --curves-out PATH writes
-/// the per-workload coverage_curves CSV (the Figure-9 reproduction);
-/// --series-out PATH dumps every retained cluster sample as JSON;
-/// --monitor renders an in-place ANSI dashboard to stderr while the
-/// batch runs. Shard deaths additionally appear on the --stats-out
-/// stream as {"event":"shard_death",...} records.
+/// cluster totals) as progress frames deliver them; --curves-out PATH
+/// writes the per-workload coverage_curves CSV (the Figure-9
+/// reproduction); --series-out PATH dumps every cluster sample the
+/// coordinator holds as JSON; --monitor renders an in-place ANSI
+/// dashboard to stderr while the batch runs. Shard deaths additionally
+/// appear on the --stats-out stream as {"event":"shard_death",...}
+/// records.
 ///
 /// Attribution options (coordinator): --attr-out PATH writes the
 /// cluster per-location attribution table (solver seconds, steps,
@@ -46,18 +47,16 @@
 /// flamegraph.pl or speedscope. --monitor appends a "hot locations"
 /// panel ranked by solver cost and by fingerprint yield per solver
 /// second. Attribution is on by default in every worker; the tables
-/// ride gossip at the metrics cadence and always arrive with the final
-/// result.
+/// ride progress frames at the metrics cadence and always arrive with
+/// the final result.
 ///
-/// Fault-tolerance options (coordinator): --heartbeat-interval MS sets
-/// the worker heartbeat cadence (0 disables), --respawns N lets
-/// the coordinator respawn each dead worker up to N times,
-/// --min-live-shards K degrades the batch to a partial report below K
-/// live shards, and --chaos kill-one SIGKILLs the first shard to
-/// heartbeat — a built-in crash drill: the run must still complete,
-/// flagged "degraded" with the dead shard's jobs requeued onto
-/// survivors, and its merged corpus key-for-key equal to an undisturbed
-/// run's.
+/// Fault-tolerance options (coordinator): --respawns N lets the
+/// coordinator respawn each dead worker up to N times, --min-live-shards
+/// K degrades the batch to a partial report below K live shards, and
+/// --chaos kill-one SIGKILLs the first shard to stream a job result — a
+/// built-in crash drill: the run must still complete, flagged "degraded"
+/// with the dead shard's unfinished jobs requeued onto survivors, and
+/// its merged corpus key-for-key equal to an undisturbed run's.
 
 #include <algorithm>
 #include <chrono>
@@ -123,11 +122,8 @@ struct CliOptions {
     /// Cluster attribution table as folded stacks (flamegraph input).
     std::string flame_path;
     /// Fault-injection drill: "" (off) or "kill-one" (SIGKILL the first
-    /// shard that heartbeats — provably mid-batch).
+    /// shard that streams a job result — provably mid-batch).
     std::string chaos;
-    /// Worker heartbeat cadence in milliseconds (0 disables
-    /// heartbeats and the streamed-results channel).
-    double heartbeat_interval_ms = 250.0;
     /// Respawn budget per dead worker.
     size_t max_respawns = 0;
     /// Quorum below which the batch degrades instead of requeueing.
@@ -149,8 +145,8 @@ Usage(const char* argv0)
         "           [--metrics-interval MS] [--stats-out PATH]\n"
         "           [--curves-out PATH] [--series-out PATH]\n"
         "           [--attr-out PATH] [--flame-out PATH]\n"
-        "           [--heartbeat-interval MS] [--respawns N]\n"
-        "           [--min-live-shards K] [--chaos kill-one]\n"
+        "           [--respawns N] [--min-live-shards K]\n"
+        "           [--chaos kill-one]\n"
         "           [--monitor]\n",
         argv0, argv0);
 }
@@ -238,11 +234,6 @@ ParseArgs(int argc, char** argv, CliOptions* options)
                 return false;
             }
             options->flame_path = inline_value;
-            continue;
-        }
-        if (match("--heartbeat-interval")) {
-            options->heartbeat_interval_ms =
-                std::atof(inline_value.c_str());
             continue;
         }
         if (match("--respawns")) {
@@ -407,8 +398,6 @@ CoordinatorOptions(const CliOptions& options)
     if (wants_series && coordinator.service.metrics_interval_seconds <= 0.0) {
         coordinator.service.metrics_interval_seconds = 0.1;
     }
-    coordinator.heartbeat_interval_seconds =
-        options.heartbeat_interval_ms / 1000.0;
     coordinator.max_respawns = options.max_respawns;
     coordinator.min_live_shards = options.min_live_shards;
     return coordinator;
@@ -587,13 +576,14 @@ RunCoordinator(const CliOptions& options, const char* argv0)
         }
     };
 
-    // The kill-one drill: SIGKILL the first shard to heartbeat. A
-    // heartbeat only flows while RunBatch is still executing, so the
-    // victim is provably mid-batch — the hard case, where requeue and
-    // retained-gossip recovery must both engage.
+    // The kill-one drill: SIGKILL the first shard to stream a job
+    // result. Its first result arrives while the rest of its partition
+    // is still queued or running, so the victim is provably mid-batch —
+    // the hard case, where requeue must skip its streamed jobs and the
+    // merged corpus must already hold their discoveries.
     bool chaos_killed = false;
     if (options.chaos == "kill-one") {
-        coordinator_options.on_heartbeat = [&](size_t shard) {
+        coordinator_options.on_results_streamed = [&](size_t shard) {
             if (chaos_killed || shard >= processes.size() ||
                 processes[shard].pid < 0) {
                 return;
@@ -601,7 +591,7 @@ RunCoordinator(const CliOptions& options, const char* argv0)
             chaos_killed = true;
             std::fprintf(stderr,
                          "chef_shard: chaos kill-one: SIGKILL shard %zu "
-                         "(pid %d) on its first heartbeat\n",
+                         "(pid %d) on its first streamed result\n",
                          shard, static_cast<int>(processes[shard].pid));
             ::kill(processes[shard].pid, SIGKILL);
         };
@@ -741,11 +731,9 @@ RunCoordinator(const CliOptions& options, const char* argv0)
     if (coordinator.degraded()) {
         const ShardCoordinator::FaultStats& fault = coordinator.fault();
         std::printf("  fault: DEGRADED — %llu death(s), %llu jobs "
-                    "requeued, %llu heartbeats missed, %llu respawn(s)\n",
+                    "requeued, %llu respawn(s)\n",
                     static_cast<unsigned long long>(fault.deaths),
                     static_cast<unsigned long long>(fault.jobs_requeued),
-                    static_cast<unsigned long long>(
-                        fault.heartbeats_missed),
                     static_cast<unsigned long long>(fault.respawns));
     }
     std::printf("  report: %s\n", options.report_path.c_str());

@@ -150,7 +150,6 @@ class FdTransport : public Transport
         const auto deadline =
             std::chrono::steady_clock::now() +
             std::chrono::milliseconds(timeout_ms < 0 ? 0 : timeout_ms);
-        bool polled = false;
         for (;;) {
             // Serve from the buffer first: poll() must not be consulted
             // while a complete line is already in hand.
@@ -165,21 +164,19 @@ class FdTransport : public Transport
                 // message; drop it and report closed.
                 return RecvStatus::kClosed;
             }
+            // Past the deadline the poll still runs with a zero wait, so
+            // a line longer than one read keeps arriving for as long as
+            // its bytes are already in the pipe; only an empty pipe ends
+            // the call. (A timeout_ms == 0 probe thus reads a whole
+            // pending frame, not one chunk of it per call.)
             int wait_ms = -1;
             if (timeout_ms >= 0) {
                 const auto remaining =
                     std::chrono::duration_cast<std::chrono::milliseconds>(
                         deadline - std::chrono::steady_clock::now())
                         .count();
-                // timeout_ms == 0 is a non-blocking probe: the fd must
-                // still be polled (with a zero wait) at least once, or
-                // pending bytes would never be read.
-                if (remaining <= 0 && polled) {
-                    return RecvStatus::kTimeout;
-                }
                 wait_ms = remaining > 0 ? static_cast<int>(remaining) : 0;
             }
-            polled = true;
             struct pollfd pfd;
             pfd.fd = read_fd_;
             pfd.events = POLLIN;

@@ -402,6 +402,45 @@ DecodeCorpusEntryFull(const JsonValue& object, TestCorpus::Entry* entry,
     return true;
 }
 
+void
+WriteCorpusDelta(JsonWriter& json, const TestCorpus::Delta& delta)
+{
+    json.BeginObject();
+    json.Key("source"), json.Value(delta.source);
+    json.Key("sequence"), json.Value(delta.sequence);
+    json.Key("entries");
+    json.BeginArray();
+    for (const TestCorpus::Entry& entry : delta.entries) {
+        WriteCorpusEntryFull(json, entry);
+    }
+    json.EndArray();
+    json.Key("yields");
+    WriteYields(json, delta.yields);
+    json.EndObject();
+}
+
+bool
+DecodeCorpusDelta(const JsonValue& object, TestCorpus::Delta* delta,
+                  std::string* error)
+{
+    if (!ReadString(object, "source", &delta->source, error) ||
+        !ReadU64(object, "sequence", &delta->sequence, error)) {
+        return false;
+    }
+    const JsonValue* entries = ReadArray(object, "entries", error);
+    if (entries == nullptr) {
+        return false;
+    }
+    for (const JsonValue& item : entries->items) {
+        TestCorpus::Entry entry;
+        if (!DecodeCorpusEntryFull(item, &entry, error)) {
+            return false;
+        }
+        delta->entries.push_back(std::move(entry));
+    }
+    return DecodeYields(object, &delta->yields, error);
+}
+
 // ---------------------------------------------------------------------------
 // JobResult (numeric mirror of service::WriteJobResult).
 // ---------------------------------------------------------------------------
@@ -491,8 +530,10 @@ WriteTelemetry(JsonWriter& json, const Telemetry& telemetry)
     obs::WriteMetricsSnapshot(json, telemetry.metrics);
     json.Key("series");
     obs::WriteSeriesSamples(json, telemetry.series);
-    json.Key("attribution");
-    obs::WriteAttributionSnapshot(json, telemetry.attribution);
+    if (telemetry.attribution) {
+        json.Key("attribution");
+        obs::WriteAttributionSnapshot(json, *telemetry.attribution);
+    }
     json.EndObject();
 }
 
@@ -510,10 +551,12 @@ DecodeTelemetry(const JsonValue& object, Telemetry* telemetry,
         !obs::DecodeSeriesSamples(*series, &telemetry->series, error)) {
         return false;
     }
-    const JsonValue* attribution = ReadObject(object, "attribution", error);
-    return attribution != nullptr &&
-           obs::DecodeAttributionSnapshot(*attribution,
-                                          &telemetry->attribution, error);
+    // The attribution table rides only bundles sent at the metrics
+    // cadence.
+    const JsonValue* attribution = object.Find("attribution");
+    return attribution == nullptr ||
+           obs::DecodeAttributionSnapshot(
+               *attribution, &telemetry->attribution.emplace(), error);
 }
 
 }  // namespace
@@ -529,7 +572,7 @@ MessageTypeName(MessageType type)
       case MessageType::kHello: return "hello";
       case MessageType::kRun: return "run";
       case MessageType::kGossip: return "gossip";
-      case MessageType::kHeartbeat: return "heartbeat";
+      case MessageType::kProgress: return "progress";
       case MessageType::kResult: return "result";
       case MessageType::kShutdown: return "shutdown";
       case MessageType::kError: return "error";
@@ -599,8 +642,6 @@ EncodeRun(const RunRequest& request)
     json.Key("type"), json.Value("run");
     json.Key("shard_id"), json.Value(request.shard_id);
     json.Key("num_shards"), json.Value(request.num_shards);
-    json.Key("heartbeat_interval_seconds"),
-        json.Value(request.heartbeat_interval_seconds);
     json.Key("service");
     json.BeginObject();
     json.Key("seed"), json.HexValue(request.service.seed);
@@ -633,18 +674,13 @@ EncodeRun(const RunRequest& request)
 }
 
 std::string
-EncodeGossip(const service::TestCorpus::Delta& delta,
-             const Telemetry* telemetry)
+EncodeGossip(const service::TestCorpus::Delta& delta)
 {
     JsonWriter json;
     json.BeginObject();
     json.Key("type"), json.Value("gossip");
     json.Key("source"), json.Value(delta.source);
     json.Key("sequence"), json.Value(delta.sequence);
-    if (telemetry != nullptr) {
-        json.Key("telemetry");
-        WriteTelemetry(json, *telemetry);
-    }
     // Group fingerprints by workload: entries arrive sorted by
     // (workload, fingerprint), so one linear pass emits each group.
     json.Key("workloads");
@@ -672,19 +708,24 @@ EncodeGossip(const service::TestCorpus::Delta& delta,
 }
 
 std::string
-EncodeHeartbeat(const HeartbeatMessage& heartbeat)
+EncodeProgress(const ProgressMessage& progress)
 {
     JsonWriter json;
     json.BeginObject();
-    json.Key("type"), json.Value("heartbeat");
-    json.Key("shard_id"), json.Value(heartbeat.shard_id);
-    json.Key("sequence"), json.Value(heartbeat.sequence);
+    json.Key("type"), json.Value("progress");
+    json.Key("shard_id"), json.Value(progress.shard_id);
+    json.Key("corpus");
+    WriteCorpusDelta(json, progress.corpus);
     json.Key("results");
     json.BeginArray();
-    for (const JobResult& job : heartbeat.results) {
+    for (const JobResult& job : progress.results) {
         service::WriteJobResult(json, job);
     }
     json.EndArray();
+    if (progress.telemetry) {
+        json.Key("telemetry");
+        WriteTelemetry(json, *progress.telemetry);
+    }
     json.EndObject();
     return json.Take();
 }
@@ -696,25 +737,6 @@ EncodeResult(const ResultMessage& result)
     json.BeginObject();
     json.Key("type"), json.Value("result");
     json.Key("shard_id"), json.Value(result.shard_id);
-    json.Key("results");
-    json.BeginArray();
-    for (const JobResult& job : result.results) {
-        service::WriteJobResult(json, job);
-    }
-    json.EndArray();
-    json.Key("corpus");
-    json.BeginObject();
-    json.Key("source"), json.Value(result.corpus.source);
-    json.Key("sequence"), json.Value(result.corpus.sequence);
-    json.Key("entries");
-    json.BeginArray();
-    for (const TestCorpus::Entry& entry : result.corpus.entries) {
-        WriteCorpusEntryFull(json, entry);
-    }
-    json.EndArray();
-    json.Key("yields");
-    WriteYields(json, result.corpus.yields);
-    json.EndObject();
     json.Key("telemetry");
     WriteTelemetry(json, result.telemetry);
     json.Key("trace");
@@ -775,8 +797,6 @@ DecodeMessage(const std::string& line, Message* message,
         std::string policy;
         if (!ReadSize(root, "shard_id", &run.shard_id, error) ||
             !ReadSize(root, "num_shards", &run.num_shards, error) ||
-            !ReadDouble(root, "heartbeat_interval_seconds",
-                        &run.heartbeat_interval_seconds, error) ||
             svc == nullptr ||
             !ReadU64(*svc, "seed", &run.service.seed, error) ||
             !ReadSize(*svc, "num_workers", &run.service.num_workers,
@@ -823,14 +843,6 @@ DecodeMessage(const std::string& line, Message* message,
             !ReadU64(root, "sequence", &delta.sequence, error)) {
             return false;
         }
-        // The telemetry bundle rides only frames sent at the metrics
-        // cadence.
-        const JsonValue* telemetry = root.Find("telemetry");
-        if (telemetry != nullptr &&
-            !DecodeTelemetry(*telemetry, &message->telemetry.emplace(),
-                             error)) {
-            return false;
-        }
         const JsonValue* workloads = ReadArray(root, "workloads", error);
         if (workloads == nullptr) {
             return false;
@@ -852,8 +864,8 @@ DecodeMessage(const std::string& line, Message* message,
                     return DecodeFail(error, "invalid fingerprint");
                 }
                 // Fingerprint-only placeholder: enough to dedup local
-                // rediscovery; the discovering shard reports the full
-                // entry in its result message.
+                // rediscovery; the discovering shard sent the full entry
+                // to the coordinator on its progress frame.
                 entry.outcome_kind = "remote";
                 delta.entries.push_back(std::move(entry));
             }
@@ -861,51 +873,31 @@ DecodeMessage(const std::string& line, Message* message,
         return DecodeYields(root, &delta.yields, error);
     }
 
-    if (type == "heartbeat") {
-        message->type = MessageType::kHeartbeat;
-        HeartbeatMessage& heartbeat = message->heartbeat;
-        if (!ReadSize(root, "shard_id", &heartbeat.shard_id, error) ||
-            !ReadU64(root, "sequence", &heartbeat.sequence, error)) {
+    if (type == "progress") {
+        message->type = MessageType::kProgress;
+        ProgressMessage& progress = message->progress;
+        const JsonValue* corpus = ReadObject(root, "corpus", error);
+        if (!ReadSize(root, "shard_id", &progress.shard_id, error) ||
+            corpus == nullptr ||
+            !DecodeCorpusDelta(*corpus, &progress.corpus, error) ||
+            !DecodeJobResults(root, &progress.results, error)) {
             return false;
         }
-        return DecodeJobResults(root, &heartbeat.results, error);
+        const JsonValue* telemetry = root.Find("telemetry");
+        return telemetry == nullptr ||
+               DecodeTelemetry(*telemetry, &progress.telemetry.emplace(),
+                               error);
     }
 
     if (type == "result") {
         message->type = MessageType::kResult;
         ResultMessage& result = message->result;
-        if (!ReadSize(root, "shard_id", &result.shard_id, error) ||
-            !DecodeJobResults(root, &result.results, error)) {
-            return false;
-        }
-        const JsonValue* corpus = ReadObject(root, "corpus", error);
-        if (corpus == nullptr ||
-            !ReadString(*corpus, "source", &result.corpus.source, error) ||
-            !ReadU64(*corpus, "sequence", &result.corpus.sequence,
-                     error)) {
-            return false;
-        }
-        const JsonValue* entries = ReadArray(*corpus, "entries", error);
-        if (entries == nullptr) {
-            return false;
-        }
-        for (const JsonValue& item : entries->items) {
-            TestCorpus::Entry entry;
-            if (!DecodeCorpusEntryFull(item, &entry, error)) {
-                return false;
-            }
-            result.corpus.entries.push_back(std::move(entry));
-        }
-        if (!DecodeYields(*corpus, &result.corpus.yields, error)) {
-            return false;
-        }
         const JsonValue* telemetry = ReadObject(root, "telemetry", error);
-        if (telemetry == nullptr ||
-            !DecodeTelemetry(*telemetry, &result.telemetry, error)) {
-            return false;
-        }
         const JsonValue* trace = ReadArray(root, "trace", error);
-        return trace != nullptr &&
+        return ReadSize(root, "shard_id", &result.shard_id, error) &&
+               telemetry != nullptr &&
+               DecodeTelemetry(*telemetry, &result.telemetry, error) &&
+               trace != nullptr &&
                obs::DecodeTraceEvents(*trace, &result.trace, error);
     }
 

@@ -8,19 +8,24 @@
 /// framing; see shard/transport.h), built and parsed with support/json.h
 /// so the wire obeys the same grammar the report contract promises. What
 /// crosses the wire is the paper's "compact canonical artifacts" idea
-/// applied to distribution: job descriptions, corpus fingerprint deltas,
-/// and per-workload yield snapshots — never engine state or expression
-/// DAGs.
+/// applied to distribution: job descriptions, corpus deltas, and
+/// per-workload yield snapshots — never engine state or expression DAGs.
 ///
 /// There is one protocol version (kProtocolVersion). Every field of
 /// every frame is written every time and decoded as required, so schema
 /// drift fails the frame loudly instead of decoding to a default. Only
-/// two keys are optional: the telemetry bundle on a gossip frame (sent
-/// at the metrics cadence) and a job result's "error" (omitted when
-/// empty by the service report schema). Unknown keys are skipped. Every
-/// peer is the same build: loopback shards run in-process, and pipe
-/// workers are spawned from the coordinator's own binary, so there are
-/// no older peers whose fields need defaults.
+/// three keys are optional: a progress frame's telemetry bundle, that
+/// bundle's attribution table (both sent at the metrics cadence; see
+/// ProgressMessage), and a job result's "error" (omitted when empty by
+/// the service report schema). Unknown keys are skipped. Every peer is
+/// the same build: loopback shards run in-process, and pipe workers are
+/// spawned from the coordinator's own binary, so there are no older
+/// peers whose fields need defaults.
+///
+/// Each kind of data has one upstream path. Job results and corpus
+/// entries go on `progress`, once each; the final telemetry and the
+/// trace go on `result`. `gossip` flows only downstream: the
+/// coordinator's compact form of another shard's progress.
 ///
 /// Only the declarative subset of a JobSpec is serializable: callbacks
 /// (Engine stop_requested hooks) and shared pointers (a pre-wired
@@ -46,14 +51,14 @@ namespace chef::shard {
 
 /// The coordinator refuses a worker whose hello announces any other
 /// version instead of mis-decoding mid-batch.
-constexpr int kProtocolVersion = 5;
+constexpr int kProtocolVersion = 6;
 
 enum class MessageType {
     kHello,      ///< worker -> coordinator: ready, protocol version.
     kRun,        ///< coordinator -> worker: run this batch partition.
-    kGossip,     ///< both directions: corpus fingerprint delta + yields.
-    kHeartbeat,  ///< worker -> coordinator: liveness + streamed results.
-    kResult,     ///< worker -> coordinator: results, local corpus, telemetry.
+    kGossip,     ///< coordinator -> worker: fingerprint delta + yields.
+    kProgress,   ///< worker -> coordinator: results, entries, yields.
+    kResult,     ///< worker -> coordinator: final telemetry and trace.
     kShutdown,   ///< coordinator -> worker: exit cleanly.
     kError,      ///< either: fatal protocol/setup failure, with reason.
 };
@@ -85,8 +90,9 @@ struct ServiceConfig {
     /// back in the result message (obs contexts themselves never cross
     /// the wire — each worker builds its own registry/tracer).
     bool tracing = false;
-    /// The worker's cadence for time-series samples and for telemetry
-    /// piggybacked on gossip; 0 means final-result telemetry only.
+    /// The worker's cadence for time-series samples and for the full
+    /// telemetry bundle on progress frames; 0 means final-result
+    /// telemetry only (plus the metrics on result-bearing progress).
     double metrics_interval_seconds = 0.0;
     /// Default intra-session exploration threads per job on the worker
     /// (clamped there against its core budget); 1 keeps sessions
@@ -100,55 +106,51 @@ struct ServiceConfig {
 struct RunRequest {
     size_t shard_id = 0;
     size_t num_shards = 1;
-    /// Cadence for worker heartbeats while the batch runs; 0 disables
-    /// them. The coordinator fills it from its
-    /// Options::heartbeat_interval_seconds. Heartbeats double as the
-    /// streamed-result channel: each one carries the jobs completed
-    /// since the previous beat, so the coordinator can requeue only the
-    /// genuinely unfinished remainder when the shard later dies.
-    double heartbeat_interval_seconds = 0.0;
     ServiceConfig service;
     std::vector<WireJob> jobs;
-};
-
-/// worker -> coordinator while a batch runs (only when the run request
-/// set heartbeat_interval_seconds > 0). Liveness signal plus
-/// the completed results since the previous beat, already remapped to
-/// global job indices. The worker's pump sends the covering corpus
-/// gossip delta *before* the heartbeat on the same ordered transport,
-/// so any job a received heartbeat lists has its discoveries'
-/// fingerprints already at the coordinator — the invariant that keeps
-/// the corpus complete when the shard dies after the beat.
-struct HeartbeatMessage {
-    size_t shard_id = 0;
-    /// Monotonic per-run beat counter (diagnostic only).
-    uint64_t sequence = 0;
-    std::vector<service::JobResult> results;
 };
 
 /// A shard's telemetry, one value on the wire. `metrics` and
 /// `attribution` are cumulative over the shard's current run, so the
 /// receiver keeps the latest; `series` holds only the samples not sent
-/// before, and the receiver deduplicates them by index.
+/// before, and the receiver deduplicates them by index. `attribution`
+/// is absent from a bundle sent between metrics ticks (the receiver
+/// keeps the table it has).
 struct Telemetry {
     obs::MetricsSnapshot metrics;
     std::vector<obs::SeriesSample> series;
-    obs::AttributionSnapshot attribution;
+    std::optional<obs::AttributionSnapshot> attribution;
 };
 
-/// worker -> coordinator at batch end. `corpus` carries the shard's
-/// *local-origin* entries in full (inputs included) plus its local yield
-/// view; gossip-seeded remote entries are excluded — the discovering
-/// shard reports those, so the union over shards has no echoes. The
-/// shard's batch totals travel only as counters in `telemetry.metrics`;
-/// the coordinator derives its ServiceStats from them
-/// (service::StatsFromMetrics).
+/// worker -> coordinator every gossip interval while a batch runs, and
+/// once more, flushing, before the result. Each job result and each
+/// local-origin corpus entry rides exactly one progress frame. The
+/// worker drains completed results before it cuts the corpus delta, and
+/// a job's corpus inserts happen before its completion, so a frame
+/// carries every entry its own results discovered.
+struct ProgressMessage {
+    size_t shard_id = 0;
+    /// Local-origin entries new since the last frame, in full (inputs
+    /// included, job_index global), plus the cumulative local yield
+    /// view. Gossip-seeded remote entries are excluded — the discovering
+    /// shard reports those, so the union over shards has no echoes.
+    service::TestCorpus::Delta corpus;
+    /// Jobs completed since the last frame, under global indices.
+    std::vector<service::JobResult> results;
+    /// The full bundle at the metrics cadence; only the metrics on any
+    /// other frame that carries results, so the counts behind a streamed
+    /// result reach the coordinator with it; absent otherwise.
+    std::optional<Telemetry> telemetry;
+};
+
+/// worker -> coordinator at batch end, after the flushing progress
+/// frame. The shard's batch totals travel only as counters in
+/// `telemetry.metrics`; the coordinator derives its ServiceStats from
+/// them (service::StatsFromMetrics).
 struct ResultMessage {
     size_t shard_id = 0;
-    std::vector<service::JobResult> results;
-    service::TestCorpus::Delta corpus;
     /// The run's final telemetry: its metrics and attribution totals and
-    /// the series samples gossip never shipped.
+    /// the series samples no progress frame shipped.
     Telemetry telemetry;
     /// Completed trace spans, pid-stamped shard_id + 1 (empty unless the
     /// run request asked for tracing).
@@ -162,10 +164,7 @@ struct Message {
     int protocol_version = 0;                 ///< kHello.
     RunRequest run;                           ///< kRun.
     service::TestCorpus::Delta gossip;        ///< kGossip.
-    /// kGossip: live telemetry piggybacked on the delta (worker ->
-    /// coordinator only, at the configured metrics cadence).
-    std::optional<Telemetry> telemetry;
-    HeartbeatMessage heartbeat;               ///< kHeartbeat.
+    ProgressMessage progress;                 ///< kProgress.
     ResultMessage result;                     ///< kResult.
     std::string error;                        ///< kError.
 };
@@ -177,12 +176,9 @@ bool CheckSerializable(const service::JobSpec& spec, std::string* why);
 std::string EncodeHello();
 std::string EncodeRun(const RunRequest& request);
 /// Gossip is the compact form of a delta: per-workload fingerprint
-/// lists and the yield snapshot — no outcomes or inputs. A worker
-/// piggybacks its \p telemetry (non-null) at the metrics cadence so the
-/// coordinator's cluster view stays current mid-batch.
-std::string EncodeGossip(const service::TestCorpus::Delta& delta,
-                         const Telemetry* telemetry = nullptr);
-std::string EncodeHeartbeat(const HeartbeatMessage& heartbeat);
+/// lists and the yield snapshot — no outcomes or inputs.
+std::string EncodeGossip(const service::TestCorpus::Delta& delta);
+std::string EncodeProgress(const ProgressMessage& progress);
 std::string EncodeResult(const ResultMessage& result);
 std::string EncodeShutdown();
 std::string EncodeError(const std::string& reason);

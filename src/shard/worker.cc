@@ -46,7 +46,7 @@ ShardWorker::HandleRun(const RunRequest& request)
     service_options.obs.tracer = request.service.tracing ? &tracer : nullptr;
     // Time-series recorder, sampled by the service's ticker thread at
     // the telemetry cadence; this thread drains it incrementally onto
-    // the gossip stream.
+    // the progress stream.
     const bool live_telemetry =
         request.service.metrics_interval_seconds > 0.0;
     obs::TimeSeriesRecorder::Options recorder_options;
@@ -59,26 +59,20 @@ ShardWorker::HandleRun(const RunRequest& request)
         service_options.obs.timeseries = &recorder;
     }
 
-    // Heartbeats double as the streamed-result channel: every
-    // completed job's full result is captured off the service's event
-    // dispatcher and shipped on the next beat, so the coordinator can
-    // requeue only the genuinely unfinished remainder if this process
-    // dies later. Gated on the coordinator asking — streaming costs a
-    // dispatcher thread the plain path doesn't need.
-    const bool heartbeats = request.heartbeat_interval_seconds > 0.0;
+    // Every completed job's full result is captured off the service's
+    // event dispatcher and shipped on the next progress frame, so the
+    // coordinator holds it (and its discoveries) before the batch ends
+    // and requeues only the genuinely unfinished remainder if this
+    // process dies later.
     std::mutex completed_mutex;
     std::vector<std::shared_ptr<const service::JobResult>> completed;
-    if (heartbeats) {
-        service_options.on_job_event =
-            [&](const service::JobEvent& event) {
-                if (event.kind ==
-                        service::JobEvent::Kind::kJobCompleted &&
-                    event.result != nullptr) {
-                    std::lock_guard<std::mutex> lock(completed_mutex);
-                    completed.push_back(event.result);
-                }
-            };
-    }
+    service_options.on_job_event = [&](const service::JobEvent& event) {
+        if (event.kind == service::JobEvent::Kind::kJobCompleted &&
+            event.result != nullptr) {
+            std::lock_guard<std::mutex> lock(completed_mutex);
+            completed.push_back(event.result);
+        }
+    };
 
     service::ExplorationService service(service_options);
     std::vector<service::JobSpec> jobs;
@@ -89,25 +83,31 @@ ShardWorker::HandleRun(const RunRequest& request)
         jobs.push_back(job.spec);
         global_indices.push_back(job.job_index);
     }
+    // Local queue position -> the coordinator's global index.
+    const auto global_index = [&](size_t local) {
+        return local < global_indices.size() ? global_indices[local] : local;
+    };
 
     // The batch runs on its own thread; this thread stays on the
     // transport, merging incoming gossip into the live corpus and
-    // streaming fresh local discoveries out.
-    std::vector<service::JobResult> results;
+    // streaming progress out. Every job emits its completion event
+    // before RunBatch returns, so its return value is not needed here.
     std::atomic<bool> done{false};
     std::thread batch([&] {
-        results = service.RunBatch(jobs);
+        service.RunBatch(jobs);
         done.store(true, std::memory_order_release);
     });
 
-    uint64_t gossiped_sequence = 0;
+    uint64_t sent_sequence = 0;
     uint64_t shipped_series_index = 0;
-    auto last_gossip = Clock::now() - std::chrono::hours(1);
+    auto last_progress = Clock::now() - std::chrono::hours(1);
     auto last_telemetry = Clock::now();
-    const auto gossip_interval = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(options_.gossip_interval_seconds));
-    // Telemetry rides the gossip stream at its own (coarser) cadence;
-    // 0 disables mid-batch snapshots (the result carries the final one).
+    const auto progress_interval =
+        std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<double>(options_.gossip_interval_seconds));
+    // The full telemetry bundle rides progress at its own (coarser)
+    // cadence; 0 disables mid-batch bundles (the result carries the
+    // final one).
     const auto telemetry_interval =
         std::chrono::duration_cast<Clock::duration>(
             std::chrono::duration<double>(
@@ -122,84 +122,62 @@ ShardWorker::HandleRun(const RunRequest& request)
         service.RequestStop();
     };
 
-    const auto pump_gossip_out = [&](bool force) {
+    const auto pump_progress = [&](bool flush) {
         if (peer_gone ||
-            (!force && Clock::now() - last_gossip < gossip_interval)) {
+            (!flush && Clock::now() - last_progress < progress_interval)) {
             return;
         }
-        // Sent every interval even when no new entries exist: the yield
+        last_progress = Clock::now();
+        // Sent every interval even when nothing is new: the yield
         // snapshot moves on zero-yield completions (the plateau streak),
         // and that signal is exactly what lets sibling shards cancel
         // duplicate jobs without rediscovering the plateau themselves.
-        const service::TestCorpus::Delta delta =
-            service.corpus().Snapshot(source, gossiped_sequence);
-        last_gossip = Clock::now();
-        gossiped_sequence = delta.sequence;
-        Telemetry telemetry;
-        const bool with_telemetry =
-            live_telemetry &&
-            Clock::now() - last_telemetry >= telemetry_interval;
-        if (with_telemetry) {
-            last_telemetry = Clock::now();
-            // Metrics and attribution are cumulative, so the coordinator
-            // keeps the latest; series carry every sample recorded since
-            // the last telemetry gossip, and the coordinator dedups them
-            // by index, so a resend after a dropped send is harmless.
-            telemetry.metrics = metrics.Snapshot();
-            telemetry.series = recorder.SamplesSince(shipped_series_index);
-            if (!telemetry.series.empty()) {
-                shipped_series_index = telemetry.series.back().index;
-            }
-            telemetry.attribution = service.attribution();
-        }
-        if (!transport_->Send(EncodeGossip(
-                delta, with_telemetry ? &telemetry : nullptr))) {
-            on_peer_gone();
-        }
-    };
-
-    auto last_heartbeat = Clock::now();
-    uint64_t heartbeat_sequence = 0;
-    const auto heartbeat_interval =
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(
-                request.heartbeat_interval_seconds));
-    const auto pump_heartbeat = [&] {
-        if (!heartbeats || peer_gone ||
-            Clock::now() - last_heartbeat < heartbeat_interval) {
-            return;
-        }
-        // Drain first, gossip second: a drained result's corpus inserts
-        // happened before its completion event fired, so the delta cut
-        // below covers them, and the transport is ordered — by the time
-        // the coordinator reads this beat's results, it already holds
-        // every fingerprint they discovered. That ordering is what lets
-        // the coordinator skip requeueing heartbeat-acknowledged jobs
-        // without losing corpus entries when this shard dies.
-        HeartbeatMessage beat;
-        beat.shard_id = request.shard_id;
-        beat.sequence = ++heartbeat_sequence;
+        ProgressMessage progress;
+        progress.shard_id = request.shard_id;
+        // Drain first, cut the delta second: a drained result's corpus
+        // inserts happened before its completion event fired, so the
+        // delta below covers them and one frame carries a job's result
+        // together with everything it discovered.
         {
             std::lock_guard<std::mutex> lock(completed_mutex);
-            beat.results.reserve(completed.size());
+            progress.results.reserve(completed.size());
             for (const auto& result : completed) {
-                beat.results.push_back(*result);
+                progress.results.push_back(*result);
             }
             completed.clear();
         }
-        for (service::JobResult& result : beat.results) {
-            // Local queue position -> the coordinator's global index,
-            // same remap the final result message applies.
-            if (result.job_index < global_indices.size()) {
-                result.job_index = global_indices[result.job_index];
+        for (service::JobResult& result : progress.results) {
+            result.job_index = global_index(result.job_index);
+        }
+        progress.corpus = service.corpus().Snapshot(source, sent_sequence);
+        sent_sequence = progress.corpus.sequence;
+        for (service::TestCorpus::Entry& entry : progress.corpus.entries) {
+            // Corpus entries carry their discovering job too; remap so the
+            // merged report's attribution points at the global jobs array.
+            entry.job_index = global_index(entry.job_index);
+        }
+        const bool full_telemetry =
+            live_telemetry &&
+            Clock::now() - last_telemetry >= telemetry_interval;
+        if (full_telemetry || !progress.results.empty()) {
+            // Taken after the drain, so the counts cover every result
+            // this frame carries.
+            Telemetry& telemetry = progress.telemetry.emplace();
+            telemetry.metrics = metrics.Snapshot();
+            if (full_telemetry) {
+                last_telemetry = Clock::now();
+                // Attribution is cumulative, so the coordinator keeps the
+                // latest; series carry every sample recorded since the
+                // last bundle.
+                telemetry.series =
+                    recorder.SamplesSince(shipped_series_index);
+                if (!telemetry.series.empty()) {
+                    shipped_series_index = telemetry.series.back().index;
+                }
+                telemetry.attribution = service.attribution();
             }
         }
-        if (!beat.results.empty()) {
-            pump_gossip_out(/*force=*/true);
-        }
-        last_heartbeat = Clock::now();
-        if (!peer_gone &&
-            !transport_->Send(EncodeHeartbeat(beat))) {
+        if (!transport_->Send(EncodeProgress(progress))) {
             on_peer_gone();
         }
     };
@@ -231,40 +209,22 @@ ShardWorker::HandleRun(const RunRequest& request)
             // cancelling) batch to unwind.
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
         }
-        pump_gossip_out(/*force=*/false);
-        pump_heartbeat();
+        pump_progress(/*flush=*/false);
     }
     batch.join();
 
+    // The last progress frame flushes the remaining results and
+    // entries; the result frame after it closes the run.
+    pump_progress(/*flush=*/true);
     if (peer_gone) {
         return false;
     }
 
-    // Final delta (discoveries since the last pump), then the result.
-    const service::TestCorpus::Delta tail =
-        service.corpus().Snapshot(source, gossiped_sequence);
-    if (!tail.entries.empty()) {
-        transport_->Send(EncodeGossip(tail));
-    }
-
     ResultMessage result;
     result.shard_id = request.shard_id;
-    result.results = std::move(results);
-    for (size_t i = 0; i < result.results.size(); ++i) {
-        // Local queue positions -> the coordinator's global indices.
-        result.results[i].job_index = global_indices[i];
-    }
-    result.corpus = service.corpus().Snapshot(source, 0);
-    for (service::TestCorpus::Entry& entry : result.corpus.entries) {
-        // Corpus entries carry their discovering job too; remap so the
-        // merged report's attribution points at the global jobs array.
-        if (entry.job_index < global_indices.size()) {
-            entry.job_index = global_indices[entry.job_index];
-        }
-    }
     result.telemetry.metrics = metrics.Snapshot();
     result.telemetry.attribution = service.attribution();
-    // Samples the gossip stream never shipped — including the final one
+    // Samples no progress frame shipped — including the final one
     // RunBatch records after all accounting, so the cluster series ends
     // exactly at the reported totals.
     if (live_telemetry) {
@@ -314,7 +274,7 @@ ShardWorker::Serve()
             break;
           case MessageType::kError:
           case MessageType::kHello:
-          case MessageType::kHeartbeat:
+          case MessageType::kProgress:
           case MessageType::kResult:
             // Not meaningful coordinator->worker; ignore.
             break;

@@ -5,16 +5,17 @@
 /// The shard worker: one ExplorationService served over a Transport.
 ///
 /// A worker announces itself (hello), waits for its partition of a batch
-/// (run), and explores it while speaking gossip in both directions: its
-/// own fresh corpus fingerprints and yield snapshot stream out as deltas,
-/// and incoming deltas from sibling shards merge into the local corpus —
-/// pre-seeding fingerprints so a path another shard already covered
-/// dedups on discovery, and feeding remote yield into the batch
+/// (run), and explores it. Every gossip interval it sends the
+/// coordinator one progress frame: the jobs completed since the last
+/// frame, its fresh local corpus entries in full, and its yield
+/// snapshot. Incoming gossip from sibling shards merges into the local
+/// corpus — pre-seeding fingerprints so a path another shard already
+/// covered dedups on discovery, and feeding remote yield into the batch
 /// scheduler so priorities (and plateau cancellation) act on the
 /// *cluster's* view of where coverage is climbing, not just the local
-/// one. When the batch drains the worker sends a result message (job
-/// results under global indices, stats, the full local-origin corpus)
-/// and waits for more work or shutdown.
+/// one. When the batch drains the worker flushes one last progress
+/// frame, sends a result frame (final telemetry and trace), and waits
+/// for more work or shutdown.
 
 #include <string>
 
@@ -27,11 +28,13 @@ class ShardWorker
 {
   public:
     struct Options {
-        /// Floor between outgoing gossip deltas. Gossip is best-effort
-        /// acceleration — a longer interval only delays dedup, never
-        /// correctness (the coordinator merge dedups regardless). The
-        /// default trades ~50 small messages/second for dedup that can
-        /// keep up with millisecond-scale jobs.
+        /// Interval between outgoing progress frames, which the
+        /// coordinator forwards as gossip. Gossip is best-effort
+        /// acceleration — a longer interval only delays dedup and the
+        /// coordinator's view, never correctness (the coordinator merge
+        /// dedups regardless). The default trades ~50 small
+        /// messages/second for dedup that can keep up with
+        /// millisecond-scale jobs.
         double gossip_interval_seconds = 0.02;
     };
 

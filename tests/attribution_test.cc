@@ -3,9 +3,9 @@
 /// stripe spilling under location counts past one stripe's capacity,
 /// the allocation-free hot path, order-independent snapshot merging and
 /// idempotent gossip redelivery, JSON round trips with unknown-key
-/// tolerance, folded-stack and hot-location rendering, frontier
-/// introspection, and a 2-shard loopback batch whose cluster table must
-/// equal the single-shard table on every deterministic column.
+/// tolerance, folded-stack and hot-location rendering, and a 2-shard
+/// loopback batch whose cluster table must equal the single-shard table
+/// on every deterministic column.
 
 #include "obs/attribution.h"
 
@@ -446,43 +446,6 @@ TEST(Attribution, HotLocationsRanksBySolverSecondsAndYield)
     EXPECT_LT(panel.find("0x1"), panel.find("0x2")) << panel;
 
     EXPECT_EQ(RenderHotLocations(AttributionSnapshot(), 5), "");
-}
-
-// --------------------------------------------------------------------------
-// Frontier introspection.
-
-TEST(Frontier, DepthBucketsAreLogarithmicWithSaturatingTail)
-{
-    EXPECT_EQ(FrontierSnapshot::DepthBucket(0), 0u);
-    EXPECT_EQ(FrontierSnapshot::DepthBucket(1), 1u);
-    EXPECT_EQ(FrontierSnapshot::DepthBucket(2), 1u);
-    EXPECT_EQ(FrontierSnapshot::DepthBucket(3), 2u);
-    EXPECT_EQ(FrontierSnapshot::DepthBucket(6), 2u);
-    EXPECT_EQ(FrontierSnapshot::DepthBucket(7), 3u);
-    EXPECT_EQ(FrontierSnapshot::DepthBucket(UINT32_MAX),
-              kFrontierDepthBuckets - 1);
-}
-
-TEST(Frontier, InspectorKeepsExactCountsAndBoundedRing)
-{
-    FrontierInspector inspector;
-    for (uint64_t i = 0; i < kFrontierPickRing + 10; ++i) {
-        inspector.RecordPick("fifo", i, static_cast<uint32_t>(i));
-    }
-    inspector.RecordPick("coverage", 0x999, 3);
-
-    const std::map<std::string, uint64_t> counts = inspector.PickCounts();
-    EXPECT_EQ(counts.at("fifo"), kFrontierPickRing + 10);
-    EXPECT_EQ(counts.at("coverage"), 1u);
-
-    const std::vector<FrontierInspector::Pick> picks =
-        inspector.RecentPicks();
-    ASSERT_EQ(picks.size(), kFrontierPickRing);
-    // Oldest first, and the ring holds exactly the most recent picks.
-    EXPECT_EQ(picks.front().seq + kFrontierPickRing - 1,
-              picks.back().seq);
-    EXPECT_STREQ(picks.back().strategy, "coverage");
-    EXPECT_EQ(picks.back().hl_pc, 0x999u);
 }
 
 // --------------------------------------------------------------------------

@@ -194,7 +194,7 @@ TEST(CoverageCupa, WeighsStatesByForkWeightFromTree)
     Rng rng(5);
     auto strategy = MakeCoverageOptimizedCupa(
         &tree, &rng, [](uint64_t) { return 1.0; });
-    runtime.set_state_added_hook(
+    tree.set_on_state_added(
         [&strategy](const lowlevel::AlternateState& state) {
             strategy->OnStateAdded(state);
         });

@@ -1,24 +1,29 @@
 /// \file
 /// Tests for the fault-tolerant shard runtime: the seeded
 /// FaultInjectingTransport decorator (drop / truncate / corrupt / close
-/// scripts, deterministic replay), the heartbeat wire frames, and
-/// the coordinator's failure paths end-to-end over loopback shards —
-/// heartbeat timeout, mid-batch transport close with deterministic
-/// requeue onto the survivor (whose time series the requeue round must
-/// continue, not rewind), malformed frames condemning the shard
-/// (not the batch), quorum degradation to a partial report, and the
-/// worker cancelling its in-flight batch when the coordinator vanishes.
+/// scripts, deterministic replay), and the coordinator's failure paths
+/// end-to-end over loopback shards — silence timeout, mid-batch
+/// transport close with deterministic requeue onto the survivor (whose
+/// time series the requeue round must continue, not rewind), a shard
+/// dying after it streamed results (those jobs are not rerun, their
+/// discoveries and counts stay merged), malformed frames condemning the
+/// shard (not the batch), quorum degradation to a partial report, and
+/// the worker cancelling its in-flight batch when the coordinator
+/// vanishes.
 
 #include "shard/fault.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "shard/coordinator.h"
@@ -171,61 +176,6 @@ TEST(FaultTransport, DelayHoldsTheMessageThenDeliversIt)
 }
 
 // ---------------------------------------------------------------------------
-// Heartbeat wire frames.
-// ---------------------------------------------------------------------------
-
-TEST(WireHeartbeat, RoundTripsLivenessAndStreamedResults)
-{
-    HeartbeatMessage beat;
-    beat.shard_id = 3;
-    beat.sequence = 41;
-    JobResult done;
-    done.job_index = 17;
-    done.workload = "py/argparse";
-    done.label = "py/argparse#17";
-    done.status = JobStatus::kCompleted;
-    done.seed_used = 2014;
-    done.num_test_cases = 9;
-    done.num_relevant_test_cases = 4;
-    beat.results.push_back(done);
-
-    Message decoded;
-    std::string error;
-    ASSERT_TRUE(DecodeMessage(EncodeHeartbeat(beat), &decoded, &error))
-        << error;
-    EXPECT_EQ(decoded.type, MessageType::kHeartbeat);
-    EXPECT_EQ(decoded.heartbeat.shard_id, 3u);
-    EXPECT_EQ(decoded.heartbeat.sequence, 41u);
-    ASSERT_EQ(decoded.heartbeat.results.size(), 1u);
-    const JobResult& round = decoded.heartbeat.results[0];
-    EXPECT_EQ(round.job_index, 17u);
-    EXPECT_EQ(round.workload, "py/argparse");
-    EXPECT_EQ(round.status, JobStatus::kCompleted);
-    EXPECT_EQ(round.seed_used, 2014u);
-    EXPECT_EQ(round.num_test_cases, 9u);
-    EXPECT_EQ(round.num_relevant_test_cases, 4u);
-}
-
-TEST(WireHeartbeat, RunRequestAlwaysCarriesTheCadenceAndRoundTripsIt)
-{
-    RunRequest request;
-    request.shard_id = 0;
-    request.num_shards = 1;
-
-    // Heartbeats off is a value like any other: the key is written.
-    for (const double cadence : {0.0, 0.25}) {
-        request.heartbeat_interval_seconds = cadence;
-        const std::string line = EncodeRun(request);
-        EXPECT_NE(line.find("\"heartbeat_interval_seconds\""),
-                  std::string::npos);
-        Message decoded;
-        std::string error;
-        ASSERT_TRUE(DecodeMessage(line, &decoded, &error)) << error;
-        EXPECT_EQ(decoded.run.heartbeat_interval_seconds, cadence);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Coordinator failure paths over loopback shards.
 // ---------------------------------------------------------------------------
 
@@ -309,16 +259,15 @@ DrainUntilClosed(Transport* endpoint)
     }
 }
 
-TEST(CoordinatorFaults, HeartbeatTimeoutCondemnsASilentShard)
+TEST(CoordinatorFaults, SilenceTimeoutCondemnsASilentShard)
 {
     const std::vector<JobSpec> jobs = SmallBatch(4);
     ShardCoordinator::Options options = FaultyCoordinatorOptions();
-    options.heartbeat_interval_seconds = 0.05;
-    options.heartbeat_timeout_seconds = 0.5;
+    options.silence_timeout_seconds = 0.5;
 
     // A single shard that greets, accepts its batch, then never speaks
     // again — the SIGSTOP shape: the pipe stays open, so only the
-    // heartbeat deadline can catch it.
+    // silence deadline can catch it.
     LoopbackPair pair = CreateLoopbackPair();
     std::thread mute([&] {
         ASSERT_TRUE(pair.b->Send(EncodeHello()));
@@ -337,7 +286,7 @@ TEST(CoordinatorFaults, HeartbeatTimeoutCondemnsASilentShard)
     EXPECT_EQ(coordinator.fault().deaths, 1u);
     ASSERT_EQ(coordinator.shards().size(), 1u);
     EXPECT_TRUE(coordinator.shards()[0].dead);
-    EXPECT_NE(coordinator.shards()[0].death_cause.find("heartbeat timeout"),
+    EXPECT_NE(coordinator.shards()[0].death_cause.find("silence timeout"),
               std::string::npos)
         << coordinator.shards()[0].death_cause;
     // The whole partition was requeued, but with no survivor the quorum
@@ -448,6 +397,209 @@ TEST(CoordinatorFaults, RequeueRoundContinuesTheSurvivorsSeries)
                   obs::kJobsFinishedCounter),
               coordinator.shards()[0].telemetry.CounterValue(
                   obs::kJobsFinishedCounter));
+}
+
+/// Coordinator-side endpoint that the test can sever, as a SIGKILL
+/// would: after Sever() the coordinator reads EOF at once (frames still
+/// queued are lost) and sends fail. Progress frames that pass through
+/// are decoded and kept. Used only from the coordinator's Run thread.
+class SeverableTransport : public Transport
+{
+  public:
+    explicit SeverableTransport(Transport* inner) : inner_(inner) {}
+
+    bool Send(const std::string& message) override
+    {
+        return !severed_ && inner_->Send(message);
+    }
+
+    RecvStatus Receive(std::string* message, int timeout_ms) override
+    {
+        if (severed_) {
+            return RecvStatus::kClosed;
+        }
+        const RecvStatus status = inner_->Receive(message, timeout_ms);
+        Message decoded;
+        std::string error;
+        if (status == RecvStatus::kMessage &&
+            DecodeMessage(*message, &decoded, &error) &&
+            decoded.type == MessageType::kProgress) {
+            progress_.push_back(std::move(decoded.progress));
+        }
+        return status;
+    }
+
+    void Close() override { inner_->Close(); }
+
+    void Sever()
+    {
+        severed_ = true;
+        inner_->Close();
+    }
+
+    const std::vector<ProgressMessage>& progress() const { return progress_; }
+
+  private:
+    Transport* inner_;
+    bool severed_ = false;
+    std::vector<ProgressMessage> progress_;
+};
+
+/// Two shards, each with a short job and then a long one, so a shard's
+/// first streamed result finds its second job in flight. The short
+/// jobs' workloads run nowhere else.
+std::vector<JobSpec>
+KillDrillBatch()
+{
+    std::vector<JobSpec> jobs;
+    for (const auto& [id, max_runs] :
+         std::vector<std::pair<const char*, uint64_t>>{
+             {"py/argparse", 20},
+             {"lua/cliargs", 20},
+             {"py/simplejson", 1000},
+             {"py/simplejson", 1000}}) {
+        JobSpec spec;
+        spec.workload = id;
+        spec.label = std::string(id) + "#" + std::to_string(jobs.size());
+        spec.seed = jobs.size() + 1;
+        spec.options.max_runs = max_runs;
+        spec.options.max_seconds = 1e9;
+        spec.options.collect_timeline = false;
+        jobs.push_back(std::move(spec));
+    }
+    return jobs;
+}
+
+/// Two real loopback shards; the first one to stream a job result is
+/// severed right after that frame merged. Returns the victim's id.
+size_t
+RunKillingTheFirstStreamer(ShardCoordinator::Options options,
+                           const std::vector<JobSpec>& jobs,
+                           std::unique_ptr<ShardCoordinator>* out,
+                           std::vector<ProgressMessage>* victim_progress)
+{
+    LoopbackPair pairs[2] = {CreateLoopbackPair(), CreateLoopbackPair()};
+    SeverableTransport side0(pairs[0].a.get());
+    SeverableTransport side1(pairs[1].a.get());
+    SeverableTransport* sides[2] = {&side0, &side1};
+    size_t victim = 2;
+    options.on_results_streamed = [&](size_t shard) {
+        if (victim == 2) {
+            victim = shard;
+            sides[shard]->Sever();
+        }
+    };
+    *out = std::make_unique<ShardCoordinator>(options);
+    std::vector<std::thread> workers;
+    for (LoopbackPair& pair : pairs) {
+        Transport* endpoint = pair.b.get();
+        workers.emplace_back([endpoint] {
+            ShardWorker worker(ShardWorker::Options{}, endpoint);
+            worker.Serve();
+        });
+    }
+    std::string error;
+    EXPECT_TRUE((*out)->Run(jobs, {&side0, &side1}, &error)) << error;
+    for (LoopbackPair& pair : pairs) {
+        pair.a->Close();
+    }
+    for (std::thread& worker : workers) {
+        worker.join();
+    }
+    if (victim < 2) {
+        *victim_progress = sides[victim]->progress();
+    }
+    return victim;
+}
+
+TEST(CoordinatorFaults, StreamedResultsStayCountedWhenTheShardDies)
+{
+    // The victim dies after streaming its first job, while its second
+    // is in flight. The stats derive from every shard's latest
+    // telemetry, the dead shard's included.
+    const std::vector<JobSpec> jobs = KillDrillBatch();
+    std::unique_ptr<ShardCoordinator> coordinator;
+    std::vector<ProgressMessage> victim_progress;
+    const size_t victim = RunKillingTheFirstStreamer(
+        FaultyCoordinatorOptions(), jobs, &coordinator, &victim_progress);
+    ASSERT_LT(victim, 2u);
+    EXPECT_TRUE(coordinator->degraded());
+    EXPECT_EQ(coordinator->fault().deaths, 1u);
+    EXPECT_EQ(coordinator->shards()[victim].jobs_requeued, 1u);
+
+    size_t completed = 0;
+    uint64_t ll_paths = 0;
+    uint64_t hl_paths = 0;
+    for (const JobResult& result : coordinator->results()) {
+        completed += result.status == JobStatus::kCompleted;
+        ll_paths += result.engine_stats.ll_paths;
+        hl_paths += result.engine_stats.hl_paths;
+    }
+    EXPECT_EQ(completed, jobs.size());
+    const service::ServiceStats& merged = coordinator->merged_stats();
+    EXPECT_EQ(merged.jobs_completed, completed);
+    // The excess is the in-flight job's partial session, counted by the
+    // dead shard and run again on the survivor.
+    EXPECT_GE(merged.ll_paths, ll_paths);
+    EXPECT_GE(merged.hl_paths, hl_paths);
+    EXPECT_EQ(coordinator->shards()[victim].stats.jobs_completed, 1u);
+}
+
+TEST(CoordinatorFaults, AStreamedJobIsNotRerunAndKeepsItsEntries)
+{
+    // The streamed job's workload has no other discoverer, so its merged
+    // entries, inputs included, can only have come from the dead shard.
+    const std::vector<JobSpec> jobs = KillDrillBatch();
+    ShardCoordinator reference(FaultyCoordinatorOptions());
+    std::string error;
+    ASSERT_TRUE(RunLoopbackShards(&reference, jobs, 1, &error)) << error;
+
+    ShardCoordinator::Options options = FaultyCoordinatorOptions();
+    options.gossip = false;
+    std::unique_ptr<ShardCoordinator> coordinator;
+    std::vector<ProgressMessage> victim_progress;
+    const size_t victim = RunKillingTheFirstStreamer(
+        options, jobs, &coordinator, &victim_progress);
+    ASSERT_LT(victim, 2u);
+    ASSERT_FALSE(victim_progress.empty());
+    const std::vector<JobResult>& streamed = victim_progress.back().results;
+    ASSERT_EQ(streamed.size(), 1u);
+    const JobResult& done = streamed[0];
+
+    // Not requeued: the survivor ran only its own partition and the
+    // victim's other job.
+    EXPECT_EQ(coordinator->shards()[victim].jobs_requeued, 1u);
+    EXPECT_EQ(coordinator->shards()[1 - victim].jobs_assigned, 3u);
+    EXPECT_EQ(coordinator->results()[done.job_index].engine_stats.ll_paths,
+              done.engine_stats.ll_paths);
+
+    const auto entries_of = [&](const service::TestCorpus& corpus) {
+        std::vector<service::TestCorpus::Entry> entries;
+        for (const service::TestCorpus::Entry& entry : corpus.Snapshot()) {
+            if (entry.workload == done.workload) {
+                entries.push_back(entry);
+            }
+        }
+        std::sort(entries.begin(), entries.end(),
+                  [](const auto& a, const auto& b) {
+                      return a.fingerprint < b.fingerprint;
+                  });
+        return entries;
+    };
+    const std::vector<service::TestCorpus::Entry> merged =
+        entries_of(coordinator->corpus());
+    const std::vector<service::TestCorpus::Entry> expected =
+        entries_of(reference.corpus());
+    ASSERT_FALSE(expected.empty());
+    ASSERT_EQ(merged.size(), expected.size());
+    for (size_t i = 0; i < merged.size(); ++i) {
+        SCOPED_TRACE(merged[i].fingerprint);
+        EXPECT_EQ(merged[i].fingerprint, expected[i].fingerprint);
+        EXPECT_EQ(merged[i].job_index, done.job_index);
+        EXPECT_EQ(merged[i].outcome_kind, expected[i].outcome_kind);
+        EXPECT_EQ(merged[i].inputs, expected[i].inputs);
+    }
+    EXPECT_EQ(reference.corpus().Keys(), coordinator->corpus().Keys());
 }
 
 TEST(CoordinatorFaults, MalformedFrameCondemnsTheShardNotTheBatch)

@@ -453,8 +453,8 @@ TEST(ShardProcess, TracedRunWritesConsistentArtifacts)
         << merged.size() << " merged keys vs " << baseline.size();
 }
 
-// The crash drill: SIGKILL the first shard to heartbeat, provably
-// mid-batch. The run must still complete as a degraded report with the
+// The crash drill: SIGKILL the first shard to stream a job result,
+// provably mid-batch. The run must still complete as a degraded report with the
 // victim's jobs requeued, stream a shard_death event, and recover the
 // undisturbed corpus exactly.
 TEST(ShardProcess, ChaosKillOneRecoversTheUndisturbedCorpus)
@@ -464,7 +464,7 @@ TEST(ShardProcess, ChaosKillOneRecoversTheUndisturbedCorpus)
     const CliRun run = RunCoordinator(
         dir, "chaos",
         {"--workers", "3", "--chaos", "kill-one", "--max-runs", "400",
-         "--heartbeat-interval", "50", "--report", dir.Path("chaos.json"),
+         "--report", dir.Path("chaos.json"),
          "--stats-out=" + dir.Path("chaos_stats.ndjson")});
     ASSERT_EQ(run.exit_code, 0) << run.err;
     EXPECT_NE(run.err.find("chaos kill-one: SIGKILL shard"),
@@ -493,8 +493,8 @@ TEST(ShardProcess, ChaosKillOneRecoversTheUndisturbedCorpus)
 
     const CliRun single = RunCoordinator(
         dir, "single",
-        {"--workers", "1", "--max-runs", "400", "--heartbeat-interval", "50",
-         "--report", dir.Path("single.json")});
+        {"--workers", "1", "--max-runs", "400", "--report",
+         dir.Path("single.json")});
     ASSERT_EQ(single.exit_code, 0) << single.err;
     const std::vector<CorpusKey> baseline =
         CorpusKeys(ParseFile(dir.Path("single.json")));

@@ -1,9 +1,10 @@
 /// \file
 /// Tests for the distributed shard layer: corpus delta snapshots and
 /// order-independent merging, remote-yield ingestion into the batch
-/// scheduler (plateau from gossip), loopback transports, and the
-/// coordinator end-to-end — partition determinism against a single
-/// shard, merged-report validity, and non-serializable-spec rejection.
+/// scheduler (plateau from gossip), loopback and pipe transports, and
+/// the coordinator end-to-end — partition determinism against a single
+/// shard, every result and corpus entry crossing upstream once,
+/// merged-report validity, and non-serializable-spec rejection.
 
 #include "shard/coordinator.h"
 
@@ -11,9 +12,13 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
+
+#include <unistd.h>
 
 #include "lowlevel/runtime.h"
 #include "lowlevel/symvalue.h"
@@ -241,6 +246,31 @@ TEST(Transport, LoopbackDeliversInOrderAndClosesSticky)
     EXPECT_FALSE(pair.b->Send("into the void"));
 }
 
+TEST(Transport, FdPollReadsAWholePendingFrame)
+{
+    // A frame many pipe reads long, already in the pipe: one
+    // non-blocking probe returns it whole, so the coordinator's
+    // multiplex sweep reads a large progress frame without an idle sleep
+    // per chunk.
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    std::unique_ptr<Transport> reader =
+        CreateFdTransport(fds[0], -1, /*owns_fds=*/true);
+    std::unique_ptr<Transport> writer =
+        CreateFdTransport(-1, fds[1], /*owns_fds=*/true);
+    const std::string frame(40000, 'x');
+    ASSERT_TRUE(writer->Send(frame));
+    std::string message;
+    ASSERT_EQ(reader->Receive(&message, 0),
+              Transport::RecvStatus::kMessage);
+    EXPECT_EQ(message, frame);
+    EXPECT_EQ(reader->Receive(&message, 0),
+              Transport::RecvStatus::kTimeout);
+    writer->Close();
+    EXPECT_EQ(reader->Receive(&message, -1),
+              Transport::RecvStatus::kClosed);
+}
+
 // ---------------------------------------------------------------------------
 // Coordinator end-to-end over loopback shards.
 // ---------------------------------------------------------------------------
@@ -367,6 +397,132 @@ TEST(Coordinator, MergedReportIsStrictJsonWithCrossShardStats)
     const JsonValue* merged_jobs = merged->Find("jobs");
     ASSERT_NE(merged_jobs, nullptr);
     EXPECT_EQ(merged_jobs->items.size(), jobs.size());
+}
+
+/// Coordinator-side endpoint that decodes every frame a worker sends
+/// and tallies what crossed upstream. Used only from the Run thread.
+class TallyingTransport : public Transport
+{
+  public:
+    struct Tally {
+        /// Progress frames that listed each global job index.
+        std::map<size_t, int> job_frames;
+        /// Times each (source, workload, fingerprint) crossed.
+        std::map<std::tuple<std::string, std::string, uint64_t>, int>
+            entry_crossings;
+        size_t progress_frames = 0;
+        size_t result_frames = 0;
+        /// Result frames with a "results" or "corpus" member.
+        size_t result_frames_with_data = 0;
+        size_t undecodable = 0;
+    };
+
+    TallyingTransport(Transport* inner, Tally* tally)
+        : inner_(inner), tally_(tally)
+    {
+    }
+
+    bool Send(const std::string& message) override
+    {
+        return inner_->Send(message);
+    }
+
+    RecvStatus Receive(std::string* message, int timeout_ms) override
+    {
+        const RecvStatus status = inner_->Receive(message, timeout_ms);
+        if (status != RecvStatus::kMessage) {
+            return status;
+        }
+        Message decoded;
+        std::string error;
+        if (!DecodeMessage(*message, &decoded, &error)) {
+            ++tally_->undecodable;
+        } else if (decoded.type == MessageType::kProgress) {
+            ++tally_->progress_frames;
+            for (const JobResult& result : decoded.progress.results) {
+                ++tally_->job_frames[result.job_index];
+            }
+            for (const TestCorpus::Entry& entry :
+                 decoded.progress.corpus.entries) {
+                ++tally_->entry_crossings[{decoded.progress.corpus.source,
+                                           entry.workload,
+                                           entry.fingerprint}];
+            }
+        } else if (decoded.type == MessageType::kResult) {
+            ++tally_->result_frames;
+            JsonValue root;
+            if (support::ParseJson(*message, &root) &&
+                (root.Find("results") != nullptr ||
+                 root.Find("corpus") != nullptr)) {
+                ++tally_->result_frames_with_data;
+            }
+        }
+        return status;
+    }
+
+    void Close() override { inner_->Close(); }
+
+  private:
+    Transport* inner_;
+    Tally* tally_;
+};
+
+TEST(Coordinator, EveryResultAndEntryCrossesUpstreamOnce)
+{
+    const std::vector<JobSpec> jobs = MixedBatch(10);
+    const size_t kShards = 2;
+    std::vector<LoopbackPair> pairs;
+    std::vector<std::unique_ptr<TallyingTransport>> sides;
+    std::vector<Transport*> transports;
+    TallyingTransport::Tally tally;
+    for (size_t shard = 0; shard < kShards; ++shard) {
+        pairs.push_back(CreateLoopbackPair());
+        sides.push_back(
+            std::make_unique<TallyingTransport>(pairs.back().a.get(), &tally));
+        transports.push_back(sides.back().get());
+    }
+    std::vector<std::thread> workers;
+    for (LoopbackPair& pair : pairs) {
+        Transport* endpoint = pair.b.get();
+        workers.emplace_back([endpoint] {
+            ShardWorker worker(ShardWorker::Options{}, endpoint);
+            worker.Serve();
+        });
+    }
+    ShardCoordinator coordinator(CoordinatorOptions());
+    std::string error;
+    const bool ok = coordinator.Run(jobs, transports, &error);
+    for (LoopbackPair& pair : pairs) {
+        pair.a->Close();
+    }
+    for (std::thread& worker : workers) {
+        worker.join();
+    }
+    ASSERT_TRUE(ok) << error;
+
+    EXPECT_EQ(tally.undecodable, 0u);
+    EXPECT_GT(tally.progress_frames, 0u);
+    ASSERT_EQ(tally.job_frames.size(), jobs.size());
+    for (const auto& [index, frames] : tally.job_frames) {
+        EXPECT_EQ(frames, 1) << "job " << index;
+    }
+    // Each local-origin entry crosses once; together they are the
+    // merged corpus.
+    std::set<TestCorpus::Key> keys;
+    for (const auto& [crossing, times] : tally.entry_crossings) {
+        EXPECT_EQ(times, 1) << std::get<0>(crossing) << " "
+                            << std::get<1>(crossing) << " "
+                            << std::get<2>(crossing);
+        keys.insert({std::get<1>(crossing), std::get<2>(crossing)});
+    }
+    const std::vector<TestCorpus::Key> merged = coordinator.corpus().Keys();
+    EXPECT_EQ(std::vector<TestCorpus::Key>(keys.begin(), keys.end()),
+              merged);
+    EXPECT_EQ(tally.result_frames, kShards);
+    EXPECT_EQ(tally.result_frames_with_data, 0u);
+    for (const JobResult& result : coordinator.results()) {
+        EXPECT_EQ(result.status, JobStatus::kCompleted);
+    }
 }
 
 TEST(Coordinator, RejectsNonSerializableSpecsAtSubmit)

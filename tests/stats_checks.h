@@ -124,8 +124,6 @@ ExpectCoordinatorViewsAgree(const shard::ShardCoordinator& coordinator)
     EXPECT_EQ(fault.deaths, own.CounterValue("shard.deaths_total"));
     EXPECT_EQ(fault.jobs_requeued,
               own.CounterValue("shard.jobs_requeued_total"));
-    EXPECT_EQ(fault.heartbeats_missed,
-              own.CounterValue("shard.heartbeats_missed"));
     EXPECT_EQ(fault.respawns, own.CounterValue("shard.respawns_total"));
 
     const obs::MetricsSnapshot& cluster = coordinator.cluster_telemetry();

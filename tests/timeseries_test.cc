@@ -60,17 +60,17 @@ TEST(TimeSeriesTest, RawRingWrapsAndSamplesSinceStaysAscending)
     EXPECT_EQ(recorder.last_index(), total);
     // Only the newest kSeriesRingCapacity samples survive: memory stays
     // bounded no matter how long the run gets.
-    const std::vector<SeriesSample> retained = recorder.SamplesSince(0);
-    ASSERT_EQ(retained.size(), kSeriesRingCapacity);
-    EXPECT_EQ(retained.front().index, 7u);
-    for (size_t i = 1; i < retained.size(); ++i) {
-        EXPECT_EQ(retained[i].index, retained[i - 1].index + 1);
+    const std::vector<SeriesSample> kept = recorder.SamplesSince(0);
+    ASSERT_EQ(kept.size(), kSeriesRingCapacity);
+    EXPECT_EQ(kept.front().index, 7u);
+    for (size_t i = 1; i < kept.size(); ++i) {
+        EXPECT_EQ(kept[i].index, kept[i - 1].index + 1);
     }
     EXPECT_EQ(Indices(recorder.SamplesSince(total - 2)),
               (std::vector<uint64_t>{total - 1, total}));
     EXPECT_TRUE(recorder.SamplesSince(total).empty());
 
-    const SeriesSample& latest = retained.back();
+    const SeriesSample& latest = kept.back();
     EXPECT_EQ(latest.index, total);
     EXPECT_DOUBLE_EQ(latest.t_seconds, static_cast<double>(total));
     EXPECT_EQ(latest.metrics.CounterValue("c"), total);

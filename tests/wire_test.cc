@@ -1,8 +1,10 @@
 /// \file
 /// Tests for support/json.h (DOM parser + strict validation) and the
-/// shard wire format: round-trip property tests over JobSpecs, corpus
-/// deltas / gossip, yield snapshots, results and merged reports;
-/// NaN/Inf-to-null doubles; rejection of non-serializable JobSpecs.
+/// shard wire format: round-trip property tests over JobSpecs, gossip,
+/// progress frames (full corpus entries, yields, job results, optional
+/// telemetry), the reduced result frame; NaN/Inf-to-null doubles;
+/// rejection of non-serializable JobSpecs and of the removed heartbeat
+/// frame.
 
 #include "shard/wire.h"
 
@@ -319,10 +321,11 @@ TEST(Wire, GossipRoundTripsFingerprintsAndYields)
               1u);
 }
 
-TEST(Wire, ResultRoundTripsEntriesStatsAndNonFiniteDoubles)
+ProgressMessage
+SampleProgress()
 {
-    ResultMessage result;
-    result.shard_id = 1;
+    ProgressMessage progress;
+    progress.shard_id = 1;
 
     JobResult job;
     job.job_index = 7;
@@ -338,31 +341,28 @@ TEST(Wire, ResultRoundTripsEntriesStatsAndNonFiniteDoubles)
         -std::numeric_limits<double>::infinity();
     job.engine_stats.hl_paths = 5;
     job.engine_stats.threads_used = 3;
-    result.results.push_back(job);
+    progress.results.push_back(job);
 
     TestCorpus::Entry entry;
     entry.workload = "py/argparse";
     entry.fingerprint = 0xffffffffffffff01ull;
+    entry.job_index = 7;
     entry.outcome_kind = "exception";
     entry.outcome_detail = "KeyError";
     entry.hl_length = 9;
     entry.ll_steps = 12345;
     entry.inputs = {{1, 0x41}, {2, 0xffffffffffffffffull}};
-    result.corpus.source = "shard1";
-    result.corpus.sequence = 30;
-    result.corpus.entries.push_back(entry);
-    result.corpus.yields["py/argparse"].jobs_recorded = 2;
+    progress.corpus.source = "shard1";
+    progress.corpus.sequence = 30;
+    progress.corpus.entries.push_back(entry);
+    progress.corpus.yields["py/argparse"].jobs_recorded = 2;
+    return progress;
+}
 
-    const std::string line = EncodeResult(result);
-    ASSERT_TRUE(JsonValid(line)) << line;
-    EXPECT_EQ(line.find("nan"), std::string::npos);
-    EXPECT_EQ(line.find("inf"), std::string::npos);
-
-    Message message;
-    std::string error;
-    ASSERT_TRUE(DecodeMessage(line, &message, &error)) << error;
-    ASSERT_EQ(message.type, MessageType::kResult);
-    const ResultMessage& decoded = message.result;
+void
+ExpectSampleProgress(const ProgressMessage& decoded)
+{
+    const ProgressMessage sent = SampleProgress();
     EXPECT_EQ(decoded.shard_id, 1u);
     ASSERT_EQ(decoded.results.size(), 1u);
     EXPECT_EQ(decoded.results[0].job_index, 7u);
@@ -374,16 +374,37 @@ TEST(Wire, ResultRoundTripsEntriesStatsAndNonFiniteDoubles)
                      0.0);
     EXPECT_EQ(decoded.results[0].engine_stats.hl_paths, 5u);
     EXPECT_EQ(decoded.results[0].engine_stats.threads_used, 3u);
+    EXPECT_EQ(decoded.corpus.source, "shard1");
+    EXPECT_EQ(decoded.corpus.sequence, 30u);
     ASSERT_EQ(decoded.corpus.entries.size(), 1u);
+    const TestCorpus::Entry& entry = sent.corpus.entries[0];
     const TestCorpus::Entry& roundtripped = decoded.corpus.entries[0];
     EXPECT_EQ(roundtripped.workload, entry.workload);
     EXPECT_EQ(roundtripped.fingerprint, entry.fingerprint);
+    EXPECT_EQ(roundtripped.job_index, entry.job_index);
     EXPECT_EQ(roundtripped.outcome_kind, entry.outcome_kind);
     EXPECT_EQ(roundtripped.outcome_detail, entry.outcome_detail);
     EXPECT_EQ(roundtripped.hl_length, entry.hl_length);
     EXPECT_EQ(roundtripped.ll_steps, entry.ll_steps);
     EXPECT_EQ(roundtripped.inputs, entry.inputs);
     EXPECT_EQ(decoded.corpus.yields.at("py/argparse").jobs_recorded, 2u);
+}
+
+TEST(Wire, ProgressRoundTripsEntriesResultsAndNonFiniteDoubles)
+{
+    const std::string line = EncodeProgress(SampleProgress());
+    ASSERT_TRUE(JsonValid(line)) << line;
+    EXPECT_EQ(line.find("nan"), std::string::npos);
+    EXPECT_EQ(line.find("inf"), std::string::npos);
+    // Between metrics ticks, with no results, there is no bundle.
+    EXPECT_EQ(line.find("telemetry"), std::string::npos);
+
+    Message message;
+    std::string error;
+    ASSERT_TRUE(DecodeMessage(line, &message, &error)) << error;
+    ASSERT_EQ(message.type, MessageType::kProgress);
+    ExpectSampleProgress(message.progress);
+    EXPECT_FALSE(message.progress.telemetry.has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -432,63 +453,90 @@ ExpectSampleTelemetry(const Telemetry& decoded)
     EXPECT_DOUBLE_EQ(decoded.series[0].t_seconds, 0.5);
     EXPECT_EQ(decoded.series[0].metrics.CounterValue("service.jobs_finished"),
               2u);
-    EXPECT_TRUE(obs::AttributionCountsEqual(decoded.attribution,
-                                            SampleAttribution()));
+    ASSERT_TRUE(decoded.attribution.has_value());
+    const obs::AttributionSnapshot& attribution = *decoded.attribution;
+    EXPECT_TRUE(
+        obs::AttributionCountsEqual(attribution, SampleAttribution()));
     const obs::AttributionRow& row =
-        decoded.attribution.workloads.at("py/argparse").at(0x10);
+        attribution.workloads.at("py/argparse").at(0x10);
     EXPECT_EQ(row.solver_nanos, 1'500'000u);
-    EXPECT_EQ(
-        decoded.attribution.workloads.at("py/argparse").at(0x20).parent,
-        0x10u);
-    EXPECT_EQ(decoded.attribution.dropped_locations, 5u);
+    EXPECT_EQ(attribution.workloads.at("py/argparse").at(0x20).parent,
+              0x10u);
+    EXPECT_EQ(attribution.dropped_locations, 5u);
 }
 
-TEST(Wire, GossipCarriesTheTelemetryBundleOnlyWhenGiven)
+TEST(Wire, ProgressCarriesTheTelemetryBundleWithOrWithoutAttribution)
 {
-    TestCorpus corpus;
-    const TestCorpus::Delta delta = corpus.Snapshot("shard0", 0);
     Message message;
     std::string error;
 
-    // Between metrics ticks a gossip frame is a bare delta.
-    const std::string bare = EncodeGossip(delta);
-    EXPECT_EQ(bare.find("telemetry"), std::string::npos);
-    ASSERT_TRUE(DecodeMessage(bare, &message, &error)) << error;
-    EXPECT_FALSE(message.telemetry.has_value());
-
-    const Telemetry telemetry = SampleTelemetry();
-    const std::string line = EncodeGossip(delta, &telemetry);
+    // At the metrics cadence: the full bundle.
+    ProgressMessage progress = SampleProgress();
+    progress.telemetry = SampleTelemetry();
+    std::string line = EncodeProgress(progress);
     ASSERT_TRUE(JsonValid(line)) << line;
+    ASSERT_TRUE(DecodeMessage(line, &message, &error)) << error;
+    ExpectSampleProgress(message.progress);
+    ASSERT_TRUE(message.progress.telemetry.has_value());
+    ExpectSampleTelemetry(*message.progress.telemetry);
+
+    // Between ticks, a frame with results carries the metrics only.
+    progress.telemetry->series.clear();
+    progress.telemetry->attribution.reset();
+    line = EncodeProgress(progress);
+    EXPECT_EQ(line.find("attribution"), std::string::npos);
     message = Message();
     ASSERT_TRUE(DecodeMessage(line, &message, &error)) << error;
-    ASSERT_TRUE(message.telemetry.has_value());
-    ExpectSampleTelemetry(*message.telemetry);
+    ASSERT_TRUE(message.progress.telemetry.has_value());
+    EXPECT_EQ(message.progress.telemetry->metrics.CounterValue(
+                  "solver.queries"),
+              7u);
+    EXPECT_TRUE(message.progress.telemetry->series.empty());
+    EXPECT_FALSE(message.progress.telemetry->attribution.has_value());
 }
 
-TEST(Wire, ResultAlwaysCarriesTheTelemetryBundle)
+TEST(Wire, ResultCarriesOnlyTelemetryAndTrace)
 {
     ResultMessage result;
-    result.shard_id = 0;
-    result.corpus.source = "shard0";
+    result.shard_id = 3;
     result.telemetry = SampleTelemetry();
+    obs::TraceEvent span;
+    span.name = "job";
+    span.cat = "service";
+    span.ts_us = 10;
+    span.dur_us = 5;
+    span.pid = 4;
+    result.trace.push_back(span);
     const std::string line = EncodeResult(result);
     ASSERT_TRUE(JsonValid(line)) << line;
+    JsonValue root;
+    ASSERT_TRUE(ParseJson(line, &root));
+    for (const char* key : {"results", "corpus"}) {
+        EXPECT_EQ(root.Find(key), nullptr) << key;
+    }
     Message message;
     std::string error;
     ASSERT_TRUE(DecodeMessage(line, &message, &error)) << error;
+    ASSERT_EQ(message.type, MessageType::kResult);
+    EXPECT_EQ(message.result.shard_id, 3u);
     ExpectSampleTelemetry(message.result.telemetry);
+    ASSERT_EQ(message.result.trace.size(), 1u);
+    EXPECT_EQ(message.result.trace[0].name, "job");
+    EXPECT_EQ(message.result.trace[0].pid, 4u);
 
-    // An empty bundle still writes every field.
+    // An empty bundle still writes metrics and series.
     ResultMessage plain;
-    plain.corpus.source = "shard0";
+    plain.telemetry.attribution.emplace();
     const std::string empty = EncodeResult(plain);
-    for (const char* key : {"\"metrics\"", "\"series\"", "\"attribution\""}) {
+    for (const char* key :
+         {"\"metrics\"", "\"series\"", "\"attribution\"", "\"trace\""}) {
         EXPECT_NE(empty.find(key), std::string::npos) << key;
     }
     message = Message();
     ASSERT_TRUE(DecodeMessage(empty, &message, &error)) << error;
     EXPECT_TRUE(message.result.telemetry.series.empty());
-    EXPECT_TRUE(message.result.telemetry.attribution.empty());
+    ASSERT_TRUE(message.result.telemetry.attribution.has_value());
+    EXPECT_TRUE(message.result.telemetry.attribution->empty());
 }
 
 // Unknown keys are skipped by every decoder: the wire has one version,
@@ -516,27 +564,38 @@ TEST(Wire, DecodersIgnoreUnknownKeys)
     std::string error;
 
     // Gossip with unknown top-level keys.
-    const std::string gossip =
-        splice(EncodeGossip(delta, &telemetry), unknown);
+    const std::string gossip = splice(EncodeGossip(delta), unknown);
     ASSERT_TRUE(JsonValid(gossip));
     ASSERT_TRUE(DecodeMessage(gossip, &message, &error)) << error;
     EXPECT_EQ(message.type, MessageType::kGossip);
     ASSERT_EQ(message.gossip.entries.size(), 1u);
     EXPECT_EQ(message.gossip.entries[0].fingerprint, 0x1234u);
-    ASSERT_TRUE(message.telemetry.has_value());
+
+    // Progress with unknown top-level keys.
+    ProgressMessage progress;
+    progress.corpus = delta;
+    progress.telemetry = telemetry;
+    message = Message();
+    const std::string progress_line =
+        splice(EncodeProgress(progress), unknown);
+    ASSERT_TRUE(JsonValid(progress_line));
+    ASSERT_TRUE(DecodeMessage(progress_line, &message, &error)) << error;
+    EXPECT_EQ(message.type, MessageType::kProgress);
+    ASSERT_EQ(message.progress.corpus.entries.size(), 1u);
+    ASSERT_TRUE(message.progress.telemetry.has_value());
 
     // Result with unknown keys at top level.
     ResultMessage result;
     result.shard_id = 2;
-    result.corpus.source = "shard2";
     result.telemetry = telemetry;
     message = Message();
     const std::string result_line = splice(EncodeResult(result), unknown);
     ASSERT_TRUE(JsonValid(result_line));
     ASSERT_TRUE(DecodeMessage(result_line, &message, &error)) << error;
     EXPECT_EQ(message.result.shard_id, 2u);
+    ASSERT_TRUE(message.result.telemetry.attribution.has_value());
     EXPECT_TRUE(obs::AttributionCountsEqual(
-        message.result.telemetry.attribution, telemetry.attribution));
+        *message.result.telemetry.attribution, *telemetry.attribution));
 
     // A metrics snapshot with unknown keys must decode its known fields
     // and skip the rest.
@@ -600,16 +659,16 @@ TEST(Wire, MalformedAndUnknownMessagesFailLoudly)
     request.jobs.push_back(job);
     const std::string run = EncodeRun(request);
     ASSERT_TRUE(DecodeMessage(run, &message, &error)) << error;
-    ResultMessage result;
-    result.results.emplace_back();
-    const std::string result_line = EncodeResult(result);
-    ASSERT_TRUE(DecodeMessage(result_line, &message, &error)) << error;
+    ProgressMessage progress;
+    progress.results.emplace_back();
+    const std::string progress_line = EncodeProgress(progress);
+    ASSERT_TRUE(DecodeMessage(progress_line, &message, &error)) << error;
     for (const std::string& bad :
          {replace(run, "\"engine_threads\":1",
                   "\"engine_threads\":4294967298"),
           replace(run, "\"exploration_threads\":1",
                   "\"exploration_threads\":4294967298"),
-          replace(result_line, "\"threads_used\":1",
+          replace(progress_line, "\"threads_used\":1",
                   "\"threads_used\":4294967298")}) {
         EXPECT_FALSE(DecodeMessage(bad, &message, &error)) << bad;
         EXPECT_NE(error.find("exceeds 32 bits"), std::string::npos)
@@ -619,11 +678,18 @@ TEST(Wire, MalformedAndUnknownMessagesFailLoudly)
     TestCorpus::Entry entry;
     entry.workload = "py/argparse";
     entry.inputs = {{7, 0x41}};
-    result.corpus.entries.push_back(entry);
-    const std::string with_input = EncodeResult(result);
+    progress.corpus.entries.push_back(entry);
+    const std::string with_input = EncodeProgress(progress);
     ASSERT_TRUE(DecodeMessage(with_input, &message, &error)) << error;
     EXPECT_FALSE(DecodeMessage(
         replace(with_input, "[7,", "[4294967303,"), &message, &error));
+
+    // The heartbeat frame is gone: progress replaced it.
+    EXPECT_FALSE(DecodeMessage(
+        "{\"type\":\"heartbeat\",\"shard_id\":0,\"sequence\":1,"
+        "\"results\":[]}",
+        &message, &error));
+    EXPECT_NE(error.find("heartbeat"), std::string::npos) << error;
 
     EXPECT_TRUE(DecodeMessage(EncodeShutdown(), &message, &error));
     EXPECT_EQ(message.type, MessageType::kShutdown);
