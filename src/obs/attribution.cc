@@ -154,8 +154,11 @@ AttributionProfiler::FindCell(Stripe& stripe, uint64_t key)
 AttributionProfiler::Cell*
 AttributionProfiler::LocateCell(uint64_t key, Stripe** home)
 {
-    const size_t start = ThisThreadStripe();
-    *home = &stripes_[start];
+    *home = &stripes_[ThisThreadStripe()];
+    // The probe order depends on the key alone (high mixed bits; the low
+    // ones pick the cell inside a stripe), so every thread finds the
+    // key's one cell instead of claiming a copy in its own stripe.
+    const size_t start = (MixKey(key) >> 32) % kMetricStripes;
     for (size_t i = 0; i < kMetricStripes; ++i) {
         Cell* cell =
             FindCell(stripes_[(start + i) % kMetricStripes], key);

@@ -15,15 +15,17 @@
 ///
 /// Design constraints mirror obs/metrics.h:
 ///
-///  1. The charge path is wait-free and allocation-free: one stripe per
-///     thread group (obs::ThisThreadStripe), each stripe an
-///     open-addressed fixed-capacity table of cache-friendly cells whose
-///     key slot is claimed with a single CAS and whose counters are
-///     relaxed atomic adds. A full stripe spills into sibling stripes
-///     (Snapshot folds stripes by key, so spilled charges merge back
-///     exactly); only when every stripe is full do charges fold into a
-///     per-stripe overflow aggregate cell, so totals stay exact even
-///     then (dropped_locations counts the redirected charges).
+///  1. The charge path is wait-free and allocation-free: kMetricStripes
+///     stripes, each an open-addressed fixed-capacity table of
+///     cache-friendly cells whose key slot is claimed with a single CAS
+///     and whose counters are relaxed atomic adds. A key's home stripe
+///     is picked by its hash, so every thread charges the same cell; a
+///     full stripe spills into sibling stripes in an order also fixed by
+///     the key (Snapshot folds stripes by key, so spilled charges merge
+///     back exactly). Only when every stripe is full do charges fold
+///     into the charging thread's overflow aggregate cell, so totals
+///     stay exact even then (dropped_locations counts the redirected
+///     charges).
 ///  2. Reads are point-in-time snapshots: Snapshot() sums stripes into a
 ///     plain value type (AttributionSnapshot) that merges
 ///     order-independently and serializes through support/json — the
@@ -58,9 +60,9 @@ struct JsonValue;
 namespace chef::obs {
 
 /// Cells per stripe. Guest programs expose hundreds of high-level
-/// locations; a thread whose stripe fills spills into sibling stripes
-/// (kMetricStripes x this many cells in total per profiler), and only a
-/// completely full table folds charges into the overflow pseudo
+/// locations; a key whose home stripe is full spills into sibling
+/// stripes (kMetricStripes x this many cells in total per profiler), and
+/// only a completely full table folds charges into the overflow pseudo
 /// location below — nothing is lost either way.
 constexpr size_t kAttributionCellsPerStripe = 256;
 
@@ -128,7 +130,7 @@ bool AttributionCountsEqual(const AttributionSnapshot& a,
                             const AttributionSnapshot& b);
 
 /// The per-job profiler. Bound to one workload; every charge lands in
-/// this thread's stripe with one CAS-claimed cell lookup plus relaxed
+/// its key's one cell with one CAS-claimed cell lookup plus relaxed
 /// atomic adds (no locks, no allocation).
 class AttributionProfiler
 {
@@ -182,10 +184,10 @@ class AttributionProfiler
     /// the stripe is full.
     Cell* FindCell(Stripe& stripe, uint64_t key);
 
-    /// Finds or claims \p key's cell, probing this thread's stripe
-    /// first and spilling into sibling stripes when it is full. Fills
-    /// \p home with the thread's own stripe (for overflow accounting);
-    /// returns null only when every stripe is full.
+    /// Finds or claims \p key's cell, probing the stripes in an order
+    /// fixed by the key, so a key has one cell whichever thread charges
+    /// it. Fills \p home with the thread's own stripe (for overflow
+    /// accounting); returns null only when every stripe is full.
     Cell* LocateCell(uint64_t key, Stripe** home);
 
     std::string workload_;

@@ -1,17 +1,35 @@
 #include "solver/bitblast.h"
 
+#include <algorithm>
+#include <cstdlib>
+
 #include "support/diagnostics.h"
 
 namespace chef::solver {
 
 BitBlaster::BitBlaster(CnfFormula* cnf) : cnf_(cnf) {}
 
+void
+BitBlaster::Define(std::initializer_list<Lit> clause)
+{
+    const int output = cnf_->num_vars();
+    CHEF_CHECK_MSG(std::any_of(clause.begin(), clause.end(),
+                               [output](Lit lit) {
+                                   return std::abs(lit) == output;
+                               }),
+                   "gate clause outside its output's definition range");
+    Lit lits[3];
+    CHEF_CHECK(clause.size() <= 3);
+    std::copy(clause.begin(), clause.end(), lits);
+    cnf_->AddClause(lits, clause.size());
+}
+
 Lit
 BitBlaster::TrueLit()
 {
     if (true_lit_ == 0) {
         true_lit_ = cnf_->NewVar();
-        cnf_->AddUnit(true_lit_);
+        Define({true_lit_});
     }
     return true_lit_;
 }
@@ -25,9 +43,9 @@ BitBlaster::GateAnd(Lit a, Lit b)
     if (a == b) return a;
     if (a == -b) return FalseLit();
     const Lit out = cnf_->NewVar();
-    cnf_->AddTernary(-a, -b, out);
-    cnf_->AddBinary(a, -out);
-    cnf_->AddBinary(b, -out);
+    Define({-a, -b, out});
+    Define({a, -out});
+    Define({b, -out});
     return out;
 }
 
@@ -47,10 +65,10 @@ BitBlaster::GateXor(Lit a, Lit b)
     if (a == b) return FalseLit();
     if (a == -b) return TrueLit();
     const Lit out = cnf_->NewVar();
-    cnf_->AddTernary(-out, a, b);
-    cnf_->AddTernary(-out, -a, -b);
-    cnf_->AddTernary(out, -a, b);
-    cnf_->AddTernary(out, a, -b);
+    Define({-out, a, b});
+    Define({-out, -a, -b});
+    Define({out, -a, b});
+    Define({out, a, -b});
     return out;
 }
 
@@ -67,10 +85,10 @@ BitBlaster::GateIte(Lit c, Lit t, Lit e)
     if (IsTrueLit(e)) return GateOr(-c, t);
     if (IsFalseLit(e)) return GateAnd(c, t);
     const Lit out = cnf_->NewVar();
-    cnf_->AddTernary(-c, -t, out);
-    cnf_->AddTernary(-c, t, -out);
-    cnf_->AddTernary(c, -e, out);
-    cnf_->AddTernary(c, e, -out);
+    Define({-c, -t, out});
+    Define({-c, t, -out});
+    Define({c, -e, out});
+    Define({c, e, -out});
     return out;
 }
 
@@ -445,6 +463,9 @@ BitBlaster::AssertTrue(const ExprRef& expr)
 {
     CHEF_CHECK(expr->width() == 1);
     const std::vector<Lit> bits = Blast(expr);
+    // A root unit, not a definition: it lands in the newest variable's
+    // range, so formulas loaded by cone never hold one (the incremental
+    // session passes BlastBool literals as assumptions instead).
     cnf_->AddUnit(bits[0]);
 }
 

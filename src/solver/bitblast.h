@@ -10,6 +10,7 @@
 /// conditions, largely collapse).
 
 #include <cstdint>
+#include <initializer_list>
 #include <unordered_map>
 #include <vector>
 
@@ -40,7 +41,10 @@ class BitBlaster
     /// the formula permanently.
     Lit BlastBool(const ExprRef& expr);
 
-    /// Asserts that the width-1 expression \p expr is true.
+    /// Asserts that the width-1 expression \p expr is true, as a root
+    /// unit clause. For one-shot formulas only: the unit sits outside
+    /// every definition range (see CnfFormula), so a formula that is
+    /// loaded by cone must take its assertions as assumptions.
     void AssertTrue(const ExprRef& expr);
 
     /// Bitvector input variable that appeared during blasting.
@@ -64,6 +68,11 @@ class BitBlaster
     bool IsTrueLit(Lit lit) { return lit == TrueLit(); }
     bool IsFalseLit(Lit lit) { return lit == -TrueLit(); }
     Lit LitConst(bool value) { return value ? TrueLit() : FalseLit(); }
+
+    /// Adds one clause of the newest variable's definition range and
+    /// checks that it mentions that variable, the gate output allocated
+    /// just before.
+    void Define(std::initializer_list<Lit> clause);
 
     // Gates (with constant peepholes). Each returns a literal equivalent to
     // the gate output.

@@ -231,14 +231,18 @@ SatSolver::Backtrack(int target_level)
 }
 
 void
-SatSolver::ResetState()
+SatSolver::Reset()
 {
     loaded_clauses_ = 0;
     root_unsat_ = false;
     num_vars_ = 0;
     num_learned_ = 0;
     arena_.clear();
-    watches_.clear();
+    // Empty each watch list but keep it, with its capacity: a session
+    // that reloads a similar formula reuses the lists' storage.
+    for (std::vector<Watcher>& list : watches_) {
+        list.clear();
+    }
     value_.clear();
     phase_.clear();
     reason_.clear();
@@ -266,7 +270,11 @@ SatSolver::GrowVars(int num_vars)
     activity_.resize(num_vars_, 0.0);
     seen_.resize(num_vars_, 0);
     heap_pos_.resize(num_vars_, -1);
-    watches_.resize(2 * static_cast<size_t>(num_vars_));
+    // Grow only: lists past 2 * num_vars_ are empty leftovers of a
+    // larger formula before a reset, kept for their capacity.
+    if (watches_.size() < 2 * static_cast<size_t>(num_vars_)) {
+        watches_.resize(2 * static_cast<size_t>(num_vars_));
+    }
     for (int var = old_vars; var < num_vars_; ++var) {
         HeapInsert(static_cast<uint32_t>(var));
     }
@@ -641,7 +649,7 @@ SatSolver::Search(const std::vector<Lit>& assumptions)
 SatStatus
 SatSolver::Solve(const CnfFormula& formula)
 {
-    ResetState();
+    Reset();
     return SolveIncremental(formula, {});
 }
 

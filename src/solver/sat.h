@@ -69,13 +69,45 @@ class ClauseView
 
 /// Accumulates a CNF formula. Clauses are stored flat: the literals of
 /// clause i are lits_[starts_[i], starts_[i + 1]).
+///
+/// Every variable owns a *definition range*: the clauses added after
+/// NewVar() returned it and before the next NewVar(). The bit-blaster
+/// adds each gate's clauses right after allocating the gate's output
+/// (and checks that every clause mentions that output), so a gate's
+/// range is exactly its Tseitin definition and names only older
+/// variables. The solver's incremental session walks these ranges to
+/// load one query's cone instead of the whole formula.
 class CnfFormula
 {
   public:
-    /// Allocates a fresh variable and returns its (positive) index.
-    int NewVar() { return ++num_vars_; }
+    /// Allocates a fresh variable and returns its (positive) index; the
+    /// clauses added from now until the next NewVar() form its
+    /// definition range.
+    int NewVar()
+    {
+        def_begin_.push_back(static_cast<uint32_t>(num_clauses()));
+        return ++num_vars_;
+    }
 
     int num_vars() const { return num_vars_; }
+
+    /// Clause indices [definition_begin(var), definition_end(var)) are
+    /// the clauses added while \p var was the newest variable.
+    size_t definition_begin(int var) const { return def_begin_[var]; }
+    size_t definition_end(int var) const
+    {
+        return var == num_vars_ ? num_clauses() : def_begin_[var + 1];
+    }
+
+    /// Empties the formula, keeping its allocated storage.
+    void Clear()
+    {
+        num_vars_ = 0;
+        trivially_unsat_ = false;
+        lits_.clear();
+        starts_.resize(1);
+        def_begin_.resize(1);
+    }
 
     /// Adds a clause given as DIMACS literals. The clause is normalized
     /// (literals sorted by variable, negative first; duplicates dropped;
@@ -83,6 +115,8 @@ class CnfFormula
     /// the solver starts from. Empty clauses make the formula trivially
     /// unsatisfiable.
     void AddClause(std::vector<Lit> lits) { Add(lits.data(), lits.size()); }
+    /// As above, normalizing \p lits in place.
+    void AddClause(Lit* lits, size_t size) { Add(lits, size); }
     void AddUnit(Lit a) { Add(&a, 1); }
     void AddBinary(Lit a, Lit b)
     {
@@ -110,6 +144,9 @@ class CnfFormula
     bool trivially_unsat_ = false;
     std::vector<Lit> lits_;
     std::vector<uint32_t> starts_ = {0};
+    /// First clause of each variable's definition range, indexed by
+    /// variable (slot 0 unused).
+    std::vector<uint32_t> def_begin_ = {0};
 };
 
 /// Solver statistics for one Solve() call.
@@ -124,7 +161,10 @@ struct SatStats {
     uint64_t purged_clauses = 0;
 };
 
-/// CDCL solver. A fresh instance is used per query.
+/// CDCL solver. An instance serves either one-shot Solve() calls, each
+/// starting from scratch, or one incremental session of
+/// SolveIncremental() calls over a growing formula; Reset() empties it
+/// for a new session while keeping its storage.
 class SatSolver
 {
   public:
@@ -167,6 +207,12 @@ class SatSolver
     SatStatus SolveIncremental(const CnfFormula& formula,
                                const std::vector<Lit>& assumptions);
 
+    /// Discards every clause, assignment and heuristic state so the next
+    /// SolveIncremental() starts a new formula (Solve() starts with it).
+    /// Allocated storage, including each watch list's capacity, is kept;
+    /// stats() keeps counting.
+    void Reset();
+
     /// Formula clauses consumed by clause loading so far (total across
     /// incremental calls; callers diff it to get per-call load counts).
     size_t loaded_clauses() const { return loaded_clauses_; }
@@ -200,9 +246,6 @@ class SatSolver
     ILit* ClauseLits(CRef clause) { return &arena_[clause + 1]; }
     const ILit* ClauseLits(CRef clause) const { return &arena_[clause + 1]; }
 
-    /// Discards every clause, assignment and heuristic state (the one-shot
-    /// Solve() entry point).
-    void ResetState();
     /// Grows the per-variable arrays to \p num_vars (monotone).
     void GrowVars(int num_vars);
     /// Loads formula clauses [loaded_clauses_, end); root-level units go

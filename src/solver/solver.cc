@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
+#include <cstdlib>
 
 #include "cache/canonical.h"
 #include "cache/shared_cache.h"
@@ -71,6 +73,7 @@ Solver::Solver(Options options) : options_(options)
             registry.counter("solver.incremental_sat_calls");
         m_sliced_queries_ = registry.counter("solver.sliced_queries");
         m_clauses_loaded_ = registry.counter("solver.clauses_loaded");
+        m_sat_propagations_ = registry.counter("solver.sat_propagations");
         m_solve_latency_ = registry.histogram("solver.solve_seconds");
         m_sat_latency_ = registry.histogram("solver.sat_seconds");
     }
@@ -436,6 +439,7 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
     SatStatus status;
     Assignment extracted;
     const uint64_t clauses_loaded_before = stats_.clauses_loaded;
+    const uint64_t propagations_before = stats_.sat_propagations;
 
     if (options_.enable_incremental_sat) {
         if (session_ == nullptr) {
@@ -444,25 +448,33 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
             sat_options.max_learned_clauses = options_.max_learned_clauses;
             session_ = std::make_unique<SatSession>(sat_options);
         }
-        const size_t clauses_before = session_->cnf.num_clauses();
-        const int vars_before = session_->cnf.num_vars();
+        SatSession& session = *session_;
+        const size_t clauses_before = session.cnf.num_clauses();
+        const int vars_before = session.cnf.num_vars();
         std::vector<Lit> assumptions;
         assumptions.reserve(live.size());
         for (const ExprRef& assertion : live) {
-            assumptions.push_back(session_->blaster.BlastBool(assertion));
+            assumptions.push_back(session.blaster.BlastBool(assertion));
         }
         stats_.cnf_vars +=
-            static_cast<uint64_t>(session_->cnf.num_vars() - vars_before);
-        stats_.cnf_clauses += session_->cnf.num_clauses() - clauses_before;
+            static_cast<uint64_t>(session.cnf.num_vars() - vars_before);
+        stats_.cnf_clauses += session.cnf.num_clauses() - clauses_before;
         ++stats_.sat_calls;
         ++stats_.incremental_sat_calls;
-        const size_t loaded_before = session_->sat.loaded_clauses();
-        const uint64_t purged_before = session_->sat.stats().purged_clauses;
-        status = session_->sat.SolveIncremental(session_->cnf, assumptions);
-        stats_.clauses_loaded +=
-            session_->sat.loaded_clauses() - loaded_before;
+        const size_t loaded_before = session.loaded.num_clauses();
+        if (session.LoadCone(&assumptions)) {
+            ++stats_.sat_rebuilds;
+            stats_.clauses_loaded += session.loaded.num_clauses();
+        } else {
+            stats_.clauses_loaded +=
+                session.loaded.num_clauses() - loaded_before;
+        }
+        const SatStats sat_before = session.sat.stats();
+        status = session.sat.SolveIncremental(session.loaded, assumptions);
         stats_.learned_clauses_purged +=
-            session_->sat.stats().purged_clauses - purged_before;
+            session.sat.stats().purged_clauses - sat_before.purged_clauses;
+        stats_.sat_propagations +=
+            session.sat.stats().propagations - sat_before.propagations;
         if (status == SatStatus::kSat) {
             // The session's blaster has seen every query of the session;
             // extract only this query's variables (absent variables are
@@ -472,9 +484,7 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
                 CollectVarIds(assertion, &var_ids);
             }
             for (const uint32_t var_id : var_ids) {
-                extracted.Set(
-                    var_id,
-                    session_->blaster.ModelValue(session_->sat, var_id));
+                extracted.Set(var_id, session.ModelValue(var_id));
             }
         }
     } else {
@@ -494,6 +504,7 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
         ++stats_.sat_calls;
         status = sat.Solve(cnf);
         stats_.learned_clauses_purged += sat.stats().purged_clauses;
+        stats_.sat_propagations += sat.stats().propagations;
         if (status == SatStatus::kSat) {
             for (const auto& [var_id, info] : blaster.variables()) {
                 extracted.Set(var_id, blaster.ModelValue(sat, var_id));
@@ -502,6 +513,8 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
     }
     if (m_clauses_loaded_ != nullptr) {
         m_clauses_loaded_->Add(stats_.clauses_loaded - clauses_loaded_before);
+        m_sat_propagations_->Add(stats_.sat_propagations -
+                                 propagations_before);
     }
 
     if (status == SatStatus::kUnknown) {
@@ -537,6 +550,110 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
         *model = std::move(extracted);
     }
     return QueryResult::kSat;
+}
+
+bool
+Solver::SatSession::LoadCone(std::vector<Lit>* assumptions)
+{
+    const size_t num_vars = static_cast<size_t>(cnf.num_vars());
+    if (dense.size() <= num_vars) {
+        dense.resize(num_vars + 1, 0);
+        stamp.resize(num_vars + 1, 0);
+    }
+    if (++epoch == 0) {  // Wrapped: no stale stamp may equal the epoch.
+        std::fill(stamp.begin(), stamp.end(), 0);
+        epoch = 1;
+    }
+
+    // The cone: every variable whose definition the assumptions reach.
+    // A definition names only older variables, so the walk ends; stamps
+    // make it cost O(cone), never O(session).
+    cone.clear();
+    stack.clear();
+    for (const Lit lit : *assumptions) {
+        stack.push_back(std::abs(lit));
+    }
+    size_t missing = 0;
+    while (!stack.empty()) {
+        const int var = stack.back();
+        stack.pop_back();
+        if (stamp[var] == epoch) {
+            continue;
+        }
+        stamp[var] = epoch;
+        cone.push_back(var);
+        missing += dense[var] == 0 ? 1 : 0;
+        for (size_t i = cnf.definition_begin(var),
+                    end = cnf.definition_end(var);
+             i < end; ++i) {
+            for (const Lit lit : cnf.clause(i)) {
+                if (stamp[std::abs(lit)] != epoch) {
+                    stack.push_back(std::abs(lit));
+                }
+            }
+        }
+    }
+
+    bool rebuilt = false;
+    if (loaded_vars.size() + missing > kMaxLoadedPerCone * cone.size()) {
+        for (const int var : loaded_vars) {
+            dense[var] = 0;
+        }
+        loaded_vars.clear();
+        loaded.Clear();
+        sat.Reset();
+        rebuilt = true;
+    }
+
+    // Append the missing definitions in session order, so the loaded
+    // formula lists them in the order the blaster built them. Numbering
+    // every missing variable first lets each clause map its inputs.
+    const size_t first_new = loaded_vars.size();
+    for (const int var : cone) {
+        if (dense[var] == 0) {
+            loaded_vars.push_back(var);
+        }
+    }
+    std::sort(loaded_vars.begin() + static_cast<std::ptrdiff_t>(first_new),
+              loaded_vars.end());
+    for (size_t i = first_new; i < loaded_vars.size(); ++i) {
+        dense[loaded_vars[i]] = loaded.NewVar();
+    }
+    const auto to_loaded = [this](Lit lit) {
+        return lit > 0 ? dense[lit] : -dense[-lit];
+    };
+    for (size_t i = first_new; i < loaded_vars.size(); ++i) {
+        const int var = loaded_vars[i];
+        for (size_t c = cnf.definition_begin(var),
+                    end = cnf.definition_end(var);
+             c < end; ++c) {
+            clause.clear();
+            for (const Lit lit : cnf.clause(c)) {
+                clause.push_back(to_loaded(lit));
+            }
+            loaded.AddClause(clause.data(), clause.size());
+        }
+    }
+    for (Lit& lit : *assumptions) {
+        lit = to_loaded(lit);
+    }
+    return rebuilt;
+}
+
+uint64_t
+Solver::SatSession::ModelValue(uint32_t var_id) const
+{
+    const auto it = blaster.variables().find(var_id);
+    CHEF_CHECK(it != blaster.variables().end());
+    uint64_t value = 0;
+    const std::vector<Lit>& bits = it->second.bits;
+    for (size_t i = 0; i < bits.size(); ++i) {
+        const int var = dense[std::abs(bits[i])];
+        if (var != 0 && sat.ModelValue(var) == (bits[i] > 0)) {
+            value |= 1ull << i;
+        }
+    }
+    return value;
 }
 
 bool

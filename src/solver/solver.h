@@ -17,9 +17,15 @@
 /// from the per-slice cache while only the slice containing the freshly
 /// negated branch condition does real work. Slices that miss every cache
 /// reach the SAT backend through a persistent incremental session: one
-/// BitBlaster + CDCL instance per Solver, queried under assumptions, so
-/// shared prefix nodes are blasted and CNF-loaded once per session and
-/// learned clauses carry over between queries.
+/// BitBlaster per Solver, so a shared prefix node is blasted once per
+/// session, and one CDCL instance queried under assumptions. The CDCL
+/// instance does not hold the whole session's formula. Each call walks
+/// the *cone* of its assumption literals (the gate definitions they
+/// reach, see CnfFormula) and makes the instance's *loaded set* cover
+/// it: it appends the cone's missing definitions while the loaded set
+/// stays within twice the cone, so nested cones keep their learned
+/// clauses, and otherwise rebuilds the instance from the cone alone, so
+/// a query never propagates through circuits of unrelated past queries.
 ///
 /// The cache accelerations also exist at batch scope: when
 /// Options::shared_cache points at a cache::SharedSolverCache, slices
@@ -88,13 +94,21 @@ struct SolverStats {
     uint64_t unsat_results = 0;
     uint64_t unknown_results = 0;
     /// CNF variables/clauses *built* for SAT calls. Incremental calls add
-    /// only the delta since the previous call (the point of the session).
+    /// only the nodes the session had not blasted before.
     uint64_t cnf_vars = 0;
     uint64_t cnf_clauses = 0;
-    /// Clauses actually loaded into a CDCL instance across all SAT calls:
-    /// the whole formula per fresh call, the newly appended delta per
-    /// incremental call.
+    /// Clauses loaded into a CDCL instance across all SAT calls: the
+    /// whole formula per fresh call; per incremental call, the cone
+    /// definitions appended to the loaded set, or the whole cone again
+    /// after a rebuild.
     uint64_t clauses_loaded = 0;
+    /// Incremental calls whose cone replaced a non-empty loaded set
+    /// instead of extending it (a subset of incremental_sat_calls).
+    uint64_t sat_rebuilds = 0;
+    /// Unit propagations the CDCL backend performed across SAT calls
+    /// (SatStats::propagations deltas): the cost that loading only a
+    /// query's cone keeps proportional to that cone.
+    uint64_t sat_propagations = 0;
     /// Approximate bytes held by the local query cache (gauge; bounded by
     /// Options::max_cache_bytes via LRU eviction).
     uint64_t cache_bytes = 0;
@@ -122,8 +136,9 @@ class Solver
         bool enable_independence_slicing = true;
         /// Solve cache-missing slices through a persistent incremental
         /// session (one BitBlaster + CDCL instance per Solver, queried
-        /// under assumptions) instead of re-blasting the whole slice and
-        /// running a fresh CDCL instance per call.
+        /// under assumptions over the query's cone; see SatSession)
+        /// instead of re-blasting the whole slice and running a fresh
+        /// CDCL instance per call.
         bool enable_incremental_sat = true;
         size_t model_reuse_window = 16;
         /// Byte budget for the local query cache (approximate, the same
@@ -187,16 +202,52 @@ class Solver
         std::list<uint64_t>::iterator lru_it;
     };
 
-    /// The persistent incremental backend: one formula that only grows,
-    /// one blaster memo keyed by expression node, one CDCL instance that
-    /// keeps its learned clauses. Created lazily on the first SAT call
-    /// when Options::enable_incremental_sat is set.
+    /// The persistent incremental backend, created lazily on the first
+    /// SAT call when Options::enable_incremental_sat is set.
+    ///
+    /// The blaster memo and its formula `cnf` only grow: every node is
+    /// blasted once per session. The CDCL instance `sat` holds only the
+    /// *loaded set*, a dense renumbering of some of `cnf`'s definitions
+    /// (`loaded`). LoadCone() walks the cone of a call's assumption
+    /// literals (the definitions they reach) and either appends the
+    /// cone's missing definitions, keeping learned clauses, or, when the
+    /// loaded set would grow past kMaxLoadedPerCone times the cone,
+    /// resets `sat` and loads the cone alone. Nested cones (a path
+    /// prefix that grows) keep extending one clause database; unrelated
+    /// cones stop paying propagation for each other's circuits.
     struct SatSession {
+        /// A rebuild happens when the loaded set would exceed this many
+        /// times the call's cone, counted in variables.
+        static constexpr size_t kMaxLoadedPerCone = 2;
+
         CnfFormula cnf;
         BitBlaster blaster;
         SatSolver sat;
+        /// The clauses `sat` has loaded, in dense numbering.
+        CnfFormula loaded;
+        /// Session variable -> loaded variable; 0 when not loaded.
+        std::vector<int> dense;
+        /// Loaded variable v is session variable loaded_vars[v - 1].
+        std::vector<int> loaded_vars;
+        /// Per session variable, the cone walk that last reached it.
+        std::vector<uint32_t> stamp;
+        uint32_t epoch = 0;
+        // Scratch of LoadCone, kept for its capacity.
+        std::vector<int> cone;
+        std::vector<int> stack;
+        std::vector<Lit> clause;
+
         SatSession(const SatSolver::Options& sat_options)
             : blaster(&cnf), sat(sat_options) {}
+
+        /// Makes the loaded set cover the cone of \p assumptions (session
+        /// literals, rewritten in place to loaded literals). Returns true
+        /// when it discarded a non-empty loaded set.
+        bool LoadCone(std::vector<Lit>* assumptions);
+
+        /// Value of blasted input \p var_id in the last kSat model.
+        /// Bits outside the loaded set are unconstrained and read 0.
+        uint64_t ModelValue(uint32_t var_id) const;
     };
 
     /// Runs the cache pipeline for one independent slice (or for the
@@ -236,6 +287,7 @@ class Solver
     obs::Counter* m_incremental_sat_calls_ = nullptr;
     obs::Counter* m_sliced_queries_ = nullptr;
     obs::Counter* m_clauses_loaded_ = nullptr;
+    obs::Counter* m_sat_propagations_ = nullptr;
     obs::Histogram* m_solve_latency_ = nullptr;
     obs::Histogram* m_sat_latency_ = nullptr;
     std::unordered_map<uint64_t, CacheEntry> cache_;

@@ -193,6 +193,45 @@ TEST(Attribution, ConcurrentChargesAcrossStripesLoseNothing)
     }
 }
 
+// The interleaving that made the concurrent test above flaky, forced:
+// threads on distinct home stripes take turns, each charging a key right
+// after the others did. Each key must keep one cell, so 300 keys fit the
+// table; claiming a copy per home stripe would need 8 x 300 cells.
+TEST(Attribution, LockstepChargesKeepOneCellPerKey)
+{
+    AttributionProfiler profiler("py/simplejson");
+    constexpr uint64_t kThreads = kMetricStripes;
+    constexpr uint64_t kLocations = 300;
+    static_assert(kThreads * kLocations >
+                      kMetricStripes * kAttributionCellsPerStripe,
+                  "a copy per thread must overflow the profiler");
+    std::atomic<uint64_t> turn{0};
+    std::vector<std::thread> threads;
+    for (uint64_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&profiler, &turn, t] {
+            for (uint64_t pc = 0; pc < kLocations; ++pc) {
+                while (turn.load(std::memory_order_acquire) !=
+                       pc * kThreads + t) {
+                    std::this_thread::yield();
+                }
+                profiler.Charge(pc, AttributionProfiler::kSteps);
+                turn.fetch_add(1, std::memory_order_release);
+            }
+        });
+    }
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    const AttributionSnapshot snapshot = profiler.Snapshot();
+    EXPECT_EQ(snapshot.dropped_locations, 0u);
+    const std::map<uint64_t, AttributionRow>& table =
+        snapshot.workloads.at("py/simplejson");
+    ASSERT_EQ(table.size(), kLocations);
+    for (const auto& [pc, row] : table) {
+        EXPECT_EQ(row.steps, kThreads) << "hl_pc " << pc;
+    }
+}
+
 // Exhausting every stripe folds further new locations into the overflow
 // aggregate instead of losing the charges.
 TEST(Attribution, FullTableFoldsIntoOverflowAggregate)

@@ -134,25 +134,91 @@ TEST(Solver, TinyLearnedClauseCapKeepsOutcomesCorrect)
     Solver capped(options);
     Solver reference;
 
-    const ExprRef x = MakeVar(1, "x", 16);
-    const ExprRef y = MakeVar(2, "y", 16);
-    Rng rng(7);
-    for (int i = 0; i < 12; ++i) {
-        const uint64_t sum = 100 + rng.NextBelow(400);
-        const uint64_t low = rng.NextBelow(300);
-        std::vector<ExprRef> assertions = {
-            MakeEq(MakeAdd(x, y), MakeConst(sum, 16)),
-            MakeUgt(x, MakeConst(low, 16)),
-            MakeUlt(y, MakeConst(50 + rng.NextBelow(200), 16)),
-        };
+    // One path over one x * y, x + y circuit pair whose bound on x
+    // tightens query by query, past every solution: each query's cone
+    // holds the previous one's, so the session keeps extending a single
+    // clause database (a purge needs one that outlives many conflicts),
+    // and the last queries are unsat proofs that take thousands of
+    // conflicts at this width.
+    const ExprRef x = MakeVar(1, "x", 20);
+    const ExprRef y = MakeVar(2, "y", 20);
+    const uint64_t x0 = 0x3a7;
+    const uint64_t y0 = 0x95;
+    std::vector<ExprRef> path = {
+        MakeEq(MakeMul(x, y), MakeConst(x0 * y0, 20)),
+        MakeEq(MakeAdd(x, y), MakeConst(x0 + y0, 20)),
+    };
+    for (uint64_t i = 0; i < 12; ++i) {
+        path.push_back(MakeUgt(x, MakeConst(i << 16, 20)));
         Assignment model;
-        const QueryResult expected = reference.Solve(assertions, nullptr);
-        ASSERT_EQ(capped.Solve(assertions, &model), expected) << i;
+        const QueryResult expected = reference.Solve(path, nullptr);
+        ASSERT_EQ(capped.Solve(path, &model), expected) << i;
     }
+    EXPECT_EQ(capped.stats().sat_rebuilds, 0u);
     // The capped session really purged (so the equal outcomes above
     // exercised the purge path); the uncapped reference never did.
     EXPECT_GT(capped.stats().learned_clauses_purged, 0u);
     EXPECT_EQ(reference.stats().learned_clauses_purged, 0u);
+}
+
+TEST(Solver, IncrementalPropagationsStayProportionalToTheCone)
+{
+    // Many concolic paths over the same input bytes, each path branching
+    // on its own mixing circuits: a query's cone is a few circuits while
+    // the session has blasted hundreds. Loading only the cone keeps the
+    // incremental session's propagations near a fresh solve's; a session
+    // that kept every past circuit loaded would propagate through all of
+    // them while placing each call's assumptions.
+    Solver::Options fresh_options;
+    fresh_options.enable_query_cache = false;
+    fresh_options.enable_model_reuse = false;
+    fresh_options.enable_incremental_sat = false;
+    Solver::Options session_options = fresh_options;
+    session_options.enable_incremental_sat = true;
+    Solver fresh(fresh_options);
+    Solver session(session_options);
+
+    constexpr uint32_t kBytes = 16;
+    std::vector<ExprRef> bytes;
+    for (uint32_t i = 0; i < kBytes; ++i) {
+        bytes.push_back(MakeVar(i + 1, "b" + std::to_string(i), 8));
+    }
+    Rng rng(3);
+    for (int path_index = 0; path_index < 40; ++path_index) {
+        Assignment input;
+        for (uint32_t i = 0; i < kBytes; ++i) {
+            input.Set(i + 1, rng.NextBelow(256));
+        }
+        std::vector<ExprRef> path;
+        for (int depth = 0; depth < 6; ++depth) {
+            const ExprRef mixed = MakeXor(
+                MakeAdd(MakeMul(MakeZExt(bytes[rng.NextBelow(kBytes)], 16),
+                                MakeConst(3 + rng.NextBelow(250), 16)),
+                        MakeZExt(bytes[rng.NextBelow(kBytes)], 16)),
+                MakeConst(rng.NextBelow(1 << 16), 16));
+            ExprRef cond = MakeUlt(
+                mixed, MakeConst(EvalConcrete(mixed, input) + 1, 16));
+            if (rng.Chance(0.5)) {
+                cond = MakeBoolNot(
+                    MakeUlt(mixed, MakeConst(rng.NextBelow(1 << 16), 16)));
+            }
+            if (EvalConcrete(cond, input) == 0) {
+                cond = MakeBoolNot(cond);
+            }
+            std::vector<ExprRef> query = path;
+            query.push_back(MakeBoolNot(cond));
+            ASSERT_EQ(session.Solve(query, nullptr),
+                      fresh.Solve(query, nullptr))
+                << "path " << path_index << " depth " << depth;
+            path.push_back(cond);
+        }
+    }
+    ASSERT_EQ(session.stats().sat_calls, fresh.stats().sat_calls);
+    ASSERT_GT(fresh.stats().sat_propagations, 0u);
+    EXPECT_GT(session.stats().sat_rebuilds, 0u);
+    EXPECT_LE(session.stats().sat_propagations,
+              2 * fresh.stats().sat_propagations)
+        << "fresh " << fresh.stats().sat_propagations;
 }
 
 TEST(Solver, UpperBoundExact)
