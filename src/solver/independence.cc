@@ -1,28 +1,16 @@
 #include "solver/independence.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstdint>
 
 namespace chef::solver {
 
 namespace {
 
-void
-CollectVarIdsImpl(const Expr* e, std::unordered_set<const Expr*>* visited,
-                  std::vector<uint32_t>* out)
-{
-    if (e == nullptr || !visited->insert(e).second) {
-        return;
-    }
-    if (e->kind() == ExprKind::kVariable) {
-        out->push_back(e->var_id());
-        return;
-    }
-    CollectVarIdsImpl(e->a().get(), visited, out);
-    CollectVarIdsImpl(e->b().get(), visited, out);
-    CollectVarIdsImpl(e->c().get(), visited, out);
-}
+/// Ids below this bound are stamped in a dense table; larger ids (never
+/// produced by the runtimes, which number input bytes from 1) fall back
+/// to a scan of the output so no table grows to their size.
+constexpr uint32_t kDenseIds = 1u << 20;
 
 /// Union-find over dense slot indices with path halving.
 class UnionFind
@@ -45,26 +33,149 @@ class UnionFind
 
     void Union(size_t a, size_t b) { parent_[Find(a)] = Find(b); }
 
+    size_t size() const { return parent_.size(); }
+
   private:
     std::vector<size_t> parent_;
 };
 
+VarIdCollector&
+ThreadCollector()
+{
+    thread_local VarIdCollector collector;
+    return collector;
+}
+
 }  // namespace
+
+void
+VarIdCollector::Begin(const std::vector<uint32_t>& out)
+{
+    if (++generation_ == 0) {
+        // Wrapped: clear every stamp, so none from an earlier lap can
+        // equal a generation of this one (0 itself marks "never").
+        std::fill(slots_.begin(), slots_.end(), Slot{});
+        std::fill(id_stamp_.begin(), id_stamp_.end(), 0);
+        generation_ = 1;
+    }
+    visited_ = 0;
+    for (const uint32_t id : out) {
+        if (id < kDenseIds) {
+            if (id >= id_stamp_.size()) {
+                id_stamp_.resize(std::max<size_t>(id + 1,
+                                                  2 * id_stamp_.size()));
+            }
+            id_stamp_[id] = generation_;
+        }
+    }
+}
+
+bool
+VarIdCollector::MarkId(uint32_t id, const std::vector<uint32_t>& out)
+{
+    if (id >= kDenseIds) {
+        return std::find(out.begin(), out.end(), id) == out.end();
+    }
+    if (id >= id_stamp_.size()) {
+        id_stamp_.resize(std::max<size_t>(id + 1, 2 * id_stamp_.size()));
+    }
+    if (id_stamp_[id] == generation_) {
+        return false;
+    }
+    id_stamp_[id] = generation_;
+    return true;
+}
+
+void
+VarIdCollector::Grow()
+{
+    std::vector<Slot> old(std::max<size_t>(64, 2 * slots_.size()));
+    old.swap(slots_);
+    visited_ = 0;
+    for (const Slot& slot : old) {
+        if (slot.stamp == generation_) {
+            Visit(slot.node);
+        }
+    }
+}
+
+bool
+VarIdCollector::Visit(const Expr* node)
+{
+    if (2 * (visited_ + 1) > slots_.size()) {
+        Grow();
+    }
+    const size_t mask = slots_.size() - 1;
+    const uint64_t hash = (reinterpret_cast<uintptr_t>(node) >> 4) *
+                          0x9e3779b97f4a7c15ull;
+    size_t i = static_cast<size_t>(hash ^ (hash >> 32)) & mask;
+    while (slots_[i].stamp == generation_) {
+        if (slots_[i].node == node) {
+            return false;
+        }
+        i = (i + 1) & mask;
+    }
+    slots_[i] = {node, generation_};
+    ++visited_;
+    return true;
+}
+
+void
+VarIdCollector::Walk(const Expr* root, std::vector<uint32_t>* out)
+{
+    // Depth-first, children pushed in reverse so `a` is walked first:
+    // the ids come out in the order a recursive a, b, c walk finds them.
+    // Constants have no children and variables are deduplicated by id,
+    // so only inner nodes enter the visited set.
+    stack_.push_back(root);
+    while (!stack_.empty()) {
+        const Expr* e = stack_.back();
+        stack_.pop_back();
+        if (e == nullptr || e->kind() == ExprKind::kConstant) {
+            continue;
+        }
+        if (e->kind() == ExprKind::kVariable) {
+            if (MarkId(e->var_id(), *out)) {
+                out->push_back(e->var_id());
+            }
+            continue;
+        }
+        if (!Visit(e)) {
+            continue;
+        }
+        stack_.push_back(e->c().get());
+        stack_.push_back(e->b().get());
+        stack_.push_back(e->a().get());
+    }
+}
+
+void
+VarIdCollector::Collect(const ExprRef& expr, std::vector<uint32_t>* out)
+{
+    Begin(*out);
+    Walk(expr.get(), out);
+}
+
+void
+VarIdCollector::Collect(const std::vector<ExprRef>& exprs,
+                        std::vector<uint32_t>* out)
+{
+    Begin(*out);
+    for (const ExprRef& expr : exprs) {
+        Walk(expr.get(), out);
+    }
+}
 
 void
 CollectVarIds(const ExprRef& expr, std::vector<uint32_t>* out)
 {
-    std::unordered_set<const Expr*> visited;
-    std::vector<uint32_t> found;
-    CollectVarIdsImpl(expr.get(), &visited, &found);
-    // Dedup against what the caller already has (set-based: callers
-    // accumulate across a whole query's assertions).
-    std::unordered_set<uint32_t> seen(out->begin(), out->end());
-    for (const uint32_t id : found) {
-        if (seen.insert(id).second) {
-            out->push_back(id);
-        }
-    }
+    ThreadCollector().Collect(expr, out);
+}
+
+void
+CollectVarIds(const std::vector<ExprRef>& exprs, std::vector<uint32_t>* out)
+{
+    ThreadCollector().Collect(exprs, out);
 }
 
 std::vector<IndependentSlice>
@@ -73,35 +184,60 @@ PartitionIndependent(const std::vector<ExprRef>& assertions)
     // One union-find slot per assertion plus one per distinct variable;
     // each assertion is unioned with every variable it references, so two
     // assertions end up in the same component iff they are transitively
-    // connected through shared variables.
+    // connected through shared variables. A variable's slot is found
+    // through a per-thread table indexed by id (slot + 1; 0 = none yet),
+    // cleared again on the way out.
+    thread_local std::vector<size_t> dense_slot;
+    std::vector<std::pair<uint32_t, size_t>> sparse_slot;
     UnionFind uf;
     std::vector<size_t> assertion_slot(assertions.size());
-    std::unordered_map<uint32_t, size_t> var_slot;
     std::vector<std::vector<uint32_t>> assertion_vars(assertions.size());
 
+    const auto var_slot = [&uf, &sparse_slot](uint32_t id) {
+        if (id < kDenseIds) {
+            if (id >= dense_slot.size()) {
+                dense_slot.resize(std::max<size_t>(id + 1,
+                                                   2 * dense_slot.size()));
+            }
+            if (dense_slot[id] == 0) {
+                dense_slot[id] = uf.MakeSet() + 1;
+            }
+            return dense_slot[id] - 1;
+        }
+        for (const auto& [sparse_id, slot] : sparse_slot) {
+            if (sparse_id == id) {
+                return slot;
+            }
+        }
+        sparse_slot.emplace_back(id, uf.MakeSet());
+        return sparse_slot.back().second;
+    };
     for (size_t i = 0; i < assertions.size(); ++i) {
         assertion_slot[i] = uf.MakeSet();
         CollectVarIds(assertions[i], &assertion_vars[i]);
         for (const uint32_t id : assertion_vars[i]) {
-            auto [it, inserted] = var_slot.emplace(id, 0);
-            if (inserted) {
-                it->second = uf.MakeSet();
+            uf.Union(assertion_slot[i], var_slot(id));
+        }
+    }
+    for (const std::vector<uint32_t>& ids : assertion_vars) {
+        for (const uint32_t id : ids) {
+            if (id < kDenseIds) {
+                dense_slot[id] = 0;
             }
-            uf.Union(assertion_slot[i], it->second);
         }
     }
 
     // Group assertions by component, ordered by first occurrence so the
     // partition is deterministic in the input order.
     std::vector<IndependentSlice> slices;
-    std::unordered_map<size_t, size_t> root_to_slice;
+    std::vector<size_t> root_to_slice(uf.size(), SIZE_MAX);
     for (size_t i = 0; i < assertions.size(); ++i) {
-        const size_t root = uf.Find(assertion_slot[i]);
-        auto [it, inserted] = root_to_slice.emplace(root, slices.size());
-        if (inserted) {
+        size_t& slice_index = root_to_slice[uf.Find(assertion_slot[i])];
+        if (slice_index == SIZE_MAX) {
+            slice_index = slices.size();
             slices.emplace_back();
         }
-        IndependentSlice& slice = slices[it->second];
+        IndependentSlice& slice = slices[slice_index];
         slice.assertions.push_back(assertions[i]);
         for (const uint32_t id : assertion_vars[i]) {
             slice.var_ids.push_back(id);

@@ -233,16 +233,17 @@ SatSolver::Backtrack(int target_level)
 void
 SatSolver::Reset()
 {
+    // Empty each watch list but keep it, with its capacity: a session
+    // that reloads a similar formula reuses the lists' storage. Lists
+    // past 2 * num_vars_ are empty already (see GrowVars).
+    for (size_t i = 0; i < 2 * static_cast<size_t>(num_vars_); ++i) {
+        watches_[i].clear();
+    }
     loaded_clauses_ = 0;
     root_unsat_ = false;
     num_vars_ = 0;
     num_learned_ = 0;
     arena_.clear();
-    // Empty each watch list but keep it, with its capacity: a session
-    // that reloads a similar formula reuses the lists' storage.
-    for (std::vector<Watcher>& list : watches_) {
-        list.clear();
-    }
     value_.clear();
     phase_.clear();
     reason_.clear();
@@ -470,7 +471,7 @@ SatSolver::PurgeLearned()
     stats_.purged_clauses += target;
 
     // Rebuild the watch lists. Watchers only fire on future enqueues, so
-    // (as in LoadIncrement) each clause must watch two literals that are
+    // (as in LoadClause) each clause must watch two literals that are
     // non-false under the surviving root assignment; a clause with only
     // one such literal is permanently satisfied at root — propagation ran
     // to fixpoint before the purge, so that literal can only be true —
@@ -497,66 +498,79 @@ SatSolver::PurgeLearned()
     }
 }
 
-bool
-SatSolver::LoadIncrement(const CnfFormula& formula)
+void
+SatSolver::BeginIncrement(int num_vars)
 {
-    std::vector<ILit> internal;
-    for (size_t i = loaded_clauses_; i < formula.num_clauses(); ++i) {
-        const ClauseView clause = formula.clause(i);
-        if (clause.size() == 1) {
-            // Root-level unit: permanently true.
-            if (!Enqueue(Encode(clause[0]), kNoClause)) {
-                loaded_clauses_ = i + 1;
-                return false;
-            }
-            continue;
-        }
-        internal.clear();
-        for (Lit lit : clause) {
-            internal.push_back(Encode(lit));
-        }
-        // Root assignments are permanent, and watchers only fire on
-        // *future* enqueues — a clause attached with already-falsified
-        // watched literals would never propagate. Move two non-false
-        // literals (under the current root assignment) into the watch
-        // slots; clauses already unit or conflicting at load time are
-        // resolved here instead.
-        size_t nonfalse = 0;
-        for (size_t k = 0; k < internal.size() && nonfalse < 2; ++k) {
-            if (ValueOf(internal[k]) != 0) {
-                std::swap(internal[nonfalse], internal[k]);
-                ++nonfalse;
-            }
-        }
-        if (nonfalse == 0) {
-            // Every literal is root-false: the database is unsat.
-            loaded_clauses_ = i + 1;
+    Backtrack(0);
+    GrowVars(num_vars);
+}
+
+bool
+SatSolver::LoadClause(const Lit* lits, size_t size)
+{
+    CHEF_CHECK(trail_limits_.empty());
+    if (root_unsat_) {
+        return false;
+    }
+    ++loaded_clauses_;
+    if (size == 0) {
+        root_unsat_ = true;
+        return false;
+    }
+    for (size_t k = 0; k < size; ++k) {
+        CHEF_CHECK(std::abs(lits[k]) <= num_vars_);
+    }
+    if (size == 1) {
+        // Root-level unit: permanently true.
+        if (!Enqueue(Encode(lits[0]), kNoClause)) {
+            root_unsat_ = true;
             return false;
         }
-        if (nonfalse == 1) {
-            // Unit under the root assignment: its surviving literal is
-            // forced (or already true, making the clause redundant
-            // forever — no need to attach it either way).
-            if (ValueOf(internal[0]) == kUndef) {
-                const CRef reason =
-                    AllocClause(internal.data(), internal.size(), false);
-                CHEF_CHECK(Enqueue(internal[0], reason));
-            }
-            continue;
-        }
-        AttachClause(AllocClause(internal.data(), internal.size(), false));
-        // Bump variables that appear in clauses so branching prefers
-        // constrained variables.
-        for (Lit lit : clause) {
-            const uint32_t var =
-                static_cast<uint32_t>(std::abs(lit)) - 1;
-            activity_[var] += 1.0;
-            if (heap_pos_[var] >= 0) {
-                HeapUp(static_cast<size_t>(heap_pos_[var]));
-            }
+        return true;
+    }
+    std::vector<ILit>& internal = load_scratch_;
+    internal.clear();
+    for (size_t k = 0; k < size; ++k) {
+        internal.push_back(Encode(lits[k]));
+    }
+    // Root assignments are permanent, and watchers only fire on
+    // *future* enqueues — a clause attached with already-falsified
+    // watched literals would never propagate. Move two non-false
+    // literals (under the current root assignment) into the watch
+    // slots; clauses already unit or conflicting at load time are
+    // resolved here instead.
+    size_t nonfalse = 0;
+    for (size_t k = 0; k < size && nonfalse < 2; ++k) {
+        if (ValueOf(internal[k]) != 0) {
+            std::swap(internal[nonfalse], internal[k]);
+            ++nonfalse;
         }
     }
-    loaded_clauses_ = formula.num_clauses();
+    if (nonfalse == 0) {
+        // Every literal is root-false: the database is unsat.
+        root_unsat_ = true;
+        return false;
+    }
+    if (nonfalse == 1) {
+        // Unit under the root assignment: its surviving literal is
+        // forced (or already true, making the clause redundant
+        // forever — no need to attach it either way).
+        if (ValueOf(internal[0]) == kUndef) {
+            const CRef reason = AllocClause(internal.data(), size, false);
+            CHEF_CHECK(Enqueue(internal[0], reason));
+        }
+        return true;
+    }
+    AttachClause(AllocClause(internal.data(), size, false));
+    // Bump variables that appear in clauses so branching prefers
+    // constrained variables.
+    for (size_t k = 0; k < size; ++k) {
+        const uint32_t var = static_cast<uint32_t>(std::abs(lits[k])) - 1;
+        activity_[var] += 1.0;
+        if (heap_pos_[var] >= 0) {
+            HeapUp(static_cast<size_t>(heap_pos_[var]));
+        }
+    }
     return true;
 }
 
@@ -661,9 +675,24 @@ SatSolver::SolveIncremental(const CnfFormula& formula,
         root_unsat_ = true;
         return SatStatus::kUnsat;
     }
+    BeginIncrement(formula.num_vars());
+    while (loaded_clauses_ < formula.num_clauses()) {
+        const ClauseView clause = formula.clause(loaded_clauses_);
+        if (!LoadClause(clause.begin(), clause.size())) {
+            return SatStatus::kUnsat;
+        }
+    }
+    return SolveAssuming(assumptions);
+}
+
+SatStatus
+SatSolver::SolveAssuming(const std::vector<Lit>& assumptions)
+{
+    if (root_unsat_) {
+        return SatStatus::kUnsat;
+    }
     Backtrack(0);
-    GrowVars(formula.num_vars());
-    if (!LoadIncrement(formula) || Propagate() != kNoClause) {
+    if (Propagate() != kNoClause) {
         root_unsat_ = true;
         return SatStatus::kUnsat;
     }

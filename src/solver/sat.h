@@ -161,10 +161,18 @@ struct SatStats {
     uint64_t purged_clauses = 0;
 };
 
-/// CDCL solver. An instance serves either one-shot Solve() calls, each
-/// starting from scratch, or one incremental session of
-/// SolveIncremental() calls over a growing formula; Reset() empties it
-/// for a new session while keeping its storage.
+/// CDCL solver. An instance serves one-shot Solve() calls, each starting
+/// from scratch, or one incremental session; Reset() empties it for a new
+/// session while keeping its storage. A session grows its clause database
+/// in one of two ways, never both on one instance:
+///   - SolveIncremental() loads the clauses a CnfFormula gained since the
+///     previous call, then solves;
+///   - BeginIncrement(), LoadClause() per clause, then SolveAssuming():
+///     the caller hands over each clause itself, so a clause held in
+///     another numbering (the solver facade's cone loading) reaches the
+///     database without being copied into a second CnfFormula first.
+/// Both run every clause through the same loading routine (LoadClause),
+/// so the same clause sequence gives the same search either way.
 class SatSolver
 {
   public:
@@ -204,17 +212,38 @@ class SatSolver
     /// with different assumptions. The per-call conflict budget is
     /// Options::max_conflicts. Do not mix with the one-shot Solve() on
     /// the same instance (Solve() discards all incremental state).
+    /// Equivalent to BeginIncrement(formula.num_vars()), LoadClause() on
+    /// each new clause in order, then SolveAssuming(assumptions).
     SatStatus SolveIncremental(const CnfFormula& formula,
                                const std::vector<Lit>& assumptions);
 
+    /// Clause-at-a-time incremental interface. Starts an increment:
+    /// backtracks to the root and grows the variable count to
+    /// \p num_vars (never shrinks it). Required before LoadClause().
+    void BeginIncrement(int num_vars);
+
+    /// Adds one clause of the current increment to the database. The
+    /// clause must be normalized as CnfFormula::AddClause leaves it
+    /// (literals sorted by variable, negative first; no duplicate
+    /// variables) and over variables 1..num_vars; an empty clause makes
+    /// the database unsatisfiable. Returns false when the database became
+    /// unsatisfiable at the root (then, until Reset(), further clauses
+    /// are ignored and every solve answers kUnsat).
+    bool LoadClause(const Lit* lits, size_t size);
+
+    /// Decides the loaded clause database AND \p assumptions, as
+    /// SolveIncremental() does after loading.
+    SatStatus SolveAssuming(const std::vector<Lit>& assumptions);
+
     /// Discards every clause, assignment and heuristic state so the next
-    /// SolveIncremental() starts a new formula (Solve() starts with it).
+    /// increment starts a new formula (Solve() starts with it).
     /// Allocated storage, including each watch list's capacity, is kept;
     /// stats() keeps counting.
     void Reset();
 
-    /// Formula clauses consumed by clause loading so far (total across
-    /// incremental calls; callers diff it to get per-call load counts).
+    /// Clauses consumed by clause loading since the last Reset() (total
+    /// across incremental calls; callers diff it to get per-call load
+    /// counts). SolveIncremental() uses it as its cursor into the formula.
     size_t loaded_clauses() const { return loaded_clauses_; }
 
     /// Returns the truth value of variable \p var (1-based) in the model.
@@ -248,10 +277,6 @@ class SatSolver
 
     /// Grows the per-variable arrays to \p num_vars (monotone).
     void GrowVars(int num_vars);
-    /// Loads formula clauses [loaded_clauses_, end); root-level units go
-    /// straight onto the trail. Returns false on an immediate root
-    /// conflict.
-    bool LoadIncrement(const CnfFormula& formula);
     /// The CDCL loop over the current clause database, with \p assumptions
     /// placed as forced first decisions.
     SatStatus Search(const std::vector<Lit>& assumptions);
@@ -293,7 +318,7 @@ class SatSolver
     Options options_;
     SatStats stats_;
 
-    /// Formula clauses consumed so far (incremental loading cursor).
+    /// Clauses consumed so far (SolveIncremental's loading cursor).
     size_t loaded_clauses_ = 0;
     /// Latched when the clause database itself (no assumptions) is proven
     /// unsatisfiable; every later call answers kUnsat immediately.
@@ -316,6 +341,8 @@ class SatSolver
     std::vector<double> activity_;
     double activity_inc_ = 1.0;
     std::vector<uint8_t> seen_;
+    /// LoadClause's internal-literal copy, kept for its capacity.
+    std::vector<ILit> load_scratch_;
     std::vector<uint32_t> heap_;     // var indices, max activity at root
     std::vector<int32_t> heap_pos_;  // var -> heap index, -1 if absent
 };

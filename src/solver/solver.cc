@@ -309,9 +309,7 @@ Solver::Solve(const std::vector<ExprRef>& assertions, Assignment* model)
         // explicit so every constrained variable is assigned — callers
         // (the engine) substitute their own defaults for absent inputs.
         std::vector<uint32_t> var_ids;
-        for (const ExprRef& assertion : live) {
-            CollectVarIds(assertion, &var_ids);
-        }
+        CollectVarIds(live, &var_ids);
         for (const uint32_t var_id : var_ids) {
             if (!model->Has(var_id)) {
                 model->Set(var_id, 0);
@@ -461,16 +459,13 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
         stats_.cnf_clauses += session.cnf.num_clauses() - clauses_before;
         ++stats_.sat_calls;
         ++stats_.incremental_sat_calls;
-        const size_t loaded_before = session.loaded.num_clauses();
-        if (session.LoadCone(&assumptions)) {
+        bool rebuilt = false;
+        stats_.clauses_loaded += session.LoadCone(&assumptions, &rebuilt);
+        if (rebuilt) {
             ++stats_.sat_rebuilds;
-            stats_.clauses_loaded += session.loaded.num_clauses();
-        } else {
-            stats_.clauses_loaded +=
-                session.loaded.num_clauses() - loaded_before;
         }
         const SatStats sat_before = session.sat.stats();
-        status = session.sat.SolveIncremental(session.loaded, assumptions);
+        status = session.sat.SolveAssuming(assumptions);
         stats_.learned_clauses_purged +=
             session.sat.stats().purged_clauses - sat_before.purged_clauses;
         stats_.sat_propagations +=
@@ -480,9 +475,7 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
             // extract only this query's variables (absent variables are
             // unconstrained and default to zero, as in the fresh path).
             std::vector<uint32_t> var_ids;
-            for (const ExprRef& assertion : live) {
-                CollectVarIds(assertion, &var_ids);
-            }
+            CollectVarIds(live, &var_ids);
             for (const uint32_t var_id : var_ids) {
                 extracted.Set(var_id, session.ModelValue(var_id));
             }
@@ -552,8 +545,8 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
     return QueryResult::kSat;
 }
 
-bool
-Solver::SatSession::LoadCone(std::vector<Lit>* assumptions)
+size_t
+Solver::SatSession::LoadCone(std::vector<Lit>* assumptions, bool* rebuilt)
 {
     const size_t num_vars = static_cast<size_t>(cnf.num_vars());
     if (dense.size() <= num_vars) {
@@ -567,22 +560,12 @@ Solver::SatSession::LoadCone(std::vector<Lit>* assumptions)
 
     // The cone: every variable whose definition the assumptions reach.
     // A definition names only older variables, so the walk ends; stamps
-    // make it cost O(cone), never O(session).
+    // make it cost O(cone), never O(session), and stopping at loaded
+    // variables makes it cost the missing part and its frontier unless
+    // a rebuild may be due.
     cone.clear();
     stack.clear();
-    for (const Lit lit : *assumptions) {
-        stack.push_back(std::abs(lit));
-    }
-    size_t missing = 0;
-    while (!stack.empty()) {
-        const int var = stack.back();
-        stack.pop_back();
-        if (stamp[var] == epoch) {
-            continue;
-        }
-        stamp[var] = epoch;
-        cone.push_back(var);
-        missing += dense[var] == 0 ? 1 : 0;
+    const auto push_definition = [this](int var) {
         for (size_t i = cnf.definition_begin(var),
                     end = cnf.definition_end(var);
              i < end; ++i) {
@@ -592,22 +575,61 @@ Solver::SatSession::LoadCone(std::vector<Lit>* assumptions)
                 }
             }
         }
+    };
+    const auto walk = [this, &push_definition](bool enter_loaded) {
+        while (!stack.empty()) {
+            const int var = stack.back();
+            stack.pop_back();
+            if (stamp[var] == epoch) {
+                continue;
+            }
+            stamp[var] = epoch;
+            cone.push_back(var);
+            if (enter_loaded || dense[var] == 0) {
+                push_definition(var);
+            }
+        }
+    };
+    // First walk only the missing variables. The loaded set is closed
+    // under definitions, so every missing cone variable is reached
+    // through missing ones: the walk finds all M of them, plus the F
+    // loaded variables on its frontier, and the cone holds at least
+    // M + F variables. When even that lower bound keeps the loaded set
+    // within the limit, no rebuild is due and the rest of the cone (all
+    // loaded) need not be walked.
+    for (const Lit lit : *assumptions) {
+        stack.push_back(std::abs(lit));
+    }
+    walk(false);
+    size_t missing = 0;
+    for (const int var : cone) {
+        missing += dense[var] == 0 ? 1 : 0;
+    }
+    if (loaded_vars.size() + missing > kMaxLoadedPerCone * cone.size()) {
+        // The bound is not enough: finish the walk from the frontier to
+        // size the whole cone.
+        for (size_t i = 0, frontier_end = cone.size(); i < frontier_end;
+             ++i) {
+            if (dense[cone[i]] != 0) {
+                push_definition(cone[i]);
+            }
+        }
+        walk(true);
     }
 
-    bool rebuilt = false;
+    *rebuilt = false;
     if (loaded_vars.size() + missing > kMaxLoadedPerCone * cone.size()) {
         for (const int var : loaded_vars) {
             dense[var] = 0;
         }
         loaded_vars.clear();
-        loaded.Clear();
         sat.Reset();
-        rebuilt = true;
+        *rebuilt = true;
     }
 
-    // Append the missing definitions in session order, so the loaded
-    // formula lists them in the order the blaster built them. Numbering
-    // every missing variable first lets each clause map its inputs.
+    // Load the missing definitions in session order, so the instance
+    // receives them in the order the blaster built them. Numbering every
+    // missing variable first lets each clause map its inputs.
     const size_t first_new = loaded_vars.size();
     for (const int var : cone) {
         if (dense[var] == 0) {
@@ -617,11 +639,20 @@ Solver::SatSession::LoadCone(std::vector<Lit>* assumptions)
     std::sort(loaded_vars.begin() + static_cast<std::ptrdiff_t>(first_new),
               loaded_vars.end());
     for (size_t i = first_new; i < loaded_vars.size(); ++i) {
-        dense[loaded_vars[i]] = loaded.NewVar();
+        dense[loaded_vars[i]] = static_cast<int>(i + 1);
     }
     const auto to_loaded = [this](Lit lit) {
         return lit > 0 ? dense[lit] : -dense[-lit];
     };
+    // A session clause is normalized (sorted by variable, no repeated
+    // variable), and the dense map is one-to-one, so the renumbered
+    // clause needs no normalizing beyond a sort, and only when the map
+    // put an older loaded variable after a newer one.
+    const auto by_variable = [](Lit a, Lit b) {
+        return std::abs(a) < std::abs(b);
+    };
+    sat.BeginIncrement(static_cast<int>(loaded_vars.size()));
+    size_t clauses_loaded = 0;
     for (size_t i = first_new; i < loaded_vars.size(); ++i) {
         const int var = loaded_vars[i];
         for (size_t c = cnf.definition_begin(var),
@@ -631,13 +662,17 @@ Solver::SatSession::LoadCone(std::vector<Lit>* assumptions)
             for (const Lit lit : cnf.clause(c)) {
                 clause.push_back(to_loaded(lit));
             }
-            loaded.AddClause(clause.data(), clause.size());
+            if (!std::is_sorted(clause.begin(), clause.end(), by_variable)) {
+                std::sort(clause.begin(), clause.end(), by_variable);
+            }
+            sat.LoadClause(clause.data(), clause.size());
+            ++clauses_loaded;
         }
     }
     for (Lit& lit : *assumptions) {
         lit = to_loaded(lit);
     }
-    return rebuilt;
+    return clauses_loaded;
 }
 
 uint64_t

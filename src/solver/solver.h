@@ -19,13 +19,15 @@
 /// reach the SAT backend through a persistent incremental session: one
 /// BitBlaster per Solver, so a shared prefix node is blasted once per
 /// session, and one CDCL instance queried under assumptions. The CDCL
-/// instance does not hold the whole session's formula. Each call walks
-/// the *cone* of its assumption literals (the gate definitions they
-/// reach, see CnfFormula) and makes the instance's *loaded set* cover
-/// it: it appends the cone's missing definitions while the loaded set
-/// stays within twice the cone, so nested cones keep their learned
-/// clauses, and otherwise rebuilds the instance from the cone alone, so
-/// a query never propagates through circuits of unrelated past queries.
+/// instance does not hold the whole session's formula, only a *loaded
+/// set* of gate definitions (see CnfFormula) closed under the variables
+/// they name. Each call walks the *cone* of its assumption literals (the
+/// definitions they reach), entering loaded definitions only when the
+/// rebuild test below needs the cone's full size, and hands the cone's
+/// missing definitions to the instance clause by clause while the loaded
+/// set stays within twice the cone, so nested cones keep their learned
+/// clauses; otherwise it rebuilds the instance from the cone alone, so a
+/// query never propagates through circuits of unrelated past queries.
 ///
 /// The cache accelerations also exist at batch scope: when
 /// Options::shared_cache points at a cache::SharedSolverCache, slices
@@ -207,14 +209,18 @@ class Solver
     ///
     /// The blaster memo and its formula `cnf` only grow: every node is
     /// blasted once per session. The CDCL instance `sat` holds only the
-    /// *loaded set*, a dense renumbering of some of `cnf`'s definitions
-    /// (`loaded`). LoadCone() walks the cone of a call's assumption
-    /// literals (the definitions they reach) and either appends the
-    /// cone's missing definitions, keeping learned clauses, or, when the
-    /// loaded set would grow past kMaxLoadedPerCone times the cone,
-    /// resets `sat` and loads the cone alone. Nested cones (a path
-    /// prefix that grows) keep extending one clause database; unrelated
-    /// cones stop paying propagation for each other's circuits.
+    /// *loaded set*: some of `cnf`'s definitions, densely renumbered
+    /// (`dense`, `loaded_vars`). The set is closed: a loaded definition
+    /// names only loaded variables. LoadCone() walks the cone of a call's
+    /// assumption literals, entering loaded definitions only when the
+    /// rebuild test needs the cone's full size, and either hands the missing definitions to `sat` (BeginIncrement,
+    /// LoadClause), keeping learned clauses, or, when the loaded set would
+    /// grow past kMaxLoadedPerCone times the cone, resets `sat` and loads
+    /// the cone alone. No second CnfFormula holds the loaded clauses; each
+    /// is renumbered into a scratch buffer and loaded straight away.
+    /// Nested cones (a path prefix that grows) keep extending one clause
+    /// database; unrelated cones stop paying propagation for each other's
+    /// circuits.
     struct SatSession {
         /// A rebuild happens when the loaded set would exceed this many
         /// times the call's cone, counted in variables.
@@ -223,8 +229,6 @@ class Solver
         CnfFormula cnf;
         BitBlaster blaster;
         SatSolver sat;
-        /// The clauses `sat` has loaded, in dense numbering.
-        CnfFormula loaded;
         /// Session variable -> loaded variable; 0 when not loaded.
         std::vector<int> dense;
         /// Loaded variable v is session variable loaded_vars[v - 1].
@@ -241,9 +245,11 @@ class Solver
             : blaster(&cnf), sat(sat_options) {}
 
         /// Makes the loaded set cover the cone of \p assumptions (session
-        /// literals, rewritten in place to loaded literals). Returns true
-        /// when it discarded a non-empty loaded set.
-        bool LoadCone(std::vector<Lit>* assumptions);
+        /// literals, rewritten in place to loaded literals), loading the
+        /// missing definitions into `sat` in session order. Sets
+        /// \p rebuilt when it discarded a non-empty loaded set. Returns the
+        /// number of clauses it loaded.
+        size_t LoadCone(std::vector<Lit>* assumptions, bool* rebuilt);
 
         /// Value of blasted input \p var_id in the last kSat model.
         /// Bits outside the loaded set are unconstrained and read 0.

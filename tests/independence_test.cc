@@ -1,12 +1,18 @@
 /// \file
 /// Tests for constraint-independence slicing: variable collection across
 /// every node kind that nests operands, transitive slice merging, the
-/// solver integration (per-slice caching, UpperBound), and outcome
-/// equivalence between the sliced and unsliced pipelines.
+/// solver integration (per-slice caching, UpperBound), outcome
+/// equivalence between the sliced and unsliced pipelines, and the
+/// collector's reusable per-thread scratch.
 
 #include "solver/independence.h"
 
 #include <gtest/gtest.h>
+
+#include <climits>
+#include <functional>
+#include <thread>
+#include <unordered_set>
 
 #include "solver/solver.h"
 #include "support/rng.h"
@@ -310,6 +316,215 @@ TEST_P(SlicingEquivalence, AllOptionCombosAgreeOnOutcomes)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SlicingEquivalence,
                          ::testing::Values(101, 202, 303, 404, 505));
+
+
+// ---------------------------------------------------------------------------
+// The collector's reusable scratch: growth, prefilled output, generation
+// wrap, and one collector per thread.
+// ---------------------------------------------------------------------------
+
+/// The collection as a recursive walk with a fresh hash set per call: the
+/// ids in depth-first (a, b, c) order, minus those already in \p out.
+std::vector<uint32_t>
+ReferenceVarIds(const ExprRef& expr, std::vector<uint32_t> out)
+{
+    std::unordered_set<const Expr*> visited;
+    std::vector<uint32_t> found;
+    const std::function<void(const Expr*)> walk = [&](const Expr* e) {
+        if (e == nullptr || !visited.insert(e).second) {
+            return;
+        }
+        if (e->kind() == ExprKind::kVariable) {
+            found.push_back(e->var_id());
+            return;
+        }
+        walk(e->a().get());
+        walk(e->b().get());
+        walk(e->c().get());
+    };
+    walk(expr.get());
+    std::unordered_set<uint32_t> seen(out.begin(), out.end());
+    for (const uint32_t id : found) {
+        if (seen.insert(id).second) {
+            out.push_back(id);
+        }
+    }
+    return out;
+}
+
+ExprRef
+Byte(uint32_t id)
+{
+    return MakeVar(id, "v" + std::to_string(id), 8);
+}
+
+/// A chain whose every level names the two levels before it, over
+/// \p num_vars variables starting at \p first_id: its DAG has about
+/// 2 * \p steps nodes, but as a tree it would be exponentially large, so
+/// only a walk that remembers visited nodes finishes.
+ExprRef
+SharedChain(int steps, uint32_t first_id, uint32_t num_vars)
+{
+    ExprRef older = Byte(first_id);
+    ExprRef newer = Byte(first_id + 1);
+    for (int i = 0; i < steps; ++i) {
+        const ExprRef var = Byte(first_id + static_cast<uint32_t>(i) %
+                                                num_vars);
+        const ExprRef next = i % 2 == 0
+                                 ? MakeAdd(newer, MakeXor(older, var))
+                                 : MakeMul(newer, MakeOr(older, var));
+        older = newer;
+        newer = next;
+    }
+    return MakeUlt(newer, MakeConst(100, 8));
+}
+
+TEST(VarIdCollector, LargeSharedDagGrowsTheVisitedSet)
+{
+    const ExprRef dag = SharedChain(600, 1, 40);
+    ASSERT_GT(CountNodes(dag), 1000u);
+    VarIdCollector collector;
+    std::vector<uint32_t> ids;
+    collector.Collect(dag, &ids);
+    EXPECT_EQ(ids, ReferenceVarIds(dag, {}));
+    EXPECT_EQ(ids.size(), 40u);
+    // Every inner node was remembered: the set grew well past its first
+    // allocation, and stays grown for the next walk.
+    EXPECT_GT(collector.visited_capacity(), 2000u);
+    const ExprRef small = MakeEq(MakeAdd(Byte(3), Byte(77)), Byte(3));
+    ids.clear();
+    collector.Collect(small, &ids);
+    EXPECT_EQ(ids, (std::vector<uint32_t>{3, 77}));
+    ids.clear();
+    collector.Collect(dag, &ids);
+    EXPECT_EQ(ids, ReferenceVarIds(dag, {}));
+}
+
+TEST(VarIdCollector, DeduplicatesAgainstPrefilledOutput)
+{
+    // Ids of 2^20 and above take the scan path instead of the stamp
+    // table; both must honour what the caller already holds, and the
+    // caller's own entries (duplicates included) stay untouched.
+    const uint32_t huge = 5'000'000;
+    const ExprRef expr = MakeEq(MakeAdd(Byte(6), Byte(7)),
+                                MakeAdd(Byte(huge), Byte(900)));
+    std::vector<uint32_t> ids = {6, 900, huge, 6};
+    CollectVarIds(expr, &ids);
+    EXPECT_EQ(ids, (std::vector<uint32_t>{6, 900, huge, 6, 7}));
+    EXPECT_EQ(ids, ReferenceVarIds(expr, {6, 900, huge, 6}));
+
+    // An id stamped by an earlier collection is not "present" in the
+    // next one.
+    std::vector<uint32_t> fresh = {1};
+    CollectVarIds(expr, &fresh);
+    EXPECT_EQ(fresh, (std::vector<uint32_t>{1, 6, 7, huge, 900}));
+}
+
+TEST(VarIdCollector, QueryOverloadMatchesOneCallPerAssertion)
+{
+    Rng rng(77);
+    for (int i = 0; i < 40; ++i) {
+        std::vector<ExprRef> query = RandomQuery(rng);
+        query.push_back(SharedChain(30, 1, 6));
+        std::vector<uint32_t> one_by_one = {4};
+        for (const ExprRef& assertion : query) {
+            CollectVarIds(assertion, &one_by_one);
+        }
+        std::vector<uint32_t> whole = {4};
+        CollectVarIds(query, &whole);
+        EXPECT_EQ(whole, one_by_one);
+    }
+}
+
+TEST(VarIdCollector, GenerationWrapKeepsResultsExact)
+{
+    // Start two collections short of the wrap. The third collection
+    // wraps: 0 marks never-stamped slots and ids, so the counter must
+    // skip it and clear the old stamps.
+    VarIdCollector collector(UINT32_MAX - 2);
+    const ExprRef dag = SharedChain(200, 1, 12);
+    const ExprRef other = SharedChain(150, 5, 20);
+    for (int round = 0; round < 6; ++round) {
+        const ExprRef& expr = round % 2 == 0 ? dag : other;
+        std::vector<uint32_t> ids = {7};
+        collector.Collect(expr, &ids);
+        EXPECT_EQ(ids, ReferenceVarIds(expr, {7})) << "round " << round;
+    }
+    // UINT32_MAX - 1, UINT32_MAX, then 1, 2, 3, 4.
+    EXPECT_EQ(collector.generation(), 4u);
+}
+
+TEST(VarIdCollector, ThreadsCollectConcurrentlyOverSharedExpressions)
+{
+    // Every thread walks the same shared nodes with its own scratch;
+    // each must see exactly the serial result.
+    Rng rng(2024);
+    std::vector<std::vector<ExprRef>> queries;
+    for (int i = 0; i < 24; ++i) {
+        queries.push_back(RandomQuery(rng));
+        queries.back().push_back(SharedChain(100 + 10 * i, 1, 9));
+    }
+    std::vector<std::vector<uint32_t>> serial_ids;
+    std::vector<std::vector<std::vector<uint32_t>>> serial_slices;
+    for (const std::vector<ExprRef>& query : queries) {
+        std::vector<uint32_t> ids;
+        CollectVarIds(query, &ids);
+        serial_ids.push_back(ids);
+        std::vector<std::vector<uint32_t>> slice_ids;
+        for (const IndependentSlice& slice : PartitionIndependent(query)) {
+            slice_ids.push_back(slice.var_ids);
+        }
+        serial_slices.push_back(slice_ids);
+    }
+
+    constexpr int kThreads = 4;
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < 20; ++round) {
+                for (size_t q = 0; q < queries.size(); ++q) {
+                    // Threads start at different queries.
+                    const size_t i = (q + static_cast<size_t>(t) * 5) %
+                                     queries.size();
+                    std::vector<uint32_t> ids;
+                    CollectVarIds(queries[i], &ids);
+                    mismatches[t] += ids != serial_ids[i] ? 1 : 0;
+                    std::vector<std::vector<uint32_t>> slice_ids;
+                    for (const IndependentSlice& slice :
+                         PartitionIndependent(queries[i])) {
+                        slice_ids.push_back(slice.var_ids);
+                    }
+                    mismatches[t] += slice_ids != serial_slices[i] ? 1 : 0;
+                }
+            }
+        });
+    }
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    }
+}
+
+TEST(PartitionIndependent, LargeVariableIdsPartitionLikeSmallOnes)
+{
+    // Ids past the dense table share slots through the scan path.
+    const uint32_t base = 3'000'000;
+    const std::vector<ExprRef> assertions = {
+        MakeUlt(Byte(base), Byte(base + 1)),
+        ByteEq(2, 5),
+        MakeEq(MakeAdd(Byte(base + 1), Byte(base + 2)), MakeConst(9, 8)),
+        MakeUlt(Byte(2), Byte(base + 9)),
+    };
+    const auto slices = PartitionIndependent(assertions);
+    ASSERT_EQ(slices.size(), 2u);
+    EXPECT_EQ(slices[0].var_ids,
+              (std::vector<uint32_t>{base, base + 1, base + 2}));
+    EXPECT_EQ(slices[1].var_ids, (std::vector<uint32_t>{2, base + 9}));
+    EXPECT_EQ(slices[1].assertions.size(), 2u);
+}
 
 }  // namespace
 }  // namespace chef::solver
