@@ -12,7 +12,6 @@
 ///             solver-time regression check and only enforces hit rate.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -81,15 +80,10 @@ RunConfig(const std::vector<JobSpec>& jobs, bool share)
 int
 main(int argc, char** argv)
 {
-    bool smoke = false;
-    std::string report_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else {
-            report_path = argv[i];
-        }
-    }
+    const chef::bench::SmokeArgs args =
+        chef::bench::ParseSmokeArgs(argc, argv);
+    const bool smoke = args.smoke;
+    std::string report_path = args.report_path;
     chef::bench::BenchReport bench("cache_sharing", smoke);
     if (report_path.empty()) {
         report_path = bench.DefaultPath();

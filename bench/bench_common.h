@@ -7,7 +7,7 @@
 /// configuration on a 48-core machine; these benches run scaled-down
 /// budgets (seconds per configuration, CHEF_BENCH_REPS repetitions,
 /// default 2) and report the same rows/series so the shapes can be
-/// compared. See EXPERIMENTS.md.
+/// compared.
 
 #include <chrono>
 #include <cstdio>
@@ -199,6 +199,34 @@ Mean(const std::vector<double>& values)
     }
     return std::accumulate(values.begin(), values.end(), 0.0) /
            static_cast<double>(values.size());
+}
+
+/// The command line of every bench with a smoke mode:
+/// `<bench> [--smoke] [PATH]`, PATH being the report file (empty here:
+/// BenchReport::DefaultPath()). Any other argument that starts with '-'
+/// prints usage and exits with status 2 before the bench runs, so a
+/// mistyped flag never runs the bench or becomes a report file name.
+struct SmokeArgs {
+    bool smoke = false;
+    std::string report_path;
+};
+
+inline SmokeArgs
+ParseSmokeArgs(int argc, char** argv)
+{
+    SmokeArgs args;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--smoke") {
+            args.smoke = true;
+        } else if (arg[0] == '-') {
+            std::fprintf(stderr, "usage: %s [--smoke] [PATH]\n", argv[0]);
+            std::exit(2);
+        } else {
+            args.report_path = arg;
+        }
+    }
+    return args;
 }
 
 /// Uniform bench artifact. Every bench with a --smoke mode writes

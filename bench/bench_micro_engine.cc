@@ -1,18 +1,9 @@
 /// \file
 /// Supporting microbenchmarks: end-to-end engine throughput (concolic
 /// iterations per second) on guest kernels, comparing state selection
-/// strategies and interpreter builds — plus the intra-session
-/// parallel-scaling phase (`--smoke PATH`), which measures one deep
-/// minipy session at 1/2/4 exploration threads, asserts round-mode
-/// fingerprint parity across thread counts, and writes the
-/// BENCH_engine_parallel.json artifact.
+/// strategies and interpreter builds.
 
 #include <benchmark/benchmark.h>
-
-#include <algorithm>
-#include <cstring>
-#include <set>
-#include <thread>
 
 #include "bench/bench_common.h"
 #include "workloads/py_harness.h"
@@ -107,176 +98,7 @@ BM_ConcreteInterpreterRun(benchmark::State& state)
 }
 BENCHMARK(BM_ConcreteInterpreterRun);
 
-// ---------------------------------------------------------------------------
-// Intra-session parallel scaling (--smoke): one deep session, 1/2/4
-// exploration threads.
-// ---------------------------------------------------------------------------
-
-/// Interpreter-dominated guest: a long concrete arithmetic loop pads
-/// every run to a few milliseconds (the work the parallel run phase
-/// spreads across workers) before a handful of cheap symbolic branches
-/// fan the session out. Solver queries stay trivial, so the serial
-/// solve/commit sections are a small fraction of each round.
-const char* kDeepGuest = R"(def probe(s):
-    acc = 0
-    for i in range(300):
-        pad = 'qwertyuiopasdfghjklzxcvbnm' * 150
-        acc = acc + len(pad)
-    score = 0
-    if s.find('a') >= 0:
-        score = score + 1
-    if s.find('b') >= 0:
-        score = score + 1
-    if s.find('c') >= 0:
-        score = score + 1
-    return score + acc
-)";
-
-struct ScalingRun {
-    double seconds = 0.0;
-    uint64_t ll_paths = 0;
-    std::set<uint64_t> fingerprints;
-};
-
-ScalingRun
-ExploreDeepGuest(const std::shared_ptr<minipy::Program>& program,
-                 const workloads::PySymbolicTest& spec, uint32_t threads)
-{
-    Engine::Options options;
-    options.strategy = StrategyKind::kCupaPath;
-    options.seed = 7;
-    options.max_runs = 48;
-    options.max_seconds = 120.0;
-    options.collect_timeline = false;
-    options.exploration_threads = threads;
-    Engine engine(options);
-    const std::vector<TestCase> tests = engine.Explore(
-        workloads::MakePyRunFn(
-            program, spec, interp::InterpBuildOptions::FullyOptimized()));
-    ScalingRun run;
-    run.seconds = engine.stats().elapsed_seconds;
-    run.ll_paths = engine.stats().ll_paths;
-    for (const TestCase& test : tests) {
-        run.fingerprints.insert(test.hl_path_fingerprint);
-    }
-    return run;
-}
-
-int
-RunParallelScalingSmoke(const std::string& path)
-{
-    BenchReport report("engine_parallel", true);
-    auto program = workloads::CompilePyOrDie(kDeepGuest);
-    workloads::PySymbolicTest spec;
-    spec.source = kDeepGuest;
-    spec.entry = "probe";
-    spec.args = {workloads::SymbolicArg::Str("s", 4)};
-
-    const unsigned cores = std::thread::hardware_concurrency();
-    report.Config("max_runs", 48);
-    report.Config("threads", "1/2/4");
-    report.Config("hardware_cores", cores);
-
-    // Best-of-2 per thread count: the quantity of interest is capacity,
-    // not scheduling noise.
-    auto best = [&](uint32_t threads) {
-        ScalingRun best_run = ExploreDeepGuest(program, spec, threads);
-        ScalingRun second = ExploreDeepGuest(program, spec, threads);
-        if (second.seconds < best_run.seconds) {
-            second.fingerprints = std::move(best_run.fingerprints);
-            best_run = std::move(second);
-        }
-        return best_run;
-    };
-    const ScalingRun serial = best(1);
-    const ScalingRun two = best(2);
-    const ScalingRun four = best(4);
-
-    const double speedup_2 =
-        two.seconds > 0.0 ? serial.seconds / two.seconds : 0.0;
-    const double speedup_4 =
-        four.seconds > 0.0 ? serial.seconds / four.seconds : 0.0;
-    // Round mode is deterministic in the thread count, so the HL
-    // fingerprint sets must be identical — parallelism may not change
-    // what gets explored.
-    const bool parity = two.fingerprints == four.fingerprints &&
-                        serial.fingerprints == four.fingerprints;
-    // The scaling target only binds when the machine can actually run
-    // 4 exploration threads.
-    const bool scaling_ok = cores < 4 || speedup_4 >= 1.6;
-
-    report.Metric("ll_paths", serial.ll_paths);
-    report.Metric("seconds_1_thread", serial.seconds);
-    report.Metric("seconds_2_threads", two.seconds);
-    report.Metric("seconds_4_threads", four.seconds);
-    report.Metric("speedup_2_threads", speedup_2);
-    report.Metric("speedup_4_threads", speedup_4);
-    report.Metric("fingerprint_parity", parity);
-    report.Metric("scaling_target_met", scaling_ok);
-
-    std::printf("engine_parallel: %llu paths  1T %.3fs  2T %.3fs  "
-                "4T %.3fs  speedup x%.2f/x%.2f  parity=%s\n",
-                static_cast<unsigned long long>(serial.ll_paths),
-                serial.seconds, two.seconds, four.seconds, speedup_2,
-                speedup_4, parity ? "yes" : "no");
-    if (!parity) {
-        std::fprintf(stderr,
-                     "FAIL: fingerprint sets differ across thread "
-                     "counts\n");
-    }
-    if (!scaling_ok) {
-        std::fprintf(stderr,
-                     "FAIL: 4-thread speedup x%.2f below 1.6x target "
-                     "(%u cores)\n",
-                     speedup_4, cores);
-    }
-    const bool wrote = report.Write(path);
-    return wrote && parity && scaling_ok ? 0 : 1;
-}
-
-void
-BM_ExploreParallelDeepGuest(benchmark::State& state)
-{
-    const uint32_t threads = static_cast<uint32_t>(state.range(0));
-    auto program = workloads::CompilePyOrDie(kDeepGuest);
-    workloads::PySymbolicTest spec;
-    spec.source = kDeepGuest;
-    spec.entry = "probe";
-    spec.args = {workloads::SymbolicArg::Str("s", 4)};
-    uint64_t paths = 0;
-    for (auto _ : state) {
-        const ScalingRun run = ExploreDeepGuest(program, spec, threads);
-        paths += run.ll_paths;
-    }
-    state.counters["ll_paths_per_iter"] = benchmark::Counter(
-        static_cast<double>(paths) /
-        static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_ExploreParallelDeepGuest)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace chef::bench
 
-int
-main(int argc, char** argv)
-{
-    // `--smoke [PATH]` runs the parallel-scaling phase and writes the
-    // BENCH_engine_parallel.json artifact instead of the
-    // google-benchmark suite (matching every other bench binary's CI
-    // contract).
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            const std::string path =
-                i + 1 < argc ? argv[i + 1] : "BENCH_engine_parallel.json";
-            return chef::bench::RunParallelScalingSmoke(path);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-        return 1;
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -35,7 +35,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -165,15 +164,10 @@ SameJobResults(const std::vector<JobResult>& a,
 int
 main(int argc, char** argv)
 {
-    bool smoke = false;
-    std::string report_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else {
-            report_path = argv[i];
-        }
-    }
+    const chef::bench::SmokeArgs args =
+        chef::bench::ParseSmokeArgs(argc, argv);
+    const bool smoke = args.smoke;
+    std::string report_path = args.report_path;
     const size_t workers = smoke ? 2 : 4;
     bool ok = true;
     chef::bench::BenchReport bench("scheduler", smoke);

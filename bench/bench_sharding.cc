@@ -26,7 +26,6 @@
 /// Usage: bench_sharding [--smoke] [report.json]
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -159,15 +158,10 @@ RunShards(const std::vector<JobSpec>& jobs, size_t num_shards,
 int
 main(int argc, char** argv)
 {
-    bool smoke = false;
-    std::string report_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else {
-            report_path = argv[i];
-        }
-    }
+    const chef::bench::SmokeArgs args =
+        chef::bench::ParseSmokeArgs(argc, argv);
+    const bool smoke = args.smoke;
+    std::string report_path = args.report_path;
     bool ok = true;
     chef::bench::BenchReport bench("sharding", smoke);
     if (report_path.empty()) {

@@ -30,7 +30,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -170,15 +169,10 @@ OutcomesMatch(const RunOutcome& a, const RunOutcome& b)
 int
 main(int argc, char** argv)
 {
-    bool smoke = false;
-    std::string report_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else {
-            report_path = argv[i];
-        }
-    }
+    const chef::bench::SmokeArgs args =
+        chef::bench::ParseSmokeArgs(argc, argv);
+    const bool smoke = args.smoke;
+    std::string report_path = args.report_path;
     chef::bench::BenchReport bench("solver", smoke);
     if (report_path.empty()) {
         report_path = bench.DefaultPath();

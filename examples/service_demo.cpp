@@ -5,14 +5,9 @@
 ///
 /// Build & run:
 ///   cmake -B build -S . && cmake --build build -j
-///   ./build/service_demo [--engine-threads N]
-///
-/// --engine-threads N grants every session N intra-session exploration
-/// threads (deterministic round mode; results match N=1, only faster).
+///   ./build/service_demo
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "service/report.h"
 #include "service/service.h"
@@ -23,20 +18,9 @@ main(int argc, char** argv)
 {
     using namespace chef::service;
 
-    uint32_t engine_threads = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--engine-threads") == 0 &&
-            i + 1 < argc) {
-            engine_threads = static_cast<uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-            if (engine_threads == 0) {
-                engine_threads = 1;
-            }
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--engine-threads N]\n", argv[0]);
-            return 2;
-        }
+    if (argc > 1) {
+        std::fprintf(stderr, "usage: %s\n", argv[0]);
+        return 2;
     }
 
     // 1. Describe the batch declaratively: workload ids from the registry
@@ -64,10 +48,6 @@ main(int argc, char** argv)
     options.num_workers = 2;
     options.seed = 42;
     options.max_total_seconds = 60.0;
-    // Intra-session parallelism: each job's engine explores with this
-    // many threads over its shared execution tree, clamped against the
-    // machine-wide core budget (num_workers x threads <= cores).
-    options.engine_threads = engine_threads;
     options.on_job_event = [](const JobEvent& event) {
         if (event.kind != JobEvent::Kind::kJobCompleted) {
             return;

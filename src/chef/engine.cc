@@ -1,11 +1,5 @@
 #include "chef/engine.h"
 
-#include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
-
 #include "support/diagnostics.h"
 
 namespace chef {
@@ -40,114 +34,15 @@ SolverOptionsFor(const Engine::Options& options)
 
 }  // namespace
 
-/// A persistent pool of exploration worker threads dispatching one round of
-/// indexed jobs at a time. Run() blocks until every job of the round has
-/// completed (the round barrier).
-class Engine::RoundPool
-{
-  public:
-    explicit RoundPool(size_t threads)
-    {
-        workers_.reserve(threads);
-        for (size_t i = 0; i < threads; ++i) {
-            workers_.emplace_back([this, i] { WorkerLoop(i); });
-        }
-    }
-
-    ~RoundPool()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        for (std::thread& worker : workers_) {
-            worker.join();
-        }
-    }
-
-    /// Executes job(worker_id, index) for index in [0, count); returns once
-    /// all have finished.
-    void Run(size_t count, const std::function<void(size_t, size_t)>& job)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        job_ = &job;
-        count_ = count;
-        next_ = 0;
-        done_ = 0;
-        ++generation_;
-        cv_.notify_all();
-        done_cv_.wait(lock, [this] { return done_ == count_; });
-        job_ = nullptr;
-    }
-
-  private:
-    void WorkerLoop(size_t id)
-    {
-        uint64_t seen = 0;
-        std::unique_lock<std::mutex> lock(mutex_);
-        for (;;) {
-            cv_.wait(lock, [&] {
-                return stop_ || (generation_ != seen && job_ != nullptr);
-            });
-            if (stop_) {
-                return;
-            }
-            seen = generation_;
-            while (next_ < count_) {
-                const size_t index = next_++;
-                lock.unlock();
-                (*job_)(id, index);
-                lock.lock();
-                if (++done_ == count_) {
-                    done_cv_.notify_all();
-                }
-            }
-        }
-    }
-
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::condition_variable done_cv_;
-    std::vector<std::thread> workers_;
-    const std::function<void(size_t, size_t)>* job_ = nullptr;
-    size_t count_ = 0;
-    size_t next_ = 0;
-    size_t done_ = 0;
-    uint64_t generation_ = 0;
-    bool stop_ = false;
-};
-
-/// Per-exploration-thread context: own solver (answering the runtime's
-/// queries during a run) and own runtime used in recording mode, sharing
-/// the engine's tree (untouched while recording) and shared solver cache
-/// (if any).
-struct Engine::WorkerContext {
-    explicit WorkerContext(Engine& engine)
-        : solver(SolverOptionsFor(engine.options_)),
-          runtime(&engine.tree_, &solver,
-                  lowlevel::LowLevelRuntime::Options{
-                      engine.options_.max_steps_per_run,
-                      engine.options_.fork_weight_decay})
-    {
-    }
-
-    solver::Solver solver;
-    lowlevel::LowLevelRuntime runtime;
-};
-
-/// One run of a round: the assignment to run under, the claimed state it
-/// came from (if any), and the run's results (with its recorded log when it
-/// ran on a worker).
-struct Engine::RoundItem {
+/// The session's one in-flight run: the assignment it runs under, the
+/// claimed state it came from (if any), and, once run, its results.
+struct Engine::InFlightRun {
     solver::Assignment assignment;
     bool from_pending = false;
     lowlevel::AlternateState claimed;
-    lowlevel::RunLog log;
     lowlevel::RunStats run_stats;
     GuestOutcome outcome;
     solver::Assignment complete_inputs;
-    bool ran = false;
 };
 
 Engine::Engine(Options options)
@@ -168,11 +63,6 @@ Engine::Engine(Options options)
         m_hangs_ = registry.counter("engine.hangs");
         m_infeasible_ = registry.counter("engine.infeasible_states");
         m_run_latency_ = registry.histogram("engine.run_seconds");
-        m_par_in_flight_ = registry.gauge("engine.parallel.states_in_flight");
-        m_par_claims_ = registry.counter("engine.parallel.claims");
-        m_par_rounds_ = registry.counter("engine.parallel.rounds");
-        m_par_barrier_wait_ =
-            registry.histogram("engine.parallel.barrier_wait_seconds");
     }
     tracker_.Attach(&runtime_);
     strategy_ = MakeStrategy();
@@ -183,10 +73,7 @@ Engine::Engine(Options options)
             strategy_->OnStateAdded(state);
             // Fork attribution: state ids are monotone, so the
             // high-water mark charges each registered state exactly
-            // once (ReleaseClaim re-announces with an old id). The
-            // hook runs under the tree lock; all registrations happen
-            // on the serial commit path (or the live run), so the
-            // charge order is thread-count-invariant.
+            // once (ReleaseClaim re-announces with an old id).
             if (options_.obs.attribution != nullptr &&
                 state.id > attr_last_fork_id_) {
                 attr_last_fork_id_ = state.id;
@@ -220,16 +107,16 @@ Engine::MakeStrategy()
 }
 
 solver::Assignment
-Engine::CompleteInputsFor(const lowlevel::LowLevelRuntime& runtime)
+Engine::CompleteInputs() const
 {
     // Merge the run's assignment over the per-variable defaults so that a
     // test case report always lists a concrete value for every input.
     solver::Assignment complete;
-    const auto& variables = runtime.variables();
+    const auto& variables = runtime_.variables();
     for (size_t i = 0; i < variables.size(); ++i) {
         const uint32_t var_id = static_cast<uint32_t>(i + 1);
-        complete.Set(var_id, runtime.inputs().Has(var_id)
-                                 ? runtime.inputs().Get(var_id)
+        complete.Set(var_id, runtime_.inputs().Has(var_id)
+                                 ? runtime_.inputs().Get(var_id)
                                  : variables[i].default_value);
     }
     return complete;
@@ -239,21 +126,8 @@ std::vector<TestCase>
 Engine::Explore(const RunFn& run)
 {
     start_ = Clock::now();
-    const uint32_t threads =
-        std::max<uint32_t>(1, options_.exploration_threads);
-    const bool parallel = threads > 1;
-    stats_.threads_used = threads;
-    std::vector<std::unique_ptr<WorkerContext>> workers;
-    std::unique_ptr<RoundPool> pool;
-    if (parallel) {
-        for (uint32_t i = 0; i < threads; ++i) {
-            workers.push_back(std::make_unique<WorkerContext>(*this));
-        }
-        pool = std::make_unique<RoundPool>(threads);
-    }
-
     std::vector<TestCase> test_cases;
-    std::vector<RoundItem> round(1);  // The first run uses declared defaults.
+    InFlightRun next;  // The first run uses declared defaults.
     // Whether the loop actually exited because of the cancellation hook
     // (recorded at the exit points: re-evaluating the hook after the loop
     // would misreport a naturally completed session whose budget expires
@@ -266,84 +140,50 @@ Engine::Explore(const RunFn& run)
             stopped = true;
             break;
         }
-        if (parallel) {
-            RunRecorded(run, &round, workers, *pool, &stopped);
-        } else {
-            RunLive(run, &round.front());
-        }
-
-        // -- Commit phase: serial, in selection order. Identical shared
-        //    state evolution no matter how the run phase was scheduled.
-        //    Assume-retry assignments enter the next round unclaimed, and
-        //    items a mid-round stop skipped are kept for the release below.
-        std::vector<RoundItem> next;
-        for (RoundItem& item : round) {
-            if (!item.ran) {
-                next.push_back(std::move(item));
-                continue;
-            }
-            RoundItem retry;
-            if (CommitRun(item, parallel, &test_cases, &retry.assignment)) {
-                next.push_back(std::move(retry));
-            }
-        }
-        round = std::move(next);
+        RunGuest(run, &next);
+        solver::Assignment retry;
+        const bool retrying = CommitRun(next, &test_cases, &retry);
         // Coverage-optimized CUPA consults CFG distances; refresh the
         // analysis with the newly observed edges.
         if (options_.strategy == StrategyKind::kCupaCoverage) {
             tracker_.cfg().RecomputeAnalysis(
                 options_.branch_opcode_drop_fraction);
         }
-        if (parallel) {
-            ++stats_.rounds;
-            if (m_par_rounds_ != nullptr) {
-                m_par_rounds_->Add();
-            }
-        }
-        if (stopped) {
-            break;
-        }
-
-        // -- Selection phase. A parallel round never runs more than the
-        //    runs left in the budget. The one-thread round is not capped:
-        //    it solves its next state before the budget check ends the
-        //    session, and the fixed-work benchmark's pinned solver counts
-        //    include that solve.
-        const size_t runs_left =
-            static_cast<size_t>(options_.max_runs - stats_.ll_paths);
-        SelectRound(parallel ? std::min(kRoundWidth, runs_left) : 1, &round,
-                    &stopped);
-        if (stopped || round.empty()) {
+        // An assume-retry assignment runs next, unclaimed. Otherwise the
+        // next state is solved before the budget check above can end the
+        // session; the fixed-work benchmark's pinned solver counts include
+        // that solve.
+        next = InFlightRun{};
+        if (retrying) {
+            next.assignment = std::move(retry);
+        } else if (!SelectNext(&next, &stopped)) {
             break;  // Stopped, or exploration exhausted.
         }
     }
-    // States claimed for a round that never ran go back to the pending
+    // A state claimed for a run that never ran goes back to the pending
     // pool, so the tree's bookkeeping stays consistent.
-    for (const RoundItem& item : round) {
-        if (item.from_pending) {
-            tree_.ReleaseClaim(item.claimed);
-        }
+    if (next.from_pending) {
+        tree_.ReleaseClaim(next.claimed);
     }
     stats_.stopped = stopped;
-    FinalizeStats(workers);
+    FinalizeStats();
     return test_cases;
 }
 
 void
-Engine::RunLive(const RunFn& run, RoundItem* item)
+Engine::RunGuest(const RunFn& run, InFlightRun* next)
 {
     // The interpreter dispatch loop runs inside run(), so the span is the
     // "where does interpreter time go" row of the trace.
     const auto run_start = Clock::now();
-    runtime_.BeginRun(item->assignment);
+    runtime_.BeginRun(next->assignment);
     tracker_.BeginRun();
     {
         CHEF_OBS_SPAN(run_span, options_.obs.tracer, "engine/run", "engine");
-        item->outcome = run(runtime_);
+        next->outcome = run(runtime_);
     }
-    item->run_stats = runtime_.EndRun();
-    item->complete_inputs = CompleteInputsFor(runtime_);
-    item->ran = true;
+    next->run_stats = runtime_.EndRun();
+    next->complete_inputs = CompleteInputs();
     if (m_runs_ != nullptr) {
         m_runs_->Add();
         m_run_latency_->Record(
@@ -351,101 +191,20 @@ Engine::RunLive(const RunFn& run, RoundItem* item)
     }
 }
 
-void
-Engine::RunRecorded(const RunFn& run, std::vector<RoundItem>* round,
-                    const std::vector<std::unique_ptr<WorkerContext>>& workers,
-                    RoundPool& pool, bool* stopped)
+bool
+Engine::SelectNext(InFlightRun* next, bool* stopped)
 {
-    // The guest runs execute in parallel, purely as a function of their
-    // assignment (recording mode).
-    const size_t threads = workers.size();
-    std::atomic<bool> round_stop{false};
-    std::vector<Clock::time_point> last_finish(threads);
-    std::vector<char> worker_ran(threads, 0);
-    pool.Run(round->size(), [&](size_t worker, size_t index) {
-        RoundItem& item = (*round)[index];
-        if (round_stop.load(std::memory_order_relaxed)) {
-            return;
-        }
-        if (StopRequested()) {
-            round_stop.store(true, std::memory_order_relaxed);
-            return;
-        }
-        WorkerContext& context = *workers[worker];
-        if (m_par_in_flight_ != nullptr) {
-            m_par_in_flight_->Add(1);
-        }
-        const auto run_start = Clock::now();
-        context.runtime.BeginRecordedRun(item.assignment, &item.log);
-        {
-            CHEF_OBS_SPAN(run_span, options_.obs.tracer,
-                          "engine/parallel_run", "engine");
-            item.outcome = run(context.runtime);
-        }
-        item.run_stats = context.runtime.EndRun();
-        item.complete_inputs = CompleteInputsFor(context.runtime);
-        item.ran = true;
-        if (m_runs_ != nullptr) {
-            m_runs_->Add();
-            m_run_latency_->Record(
-                std::chrono::duration<double>(Clock::now() - run_start)
-                    .count());
-        }
-        if (m_par_in_flight_ != nullptr) {
-            m_par_in_flight_->Add(-1);
-        }
-        last_finish[worker] = Clock::now();
-        worker_ran[worker] = 1;
-    });
-    const auto round_end = Clock::now();
-    for (size_t worker = 0; worker < threads; ++worker) {
-        if (worker_ran[worker] == 0) {
-            continue;
-        }
-        const double wait =
-            std::chrono::duration<double>(round_end - last_finish[worker])
-                .count();
-        stats_.barrier_wait_seconds += wait;
-        if (m_par_barrier_wait_ != nullptr) {
-            m_par_barrier_wait_->Record(wait);
-        }
-    }
-    if (round_stop.load(std::memory_order_relaxed)) {
-        *stopped = true;
-    }
-}
-
-void
-Engine::SelectRound(size_t limit, std::vector<RoundItem>* round,
-                    bool* stopped)
-{
-    // Serial, on the session solver, in strategy order: deterministic
-    // regardless of the thread count. The wall-clock budget applies here
-    // too: draining a large pool of infeasible states (runaway loops) must
-    // not stall the session.
+    // The wall-clock budget applies here too: draining a large pool of
+    // infeasible states (runaway loops) must not stall the session.
     CHEF_OBS_SPAN(select_span, options_.obs.tracer, "engine/select",
                   "engine");
-    const bool parallel = stats_.threads_used > 1;
-    while (round->size() < limit && !strategy_->empty() &&
-           Elapsed() < options_.max_seconds) {
+    while (!strategy_->empty() && Elapsed() < options_.max_seconds) {
         if (StopRequested()) {
             *stopped = true;
-            return;
+            return false;
         }
-        // The worker pool is idle here, but strategy calls still go
-        // through the tree lock: strategy selection may re-enter the tree
-        // to read state attributes.
-        lowlevel::AlternateState state;
-        if (!tree_.ClaimState([this] { return strategy_->ClaimState(); },
-                              &state)) {
-            return;
-        }
-        if (parallel) {
-            ++stats_.claims;
-            if (m_par_claims_ != nullptr) {
-                m_par_claims_->Add();
-            }
-        }
+        lowlevel::AlternateState state =
+            tree_.TakePending(strategy_->ClaimState());
         solver::Assignment model;
         solver::QueryResult result;
         {
@@ -453,11 +212,10 @@ Engine::SelectRound(size_t limit, std::vector<RoundItem>* round,
             result = solver_.Solve(state.path_condition, &model);
         }
         if (result == solver::QueryResult::kSat) {
-            RoundItem& item = round->emplace_back();
-            item.assignment = std::move(model);
-            item.from_pending = true;
-            item.claimed = std::move(state);
-            continue;
+            next->assignment = std::move(model);
+            next->from_pending = true;
+            next->claimed = std::move(state);
+            return true;
         }
         tree_.MarkInfeasible(state);
         if (result == solver::QueryResult::kUnsat) {
@@ -469,6 +227,7 @@ Engine::SelectRound(size_t limit, std::vector<RoundItem>* round,
             ++stats_.solver_failures;
         }
     }
+    return false;
 }
 
 void
@@ -507,27 +266,15 @@ Engine::LastTraceLocation() const
 }
 
 bool
-Engine::CommitRun(RoundItem& item, bool replay,
-                  std::vector<TestCase>* test_cases,
+Engine::CommitRun(InFlightRun& item, std::vector<TestCase>* test_cases,
                   solver::Assignment* retry)
 {
-    // A live run has already fed the tree and tracker; a recorded one is
-    // replayed into them here.
-    uint64_t registered_states = item.run_stats.registered_states;
-    if (replay) {
-        tracker_.BeginRun();
-        registered_states =
-            runtime_.CommitRecordedRun(item.log).registered_states;
-    }
     const hll::HlPathInfo hl_info = tracker_.EndRun();
-    stats_.states_registered += registered_states;
+    stats_.states_registered += item.run_stats.registered_states;
     ChargeRunAttribution(
         item.from_pending ? item.claimed.static_hlpc : 0,
         hl_info.is_new_path,
         item.run_stats.status == lowlevel::PathStatus::kAssumeViolated);
-    if (item.from_pending) {
-        tree_.CompleteClaim(item.claimed.id);
-    }
 
     if (item.run_stats.status == lowlevel::PathStatus::kAssumeViolated) {
         // The inputs violate a test assumption. Re-solve the run's path
@@ -595,8 +342,7 @@ Engine::StopRequested() const
 }
 
 void
-Engine::FinalizeStats(
-    const std::vector<std::unique_ptr<WorkerContext>>& workers)
+Engine::FinalizeStats()
 {
     stats_.solver_queries = solver_.stats().queries;
     stats_.solver_shared_hits = solver_.stats().shared_cache_hits;
@@ -607,18 +353,6 @@ Engine::FinalizeStats(
         solver_.stats().incremental_sat_calls;
     stats_.solver_clauses_loaded = solver_.stats().clauses_loaded;
     stats_.solver_seconds = solver_.stats().solve_seconds;
-    for (const std::unique_ptr<WorkerContext>& worker : workers) {
-        const solver::SolverStats& solver_stats = worker->solver.stats();
-        stats_.solver_queries += solver_stats.queries;
-        stats_.solver_shared_hits += solver_stats.shared_cache_hits;
-        stats_.solver_shared_model_hits +=
-            solver_stats.shared_model_reuse_hits;
-        stats_.solver_sliced_queries += solver_stats.sliced_queries;
-        stats_.solver_incremental_sat_calls +=
-            solver_stats.incremental_sat_calls;
-        stats_.solver_clauses_loaded += solver_stats.clauses_loaded;
-        stats_.solver_seconds += solver_stats.solve_seconds;
-    }
     stats_.elapsed_seconds = Elapsed();
     if (options_.obs.attribution != nullptr) {
         stats_.attribution = options_.obs.attribution->Snapshot();

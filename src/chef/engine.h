@@ -5,28 +5,14 @@
 /// The CHEF engine: drives concolic iterations over an instrumented
 /// interpreter and produces high-level test cases (Figure 4 of the paper).
 ///
-/// One Engine instance corresponds to one symbolic test session. Each
-/// iteration: run the interpreter under the current input assignment, let
-/// the low-level runtime record the path and register alternate states,
-/// classify the run's high-level path, then ask the search strategy for the
-/// next alternate state, validate its path condition with the solver, and
-/// re-run under the satisfying assignment.
-///
-/// Exploration runs in rounds: select alternate states in strategy order
-/// and solve them on the session solver, run the guest under each
-/// satisfying assignment, then commit the runs serially in selection order
-/// and select the next round. Options::exploration_threads picks how a
-/// round runs:
-///
-///  - 1 thread (the default): a round holds one state and the guest runs
-///    live on the session runtime. This is the classic serial loop,
-///    bit-identical to the pre-parallel engine for a fixed seed.
-///  - N >= 2 threads: a round holds up to kRoundWidth states, worker
-///    threads run their guests in parallel on private recording runtimes,
-///    and the commit phase replays the recorded logs into the shared tree
-///    and tracker. The width does not depend on the thread count and all
-///    shared-state mutation is serial and canonically ordered, so test
-///    cases, fingerprints and stats are identical for any N >= 2.
+/// One Engine instance corresponds to one symbolic test session, driven
+/// by one thread. Each iteration: run the interpreter under the current
+/// input assignment, let the low-level runtime record the path and
+/// register alternate states, classify the run's high-level path, then ask
+/// the search strategy for the next alternate state, validate its path
+/// condition with the solver, and re-run under the satisfying assignment.
+/// Sessions run in parallel across service workers and shards, never
+/// inside one.
 
 #include <chrono>
 #include <cstdint>
@@ -88,10 +74,9 @@ struct EngineStats {
     uint64_t infeasible_states = 0;
     uint64_t solver_failures = 0;
     uint64_t states_registered = 0;
-    /// Total solver queries issued during the session (aggregated over the
-    /// session solver and every worker runtime's solver at the end of
-    /// Explore so callers can total per-session work without reaching into
-    /// the solvers).
+    /// Total solver queries issued during the session (copied from the
+    /// session solver at the end of Explore so callers can total
+    /// per-session work without reaching into the solver).
     uint64_t solver_queries = 0;
     /// Queries answered by the batch-shared solver cache / satisfied by a
     /// sibling session's published model (0 unless
@@ -100,30 +85,15 @@ struct EngineStats {
     uint64_t solver_shared_model_hits = 0;
     /// Queries that independence slicing split into multiple slices, SAT
     /// calls served by the persistent incremental session, and CNF
-    /// clauses loaded into the CDCL backend (aggregated like
-    /// solver_queries).
+    /// clauses loaded into the CDCL backend (copied like solver_queries).
     uint64_t solver_sliced_queries = 0;
     uint64_t solver_incremental_sat_calls = 0;
     uint64_t solver_clauses_loaded = 0;
-    /// Time spent inside the solver (aggregated over all solvers; with
-    /// parallel workers this is a CPU-time-like sum, not wall time).
+    /// Time spent inside the session solver.
     double solver_seconds = 0.0;
     /// True if Explore() returned because Options::stop_requested fired.
     bool stopped = false;
     double elapsed_seconds = 0.0;
-
-    // -- Parallel exploration (all 0 / 1 when exploration_threads <= 1) ----
-
-    /// Exploration threads actually used.
-    uint32_t threads_used = 1;
-    /// Parallel rounds executed.
-    uint64_t rounds = 0;
-    /// States claimed for parallel rounds.
-    uint64_t claims = 0;
-    /// Total worker-idle time at round barriers (sum over workers of the
-    /// gap between finishing their last run of a round and the round
-    /// completing).
-    double barrier_wait_seconds = 0.0;
 
     struct Sample {
         double t = 0.0;
@@ -134,10 +104,9 @@ struct EngineStats {
 
     /// Per-location cost/yield table (obs/attribution.h). Empty unless
     /// Options::obs.attribution was set; the engine charges steps,
-    /// forks, runs, assume-failures and new fingerprints on the serial
-    /// commit path (thread-count-invariant in round mode) and the
-    /// solver charges wall time per query, then FinalizeStats snapshots
-    /// the profiler here.
+    /// forks, runs, assume-failures and new fingerprints as each run
+    /// commits and the solver charges wall time per query, then
+    /// FinalizeStats snapshots the profiler here.
     obs::AttributionSnapshot attribution;
 };
 
@@ -152,10 +121,9 @@ class Engine
         /// Exploration stops after this many completed low-level runs.
         uint64_t max_runs = 2000;
         /// ... or after this much wall time. Checked between concolic
-        /// iterations, between state-selection solver calls, and — under
-        /// parallel exploration — between claims and between rounds;
-        /// in-flight guest runs are never interrupted (the per-run step
-        /// budget bounds them), so the overshoot is at most one run.
+        /// iterations and between state-selection solver calls; a guest
+        /// run is never interrupted (the per-run step budget bounds it),
+        /// so the overshoot is at most one run.
         double max_seconds = 30.0;
         /// Per-run low-level step budget (hang detector). Also bounds the
         /// depth of loop-carried symbolic expression chains, which are
@@ -168,40 +136,26 @@ class Engine
         /// solver_options.shared_cache at a cache::SharedSolverCache to
         /// share query results and counterexamples with sibling sessions
         /// (the exploration service does this per batch when its
-        /// share_solver_cache option is on). Note: a shared cache makes
-        /// round-mode results depend on what sibling sessions have
-        /// published, so cross-run bit-reproducibility only holds without
-        /// one (or with a cold, private one).
+        /// share_solver_cache option is on). Note: a shared hit may hand
+        /// the session a different model than a fresh solve would, so
+        /// its results depend on what sibling sessions have published;
+        /// cross-run bit-reproducibility only holds without one (or with
+        /// a cold, private one).
         solver::Solver::Options solver_options = {};
         bool collect_timeline = true;
-        /// Intra-session parallelism: number of exploration worker
-        /// threads driving this session's shared execution tree. 1 (the
-        /// default; 0 means the same) runs one state per round live on
-        /// the session runtime, bit-identical to pre-parallel engines.
-        /// >= 2 runs kRoundWidth states per round in parallel.
-        uint32_t exploration_threads = 1;
         /// Cooperative cancellation hook. Checked between concolic
-        /// iterations and between state-selection solver calls; under
-        /// parallel exploration it is additionally polled between claims,
-        /// between rounds, and by each worker before starting a queued
-        /// run (so a mid-round stop lets in-flight guest runs finish,
-        /// skips the rest, commits what completed, and winds down).
-        /// When exploration_threads > 1 the hook must be thread-safe.
-        /// When it returns true the exploration winds down and Explore()
-        /// returns the test cases produced so far. Used by the
-        /// exploration service to enforce service-wide wall-clock budgets
-        /// and user-requested shutdown without engine internals growing
-        /// any thread-awareness beyond this.
+        /// iterations and between state-selection solver calls, on the
+        /// thread that called Explore(). When it returns true the
+        /// exploration winds down and Explore() returns the test cases
+        /// produced so far. Used by the exploration service to enforce
+        /// service-wide wall-clock budgets and user-requested shutdown.
         std::function<bool()> stop_requested;
         /// Telemetry (obs/obs.h). Every facility solver_options.obs
         /// leaves null is taken from here, so the session's solvers
         /// share the same registry and tracer; the engine itself emits
         /// engine/run (interpreter dispatch) and engine/select (state
         /// selection) spans plus engine.* counters (runs, ll_paths,
-        /// hl_paths, hangs, ...), and under parallel exploration
-        /// engine/parallel_run per-worker spans plus engine.parallel.*
-        /// counters (states in flight, claims, rounds, round barrier
-        /// wait).
+        /// hl_paths, hangs, ...).
         obs::ObsContext obs;
     };
 
@@ -212,14 +166,8 @@ class Engine
     };
 
     /// Executes the target program once under the given runtime; called by
-    /// the engine for every concolic iteration. Under parallel exploration
-    /// this is invoked concurrently on distinct runtimes, so it must not
-    /// mutate shared state of its own.
+    /// the engine for every concolic iteration.
     using RunFn = std::function<GuestOutcome(lowlevel::LowLevelRuntime&)>;
-
-    /// States selected per round with exploration_threads >= 2. Fixed,
-    /// so results do not depend on the thread count.
-    static constexpr size_t kRoundWidth = 8;
 
     Engine() : Engine(Options{}) {}
     explicit Engine(Options options);
@@ -235,44 +183,31 @@ class Engine
     const Options& options() const { return options_; }
 
   private:
-    struct WorkerContext;
-    struct RoundItem;
-    class RoundPool;
+    struct InFlightRun;
 
     std::unique_ptr<cupa::SearchStrategy> MakeStrategy();
-    static solver::Assignment CompleteInputsFor(
-        const lowlevel::LowLevelRuntime& runtime);
+    solver::Assignment CompleteInputs() const;
 
-    /// Runs one round item's guest live on the session runtime, feeding
-    /// the tree and tracker as it goes (the one-thread round).
-    void RunLive(const RunFn& run, RoundItem* item);
-    /// Runs a round's guests in parallel on the workers' recording
-    /// runtimes. A stop request skips the items not yet started and sets
+    /// Runs the guest once under \p next's assignment on the session
+    /// runtime, feeding the tree and tracker as it goes.
+    void RunGuest(const RunFn& run, InFlightRun* next);
+    /// Claims and solves states in strategy order until one is
+    /// satisfiable, which becomes *next; returns false when the strategy
+    /// runs dry, the wall-clock budget is spent or a stop request sets
     /// *stopped.
-    void RunRecorded(const RunFn& run, std::vector<RoundItem>* round,
-                     const std::vector<std::unique_ptr<WorkerContext>>& workers,
-                     RoundPool& pool, bool* stopped);
-    /// Claims and solves states in strategy order until the round holds
-    /// \p limit items, the strategy runs dry or the wall-clock budget is
-    /// spent. A stop request sets *stopped.
-    void SelectRound(size_t limit, std::vector<RoundItem>* round,
-                     bool* stopped);
+    bool SelectNext(InFlightRun* next, bool* stopped);
 
-    /// Serial commit of one run that has finished (live, or recorded and
-    /// replayed here when \p replay): closes its high-level path, produces
-    /// the test case or solves the assume-retry assignment, and updates
-    /// stats, moving the run's results out of \p item. Returns true if the
-    /// commit produced an assume-retry assignment in *retry.
-    bool CommitRun(RoundItem& item, bool replay,
-                   std::vector<TestCase>* test_cases,
+    /// Commits a run that has finished: closes its high-level path,
+    /// produces the test case or solves the assume-retry assignment, and
+    /// updates stats, moving the run's results out of \p item. Returns
+    /// true if the commit produced an assume-retry assignment in *retry.
+    bool CommitRun(InFlightRun& item, std::vector<TestCase>* test_cases,
                    solver::Assignment* retry);
 
     /// Charges one committed run to the attribution profiler: a step
     /// per trace entry (with discovery-parent links), the run and its
     /// fingerprint yield to the originating location, assume-failures
-    /// to the violation site. Called on the serial commit path only, so
-    /// the charges are thread-count-invariant in round mode. No-op
-    /// without Options::obs.attribution.
+    /// to the violation site. No-op without Options::obs.attribution.
     void ChargeRunAttribution(uint64_t origin_hlpc, bool new_hl_path,
                               bool assume_violated);
     /// The last high-level location of the just-committed trace (0 when
@@ -283,8 +218,7 @@ class Engine
     double Elapsed() const;
     bool StopRequested() const;
 
-    void FinalizeStats(
-        const std::vector<std::unique_ptr<WorkerContext>>& workers);
+    void FinalizeStats();
 
     Options options_;
     Rng rng_;
@@ -297,10 +231,6 @@ class Engine
     obs::Counter* m_hangs_ = nullptr;
     obs::Counter* m_infeasible_ = nullptr;
     obs::Histogram* m_run_latency_ = nullptr;
-    obs::Gauge* m_par_in_flight_ = nullptr;
-    obs::Counter* m_par_claims_ = nullptr;
-    obs::Counter* m_par_rounds_ = nullptr;
-    obs::Histogram* m_par_barrier_wait_ = nullptr;
     solver::Solver solver_;
     lowlevel::ExecutionTree tree_;
     lowlevel::LowLevelRuntime runtime_;
@@ -310,7 +240,7 @@ class Engine
     /// High-water mark over announced state ids: ReleaseClaim
     /// re-announces a state through the state-added hook, so fork
     /// charges fire only for ids above the mark (exactly once per
-    /// registered state; the hook runs under the tree lock).
+    /// registered state).
     lowlevel::StateId attr_last_fork_id_ = 0;
 };
 

@@ -10,23 +10,17 @@
 /// first a class, uniformly (or by class weight), then recursively within.
 ///
 /// Claim/release protocol: ClaimState() picks a state id without removing
-/// it from the strategy's own structures — the caller immediately leases it
-/// through ExecutionTree::ClaimState/TakePending, whose pending-removed hook
-/// drives OnStateRemoved; ExecutionTree::ReleaseClaim re-announces a
-/// handed-back state through the state-added hook, driving OnStateAdded.
-/// Every public entry point locks an internal mutex, so one strategy
-/// instance may be driven by several exploration workers; under the
-/// engine's shared tree all strategy calls additionally happen under the
-/// tree lock (hooks and selection callbacks), giving a single lock order
-/// (tree, then strategy). With one worker the behavior — including every
-/// RNG draw — is bit-identical to the pre-claim-protocol SelectState().
+/// it from the strategy's own structures — the caller immediately takes it
+/// out of the pool through ExecutionTree::TakePending, whose
+/// pending-removed hook drives OnStateRemoved; ExecutionTree::ReleaseClaim
+/// re-announces a handed-back state through the state-added hook, driving
+/// OnStateAdded.
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,61 +33,28 @@ namespace chef::cupa {
 using lowlevel::AlternateState;
 using lowlevel::StateId;
 
-/// Interface for state selection. Public methods are thread-safe; derived
-/// classes implement the *Locked virtuals, which run under the strategy
-/// mutex.
+/// Interface for state selection.
 class SearchStrategy
 {
   public:
     virtual ~SearchStrategy() = default;
 
     /// A state entered the pending pool.
-    void OnStateAdded(const AlternateState& state)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        AddLocked(state);
-    }
+    virtual void OnStateAdded(const AlternateState& state) = 0;
 
     /// A state left the pending pool (claimed, overtaken, or infeasible).
-    void OnStateRemoved(StateId id)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        RemoveLocked(id);
-    }
+    virtual void OnStateRemoved(StateId id) = 0;
 
     /// Claims a pending state for exploration. Must not be called when
-    /// empty(). The claimed state must then be leased from the tree
-    /// (TakePending / ExecutionTree::ClaimState), which fires
-    /// OnStateRemoved; until a claim is leased the strategy still counts
-    /// it.
-    StateId ClaimState()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return ClaimLocked();
-    }
+    /// empty(). The claimed state must then be taken from the tree
+    /// (ExecutionTree::TakePending), which fires OnStateRemoved; until
+    /// then the strategy still counts it.
+    virtual StateId ClaimState() = 0;
 
-    bool empty() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return SizeLocked() == 0;
-    }
-
-    size_t size() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return SizeLocked();
-    }
+    virtual size_t size() const = 0;
+    bool empty() const { return size() == 0; }
 
     virtual std::string name() const = 0;
-
-  protected:
-    virtual void AddLocked(const AlternateState& state) = 0;
-    virtual void RemoveLocked(StateId id) = 0;
-    virtual StateId ClaimLocked() = 0;
-    virtual size_t SizeLocked() const = 0;
-
-  private:
-    mutable std::mutex mutex_;
 };
 
 /// Generic N-level CUPA strategy (Figure 5).
@@ -122,11 +83,10 @@ class CupaStrategy : public SearchStrategy
 
     std::string name() const override { return name_; }
 
-  protected:
-    void AddLocked(const AlternateState& state) override;
-    void RemoveLocked(StateId id) override;
-    StateId ClaimLocked() override;
-    size_t SizeLocked() const override { return membership_.size(); }
+    void OnStateAdded(const AlternateState& state) override;
+    void OnStateRemoved(StateId id) override;
+    StateId ClaimState() override;
+    size_t size() const override { return membership_.size(); }
 
   private:
     struct ClassNode {
@@ -157,11 +117,10 @@ class RandomStrategy : public SearchStrategy
 
     std::string name() const override { return "random"; }
 
-  protected:
-    void AddLocked(const AlternateState& state) override;
-    void RemoveLocked(StateId id) override;
-    StateId ClaimLocked() override;
-    size_t SizeLocked() const override { return states_.size(); }
+    void OnStateAdded(const AlternateState& state) override;
+    void OnStateRemoved(StateId id) override;
+    StateId ClaimState() override;
+    size_t size() const override { return states_.size(); }
 
   private:
     Rng* rng_;
@@ -175,11 +134,10 @@ class DfsStrategy : public SearchStrategy
   public:
     std::string name() const override { return "dfs"; }
 
-  protected:
-    void AddLocked(const AlternateState& state) override;
-    void RemoveLocked(StateId id) override;
-    StateId ClaimLocked() override;
-    size_t SizeLocked() const override { return ids_.size(); }
+    void OnStateAdded(const AlternateState& state) override;
+    void OnStateRemoved(StateId id) override;
+    StateId ClaimState() override;
+    size_t size() const override { return ids_.size(); }
 
   private:
     // Sorted container used as a stack with arbitrary removal.
@@ -192,11 +150,10 @@ class BfsStrategy : public SearchStrategy
   public:
     std::string name() const override { return "bfs"; }
 
-  protected:
-    void AddLocked(const AlternateState& state) override;
-    void RemoveLocked(StateId id) override;
-    StateId ClaimLocked() override;
-    size_t SizeLocked() const override { return ids_.size(); }
+    void OnStateAdded(const AlternateState& state) override;
+    void OnStateRemoved(StateId id) override;
+    StateId ClaimState() override;
+    size_t size() const override { return ids_.size(); }
 
   private:
     std::map<StateId, bool> ids_;

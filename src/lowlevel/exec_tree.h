@@ -11,23 +11,14 @@
 /// states carry the bookkeeping CUPA needs: the forking low-level PC, the
 /// static and dynamic high-level PC at the fork, and the fork weight.
 ///
-/// Concurrency model: one ExecutionTree may be shared by several exploration
-/// workers. All shared structures (nodes, the pending pool, the in-flight
-/// lease set) are guarded by an internal lock; per-run traversal state lives
-/// in a Cursor owned by each worker's runtime, so concurrent runs never
-/// share mutable cursor state. A pending state is *leased* to a worker via
-/// ClaimState (which runs the strategy's selection under the tree lock, so
-/// selection and removal are atomic); leased states are out of the pending
-/// pool and therefore excluded from further selection until the worker
-/// either commits the run that explores them (CompleteClaim), proves them
-/// infeasible (MarkInfeasible), or hands them back (ReleaseClaim).
+/// The strategy picks a pending state and the engine takes it out of the
+/// pool (TakePending). The taken state is then proven infeasible
+/// (MarkInfeasible), explored by the run that follows, or — when the
+/// session stops before that run — handed back (ReleaseClaim).
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "solver/expr.h"
@@ -84,9 +75,8 @@ struct HlPosition {
 class ExecutionTree
 {
   public:
-    /// Per-run traversal state. Each concurrent run owns one cursor; the
-    /// tree never stores per-run state, so runs only contend on the shared
-    /// node/pending structures inside Advance.
+    /// Per-run traversal state. The runtime owns its run's cursor; the
+    /// tree never stores per-run state.
     class Cursor
     {
       public:
@@ -118,7 +108,7 @@ class ExecutionTree
     void BeginRun(Cursor& cursor);
 
     /// Legacy form: resets the tree's built-in default cursor (used by
-    /// single-threaded callers and tests).
+    /// tests).
     void BeginRun() { BeginRun(default_cursor_); }
 
     /// Result of advancing a run cursor through a symbolic branch.
@@ -134,8 +124,7 @@ class ExecutionTree
     /// The alternate's path condition is the cursor's prefix plus the
     /// negated constraint; \p hl stamps the alternate with the run's
     /// high-level position. A newly registered state is announced through
-    /// the state-added hook while still holding the tree lock, so observers
-    /// see it fully constructed and exactly once.
+    /// the state-added hook, fully constructed and exactly once.
     AdvanceResult Advance(Cursor& cursor, uint64_t llpc, bool taken,
                           const solver::ExprRef& taken_constraint,
                           const solver::ExprRef& negated_constraint,
@@ -178,54 +167,18 @@ class ExecutionTree
     /// it.
     AlternateState TakePending(StateId id);
 
-    // -- Claim/lease protocol (parallel exploration) ------------------------
-
-    /// Atomically runs \p select (typically SearchStrategy::ClaimState)
-    /// under the tree lock and, if it returns a non-zero id, leases that
-    /// state to the caller: the state leaves the pending pool (firing the
-    /// pending-removed hook) and is tracked as in flight. Returns false
-    /// when \p select returned 0 (nothing selectable). The leased state
-    /// must be resolved with CompleteClaim, MarkInfeasible, or
-    /// ReleaseClaim.
-    bool ClaimState(const std::function<StateId()>& select,
-                    AlternateState* out);
-
-    /// Hands a leased state back untouched: re-inserts it into the pending
+    /// Hands a taken state back untouched: re-inserts it into the pending
     /// pool and re-announces it through the state-added hook (so the
     /// strategy re-queues it).
     void ReleaseClaim(const AlternateState& state);
 
-    /// Marks a leased state's run as committed (the exploring run advanced
-    /// through its node, so the tree already records the direction as
-    /// explored); drops the in-flight lease.
-    void CompleteClaim(StateId id);
-
-    /// Marks a previously taken or leased state's direction as infeasible.
+    /// Marks a taken state's direction as infeasible.
     void MarkInfeasible(const AlternateState& state);
 
-    /// Number of leased (claimed, not yet resolved) states.
-    size_t states_in_flight() const;
-
-    /// Pending states dropped because a run explored their direction
-    /// before the strategy picked them (Advance's stale-alternate path).
-    /// With concurrent runs the count depends on interleaving: every
-    /// registered state ends up exactly one of finalized, still pending,
-    /// or overtaken.
-    uint64_t states_overtaken() const
-    {
-        return states_overtaken_.load(std::memory_order_relaxed);
-    }
-
-    // -----------------------------------------------------------------------
-
-    /// Looks up a pending state (for strategies). Null if absent. Only
-    /// meaningful under the tree lock (i.e. from within a ClaimState
-    /// selection callback or single-threaded use); the pointer is
-    /// invalidated by any concurrent mutation.
+    /// Looks up a pending state (for strategies). Null if absent.
     const AlternateState* FindPending(StateId id) const;
 
-    /// All pending states (insertion order not guaranteed). Requires
-    /// external quiescence; used by single-threaded callers and tests.
+    /// All pending states (insertion order not guaranteed).
     const std::unordered_map<StateId, AlternateState>& pending() const
     {
         return pending_;
@@ -234,21 +187,19 @@ class ExecutionTree
     /// Multiplies the fork weight of a pending state (fork streak decay).
     void ScaleForkWeight(StateId id, double factor);
 
-    size_t num_nodes() const;
-    uint64_t total_registered() const;
+    size_t num_nodes() const { return nodes_.size(); }
+    uint64_t total_registered() const { return next_state_id_ - 1; }
 
     /// Observer invoked whenever a pending state disappears from the pool
     /// (selected by the strategy, overtaken by natural exploration, or
     /// proven infeasible). Used by search strategies for bookkeeping.
-    /// Invoked under the tree lock.
     void set_on_pending_removed(std::function<void(StateId)> hook)
     {
         on_pending_removed_ = std::move(hook);
     }
 
     /// Observer invoked when a state enters (or re-enters, after
-    /// ReleaseClaim) the pending pool, fully constructed. Invoked under the
-    /// tree lock.
+    /// ReleaseClaim) the pending pool, fully constructed.
     void set_on_state_added(
         std::function<void(const AlternateState&)> hook)
     {
@@ -263,17 +214,9 @@ class ExecutionTree
         StateId pending_id[2] = {0, 0};
     };
 
-    // Recursive because strategy callbacks run under the tree lock and may
-    // legitimately re-enter read accessors (CupaStrategy reads pending
-    // fork weights through FindPending while selecting).
-    mutable std::recursive_mutex mutex_;
-
     std::vector<Node> nodes_;
     std::unordered_map<StateId, AlternateState> pending_;
-    /// Leased (claimed, not yet resolved) states.
-    std::unordered_set<StateId> in_flight_;
     StateId next_state_id_ = 1;
-    std::atomic<uint64_t> states_overtaken_{0};
     std::function<void(StateId)> on_pending_removed_;
     std::function<void(const AlternateState&)> on_state_added_;
 

@@ -30,18 +30,7 @@ LowLevelRuntime::BeginRun(const solver::Assignment& inputs)
     hl_opcode_ = 0;
     streak_active_ = false;
     streak_ids_.clear();
-    recording_ = nullptr;
     tree_->BeginRun(cursor_);
-}
-
-void
-LowLevelRuntime::BeginRecordedRun(const solver::Assignment& inputs,
-                                  RunLog* log)
-{
-    CHEF_CHECK(log != nullptr);
-    BeginRun(inputs);
-    log->events.clear();
-    recording_ = log;
 }
 
 RunStats
@@ -49,39 +38,6 @@ LowLevelRuntime::EndRun()
 {
     if (stats_.status == PathStatus::kRunning) {
         stats_.status = PathStatus::kFinished;
-    }
-    recording_ = nullptr;
-    return stats_;
-}
-
-RunStats
-LowLevelRuntime::CommitRecordedRun(const RunLog& log)
-{
-    stats_ = RunStats();
-    hl_static_ = 0;
-    hl_dynamic_ = 0;
-    hl_opcode_ = 0;
-    streak_active_ = false;
-    streak_ids_.clear();
-    recording_ = nullptr;
-    tree_->BeginRun(cursor_);
-    for (const RunEvent& event : log.events) {
-        switch (event.kind) {
-          case RunEvent::Kind::kLogPc:
-            if (log_pc_hook_) {
-                log_pc_hook_(event.pc, event.opcode);
-            } else {
-                SetHlPosition(event.pc, event.pc, event.opcode);
-            }
-            break;
-          case RunEvent::Kind::kConstraint:
-            tree_->AddConstraint(cursor_, event.constraint);
-            break;
-          case RunEvent::Kind::kBranch:
-            ++stats_.symbolic_branches;
-            ApplyBranch(event.pc, event.taken, event.constraint);
-            break;
-        }
     }
     return stats_;
 }
@@ -108,15 +64,23 @@ LowLevelRuntime::MakeSymbolicValue(const std::string& name, int width,
                     solver::MakeVar(var_id, name, width));
 }
 
-void
-LowLevelRuntime::ApplyBranch(uint64_t llpc, bool taken,
-                             const solver::ExprRef& taken_constraint)
+bool
+LowLevelRuntime::Branch(const SymValue& cond, uint64_t llpc)
 {
+    CHEF_CHECK(cond.width() == 1);
+    CountStep();
+    if (!cond.IsSymbolic() || !running()) {
+        return cond.ConcreteTruth();
+    }
+    const bool taken = cond.ConcreteTruth();
+    const solver::ExprRef taken_constraint =
+        taken ? cond.ToExpr() : solver::MakeBoolNot(cond.ToExpr());
+    ++stats_.symbolic_branches;
     if (stats_.registered_states >= options_.max_registered_per_run) {
         // Pool-pressure throttle: keep executing concretely, but record
         // the constraint so the path condition stays sound.
         tree_->AddConstraint(cursor_, taken_constraint);
-        return;
+        return taken;
     }
     const solver::ExprRef negated_constraint =
         solver::MakeBoolNot(taken_constraint);
@@ -145,48 +109,7 @@ LowLevelRuntime::ApplyBranch(uint64_t llpc, bool taken,
         streak_active_ = false;
         streak_ids_.clear();
     }
-}
-
-bool
-LowLevelRuntime::Branch(const SymValue& cond, uint64_t llpc)
-{
-    CHEF_CHECK(cond.width() == 1);
-    CountStep();
-    if (!cond.IsSymbolic() || !running()) {
-        return cond.ConcreteTruth();
-    }
-    const bool taken = cond.ConcreteTruth();
-    const solver::ExprRef taken_constraint =
-        taken ? cond.ToExpr() : solver::MakeBoolNot(cond.ToExpr());
-    ++stats_.symbolic_branches;
-    if (recording_ != nullptr) {
-        RunEvent event;
-        event.kind = RunEvent::Kind::kBranch;
-        event.pc = llpc;
-        event.taken = taken;
-        event.constraint = taken_constraint;
-        recording_->events.push_back(std::move(event));
-        // The local cursor still tracks the path condition so that
-        // UpperBound works mid-run; the shared tree is untouched.
-        tree_->AddConstraint(cursor_, taken_constraint);
-        return taken;
-    }
-    ApplyBranch(llpc, taken, taken_constraint);
     return taken;
-}
-
-void
-LowLevelRuntime::AddPathConstraint(const solver::ExprRef& constraint)
-{
-    if (recording_ != nullptr) {
-        RunEvent event;
-        event.kind = RunEvent::Kind::kConstraint;
-        event.constraint = constraint;
-        recording_->events.push_back(std::move(event));
-        tree_->AddConstraint(cursor_, constraint);
-        return;
-    }
-    tree_->AddConstraint(cursor_, constraint);
 }
 
 void
@@ -197,7 +120,7 @@ LowLevelRuntime::Assume(const SymValue& cond)
         return;
     }
     if (cond.IsSymbolic()) {
-        AddPathConstraint(cond.ToExpr());
+        tree_->AddConstraint(cursor_, cond.ToExpr());
     }
     if (!cond.ConcreteTruth()) {
         if (!cond.IsSymbolic()) {
@@ -212,9 +135,10 @@ uint64_t
 LowLevelRuntime::Concretize(const SymValue& value)
 {
     if (value.IsSymbolic() && running()) {
-        AddPathConstraint(solver::MakeEq(
-            value.ToExpr(),
-            solver::MakeConst(value.concrete(), value.width())));
+        tree_->AddConstraint(
+            cursor_, solver::MakeEq(value.ToExpr(),
+                                    solver::MakeConst(value.concrete(),
+                                                      value.width())));
     }
     return value.concrete();
 }
@@ -239,14 +163,6 @@ void
 LowLevelRuntime::LogPc(uint64_t hlpc, uint32_t opcode)
 {
     CountStep();
-    if (recording_ != nullptr) {
-        RunEvent event;
-        event.kind = RunEvent::Kind::kLogPc;
-        event.pc = hlpc;
-        event.opcode = opcode;
-        recording_->events.push_back(std::move(event));
-        return;
-    }
     if (log_pc_hook_) {
         log_pc_hook_(hlpc, opcode);
     } else {

@@ -12,19 +12,6 @@
 /// log_pc) is provided as methods. A run executes concretely under the
 /// current input assignment while the runtime records the path condition
 /// and registers alternate states in the ExecutionTree.
-///
-/// Two execution modes support intra-session parallel exploration:
-///
-///  - Live mode (BeginRun): branches advance the shared ExecutionTree
-///    immediately. This is the classic single-threaded path.
-///  - Recording mode (BeginRecordedRun): the run appends its symbolic
-///    events (branches, assumptions, log_pc) to a RunLog and touches no
-///    shared structure; a run is a pure function of its input assignment.
-///    A worker thread executes the guest in recording mode, then the
-///    engine replays the log into the shared tree + tracker serially via
-///    CommitRecordedRun on its commit runtime — making every registration,
-///    throttle, fork-streak, and HL-position decision exactly as a live
-///    run would have.
 
 #include <cstdint>
 #include <functional>
@@ -56,27 +43,6 @@ struct RunStats {
     uint32_t registered_states = 0;
 };
 
-/// One symbolic event of a recorded run (see RunLog).
-struct RunEvent {
-    enum class Kind : uint8_t {
-        kBranch,      ///< Symbolic branch: pc = llpc, taken, constraint.
-        kConstraint,  ///< assume/concretize constraint (no forking).
-        kLogPc,       ///< log_pc: pc = hlpc, opcode.
-    };
-    Kind kind = Kind::kBranch;
-    uint64_t pc = 0;
-    uint32_t opcode = 0;
-    bool taken = false;
-    /// kBranch: the taken-form branch constraint. kConstraint: the
-    /// constraint itself.
-    solver::ExprRef constraint;
-};
-
-/// The symbolic trace of one recorded run; replayed at commit time.
-struct RunLog {
-    std::vector<RunEvent> events;
-};
-
 /// Declares one symbolic input variable (stable across runs of a test).
 struct VarDecl {
     std::string name;
@@ -104,8 +70,7 @@ LlpcFromLocation(const char* file, int line)
         uint64_t, ::chef::lowlevel::LlpcFromLocation(__FILE__,           \
                                                      __LINE__)>::value)
 
-/// Guest-facing concolic runtime; one instance per symbolic test session
-/// (or per exploration worker of a parallel session).
+/// Guest-facing concolic runtime; one instance per symbolic test session.
 class LowLevelRuntime
 {
   public:
@@ -128,26 +93,12 @@ class LowLevelRuntime
 
     // -- Run lifecycle (driven by the engine) -------------------------------
 
-    /// Starts a new live run under the given input assignment (values
+    /// Starts a new run under the given input assignment (values
     /// override the per-variable defaults).
     void BeginRun(const solver::Assignment& inputs);
 
-    /// Starts a recorded run: symbolic events are appended to \p log and
-    /// no shared structure is touched until the log is committed.
-    void BeginRecordedRun(const solver::Assignment& inputs, RunLog* log);
-
     /// Finalizes the run; a still-running status becomes kFinished.
     RunStats EndRun();
-
-    /// Replays a recorded run's log into the shared tree (and, through the
-    /// log_pc hook, the tracker) on this runtime, exactly as a live run
-    /// would have: registration, throttling, fork-weight streaks and
-    /// HL-position stamping all happen here. Must be called serially (the
-    /// engine commits one run at a time). Returns stats whose
-    /// registered_states is meaningful; status and steps belong to the
-    /// recorded run. Leaves the cursor at the end of the replayed path, so
-    /// current_path_condition() can seed an assume-retry solve.
-    RunStats CommitRecordedRun(const RunLog& log);
 
     // -- Guest API (paper Table 1) ------------------------------------------
 
@@ -179,8 +130,7 @@ class LowLevelRuntime
     }
 
     /// log_pc: interpreter dispatch-loop instrumentation. Forwarded to the
-    /// registered hook (the high-level tracker), or recorded for commit
-    /// time.
+    /// registered hook (the high-level tracker).
     void LogPc(uint64_t hlpc, uint32_t opcode);
 
     /// Accounts low-level work; returns false once the step budget is
@@ -198,8 +148,7 @@ class LowLevelRuntime
     PathStatus status() const { return stats_.status; }
     bool running() const { return stats_.status == PathStatus::kRunning; }
 
-    /// The path condition of this runtime's current run (its own cursor;
-    /// valid in live, recording, and just-replayed states).
+    /// The path condition of this runtime's current run (its own cursor).
     const std::vector<solver::ExprRef>& current_path_condition() const
     {
         return cursor_.path_condition();
@@ -209,8 +158,7 @@ class LowLevelRuntime
 
     using LogPcHook = std::function<void(uint64_t hlpc, uint32_t opcode)>;
 
-    /// Installs the high-level tracker hook, invoked on every LogPc call
-    /// (live mode) or replayed log_pc event (commit).
+    /// Installs the high-level tracker hook, invoked on every LogPc call.
     void set_log_pc_hook(LogPcHook hook) { log_pc_hook_ = std::move(hook); }
 
     /// Current high-level position, written back by the tracker so that
@@ -228,15 +176,6 @@ class LowLevelRuntime
     void ResetSession();
 
   private:
-    /// Registration half of Branch (shared by live mode and replay):
-    /// throttle, tree advance, fork-weight streak, state-added hook.
-    void ApplyBranch(uint64_t llpc, bool taken,
-                     const solver::ExprRef& taken_constraint);
-
-    /// Adds a non-forking constraint to the path (records it in recording
-    /// mode).
-    void AddPathConstraint(const solver::ExprRef& constraint);
-
     ExecutionTree* tree_;
     solver::Solver* solver_;
     Options options_;
@@ -249,7 +188,6 @@ class LowLevelRuntime
     LogPcHook log_pc_hook_;
 
     ExecutionTree::Cursor cursor_;
-    RunLog* recording_ = nullptr;
 
     uint64_t hl_static_ = 0;
     uint64_t hl_dynamic_ = 0;

@@ -22,9 +22,9 @@ std::string RenderMonitorFrame(const ClusterSeries& series,
                   window_seconds);
     out += line;
     std::snprintf(line, sizeof(line),
-                  "%-10s %8s %8s %10s %10s %9s %8s %8s %8s %-8s\n",
+                  "%-10s %8s %8s %10s %10s %9s %8s %8s %-8s\n",
                   "source", "jobs/s", "fp/s", "solv-s/s", "p95(s)",
-                  "cachehit", "corpus", "cancels", "inflight", "state");
+                  "cachehit", "corpus", "cancels", "state");
     out += line;
     for (const std::string& source : series.Sources()) {
         const std::vector<SeriesSample>& samples = *series.SeriesFor(source);
@@ -53,15 +53,12 @@ std::string RenderMonitorFrame(const ClusterSeries& series,
                                                : "flat";
         std::snprintf(
             line, sizeof(line),
-            "%-10s %8.2f %8.2f %10.3f %10.4f %9.2f %8lld %8llu %8lld "
-            "%-8s\n",
+            "%-10s %8.2f %8.2f %10.3f %10.4f %9.2f %8lld %8llu %-8s\n",
             source.c_str(), jobs_rate, fp_rate, solver_rate, p95, hit_rate,
             static_cast<long long>(
                 SnapshotGauge(latest.metrics, kCorpusSizeGauge)),
             static_cast<unsigned long long>(
                 latest.metrics.CounterValue(kPlateauCancelsCounter)),
-            static_cast<long long>(
-                SnapshotGauge(latest.metrics, kStatesInFlightGauge)),
             state);
         out += line;
     }

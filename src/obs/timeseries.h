@@ -62,8 +62,6 @@ inline constexpr char kSolverSolveHistogram[] = "solver.solve_seconds";
 inline constexpr char kSolverQueriesCounter[] = "solver.queries";
 inline constexpr char kSharedCacheHitsCounter[] = "solver.shared_cache_hits";
 inline constexpr char kPlateauCancelsCounter[] = "scheduler.plateau_cancels";
-inline constexpr char kStatesInFlightGauge[] =
-    "engine.parallel.states_in_flight";
 
 /// One point on the time axis: a whole-registry snapshot stamped with
 /// the recorder's 1-based sample index and seconds since its epoch.

@@ -25,12 +25,9 @@ struct JobSpec {
     /// "py/argparse" or "lua/JSON".
     std::string workload;
     /// Engine configuration for the session. The seed field inside is
-    /// overwritten by the service's derived per-job seed; stop_requested
-    /// is chained with the service's cancellation/budget check; and
-    /// exploration_threads is treated as a *request* — the service
-    /// clamps the effective grant to its global core budget (see
-    /// ExplorationService::GrantExplorationThreads), with the value 1
-    /// (or 0) meaning "use the service's default engine_threads".
+    /// overwritten by the service's derived per-job seed, and
+    /// stop_requested is chained with the service's cancellation/budget
+    /// check.
     Engine::Options options;
     /// Interpreter build the session runs against.
     interp::InterpBuildOptions build =
@@ -199,14 +196,6 @@ struct ServiceStats {
     /// jobs_completed / wall_seconds (0 when no time has elapsed).
     double jobs_per_second = 0.0;
     size_t num_workers = 0;
-    /// Default intra-session exploration threads per job in the last
-    /// batch (the effective per-job value is in each
-    /// JobResult::engine_stats.threads_used).
-    uint32_t engine_threads = 1;
-    /// Jobs granted exploration threads above the fair per-worker core
-    /// share because their workload's expected yield was unknown or
-    /// high (accumulated across batches).
-    size_t wide_sessions_granted = 0;
     /// Dispatch order of the last batch.
     SchedulePolicy schedule_policy = SchedulePolicy::kYieldPriority;
     /// Streamed events handed to Options::on_job_event, accumulated

@@ -53,10 +53,6 @@ WriteServiceStats(JsonWriter& json, const ServiceStats& stats)
     json.Key("wall_seconds"), json.Value(stats.wall_seconds);
     json.Key("jobs_per_second"), json.Value(stats.jobs_per_second);
     json.Key("num_workers"), json.Value(stats.num_workers);
-    json.Key("engine_threads"),
-        json.Value(static_cast<uint64_t>(stats.engine_threads));
-    json.Key("wide_sessions_granted"),
-        json.Value(stats.wide_sessions_granted);
     json.Key("schedule_policy"),
         json.Value(SchedulePolicyName(stats.schedule_policy));
     json.Key("events_delivered"), json.Value(stats.events_delivered);
@@ -97,8 +93,6 @@ WriteJobResult(JsonWriter& json, const JobResult& result)
         json.Value(result.engine_stats.solver_shared_hits);
     json.Key("solver_shared_model_hits"),
         json.Value(result.engine_stats.solver_shared_model_hits);
-    json.Key("threads_used"),
-        json.Value(static_cast<uint64_t>(result.engine_stats.threads_used));
     json.Key("stopped"), json.Value(result.engine_stats.stopped);
     json.Key("elapsed_seconds"),
         json.Value(result.engine_stats.elapsed_seconds);

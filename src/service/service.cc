@@ -110,7 +110,6 @@ StatsFromMetrics(const obs::MetricsSnapshot& snapshot)
     stats.jobs_cancelled = count("service.jobs_cancelled");
     stats.jobs_plateau_cancelled = count("service.jobs_plateau_cancelled");
     stats.jobs_failed = count("service.jobs_failed");
-    stats.wide_sessions_granted = count("service.wide_sessions_granted");
     stats.events_delivered = count("service.events_delivered");
     stats.ll_paths = count("engine.ll_paths");
     stats.hl_paths = count("engine.hl_paths");
@@ -144,7 +143,6 @@ ExplorationService::stats() const
     ServiceStats stats = StatsFromMetrics(options_.obs.metrics->Snapshot());
     stats.corpus_size = corpus_.size();
     stats.num_workers = options_.num_workers;
-    stats.engine_threads = std::max<uint32_t>(1, options_.engine_threads);
     stats.schedule_policy = options_.schedule_policy;
     stats.solver_cache_shared = options_.share_solver_cache;
     return stats;
@@ -157,51 +155,6 @@ ExplorationService::DeriveJobSeed(uint64_t service_seed, size_t job_index,
     const uint64_t parts[3] = {service_seed,
                                static_cast<uint64_t>(job_index), spec_seed};
     return FnvHash(parts, sizeof(parts));
-}
-
-ExplorationService::ThreadGrant
-ExplorationService::GrantExplorationThreads(const JobSpec& spec) const
-{
-    ThreadGrant grant;
-    const uint32_t requested =
-        spec.options.exploration_threads > 1
-            ? spec.options.exploration_threads
-            : std::max<uint32_t>(1, options_.engine_threads);
-    if (requested <= 1) {
-        return grant;
-    }
-    size_t budget = options_.core_budget;
-    if (budget == 0) {
-        budget = std::thread::hardware_concurrency();
-        if (budget == 0) {
-            budget = 1;
-        }
-    }
-    const size_t workers = std::max<size_t>(1, options_.num_workers);
-    const uint32_t fair =
-        static_cast<uint32_t>(std::max<size_t>(1, budget / workers));
-    if (requested <= fair) {
-        grant.threads = requested;
-        return grant;
-    }
-    // Above the fair share: only high-yield workloads get a wide
-    // session. A workload with no recorded yield counts as high (its
-    // yield is unknown, so exploring it fast dominates — mirroring the
-    // batch scheduler's priority rule); otherwise the decayed
-    // accepted-fingerprints-per-job must still be >= 1. The wide cap
-    // leaves one core for every other worker.
-    const TestCorpus::WorkloadYield yield = corpus_.YieldFor(spec.workload);
-    const bool high_yield =
-        yield.jobs_recorded == 0 || yield.decayed_yield >= 1.0;
-    if (!high_yield) {
-        grant.threads = fair;
-        return grant;
-    }
-    const size_t wide_cap = budget > workers ? budget - (workers - 1) : 1;
-    grant.threads = static_cast<uint32_t>(
-        std::min<size_t>(requested, std::max<size_t>(fair, wide_cap)));
-    grant.wide = grant.threads > fair;
-    return grant;
 }
 
 void
@@ -256,12 +209,6 @@ ExplorationService::RunJob(const JobSpec& spec, size_t job_index,
     // "completed".
     Engine::Options engine_options = spec.options;
     engine_options.seed = result.seed_used;
-    const ThreadGrant grant = GrantExplorationThreads(spec);
-    engine_options.exploration_threads = grant.threads;
-    if (grant.wide) {
-        options_.obs.metrics->counter("service.wide_sessions_granted")
-            ->Add();
-    }
     engine_options.obs = engine_options.obs.WithDefaultsFrom(options_.obs);
     // One profiler per job, bound to the job's workload. Stack-owned:
     // the engine snapshots it into its stats before Explore returns,

@@ -60,20 +60,6 @@ class ExplorationService
         /// cooperatively stopped (they still report their partial
         /// results) and queued jobs are marked cancelled.
         double max_total_seconds = 0.0;
-        /// Default intra-session parallelism granted to each job
-        /// (Engine::Options::exploration_threads). A spec whose own
-        /// options.exploration_threads is > 1 overrides this for that
-        /// job. Effective grants are clamped so num_workers x threads
-        /// stays within core_budget — see GrantExplorationThreads.
-        uint32_t engine_threads = 1;
-        /// Global core budget shared by inter-job workers and
-        /// intra-session exploration threads. 0 means
-        /// std::thread::hardware_concurrency(). Each job's grant is
-        /// clamped to its fair share (budget / num_workers); the
-        /// scheduler may exceed that for high-yield workloads as long
-        /// as every other worker keeps at least one core (a "wide
-        /// session" — counted in ServiceStats::wide_sessions_granted).
-        size_t core_budget = 0;
         /// Share one solver cache (query results + counterexamples)
         /// across every job in a batch. Off by default because a shared
         /// hit may hand a session a different satisfying model than a
@@ -177,16 +163,6 @@ class ExplorationService
     static uint64_t DeriveJobSeed(uint64_t service_seed, size_t job_index,
                                   uint64_t spec_seed);
 
-    /// Exploration threads granted to one job under the global core
-    /// budget (exposed for tests). `wide` marks a grant above the fair
-    /// per-worker share, given to workloads with unknown or high corpus
-    /// yield.
-    struct ThreadGrant {
-        uint32_t threads = 1;
-        bool wide = false;
-    };
-    ThreadGrant GrantExplorationThreads(const JobSpec& spec) const;
-
   private:
     JobResult RunJob(const JobSpec& spec, size_t job_index,
                      double remaining_seconds);
@@ -223,7 +199,6 @@ class ExplorationService
 ///   fields                                 metrics in the snapshot
 ///   jobs_{submitted,completed,cancelled,   counters service.<field>
 ///     plateau_cancelled,failed},
-///     wide_sessions_granted,
 ///     events_delivered
 ///   ll_paths, hl_paths, hangs              counters engine.<field>
 ///   solver_queries                         counter solver.queries
@@ -242,8 +217,8 @@ class ExplorationService
 /// Seconds are a histogram's sum_nanos. A gauge is read under its own
 /// name in one registry's snapshot and as `<name>_total` in a merged one
 /// (MetricsSnapshot::MergeFrom). The configuration fields (num_workers,
-/// engine_threads, schedule_policy, solver_cache_shared) are left for
-/// the owner of the batch to set, as are the clock and corpus fields
+/// schedule_policy, solver_cache_shared) are left for the owner of the
+/// batch to set, as are the clock and corpus fields
 /// when the owner keeps its own.
 ServiceStats StatsFromMetrics(const obs::MetricsSnapshot& snapshot);
 

@@ -62,7 +62,6 @@ StatsFor(const obs::MetricsSnapshot& telemetry, const ServiceConfig& config)
 {
     service::ServiceStats stats = service::StatsFromMetrics(telemetry);
     stats.num_workers = std::max<size_t>(1, config.num_workers);
-    stats.engine_threads = std::max<uint32_t>(1, config.engine_threads);
     stats.schedule_policy = config.schedule_policy;
     stats.solver_cache_shared = config.share_solver_cache;
     return stats;

@@ -94,9 +94,6 @@ struct CliOptions {
     bool coordinator = false;
     size_t num_workers = 2;
     size_t shard_workers = 1;
-    /// Intra-session exploration threads granted to each job's engine
-    /// (deterministic round mode; 1 = classic serial sessions).
-    uint32_t engine_threads = 1;
     uint64_t seed = 2014;
     uint64_t max_runs = 25;
     double budget_seconds = 0.0;
@@ -139,7 +136,6 @@ Usage(const char* argv0)
         "usage: %s --worker\n"
         "       %s --coordinator [--workers N] [--job WORKLOAD[xCOUNT]]...\n"
         "           [--max-runs N] [--seed S] [--shard-workers K]\n"
-        "           [--engine-threads N]\n"
         "           [--budget SECONDS] [--plateau] [--no-gossip]\n"
         "           [--report PATH] [--trace-out PATH]\n"
         "           [--metrics-interval MS] [--stats-out PATH]\n"
@@ -278,16 +274,6 @@ ParseArgs(int argc, char** argv, CliOptions* options)
             }
             options->shard_workers =
                 static_cast<size_t>(std::strtoull(value, nullptr, 10));
-        } else if (arg == "--engine-threads") {
-            const char* value = next("--engine-threads");
-            if (value == nullptr) {
-                return false;
-            }
-            options->engine_threads =
-                static_cast<uint32_t>(std::strtoull(value, nullptr, 10));
-            if (options->engine_threads == 0) {
-                options->engine_threads = 1;
-            }
         } else if (arg == "--seed") {
             const char* value = next("--seed");
             if (value == nullptr) {
@@ -382,7 +368,6 @@ CoordinatorOptions(const CliOptions& options)
     ShardCoordinator::Options coordinator;
     coordinator.service.seed = options.seed;
     coordinator.service.num_workers = options.shard_workers;
-    coordinator.service.engine_threads = options.engine_threads;
     coordinator.service.max_total_seconds = options.budget_seconds;
     coordinator.service.plateau = options.plateau;
     coordinator.gossip = options.gossip;

@@ -216,8 +216,6 @@ WriteJobSpec(JsonWriter& json, const JobSpec& spec)
     json.Key("branch_opcode_drop_fraction"),
         json.Value(spec.options.branch_opcode_drop_fraction);
     json.Key("collect_timeline"), json.Value(spec.options.collect_timeline);
-    json.Key("exploration_threads"),
-        json.Value(static_cast<uint64_t>(spec.options.exploration_threads));
     const solver::Solver::Options& so = spec.options.solver_options;
     json.Key("solver");
     json.BeginObject();
@@ -269,9 +267,7 @@ DecodeJobSpec(const JsonValue& object, JobSpec* spec, std::string* error)
         !ReadDouble(*engine, "branch_opcode_drop_fraction",
                     &spec->options.branch_opcode_drop_fraction, error) ||
         !ReadBool(*engine, "collect_timeline",
-                  &spec->options.collect_timeline, error) ||
-        !ReadU32(*engine, "exploration_threads",
-                 &spec->options.exploration_threads, error)) {
+                  &spec->options.collect_timeline, error)) {
         return false;
     }
     if (!StrategyFromName(strategy, &spec->options.strategy)) {
@@ -484,9 +480,7 @@ DecodeJobResult(const JsonValue& object, JobResult* result,
         !ReadBool(object, "stopped", &result->engine_stats.stopped,
                   error) ||
         !ReadDouble(object, "elapsed_seconds",
-                    &result->engine_stats.elapsed_seconds, error) ||
-        !ReadU32(object, "threads_used", &result->engine_stats.threads_used,
-                 error)) {
+                    &result->engine_stats.elapsed_seconds, error)) {
         return false;
     }
     if (!JobStatusFromName(status, &result->status)) {
@@ -590,7 +584,6 @@ ServiceConfig::ToServiceOptions() const
     options.share_solver_cache = share_solver_cache;
     options.schedule_policy = schedule_policy;
     options.plateau = plateau;
-    options.engine_threads = engine_threads;
     // Options::obs is deliberately left null: telemetry scopes never
     // cross the wire. The worker builds its own registry/tracer per run
     // (see ShardWorker::HandleRun) and wires them in there.
@@ -655,8 +648,6 @@ EncodeRun(const RunRequest& request)
     json.Key("tracing"), json.Value(request.service.tracing);
     json.Key("metrics_interval_seconds"),
         json.Value(request.service.metrics_interval_seconds);
-    json.Key("engine_threads"),
-        json.Value(static_cast<uint64_t>(request.service.engine_threads));
     json.Key("plateau"), json.Value(request.service.plateau);
     json.EndObject();
     json.Key("jobs");
@@ -809,8 +800,6 @@ DecodeMessage(const std::string& line, Message* message,
             !ReadBool(*svc, "tracing", &run.service.tracing, error) ||
             !ReadDouble(*svc, "metrics_interval_seconds",
                         &run.service.metrics_interval_seconds, error) ||
-            !ReadU32(*svc, "engine_threads", &run.service.engine_threads,
-                     error) ||
             !ReadBool(*svc, "plateau", &run.service.plateau, error)) {
             return false;
         }

@@ -51,7 +51,7 @@ namespace chef::shard {
 
 /// The coordinator refuses a worker whose hello announces any other
 /// version instead of mis-decoding mid-batch.
-constexpr int kProtocolVersion = 6;
+constexpr int kProtocolVersion = 7;
 
 enum class MessageType {
     kHello,      ///< worker -> coordinator: ready, protocol version.
@@ -94,10 +94,6 @@ struct ServiceConfig {
     /// telemetry bundle on progress frames; 0 means final-result
     /// telemetry only (plus the metrics on result-bearing progress).
     double metrics_interval_seconds = 0.0;
-    /// Default intra-session exploration threads per job on the worker
-    /// (clamped there against its core budget); 1 keeps sessions
-    /// single-threaded.
-    uint32_t engine_threads = 1;
 
     service::ExplorationService::Options ToServiceOptions() const;
 };

@@ -4,10 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <map>
-#include <set>
-#include <thread>
 #include <vector>
 
 #include "cupa/strategy.h"
@@ -221,101 +217,6 @@ TEST(CoverageCupa, WeighsStatesByForkWeightFromTree)
     // Expected share = 1 / (1 + 0.75) ~= 0.571.
     EXPECT_GT(recent, trials * 0.50);
     EXPECT_LT(recent, trials * 0.65);
-}
-
-
-// ---------------------------------------------------------------------------
-// Concurrent claim/release protocol (run under ThreadSanitizer in CI).
-// ---------------------------------------------------------------------------
-
-// Several worker threads concurrently register states on a shared tree
-// (each along its own path) and drive the strategy through the tree's
-// claim protocol, occasionally handing claims back or marking them
-// infeasible. Every registered state must be finalized at most once and
-// the pending/finalized accounting must balance.
-TEST(StrategyConcurrency, ClaimReleaseCompleteAcrossThreads)
-{
-    lowlevel::ExecutionTree tree;
-    Rng rng(7);
-    std::unique_ptr<CupaStrategy> strategy =
-        MakePathOptimizedCupa(&tree, &rng);
-    tree.set_on_pending_removed(
-        [&strategy](StateId id) { strategy->OnStateRemoved(id); });
-    tree.set_on_state_added([&strategy](const AlternateState& state) {
-        strategy->OnStateAdded(state);
-    });
-
-    constexpr int kThreads = 4;
-    constexpr int kBranchesPerThread = 32;
-    const solver::ExprRef cond = solver::MakeVar(1, "v", 1);
-    const solver::ExprRef negated = solver::MakeBoolNot(cond);
-
-    std::vector<std::vector<StateId>> finalized(kThreads);
-    std::atomic<uint64_t> infeasible{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            // Produce: walk a thread-unique path (the first two branch
-            // directions encode the thread id) registering alternates.
-            lowlevel::ExecutionTree::Cursor cursor;
-            tree.BeginRun(cursor);
-            for (int k = 0; k < kBranchesPerThread; ++k) {
-                const bool taken = k < 2 ? ((t >> k) & 1) != 0 : true;
-                tree.Advance(cursor, 1000 + static_cast<uint64_t>(k), taken,
-                             cond, negated,
-                             lowlevel::HlPosition{
-                                 static_cast<uint64_t>(k),
-                                 static_cast<uint64_t>(k), 1});
-            }
-            // Consume: claim through the tree, resolving each lease.
-            int releases_left = kBranchesPerThread;
-            int claimed_count = 0;
-            AlternateState state;
-            while (tree.ClaimState(
-                [&strategy] {
-                    return strategy->empty() ? StateId(0)
-                                             : strategy->ClaimState();
-                },
-                &state)) {
-                ++claimed_count;
-                if (releases_left > 0 && claimed_count % 4 == 0) {
-                    --releases_left;
-                    tree.ReleaseClaim(state);
-                    continue;
-                }
-                if (state.id % 7 == 0) {
-                    tree.MarkInfeasible(state);
-                    infeasible.fetch_add(1);
-                } else {
-                    tree.CompleteClaim(state.id);
-                }
-                finalized[t].push_back(state.id);
-            }
-        });
-    }
-    for (std::thread& thread : threads) {
-        thread.join();
-    }
-
-    std::set<StateId> unique;
-    size_t total_finalized = 0;
-    for (const std::vector<StateId>& ids : finalized) {
-        for (StateId id : ids) {
-            EXPECT_TRUE(unique.insert(id).second)
-                << "state " << id << " finalized twice";
-            ++total_finalized;
-        }
-    }
-    EXPECT_EQ(tree.states_in_flight(), 0u);
-    // Quiescent now: every registered state was finalized exactly once,
-    // is still pending (a thread may exit while a release from another
-    // thread is about to re-announce a state), or was overtaken — dropped
-    // by Advance when a concurrent run explored its direction before any
-    // consumer claimed it.
-    EXPECT_EQ(total_finalized + tree.pending().size() +
-                  tree.states_overtaken(),
-              tree.total_registered());
-    EXPECT_EQ(strategy->size(), tree.pending().size());
 }
 
 }  // namespace

@@ -7,10 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <set>
-#include <thread>
 
 #include "chef/engine.h"
 #include "support/strings.h"
@@ -219,22 +216,18 @@ AssumeViolatedByDefaultGuest(LowLevelRuntime& rt)
     return {};
 }
 
-// The re-solved assignment carries into the next run, both live (one
-// thread) and replayed from a recording (three threads).
+// The re-solved assignment carries into the next run.
 TEST(Engine, RecoversFromViolatedAssumption)
 {
-    for (const uint32_t threads : {1u, 3u}) {
-        Engine::Options options;
-        options.max_runs = 20;
-        options.exploration_threads = threads;
-        Engine engine(options);
-        const std::vector<TestCase> tests =
-            engine.Explore(AssumeViolatedByDefaultGuest);
-        EXPECT_GE(engine.stats().assume_retries, 1u) << threads;
-        ASSERT_EQ(tests.size(), 1u) << threads;
-        EXPECT_GT(tests[0].inputs.Get(1), 100u) << threads;
-        EXPECT_NE(tests[0].status, PathStatus::kAssumeViolated) << threads;
-    }
+    Engine::Options options;
+    options.max_runs = 20;
+    Engine engine(options);
+    const std::vector<TestCase> tests =
+        engine.Explore(AssumeViolatedByDefaultGuest);
+    EXPECT_GE(engine.stats().assume_retries, 1u);
+    ASSERT_EQ(tests.size(), 1u);
+    EXPECT_GT(tests[0].inputs.Get(1), 100u);
+    EXPECT_NE(tests[0].status, PathStatus::kAssumeViolated);
 }
 
 /// Infeasible alternate states are pruned without being executed.
@@ -279,9 +272,9 @@ TEST(Engine, RespectsRunBudget)
     EXPECT_EQ(engine.stats().ll_paths, 3u);
 }
 
-// The one-thread round selects and solves its next state before the run
-// budget ends the session: the fixed-work benchmark's pinned solver
-// counts include that solve.
+// The session selects and solves its next state before the run budget
+// ends it: the fixed-work benchmark's pinned solver counts include that
+// solve.
 TEST(Engine, SolvesOneStatePastTheRunBudget)
 {
     Engine::Options options;
@@ -327,9 +320,46 @@ TEST(Engine, DeterministicUnderSeed)
     EXPECT_EQ(run_once(42), run_once(42));
 }
 
+// A stop request that lands after the next state was claimed and solved
+// hands that state back to the pending pool. ReleaseClaim re-announces it
+// through the state-added hook, yet each registered state is charged one
+// fork.
+TEST(Engine, StopAfterClaimReleasesTheClaimedState)
+{
+    obs::AttributionProfiler profiler("three-branch");
+    Engine* session = nullptr;
+    Engine::Options options;
+    options.obs.attribution = &profiler;
+    // The first solver query is the claimed state's: the first run's
+    // three branches are concrete-input forks that need no solve.
+    options.stop_requested = [&session] {
+        return session != nullptr &&
+               session->constraint_solver().stats().queries >= 1;
+    };
+    Engine engine(options);
+    session = &engine;
+    engine.Explore(ThreeBranchGuest);
+
+    EXPECT_TRUE(engine.stats().stopped);
+    EXPECT_EQ(engine.stats().ll_paths, 1u);
+    EXPECT_EQ(engine.constraint_solver().stats().queries, 1u);
+    // Every state the first run registered is pending again, the
+    // claimed one included.
+    EXPECT_EQ(engine.tree().total_registered(), 3u);
+    EXPECT_EQ(engine.tree().pending().size(),
+              engine.tree().total_registered());
+    uint64_t forks = 0;
+    for (const auto& [workload, table] :
+         engine.stats().attribution.workloads) {
+        for (const auto& [hl_pc, row] : table) {
+            forks += row.forks;
+        }
+    }
+    EXPECT_EQ(forks, engine.tree().total_registered());
+}
 
 // ---------------------------------------------------------------------------
-// Parallel exploration: determinism contract + wind-down behavior.
+// Serial bit-identity: golden digests of whole sessions.
 // ---------------------------------------------------------------------------
 
 /// Golden guest for the bit-identity regression: a mix of branch streaks at
@@ -379,7 +409,7 @@ GoldenGuest(LowLevelRuntime& rt)
 /// fingerprints, statuses, lengths and complete inputs, plus the
 /// exploration-shape stats. Timeline and wall-clock stats are excluded.
 uint64_t
-SessionDigest(StrategyKind strategy, uint64_t seed, uint32_t threads)
+SessionDigest(StrategyKind strategy, uint64_t seed)
 {
     Engine::Options options;
     options.strategy = strategy;
@@ -387,7 +417,6 @@ SessionDigest(StrategyKind strategy, uint64_t seed, uint32_t threads)
     options.max_runs = 64;
     options.max_seconds = 60.0;
     options.collect_timeline = false;
-    options.exploration_threads = threads;
     Engine engine(options);
     const std::vector<TestCase> tests = engine.Explore(GoldenGuest);
     uint64_t digest = 0xcbf29ce484222325ull;
@@ -412,9 +441,8 @@ SessionDigest(StrategyKind strategy, uint64_t seed, uint32_t threads)
 // Golden digests of the serial engine, captured before the exploration
 // loop was refactored and re-pinned once when the incremental SAT session
 // began loading only each query's cone (its SAT models, and so the test
-// inputs, changed). exploration_threads = 1 must keep reproducing these
-// bit-for-bit, and 0 means the same.
-TEST(EngineParallel, SerialPathBitIdenticalToPreRefactorEngine)
+// inputs, changed). The engine must keep reproducing these bit-for-bit.
+TEST(Engine, SerialPathBitIdenticalToPreRefactorEngine)
 {
     const struct {
         StrategyKind strategy;
@@ -432,131 +460,10 @@ TEST(EngineParallel, SerialPathBitIdenticalToPreRefactorEngine)
         {StrategyKind::kCupaCoverage, 1ull, 0x23ca780a3f85a643ull},
         {StrategyKind::kCupaCoverage, 42ull, 0x8b2b5e89b44a7b97ull},
     };
-    for (const uint32_t threads : {0u, 1u}) {
-        for (const auto& golden : kGolden) {
-            EXPECT_EQ(SessionDigest(golden.strategy, golden.seed, threads),
-                      golden.digest)
-                << StrategyKindName(golden.strategy) << " seed "
-                << golden.seed << " threads " << threads;
-        }
+    for (const auto& golden : kGolden) {
+        EXPECT_EQ(SessionDigest(golden.strategy, golden.seed), golden.digest)
+            << StrategyKindName(golden.strategy) << " seed " << golden.seed;
     }
-}
-
-// Deterministic round mode: the full digest (inputs, fingerprints, stats)
-// is invariant in the number of exploration threads, for every strategy.
-TEST(EngineParallel, RoundModeInvariantInThreadCount)
-{
-    const StrategyKind kinds[] = {
-        StrategyKind::kRandom,
-        StrategyKind::kDfs,
-        StrategyKind::kBfs,
-        StrategyKind::kCupaPath,
-        StrategyKind::kCupaCoverage,
-    };
-    for (const StrategyKind kind : kinds) {
-        const uint64_t two = SessionDigest(kind, 42, 2);
-        const uint64_t three = SessionDigest(kind, 42, 3);
-        const uint64_t four = SessionDigest(kind, 42, 4);
-        EXPECT_EQ(two, three) << StrategyKindName(kind);
-        EXPECT_EQ(two, four) << StrategyKindName(kind);
-    }
-}
-
-// On an exhaustively explorable guest, round mode reaches exactly the
-// serial engine's HL-path fingerprint set (the corpus-parity contract).
-TEST(EngineParallel, RoundModeReachesSerialFingerprintSet)
-{
-    auto fingerprints = [](uint32_t threads) {
-        Engine::Options options;
-        options.max_runs = 100;
-        options.strategy = StrategyKind::kCupaPath;
-        options.exploration_threads = threads;
-        Engine engine(options);
-        std::set<uint64_t> set;
-        for (const TestCase& test : engine.Explore(ThreeBranchGuest)) {
-            set.insert(test.hl_path_fingerprint);
-        }
-        EXPECT_EQ(engine.stats().ll_paths, 8u);
-        return set;
-    };
-    EXPECT_EQ(fingerprints(1), fingerprints(4));
-}
-
-/// A guest with five independent byte branches: 32 feasible paths.
-Engine::GuestOutcome
-FiveBranchGuest(LowLevelRuntime& rt)
-{
-    for (uint64_t i = 0; i < 5; ++i) {
-        SymValue byte = rt.MakeSymbolicValue("x" + std::to_string(i), 8, 0);
-        rt.LogPc(i + 1, kOpCmp);
-        rt.Branch(SvUgt(byte, SymValue(100, 8)), 5000 + i);
-    }
-    rt.LogPc(100, kOpStmt);
-    return {};
-}
-
-// The run budget is exact at any thread count, including a budget that is
-// not a multiple of the round width.
-TEST(EngineParallel, RoundModeStopsExactlyAtMaxRuns)
-{
-    static_assert(13 % Engine::kRoundWidth != 0);
-    for (const uint32_t threads : {1u, 4u}) {
-        Engine::Options options;
-        options.max_runs = 13;
-        options.exploration_threads = threads;
-        Engine engine(options);
-        const std::vector<TestCase> tests = engine.Explore(FiveBranchGuest);
-        EXPECT_EQ(engine.stats().ll_paths, 13u) << threads;
-        EXPECT_EQ(tests.size(), 13u) << threads;
-    }
-}
-
-/// Guest with plenty of states whose runs take a measurable ~10ms each, so
-/// a stop request provably lands mid-round.
-Engine::GuestOutcome
-SlowDeepGuest(LowLevelRuntime& rt)
-{
-    SymValue x = rt.MakeSymbolicValue("x", 8, 0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    uint64_t hlpc = 1;
-    for (int i = 0; i < 6; ++i) {
-        rt.LogPc(hlpc++, kOpCmp);
-        rt.Branch(SvUgt(x, SymValue(static_cast<uint64_t>(i) * 20, 8)),
-                  1000 + static_cast<uint64_t>(i));
-    }
-    rt.LogPc(hlpc, kOpStmt);
-    return {};
-}
-
-// A stop request fired mid-round lets in-flight runs finish, skips queued
-// ones, commits what completed, and returns promptly — it does not run the
-// session anywhere near its budget.
-TEST(EngineParallel, MidRoundStopWindsDownWorkersPromptly)
-{
-    std::atomic<uint64_t> runs_started{0};
-    Engine::Options options;
-    options.max_runs = 500;
-    options.max_seconds = 60.0;
-    options.exploration_threads = 4;
-    options.stop_requested = [&runs_started] {
-        return runs_started.load() >= 3;
-    };
-    Engine engine(options);
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<TestCase> tests =
-        engine.Explore([&runs_started](LowLevelRuntime& rt) {
-            runs_started.fetch_add(1);
-            return SlowDeepGuest(rt);
-        });
-    const double took =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    EXPECT_TRUE(engine.stats().stopped);
-    // Far below the 500-run / 60s budget: a handful of runs at most.
-    EXPECT_LT(engine.stats().ll_paths, 50u);
-    EXPECT_LT(took, 10.0);
-    // Committed completed runs survive the stop.
-    EXPECT_EQ(tests.size(), engine.stats().ll_paths);
 }
 
 }  // namespace

@@ -297,37 +297,28 @@ TEST(ExplorationService, UnknownWorkloadFailsGracefully)
 
 TEST(ExplorationService, StatsTotalsEqualSumOfJobStats)
 {
-    // Two exploration threads per job put the solver work on the
-    // engines' worker-thread solvers; they must count too.
-    for (const uint32_t engine_threads : {1u, 2u}) {
-        SCOPED_TRACE("engine_threads " + std::to_string(engine_threads));
-        const std::vector<JobSpec> jobs = SmallBatch();
-        ExplorationService::Options options;
-        options.num_workers = 2;
-        options.seed = 7;
-        options.engine_threads = engine_threads;
-        options.core_budget = 2 * engine_threads;
-        ExplorationService service(options);
-        const std::vector<JobResult> results = service.RunBatch(jobs);
+    const std::vector<JobSpec> jobs = SmallBatch();
+    ExplorationService::Options options;
+    options.num_workers = 2;
+    options.seed = 7;
+    ExplorationService service(options);
+    const std::vector<JobResult> results = service.RunBatch(jobs);
 
-        size_t corpus_inserted = 0;
-        for (const JobResult& result : results) {
-            EXPECT_EQ(result.engine_stats.threads_used, engine_threads);
-            corpus_inserted += result.corpus_inserted;
-        }
-
-        const ServiceStats stats = service.stats();
-        EXPECT_EQ(stats.jobs_completed, jobs.size());
-        // Per-job solver seconds sum doubles; the registry sums whole
-        // nanoseconds.
-        checks::ExpectStatsTotalResults(stats, results, 1e-6);
-        // Every corpus entry was inserted by exactly one job.
-        EXPECT_EQ(stats.corpus_size, corpus_inserted);
-        EXPECT_EQ(stats.corpus_size, service.corpus().size());
-        EXPECT_EQ(stats.engine_threads, engine_threads);
-        EXPECT_GT(stats.wall_seconds, 0.0);
-        EXPECT_GT(stats.jobs_per_second, 0.0);
+    size_t corpus_inserted = 0;
+    for (const JobResult& result : results) {
+        corpus_inserted += result.corpus_inserted;
     }
+
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.jobs_completed, jobs.size());
+    // Per-job solver seconds sum doubles; the registry sums whole
+    // nanoseconds.
+    checks::ExpectStatsTotalResults(stats, results, 1e-6);
+    // Every corpus entry was inserted by exactly one job.
+    EXPECT_EQ(stats.corpus_size, corpus_inserted);
+    EXPECT_EQ(stats.corpus_size, service.corpus().size());
+    EXPECT_GT(stats.wall_seconds, 0.0);
+    EXPECT_GT(stats.jobs_per_second, 0.0);
 }
 
 TEST(ExplorationService, SpecWithOnlyATracerStillCountsIntoTheRegistry)
@@ -429,71 +420,6 @@ TEST(ExplorationService, SolverCacheSharingIsOptIn)
     EXPECT_EQ(service.shared_solver_cache(), nullptr);
     EXPECT_FALSE(service.stats().solver_cache_shared);
     EXPECT_EQ(service.stats().shared_cache_hits, 0u);
-}
-
-TEST(ExplorationService, GrantExplorationThreadsClampsToBudget)
-{
-    ExplorationService::Options options;
-    options.num_workers = 2;
-    options.core_budget = 8;  // fair share = 4 per worker.
-    ExplorationService service(options);
-
-    JobSpec spec;
-    spec.workload = "py/argparse";
-
-    // Default request (1 thread) passes through untouched.
-    ExplorationService::ThreadGrant grant =
-        service.GrantExplorationThreads(spec);
-    EXPECT_EQ(grant.threads, 1u);
-    EXPECT_FALSE(grant.wide);
-
-    // A request within the fair share is granted verbatim.
-    spec.options.exploration_threads = 3;
-    grant = service.GrantExplorationThreads(spec);
-    EXPECT_EQ(grant.threads, 3u);
-    EXPECT_FALSE(grant.wide);
-
-    // Above the fair share, a workload with no recorded yield counts as
-    // high-yield and gets a wide session, capped so every other worker
-    // keeps one core: budget 8 - (2 - 1) = 7.
-    spec.options.exploration_threads = 16;
-    grant = service.GrantExplorationThreads(spec);
-    EXPECT_EQ(grant.threads, 7u);
-    EXPECT_TRUE(grant.wide);
-}
-
-TEST(ExplorationService, GrantExplorationThreadsOversubscribedBudget)
-{
-    // More workers than cores: everyone gets exactly one thread, no
-    // matter how many the spec asks for.
-    ExplorationService::Options options;
-    options.num_workers = 4;
-    options.core_budget = 2;
-    ExplorationService service(options);
-
-    JobSpec spec;
-    spec.workload = "py/argparse";
-    spec.options.exploration_threads = 8;
-    const ExplorationService::ThreadGrant grant =
-        service.GrantExplorationThreads(spec);
-    EXPECT_EQ(grant.threads, 1u);
-    EXPECT_FALSE(grant.wide);
-}
-
-TEST(ExplorationService, ServiceDefaultEngineThreadsAppliesWhenSpecSilent)
-{
-    ExplorationService::Options options;
-    options.num_workers = 1;
-    options.core_budget = 4;
-    options.engine_threads = 2;
-    ExplorationService service(options);
-
-    JobSpec spec;
-    spec.workload = "py/argparse";
-    const ExplorationService::ThreadGrant grant =
-        service.GrantExplorationThreads(spec);
-    EXPECT_EQ(grant.threads, 2u);
-    EXPECT_FALSE(grant.wide);
 }
 
 // ---------------------------------------------------------------------------

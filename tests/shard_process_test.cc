@@ -502,36 +502,5 @@ TEST(ShardProcess, ChaosKillOneRecoversTheUndisturbedCorpus)
     EXPECT_EQ(CorpusKeys(report), baseline);
 }
 
-// Intra-session threads: the engine promises identical results at any
-// width of two or more (deterministic round mode); a serial session
-// equals round mode only when it runs to exhaustion, which the default
-// --max-runs 25 batch does not. On a host with fewer cores both widths
-// are granted the same width, so the pair stays comparable anywhere.
-TEST(ShardProcess, EngineThreadsTwoAndFourAgree)
-{
-    TemporaryDir dir;
-    ASSERT_TRUE(dir.ok());
-    std::vector<CorpusKey> keys[2];
-    obs::AttributionSnapshot tables[2];
-    const char* widths[2] = {"2", "4"};
-    for (int i = 0; i < 2; ++i) {
-        const std::string tag = std::string("threads") + widths[i];
-        const CliRun run = RunCoordinator(
-            dir, tag,
-            {"--workers", "1", "--engine-threads", widths[i], "--report",
-             dir.Path(tag + ".json"),
-             "--attr-out=" + dir.Path(tag + "_attr.json")});
-        ASSERT_EQ(run.exit_code, 0) << run.err;
-        keys[i] = CorpusKeys(ParseFile(dir.Path(tag + ".json")));
-        tables[i] = ReadAttribution(dir.Path(tag + "_attr.json"));
-    }
-    EXPECT_FALSE(keys[0].empty());
-    EXPECT_EQ(keys[0], keys[1])
-        << keys[0].size() << " keys vs " << keys[1].size();
-    // Every count column is charged on serial commit paths; solver
-    // wall-nanos are real time and excluded.
-    EXPECT_TRUE(obs::AttributionCountsEqual(tables[0], tables[1]));
-}
-
 }  // namespace
 }  // namespace chef

@@ -46,7 +46,6 @@ ExpectSameCounts(const service::ServiceStats& actual,
               expected.shared_cache_evictions);
     EXPECT_EQ(actual.shared_cache_model_hits,
               expected.shared_cache_model_hits);
-    EXPECT_EQ(actual.wide_sessions_granted, expected.wide_sessions_granted);
     EXPECT_EQ(actual.events_delivered, expected.events_delivered);
 }
 

@@ -144,11 +144,6 @@ RandomSpec(Rng& rng)
     spec.options.branch_opcode_drop_fraction =
         static_cast<double>(rng.Next() % 1000) / 1000.0;
     spec.options.collect_timeline = (rng.Next() & 1) != 0;
-    // 1 half the time (the default), 2..8 otherwise.
-    spec.options.exploration_threads =
-        (rng.Next() & 1) != 0
-            ? 1
-            : static_cast<uint32_t>(2 + rng.Next() % 7);
     spec.options.solver_options.enable_query_cache =
         (rng.Next() & 1) != 0;
     spec.options.solver_options.enable_model_reuse =
@@ -185,8 +180,6 @@ ExpectSpecsEqual(const JobSpec& a, const JobSpec& b)
     EXPECT_NEAR(a.options.branch_opcode_drop_fraction,
                 b.options.branch_opcode_drop_fraction, 1e-6);
     EXPECT_EQ(a.options.collect_timeline, b.options.collect_timeline);
-    EXPECT_EQ(a.options.exploration_threads,
-              b.options.exploration_threads);
     const auto& sa = a.options.solver_options;
     const auto& sb = b.options.solver_options;
     EXPECT_EQ(sa.enable_query_cache, sb.enable_query_cache);
@@ -216,8 +209,6 @@ TEST(Wire, RunRequestRoundTripsRandomSpecs)
                                               ? SchedulePolicy::kFifo
                                               : SchedulePolicy::kYieldPriority;
         request.service.plateau = (rng.Next() & 1) != 0;
-        request.service.engine_threads =
-            static_cast<uint32_t>(1 + rng.Next() % 4);
         const size_t jobs = 1 + rng.Next() % 5;
         for (size_t i = 0; i < jobs; ++i) {
             WireJob job;
@@ -238,8 +229,6 @@ TEST(Wire, RunRequestRoundTripsRandomSpecs)
         EXPECT_EQ(decoded.service.seed, request.service.seed);
         EXPECT_EQ(decoded.service.num_workers,
                   request.service.num_workers);
-        EXPECT_EQ(decoded.service.engine_threads,
-                  request.service.engine_threads);
         EXPECT_EQ(decoded.service.schedule_policy,
                   request.service.schedule_policy);
         EXPECT_EQ(decoded.service.plateau, request.service.plateau);
@@ -340,7 +329,6 @@ SampleProgress()
     job.engine_stats.elapsed_seconds =
         -std::numeric_limits<double>::infinity();
     job.engine_stats.hl_paths = 5;
-    job.engine_stats.threads_used = 3;
     progress.results.push_back(job);
 
     TestCorpus::Entry entry;
@@ -373,7 +361,6 @@ ExpectSampleProgress(const ProgressMessage& decoded)
     EXPECT_DOUBLE_EQ(decoded.results[0].engine_stats.elapsed_seconds,
                      0.0);
     EXPECT_EQ(decoded.results[0].engine_stats.hl_paths, 5u);
-    EXPECT_EQ(decoded.results[0].engine_stats.threads_used, 3u);
     EXPECT_EQ(decoded.corpus.source, "shard1");
     EXPECT_EQ(decoded.corpus.sequence, 30u);
     ASSERT_EQ(decoded.corpus.entries.size(), 1u);
@@ -644,8 +631,8 @@ TEST(Wire, MalformedAndUnknownMessagesFailLoudly)
     EXPECT_FALSE(DecodeMessage("{\"type\":\"run\",\"shard_id\":0}",
                                &message, &error));
 
-    // Thread counts are 32-bit: 2^32 + 2 fails the frame instead of
-    // wrapping to 2, wherever a thread count travels.
+    // 32-bit fields fail the frame instead of wrapping: a hello whose
+    // version is 2^32 above the current one is refused, not read as it.
     const auto replace = [](std::string line, const std::string& from,
                             const std::string& to) {
         const size_t at = line.find(from);
@@ -653,28 +640,18 @@ TEST(Wire, MalformedAndUnknownMessagesFailLoudly)
         return at == std::string::npos ? line
                                        : line.replace(at, from.size(), to);
     };
-    RunRequest request;
-    WireJob job;
-    job.spec.workload = "py/argparse";
-    request.jobs.push_back(job);
-    const std::string run = EncodeRun(request);
-    ASSERT_TRUE(DecodeMessage(run, &message, &error)) << error;
+    const std::string version =
+        "\"protocol_version\":" + std::to_string(kProtocolVersion);
+    const std::string wrapped_hello = replace(
+        EncodeHello(), version,
+        "\"protocol_version\":" +
+            std::to_string((uint64_t{1} << 32) + kProtocolVersion));
+    EXPECT_FALSE(DecodeMessage(wrapped_hello, &message, &error))
+        << wrapped_hello;
+    EXPECT_NE(error.find("exceeds 32 bits"), std::string::npos) << error;
+    // So are corpus input variable ids.
     ProgressMessage progress;
     progress.results.emplace_back();
-    const std::string progress_line = EncodeProgress(progress);
-    ASSERT_TRUE(DecodeMessage(progress_line, &message, &error)) << error;
-    for (const std::string& bad :
-         {replace(run, "\"engine_threads\":1",
-                  "\"engine_threads\":4294967298"),
-          replace(run, "\"exploration_threads\":1",
-                  "\"exploration_threads\":4294967298"),
-          replace(progress_line, "\"threads_used\":1",
-                  "\"threads_used\":4294967298")}) {
-        EXPECT_FALSE(DecodeMessage(bad, &message, &error)) << bad;
-        EXPECT_NE(error.find("exceeds 32 bits"), std::string::npos)
-            << error;
-    }
-    // So are corpus input variable ids.
     TestCorpus::Entry entry;
     entry.workload = "py/argparse";
     entry.inputs = {{7, 0x41}};
