@@ -80,8 +80,8 @@ RunConfig(const std::vector<JobSpec>& jobs, bool share)
 int
 main(int argc, char** argv)
 {
-    const chef::bench::SmokeArgs args =
-        chef::bench::ParseSmokeArgs(argc, argv);
+    const chef::bench::BenchArgs args = chef::bench::ParseBenchArgs(
+        argc, argv, chef::bench::BenchCli::kSmokeAndPath);
     const bool smoke = args.smoke;
     std::string report_path = args.report_path;
     chef::bench::BenchReport bench("cache_sharing", smoke);

@@ -201,29 +201,41 @@ Mean(const std::vector<double>& values)
            static_cast<double>(values.size());
 }
 
-/// The command line of every bench with a smoke mode:
-/// `<bench> [--smoke] [PATH]`, PATH being the report file (empty here:
-/// BenchReport::DefaultPath()). Any other argument that starts with '-'
-/// prints usage and exits with status 2 before the bench runs, so a
-/// mistyped flag never runs the bench or becomes a report file name.
-struct SmokeArgs {
+/// What a bench's command line accepts after the program name.
+enum class BenchCli {
+    kNone,          ///< `<bench>`
+    kPath,          ///< `<bench> [PATH]`
+    kSmokeAndPath,  ///< `<bench> [--smoke] [PATH]`
+};
+
+/// A parsed bench command line. PATH is the report file; empty means the
+/// bench's default (BenchReport::DefaultPath() for the smoke benches).
+struct BenchArgs {
     bool smoke = false;
     std::string report_path;
 };
 
-inline SmokeArgs
-ParseSmokeArgs(int argc, char** argv)
+/// The one command-line parser of every bench binary. An argument the
+/// bench does not accept (any other one starting with '-', or a PATH
+/// where none is taken) prints usage and exits with status 2 before the
+/// bench runs, so `--help` or a mistyped flag never runs the bench or
+/// becomes a report file name.
+inline BenchArgs
+ParseBenchArgs(int argc, char** argv, BenchCli accepts)
 {
-    SmokeArgs args;
+    BenchArgs args;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--smoke") {
+        if (arg == "--smoke" && accepts == BenchCli::kSmokeAndPath) {
             args.smoke = true;
-        } else if (arg[0] == '-') {
-            std::fprintf(stderr, "usage: %s [--smoke] [PATH]\n", argv[0]);
-            std::exit(2);
-        } else {
+        } else if (arg[0] != '-' && accepts != BenchCli::kNone) {
             args.report_path = arg;
+        } else {
+            const char* const operands[] = {"", " [PATH]",
+                                            " [--smoke] [PATH]"};
+            std::fprintf(stderr, "usage: %s%s\n", argv[0],
+                         operands[static_cast<int>(accepts)]);
+            std::exit(2);
         }
     }
     return args;

@@ -84,9 +84,10 @@ RunSuite(const char* language, const std::vector<Package>& packages,
 }  // namespace chef::bench
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace chef::bench;
+    ParseBenchArgs(argc, argv, BenchCli::kNone);
     std::printf("CHEF reproduction -- Figure 10: efficiency of high-level "
                 "test case generation\n");
     std::printf("(paper: aggregate config sustains ~25%% on Python and "

@@ -7,9 +7,10 @@
 #include "bench_common.h"
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace chef::bench;
+    ParseBenchArgs(argc, argv, BenchCli::kNone);
     const Budget budget = DefaultBudget();
 
     std::printf("CHEF reproduction -- Figure 11: interpreter optimization "

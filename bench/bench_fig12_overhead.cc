@@ -83,9 +83,10 @@ Measure(int frames, const interp::InterpBuildOptions& build,
 }  // namespace chef::bench
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace chef::bench;
+    ParseBenchArgs(argc, argv, BenchCli::kNone);
     const Budget budget = DefaultBudget();
     const int max_frames =
         std::getenv("CHEF_FIG12_MAX_FRAMES")

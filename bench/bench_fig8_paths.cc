@@ -71,9 +71,10 @@ RunSuite(const char* language, const std::vector<Package>& packages,
 }  // namespace chef::bench
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace chef::bench;
+    ParseBenchArgs(argc, argv, BenchCli::kNone);
     std::printf("CHEF reproduction -- Figure 8: test cases generated by "
                 "path-optimized CUPA and interpreter optimizations\n");
     std::printf("(paper: up to 1000x over baseline for Python packages, "

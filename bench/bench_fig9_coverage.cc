@@ -137,9 +137,10 @@ AblateForkWeightDecay()
 }  // namespace chef::bench
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace chef::bench;
+    ParseBenchArgs(argc, argv, BenchCli::kNone);
     std::printf("CHEF reproduction -- Figure 9: line coverage with "
                 "coverage-optimized CUPA\n");
     std::printf("(paper: noticeable improvement in 6/11 packages; "

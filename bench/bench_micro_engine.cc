@@ -1,11 +1,15 @@
 /// \file
 /// Supporting microbenchmarks: end-to-end engine throughput (concolic
 /// iterations per second) on guest kernels, comparing state selection
-/// strategies and interpreter builds.
+/// strategies and interpreter builds, plus the execution tree's cost of
+/// forking an alternate state deep in a run.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "bench/bench_common.h"
+#include "lowlevel/exec_tree.h"
 #include "workloads/py_harness.h"
 
 namespace chef::bench {
@@ -97,6 +101,44 @@ BM_ConcreteInterpreterRun(benchmark::State& state)
     }
 }
 BENCHMARK(BM_ConcreteInterpreterRun);
+
+void
+BM_RegisterAlternatesAtDepth(benchmark::State& state)
+{
+    // Per-alternate cost of ExecutionTree::Advance once a run is
+    // state.range(0) branches deep: each timed Advance meets a new branch
+    // and registers the alternate for its other direction. Building the
+    // prefix and tearing the tree down are untimed.
+    constexpr int kAlternates = 64;
+    const int64_t depth = state.range(0);
+    const auto x = solver::MakeVar(1, "x", 32);
+    const auto taken = solver::MakeUlt(x, solver::MakeConst(1000, 32));
+    const auto negated = solver::MakeBoolNot(taken);
+    std::unique_ptr<lowlevel::ExecutionTree> tree;
+    lowlevel::ExecutionTree::Cursor cursor;
+    for (auto _ : state) {
+        state.PauseTiming();
+        // Replacing the tree drops the last iteration's alternates, and
+        // BeginRun then drops its chain, both untimed.
+        tree = std::make_unique<lowlevel::ExecutionTree>();
+        tree->BeginRun(cursor);
+        uint64_t llpc = 1;
+        for (int64_t i = 0; i < depth; ++i, ++llpc) {
+            tree->Advance(cursor, llpc, true, taken, negated,
+                          lowlevel::HlPosition{});
+        }
+        state.ResumeTiming();
+        for (int i = 0; i < kAlternates; ++i, ++llpc) {
+            benchmark::DoNotOptimize(
+                tree->Advance(cursor, llpc, true, taken, negated,
+                              lowlevel::HlPosition{}));
+        }
+    }
+    state.counters["s_per_alternate"] = benchmark::Counter(
+        kAlternates, benchmark::Counter::kIsIterationInvariantRate |
+                         benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RegisterAlternatesAtDepth)->Arg(64)->Arg(512)->Arg(4096);
 
 }  // namespace
 }  // namespace chef::bench

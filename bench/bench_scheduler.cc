@@ -164,8 +164,8 @@ SameJobResults(const std::vector<JobResult>& a,
 int
 main(int argc, char** argv)
 {
-    const chef::bench::SmokeArgs args =
-        chef::bench::ParseSmokeArgs(argc, argv);
+    const chef::bench::BenchArgs args = chef::bench::ParseBenchArgs(
+        argc, argv, chef::bench::BenchCli::kSmokeAndPath);
     const bool smoke = args.smoke;
     std::string report_path = args.report_path;
     const size_t workers = smoke ? 2 : 4;

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "service/report.h"
 #include "service/service.h"
 #include "workloads/registry.h"
@@ -53,8 +54,11 @@ main(int argc, char** argv)
 
     const char* reps_env = std::getenv("CHEF_BENCH_REPS");
     const int reps = reps_env != nullptr ? std::atoi(reps_env) : 2;
-    const std::string report_path =
-        argc > 1 ? argv[1] : "service_report.json";
+    const chef::bench::BenchArgs args = chef::bench::ParseBenchArgs(
+        argc, argv, chef::bench::BenchCli::kPath);
+    const std::string report_path = args.report_path.empty()
+                                        ? "service_report.json"
+                                        : args.report_path;
 
     const std::vector<chef::service::JobSpec> jobs =
         MakeBatch(reps > 0 ? reps : 2);

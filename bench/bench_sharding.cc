@@ -158,8 +158,8 @@ RunShards(const std::vector<JobSpec>& jobs, size_t num_shards,
 int
 main(int argc, char** argv)
 {
-    const chef::bench::SmokeArgs args =
-        chef::bench::ParseSmokeArgs(argc, argv);
+    const chef::bench::BenchArgs args = chef::bench::ParseBenchArgs(
+        argc, argv, chef::bench::BenchCli::kSmokeAndPath);
     const bool smoke = args.smoke;
     std::string report_path = args.report_path;
     bool ok = true;

@@ -169,8 +169,8 @@ OutcomesMatch(const RunOutcome& a, const RunOutcome& b)
 int
 main(int argc, char** argv)
 {
-    const chef::bench::SmokeArgs args =
-        chef::bench::ParseSmokeArgs(argc, argv);
+    const chef::bench::BenchArgs args = chef::bench::ParseBenchArgs(
+        argc, argv, chef::bench::BenchCli::kSmokeAndPath);
     const bool smoke = args.smoke;
     std::string report_path = args.report_path;
     chef::bench::BenchReport bench("solver", smoke);

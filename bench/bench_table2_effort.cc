@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
+
 #ifndef CHEF_SOURCE_DIR
 #define CHEF_SOURCE_DIR "."
 #endif
@@ -65,8 +67,9 @@ CountFiles(const std::vector<std::string>& paths)
 }  // namespace
 
 int
-main()
+main(int argc, char** argv)
 {
+    chef::bench::ParseBenchArgs(argc, argv, chef::bench::BenchCli::kNone);
     std::printf("CHEF reproduction -- Table 2: interpreter preparation "
                 "effort (structural accounting of this repository)\n\n");
 

@@ -33,9 +33,10 @@ IsDocumented(const std::string& exception_type,
 }  // namespace chef::bench
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace chef::bench;
+    ParseBenchArgs(argc, argv, BenchCli::kNone);
     Budget budget = DefaultBudget();
     budget.max_seconds = 3.0;
     budget.max_runs = 400;

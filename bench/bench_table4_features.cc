@@ -160,9 +160,10 @@ PaperReported(const std::string& feature, const std::string& engine)
 }  // namespace chef::bench
 
 int
-main()
+main(int argc, char** argv)
 {
     using namespace chef::bench;
+    ParseBenchArgs(argc, argv, BenchCli::kNone);
     std::printf("CHEF reproduction -- Table 4: language feature support\n");
     std::printf("(CHEF and NICE columns measured live; CutiePy and "
                 "Commuter columns reproduce the paper's reported "

@@ -209,7 +209,7 @@ Engine::SelectNext(InFlightRun* next, bool* stopped)
         solver::QueryResult result;
         {
             const obs::ScopedLocation solve_location(state.static_hlpc);
-            result = solver_.Solve(state.path_condition, &model);
+            result = solver_.Solve(state.PathCondition(), &model);
         }
         if (result == solver::QueryResult::kSat) {
             next->assignment = std::move(model);

@@ -4,6 +4,27 @@
 
 namespace chef::lowlevel {
 
+PathLink::~PathLink()
+{
+    std::shared_ptr<PathLink> next = std::move(parent);
+    while (next != nullptr && next.use_count() == 1) {
+        // Taking the parent first leaves `next` a leaf, so the assignment
+        // below frees it without recursing.
+        next = std::move(next->parent);
+    }
+}
+
+std::vector<solver::ExprRef>
+AlternateState::PathCondition() const
+{
+    std::vector<solver::ExprRef> conjuncts(path != nullptr ? path->size : 0);
+    for (const PathLink* link = path.get(); link != nullptr;
+         link = link->parent.get()) {
+        conjuncts[link->size - 1] = link->constraint;
+    }
+    return conjuncts;
+}
+
 ExecutionTree::ExecutionTree()
 {
     Reset();
@@ -17,7 +38,6 @@ ExecutionTree::Reset()
     nodes_.push_back(Node{});
     pending_.clear();
     next_state_id_ = 1;
-    BeginRun(default_cursor_);
 }
 
 void
@@ -26,6 +46,7 @@ ExecutionTree::BeginRun(Cursor& cursor)
     cursor.node = 0;
     cursor.at_root = true;
     cursor.path_condition_.clear();
+    cursor.chain_ = nullptr;
     cursor.depth_ = 0;
 }
 
@@ -67,11 +88,18 @@ ExecutionTree::Advance(Cursor& cursor, uint64_t llpc, bool taken,
 
     // Register the alternate for the other direction if it is still open.
     if (node.status[other_index] == EdgeStatus::kUnknown) {
+        // Link the constraints added since the last registration, then
+        // fork the alternate off the chain's tip.
+        const std::vector<solver::ExprRef>& prefix = cursor.path_condition_;
+        for (size_t i = cursor.chain_ != nullptr ? cursor.chain_->size : 0;
+             i < prefix.size(); ++i) {
+            cursor.chain_ = std::make_shared<PathLink>(
+                prefix[i], std::move(cursor.chain_), i + 1);
+        }
         AlternateState state;
         state.id = next_state_id_++;
-        state.path_condition.reserve(cursor.path_condition_.size() + 1);
-        state.path_condition = cursor.path_condition_;
-        state.path_condition.push_back(negated_constraint);
+        state.path = std::make_shared<const PathLink>(
+            negated_constraint, cursor.chain_, prefix.size() + 1);
         state.node = static_cast<uint32_t>(slot);
         state.direction = !taken;
         state.llpc = llpc;

@@ -15,9 +15,25 @@
 /// pool (TakePending). The taken state is then proven infeasible
 /// (MarkInfeasible), explored by the run that follows, or — when the
 /// session stops before that run — handed back (ReleaseClaim).
+///
+/// Path conditions are persistent lists, as in a copy-on-write fork: an
+/// alternate state does not copy its run's prefix, it shares it. A run's
+/// cursor keeps its path condition as a flat vector (the runtime's own
+/// solver queries read it) and, beside it, a chain of PathLinks covering
+/// that vector's front. The chain is extended only when an alternate is
+/// registered, by one link per constraint added since the last
+/// registration (branch constraints and AddConstraint assumptions
+/// alike); the alternate then holds a single link of its own, its
+/// negated constraint, whose parent is the chain's tip. Every alternate
+/// forked on one run thus shares that run's links, and a link lives as
+/// long as the last state or cursor that reaches it. A chain is as long
+/// as its run's path condition, which only the run's step budget bounds;
+/// a destructor that recursed link by link could overflow the stack, so
+/// the last owner of a chain frees it in a loop (~PathLink).
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -28,13 +44,48 @@ namespace chef::lowlevel {
 /// Identifier of a pending alternate state.
 using StateId = uint64_t;
 
+/// One constraint of a persistent path condition, on top of the links
+/// holding the constraints before it. Links are immutable once built and
+/// shared by every alternate state (and the run cursor) that reaches
+/// them.
+struct PathLink {
+    PathLink(solver::ExprRef constraint, std::shared_ptr<PathLink> parent,
+             size_t size)
+        : constraint(std::move(constraint)), parent(std::move(parent)),
+          size(size)
+    {
+    }
+
+    /// Unlinks the chain below iteratively: every parent this link held
+    /// the last reference to is freed in a loop, not by a nested
+    /// destructor call, so dropping a chain of any length uses constant
+    /// stack. The use_count() test is exact because a session's links are
+    /// only ever touched by the session's one thread.
+    ~PathLink();
+
+    PathLink(const PathLink&) = delete;
+    PathLink& operator=(const PathLink&) = delete;
+
+    solver::ExprRef constraint;
+    std::shared_ptr<PathLink> parent;  ///< Null at the first constraint.
+    size_t size;  ///< Constraints from the first through this one.
+};
+
 /// A not-yet-explored branch direction, scheduled for exploration.
 /// This is the paper's "symbolic execution state" from the point of view of
 /// the search strategy.
 struct AlternateState {
     StateId id = 0;
-    /// Conjunction describing the alternate path (prefix + negated branch).
-    std::vector<solver::ExprRef> path_condition;
+    /// Tip of the alternate's path condition: its negated branch
+    /// constraint, whose parent chain is the forking run's prefix, shared
+    /// with the other alternates forked on that run. Copying the state
+    /// copies one handle.
+    std::shared_ptr<const PathLink> path;
+    /// The conjunction describing the alternate path, oldest constraint
+    /// first: the run's prefix, then the negated branch. Built on demand
+    /// (for the solve that decides whether the state is feasible).
+    std::vector<solver::ExprRef> PathCondition() const;
+
     /// Position in the tree: node index and the direction to take there.
     uint32_t node = 0;
     bool direction = false;
@@ -96,6 +147,10 @@ class ExecutionTree
         bool at_root = true;
         bool last_direction = false;
         std::vector<solver::ExprRef> path_condition_;
+        /// Links for path_condition_'s first chain_->size constraints
+        /// (none while null); the rest are linked at the next
+        /// registration.
+        std::shared_ptr<PathLink> chain_;
         uint32_t depth_ = 0;
     };
 
@@ -104,12 +159,9 @@ class ExecutionTree
     /// Drops all nodes and pending states.
     void Reset();
 
-    /// Resets \p cursor to the root for a new run.
+    /// Resets \p cursor to the root for a new run. The cursor drops its
+    /// chain; links that alternates still reach stay alive.
     void BeginRun(Cursor& cursor);
-
-    /// Legacy form: resets the tree's built-in default cursor (used by
-    /// tests).
-    void BeginRun() { BeginRun(default_cursor_); }
 
     /// Result of advancing a run cursor through a symbolic branch.
     struct AdvanceResult {
@@ -130,36 +182,12 @@ class ExecutionTree
                           const solver::ExprRef& negated_constraint,
                           const HlPosition& hl);
 
-    /// Legacy form: default cursor, empty high-level position.
-    AdvanceResult Advance(uint64_t llpc, bool taken,
-                          const solver::ExprRef& taken_constraint,
-                          const solver::ExprRef& negated_constraint)
-    {
-        return Advance(default_cursor_, llpc, taken, taken_constraint,
-                       negated_constraint, HlPosition{});
-    }
-
-    /// The path condition of the default cursor's current run.
-    const std::vector<solver::ExprRef>& current_path_condition() const
-    {
-        return default_cursor_.path_condition();
-    }
-
     /// Adds an assumption to a run's path condition (not a branch; no
     /// forking, no shared state touched).
     void AddConstraint(Cursor& cursor, const solver::ExprRef& constraint)
     {
         cursor.path_condition_.push_back(constraint);
     }
-
-    /// Legacy form: default cursor.
-    void AddConstraint(const solver::ExprRef& constraint)
-    {
-        AddConstraint(default_cursor_, constraint);
-    }
-
-    /// Number of symbolic branches the default cursor's run has passed.
-    uint32_t current_depth() const { return default_cursor_.depth(); }
 
     /// Removes and returns a pending state (strategy selected it).
     /// The state stays recorded as kRegistered in the tree until the caller
@@ -219,8 +247,6 @@ class ExecutionTree
     StateId next_state_id_ = 1;
     std::function<void(StateId)> on_pending_removed_;
     std::function<void(const AlternateState&)> on_state_added_;
-
-    Cursor default_cursor_;
 };
 
 }  // namespace chef::lowlevel

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
 #include "lowlevel/exec_tree.h"
 #include "lowlevel/runtime.h"
 #include "lowlevel/symvalue.h"
@@ -76,33 +79,49 @@ TEST_P(SymValueConsistency, ConcreteMatchesExprEval)
 INSTANTIATE_TEST_SUITE_P(Seeds, SymValueConsistency,
                          ::testing::Values(3, 5, 8, 13, 21, 34));
 
+/// Advances \p cursor through a branch at \p llpc with an empty
+/// high-level position.
+ExecutionTree::AdvanceResult
+Step(ExecutionTree& tree, ExecutionTree::Cursor& cursor, uint64_t llpc,
+     bool taken, const solver::ExprRef& taken_constraint,
+     const solver::ExprRef& negated_constraint)
+{
+    return tree.Advance(cursor, llpc, taken, taken_constraint,
+                        negated_constraint, HlPosition{});
+}
+
 TEST(ExecTree, RegistersAlternateOnFirstBranch)
 {
     ExecutionTree tree;
+    ExecutionTree::Cursor cursor;
     const auto cond = solver::MakeEq(solver::MakeVar(1, "x", 8),
                                      solver::MakeConst(1, 8));
-    tree.BeginRun();
-    auto result = tree.Advance(100, true, cond, solver::MakeBoolNot(cond));
+    const auto negated = solver::MakeBoolNot(cond);
+    tree.BeginRun(cursor);
+    auto result = Step(tree, cursor, 100, true, cond, negated);
     ASSERT_NE(result.registered, 0u);
     const AlternateState* state = tree.FindPending(result.registered);
     ASSERT_NE(state, nullptr);
     EXPECT_EQ(state->llpc, 100u);
     EXPECT_FALSE(state->direction);
-    EXPECT_EQ(state->path_condition.size(), 1u);
+    const std::vector<solver::ExprRef> path = state->PathCondition();
+    ASSERT_EQ(path.size(), 1u);
+    EXPECT_EQ(path[0], negated);
     EXPECT_EQ(tree.pending().size(), 1u);
 }
 
 TEST(ExecTree, NoDuplicateRegistration)
 {
     ExecutionTree tree;
+    ExecutionTree::Cursor cursor;
     const auto cond = solver::MakeEq(solver::MakeVar(1, "x", 8),
                                      solver::MakeConst(1, 8));
     const auto negated = solver::MakeBoolNot(cond);
-    tree.BeginRun();
-    tree.Advance(100, true, cond, negated);
+    tree.BeginRun(cursor);
+    Step(tree, cursor, 100, true, cond, negated);
     // Second run takes the same direction: no new registration.
-    tree.BeginRun();
-    auto result = tree.Advance(100, true, cond, negated);
+    tree.BeginRun(cursor);
+    auto result = Step(tree, cursor, 100, true, cond, negated);
     EXPECT_EQ(result.registered, 0u);
     EXPECT_EQ(tree.pending().size(), 1u);
 }
@@ -110,19 +129,20 @@ TEST(ExecTree, NoDuplicateRegistration)
 TEST(ExecTree, NaturalExplorationRemovesPending)
 {
     ExecutionTree tree;
+    ExecutionTree::Cursor cursor;
     std::vector<StateId> removed;
     tree.set_on_pending_removed(
         [&removed](StateId id) { removed.push_back(id); });
     const auto cond = solver::MakeEq(solver::MakeVar(1, "x", 8),
                                      solver::MakeConst(1, 8));
     const auto negated = solver::MakeBoolNot(cond);
-    tree.BeginRun();
-    auto first = tree.Advance(100, true, cond, negated);
+    tree.BeginRun(cursor);
+    auto first = Step(tree, cursor, 100, true, cond, negated);
     const StateId pending_id = first.registered;
     // A later run takes the other direction without the strategy ever
     // selecting the alternate: the pending state is consumed.
-    tree.BeginRun();
-    auto second = tree.Advance(100, false, negated, cond);
+    tree.BeginRun(cursor);
+    auto second = Step(tree, cursor, 100, false, negated, cond);
     EXPECT_EQ(second.registered, 0u);
     EXPECT_TRUE(tree.pending().empty());
     ASSERT_EQ(removed.size(), 1u);
@@ -132,38 +152,143 @@ TEST(ExecTree, NaturalExplorationRemovesPending)
 TEST(ExecTree, PathConditionAccumulates)
 {
     ExecutionTree tree;
+    ExecutionTree::Cursor cursor;
     const auto x = solver::MakeVar(1, "x", 8);
     const auto c1 = solver::MakeUgt(x, solver::MakeConst(10, 8));
     const auto c2 = solver::MakeUlt(x, solver::MakeConst(100, 8));
-    tree.BeginRun();
-    tree.Advance(1, true, c1, solver::MakeBoolNot(c1));
-    auto result = tree.Advance(2, true, c2, solver::MakeBoolNot(c2));
+    tree.BeginRun(cursor);
+    Step(tree, cursor, 1, true, c1, solver::MakeBoolNot(c1));
+    auto result = Step(tree, cursor, 2, true, c2, solver::MakeBoolNot(c2));
     // The alternate at the second branch carries the first constraint plus
     // the negation of the second.
     ASSERT_NE(result.registered, 0u);
     const AlternateState* alternate = tree.FindPending(result.registered);
     ASSERT_NE(alternate, nullptr);
-    ASSERT_EQ(alternate->path_condition.size(), 2u);
-    EXPECT_TRUE(solver::Expr::Equal(alternate->path_condition[0], c1));
-    EXPECT_EQ(tree.current_path_condition().size(), 2u);
+    const std::vector<solver::ExprRef> path = alternate->PathCondition();
+    ASSERT_EQ(path.size(), 2u);
+    EXPECT_TRUE(solver::Expr::Equal(path[0], c1));
+    EXPECT_EQ(cursor.path_condition().size(), 2u);
+    EXPECT_EQ(cursor.depth(), 2u);
 }
 
 TEST(ExecTree, TakePendingAndMarkInfeasible)
 {
     ExecutionTree tree;
+    ExecutionTree::Cursor cursor;
     const auto cond = solver::MakeEq(solver::MakeVar(1, "x", 8),
                                      solver::MakeConst(1, 8));
-    tree.BeginRun();
-    auto result = tree.Advance(7, true, cond, solver::MakeBoolNot(cond));
+    tree.BeginRun(cursor);
+    auto result = Step(tree, cursor, 7, true, cond, solver::MakeBoolNot(cond));
     const StateId id = result.registered;
     AlternateState state = tree.TakePending(id);
     EXPECT_TRUE(tree.pending().empty());
     tree.MarkInfeasible(state);
     // Re-running the same branch direction must not re-register the
     // infeasible direction.
-    tree.BeginRun();
-    auto again = tree.Advance(7, true, cond, solver::MakeBoolNot(cond));
+    tree.BeginRun(cursor);
+    auto again = Step(tree, cursor, 7, true, cond, solver::MakeBoolNot(cond));
     EXPECT_EQ(again.registered, 0u);
+}
+
+/// Property: every alternate's path condition is exactly the flat prefix
+/// its run had at the fork, then its negated constraint — with
+/// assumptions added between branches, and across runs that reuse one
+/// cursor (each BeginRun drops the cursor's chain while older alternates
+/// still share theirs).
+class SharedPathCondition : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SharedPathCondition, EqualsFlatPrefixPlusNegation)
+{
+    Rng rng(GetParam());
+    ExecutionTree tree;
+    ExecutionTree::Cursor cursor;
+    const auto x = solver::MakeVar(1, "x", 16);
+    uint64_t next_constant = 0;
+    auto fresh = [&]() {
+        return solver::MakeUlt(x, solver::MakeConst(next_constant++, 16));
+    };
+    std::unordered_map<StateId, std::vector<solver::ExprRef>> expected;
+    for (int run = 0; run < 12; ++run) {
+        tree.BeginRun(cursor);
+        std::vector<solver::ExprRef> flat;
+        for (uint64_t depth = 0; depth < 24; ++depth) {
+            for (uint64_t n = rng.Next() % 3; n > 0; --n) {
+                flat.push_back(fresh());
+                tree.AddConstraint(cursor, flat.back());
+            }
+            const auto taken = fresh();
+            const auto negated = solver::MakeBoolNot(taken);
+            // The branch site depends on the depth only, so every run
+            // replays the tree deterministically.
+            const auto result = Step(tree, cursor, depth + 1,
+                                     (rng.Next() & 1) != 0, taken, negated);
+            if (result.registered != 0) {
+                std::vector<solver::ExprRef> path = flat;
+                path.push_back(negated);
+                expected.emplace(result.registered, std::move(path));
+            }
+            flat.push_back(taken);
+            ASSERT_EQ(cursor.path_condition(), flat);
+        }
+    }
+    ASSERT_GT(tree.pending().size(), 24u);
+    for (const auto& [id, state] : tree.pending()) {
+        ASSERT_EQ(expected.count(id), 1u);
+        EXPECT_EQ(state.PathCondition(), expected.at(id)) << "state " << id;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SharedPathCondition,
+                         ::testing::Values(1, 2, 3, 7, 11));
+
+TEST(ExecTree, AlternatesShareTheirRunsPrefix)
+{
+    // 1,000 alternates forked along one path hold one link each on a
+    // shared chain, so the first constraint is referenced by the test,
+    // the cursor's flat vector and one link — not once per alternate.
+    ExecutionTree tree;
+    ExecutionTree::Cursor cursor;
+    const auto x = solver::MakeVar(1, "x", 16);
+    const auto first = solver::MakeUlt(x, solver::MakeConst(1000, 16));
+    tree.BeginRun(cursor);
+    StateId last = 0;
+    for (uint64_t i = 0; i < 1000; ++i) {
+        const auto taken =
+            i == 0 ? first : solver::MakeUlt(x, solver::MakeConst(i, 16));
+        last = Step(tree, cursor, i + 1, true, taken,
+                    solver::MakeBoolNot(taken))
+                   .registered;
+        ASSERT_NE(last, 0u);
+    }
+    EXPECT_EQ(tree.pending().size(), 1000u);
+    EXPECT_LE(first.use_count(), 4);
+    const std::vector<solver::ExprRef> path =
+        tree.FindPending(last)->PathCondition();
+    ASSERT_EQ(path.size(), 1000u);
+    EXPECT_EQ(path.front(), first);
+}
+
+TEST(ExecTree, DeepChainTearsDownWithoutRecursion)
+{
+    // A chain far deeper than a recursive destructor could unwind on the
+    // stack: built in one registration, then dropped by its last owner.
+    constexpr size_t kDepth = 1'000'000;
+    ExecutionTree tree;
+    ExecutionTree::Cursor cursor;
+    const auto cond = solver::MakeEq(solver::MakeVar(1, "x", 8),
+                                     solver::MakeConst(1, 8));
+    const auto negated = solver::MakeBoolNot(cond);
+    const long handles_before = cond.use_count();
+    tree.BeginRun(cursor);
+    for (size_t i = 0; i < kDepth; ++i) {
+        tree.AddConstraint(cursor, cond);
+    }
+    const StateId id = Step(tree, cursor, 1, true, cond, negated).registered;
+    ASSERT_NE(id, 0u);
+    EXPECT_EQ(tree.FindPending(id)->path->size, kDepth + 1);
+    tree.Reset();  // Drops the alternate's link; the cursor holds the rest.
+    tree.BeginRun(cursor);  // Drops the chain itself.
+    EXPECT_EQ(cond.use_count(), handles_before);
 }
 
 class RuntimeFixture : public ::testing::Test
