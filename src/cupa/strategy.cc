@@ -80,30 +80,28 @@ CupaStrategy::ClaimState()
     ClassNode* node = &root_;
     for (const LevelSpec& level : levels_) {
         CHEF_CHECK(!node->children.empty());
-        std::vector<double> weights;
-        std::vector<ClassNode*> children;
-        weights.reserve(node->children.size());
+        weights_.clear();
+        children_.clear();
         for (auto& [key, child] : node->children) {
             double weight = 1.0;
             if (level.class_weight) {
                 weight = level.class_weight(key);
             }
-            weights.push_back(weight);
-            children.push_back(child.get());
+            weights_.push_back(weight);
+            children_.push_back(child.get());
         }
-        node = children[rng_->PickWeighted(weights)];
+        node = children_[rng_->PickWeighted(weights_)];
     }
     CHEF_CHECK(!node->states.empty());
     if (!state_weight_) {
         return node->states[rng_->NextBelow(node->states.size())];
     }
-    std::vector<double> weights;
-    weights.reserve(node->states.size());
+    weights_.clear();
     for (StateId id : node->states) {
         const AlternateState* state = tree_->FindPending(id);
-        weights.push_back(state != nullptr ? state_weight_(*state) : 0.0);
+        weights_.push_back(state != nullptr ? state_weight_(*state) : 0.0);
     }
-    return node->states[rng_->PickWeighted(weights)];
+    return node->states[rng_->PickWeighted(weights_)];
 }
 
 void

@@ -106,6 +106,11 @@ class CupaStrategy : public SearchStrategy
 
     ClassNode root_;
     std::unordered_map<StateId, std::vector<uint64_t>> membership_;
+
+    /// ClaimState's candidate lists, cleared and refilled on every claim
+    /// so a claim allocates nothing once they have grown.
+    std::vector<double> weights_;
+    std::vector<ClassNode*> children_;
 };
 
 /// Baseline: uniform random selection over all pending states (the paper's

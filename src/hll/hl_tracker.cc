@@ -15,30 +15,43 @@ HlExecutionTree::HlExecutionTree()
 void
 HlExecutionTree::Reset()
 {
-    nodes_.clear();
-    nodes_.push_back(Node{});
+    chunks_.clear();
+    num_nodes_ = 0;
+    Append(Node{});
     num_terminals_ = 0;
+}
+
+uint32_t
+HlExecutionTree::Append(const Node& node)
+{
+    if (chunks_.empty() || chunks_.back().size() == kChunkSize) {
+        chunks_.emplace_back();
+        if (chunks_.size() > 1) {
+            chunks_.back().reserve(kChunkSize);
+        }
+    }
+    chunks_.back().push_back(node);
+    return num_nodes_++;
 }
 
 uint32_t
 HlExecutionTree::Advance(uint32_t node, uint64_t hlpc, bool* created)
 {
-    CHEF_CHECK(node < nodes_.size());
-    for (uint32_t child = nodes_[node].first_child; child != kNoId;
-         child = nodes_[child].next_sibling) {
-        if (nodes_[child].hlpc == hlpc) {
+    CHEF_CHECK(node < num_nodes_);
+    for (uint32_t child = At(node).first_child; child != kNoId;
+         child = At(child).next_sibling) {
+        if (At(child).hlpc == hlpc) {
             if (created != nullptr) {
                 *created = false;
             }
             return child;
         }
     }
-    const uint32_t child = static_cast<uint32_t>(nodes_.size());
     Node fresh;
     fresh.hlpc = hlpc;
-    fresh.next_sibling = nodes_[node].first_child;
-    nodes_.push_back(fresh);
-    nodes_[node].first_child = child;
+    fresh.next_sibling = At(node).first_child;
+    const uint32_t child = Append(fresh);
+    At(node).first_child = child;
     if (created != nullptr) {
         *created = true;
     }
@@ -48,11 +61,11 @@ HlExecutionTree::Advance(uint32_t node, uint64_t hlpc, bool* created)
 bool
 HlExecutionTree::MarkTerminal(uint32_t node)
 {
-    CHEF_CHECK(node < nodes_.size());
-    if (nodes_[node].terminal) {
+    CHEF_CHECK(node < num_nodes_);
+    if (At(node).terminal) {
         return false;
     }
-    nodes_[node].terminal = true;
+    At(node).terminal = true;
     ++num_terminals_;
     return true;
 }
@@ -70,8 +83,10 @@ HlCfg::Reset()
 uint32_t
 HlCfg::Intern(uint64_t hlpc)
 {
+    // try_emplace builds no map node when the HLPC is already interned;
+    // emplace would allocate one and free it again.
     auto [it, inserted] =
-        ids_.emplace(hlpc, static_cast<uint32_t>(nodes_.size()));
+        ids_.try_emplace(hlpc, static_cast<uint32_t>(nodes_.size()));
     if (inserted) {
         nodes_.emplace_back();
     }

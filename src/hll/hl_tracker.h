@@ -14,10 +14,11 @@
 ///  - the branching-opcode inference and distance-to-potential-branching-
 ///    point analysis used by coverage-optimized CUPA (§3.4).
 ///
-/// Layout. Both structures are flat vectors indexed by dense ids:
-///  - tree nodes live in one vector in creation order and link their
-///    children through first-child / next-sibling indices. The node id is
-///    the dynamic HLPC stamped into alternate states, so ids never move;
+/// Layout. Both structures are indexed by dense ids:
+///  - tree nodes are stored in creation order, in fixed-size chunks, and
+///    link their children through first-child / next-sibling indices.
+///    The node id is the dynamic HLPC stamped into alternate states, so
+///    ids never move;
 ///  - the CFG interns a static HLPC to a dense id the first time a tree
 ///    node with that HLPC is created, and keeps opcode, execution count
 ///    and successor / predecessor id lists in a vector indexed by it. Each
@@ -60,15 +61,15 @@ class HlExecutionTree
     /// path).
     bool MarkTerminal(uint32_t node);
 
-    uint64_t hlpc_of(uint32_t node) const { return nodes_[node].hlpc; }
-    size_t num_nodes() const { return nodes_.size(); }
+    uint64_t hlpc_of(uint32_t node) const { return At(node).hlpc; }
+    size_t num_nodes() const { return num_nodes_; }
     uint64_t num_terminal_paths() const { return num_terminals_; }
 
     /// The CFG id of \p node's HLPC, as set by set_cfg_id(); kNoId if unset.
-    uint32_t cfg_id_of(uint32_t node) const { return nodes_[node].cfg_id; }
+    uint32_t cfg_id_of(uint32_t node) const { return At(node).cfg_id; }
     void set_cfg_id(uint32_t node, uint32_t cfg_id)
     {
-        nodes_[node].cfg_id = cfg_id;
+        At(node).cfg_id = cfg_id;
     }
 
   private:
@@ -80,7 +81,28 @@ class HlExecutionTree
         bool terminal = false;
     };
 
-    std::vector<Node> nodes_;
+    /// Nodes live in chunks of kChunkSize, so the tree grows without
+    /// copying itself: one vector would copy every node on each doubling
+    /// (a session can reach hundreds of thousands of nodes) and hold the
+    /// old and the new buffer at once. The first chunk grows like a vector, so a small
+    /// tree costs what it did; later chunks reserve their full size up
+    /// front and never move.
+    static constexpr uint32_t kChunkBits = 12;
+    static constexpr uint32_t kChunkSize = 1u << kChunkBits;
+
+    Node& At(uint32_t node)
+    {
+        return chunks_[node >> kChunkBits][node & (kChunkSize - 1)];
+    }
+    const Node& At(uint32_t node) const
+    {
+        return chunks_[node >> kChunkBits][node & (kChunkSize - 1)];
+    }
+    /// Appends \p node; returns its id.
+    uint32_t Append(const Node& node);
+
+    std::vector<std::vector<Node>> chunks_;
+    uint32_t num_nodes_ = 0;
     uint64_t num_terminals_ = 0;
 };
 

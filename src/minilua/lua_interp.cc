@@ -140,8 +140,8 @@ LuaTable::Get(LuaInterp& interp, const LuaValue& key)
     }
     const SymValue hash = interp.HashKey(key);
     const uint64_t bucket =
-        interp::ResolveBucket(interp.rt(), hash, buckets.size());
-    for (uint32_t index : buckets[bucket]) {
+        interp::ResolveBucket(interp.rt(), hash, kBuckets);
+    for (uint32_t index : Chain(bucket)) {
         const Entry& entry = entries[index];
         if (!entry.alive) {
             continue;
@@ -182,8 +182,8 @@ LuaTable::Set(LuaInterp& interp, const LuaValue& key, LuaValue value)
     }
     const SymValue hash = interp.HashKey(key);
     const uint64_t bucket =
-        interp::ResolveBucket(interp.rt(), hash, buckets.size());
-    for (uint32_t index : buckets[bucket]) {
+        interp::ResolveBucket(interp.rt(), hash, kBuckets);
+    for (uint32_t index : Chain(bucket)) {
         Entry& entry = entries[index];
         if (!entry.alive) {
             continue;
@@ -205,7 +205,7 @@ LuaTable::Set(LuaInterp& interp, const LuaValue& key, LuaValue value)
     if (value.IsNil()) {
         return;  // Deleting an absent key is a no-op.
     }
-    buckets[bucket].push_back(static_cast<uint32_t>(entries.size()));
+    ChainForInsert(bucket).push_back(static_cast<uint32_t>(entries.size()));
     entries.push_back({key, std::move(value), true});
     ++live_count;
 }

@@ -8,7 +8,7 @@
 /// Strings are immutable concolic byte vectors and — like real Lua — are
 /// interned on creation in the vanilla interpreter build; the optimized
 /// build eliminates interning. Tables have the classic array part plus an
-/// instrumented hash part.
+/// instrumented hash part, whose buckets are allocated on the first insert.
 
 #include <memory>
 #include <string>
@@ -101,7 +101,15 @@ struct LuaIterator {
 };
 
 /// A Lua table: dense 1-based array part + instrumented hash part.
+///
+/// The hash part has a fixed kBuckets buckets, allocated on the first
+/// insertion: a table used only as an array, or never written, holds none.
+/// Get and Set still hash the key through ResolveBucket(..., kBuckets)
+/// before finding the table empty, so a symbolic key forks exactly as it
+/// would against allocated empty buckets.
 struct LuaTable {
+    static constexpr uint64_t kBuckets = 8;
+
     struct Entry {
         LuaValue key;
         LuaValue value;
@@ -111,10 +119,26 @@ struct LuaTable {
     std::vector<LuaValue> array;  ///< array[i] holds t[i+1].
 
     /// Hash part: bucket chains of entry indices (insertion ordered).
+    /// buckets is empty until the first insertion, then holds kBuckets.
     std::vector<Entry> entries;
-    std::vector<std::vector<uint32_t>> buckets{
-        std::vector<std::vector<uint32_t>>(8)};
+    std::vector<std::vector<uint32_t>> buckets;
     size_t live_count = 0;
+
+    /// The entry indices in \p bucket; none while buckets is empty.
+    const std::vector<uint32_t>& Chain(uint64_t bucket) const
+    {
+        static const std::vector<uint32_t> kNoEntries;
+        return buckets.empty() ? kNoEntries : buckets[bucket];
+    }
+    /// The chain to append a new entry of \p bucket to, allocating the
+    /// buckets on the first insertion.
+    std::vector<uint32_t>& ChainForInsert(uint64_t bucket)
+    {
+        if (buckets.empty()) {
+            buckets.resize(kBuckets);
+        }
+        return buckets[bucket];
+    }
 
     /// Raw get/set run through the interpreter for instrumented hashing
     /// and key comparison; declared here, implemented with the interp.

@@ -108,8 +108,8 @@ PyDict::Find(Vm& vm, const PyRef& key)
     if (vm.raised()) {
         return nullptr;
     }
-    const uint64_t bucket = BucketFor(vm, key, buckets_.size());
-    if (vm.raised()) {
+    const uint64_t bucket = BucketFor(vm, key, num_buckets());
+    if (vm.raised() || buckets_.empty()) {
         return nullptr;
     }
     for (uint32_t index : buckets_[bucket]) {
@@ -153,8 +153,8 @@ PyDict::Erase(Vm& vm, const PyRef& key)
     if (vm.raised()) {
         return false;
     }
-    const uint64_t bucket = BucketFor(vm, key, buckets_.size());
-    if (vm.raised()) {
+    const uint64_t bucket = BucketFor(vm, key, num_buckets());
+    if (vm.raised() || buckets_.empty()) {
         return false;
     }
     auto& chain = buckets_[bucket];
@@ -179,6 +179,10 @@ PyDict::Erase(Vm& vm, const PyRef& key)
 void
 PyDict::MaybeGrow(Vm& vm)
 {
+    if (buckets_.empty()) {
+        buckets_.resize(kInitialBuckets);  // The first insertion.
+        return;
+    }
     if (live_count_ + 1 <= buckets_.size() * 2 / 3) {
         return;
     }

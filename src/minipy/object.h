@@ -10,6 +10,10 @@
 /// fork exactly like the paper describes). Namespaces keyed by *source*
 /// identifiers (globals, attributes) use plain C++ maps: identifier text is
 /// never symbolic.
+///
+/// Every value is one PyObject with a payload field per type, so an empty
+/// payload must cost nothing: a PyDict allocates its buckets on the first
+/// insertion, not when an int or a string is made.
 
 #include <memory>
 #include <string>
@@ -64,6 +68,11 @@ struct PyFunc {
 
 /// Instrumented guest dictionary: open hashing with per-bucket chains.
 /// Hashing, bucket selection and key comparison fork through the runtime.
+///
+/// The buckets are allocated on the first insertion. Before it the table
+/// behaves as kInitialBuckets empty buckets: Find and Erase still hash the
+/// key through BucketFor(..., 8), so a symbolic key forks exactly as it
+/// would against allocated empty buckets.
 class PyDict
 {
   public:
@@ -88,12 +97,22 @@ class PyDict
     const std::vector<Entry>& entries() const { return entries_; }
 
   private:
+    static constexpr uint64_t kInitialBuckets = 8;
+
+    /// The bucket count lookups hash into: kInitialBuckets before the
+    /// first insertion.
+    uint64_t num_buckets() const
+    {
+        return buckets_.empty() ? kInitialBuckets : buckets_.size();
+    }
+
+    /// Makes room for one more entry: allocates the buckets on the first
+    /// insertion and rehashes into twice as many when the table is full.
     void MaybeGrow(Vm& vm);
     uint64_t BucketFor(Vm& vm, const PyRef& key, uint64_t num_buckets);
 
     std::vector<Entry> entries_;
-    std::vector<std::vector<uint32_t>> buckets_{
-        std::vector<std::vector<uint32_t>>(8)};
+    std::vector<std::vector<uint32_t>> buckets_;  ///< Empty until an insert.
     size_t live_count_ = 0;
 };
 

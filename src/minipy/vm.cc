@@ -30,6 +30,46 @@ MakeClassObject(const std::string& name, PyRef base)
     return object;
 }
 
+/// Builtin functions, by the name the guest calls them by.
+struct BuiltinFnEntry {
+    const char* name;
+    int id;
+};
+constexpr BuiltinFnEntry kBuiltinFns[] = {
+    {"len", kFnLen},     {"ord", kFnOrd},
+    {"chr", kFnChr},     {"str", kFnStr},
+    {"int", kFnInt},     {"bool", kFnBool},
+    {"range", kFnRange}, {"print", kFnPrint},
+    {"isinstance", kFnIsinstance},
+    {"min", kFnMin},     {"max", kFnMax},
+    {"abs", kFnAbs},     {"repr", kFnRepr},
+    {"list", kFnList},   {"dict", kFnDict},
+    {"tuple", kFnTuple},
+};
+
+/// The builtin exception hierarchy: each class and its base (null: root).
+struct BuiltinClassEntry {
+    const char* name;
+    const char* base;
+};
+constexpr BuiltinClassEntry kBuiltinClasses[] = {
+    {"BaseException", nullptr},
+    {"Exception", "BaseException"},
+    {"ValueError", "Exception"},
+    {"TypeError", "Exception"},
+    {"KeyError", "Exception"},
+    {"IndexError", "Exception"},
+    {"AttributeError", "Exception"},
+    {"ZeroDivisionError", "Exception"},
+    {"AssertionError", "Exception"},
+    {"RuntimeError", "Exception"},
+    {"StopIteration", "Exception"},
+    {"NameError", "Exception"},
+    {"RecursionError", "Exception"},
+    {"NotImplementedError", "Exception"},
+    {"OverflowError", "Exception"},
+};
+
 }  // namespace
 
 Vm::Vm(lowlevel::LowLevelRuntime* rt, std::shared_ptr<Program> program,
@@ -40,54 +80,14 @@ Vm::Vm(lowlevel::LowLevelRuntime* rt, std::shared_ptr<Program> program,
       str_ops_(rt, options.build),
       interns_(&str_ops_)
 {
-    RegisterBuiltins();
-}
-
-void
-Vm::RegisterBuiltins()
-{
-    auto add_fn = [this](const std::string& name, int id) {
-        auto object = std::make_shared<PyObject>(PyType::kBuiltin);
-        object->builtin_id = id;
-        builtins_[name] = object;
-    };
-    add_fn("len", kFnLen);
-    add_fn("ord", kFnOrd);
-    add_fn("chr", kFnChr);
-    add_fn("str", kFnStr);
-    add_fn("int", kFnInt);
-    add_fn("bool", kFnBool);
-    add_fn("range", kFnRange);
-    add_fn("print", kFnPrint);
-    add_fn("isinstance", kFnIsinstance);
-    add_fn("min", kFnMin);
-    add_fn("max", kFnMax);
-    add_fn("abs", kFnAbs);
-    add_fn("repr", kFnRepr);
-    add_fn("list", kFnList);
-    add_fn("dict", kFnDict);
-    add_fn("tuple", kFnTuple);
-
-    // Exception hierarchy.
-    PyRef base_exception = MakeClassObject("BaseException", nullptr);
-    builtins_["BaseException"] = base_exception;
-    PyRef exception = MakeClassObject("Exception", base_exception);
-    builtins_["Exception"] = exception;
-    for (const char* name :
-         {"ValueError", "TypeError", "KeyError", "IndexError",
-          "AttributeError", "ZeroDivisionError", "AssertionError",
-          "RuntimeError", "StopIteration", "NameError", "RecursionError",
-          "NotImplementedError", "OverflowError"}) {
-        builtins_[name] = MakeClassObject(name, exception);
-    }
 }
 
 PyRef
 Vm::BuiltinClass(const std::string& name)
 {
-    auto it = builtins_.find(name);
-    CHEF_CHECK_MSG(it != builtins_.end(), "unknown builtin class");
-    return it->second;
+    PyRef cls = LookupBuiltin(name);
+    CHEF_CHECK_MSG(cls != nullptr, "unknown builtin class");
+    return cls;
 }
 
 // ---------------------------------------------------------------------------
@@ -1212,9 +1212,9 @@ Vm::RunFrame(Frame& frame)
                 frame.stack.push_back(global->second);
                 break;
             }
-            auto builtin = builtins_.find(name);
-            if (builtin != builtins_.end()) {
-                frame.stack.push_back(builtin->second);
+            PyRef builtin = LookupBuiltin(name);
+            if (builtin != nullptr) {
+                frame.stack.push_back(std::move(builtin));
                 break;
             }
             RaiseError("NameError",
@@ -1233,9 +1233,9 @@ Vm::RunFrame(Frame& frame)
                 frame.stack.push_back(global->second);
                 break;
             }
-            auto builtin = builtins_.find(name);
-            if (builtin != builtins_.end()) {
-                frame.stack.push_back(builtin->second);
+            PyRef builtin = LookupBuiltin(name);
+            if (builtin != nullptr) {
+                frame.stack.push_back(std::move(builtin));
                 break;
             }
             RaiseError("NameError",
@@ -1717,6 +1717,37 @@ Vm::CallGlobal(const std::string& name, std::vector<PyRef> args,
         *result = std::move(value);
     }
     return outcome;
+}
+
+// ---------------------------------------------------------------------------
+// Builtin lookup.
+// ---------------------------------------------------------------------------
+
+PyRef
+Vm::LookupBuiltin(const std::string& name)
+{
+    auto it = builtins_.find(name);
+    if (it != builtins_.end()) {
+        return it->second;
+    }
+    auto keep = [this, &name](PyRef object) {
+        return builtins_.emplace(name, std::move(object)).first->second;
+    };
+    for (const BuiltinFnEntry& fn : kBuiltinFns) {
+        if (name == fn.name) {
+            auto object = std::make_shared<PyObject>(PyType::kBuiltin);
+            object->builtin_id = fn.id;
+            return keep(std::move(object));
+        }
+    }
+    for (const BuiltinClassEntry& cls : kBuiltinClasses) {
+        if (name == cls.name) {
+            PyRef base =
+                cls.base == nullptr ? nullptr : LookupBuiltin(cls.base);
+            return keep(MakeClassObject(name, std::move(base)));
+        }
+    }
+    return nullptr;
 }
 
 }  // namespace chef::minipy

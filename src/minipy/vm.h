@@ -167,7 +167,11 @@ class Vm
     PyRef CallBuiltinMethod(const PyRef& self, int method_id,
                             std::vector<PyRef>& args);
     int LookupBuiltinMethod(PyType type, const std::string& name) const;
-    void RegisterBuiltins();
+    /// The builtin function or exception class called \p name, or null.
+    /// Builtins are made on their first lookup in this Vm and kept, so a
+    /// run that names a few pays for those alone, and every lookup of one
+    /// name returns the same object.
+    PyRef LookupBuiltin(const std::string& name);
 
     /// Integer construction applying CPython-model costs (bignum digit
     /// normalization + small-int cache) to fresh arithmetic results.
@@ -186,6 +190,7 @@ class Vm
     interp::InternTable interns_;
 
     std::unordered_map<std::string, PyRef> globals_;
+    /// Builtins made so far by LookupBuiltin.
     std::unordered_map<std::string, PyRef> builtins_;
     PyRef current_exception_;
     int call_depth_ = 0;

@@ -1,6 +1,7 @@
 #include "solver/expr.h"
 
 #include <algorithm>
+#include <array>
 #include <unordered_set>
 
 #include "support/diagnostics.h"
@@ -200,9 +201,29 @@ IsAllOnes(const ExprRef& e)
 ExprRef
 MakeConst(uint64_t value, int width)
 {
-    return std::make_shared<Expr>(ExprKind::kConstant, width,
-                                  value & WidthMask(width), 0, std::string(),
-                                  0, nullptr, nullptr, nullptr);
+    const uint64_t masked = value & WidthMask(width);
+    const auto make = [masked, width] {
+        return std::make_shared<Expr>(ExprKind::kConstant, width, masked, 0,
+                                      std::string(), 0, nullptr, nullptr,
+                                      nullptr);
+    };
+    if (masked >= kInternedConstantLimit) {
+        return make();
+    }
+    // One table of kInternedConstantLimit nodes per width, made on the
+    // width's first use. Per thread, so the lookup takes no lock; a node
+    // handed to another thread stays alive through its reference count.
+    using WidthTable = std::array<ExprRef, kInternedConstantLimit>;
+    thread_local std::array<std::unique_ptr<WidthTable>, 64> tables;
+    std::unique_ptr<WidthTable>& table = tables[width - 1];
+    if (!table) {
+        table = std::make_unique<WidthTable>();
+    }
+    ExprRef& node = (*table)[masked];
+    if (!node) {
+        node = make();
+    }
+    return node;
 }
 
 ExprRef

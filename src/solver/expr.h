@@ -11,6 +11,14 @@
 /// factory functions in this header perform constant folding and light
 /// algebraic simplification so that fully concrete computations never reach
 /// the SAT backend.
+///
+/// Small constants are interned: MakeConst returns one shared node per
+/// (value, width) for values below kInternedConstantLimit, per thread.
+/// Concolic values turn every concrete operand into a constant node, so
+/// this saves an allocation on most operations that touch a symbolic
+/// value. Interning is invisible to everything but pointer identity:
+/// Expr::Equal and hash() are structural, and the bit-blaster maps every
+/// constant to the fixed true literal, so the CNF does not change.
 
 #include <cstdint>
 #include <functional>
@@ -124,6 +132,11 @@ class Assignment
 // Factories (with eager constant folding).
 // ---------------------------------------------------------------------------
 
+/// Values (after masking to \p width) below this are interned per thread.
+inline constexpr uint64_t kInternedConstantLimit = 256;
+
+/// A constant node. For a masked value below kInternedConstantLimit the
+/// same node is returned on every call from one thread.
 ExprRef MakeConst(uint64_t value, int width);
 ExprRef MakeBool(bool value);
 ExprRef MakeVar(uint32_t var_id, const std::string& name, int width);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 
 namespace chef::solver {
 
@@ -12,31 +13,34 @@ namespace {
 /// to a scan of the output so no table grows to their size.
 constexpr uint32_t kDenseIds = 1u << 20;
 
-/// Union-find over dense slot indices with path halving.
-class UnionFind
+/// The state of PartitionIndependent: a union-find forest over one slot
+/// per assertion and one per distinct variable, and every assertion's
+/// variable ids. All of it is scratch, cleared and refilled per call.
+class Partitioner
 {
   public:
-    size_t MakeSet()
-    {
-        parent_.push_back(parent_.size());
-        return parent_.size() - 1;
-    }
-
-    size_t Find(size_t x)
-    {
-        while (parent_[x] != x) {
-            parent_[x] = parent_[parent_[x]];
-            x = parent_[x];
-        }
-        return x;
-    }
-
-    void Union(size_t a, size_t b) { parent_[Find(a)] = Find(b); }
-
-    size_t size() const { return parent_.size(); }
+    std::vector<IndependentSlice>
+    Partition(const std::vector<ExprRef>& assertions);
 
   private:
+    size_t MakeSet();
+    /// Root of \p x's set, halving the path on the way.
+    size_t Find(size_t x);
+    /// The union-find slot of variable \p id, made on first sight.
+    size_t VarSlot(uint32_t id);
+
     std::vector<size_t> parent_;
+    /// Variable id -> slot + 1 (0: none this call); zeroed after each call.
+    std::vector<size_t> dense_slot_;
+    /// Slots of ids of kDenseIds and above, found by a scan.
+    std::vector<std::pair<uint32_t, size_t>> sparse_slot_;
+    std::vector<size_t> assertion_slot_;
+    /// Every assertion's variable ids back to back; assertion i's are
+    /// ids_[ids_begin_[i], ids_begin_[i + 1]).
+    std::vector<uint32_t> ids_;
+    std::vector<size_t> ids_begin_;
+    std::vector<uint32_t> assertion_ids_;
+    std::vector<size_t> root_to_slice_;
 };
 
 VarIdCollector&
@@ -178,70 +182,89 @@ CollectVarIds(const std::vector<ExprRef>& exprs, std::vector<uint32_t>* out)
     ThreadCollector().Collect(exprs, out);
 }
 
-std::vector<IndependentSlice>
-PartitionIndependent(const std::vector<ExprRef>& assertions)
+size_t
+Partitioner::MakeSet()
 {
-    // One union-find slot per assertion plus one per distinct variable;
-    // each assertion is unioned with every variable it references, so two
-    // assertions end up in the same component iff they are transitively
-    // connected through shared variables. A variable's slot is found
-    // through a per-thread table indexed by id (slot + 1; 0 = none yet),
-    // cleared again on the way out.
-    thread_local std::vector<size_t> dense_slot;
-    std::vector<std::pair<uint32_t, size_t>> sparse_slot;
-    UnionFind uf;
-    std::vector<size_t> assertion_slot(assertions.size());
-    std::vector<std::vector<uint32_t>> assertion_vars(assertions.size());
+    parent_.push_back(parent_.size());
+    return parent_.size() - 1;
+}
 
-    const auto var_slot = [&uf, &sparse_slot](uint32_t id) {
-        if (id < kDenseIds) {
-            if (id >= dense_slot.size()) {
-                dense_slot.resize(std::max<size_t>(id + 1,
-                                                   2 * dense_slot.size()));
-            }
-            if (dense_slot[id] == 0) {
-                dense_slot[id] = uf.MakeSet() + 1;
-            }
-            return dense_slot[id] - 1;
+size_t
+Partitioner::Find(size_t x)
+{
+    while (parent_[x] != x) {
+        parent_[x] = parent_[parent_[x]];
+        x = parent_[x];
+    }
+    return x;
+}
+
+size_t
+Partitioner::VarSlot(uint32_t id)
+{
+    if (id < kDenseIds) {
+        if (id >= dense_slot_.size()) {
+            dense_slot_.resize(std::max<size_t>(id + 1,
+                                                2 * dense_slot_.size()));
         }
-        for (const auto& [sparse_id, slot] : sparse_slot) {
-            if (sparse_id == id) {
-                return slot;
-            }
+        if (dense_slot_[id] == 0) {
+            dense_slot_[id] = MakeSet() + 1;
         }
-        sparse_slot.emplace_back(id, uf.MakeSet());
-        return sparse_slot.back().second;
-    };
-    for (size_t i = 0; i < assertions.size(); ++i) {
-        assertion_slot[i] = uf.MakeSet();
-        CollectVarIds(assertions[i], &assertion_vars[i]);
-        for (const uint32_t id : assertion_vars[i]) {
-            uf.Union(assertion_slot[i], var_slot(id));
+        return dense_slot_[id] - 1;
+    }
+    for (const auto& [sparse_id, slot] : sparse_slot_) {
+        if (sparse_id == id) {
+            return slot;
         }
     }
-    for (const std::vector<uint32_t>& ids : assertion_vars) {
-        for (const uint32_t id : ids) {
-            if (id < kDenseIds) {
-                dense_slot[id] = 0;
-            }
+    sparse_slot_.emplace_back(id, MakeSet());
+    return sparse_slot_.back().second;
+}
+
+std::vector<IndependentSlice>
+Partitioner::Partition(const std::vector<ExprRef>& assertions)
+{
+    // Each assertion is unioned with every variable it references, so two
+    // assertions end up in the same component iff they are transitively
+    // connected through shared variables.
+    parent_.clear();
+    sparse_slot_.clear();
+    assertion_slot_.clear();
+    ids_.clear();
+    ids_begin_.clear();
+    for (const ExprRef& assertion : assertions) {
+        assertion_slot_.push_back(MakeSet());
+        ids_begin_.push_back(ids_.size());
+        assertion_ids_.clear();
+        CollectVarIds(assertion, &assertion_ids_);
+        for (const uint32_t id : assertion_ids_) {
+            const size_t var_slot = VarSlot(id);
+            parent_[Find(assertion_slot_.back())] = Find(var_slot);
+            ids_.push_back(id);
+        }
+    }
+    ids_begin_.push_back(ids_.size());
+    for (const uint32_t id : ids_) {
+        if (id < kDenseIds) {
+            dense_slot_[id] = 0;
         }
     }
 
     // Group assertions by component, ordered by first occurrence so the
     // partition is deterministic in the input order.
     std::vector<IndependentSlice> slices;
-    std::vector<size_t> root_to_slice(uf.size(), SIZE_MAX);
+    root_to_slice_.assign(parent_.size(), SIZE_MAX);
     for (size_t i = 0; i < assertions.size(); ++i) {
-        size_t& slice_index = root_to_slice[uf.Find(assertion_slot[i])];
+        size_t& slice_index = root_to_slice_[Find(assertion_slot_[i])];
         if (slice_index == SIZE_MAX) {
             slice_index = slices.size();
             slices.emplace_back();
         }
         IndependentSlice& slice = slices[slice_index];
         slice.assertions.push_back(assertions[i]);
-        for (const uint32_t id : assertion_vars[i]) {
-            slice.var_ids.push_back(id);
-        }
+        slice.var_ids.insert(slice.var_ids.end(),
+                             ids_.begin() + ids_begin_[i],
+                             ids_.begin() + ids_begin_[i + 1]);
     }
     for (IndependentSlice& slice : slices) {
         std::sort(slice.var_ids.begin(), slice.var_ids.end());
@@ -250,6 +273,13 @@ PartitionIndependent(const std::vector<ExprRef>& assertions)
             slice.var_ids.end());
     }
     return slices;
+}
+
+std::vector<IndependentSlice>
+PartitionIndependent(const std::vector<ExprRef>& assertions)
+{
+    thread_local Partitioner partitioner;
+    return partitioner.Partition(assertions);
 }
 
 }  // namespace chef::solver

@@ -99,7 +99,9 @@ void CollectVarIds(const std::vector<ExprRef>& exprs,
 /// first assertion they contain, so the output is deterministic in the
 /// input order. Assertions referencing no variables (possible only for
 /// shapes the constant folder does not collapse) each form their own
-/// slice, which keeps the decomposition sound.
+/// slice, which keeps the decomposition sound. The union-find forest and
+/// the per-assertion variable lists are per-thread scratch, so after
+/// warm-up a call allocates only the slices it returns.
 std::vector<IndependentSlice>
 PartitionIndependent(const std::vector<ExprRef>& assertions);
 

@@ -308,9 +308,9 @@ Solver::Solve(const std::vector<ExprRef>& assertions, Assignment* model)
         // *absence* (absent variables evaluate as zero). Make those zeros
         // explicit so every constrained variable is assigned — callers
         // (the engine) substitute their own defaults for absent inputs.
-        std::vector<uint32_t> var_ids;
-        CollectVarIds(live, &var_ids);
-        for (const uint32_t var_id : var_ids) {
+        var_ids_.clear();
+        CollectVarIds(live, &var_ids_);
+        for (const uint32_t var_id : var_ids_) {
             if (!model->Has(var_id)) {
                 model->Set(var_id, 0);
             }
@@ -474,9 +474,9 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
             // The session's blaster has seen every query of the session;
             // extract only this query's variables (absent variables are
             // unconstrained and default to zero, as in the fresh path).
-            std::vector<uint32_t> var_ids;
-            CollectVarIds(live, &var_ids);
-            for (const uint32_t var_id : var_ids) {
+            var_ids_.clear();
+            CollectVarIds(live, &var_ids_);
+            for (const uint32_t var_id : var_ids_) {
                 extracted.Set(var_id, session.ModelValue(var_id));
             }
         }

@@ -301,6 +301,8 @@ class Solver
     std::list<uint64_t> lru_;
     std::deque<Assignment> recent_models_;
     std::unique_ptr<SatSession> session_;
+    /// A query's variable ids; scratch, cleared before each use.
+    std::vector<uint32_t> var_ids_;
 };
 
 }  // namespace chef::solver

@@ -20,74 +20,10 @@
 #include <thread>
 #include <vector>
 
+#include "counting_allocator.h"
 #include "service/job.h"
 #include "shard/coordinator.h"
 #include "support/json.h"
-
-// --------------------------------------------------------------------------
-// Allocation counting for the hot-path test: replace global operator new
-// so the test can assert that Charge / ChargeWithParent / ChargeSolver
-// perform zero heap allocations. Counting is a relaxed atomic bump, so
-// the replacement does not perturb what it measures. (Each tests/*.cc
-// file builds into its own binary, so this replacement is local.)
-
-static std::atomic<uint64_t> g_allocations{0};
-
-void*
-operator new(std::size_t size)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    void* ptr = std::malloc(size);
-    if (ptr == nullptr) {
-        throw std::bad_alloc();
-    }
-    return ptr;
-}
-
-void*
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-// The nothrow forms (std::stable_sort's temporary buffer uses them) must
-// come from the same malloc the replaced deletes free.
-void*
-operator new(std::size_t size, const std::nothrow_t&) noexcept
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(size);
-}
-
-void*
-operator new[](std::size_t size, const std::nothrow_t& tag) noexcept
-{
-    return ::operator new(size, tag);
-}
-
-void
-operator delete(void* ptr) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete(void* ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete[](void* ptr) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete[](void* ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
 
 namespace chef::obs {
 namespace {

@@ -221,5 +221,34 @@ TEST(BitBlast, StringEqualityStyleConstraints)
     }
 }
 
+TEST(BitBlast, RepeatedConstantsLoadTheSameCnf)
+{
+    // Many uses of a few small constants (interned: one node each per
+    // width) next to larger ones (a node per use). Every constant bit is
+    // the fixed true literal or its negation, so sharing the constant
+    // nodes must not change the formula: the counts are those of a
+    // blaster that saw a fresh node per use.
+    ExprRef all = MakeBool(true);
+    for (uint32_t i = 0; i < 12; ++i) {
+        const ExprRef x = MakeVar(100 + i, "x" + std::to_string(i), 8);
+        const ExprRef wide = MakeZExt(x, 16);
+        all = MakeBoolAnd(all, MakeUlt(MakeAdd(x, MakeConst(7, 8)),
+                                       MakeConst(200, 8)));
+        all = MakeBoolAnd(all, MakeNe(MakeMul(x, MakeConst(3, 8)),
+                                      MakeConst(1, 8)));
+        all = MakeBoolAnd(all, MakeUle(MakeAdd(wide, MakeConst(300, 16)),
+                                       MakeConst(1000 + i, 16)));
+        all = MakeBoolAnd(all, MakeNe(MakeAnd(wide, MakeConst(255, 16)),
+                                      MakeConst(i, 16)));
+    }
+    CnfFormula cnf;
+    BitBlaster blaster(&cnf);
+    blaster.AssertTrue(all);
+    EXPECT_EQ(cnf.num_vars(), 1423);
+    EXPECT_EQ(cnf.num_clauses(), 4425u);
+    SatSolver sat;
+    EXPECT_EQ(sat.Solve(cnf), SatStatus::kSat);
+}
+
 }  // namespace
 }  // namespace chef::solver

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "support/rng.h"
 
 namespace chef::solver {
@@ -211,6 +214,87 @@ TEST_P(FoldEvalAgreement, BinaryOpsOnConstants)
 
 INSTANTIATE_TEST_SUITE_P(Widths, FoldEvalAgreement,
                          ::testing::Values(1, 7, 8, 16, 32, 33, 64));
+
+TEST(ExprInterning, SmallConstantsAreOneNodePerValueAndWidth)
+{
+    for (const int width : {1, 8, 16, 32, 64}) {
+        for (uint64_t value = 0; value < kInternedConstantLimit; ++value) {
+            const ExprRef first = MakeConst(value, width);
+            EXPECT_EQ(MakeConst(value, width).get(), first.get())
+                << value << ":" << width;
+        }
+    }
+    // Masking happens before the lookup: 0x1ff:8 is 0xff:8.
+    EXPECT_EQ(MakeConst(0x1ff, 8).get(), MakeConst(0xff, 8).get());
+    EXPECT_EQ(MakeBool(true).get(), MakeConst(1, 1).get());
+    // One table per width: equal values of two widths are two nodes.
+    EXPECT_NE(MakeConst(7, 8).get(), MakeConst(7, 16).get());
+    EXPECT_FALSE(Expr::Equal(MakeConst(7, 8), MakeConst(7, 16)));
+    // Larger values are not interned, and still compare structurally.
+    const ExprRef big1 = MakeConst(kInternedConstantLimit, 32);
+    const ExprRef big2 = MakeConst(kInternedConstantLimit, 32);
+    EXPECT_NE(big1.get(), big2.get());
+    EXPECT_TRUE(Expr::Equal(big1, big2));
+    EXPECT_EQ(big1->hash(), big2->hash());
+}
+
+TEST(ExprInterning, HashesAreTheStructuralOnes)
+{
+    // Values of the structural hash (kind, width, value, ...), which
+    // interning must not change: solver cache keys are built from them.
+    EXPECT_EQ(MakeConst(3, 32)->hash(), 5217400152010704842ull);
+    EXPECT_EQ(MakeConst(255, 8)->hash(), 5217400152003365053ull);
+    EXPECT_EQ(MakeBool(true)->hash(), 5217400152005213927ull);
+    EXPECT_EQ(MakeConst(1000, 16)->hash(), 5217400152011031414ull);
+    EXPECT_EQ(MakeAdd(MakeVar(1, "x", 32), MakeConst(3, 32))->hash(),
+              16785329707323380682ull);
+}
+
+TEST(ExprInterning, EachThreadHasItsOwnNodes)
+{
+    // A node made on one thread and released on another (after its
+    // thread and that thread's table are gone) stays valid.
+    ExprRef from_thread;
+    ExprRef big_from_thread;
+    std::thread maker([&] {
+        from_thread = MakeConst(42, 8);
+        big_from_thread = MakeConst(4242, 16);
+    });
+    maker.join();
+    const ExprRef here = MakeConst(42, 8);
+    EXPECT_NE(from_thread.get(), here.get());
+    EXPECT_TRUE(Expr::Equal(from_thread, here));
+    EXPECT_EQ(from_thread->hash(), here->hash());
+    EXPECT_EQ(from_thread->constant_value(), 42u);
+    EXPECT_EQ(big_from_thread->constant_value(), 4242u);
+
+    // Threads sharing this thread's nodes and making their own: every
+    // reference count change is atomic, so concurrent copies and drops of
+    // one interned node are safe.
+    std::vector<std::thread> workers;
+    std::vector<ExprRef> own(4);
+    for (size_t t = 0; t < own.size(); ++t) {
+        workers.emplace_back([&, t] {
+            for (int i = 0; i < 1000; ++i) {
+                const ExprRef copy = here;
+                const ExprRef sum = MakeAdd(MakeVar(1, "x", 8), copy);
+                EXPECT_EQ(sum->b().get(), here.get());
+                own[t] = MakeConst(42, 8);
+            }
+        });
+    }
+    for (std::thread& worker : workers) {
+        worker.join();
+    }
+    // The workers' nodes outlive their threads and are released here.
+    for (size_t t = 0; t < own.size(); ++t) {
+        EXPECT_NE(own[t].get(), here.get());
+        for (size_t u = t + 1; u < own.size(); ++u) {
+            EXPECT_NE(own[t].get(), own[u].get());
+        }
+        EXPECT_TRUE(Expr::Equal(own[t], here));
+    }
+}
 
 }  // namespace
 }  // namespace chef::solver

@@ -11,6 +11,7 @@
 #include <map>
 #include <random>
 #include <set>
+#include <vector>
 
 #include "hll/hl_tracker.h"
 #include "support/strings.h"
@@ -58,6 +59,47 @@ TEST(HlExecutionTree, TerminalMarksCountNewPathsOnce)
     EXPECT_TRUE(tree.MarkTerminal(a));
     EXPECT_FALSE(tree.MarkTerminal(a));
     EXPECT_EQ(tree.num_terminal_paths(), 1u);
+}
+
+TEST(HlExecutionTree, LargeTreesKeepIdsAndLinksAcrossChunks)
+{
+    // Tens of thousands of nodes, past several storage chunks: a long
+    // chain, then a wide fan-out under one node, then a reset.
+    HlExecutionTree tree;
+    std::vector<uint32_t> chain;
+    uint32_t node = 0;
+    for (uint64_t i = 0; i < 20'000; ++i) {
+        bool created = false;
+        node = tree.Advance(node, 1000 + i, &created);
+        EXPECT_TRUE(created);
+        EXPECT_EQ(node, i + 1);
+        chain.push_back(node);
+    }
+    const uint32_t hub = chain[5];
+    std::vector<uint32_t> fan;
+    for (uint64_t i = 0; i < 5'000; ++i) {
+        fan.push_back(tree.Advance(hub, 50'000 + i));
+        tree.set_cfg_id(fan.back(), static_cast<uint32_t>(i));
+    }
+    EXPECT_EQ(tree.num_nodes(), 1u + 20'000 + 5'000);
+    // Every node reads back, and replaying reaches the same ids.
+    node = 0;
+    for (uint64_t i = 0; i < chain.size(); ++i) {
+        bool created = true;
+        node = tree.Advance(node, 1000 + i, &created);
+        EXPECT_FALSE(created);
+        ASSERT_EQ(node, chain[i]);
+        EXPECT_EQ(tree.hlpc_of(node), 1000 + i);
+    }
+    for (uint64_t i = 0; i < fan.size(); i += 499) {
+        EXPECT_EQ(tree.Advance(hub, 50'000 + i), fan[i]);
+        EXPECT_EQ(tree.cfg_id_of(fan[i]), i);
+    }
+    EXPECT_TRUE(tree.MarkTerminal(fan.back()));
+    EXPECT_EQ(tree.num_terminal_paths(), 1u);
+    tree.Reset();
+    EXPECT_EQ(tree.num_nodes(), 1u);
+    EXPECT_EQ(tree.Advance(0, 7), 1u);
 }
 
 TEST(HlCfg, BranchingOpcodeInference)

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "chef/engine.h"
+#include "fork_sites.h"
 #include "minilua/lua_interp.h"
 
 namespace chef::minilua {
@@ -415,6 +416,67 @@ end
     const uint64_t optimized =
         run_with(interp::InterpBuildOptions::FullyOptimized());
     EXPECT_GE(vanilla, optimized);
+}
+
+TEST(MiniLuaSymbolic, EmptyTableForksAsBefore)
+{
+    // A table that starts empty and is read, erased from, filled past
+    // its bucket count and written with a symbolic key. The hash part is
+    // allocated on the first insertion; hashing and probing must fork
+    // exactly as they did against eight allocated empty buckets, so the
+    // counts below are pinned to the values of the eagerly allocating
+    // table.
+    const char* source = R"(function probe(s)
+  local t = {}
+  local k = s:byte(1)
+  local n = 0
+  if t[k] == nil then
+    n = n + 1
+  end
+  t[k] = nil
+  for i = 100, 109 do
+    t[i] = i
+  end
+  t[k] = 1
+  if t[k] == 1 then
+    n = n + 2
+  end
+  t[k] = nil
+  if t[k] == nil then
+    n = n + 4
+  end
+  return n
+end
+)";
+    auto chunk = ParseLuaOrDie(source);
+    struct Pinned {
+        interp::InterpBuildOptions build;
+        uint64_t states_registered, ll_paths, hl_paths;
+        std::vector<int> pattern;
+    };
+    const Pinned pinned[] = {
+        {interp::InterpBuildOptions::FullyOptimized(), 257, 12, 1,
+         {0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+          0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}},
+        {interp::InterpBuildOptions::Vanilla(), 426, 19, 1,
+         {0, 0, 1, 0, 0, 1, 0, 0, 2, 0, 0, 3, 1, 0, 0, 2, 0, 0, 3}},
+    };
+    for (const Pinned& pin : pinned) {
+        Engine::Options options;
+        options.max_runs = 2000;
+        options.max_seconds = 60.0;
+        Engine engine(options);
+        engine.Explore(LuaRunFn(chunk, "probe", 2, pin.build));
+        const EngineStats& stats = engine.stats();
+        EXPECT_LT(stats.ll_paths, options.max_runs);
+        EXPECT_FALSE(stats.stopped);
+        EXPECT_EQ(stats.states_registered, pin.states_registered);
+        EXPECT_EQ(stats.ll_paths, pin.ll_paths);
+        EXPECT_EQ(stats.hl_paths, pin.hl_paths);
+        EXPECT_EQ(checks::ForkSitePattern(
+                      LuaRunFn(chunk, "probe", 2, pin.build)),
+                  pin.pattern);
+    }
 }
 
 }  // namespace

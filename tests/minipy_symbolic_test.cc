@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fork_sites.h"
 #include "workloads/py_harness.h"
 
 namespace chef::workloads {
@@ -331,6 +332,64 @@ TEST(PySymbolic, ExceptionsInGuestHandledPathsExplored)
     EXPECT_GE(result.stats.hl_paths, 2u);
     for (const TestCase& test : result.tests) {
         EXPECT_NE(test.outcome_kind, "exception");
+    }
+}
+
+// A dict that starts empty and is probed, filled past its first resize
+// and erased from with a symbolic key. The dict allocates its buckets on
+// the first insertion; hashing and probing must fork exactly as they did
+// against eight allocated empty buckets, so the counts below are pinned
+// to the values of the eagerly allocating dict.
+const char* kEmptyDictGuest = R"(def probe(k):
+    d = {}
+    n = 0
+    if d.get(k, -1) == -1:
+        n = n + 1
+    d[k] = 1
+    for i in range(10):
+        d[i + 100] = i
+    if d.get(k, -1) == 1:
+        n = n + 2
+    d.pop(k, None)
+    if d.get(k, -1) == -1:
+        n = n + 4
+    return n
+)";
+
+TEST(PySymbolic, EmptyDictForksAsBefore)
+{
+    PySymbolicTest spec;
+    spec.source = kEmptyDictGuest;
+    spec.entry = "probe";
+    spec.args = {SymbolicArg::Int("k", 3)};
+    Engine::Options options;
+    options.max_runs = 2000;
+    options.max_seconds = 60.0;
+    const auto program = CompilePyOrDie(kEmptyDictGuest);
+    struct Pinned {
+        interp::InterpBuildOptions build;
+        uint64_t states_registered, ll_paths, hl_paths;
+        std::vector<int> pattern;
+    };
+    const Pinned pinned[] = {
+        // Every fork of the default run is at one site.
+        {interp::InterpBuildOptions::FullyOptimized(), 155, 11, 2,
+         std::vector<int>(20, 0)},
+        {interp::InterpBuildOptions::Vanilla(), 3110, 42, 2,
+         std::vector<int>(36, 0)},
+    };
+    for (const Pinned& pin : pinned) {
+        Engine engine(options);
+        engine.Explore(MakePyRunFn(program, spec, pin.build));
+        const EngineStats& stats = engine.stats();
+        EXPECT_LT(stats.ll_paths, options.max_runs);
+        EXPECT_FALSE(stats.stopped);
+        EXPECT_EQ(stats.states_registered, pin.states_registered);
+        EXPECT_EQ(stats.ll_paths, pin.ll_paths);
+        EXPECT_EQ(stats.hl_paths, pin.hl_paths);
+        EXPECT_EQ(checks::ForkSitePattern(
+                      MakePyRunFn(program, spec, pin.build)),
+                  pin.pattern);
     }
 }
 
