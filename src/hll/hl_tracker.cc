@@ -16,8 +16,11 @@ void
 HlExecutionTree::Reset()
 {
     chunks_.clear();
+    hlpcs_.clear();
     num_nodes_ = 0;
-    Append(Node{});
+    Node root;
+    root.path_hash = FnvHash(nullptr, 0);
+    Append(root);
     num_terminals_ = 0;
 }
 
@@ -35,12 +38,13 @@ HlExecutionTree::Append(const Node& node)
 }
 
 uint32_t
-HlExecutionTree::Advance(uint32_t node, uint64_t hlpc, bool* created)
+HlExecutionTree::Advance(uint32_t node, uint64_t hlpc, HlCfg& cfg,
+                         bool* created)
 {
     CHEF_CHECK(node < num_nodes_);
     for (uint32_t child = At(node).first_child; child != kNoId;
          child = At(child).next_sibling) {
-        if (At(child).hlpc == hlpc) {
+        if (hlpcs_[At(child).cfg_id] == hlpc) {
             if (created != nullptr) {
                 *created = false;
             }
@@ -48,7 +52,14 @@ HlExecutionTree::Advance(uint32_t node, uint64_t hlpc, bool* created)
         }
     }
     Node fresh;
-    fresh.hlpc = hlpc;
+    fresh.cfg_id = cfg.Intern(hlpc);
+    if (fresh.cfg_id >= hlpcs_.size()) {
+        hlpcs_.resize(fresh.cfg_id + 1);
+    }
+    hlpcs_[fresh.cfg_id] = hlpc;
+    // FNV over a concatenation is FNV over the suffix seeded with the
+    // prefix's hash.
+    fresh.path_hash = FnvHash(&hlpc, sizeof(hlpc), At(node).path_hash);
     fresh.next_sibling = At(node).first_child;
     const uint32_t child = Append(fresh);
     At(node).first_child = child;
@@ -230,8 +241,7 @@ HlpcTracker::EndRun()
     info.final_node = current_node_;
     info.length = trace_.size();
     info.is_new_path = tree_.MarkTerminal(current_node_);
-    info.path_hash =
-        FnvHash(trace_.data(), trace_.size() * sizeof(uint64_t));
+    info.path_hash = tree_.path_hash_of(current_node_);
     return info;
 }
 
@@ -240,17 +250,14 @@ HlpcTracker::OnLogPc(uint64_t hlpc, uint32_t opcode)
 {
     const uint32_t parent = current_node_;
     bool created = false;
-    current_node_ = tree_.Advance(parent, hlpc, &created);
-    if (created) {
+    current_node_ = tree_.Advance(parent, hlpc, cfg_, &created);
+    const uint32_t id = tree_.cfg_id_of(current_node_);
+    if (created && parent != 0) {
         // The only time the transfer parent -> hlpc is new to the tree, so
         // the only time its CFG edge can be new (see the file comment).
-        const uint32_t id = cfg_.Intern(hlpc);
-        tree_.set_cfg_id(current_node_, id);
-        if (parent != 0) {
-            cfg_.RecordEdgeById(tree_.cfg_id_of(parent), id);
-        }
+        cfg_.RecordEdgeById(tree_.cfg_id_of(parent), id);
     }
-    cfg_.RecordNodeById(tree_.cfg_id_of(current_node_), opcode);
+    cfg_.RecordNodeById(id, opcode);
     trace_.push_back(hlpc);
     if (runtime_ != nullptr) {
         runtime_->SetHlPosition(hlpc, current_node_, opcode);

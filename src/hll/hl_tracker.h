@@ -22,7 +22,9 @@
 ///  - the CFG interns a static HLPC to a dense id the first time a tree
 ///    node with that HLPC is created, and keeps opcode, execution count
 ///    and successor / predecessor id lists in a vector indexed by it. Each
-///    tree node caches its HLPC's CFG id.
+///    tree node stores its HLPC's CFG id (the tree keeps one HLPC per id)
+///    and the FNV hash of its path from the root, so a run's path hash is
+///    read off its final node.
 ///
 /// Edges are recorded only when a tree node is new. A log_pc event that
 /// moves from node p to an existing child c repeats the transfer
@@ -43,6 +45,8 @@ namespace chef::hll {
 /// Id meaning "no node" in the tree's links and "not interned" for CFG ids.
 inline constexpr uint32_t kNoId = UINT32_MAX;
 
+class HlCfg;
+
 /// Prefix tree over HLPC sequences. Node ids are dense indices in creation
 /// order; node 0 is the root (before the first high-level instruction).
 class HlExecutionTree
@@ -53,33 +57,43 @@ class HlExecutionTree
     void Reset();
 
     /// Returns the child of \p node labeled \p hlpc, creating it if absent;
-    /// \p created (if given) reports whether it was created.
-    uint32_t Advance(uint32_t node, uint64_t hlpc, bool* created = nullptr);
+    /// \p created (if given) reports whether it was created. A new child
+    /// takes its static HLPC's id from \p cfg.Intern(hlpc).
+    uint32_t Advance(uint32_t node, uint64_t hlpc, HlCfg& cfg,
+                     bool* created = nullptr);
 
     /// Marks that a run ended at \p node; returns true if this is the first
     /// run to end exactly there (i.e., the run covered a new high-level
     /// path).
     bool MarkTerminal(uint32_t node);
 
-    uint64_t hlpc_of(uint32_t node) const { return At(node).hlpc; }
+    /// The static HLPC of \p node; 0 for the root.
+    uint64_t hlpc_of(uint32_t node) const
+    {
+        const uint32_t id = At(node).cfg_id;
+        return id == kNoId ? 0 : hlpcs_[id];
+    }
+    /// FnvHash of the HLPC sequence from the root to \p node, as the bytes
+    /// of a uint64_t array: each node extends its parent's hash by its own
+    /// HLPC when it is created.
+    uint64_t path_hash_of(uint32_t node) const { return At(node).path_hash; }
     size_t num_nodes() const { return num_nodes_; }
     uint64_t num_terminal_paths() const { return num_terminals_; }
 
-    /// The CFG id of \p node's HLPC, as set by set_cfg_id(); kNoId if unset.
+    /// The CFG id of \p node's HLPC; kNoId for the root.
     uint32_t cfg_id_of(uint32_t node) const { return At(node).cfg_id; }
-    void set_cfg_id(uint32_t node, uint32_t cfg_id)
-    {
-        At(node).cfg_id = cfg_id;
-    }
 
   private:
     struct Node {
-        uint64_t hlpc = 0;
+        uint64_t path_hash = 0;
         uint32_t first_child = kNoId;
         uint32_t next_sibling = kNoId;
         uint32_t cfg_id = kNoId;
         bool terminal = false;
     };
+    // A session can reach hundreds of thousands of nodes: the HLPC lives
+    // once per CFG id in hlpcs_, not in every node.
+    static_assert(sizeof(Node) == 24, "HL tree nodes stay 24 bytes");
 
     /// Nodes live in chunks of kChunkSize, so the tree grows without
     /// copying itself: one vector would copy every node on each doubling
@@ -102,6 +116,8 @@ class HlExecutionTree
     uint32_t Append(const Node& node);
 
     std::vector<std::vector<Node>> chunks_;
+    /// The static HLPC of each CFG id a node carries.
+    std::vector<uint64_t> hlpcs_;
     uint32_t num_nodes_ = 0;
     uint64_t num_terminals_ = 0;
 };

@@ -218,17 +218,20 @@ LuaInterp::LuaInterp(lowlevel::LowLevelRuntime* rt,
       str_ops_(rt, options.build),
       interns_(&str_ops_)
 {
-    globals_ = std::make_shared<LuaEnv>();
-    auto& g = globals_->vars;
-    g["print"] = LuaValue::Builtin(kBPrint);
-    g["type"] = LuaValue::Builtin(kBType);
-    g["tostring"] = LuaValue::Builtin(kBTostring);
-    g["tonumber"] = LuaValue::Builtin(kBTonumber);
-    g["pairs"] = LuaValue::Builtin(kBPairs);
-    g["ipairs"] = LuaValue::Builtin(kBIpairs);
-    g["error"] = LuaValue::Builtin(kBError);
-    g["pcall"] = LuaValue::Builtin(kBPcall);
-    g["assert"] = LuaValue::Builtin(kBAssert);
+    globals_.resize(chunk_->global_ids.size());
+    global_set_.resize(chunk_->global_ids.size());
+    // The library is built whole, as hashing its keys counts steps; only
+    // the globals the chunk names are installed (a name the chunk never
+    // mentions cannot be read or called).
+    InstallGlobal("print", LuaValue::Builtin(kBPrint));
+    InstallGlobal("type", LuaValue::Builtin(kBType));
+    InstallGlobal("tostring", LuaValue::Builtin(kBTostring));
+    InstallGlobal("tonumber", LuaValue::Builtin(kBTonumber));
+    InstallGlobal("pairs", LuaValue::Builtin(kBPairs));
+    InstallGlobal("ipairs", LuaValue::Builtin(kBIpairs));
+    InstallGlobal("error", LuaValue::Builtin(kBError));
+    InstallGlobal("pcall", LuaValue::Builtin(kBPcall));
+    InstallGlobal("assert", LuaValue::Builtin(kBAssert));
 
     auto string_lib = std::make_shared<LuaTable>();
     auto add_lib_fn = [this](std::shared_ptr<LuaTable>& lib,
@@ -243,13 +246,13 @@ LuaInterp::LuaInterp(lowlevel::LowLevelRuntime* rt,
     add_lib_fn(string_lib, "rep", kBStrRep);
     add_lib_fn(string_lib, "lower", kBStrLower);
     add_lib_fn(string_lib, "upper", kBStrUpper);
-    g["string"] = LuaValue::Table(string_lib);
+    InstallGlobal("string", LuaValue::Table(string_lib));
 
     auto table_lib = std::make_shared<LuaTable>();
     add_lib_fn(table_lib, "insert", kBTblInsert);
     add_lib_fn(table_lib, "remove", kBTblRemove);
     add_lib_fn(table_lib, "concat", kBTblConcat);
-    g["table"] = LuaValue::Table(table_lib);
+    InstallGlobal("table", LuaValue::Table(table_lib));
 }
 
 LuaInterp::~LuaInterp()
@@ -349,12 +352,9 @@ LuaInterp::HashKey(const LuaValue& key)
 LuaValue
 LuaInterp::NewString(SymStr bytes)
 {
-    // Lua interns every string on creation (§5.2); the optimized build
-    // removes the mechanism.
-    if (!options_.build.avoid_symbolic_pointers && rt_->running()) {
-        interns_.Intern(bytes);
-    }
-    return LuaValue::Str(std::move(bytes));
+    // The bytes move into one shared copy, which the overload below
+    // interns.
+    return NewString(std::make_shared<const SymStr>(std::move(bytes)));
 }
 
 SymStr
@@ -400,7 +400,7 @@ LuaInterp::ToNumber(const LuaValue& value, bool* ok)
 // ---------------------------------------------------------------------------
 
 LuaInterp::Sig
-LuaInterp::ExecBlock(const LuaAst& block, const LuaEnvPtr& env)
+LuaInterp::ExecBlock(const LuaAst& block, const LuaFramePtr& env)
 {
     for (const LuaAstPtr& stat : block.kids) {
         if (!rt_->running() || error_raised_) {
@@ -415,24 +415,23 @@ LuaInterp::ExecBlock(const LuaAst& block, const LuaEnvPtr& env)
 }
 
 LuaInterp::Sig
-LuaInterp::ExecStat(const LuaAst& stat, const LuaEnvPtr& env)
+LuaInterp::ExecStat(const LuaAst& stat, const LuaFramePtr& env)
 {
     LogNode(stat);
     if (!rt_->running()) {
         return Sig::kError;
     }
     switch (stat.kind) {
-      case LuaAstKind::kBlock: {
-        auto scope = std::make_shared<LuaEnv>();
-        scope->parent = env;
-        return ExecBlock(stat, scope);
-      }
+      case LuaAstKind::kBlock:
+        return ExecScope(stat, env);
       case LuaAstKind::kLocal: {
         std::vector<LuaValue> values = EvalExprList(stat.kids, env);
-        for (size_t i = 0; i < stat.strings.size(); ++i) {
-            env->vars[stat.strings[i]] =
-                i < values.size() ? values[i] : LuaValue::Nil();
+        // The names are bound (and declared) even when a value failed.
+        for (size_t i = 0; i < stat.slots.size(); ++i) {
+            env->slots[stat.slots[i]] =
+                i < values.size() ? std::move(values[i]) : LuaValue::Nil();
         }
+        env->declared = stat.declared;
         return error_raised_ ? Sig::kError : Sig::kNone;
       }
       case LuaAstKind::kAssign: {
@@ -442,7 +441,8 @@ LuaInterp::ExecStat(const LuaAst& stat, const LuaEnvPtr& env)
         }
         for (size_t i = 0; i < stat.extra.size(); ++i) {
             AssignTo(*stat.extra[i], env,
-                     i < values.size() ? values[i] : LuaValue::Nil());
+                     i < values.size() ? std::move(values[i])
+                                       : LuaValue::Nil());
             if (error_raised_) {
                 return Sig::kError;
             }
@@ -460,19 +460,19 @@ LuaInterp::ExecStat(const LuaAst& stat, const LuaEnvPtr& env)
                 return Sig::kError;
             }
             if (DecideTruthy(cond, CHEF_LLPC)) {
-                auto scope = std::make_shared<LuaEnv>();
-                scope->parent = env;
-                return ExecBlock(*stat.kids[2 * i + 1], scope);
+                return ExecScope(*stat.kids[2 * i + 1], env);
             }
         }
         if (stat.kids.size() > static_cast<size_t>(2 * pairs)) {
-            auto scope = std::make_shared<LuaEnv>();
-            scope->parent = env;
-            return ExecBlock(*stat.kids[2 * pairs], scope);
+            // The else block, if any, is the last kid.
+            return ExecScope(*stat.kids[2 * pairs], env);
         }
         return Sig::kNone;
       }
       case LuaAstKind::kWhile: {
+        // The body runs in a fresh frame each iteration (if it declares
+        // names), so a closure made in the body keeps that iteration's
+        // locals.
         for (;;) {
             if (!rt_->running()) {
                 return Sig::kError;
@@ -484,9 +484,7 @@ LuaInterp::ExecStat(const LuaAst& stat, const LuaEnvPtr& env)
             if (!DecideTruthy(cond, CHEF_LLPC)) {
                 return Sig::kNone;
             }
-            auto scope = std::make_shared<LuaEnv>();
-            scope->parent = env;
-            const Sig signal = ExecBlock(*stat.kids[1], scope);
+            const Sig signal = ExecScope(*stat.kids[1], env);
             if (signal == Sig::kBreak) {
                 return Sig::kNone;
             }
@@ -500,9 +498,11 @@ LuaInterp::ExecStat(const LuaAst& stat, const LuaEnvPtr& env)
             if (!rt_->running()) {
                 return Sig::kError;
             }
-            auto scope = std::make_shared<LuaEnv>();
-            scope->parent = env;
-            const Sig signal = ExecBlock(*stat.kids[0], scope);
+            const LuaAst& body = *stat.kids[0];
+            const LuaFramePtr frame =
+                body.num_slots ? NewFrame(body.num_slots, 0, env) : nullptr;
+            const LuaFramePtr& scope = frame ? frame : env;
+            const Sig signal = ExecBlock(body, scope);
             if (signal == Sig::kBreak) {
                 return Sig::kNone;
             }
@@ -554,9 +554,9 @@ LuaInterp::ExecStat(const LuaAst& stat, const LuaEnvPtr& env)
             if (!rt_->Branch(more, CHEF_LLPC)) {
                 return Sig::kNone;
             }
-            auto scope = std::make_shared<LuaEnv>();
-            scope->parent = env;
-            scope->vars[stat.name] = LuaValue::Int(position);
+            // Slot 0 is the loop variable, fresh in every iteration.
+            const LuaFramePtr scope = NewFrame(body.num_slots, 1, env);
+            scope->slots[0] = LuaValue::Int(position);
             const Sig signal = ExecBlock(body, scope);
             if (signal == Sig::kBreak) {
                 return Sig::kNone;
@@ -582,15 +582,14 @@ LuaInterp::ExecStat(const LuaAst& stat, const LuaEnvPtr& env)
             if (!rt_->running()) {
                 return Sig::kError;
             }
-            auto scope = std::make_shared<LuaEnv>();
-            scope->parent = env;
-            if (!stat.strings.empty()) {
-                scope->vars[stat.strings[0]] = key;
+            const LuaAst& body = *stat.kids[1];
+            const LuaFramePtr scope =
+                NewFrame(body.num_slots, stat.declared, env);
+            scope->slots[stat.slots[0]] = key;
+            if (stat.slots.size() > 1) {
+                scope->slots[stat.slots[1]] = value;
             }
-            if (stat.strings.size() > 1) {
-                scope->vars[stat.strings[1]] = value;
-            }
-            const Sig signal = ExecBlock(*stat.kids[1], scope);
+            const Sig signal = ExecBlock(body, scope);
             if (signal == Sig::kBreak) {
                 return Sig::kNone;
             }
@@ -607,12 +606,10 @@ LuaInterp::ExecStat(const LuaAst& stat, const LuaEnvPtr& env)
       }
       case LuaAstKind::kLocalFunction: {
         // Bind the name first so the function can recurse.
-        env->vars[stat.name] = LuaValue::Nil();
+        env->slots[stat.slots[0]] = LuaValue::Nil();
+        env->declared = stat.declared;
         LuaValue function = EvalExpr(*stat.kids[0], env);
-        if (function.function) {
-            function.function->name = stat.name;
-        }
-        env->vars[stat.name] = std::move(function);
+        env->slots[stat.slots[0]] = std::move(function);
         return Sig::kNone;
       }
       case LuaAstKind::kReturn: {
@@ -631,17 +628,23 @@ LuaInterp::ExecStat(const LuaAst& stat, const LuaEnvPtr& env)
     }
 }
 
+LuaFramePtr
+LuaInterp::NewFrame(uint32_t num_slots, uint32_t declared,
+                    const LuaFramePtr& parent)
+{
+    auto frame = std::make_shared<LuaFrame>();
+    frame->slots.resize(num_slots);
+    frame->declared = declared;
+    frame->parent = parent;
+    return frame;
+}
+
 void
-LuaInterp::AssignTo(const LuaAst& target, const LuaEnvPtr& env,
+LuaInterp::AssignTo(const LuaAst& target, const LuaFramePtr& env,
                     LuaValue value)
 {
     if (target.kind == LuaAstKind::kName) {
-        LuaEnv* defining = env->Resolve(target.name);
-        if (defining != nullptr) {
-            defining->vars[target.name] = std::move(value);
-        } else {
-            globals_->vars[target.name] = std::move(value);
-        }
+        Variable(target.ref, env, true) = std::move(value);
         return;
     }
     if (target.kind == LuaAstKind::kIndex) {
@@ -667,7 +670,7 @@ LuaInterp::AssignTo(const LuaAst& target, const LuaEnvPtr& env,
 
 std::vector<LuaValue>
 LuaInterp::EvalExprList(const std::vector<LuaAstPtr>& exprs,
-                        const LuaEnvPtr& env)
+                        const LuaFramePtr& env)
 {
     std::vector<LuaValue> values;
     for (size_t i = 0; i < exprs.size(); ++i) {
@@ -675,10 +678,16 @@ LuaInterp::EvalExprList(const std::vector<LuaAstPtr>& exprs,
         if (last && (exprs[i]->kind == LuaAstKind::kCall ||
                      exprs[i]->kind == LuaAstKind::kMethodCall)) {
             std::vector<LuaValue> multi = EvalCallMulti(*exprs[i], env);
+            if (values.empty()) {
+                return multi;
+            }
             for (LuaValue& value : multi) {
                 values.push_back(std::move(value));
             }
         } else {
+            if (i == 0) {
+                values.reserve(exprs.size());
+            }
             values.push_back(EvalExpr(*exprs[i], env));
         }
         if (error_raised_) {
@@ -689,11 +698,12 @@ LuaInterp::EvalExprList(const std::vector<LuaAstPtr>& exprs,
 }
 
 std::vector<LuaValue>
-LuaInterp::EvalCallMulti(const LuaAst& call, const LuaEnvPtr& env)
+LuaInterp::EvalCallMulti(const LuaAst& call, const LuaFramePtr& env)
 {
     LogNode(call);
     LuaValue callee;
     std::vector<LuaValue> args;
+    args.reserve(call.kids.size() - (call.kind == LuaAstKind::kCall ? 1 : 0));
     size_t first_arg = 1;
     if (call.kind == LuaAstKind::kMethodCall) {
         LuaValue receiver = EvalExpr(*call.kids[0], env);
@@ -715,9 +725,9 @@ LuaInterp::EvalCallMulti(const LuaAst& call, const LuaEnvPtr& env)
                   std::string(LuaTypeName(receiver.type)) + " value");
             return {};
         }
-        callee = receiver.table->Get(*this,
-                                     LuaValue::StrC(call.name));
-        args.push_back(receiver);  // self
+        callee = receiver.table->Get(
+            *this, LuaValue::Str(chunk_->literals[call.literal]));
+        args.push_back(std::move(receiver));  // self
     } else {
         callee = EvalExpr(*call.kids[0], env);
     }
@@ -747,7 +757,7 @@ LuaInterp::EvalCallMulti(const LuaAst& call, const LuaEnvPtr& env)
 }
 
 LuaValue
-LuaInterp::EvalExpr(const LuaAst& expr, const LuaEnvPtr& env)
+LuaInterp::EvalExpr(const LuaAst& expr, const LuaFramePtr& env)
 {
     if (!rt_->running() || error_raised_) {
         return LuaValue::Nil();
@@ -763,21 +773,12 @@ LuaInterp::EvalExpr(const LuaAst& expr, const LuaEnvPtr& env)
         return LuaValue::IntC(expr.int_value);
       case LuaAstKind::kString: {
         LogNode(expr);
-        return NewString(ConcreteStr(expr.str_value));
+        return NewString(chunk_->literals[expr.literal]);
       }
       case LuaAstKind::kVararg:
         return LuaValue::Nil();
-      case LuaAstKind::kName: {
-        LuaEnv* defining = env->Resolve(expr.name);
-        if (defining != nullptr) {
-            return defining->vars[expr.name];
-        }
-        auto global = globals_->vars.find(expr.name);
-        if (global != globals_->vars.end()) {
-            return global->second;
-        }
-        return LuaValue::Nil();  // Unknown globals read as nil.
-      }
+      case LuaAstKind::kName:
+        return Variable(expr.ref, env, false);
       case LuaAstKind::kIndex: {
         LogNode(expr);
         LuaValue object = EvalExpr(*expr.kids[0], env);
@@ -794,8 +795,7 @@ LuaInterp::EvalExpr(const LuaAst& expr, const LuaEnvPtr& env)
       }
       case LuaAstKind::kFunction: {
         auto function = std::make_shared<LuaFunction>();
-        function->params = expr.strings;
-        function->body = expr.kids[0].get();
+        function->node = &expr;
         function->closure = env;
         closures_.push_back(function);
         LuaValue value;
@@ -811,10 +811,10 @@ LuaInterp::EvalExpr(const LuaAst& expr, const LuaEnvPtr& env)
         if (error_raised_) {
             return LuaValue::Nil();
         }
-        if (expr.name == "not") {
+        if (expr.op == LuaOp::kNot) {
             return LuaValue::Bool(SvBoolNot(Truthy(operand)));
         }
-        if (expr.name == "-") {
+        if (expr.op == LuaOp::kNeg) {
             bool ok = false;
             const SymValue number = ToNumber(operand, &ok);
             if (!ok) {
@@ -881,72 +881,67 @@ LuaInterp::Index(const LuaValue& object, const LuaValue& key)
 }
 
 LuaValue
-LuaInterp::BinOp(const LuaAst& node, const LuaEnvPtr& env)
+LuaInterp::BinOp(const LuaAst& node, const LuaFramePtr& env)
 {
-    const std::string& op = node.name;
+    const LuaOp op = node.op;
     // and/or short-circuit before evaluating the right side.
-    if (op == "and" || op == "or") {
+    if (op == LuaOp::kAnd || op == LuaOp::kOr) {
         LuaValue left = EvalExpr(*node.kids[0], env);
         if (error_raised_) {
             return LuaValue::Nil();
         }
         LogNode(node);
         const bool left_truthy = DecideTruthy(left, CHEF_LLPC);
-        if (op == "and") {
-            return left_truthy ? EvalExpr(*node.kids[1], env) : left;
+        if (left_truthy == (op == LuaOp::kAnd)) {
+            return EvalExpr(*node.kids[1], env);
         }
-        return left_truthy ? left : EvalExpr(*node.kids[1], env);
+        return left;
     }
 
-    LuaValue lhs = EvalExpr(*node.kids[0], env);
-    LuaValue rhs = EvalExpr(*node.kids[1], env);
+    const LuaValue lhs = EvalExpr(*node.kids[0], env);
+    const LuaValue rhs = EvalExpr(*node.kids[1], env);
     if (error_raised_) {
         return LuaValue::Nil();
     }
     LogNode(node);
 
-    if (op == "==") {
+    switch (op) {
+      case LuaOp::kEq:
         return LuaValue::Bool(ValueEq(lhs, rhs));
-    }
-    if (op == "~=") {
+      case LuaOp::kNe:
         return LuaValue::Bool(SvBoolNot(ValueEq(lhs, rhs)));
-    }
-    if (op == "..") {
-        if ((lhs.type != LuaValue::Type::kStr &&
-             lhs.type != LuaValue::Type::kInt) ||
-            (rhs.type != LuaValue::Type::kStr &&
-             rhs.type != LuaValue::Type::kInt)) {
-            Error("attempt to concatenate a " +
-                  std::string(LuaTypeName(lhs.type)) + " value");
-            return LuaValue::Nil();
-        }
-        SymStr out = ToStringValue(lhs);
-        const SymStr right = ToStringValue(rhs);
-        out.insert(out.end(), right.begin(), right.end());
-        return NewString(std::move(out));
-    }
-    if (op == "<" || op == "<=" || op == ">" || op == ">=") {
+      case LuaOp::kConcat:
+        return Concat(lhs, rhs);
+      case LuaOp::kLt:
+      case LuaOp::kLe:
+      case LuaOp::kGt:
+      case LuaOp::kGe:
+        // Strings compare bytewise, numbers as signed integers.
         if (lhs.type == LuaValue::Type::kStr &&
             rhs.type == LuaValue::Type::kStr) {
             const int ordering = str_ops_.Compare(*lhs.str, *rhs.str);
-            bool result = false;
-            if (op == "<") result = ordering < 0;
-            else if (op == "<=") result = ordering <= 0;
-            else if (op == ">") result = ordering > 0;
-            else result = ordering >= 0;
-            return LuaValue::BoolC(result);
+            switch (op) {
+              case LuaOp::kLt: return LuaValue::BoolC(ordering < 0);
+              case LuaOp::kLe: return LuaValue::BoolC(ordering <= 0);
+              case LuaOp::kGt: return LuaValue::BoolC(ordering > 0);
+              default: return LuaValue::BoolC(ordering >= 0);
+            }
         }
         if (lhs.type == LuaValue::Type::kInt &&
             rhs.type == LuaValue::Type::kInt) {
-            if (op == "<") return LuaValue::Bool(SvSlt(lhs.num, rhs.num));
-            if (op == "<=") return LuaValue::Bool(SvSle(lhs.num, rhs.num));
-            if (op == ">") return LuaValue::Bool(SvSgt(lhs.num, rhs.num));
-            return LuaValue::Bool(SvSge(lhs.num, rhs.num));
+            switch (op) {
+              case LuaOp::kLt: return LuaValue::Bool(SvSlt(lhs.num, rhs.num));
+              case LuaOp::kLe: return LuaValue::Bool(SvSle(lhs.num, rhs.num));
+              case LuaOp::kGt: return LuaValue::Bool(SvSgt(lhs.num, rhs.num));
+              default: return LuaValue::Bool(SvSge(lhs.num, rhs.num));
+            }
         }
         Error("attempt to compare " +
               std::string(LuaTypeName(lhs.type)) + " with " +
               LuaTypeName(rhs.type));
         return LuaValue::Nil();
+      default:
+        break;
     }
 
     // Arithmetic (with Lua's string->number coercion).
@@ -960,10 +955,15 @@ LuaInterp::BinOp(const LuaAst& node, const LuaEnvPtr& env)
                   (!lhs_ok ? lhs : rhs).type)) + " value");
         return LuaValue::Nil();
     }
-    if (op == "+") return LuaValue::Int(SvAdd(a, b));
-    if (op == "-") return LuaValue::Int(SvSub(a, b));
-    if (op == "*") return LuaValue::Int(SvMul(a, b));
-    if (op == "/" || op == "%") {
+    switch (op) {
+      case LuaOp::kAdd: return LuaValue::Int(SvAdd(a, b));
+      case LuaOp::kSub: return LuaValue::Int(SvSub(a, b));
+      case LuaOp::kMul: return LuaValue::Int(SvMul(a, b));
+      default:
+        break;
+    }
+
+    if (op == LuaOp::kDiv || op == LuaOp::kMod) {
         if (rt_->Branch(SvEq(b, SymValue(0, 64)), CHEF_LLPC)) {
             Error("attempt to divide by zero");
             return LuaValue::Nil();
@@ -975,13 +975,13 @@ LuaInterp::BinOp(const LuaAst& node, const LuaEnvPtr& env)
             SvNe(r, SymValue(0, 64)),
             SvNe(SvSlt(a, SymValue(0, 64)),
                  SvSlt(b, SymValue(0, 64))));
-        if (op == "/") {
+        if (op == LuaOp::kDiv) {
             return LuaValue::Int(
                 SvIte(adjust, SvSub(q, SymValue(1, 64)), q));
         }
         return LuaValue::Int(SvIte(adjust, SvAdd(r, b), r));
     }
-    Error("unsupported operator '" + op + "'");
+    Error("unsupported binary operator");
     return LuaValue::Nil();
 }
 
@@ -1014,14 +1014,19 @@ LuaInterp::CallFunctionMulti(const LuaValue& callee,
         Error("stack overflow");
         return {};
     }
-    auto scope = std::make_shared<LuaEnv>();
-    scope->parent = callee.function->closure;
-    for (size_t i = 0; i < callee.function->params.size(); ++i) {
-        scope->vars[callee.function->params[i]] =
-            i < args.size() ? std::move(args[i]) : LuaValue::Nil();
+    // Parameters and body locals share a frame; without any, none.
+    const LuaAst& function = *callee.function->node;
+    const LuaAst& body = *function.kids[0];
+    LuaFramePtr scope = callee.function->closure;
+    if (body.num_slots > 0) {
+        scope = NewFrame(body.num_slots, function.declared, scope);
+        for (size_t i = 0; i < function.slots.size(); ++i) {
+            scope->slots[function.slots[i]] =
+                i < args.size() ? std::move(args[i]) : LuaValue::Nil();
+        }
     }
     return_values_.clear();
-    const Sig signal = ExecBlock(*callee.function->body, scope);
+    const Sig signal = ExecBlock(body, scope);
     --depth_;
     if (signal == Sig::kReturn) {
         return std::move(return_values_);
@@ -1087,10 +1092,7 @@ LuaInterp::CallBuiltinMulti(int builtin_id, std::vector<LuaValue>& args)
         return {value};
       }
       case kBError: {
-        const std::string message =
-            args.empty() ? "error"
-                         : ConcreteView(ToStringValue(args[0]));
-        Error(message);
+        Error(args.empty() ? "error" : ConcreteView(ToStringValue(args[0])));
         return {};
       }
       case kBPcall: {
@@ -1098,10 +1100,8 @@ LuaInterp::CallBuiltinMulti(int builtin_id, std::vector<LuaValue>& args)
             Error("bad argument to 'pcall'");
             return {};
         }
-        LuaValue function = args[0];
         std::vector<LuaValue> call_args(args.begin() + 1, args.end());
-        const LuaValue result =
-            CallFunction(function, std::move(call_args));
+        const LuaValue result = CallFunction(args[0], std::move(call_args));
         if (error_raised_) {
             // pcall catches the error (unless the run was aborted).
             if (!rt_->running()) {
@@ -1136,7 +1136,7 @@ LuaInterp::CallBuiltinMulti(int builtin_id, std::vector<LuaValue>& args)
             Error("bad argument (string expected)");
             return {};
         }
-        LuaValue receiver = args[0];
+        const LuaValue& receiver = args[0];
         std::vector<LuaValue> rest(args.begin() + 1, args.end());
         std::string name;
         switch (builtin_id) {
@@ -1327,14 +1327,17 @@ LuaInterp::RunChunk()
 {
     error_raised_ = false;
     error_message_.clear();
-    auto scope = std::make_shared<LuaEnv>();
-    scope->parent = globals_;
-    ExecBlock(*chunk_->body, scope);
+    const LuaAst& body = *chunk_->body;
+    const LuaFramePtr scope =
+        body.num_slots > 0 ? NewFrame(body.num_slots, 0, nullptr) : nullptr;
+    ExecBlock(body, scope);
     // Chunk-level locals that name functions are commonly used as module
     // entry points; promote them so CallGlobal can find them.
-    for (auto& [name, value] : scope->vars) {
-        if (!globals_->vars.count(name)) {
-            globals_->vars[name] = value;
+    for (uint32_t slot = 0; scope && slot < scope->declared; ++slot) {
+        const uint32_t id = chunk_->chunk_slot_globals[slot];
+        if (!global_set_[id]) {
+            global_set_[id] = true;
+            globals_[id] = scope->slots[slot];
         }
     }
     LuaOutcome outcome;
@@ -1357,16 +1360,17 @@ LuaInterp::CallGlobal(const std::string& name,
                       std::vector<LuaValue> args, LuaValue* result)
 {
     LuaOutcome outcome;
-    auto it = globals_->vars.find(name);
-    if (it == globals_->vars.end() ||
-        (it->second.type != LuaValue::Type::kFunction &&
-         it->second.type != LuaValue::Type::kBuiltin)) {
+    auto it = chunk_->global_ids.find(name);
+    if (it == chunk_->global_ids.end() ||
+        (globals_[it->second].type != LuaValue::Type::kFunction &&
+         globals_[it->second].type != LuaValue::Type::kBuiltin)) {
         outcome.ok = false;
         outcome.error_message =
             "attempt to call a nil value (global '" + name + "')";
         return outcome;
     }
-    const LuaValue value = CallFunction(it->second, std::move(args));
+    const LuaValue callee = globals_[it->second];
+    const LuaValue value = CallFunction(callee, std::move(args));
     if (!rt_->running()) {
         outcome.ok = false;
         outcome.aborted = true;
@@ -1382,6 +1386,86 @@ LuaInterp::CallGlobal(const std::string& name,
         *result = value;
     }
     return outcome;
+}
+
+// ---------------------------------------------------------------------------
+// Scopes, names and operator helpers.
+// ---------------------------------------------------------------------------
+
+LuaValue
+LuaValue::Str(std::shared_ptr<const SymStr> bytes)
+{
+    LuaValue v;
+    v.type = Type::kStr;
+    v.str = std::move(bytes);
+    return v;
+}
+
+LuaValue
+LuaInterp::NewString(const std::shared_ptr<const SymStr>& bytes)
+{
+    // Lua interns every string on creation (§5.2); the optimized build
+    // removes the mechanism.
+    if (!options_.build.avoid_symbolic_pointers && rt_->running()) {
+        interns_.Intern(*bytes);
+    }
+    return LuaValue::Str(bytes);
+}
+
+void
+LuaInterp::InstallGlobal(const char* name, LuaValue value)
+{
+    const auto it = chunk_->global_ids.find(name);
+    if (it != chunk_->global_ids.end()) {
+        globals_[it->second] = std::move(value);
+        global_set_[it->second] = true;
+    }
+}
+
+LuaInterp::Sig
+LuaInterp::ExecScope(const LuaAst& block, const LuaFramePtr& env)
+{
+    if (block.num_slots == 0) {
+        return ExecBlock(block, env);
+    }
+    return ExecBlock(block, NewFrame(block.num_slots, 0, env));
+}
+
+LuaValue&
+LuaInterp::Variable(const LuaNameRef& ref, const LuaFramePtr& env,
+                    bool assign)
+{
+    for (uint32_t i = ref.later_begin; i < ref.later_end; ++i) {
+        const LuaSlotRef& later = chunk_->later_refs[i];
+        LuaFrame* frame = env->Up(later.hops);
+        if (later.slot < frame->declared) {
+            return frame->slots[later.slot];
+        }
+    }
+    if (ref.global == LuaNameRef::kLocal) {
+        return env->At(ref.local);
+    }
+    if (assign) {
+        global_set_[ref.global] = true;
+    }
+    return globals_[ref.global];
+}
+
+LuaValue
+LuaInterp::Concat(const LuaValue& lhs, const LuaValue& rhs)
+{
+    if ((lhs.type != LuaValue::Type::kStr &&
+         lhs.type != LuaValue::Type::kInt) ||
+        (rhs.type != LuaValue::Type::kStr &&
+         rhs.type != LuaValue::Type::kInt)) {
+        Error("attempt to concatenate a " +
+              std::string(LuaTypeName(lhs.type)) + " value");
+        return LuaValue::Nil();
+    }
+    SymStr out = ToStringValue(lhs);
+    const SymStr right = ToStringValue(rhs);
+    out.insert(out.end(), right.begin(), right.end());
+    return NewString(std::move(out));
 }
 
 }  // namespace chef::minilua

@@ -11,6 +11,11 @@
 /// instrumentation pattern" (§4.1). Guest errors follow Lua's error/pcall
 /// model; there is no exception hierarchy (Table 3 reports no exception
 /// counts for Lua).
+///
+/// Names are resolved by the parser: a local is read from a slot of a
+/// LuaFrame chain, a global from a vector indexed by the chunk's global
+/// id, so the guest path never hashes an identifier. A scope that declares
+/// no names runs in its parent's frame.
 
 #include <memory>
 #include <set>
@@ -44,17 +49,19 @@ class LuaInterp
 
     LuaInterp(lowlevel::LowLevelRuntime* rt,
               std::shared_ptr<LuaChunk> chunk, Options options);
-    /// Breaks the closure <-> environment reference cycles (a function
-    /// stored in the environment it captured) so the run's environments
-    /// and values are freed with the interpreter.
+    /// Breaks the closure <-> frame reference cycles (a function stored in
+    /// a frame it captured) so the run's frames and values are freed with
+    /// the interpreter.
     ~LuaInterp();
     LuaInterp(const LuaInterp&) = delete;
     LuaInterp& operator=(const LuaInterp&) = delete;
 
-    /// Runs the chunk body in the global environment.
+    /// Runs the chunk body, then promotes the chunk's locals to globals
+    /// of the same name that are not yet set.
     LuaOutcome RunChunk();
 
-    /// Calls a global function (after RunChunk defined it).
+    /// Calls a global function (after RunChunk defined it). Only names the
+    /// chunk mentions can be globals.
     LuaOutcome CallGlobal(const std::string& name,
                           std::vector<LuaValue> args,
                           LuaValue* result = nullptr);
@@ -82,6 +89,8 @@ class LuaInterp
 
     /// Interns a freshly created string (vanilla builds only).
     LuaValue NewString(SymStr bytes);
+    /// NewString for bytes that are already shared (literals).
+    LuaValue NewString(const std::shared_ptr<const SymStr>& bytes);
 
     /// Raises a Lua error with a message; execution unwinds to the
     /// nearest pcall (or the top level).
@@ -94,15 +103,18 @@ class LuaInterp
   private:
     enum class Sig : uint8_t { kNone, kBreak, kReturn, kError };
 
-    Sig ExecBlock(const LuaAst& block, const LuaEnvPtr& env);
-    Sig ExecStat(const LuaAst& stat, const LuaEnvPtr& env);
-    LuaValue EvalExpr(const LuaAst& expr, const LuaEnvPtr& env);
+    Sig ExecBlock(const LuaAst& block, const LuaFramePtr& env);
+    /// Runs \p block in a scope of its own: a new frame if it declares
+    /// names, else \p env.
+    Sig ExecScope(const LuaAst& block, const LuaFramePtr& env);
+    Sig ExecStat(const LuaAst& stat, const LuaFramePtr& env);
+    LuaValue EvalExpr(const LuaAst& expr, const LuaFramePtr& env);
     /// Evaluates an expression list; calls in the last position may
     /// contribute two values (pcall).
     std::vector<LuaValue> EvalExprList(
-        const std::vector<LuaAstPtr>& exprs, const LuaEnvPtr& env);
+        const std::vector<LuaAstPtr>& exprs, const LuaFramePtr& env);
     std::vector<LuaValue> EvalCallMulti(const LuaAst& call,
-                                        const LuaEnvPtr& env);
+                                        const LuaFramePtr& env);
 
     LuaValue CallFunction(const LuaValue& callee,
                           std::vector<LuaValue> args);
@@ -114,10 +126,22 @@ class LuaInterp
                               const std::string& name,
                               std::vector<LuaValue>& args);
 
-    void AssignTo(const LuaAst& target, const LuaEnvPtr& env,
+    void AssignTo(const LuaAst& target, const LuaFramePtr& env,
                   LuaValue value);
 
-    LuaValue BinOp(const LuaAst& node, const LuaEnvPtr& env);
+    /// Sets the global \p name if the chunk mentions it.
+    void InstallGlobal(const char* name, LuaValue value);
+    /// A frame of \p num_slots slots whose first \p declared are
+    /// declared.
+    static LuaFramePtr NewFrame(uint32_t num_slots, uint32_t declared,
+                                const LuaFramePtr& parent);
+    /// The variable the kName reference \p ref names (a global that was
+    /// never set holds nil); \p assign marks a global as set.
+    LuaValue& Variable(const LuaNameRef& ref, const LuaFramePtr& env,
+                       bool assign);
+
+    LuaValue BinOp(const LuaAst& node, const LuaFramePtr& env);
+    LuaValue Concat(const LuaValue& lhs, const LuaValue& rhs);
     LuaValue Index(const LuaValue& object, const LuaValue& key);
 
     bool DecideTruthy(const LuaValue& value, uint64_t llpc);
@@ -131,7 +155,10 @@ class LuaInterp
     interp::StrOps str_ops_;
     interp::InternTable interns_;
 
-    LuaEnvPtr globals_;
+    /// Indexed by the chunk's global ids. global_set_ tells a global that
+    /// was assigned (nil included) from one never set.
+    std::vector<LuaValue> globals_;
+    std::vector<bool> global_set_;
     /// Every closure this interpreter created, for the destructor.
     std::vector<std::weak_ptr<LuaFunction>> closures_;
     std::vector<LuaValue> return_values_;

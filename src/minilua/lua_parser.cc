@@ -1,6 +1,6 @@
+#include <algorithm>
 #include <cctype>
-#include <functional>
-#include <set>
+#include <initializer_list>
 #include <unordered_map>
 
 #include "minilua/lua_ast.h"
@@ -61,31 +61,55 @@ struct LuaToken {
     std::string text;
     int64_t number = 0;
     int line = 1;
+    uint32_t id = 0;  ///< kName: the identifier's dense id.
 };
 
-const std::unordered_map<std::string, T>&
-LuaKeywords()
+/// The keyword \p word spells, or T::kName.
+T
+KeywordKind(const std::string& word)
 {
-    static const std::unordered_map<std::string, T> keywords = {
-        {"and", T::kAnd},       {"break", T::kBreak},
-        {"do", T::kDo},         {"else", T::kElse},
-        {"elseif", T::kElseif}, {"end", T::kEnd},
-        {"false", T::kFalse},   {"for", T::kFor},
-        {"function", T::kFunction}, {"if", T::kIf},
-        {"in", T::kIn},         {"local", T::kLocal},
-        {"nil", T::kNil},       {"not", T::kNot},
-        {"or", T::kOr},         {"repeat", T::kRepeat},
-        {"return", T::kReturn}, {"then", T::kThen},
-        {"true", T::kTrue},     {"until", T::kUntil},
-        {"while", T::kWhile},
-    };
-    return keywords;
+    switch (word[0]) {
+      case 'a': return word == "and" ? T::kAnd : T::kName;
+      case 'b': return word == "break" ? T::kBreak : T::kName;
+      case 'd': return word == "do" ? T::kDo : T::kName;
+      case 'e':
+        if (word == "else") return T::kElse;
+        if (word == "elseif") return T::kElseif;
+        return word == "end" ? T::kEnd : T::kName;
+      case 'f':
+        if (word == "false") return T::kFalse;
+        if (word == "for") return T::kFor;
+        return word == "function" ? T::kFunction : T::kName;
+      case 'i':
+        if (word == "if") return T::kIf;
+        return word == "in" ? T::kIn : T::kName;
+      case 'l': return word == "local" ? T::kLocal : T::kName;
+      case 'n':
+        if (word == "nil") return T::kNil;
+        return word == "not" ? T::kNot : T::kName;
+      case 'o': return word == "or" ? T::kOr : T::kName;
+      case 'r':
+        if (word == "repeat") return T::kRepeat;
+        return word == "return" ? T::kReturn : T::kName;
+      case 't':
+        if (word == "then") return T::kThen;
+        return word == "true" ? T::kTrue : T::kName;
+      case 'u': return word == "until" ? T::kUntil : T::kName;
+      case 'w': return word == "while" ? T::kWhile : T::kName;
+      default: return T::kName;
+    }
 }
+
+/// Dense ids of the identifiers of one source, in order of appearance.
+using IdentifierIds = std::unordered_map<std::string, uint32_t>;
 
 class LuaLexer
 {
   public:
-    explicit LuaLexer(const std::string& source) : src_(source) {}
+    LuaLexer(const std::string& source, IdentifierIds* ids)
+        : src_(source), ids_(ids)
+    {
+    }
 
     bool Run(std::vector<LuaToken>* tokens, std::string* error,
              int* error_line)
@@ -139,21 +163,24 @@ class LuaLexer
                 continue;
             }
             if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-                std::string name;
+                const size_t start = pos_;
                 while (pos_ < src_.size() &&
                        (std::isalnum(static_cast<unsigned char>(
                             src_[pos_])) ||
                         src_[pos_] == '_')) {
-                    name.push_back(src_[pos_++]);
+                    ++pos_;
                 }
-                auto it = LuaKeywords().find(name);
                 LuaToken token;
                 token.line = line_;
-                if (it != LuaKeywords().end()) {
-                    token.kind = it->second;
+                token.text.assign(src_, start, pos_ - start);
+                token.kind = KeywordKind(token.text);
+                if (token.kind == T::kName) {
+                    // The parser resolves names by these ids, so no
+                    // identifier is hashed twice.
+                    token.id = ids_->try_emplace(token.text, ids_->size())
+                                   .first->second;
                 } else {
-                    token.kind = T::kName;
-                    token.text = std::move(name);
+                    token.text.clear();
                 }
                 tokens->push_back(std::move(token));
                 continue;
@@ -301,6 +328,7 @@ class LuaLexer
     }
 
     const std::string& src_;
+    IdentifierIds* ids_;
     size_t pos_ = 0;
     int line_ = 1;
 };
@@ -308,37 +336,263 @@ class LuaLexer
 class LuaParser
 {
   public:
-    explicit LuaParser(std::vector<LuaToken> tokens)
-        : toks_(std::move(tokens))
+    LuaParser(std::vector<LuaToken> tokens, IdentifierIds ids)
+        : toks_(std::move(tokens)), ids_(std::move(ids))
     {
+        names_.resize(ids_.size());
+        for (const auto& [name, id] : ids_) {
+            names_[id].name = &name;
+        }
     }
 
     LuaParseResult Run()
     {
         auto chunk = std::make_shared<LuaChunk>();
+        chunk_ = chunk.get();
+        OpenScope(/*new_function=*/true);
         chunk->body = Block({T::kEof});
+        CloseScope(chunk->body.get());
         LuaParseResult result;
         result.ok = ok_;
         result.error = error_;
         result.error_line = error_line_;
         if (ok_) {
+            FixHops();
             // Assign node ids and collect coverable lines.
-            std::set<int> lines;
+            std::vector<int>& lines = chunk->coverable_lines;
             uint32_t next_id = 1;
             AssignIds(chunk->body.get(), &next_id, &lines);
             chunk->num_nodes = next_id;
-            chunk->coverable_lines.assign(lines.begin(), lines.end());
+            std::sort(lines.begin(), lines.end());
+            lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
             result.chunk = std::move(chunk);
         }
         return result;
     }
 
   private:
-    void AssignIds(LuaAst* node, uint32_t* next_id, std::set<int>* lines)
+    // -- Name resolution ---------------------------------------------------
+    //
+    // One scope stack, resolved as the parser goes. A name binds to the
+    // innermost declaration seen so far; a frame exists at run time only
+    // for a scope that declares names, which is known when the scope
+    // closes, so local hops are counted once parsing ends (FixHops).
+    //
+    // The interpreter's lookup is dynamic: a function's frame chain is the
+    // one it captured, so it sees a local of an enclosing scope declared
+    // after the function once that declaration has run. A name in a
+    // function that passes enclosing scopes outside the function without
+    // finding a declaration is therefore kept as a miss; if one of those
+    // scopes declares the name later, the name gets a LuaNameRef "later"
+    // candidate, checked against the frame's declared count at run time.
+    // Within one activation statements run in text order, so a scope of
+    // the name's own function can never show it a later declaration.
+    //
+    // Scopes are numbered in opening order, so a scope's ancestors all
+    // have smaller numbers.
+
+    static constexpr uint32_t kNone = UINT32_MAX;
+
+    /// A visible declaration of identifier \p id; \p outer is the one it
+    /// shadows (an index into bindings_, or kNone).
+    struct Binding {
+        uint32_t id;
+        int scope;
+        uint32_t slot;
+        uint32_t outer;
+    };
+    /// A kName node that passed scopes outside its function: it appears in
+    /// scope \p scope and resolved to a declaration in \p target (-1 for
+    /// a global). \p previous is the identifier's previous miss.
+    struct Miss {
+        LuaAst* node;
+        int scope;
+        int target;
+        uint32_t previous;
+    };
+    /// Per identifier id: its spelling, its innermost visible declaration
+    /// and latest miss (indices, or kNone) and its global id once it has
+    /// one.
+    struct NameInfo {
+        const std::string* name = nullptr;
+        uint32_t binding = kNone;
+        uint32_t last_miss = kNone;
+        uint32_t global = LuaNameRef::kLocal;
+    };
+    struct Scope {
+        int parent = -1;
+        int function = 0;  ///< The function whose body holds the scope.
+        uint32_t num_slots = 0;
+        /// Where this scope's declarations start in bindings_.
+        size_t bindings_begin = 0;
+    };
+    /// A resolved local whose hops FixHops counts.
+    struct HopFixup {
+        LuaSlotRef* ref;
+        int from;
+        int to;
+    };
+
+    void OpenScope(bool new_function)
+    {
+        Scope scope;
+        scope.parent = current_;
+        scope.function =
+            new_function ? next_function_++ : scopes_[current_].function;
+        scope.bindings_begin = bindings_.size();
+        scopes_.push_back(scope);
+        current_ = static_cast<int>(scopes_.size()) - 1;
+    }
+
+    /// Closes the current scope, whose frame size goes to \p block.
+    void CloseScope(LuaAst* block)
+    {
+        const Scope& scope = scopes_[current_];
+        while (bindings_.size() > scope.bindings_begin) {
+            names_[bindings_.back().id].binding = bindings_.back().outer;
+            bindings_.pop_back();
+        }
+        block->num_slots = scope.num_slots;
+        current_ = scope.parent;
+    }
+
+    /// Declares the identifier \p id in the current scope; returns its
+    /// slot. A re-declaration in the same scope reuses the slot.
+    uint32_t Declare(uint32_t id)
+    {
+        Scope& scope = scopes_[current_];
+        NameInfo& info = names_[id];
+        if (info.binding != kNone &&
+            bindings_[info.binding].scope == current_) {
+            return bindings_[info.binding].slot;
+        }
+        const uint32_t slot = scope.num_slots++;
+        bindings_.push_back({id, current_, slot, info.binding});
+        info.binding = static_cast<uint32_t>(bindings_.size() - 1);
+        if (current_ == 0) {
+            chunk_->chunk_slot_globals.push_back(GlobalId(&info));
+        }
+        for (uint32_t m = info.last_miss; m != kNone;
+             m = misses_[m].previous) {
+            const Miss& miss = misses_[m];
+            if (miss.target < current_ &&
+                scopes_[miss.scope].function != scope.function &&
+                IsAncestor(current_, miss.scope)) {
+                AddLater(miss, slot);
+            }
+        }
+        return slot;
+    }
+
+    /// True if scope \p ancestor encloses scope \p scope.
+    bool IsAncestor(int ancestor, int scope) const
+    {
+        while (scope > ancestor) {
+            scope = scopes_[scope].parent;
+        }
+        return scope == ancestor;
+    }
+
+    /// The identifier id of \p name, which need not appear in the source.
+    uint32_t IdOf(const std::string& name)
+    {
+        auto [it, inserted] = ids_.try_emplace(name, ids_.size());
+        if (inserted) {
+            names_.emplace_back();
+            names_.back().name = &it->first;
+        }
+        return it->second;
+    }
+
+    /// The global id of the identifier \p info.
+    uint32_t GlobalId(NameInfo* info)
+    {
+        if (info->global == LuaNameRef::kLocal) {
+            info->global = static_cast<uint32_t>(chunk_->global_ids.size());
+            chunk_->global_ids.emplace(*info->name, info->global);
+        }
+        return info->global;
+    }
+
+    /// The kName node for the current token, which it consumes, resolved
+    /// in the current scope.
+    LuaAstPtr NameNode()
+    {
+        auto node = Node(LuaAstKind::kName);
+        const LuaToken& token = Advance();
+        node->name = token.text;
+        NameInfo& info = names_[token.id];
+        const int target =
+            info.binding == kNone ? -1 : bindings_[info.binding].scope;
+        if (target >= 0) {
+            node->ref.local.slot = bindings_[info.binding].slot;
+            fixups_.push_back({&node->ref.local, current_, target});
+        } else {
+            node->ref.global = GlobalId(&info);
+        }
+        const int function = scopes_[current_].function;
+        if (target < 0 ? function != 0
+                       : scopes_[target].function != function) {
+            misses_.push_back({node.get(), current_, target, info.last_miss});
+            info.last_miss = static_cast<uint32_t>(misses_.size() - 1);
+        }
+        return node;
+    }
+
+    /// Frames between \p from (inclusive) and its enclosing scope \p to
+    /// (exclusive); every scope in between is closed.
+    uint32_t CountHops(int from, int to) const
+    {
+        uint32_t hops = 0;
+        for (int s = from; s != to; s = scopes_[s].parent) {
+            hops += scopes_[s].num_slots > 0 ? 1 : 0;
+        }
+        return hops;
+    }
+
+    /// The current scope just declared, in \p slot, a name that \p miss
+    /// passed: look there first once it is declared.
+    void AddLater(const Miss& miss, uint32_t slot)
+    {
+        const LuaSlotRef later{CountHops(miss.scope, current_), slot};
+        std::vector<LuaSlotRef>& candidates = later_[miss.node];
+        candidates.insert(
+            std::upper_bound(candidates.begin(), candidates.end(), later,
+                             [](const LuaSlotRef& a, const LuaSlotRef& b) {
+                                 return a.hops < b.hops;
+                             }),
+            later);
+    }
+
+    /// Counts the hops of resolved locals and lays out the later
+    /// candidates, once every scope is closed.
+    void FixHops()
+    {
+        for (const HopFixup& fixup : fixups_) {
+            fixup.ref->hops = CountHops(fixup.from, fixup.to);
+        }
+        for (auto& [node, candidates] : later_) {
+            std::vector<LuaSlotRef>& refs = chunk_->later_refs;
+            node->ref.later_begin = static_cast<uint32_t>(refs.size());
+            refs.insert(refs.end(), candidates.begin(), candidates.end());
+            node->ref.later_end = static_cast<uint32_t>(refs.size());
+        }
+    }
+
+    LuaAstPtr ScopedBlock(std::initializer_list<T> terminators)
+    {
+        OpenScope(/*new_function=*/false);
+        LuaAstPtr block = Block(terminators);
+        CloseScope(block.get());
+        return block;
+    }
+
+    void AssignIds(LuaAst* node, uint32_t* next_id, std::vector<int>* lines)
     {
         node->node_id = (*next_id)++;
-        if (node->line > 0 && node->kind != LuaAstKind::kBlock) {
-            lines->insert(node->line);
+        if (node->line > 0 && node->kind != LuaAstKind::kBlock &&
+            (lines->empty() || lines->back() != node->line)) {
+            lines->push_back(node->line);
         }
         for (auto& kid : node->kids) {
             if (kid) {
@@ -395,7 +649,29 @@ class LuaParser
         return std::make_unique<LuaAst>(kind, Cur().line);
     }
 
-    bool BlockEnds(const std::vector<T>& terminators) const
+    /// The LuaChunk::literals index of \p text; equal texts share one.
+    uint32_t Literal(const std::string& text)
+    {
+        std::vector<std::shared_ptr<const interp::SymStr>>& literals =
+            chunk_->literals;
+        auto [it, inserted] = literal_ids_.try_emplace(
+            text, static_cast<uint32_t>(literals.size()));
+        if (inserted) {
+            literals.push_back(std::make_shared<const interp::SymStr>(
+                interp::ConcreteStr(text)));
+        }
+        return it->second;
+    }
+
+    /// A kString node for the current token, which it consumes.
+    LuaAstPtr StringNode()
+    {
+        auto node = Node(LuaAstKind::kString);
+        node->literal = Literal(Advance().text);
+        return node;
+    }
+
+    bool BlockEnds(std::initializer_list<T> terminators) const
     {
         for (T t : terminators) {
             if (Cur().kind == t) {
@@ -405,7 +681,7 @@ class LuaParser
         return false;
     }
 
-    LuaAstPtr Block(const std::vector<T>& terminators)
+    LuaAstPtr Block(std::initializer_list<T> terminators)
     {
         auto block = Node(LuaAstKind::kBlock);
         while (ok_ && !BlockEnds(terminators)) {
@@ -427,7 +703,8 @@ class LuaParser
     LuaAstPtr Statement();
     LuaAstPtr IfStatement();
     LuaAstPtr ForStatement();
-    LuaAstPtr FunctionBody();
+    /// Parses parameters and body; a method declares "self" first.
+    LuaAstPtr FunctionBody(bool is_method = false);
 
     std::vector<LuaAstPtr> ExprList();
     LuaAstPtr Expr() { return OrExpr(); }
@@ -447,6 +724,19 @@ class LuaParser
     bool ok_ = true;
     std::string error_;
     int error_line_ = 0;
+
+    LuaChunk* chunk_ = nullptr;
+    std::vector<Scope> scopes_;
+    int current_ = -1;
+    int next_function_ = 0;
+    IdentifierIds ids_;
+    std::vector<NameInfo> names_;  ///< By identifier id.
+    /// The declarations of the open scopes, innermost scope's last.
+    std::vector<Binding> bindings_;
+    std::vector<Miss> misses_;
+    std::vector<HopFixup> fixups_;
+    std::unordered_map<LuaAst*, std::vector<LuaSlotRef>> later_;
+    std::unordered_map<std::string, uint32_t> literal_ids_;
 };
 
 LuaAstPtr
@@ -460,23 +750,26 @@ LuaParser::Statement()
         Advance();
         node->kids.push_back(Expr());
         Expect(T::kDo, "'do'");
-        node->kids.push_back(Block({T::kEnd}));
+        node->kids.push_back(ScopedBlock({T::kEnd}));
         Expect(T::kEnd, "'end'");
         return node;
       }
       case T::kRepeat: {
         auto node = Node(LuaAstKind::kRepeat);
         Advance();
+        // The until-condition sees the loop body's scope.
+        OpenScope(/*new_function=*/false);
         node->kids.push_back(Block({T::kUntil}));
         Expect(T::kUntil, "'until'");
         node->kids.push_back(Expr());
+        CloseScope(node->kids[0].get());
         return node;
       }
       case T::kFor:
         return ForStatement();
       case T::kDo: {
         Advance();
-        auto block = Block({T::kEnd});
+        auto block = ScopedBlock({T::kEnd});
         Expect(T::kEnd, "'end'");
         return block;
       }
@@ -502,21 +795,34 @@ LuaParser::Statement()
                 Error("expected function name");
                 return node;
             }
-            node->name = Advance().text;
+            const LuaToken& name = Advance();
+            node->name = name.text;
+            // Bound before the body, so the function can recurse.
+            node->slots.push_back(Declare(name.id));
+            node->declared = scopes_[current_].num_slots;
             node->kids.push_back(FunctionBody());
             return node;
         }
         auto node = Node(LuaAstKind::kLocal);
+        // The names are every other token from here: name {',' name}.
+        const size_t first_name = pos_;
+        size_t num_names = 0;
         do {
             if (!At(T::kName)) {
                 Error("expected local name");
                 return node;
             }
-            node->strings.push_back(Advance().text);
+            Advance();
+            ++num_names;
         } while (Accept(T::kComma));
         if (Accept(T::kAssign)) {
             node->kids = ExprList();
         }
+        // The values are evaluated before the names are bound.
+        for (size_t i = 0; i < num_names; ++i) {
+            node->slots.push_back(Declare(toks_[first_name + 2 * i].id));
+        }
+        node->declared = scopes_[current_].num_slots;
         return node;
       }
       case T::kFunction: {
@@ -527,8 +833,7 @@ LuaParser::Statement()
             Error("expected function name");
             return node;
         }
-        LuaAstPtr target = Node(LuaAstKind::kName);
-        target->name = Advance().text;
+        LuaAstPtr target = NameNode();
         bool is_method = false;
         while (At(T::kDot) || At(T::kColon)) {
             is_method = At(T::kColon);
@@ -538,8 +843,8 @@ LuaParser::Statement()
                 return node;
             }
             auto index = Node(LuaAstKind::kIndex);
-            auto key = Node(LuaAstKind::kString);
-            key->str_value = Advance().text;
+            index->kids.reserve(2);
+            auto key = StringNode();
             index->kids.push_back(std::move(target));
             index->kids.push_back(std::move(key));
             target = std::move(index);
@@ -548,11 +853,7 @@ LuaParser::Statement()
             }
         }
         node->extra.push_back(std::move(target));
-        LuaAstPtr function = FunctionBody();
-        if (is_method) {
-            function->strings.insert(function->strings.begin(), "self");
-        }
-        node->kids.push_back(std::move(function));
+        node->kids.push_back(FunctionBody(is_method));
         return node;
       }
       default: {
@@ -591,7 +892,7 @@ LuaParser::IfStatement()
         node->kids.push_back(Expr());
         Expect(T::kThen, "'then'");
         node->kids.push_back(
-            Block({T::kEnd, T::kElse, T::kElseif}));
+            ScopedBlock({T::kEnd, T::kElse, T::kElseif}));
         ++pairs;
         if (Accept(T::kElseif)) {
             continue;
@@ -600,7 +901,7 @@ LuaParser::IfStatement()
     }
     node->int_value = pairs;
     if (Accept(T::kElse)) {
-        node->kids.push_back(Block({T::kEnd}));
+        node->kids.push_back(ScopedBlock({T::kEnd}));
     }
     Expect(T::kEnd, "'end'");
     return node;
@@ -614,10 +915,12 @@ LuaParser::ForStatement()
         Error("expected loop variable");
         return Node(LuaAstKind::kBlock);
     }
-    const std::string first_name = Advance().text;
+    // The variables are every other token from here: name {',' name}.
+    const size_t first_name = pos_;
+    Advance();
     if (Accept(T::kAssign)) {
         auto node = Node(LuaAstKind::kForNum);
-        node->name = first_name;
+        node->name = toks_[first_name].text;
         node->kids.push_back(Expr());
         Expect(T::kComma, "','");
         node->kids.push_back(Expr());
@@ -625,31 +928,50 @@ LuaParser::ForStatement()
             node->kids.push_back(Expr());
         }
         Expect(T::kDo, "'do'");
+        // Each iteration's frame holds the variable (slot 0) and the
+        // body's locals.
+        OpenScope(/*new_function=*/false);
+        Declare(toks_[first_name].id);
         node->kids.push_back(Block({T::kEnd}));
+        CloseScope(node->kids.back().get());
         Expect(T::kEnd, "'end'");
         return node;
     }
     auto node = Node(LuaAstKind::kForIn);
-    node->strings.push_back(first_name);
+    size_t num_names = 1;
     while (Accept(T::kComma)) {
         if (!At(T::kName)) {
             Error("expected name");
             return node;
         }
-        node->strings.push_back(Advance().text);
+        Advance();
+        ++num_names;
     }
     Expect(T::kIn, "'in'");
     node->kids.push_back(Expr());
     Expect(T::kDo, "'do'");
+    // Only the first two variables are bound (key and value); any more
+    // resolve outside the loop.
+    OpenScope(/*new_function=*/false);
+    for (size_t i = 0; i < num_names && i < 2; ++i) {
+        node->slots.push_back(Declare(toks_[first_name + 2 * i].id));
+    }
+    node->declared = scopes_[current_].num_slots;
     node->kids.push_back(Block({T::kEnd}));
+    CloseScope(node->kids.back().get());
     Expect(T::kEnd, "'end'");
     return node;
 }
 
 LuaAstPtr
-LuaParser::FunctionBody()
+LuaParser::FunctionBody(bool is_method)
 {
     auto node = Node(LuaAstKind::kFunction);
+    // Parameters and the body's top-level locals share one frame.
+    OpenScope(/*new_function=*/true);
+    if (is_method) {
+        node->slots.push_back(Declare(IdOf("self")));
+    }
     Expect(T::kLParen, "'('");
     while (ok_ && !Accept(T::kRParen)) {
         if (Accept(T::kEllipsis)) {
@@ -660,13 +982,15 @@ LuaParser::FunctionBody()
             Error("expected parameter name");
             break;
         }
-        node->strings.push_back(Advance().text);
+        node->slots.push_back(Declare(Advance().id));
         if (!Accept(T::kComma) && !At(T::kRParen)) {
             Error("expected ',' or ')'");
             break;
         }
     }
+    node->declared = scopes_[current_].num_slots;
     node->kids.push_back(Block({T::kEnd}));
+    CloseScope(node->kids.back().get());
     Expect(T::kEnd, "'end'");
     return node;
 }
@@ -690,13 +1014,14 @@ LeftAssoc(Sub&& sub, Match&& match)
 {
     LuaAstPtr left = sub();
     for (;;) {
-        const char* op = match();
-        if (op == nullptr) {
+        const LuaOp op = match();
+        if (op == LuaOp::kNone) {
             return left;
         }
         auto node = std::make_unique<LuaAst>(LuaAstKind::kBinOp,
                                              left->line);
-        node->name = op;
+        node->op = op;
+        node->kids.reserve(2);
         node->kids.push_back(std::move(left));
         node->kids.push_back(sub());
         left = std::move(node);
@@ -709,8 +1034,8 @@ LuaAstPtr
 LuaParser::OrExpr()
 {
     return LeftAssoc([this] { return AndExpr(); },
-                     [this]() -> const char* {
-                         return Accept(T::kOr) ? "or" : nullptr;
+                     [this] {
+                         return Accept(T::kOr) ? LuaOp::kOr : LuaOp::kNone;
                      });
 }
 
@@ -718,8 +1043,8 @@ LuaAstPtr
 LuaParser::AndExpr()
 {
     return LeftAssoc([this] { return CmpExpr(); },
-                     [this]() -> const char* {
-                         return Accept(T::kAnd) ? "and" : nullptr;
+                     [this] {
+                         return Accept(T::kAnd) ? LuaOp::kAnd : LuaOp::kNone;
                      });
 }
 
@@ -727,14 +1052,14 @@ LuaAstPtr
 LuaParser::CmpExpr()
 {
     return LeftAssoc([this] { return ConcatExpr(); },
-                     [this]() -> const char* {
-                         if (Accept(T::kEq)) return "==";
-                         if (Accept(T::kNe)) return "~=";
-                         if (Accept(T::kLt)) return "<";
-                         if (Accept(T::kLe)) return "<=";
-                         if (Accept(T::kGt)) return ">";
-                         if (Accept(T::kGe)) return ">=";
-                         return nullptr;
+                     [this] {
+                         if (Accept(T::kEq)) return LuaOp::kEq;
+                         if (Accept(T::kNe)) return LuaOp::kNe;
+                         if (Accept(T::kLt)) return LuaOp::kLt;
+                         if (Accept(T::kLe)) return LuaOp::kLe;
+                         if (Accept(T::kGt)) return LuaOp::kGt;
+                         if (Accept(T::kGe)) return LuaOp::kGe;
+                         return LuaOp::kNone;
                      });
 }
 
@@ -748,7 +1073,8 @@ LuaParser::ConcatExpr()
     }
     auto node =
         std::make_unique<LuaAst>(LuaAstKind::kBinOp, left->line);
-    node->name = "..";
+    node->op = LuaOp::kConcat;
+    node->kids.reserve(2);
     node->kids.push_back(std::move(left));
     node->kids.push_back(ConcatExpr());
     return node;
@@ -758,10 +1084,10 @@ LuaAstPtr
 LuaParser::AddExpr()
 {
     return LeftAssoc([this] { return MulExpr(); },
-                     [this]() -> const char* {
-                         if (Accept(T::kPlus)) return "+";
-                         if (Accept(T::kMinus)) return "-";
-                         return nullptr;
+                     [this] {
+                         if (Accept(T::kPlus)) return LuaOp::kAdd;
+                         if (Accept(T::kMinus)) return LuaOp::kSub;
+                         return LuaOp::kNone;
                      });
 }
 
@@ -769,28 +1095,28 @@ LuaAstPtr
 LuaParser::MulExpr()
 {
     return LeftAssoc([this] { return UnaryExpr(); },
-                     [this]() -> const char* {
-                         if (Accept(T::kStar)) return "*";
-                         if (Accept(T::kSlash)) return "/";
-                         if (Accept(T::kPercent)) return "%";
-                         return nullptr;
+                     [this] {
+                         if (Accept(T::kStar)) return LuaOp::kMul;
+                         if (Accept(T::kSlash)) return LuaOp::kDiv;
+                         if (Accept(T::kPercent)) return LuaOp::kMod;
+                         return LuaOp::kNone;
                      });
 }
 
 LuaAstPtr
 LuaParser::UnaryExpr()
 {
-    const char* op = nullptr;
+    LuaOp op = LuaOp::kNone;
     if (Accept(T::kNot)) {
-        op = "not";
+        op = LuaOp::kNot;
     } else if (Accept(T::kMinus)) {
-        op = "-";
+        op = LuaOp::kNeg;
     } else if (Accept(T::kHash)) {
-        op = "#";
+        op = LuaOp::kLen;
     }
-    if (op != nullptr) {
+    if (op != LuaOp::kNone) {
         auto node = Node(LuaAstKind::kUnOp);
-        node->name = op;
+        node->op = op;
         node->kids.push_back(UnaryExpr());
         return node;
     }
@@ -809,14 +1135,15 @@ LuaParser::PostfixExpr()
             }
             auto node = std::make_unique<LuaAst>(LuaAstKind::kIndex,
                                                  value->line);
-            auto key = Node(LuaAstKind::kString);
-            key->str_value = Advance().text;
+            node->kids.reserve(2);
+            auto key = StringNode();
             node->kids.push_back(std::move(value));
             node->kids.push_back(std::move(key));
             value = std::move(node);
         } else if (Accept(T::kLBracket)) {
             auto node = std::make_unique<LuaAst>(LuaAstKind::kIndex,
                                                  value->line);
+            node->kids.reserve(2);
             node->kids.push_back(std::move(value));
             node->kids.push_back(Expr());
             Expect(T::kRBracket, "']'");
@@ -834,9 +1161,7 @@ LuaParser::PostfixExpr()
                     }
                 }
             } else if (At(T::kString)) {
-                auto arg = Node(LuaAstKind::kString);
-                arg->str_value = Advance().text;
-                node->kids.push_back(std::move(arg));
+                node->kids.push_back(StringNode());
             } else {
                 node->kids.push_back(TableConstructor());
             }
@@ -849,6 +1174,7 @@ LuaParser::PostfixExpr()
             auto node = std::make_unique<LuaAst>(
                 LuaAstKind::kMethodCall, value->line);
             node->name = Advance().text;
+            node->literal = Literal(node->name);
             node->kids.push_back(std::move(value));
             if (Accept(T::kLParen)) {
                 while (ok_ && !Accept(T::kRParen)) {
@@ -859,9 +1185,7 @@ LuaParser::PostfixExpr()
                     }
                 }
             } else if (At(T::kString)) {
-                auto arg = Node(LuaAstKind::kString);
-                arg->str_value = Advance().text;
-                node->kids.push_back(std::move(arg));
+                node->kids.push_back(StringNode());
             } else {
                 Error("expected method arguments");
             }
@@ -884,19 +1208,13 @@ LuaParser::PrimaryExpr()
         node->int_value = Advance().number;
         return node;
       }
-      case T::kString: {
-        auto node = Node(LuaAstKind::kString);
-        node->str_value = Advance().text;
-        return node;
-      }
+      case T::kString:
+        return StringNode();
       case T::kEllipsis:
         Advance();
         return Node(LuaAstKind::kVararg);
-      case T::kName: {
-        auto node = Node(LuaAstKind::kName);
-        node->name = Advance().text;
-        return node;
-      }
+      case T::kName:
+        return NameNode();
       case T::kLParen: {
         Advance();
         LuaAstPtr inner = Expr();
@@ -921,8 +1239,7 @@ LuaParser::TableConstructor()
     Expect(T::kLBrace, "'{'");
     while (ok_ && !Accept(T::kRBrace)) {
         if (At(T::kName) && toks_[pos_ + 1].kind == T::kAssign) {
-            auto key = Node(LuaAstKind::kString);
-            key->str_value = Advance().text;
+            auto key = StringNode();
             Advance();  // '='
             node->kids.push_back(std::move(key));
             node->kids.push_back(Expr());
@@ -948,8 +1265,10 @@ LuaParser::TableConstructor()
 LuaParseResult
 LuaParse(const std::string& source)
 {
-    LuaLexer lexer(source);
+    IdentifierIds ids;
+    LuaLexer lexer(source, &ids);
     std::vector<LuaToken> tokens;
+    tokens.reserve(source.size() / 4);
     std::string error;
     int error_line = 0;
     if (!lexer.Run(&tokens, &error, &error_line)) {
@@ -959,7 +1278,7 @@ LuaParse(const std::string& source)
         result.error_line = error_line;
         return result;
     }
-    return LuaParser(std::move(tokens)).Run();
+    return LuaParser(std::move(tokens), std::move(ids)).Run();
 }
 
 }  // namespace chef::minilua

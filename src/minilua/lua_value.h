@@ -9,14 +9,16 @@
 /// interned on creation in the vanilla interpreter build; the optimized
 /// build eliminates interning. Tables have the classic array part plus an
 /// instrumented hash part, whose buckets are allocated on the first insert.
+/// Locals live in slot frames, one per activation of a scope that declares
+/// names; the parser resolves each name to a slot (lua_ast.h).
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "interp/str_ops.h"
 #include "lowlevel/symvalue.h"
+#include "minilua/lua_ast.h"
 
 namespace chef::minilua {
 
@@ -43,7 +45,7 @@ struct LuaValue {
 
     Type type = Type::kNil;
     SymValue num{0, 64};  ///< kInt payload; kBool uses width 1.
-    std::shared_ptr<SymStr> str;
+    std::shared_ptr<const SymStr> str;
     std::shared_ptr<LuaTable> table;
     std::shared_ptr<LuaFunction> function;
     std::shared_ptr<LuaIterator> iterator;
@@ -57,6 +59,8 @@ struct LuaValue {
     static LuaValue Int(SymValue value);
     static LuaValue IntC(int64_t value);
     static LuaValue Str(SymStr value);
+    /// A string value sharing \p bytes.
+    static LuaValue Str(std::shared_ptr<const SymStr> bytes);
     static LuaValue StrC(const std::string& value);
     static LuaValue Table(std::shared_ptr<LuaTable> table);
     static LuaValue Builtin(int id);
@@ -64,35 +68,38 @@ struct LuaValue {
 
 const char* LuaTypeName(LuaValue::Type type);
 
-struct LuaAst;
+/// The locals of one activation of a scope that declares names, in the
+/// slots the parser assigned. Closures capture the frame chain, so frames
+/// are shared and outlive their activation.
+struct LuaFrame {
+    std::vector<LuaValue> slots;
+    /// Slots [0, declared) are declared: a scope declares its names in
+    /// slot order, so the declared ones are always a prefix.
+    uint32_t declared = 0;
+    std::shared_ptr<LuaFrame> parent;
 
-/// Lexical environment: a scope chain of concrete-name bindings (closures
-/// capture their defining environment).
-struct LuaEnv {
-    std::unordered_map<std::string, LuaValue> vars;
-    std::shared_ptr<LuaEnv> parent;
-
-    /// Finds the environment defining \p name, or null.
-    LuaEnv* Resolve(const std::string& name)
+    /// The frame \p hops up the chain from this one.
+    LuaFrame* Up(uint32_t hops)
     {
-        for (LuaEnv* env = this; env != nullptr;
-             env = env->parent.get()) {
-            if (env->vars.count(name)) {
-                return env;
-            }
+        LuaFrame* frame = this;
+        for (uint32_t hop = 0; hop < hops; ++hop) {
+            frame = frame->parent.get();
         }
-        return nullptr;
+        return frame;
+    }
+    /// The local at \p ref, counting hops from this frame.
+    LuaValue& At(const LuaSlotRef& ref)
+    {
+        return Up(ref.hops)->slots[ref.slot];
     }
 };
 
-using LuaEnvPtr = std::shared_ptr<LuaEnv>;
+using LuaFramePtr = std::shared_ptr<LuaFrame>;
 
 /// A Lua closure.
 struct LuaFunction {
-    std::vector<std::string> params;
-    const LuaAst* body = nullptr;  ///< kBlock.
-    LuaEnvPtr closure;
-    std::string name;  ///< For diagnostics.
+    const LuaAst* node = nullptr;  ///< kFunction: parameters and body.
+    LuaFramePtr closure;
 };
 
 /// Snapshot iterator produced by pairs()/ipairs().

@@ -44,13 +44,6 @@ ExprKindName(ExprKind kind)
     return "?";
 }
 
-uint64_t
-WidthMask(int width)
-{
-    CHEF_CHECK(width >= 1 && width <= 64);
-    return (width == 64) ? ~0ull : ((1ull << width) - 1);
-}
-
 int64_t
 SignExtend(uint64_t value, int width)
 {

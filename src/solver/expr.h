@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "support/diagnostics.h"
+
 namespace chef::solver {
 
 class Expr;
@@ -54,8 +56,14 @@ enum class ExprKind : uint8_t {
 /// Returns a printable mnemonic for an expression kind.
 const char* ExprKindName(ExprKind kind);
 
-/// Returns the all-ones mask for a bitvector width (1..64).
-uint64_t WidthMask(int width);
+/// Returns the all-ones mask for a bitvector width (1..64). Inline: every
+/// concolic operation calls it.
+inline uint64_t
+WidthMask(int width)
+{
+    CHEF_CHECK(width >= 1 && width <= 64);
+    return (width == 64) ? ~0ull : ((1ull << width) - 1);
+}
 
 /// Sign-extends a width-bit value held in a uint64_t to 64 bits.
 int64_t SignExtend(uint64_t value, int width);

@@ -30,15 +30,17 @@ enum FakeOpcode : uint32_t {
 TEST(HlExecutionTree, AdvanceBuildsPrefixTree)
 {
     HlExecutionTree tree;
-    const uint32_t a = tree.Advance(0, 100);
-    const uint32_t b = tree.Advance(a, 101);
+    HlCfg cfg;
+    const uint32_t a = tree.Advance(0, 100, cfg);
+    const uint32_t b = tree.Advance(a, 101, cfg);
     // Replaying the same sequence reuses nodes.
-    EXPECT_EQ(tree.Advance(0, 100), a);
-    EXPECT_EQ(tree.Advance(a, 101), b);
+    EXPECT_EQ(tree.Advance(0, 100, cfg), a);
+    EXPECT_EQ(tree.Advance(a, 101, cfg), b);
     // Diverging creates a new node.
-    const uint32_t c = tree.Advance(a, 102);
+    const uint32_t c = tree.Advance(a, 102, cfg);
     EXPECT_NE(c, b);
     EXPECT_EQ(tree.num_nodes(), 4u);  // root + 3.
+    EXPECT_EQ(cfg.num_nodes(), 3u);
 }
 
 TEST(HlExecutionTree, SameHlpcDifferentContextIsDifferentNode)
@@ -46,19 +48,36 @@ TEST(HlExecutionTree, SameHlpcDifferentContextIsDifferentNode)
     // The dynamic HLPC distinguishes occurrences of one static HLPC on
     // different high-level paths (loop unrolling).
     HlExecutionTree tree;
-    const uint32_t first = tree.Advance(0, 100);
-    const uint32_t second = tree.Advance(first, 100);
+    HlCfg cfg;
+    const uint32_t first = tree.Advance(0, 100, cfg);
+    const uint32_t second = tree.Advance(first, 100, cfg);
     EXPECT_NE(first, second);
     EXPECT_EQ(tree.hlpc_of(first), tree.hlpc_of(second));
+    EXPECT_EQ(tree.cfg_id_of(first), tree.cfg_id_of(second));
 }
 
 TEST(HlExecutionTree, TerminalMarksCountNewPathsOnce)
 {
     HlExecutionTree tree;
-    const uint32_t a = tree.Advance(0, 100);
+    HlCfg cfg;
+    const uint32_t a = tree.Advance(0, 100, cfg);
     EXPECT_TRUE(tree.MarkTerminal(a));
     EXPECT_FALSE(tree.MarkTerminal(a));
     EXPECT_EQ(tree.num_terminal_paths(), 1u);
+}
+
+TEST(HlExecutionTree, PathHashExtendsTheParentsHash)
+{
+    HlExecutionTree tree;
+    HlCfg cfg;
+    const std::vector<uint64_t> trace = {7, 0x1234567890abcdefull, 7};
+    uint32_t node = 0;
+    EXPECT_EQ(tree.path_hash_of(node), FnvHash(nullptr, 0));
+    for (size_t i = 0; i < trace.size(); ++i) {
+        node = tree.Advance(node, trace[i], cfg);
+        EXPECT_EQ(tree.path_hash_of(node),
+                  FnvHash(trace.data(), (i + 1) * sizeof(uint64_t)));
+    }
 }
 
 TEST(HlExecutionTree, LargeTreesKeepIdsAndLinksAcrossChunks)
@@ -66,11 +85,12 @@ TEST(HlExecutionTree, LargeTreesKeepIdsAndLinksAcrossChunks)
     // Tens of thousands of nodes, past several storage chunks: a long
     // chain, then a wide fan-out under one node, then a reset.
     HlExecutionTree tree;
+    HlCfg cfg;
     std::vector<uint32_t> chain;
     uint32_t node = 0;
     for (uint64_t i = 0; i < 20'000; ++i) {
         bool created = false;
-        node = tree.Advance(node, 1000 + i, &created);
+        node = tree.Advance(node, 1000 + i, cfg, &created);
         EXPECT_TRUE(created);
         EXPECT_EQ(node, i + 1);
         chain.push_back(node);
@@ -78,28 +98,30 @@ TEST(HlExecutionTree, LargeTreesKeepIdsAndLinksAcrossChunks)
     const uint32_t hub = chain[5];
     std::vector<uint32_t> fan;
     for (uint64_t i = 0; i < 5'000; ++i) {
-        fan.push_back(tree.Advance(hub, 50'000 + i));
-        tree.set_cfg_id(fan.back(), static_cast<uint32_t>(i));
+        fan.push_back(tree.Advance(hub, 50'000 + i, cfg));
     }
     EXPECT_EQ(tree.num_nodes(), 1u + 20'000 + 5'000);
     // Every node reads back, and replaying reaches the same ids.
     node = 0;
     for (uint64_t i = 0; i < chain.size(); ++i) {
         bool created = true;
-        node = tree.Advance(node, 1000 + i, &created);
+        node = tree.Advance(node, 1000 + i, cfg, &created);
         EXPECT_FALSE(created);
         ASSERT_EQ(node, chain[i]);
         EXPECT_EQ(tree.hlpc_of(node), 1000 + i);
+        EXPECT_EQ(tree.cfg_id_of(node), i);
     }
     for (uint64_t i = 0; i < fan.size(); i += 499) {
-        EXPECT_EQ(tree.Advance(hub, 50'000 + i), fan[i]);
-        EXPECT_EQ(tree.cfg_id_of(fan[i]), i);
+        EXPECT_EQ(tree.Advance(hub, 50'000 + i, cfg), fan[i]);
+        EXPECT_EQ(tree.cfg_id_of(fan[i]), 20'000 + i);
     }
     EXPECT_TRUE(tree.MarkTerminal(fan.back()));
     EXPECT_EQ(tree.num_terminal_paths(), 1u);
     tree.Reset();
+    cfg.Reset();
     EXPECT_EQ(tree.num_nodes(), 1u);
-    EXPECT_EQ(tree.Advance(0, 7), 1u);
+    EXPECT_EQ(tree.Advance(0, 7, cfg), 1u);
+    EXPECT_EQ(tree.hlpc_of(1), 7u);
 }
 
 TEST(HlCfg, BranchingOpcodeInference)

@@ -257,6 +257,227 @@ print(#parts, parts[1], parts[3])
 }
 
 // ---------------------------------------------------------------------------
+// Scoping: which binding each name reaches.
+// ---------------------------------------------------------------------------
+
+/// Runs \p source as a chunk, then calls the global \p entry with
+/// \p args; returns the call's result printed by tostring, or
+/// "<error: ...>".
+std::string
+CallAfterChunk(const std::string& source, const std::string& entry,
+               std::vector<LuaValue> args = {})
+{
+    lowlevel::ExecutionTree tree;
+    solver::Solver solver;
+    lowlevel::LowLevelRuntime rt(&tree, &solver, {});
+    rt.BeginRun(solver::Assignment());
+    LuaParseResult parsed = LuaParse(source);
+    if (!parsed.ok) {
+        return "<parse error: " + parsed.error + ">";
+    }
+    LuaInterp interp(&rt, parsed.chunk, LuaInterp::Options{});
+    const LuaOutcome chunk_outcome = interp.RunChunk();
+    if (!chunk_outcome.ok) {
+        return "<error: " + chunk_outcome.error_message + ">";
+    }
+    LuaValue result;
+    const LuaOutcome outcome =
+        interp.CallGlobal(entry, std::move(args), &result);
+    if (!outcome.ok) {
+        return "<error: " + outcome.error_message + ">";
+    }
+    return interp::ConcreteView(interp.ToStringValue(result));
+}
+
+TEST(MiniLuaScopes, LoopBodyClosuresCaptureTheirIteration)
+{
+    const char* program = R"(local fs = {}
+for i = 1, 3 do
+  local j = i * 10
+  fs[i] = function() return i + j end
+end
+print(fs[1](), fs[2](), fs[3]())
+local gs = {}
+local k = 0
+while k < 3 do
+  k = k + 1
+  local v = k
+  gs[k] = function() return v end
+end
+print(gs[1](), gs[2](), gs[3]())
+local hs = {}
+for _, w in ipairs({'a', 'b'}) do
+  table.insert(hs, function() return w end)
+end
+print(hs[1](), hs[2]())
+)";
+    EXPECT_EQ(Out(program), "11\t22\t33\n1\t2\t3\na\tb\n");
+}
+
+TEST(MiniLuaScopes, NestedLocalShadowsUntilTheBlockEnds)
+{
+    const char* program = R"(local x = 1
+do
+  local x = 2
+  print(x)
+  do
+    local x = 3
+    print(x)
+  end
+  print(x)
+end
+print(x)
+if x == 1 then
+  local x = 'then'
+  print(x)
+else
+  local x = 'else'
+end
+print(x)
+)";
+    EXPECT_EQ(Out(program), "2\n3\n2\n1\nthen\n1\n");
+}
+
+TEST(MiniLuaScopes, ReadBeforeABlockLocalSeesTheOuterBinding)
+{
+    const char* program = R"(x = 'global'
+local y = 'outer'
+do
+  print(x, y)
+  local x = 'inner'
+  local y = 'inner'
+  print(x, y)
+end
+print(x, y)
+local z = z
+print(z)
+)";
+    EXPECT_EQ(Out(program),
+              "global\touter\ninner\tinner\nglobal\touter\nnil\n");
+}
+
+TEST(MiniLuaScopes, LocalFunctionCanRecurse)
+{
+    const char* program = R"(do
+  local function fact(n)
+    if n <= 1 then
+      return 1
+    end
+    return n * fact(n - 1)
+  end
+  print(fact(5))
+end
+print(fact)
+)";
+    EXPECT_EQ(Out(program), "120\nnil\n");
+}
+
+TEST(MiniLuaScopes, LocalRedeclaresAParameterInItsBinding)
+{
+    // A re-declaration in the same scope reuses the binding, so a
+    // closure made before it sees the new value.
+    const char* program = R"(local function f(a, b)
+  local get = function() return a end
+  local a = a + 1
+  local b = 'x'
+  return a, b, get()
+end
+print(f(1, 2))
+local n = 1
+local n = n + 1
+print(n)
+)";
+    EXPECT_EQ(Out(program), "2\tx\t2\n2\n");
+}
+
+TEST(MiniLuaScopes, RepeatConditionSeesTheBodyLocals)
+{
+    const char* program = R"(local n = 0
+repeat
+  local done = n >= 2
+  n = n + 1
+until done
+print(n, done)
+)";
+    EXPECT_EQ(Out(program), "3\tnil\n");
+}
+
+TEST(MiniLuaScopes, AssigningAnUndeclaredNameCreatesAGlobal)
+{
+    const char* program = R"(function setup()
+  counter = 41
+  helper = function() return counter + 1 end
+end
+function run()
+  setup()
+  return helper()
+end
+)";
+    EXPECT_EQ(CallAfterChunk(program, "run"), "42");
+    EXPECT_EQ(CallAfterChunk(program, "helper"),
+              "<error: attempt to call a nil value (global 'helper')>");
+    EXPECT_EQ(CallAfterChunk("do local hidden = 1 end\n", "hidden"),
+              "<error: attempt to call a nil value (global 'hidden')>");
+}
+
+TEST(MiniLuaScopes, RunChunkPromotesChunkLocals)
+{
+    const char* program = R"(local function twice(n) return n * 2 end
+local offset = 3
+local function entry(n) return twice(n) + offset end
+function shadowed() return 'global' end
+local function shadowed() return 'local' end
+)";
+    EXPECT_EQ(CallAfterChunk(program, "entry", {LuaValue::IntC(20)}), "43");
+    EXPECT_EQ(CallAfterChunk(program, "twice", {LuaValue::IntC(4)}), "8");
+    // A global of the same name wins over the chunk local.
+    EXPECT_EQ(CallAfterChunk(program, "shadowed"), "global");
+}
+
+TEST(MiniLuaScopes, SiblingClosuresShareAnUpvalue)
+{
+    const char* program = R"(local function pair()
+  local n = 0
+  local function inc() n = n + 1 end
+  local function get() return n end
+  return inc, get
+end
+local inc, get = pair()
+inc()
+inc()
+local inc2, get2 = pair()
+inc2()
+print(get(), get2())
+)";
+    EXPECT_EQ(Out(program), "2\t1\n");
+}
+
+TEST(MiniLuaScopes, ClosuresSeeLocalsDeclaredAfterThem)
+{
+    // A function looks names up when it runs, so it reaches an enclosing
+    // local declared after the function once that declaration has run.
+    const char* program = R"(local function early() return later end
+print(early())
+local later = 'set'
+print(early())
+local function first() return second() end
+local function second() return 'second' end
+print(first())
+)";
+    EXPECT_EQ(Out(program), "nil\nset\nsecond\n");
+}
+
+TEST(MiniLuaScopes, ForInBindsOnlyKeyAndValue)
+{
+    const char* program = R"(extra = 'global'
+for k, v, extra in ipairs({'a'}) do
+  print(k, v, extra)
+end
+)";
+    EXPECT_EQ(Out(program), "1\ta\tglobal\n");
+}
+
+// ---------------------------------------------------------------------------
 // Symbolic execution through the engine.
 // ---------------------------------------------------------------------------
 
@@ -475,6 +696,74 @@ end
         EXPECT_EQ(stats.hl_paths, pin.hl_paths);
         EXPECT_EQ(checks::ForkSitePattern(
                       LuaRunFn(chunk, "probe", 2, pin.build)),
+                  pin.pattern);
+    }
+}
+
+TEST(MiniLuaSymbolic, ForksInNestedScopesAndClosuresAsBefore)
+{
+    // Branches on symbolic bytes reached through nested blocks, loop
+    // bodies, a closure's upvalue and a local function; the counts and
+    // the fork-site pattern are pinned to the string-keyed scopes'.
+    const char* source = R"(function classify(s)
+  local count = 0
+  local marks = {3, 5}
+  local function bump(by)
+    count = count + by
+  end
+  for i = 1, #s do
+    local c = s:byte(i)
+    if c > 100 then
+      do
+        local k = c % 4
+        if k == 1 and c < 110 then
+          bump(k)
+        end
+      end
+    elseif c == 97 or c == 98 then
+      local inner = function() bump(marks[c - 96]) end
+      inner()
+    else
+      bump(c % 3)
+    end
+  end
+  local seen = 0
+  while count > seen do
+    seen = seen + 4
+  end
+  repeat
+    local left = count - seen
+    count = count - 1
+  until left < 1
+  return seen
+end
+)";
+    auto chunk = ParseLuaOrDie(source);
+    struct Pinned {
+        interp::InterpBuildOptions build;
+        uint64_t states_registered, ll_paths, hl_paths;
+        std::vector<int> pattern;
+    };
+    const Pinned pinned[] = {
+        {interp::InterpBuildOptions::FullyOptimized(), 150, 43, 43,
+         {0, 1, 0, 2, 3, 0, 1, 0, 2, 3}},
+        {interp::InterpBuildOptions::Vanilla(), 150, 43, 43,
+         {0, 1, 0, 2, 3, 0, 1, 0, 2, 3}},
+    };
+    for (const Pinned& pin : pinned) {
+        Engine::Options options;
+        options.max_runs = 2000;
+        options.max_seconds = 60.0;
+        Engine engine(options);
+        engine.Explore(LuaRunFn(chunk, "classify", 2, pin.build));
+        const EngineStats& stats = engine.stats();
+        EXPECT_LT(stats.ll_paths, options.max_runs);
+        EXPECT_FALSE(stats.stopped);
+        EXPECT_EQ(stats.states_registered, pin.states_registered);
+        EXPECT_EQ(stats.ll_paths, pin.ll_paths);
+        EXPECT_EQ(stats.hl_paths, pin.hl_paths);
+        EXPECT_EQ(checks::ForkSitePattern(
+                      LuaRunFn(chunk, "classify", 2, pin.build)),
                   pin.pattern);
     }
 }
