@@ -111,7 +111,7 @@ BM_RegisterAlternatesAtDepth(benchmark::State& state)
     // prefix and tearing the tree down are untimed.
     constexpr int kAlternates = 64;
     const int64_t depth = state.range(0);
-    const auto x = solver::MakeVar(1, "x", 32);
+    const auto x = solver::MakeVar(1, 32);
     const auto taken = solver::MakeUlt(x, solver::MakeConst(1000, 32));
     const auto negated = solver::MakeBoolNot(taken);
     std::unique_ptr<lowlevel::ExecutionTree> tree;

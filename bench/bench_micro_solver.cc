@@ -17,9 +17,7 @@ StringMatchQuery(int length, int flip_at)
 {
     std::vector<ExprRef> assertions;
     for (int i = 0; i < length; ++i) {
-        const ExprRef byte =
-            MakeVar(static_cast<uint32_t>(i + 1),
-                    "s" + std::to_string(i), 8);
+        const ExprRef byte = MakeVar(static_cast<uint32_t>(i + 1), 8);
         ExprRef eq = MakeEq(byte, MakeConst('a' + (i % 26), 8));
         if (i == flip_at) {
             eq = MakeBoolNot(eq);
@@ -47,8 +45,8 @@ void
 BM_SolverArith32(benchmark::State& state)
 {
     // 3x + y == k with bounds: the Figure-1 shape.
-    const ExprRef x = MakeVar(1, "x", 32);
-    const ExprRef y = MakeVar(2, "y", 32);
+    const ExprRef x = MakeVar(1, 32);
+    const ExprRef y = MakeVar(2, 32);
     const ExprRef sum = MakeAdd(MakeMul(x, MakeConst(3, 32)), y);
     uint64_t k = 10;
     for (auto _ : state) {
@@ -68,8 +66,8 @@ BM_SolverMul16Factor(benchmark::State& state)
 {
     for (auto _ : state) {
         Solver solver;
-        const ExprRef x = MakeVar(1, "x", 16);
-        const ExprRef y = MakeVar(2, "y", 16);
+        const ExprRef x = MakeVar(1, 16);
+        const ExprRef y = MakeVar(2, 16);
         Assignment model;
         const auto result = solver.Solve(
             {MakeEq(MakeMul(x, y), MakeConst(12851, 16)),
@@ -105,7 +103,7 @@ BM_UpperBound(benchmark::State& state)
     // The symbolic-allocation-size query (paper Figure 6).
     for (auto _ : state) {
         Solver solver;
-        const ExprRef n = MakeVar(1, "n", 32);
+        const ExprRef n = MakeVar(1, 32);
         uint64_t bound = 0;
         solver.UpperBound({MakeUlt(n, MakeConst(4096, 32))}, n, &bound);
         benchmark::DoNotOptimize(bound);

@@ -54,8 +54,7 @@ IndependentBytesQueries(int depth)
     using namespace chef::solver;
     std::vector<ExprRef> eqs;
     for (int i = 0; i < depth; ++i) {
-        const ExprRef byte = MakeVar(static_cast<uint32_t>(i + 1),
-                                     "s" + std::to_string(i), 8);
+        const ExprRef byte = MakeVar(static_cast<uint32_t>(i + 1), 8);
         eqs.push_back(MakeEq(byte, MakeConst('a' + (i % 26), 8)));
     }
     std::vector<Query> queries;
@@ -77,8 +76,7 @@ ChainedAddsQueries(int depth)
     using namespace chef::solver;
     std::vector<ExprRef> xs;
     for (int i = 0; i <= depth; ++i) {
-        xs.push_back(MakeVar(static_cast<uint32_t>(i + 1),
-                             "x" + std::to_string(i), 16));
+        xs.push_back(MakeVar(static_cast<uint32_t>(i + 1), 16));
     }
     std::vector<ExprRef> links;
     for (int i = 0; i < depth; ++i) {

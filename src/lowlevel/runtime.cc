@@ -61,7 +61,7 @@ LowLevelRuntime::MakeSymbolicValue(const std::string& name, int width,
                                   ? inputs_.Get(var_id)
                                   : variables_[index].default_value;
     return SymValue(concrete, width,
-                    solver::MakeVar(var_id, name, width));
+                    solver::MakeVar(var_id, width));
 }
 
 bool

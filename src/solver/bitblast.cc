@@ -322,9 +322,9 @@ BitBlaster::BlastNode(const Expr* e)
             return it->second.bits;
         }
         VarInfo info;
-        // Clone the node reference so the VarInfo owns it; we only have a
-        // raw pointer here, so rebuild a reference-equal variable node.
-        info.var = MakeVar(e->var_id(), e->var_name(), width);
+        // The node carries its own count, so the raw pointer yields a
+        // new reference.
+        info.var = ExprRef(e);
         info.bits.resize(width);
         for (int i = 0; i < width; ++i) {
             info.bits[i] = cnf_->NewVar();

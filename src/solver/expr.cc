@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <unordered_set>
 
 #include "support/diagnostics.h"
@@ -57,14 +58,12 @@ SignExtend(uint64_t value, int width)
 }
 
 Expr::Expr(ExprKind kind, int width, uint64_t value, uint32_t var_id,
-           std::string name, int extract_offset, ExprRef a, ExprRef b,
-           ExprRef c)
+           int extract_offset, ExprRef a, ExprRef b, ExprRef c)
     : kind_(kind),
       width_(static_cast<uint8_t>(width)),
-      extract_offset_(extract_offset),
+      extract_offset_(static_cast<uint8_t>(extract_offset)),
       var_id_(var_id),
       value_(value),
-      name_(std::move(name)),
       a_(std::move(a)),
       b_(std::move(b)),
       c_(std::move(c))
@@ -78,6 +77,39 @@ Expr::Expr(ExprKind kind, int width, uint64_t value, uint32_t var_id,
     if (b_) h = HashCombine(h, b_->hash());
     if (c_) h = HashCombine(h, c_->hash());
     hash_ = h;
+}
+
+ExprRef
+Expr::New(ExprKind kind, int width, uint64_t value, uint32_t var_id,
+          int extract_offset, ExprRef a, ExprRef b, ExprRef c)
+{
+    return ExprRef(new Expr(kind, width, value, var_id, extract_offset,
+                            std::move(a), std::move(b), std::move(c)),
+                   ExprRef::Adopt{});
+}
+
+void
+Expr::Destroy(const Expr* node) noexcept
+{
+    // Nodes are created non-const (New), so the casts are sound. The
+    // nodes still to free form a stack threaded through their hash_ fields,
+    // which no one reads once the count is zero.
+    Expr* dead = const_cast<Expr*>(node);
+    dead->hash_ = 0;
+    while (dead != nullptr) {
+        Expr* next =
+            reinterpret_cast<Expr*>(static_cast<uintptr_t>(dead->hash_));
+        for (ExprRef* child : {&dead->a_, &dead->b_, &dead->c_}) {
+            const Expr* kid = std::exchange(child->node_, nullptr);
+            if (kid != nullptr && kid->Unref()) {
+                Expr* freed = const_cast<Expr*>(kid);
+                freed->hash_ = reinterpret_cast<uintptr_t>(next);
+                next = freed;
+            }
+        }
+        delete dead;  // Its child handles are null: nothing recurses.
+        dead = next;
+    }
 }
 
 bool
@@ -105,7 +137,7 @@ Expr::ToString() const
       case ExprKind::kConstant:
         return std::to_string(value_) + ":" + std::to_string(width_);
       case ExprKind::kVariable:
-        return name_;
+        return "v" + std::to_string(var_id_);
       case ExprKind::kExtract:
         return std::string("(extract ") + std::to_string(extract_offset_) +
                " " + std::to_string(width_) + " " + a_->ToString() + ")";
@@ -171,9 +203,8 @@ ExprRef
 MakeNode(ExprKind kind, int width, ExprRef a, ExprRef b = nullptr,
          ExprRef c = nullptr, int extract_offset = 0)
 {
-    return std::make_shared<Expr>(kind, width, 0, 0, std::string(),
-                                  extract_offset, std::move(a), std::move(b),
-                                  std::move(c));
+    return Expr::New(kind, width, 0, 0, extract_offset, std::move(a),
+                     std::move(b), std::move(c));
 }
 
 bool
@@ -196,9 +227,8 @@ MakeConst(uint64_t value, int width)
 {
     const uint64_t masked = value & WidthMask(width);
     const auto make = [masked, width] {
-        return std::make_shared<Expr>(ExprKind::kConstant, width, masked, 0,
-                                      std::string(), 0, nullptr, nullptr,
-                                      nullptr);
+        return Expr::New(ExprKind::kConstant, width, masked, 0, 0, nullptr,
+                         nullptr, nullptr);
     };
     if (masked >= kInternedConstantLimit) {
         return make();
@@ -226,10 +256,10 @@ MakeBool(bool value)
 }
 
 ExprRef
-MakeVar(uint32_t var_id, const std::string& name, int width)
+MakeVar(uint32_t var_id, int width)
 {
-    return std::make_shared<Expr>(ExprKind::kVariable, width, 0, var_id,
-                                  name, 0, nullptr, nullptr, nullptr);
+    return Expr::New(ExprKind::kVariable, width, 0, var_id, 0, nullptr,
+                     nullptr, nullptr);
 }
 
 ExprRef

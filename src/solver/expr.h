@@ -12,6 +12,27 @@
 /// algebraic simplification so that fully concrete computations never reach
 /// the SAT backend.
 ///
+/// Handles and nodes. An ExprRef is one pointer (8 bytes) to a node that
+/// carries its own reference count, so every SymValue, path-condition
+/// link and solver query holds a node at the cost of a pointer. A node is
+/// 56 bytes, one 64-byte malloc chunk: the count, kind, width and extract
+/// offset; the variable id, constant value and cached structural hash;
+/// and three child handles. A path condition can keep a few hundred
+/// thousand nodes alive at once, so their size is most of a long
+/// exploration's memory. Nodes hold no variable names: a variable is its
+/// id, whose name and width LowLevelRuntime keeps in its VarDecl list,
+/// and ToString renders it as v<id>.
+///
+/// The count is atomic. Nodes cross threads: the shared solver cache keeps
+/// queries that several service workers copy and drop, and an interned
+/// constant outlives the thread that made it. As in libstdc++'s
+/// shared_ptr, a process that has never started a second thread changes
+/// counts with plain loads and stores (SingleThreaded), which keeps a
+/// locked instruction off every copy in a one-thread session. Dropping
+/// the last handle to a node frees it and every descendant it held the
+/// last reference to in a loop, not by recursion, so a chain of any depth
+/// is released in constant stack.
+///
 /// Small constants are interned: MakeConst returns one shared node per
 /// (value, width) for values below kInternedConstantLimit, per thread.
 /// Concolic values turn every concrete operand into a constant node, so
@@ -20,18 +41,105 @@
 /// Expr::Equal and hash() are structural, and the bit-blaster maps every
 /// constant to the fixed true literal, so the CNF does not change.
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/diagnostics.h"
 
+#if __has_include(<sys/single_threaded.h>)
+#include <sys/single_threaded.h>
+#endif
+
 namespace chef::solver {
 
 class Expr;
-using ExprRef = std::shared_ptr<const Expr>;
+
+/// An owning handle to an immutable expression node (or null): the subset
+/// of std::shared_ptr<const Expr> that expression code uses, in one
+/// pointer. Copying takes a reference, destruction drops one.
+class ExprRef
+{
+  public:
+    constexpr ExprRef() noexcept = default;
+    constexpr ExprRef(std::nullptr_t) noexcept {}
+    /// Takes a new reference to \p node, which may be null.
+    explicit ExprRef(const Expr* node) noexcept;
+    ExprRef(const ExprRef& other) noexcept : ExprRef(other.node_) {}
+    ExprRef(ExprRef&& other) noexcept
+        : node_(std::exchange(other.node_, nullptr))
+    {
+    }
+    ~ExprRef() { reset(); }
+
+    ExprRef&
+    operator=(const ExprRef& other) noexcept
+    {
+        ExprRef(other).swap(*this);
+        return *this;
+    }
+    ExprRef&
+    operator=(ExprRef&& other) noexcept
+    {
+        ExprRef(std::move(other)).swap(*this);
+        return *this;
+    }
+
+    const Expr* get() const noexcept { return node_; }
+    const Expr* operator->() const noexcept { return node_; }
+    const Expr& operator*() const noexcept { return *node_; }
+    explicit operator bool() const noexcept { return node_ != nullptr; }
+
+    /// Drops this handle's reference; the handle becomes null.
+    void reset() noexcept;
+    /// Handles to the node (0 when null). Exact only while no other
+    /// thread copies or drops one.
+    long use_count() const noexcept;
+    void swap(ExprRef& other) noexcept { std::swap(node_, other.node_); }
+
+    friend bool
+    operator==(const ExprRef& x, const ExprRef& y) noexcept
+    {
+        return x.node_ == y.node_;
+    }
+    friend bool
+    operator!=(const ExprRef& x, const ExprRef& y) noexcept
+    {
+        return x.node_ != y.node_;
+    }
+    friend bool
+    operator==(const ExprRef& x, std::nullptr_t) noexcept
+    {
+        return x.node_ == nullptr;
+    }
+    friend bool
+    operator!=(const ExprRef& x, std::nullptr_t) noexcept
+    {
+        return x.node_ != nullptr;
+    }
+    friend bool
+    operator==(std::nullptr_t, const ExprRef& x) noexcept
+    {
+        return x.node_ == nullptr;
+    }
+    friend bool
+    operator!=(std::nullptr_t, const ExprRef& x) noexcept
+    {
+        return x.node_ != nullptr;
+    }
+
+  private:
+    friend class Expr;
+
+    /// Wraps a node whose count already includes this handle.
+    struct Adopt {};
+    ExprRef(const Expr* node, Adopt) noexcept : node_(node) {}
+
+    const Expr* node_ = nullptr;
+};
 
 /// Expression node kinds.
 enum class ExprKind : uint8_t {
@@ -73,6 +181,9 @@ int64_t SignExtend(uint64_t value, int width);
 class Expr
 {
   public:
+    Expr(const Expr&) = delete;
+    Expr& operator=(const Expr&) = delete;
+
     ExprKind kind() const { return kind_; }
     int width() const { return width_; }
 
@@ -81,7 +192,6 @@ class Expr
 
     /// Variable payload; meaningful only for kVariable.
     uint32_t var_id() const { return var_id_; }
-    const std::string& var_name() const { return name_; }
 
     /// Extract offset; meaningful only for kExtract.
     int extract_offset() const { return extract_offset_; }
@@ -100,24 +210,105 @@ class Expr
     /// Deep structural equality (hash-accelerated).
     static bool Equal(const ExprRef& x, const ExprRef& y);
 
-    /// Renders the expression as an s-expression (for debugging and tests).
+    /// Renders the expression as an s-expression (for debugging and tests);
+    /// a variable reads v<id>.
     std::string ToString() const;
 
-    // Node constructors are internal; use the Make* factories.
-    Expr(ExprKind kind, int width, uint64_t value, uint32_t var_id,
-         std::string name, int extract_offset, ExprRef a, ExprRef b,
-         ExprRef c);
+    /// Allocates a node. Internal: use the Make* factories.
+    static ExprRef New(ExprKind kind, int width, uint64_t value,
+                       uint32_t var_id, int extract_offset, ExprRef a,
+                       ExprRef b, ExprRef c);
 
   private:
+    friend class ExprRef;
+
+    Expr(ExprKind kind, int width, uint64_t value, uint32_t var_id,
+         int extract_offset, ExprRef a, ExprRef b, ExprRef c);
+    ~Expr() = default;
+
+    /// True while the process has never started a second thread. glibc
+    /// keeps the flag, and libstdc++'s shared_ptr reads it the same way:
+    /// until then a count can change with plain loads and stores.
+    /// Starting a thread clears it for good, and that start orders the
+    /// earlier plain writes before anything the new thread does.
+    static bool
+    SingleThreaded() noexcept
+    {
+#if __has_include(<sys/single_threaded.h>)
+        return ::__libc_single_threaded != 0;
+#else
+        return false;
+#endif
+    }
+
+    /// Takes one reference.
+    void
+    Ref() const noexcept
+    {
+        if (SingleThreaded()) {
+            refs_.store(refs_.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_relaxed);
+        } else {
+            refs_.fetch_add(1, std::memory_order_relaxed);
+        }
+    }
+
+    /// Drops one reference; true when it was the last. A count of one is
+    /// the caller's own reference: no other thread can take one, so the
+    /// node is freed without a decrement.
+    bool
+    Unref() const noexcept
+    {
+        const uint32_t refs = refs_.load(std::memory_order_acquire);
+        if (refs == 1) {
+            return true;
+        }
+        if (SingleThreaded()) {
+            refs_.store(refs - 1, std::memory_order_relaxed);
+            return false;
+        }
+        return refs_.fetch_sub(1, std::memory_order_acq_rel) == 1;
+    }
+
+    /// Frees \p node, whose count has reached zero, and every descendant
+    /// it held the last reference to, in a loop.
+    static void Destroy(const Expr* node) noexcept;
+
+    mutable std::atomic<uint32_t> refs_{1};
     ExprKind kind_;
     uint8_t width_;
-    int extract_offset_ = 0;
-    uint32_t var_id_ = 0;
-    uint64_t value_ = 0;
+    uint8_t extract_offset_;  ///< Below 64: MakeExtract checks the range.
+    uint32_t var_id_;
+    uint64_t value_;
+    /// Also links a dead node into Destroy's list of nodes to free.
     uint64_t hash_ = 0;
-    std::string name_;
     ExprRef a_, b_, c_;
 };
+
+inline ExprRef::ExprRef(const Expr* node) noexcept : node_(node)
+{
+    if (node_ != nullptr) {
+        node_->Ref();
+    }
+}
+
+inline void
+ExprRef::reset() noexcept
+{
+    const Expr* node = std::exchange(node_, nullptr);
+    if (node != nullptr && node->Unref()) {
+        Expr::Destroy(node);
+    }
+}
+
+inline long
+ExprRef::use_count() const noexcept
+{
+    return node_ != nullptr
+               ? static_cast<long>(
+                     node_->refs_.load(std::memory_order_relaxed))
+               : 0;
+}
 
 /// Assignment of concrete values to variables, keyed by variable id.
 /// Unassigned variables evaluate to zero.
@@ -147,7 +338,9 @@ inline constexpr uint64_t kInternedConstantLimit = 256;
 /// same node is returned on every call from one thread.
 ExprRef MakeConst(uint64_t value, int width);
 ExprRef MakeBool(bool value);
-ExprRef MakeVar(uint32_t var_id, const std::string& name, int width);
+/// The input variable \p var_id; its name lives with its declaration
+/// (LowLevelRuntime's VarDecl), not in the node.
+ExprRef MakeVar(uint32_t var_id, int width);
 
 ExprRef MakeNot(const ExprRef& a);
 ExprRef MakeNeg(const ExprRef& a);

@@ -3,16 +3,20 @@
 ///
 /// A run's cost is dominated by the interpreter's steps on the low-level
 /// engine, and a heap allocation per step is one of its largest costs.
-/// This binary counts operator new calls (counting_allocator.h) and
-/// explores one minipy and one minilua package to exhaustion, then
-/// checks the allocations per interpreter step against a fixed budget.
+/// This binary counts operator new calls and the bytes they request
+/// (counting_allocator.h), explores one minipy and one minilua package to
+/// exhaustion, then checks both per interpreter step against fixed
+/// budgets.
 ///
-/// The budgets sit a few percent above the counts measured when interned
-/// constants, lazily allocated guest hash buckets, allocation-free HLPC
-/// interning and lazily made minipy builtins landed; the tree before those
-/// changes fails both. The counts are deterministic: one thread, a fixed
-/// seed, no shared solver cache. Sanitizer builds interpose their own
-/// allocator, so the budget tests skip themselves there.
+/// The call budgets sit a few percent above the counts measured when
+/// interned constants, lazily allocated guest hash buckets,
+/// allocation-free HLPC interning and lazily made minipy builtins landed;
+/// the tree before those changes fails both. The byte budgets sit a few
+/// percent above the counts measured with 56-byte expression nodes; a tree
+/// with the older 128-byte nodes fails both. The counts are
+/// deterministic: one thread, a fixed seed, no shared solver cache.
+/// Sanitizer builds interpose their own allocator, so the budget tests
+/// skip themselves there.
 
 #include <gtest/gtest.h>
 
@@ -37,16 +41,27 @@
 namespace chef {
 namespace {
 
+struct Budget {
+    double allocations_per_step;
+    double bytes_per_step;
+};
+
 /// Allocations per interpreter step allowed in each session, about 4%
 /// above the measured 1.031 (py/unicodecsv: 512k allocations over 497k
 /// steps) and 1.015 (lua/haml: 327k over 322k). Before the allocation
 /// changes these read 2.079 and 1.713; before MiniLua's slot frames,
 /// lua/haml read 1.399 (451k).
-constexpr double kPyBudgetPerStep = 1.07;
-constexpr double kLuaBudgetPerStep = 1.05;
+///
+/// Bytes requested per step, about 4% above the measured 155.98
+/// (py/unicodecsv: 77.5 MB over 497k steps) and 102.44 (lua/haml: 33.0 MB
+/// over 322k). With shared_ptr expression nodes (128 bytes each, name
+/// string included) these read 189.51 and 126.34.
+constexpr Budget kPyBudget = {1.07, 162.0};
+constexpr Budget kLuaBudget = {1.05, 106.5};
 
 struct SessionCount {
     uint64_t allocations = 0;
+    uint64_t bytes = 0;
     uint64_t steps = 0;
     uint64_t ll_paths = 0;
 };
@@ -71,9 +86,13 @@ ExploreAndCount(const std::string& workload)
 
     SessionCount count;
     const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const uint64_t bytes_before =
+        g_allocated_bytes.load(std::memory_order_relaxed);
     const std::vector<TestCase> tests = engine.Explore(run_fn);
     count.allocations =
         g_allocations.load(std::memory_order_relaxed) - before;
+    count.bytes =
+        g_allocated_bytes.load(std::memory_order_relaxed) - bytes_before;
     for (const TestCase& test : tests) {
         count.steps += test.ll_steps;
     }
@@ -84,25 +103,30 @@ ExploreAndCount(const std::string& workload)
 }
 
 void
-ExpectWithinBudget(const std::string& workload, double budget_per_step)
+ExpectWithinBudget(const std::string& workload, const Budget& budget)
 {
 #ifdef CHEF_ALLOC_SANITIZED
     (void)workload;
-    (void)budget_per_step;
+    (void)budget;
     GTEST_SKIP() << "sanitizer allocators interpose operator new";
 #else
     const SessionCount count = ExploreAndCount(workload);
     ASSERT_GT(count.steps, 0u) << workload;
-    const double per_step = static_cast<double>(count.allocations) /
-                            static_cast<double>(count.steps);
-    std::printf("%s: %llu allocations over %llu steps (%llu runs), "
-                "%.4f per step, budget %.4f\n",
+    const double steps = static_cast<double>(count.steps);
+    const double per_step = static_cast<double>(count.allocations) / steps;
+    const double bytes_per_step = static_cast<double>(count.bytes) / steps;
+    std::printf("%s: %llu allocations of %llu bytes over %llu steps "
+                "(%llu runs), %.4f per step (budget %.4f), %.2f bytes per "
+                "step (budget %.2f)\n",
                 workload.c_str(),
                 static_cast<unsigned long long>(count.allocations),
+                static_cast<unsigned long long>(count.bytes),
                 static_cast<unsigned long long>(count.steps),
                 static_cast<unsigned long long>(count.ll_paths), per_step,
-                budget_per_step);
-    EXPECT_LE(per_step, budget_per_step) << workload;
+                budget.allocations_per_step, bytes_per_step,
+                budget.bytes_per_step);
+    EXPECT_LE(per_step, budget.allocations_per_step) << workload;
+    EXPECT_LE(bytes_per_step, budget.bytes_per_step) << workload;
 #endif
 }
 
@@ -123,12 +147,12 @@ TEST(AllocBudget, CountingAllocatorSeesAllocations)
 
 TEST(AllocBudget, PyUnicodecsvSessionStaysWithinBudget)
 {
-    ExpectWithinBudget("py/unicodecsv", kPyBudgetPerStep);
+    ExpectWithinBudget("py/unicodecsv", kPyBudget);
 }
 
 TEST(AllocBudget, LuaHamlSessionStaysWithinBudget)
 {
-    ExpectWithinBudget("lua/haml", kLuaBudgetPerStep);
+    ExpectWithinBudget("lua/haml", kLuaBudget);
 }
 
 }  // namespace

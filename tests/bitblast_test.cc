@@ -33,7 +33,7 @@ CheckSat(const ExprRef& assertion, Assignment* model = nullptr)
 
 TEST(BitBlast, VariableEqualsConstant)
 {
-    const ExprRef x = MakeVar(1, "x", 8);
+    const ExprRef x = MakeVar(1, 8);
     Assignment model;
     ASSERT_EQ(CheckSat(MakeEq(x, MakeConst(0x5a, 8)), &model),
               SatStatus::kSat);
@@ -42,7 +42,7 @@ TEST(BitBlast, VariableEqualsConstant)
 
 TEST(BitBlast, UnsatEquality)
 {
-    const ExprRef x = MakeVar(1, "x", 8);
+    const ExprRef x = MakeVar(1, 8);
     const ExprRef both = MakeBoolAnd(MakeEq(x, MakeConst(1, 8)),
                                      MakeEq(x, MakeConst(2, 8)));
     EXPECT_EQ(CheckSat(both), SatStatus::kUnsat);
@@ -50,8 +50,8 @@ TEST(BitBlast, UnsatEquality)
 
 TEST(BitBlast, AdditionWitness)
 {
-    const ExprRef x = MakeVar(1, "x", 16);
-    const ExprRef y = MakeVar(2, "y", 16);
+    const ExprRef x = MakeVar(1, 16);
+    const ExprRef y = MakeVar(2, 16);
     Assignment model;
     const ExprRef sum_is = MakeEq(MakeAdd(x, y), MakeConst(1000, 16));
     const ExprRef x_is = MakeEq(x, MakeConst(260, 16));
@@ -62,7 +62,7 @@ TEST(BitBlast, AdditionWitness)
 
 TEST(BitBlast, OverflowWraps)
 {
-    const ExprRef x = MakeVar(1, "x", 8);
+    const ExprRef x = MakeVar(1, 8);
     // x + 1 == 0 forces x == 255.
     Assignment model;
     ASSERT_EQ(CheckSat(MakeEq(MakeAdd(x, MakeConst(1, 8)),
@@ -75,8 +75,8 @@ TEST(BitBlast, OverflowWraps)
 TEST(BitBlast, MultiplicationFactoring)
 {
     // Find a factorization of 143 with both factors > 1 (11 * 13).
-    const ExprRef x = MakeVar(1, "x", 8);
-    const ExprRef y = MakeVar(2, "y", 8);
+    const ExprRef x = MakeVar(1, 8);
+    const ExprRef y = MakeVar(2, 8);
     const ExprRef product =
         MakeMul(MakeZExt(x, 16), MakeZExt(y, 16));
     const ExprRef wanted = MakeBoolAnd(
@@ -124,8 +124,8 @@ TEST_P(BitBlastOpAgreement, CircuitMatchesEvaluator)
         if (round == 0) {
             bv = 0;  // Exercise division-by-zero semantics.
         }
-        const ExprRef xa = MakeVar(1, "a", width);
-        const ExprRef xb = MakeVar(2, "b", width);
+        const ExprRef xa = MakeVar(1, width);
+        const ExprRef xb = MakeVar(2, width);
         Assignment concrete;
         concrete.Set(1, av);
         concrete.Set(2, bv);
@@ -170,7 +170,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BitBlast, ExtensionAndExtract)
 {
-    const ExprRef x = MakeVar(1, "x", 8);
+    const ExprRef x = MakeVar(1, 8);
     // zext(x, 16) < 256 always.
     EXPECT_EQ(CheckSat(MakeUge(MakeZExt(x, 16), MakeConst(256, 16))),
               SatStatus::kUnsat);
@@ -182,15 +182,15 @@ TEST(BitBlast, ExtensionAndExtract)
                       &model),
               SatStatus::kSat);
     // extract(concat(h, l), 8, 8) == h.
-    const ExprRef h = MakeVar(2, "h", 8);
-    const ExprRef l = MakeVar(3, "l", 8);
+    const ExprRef h = MakeVar(2, 8);
+    const ExprRef l = MakeVar(3, 8);
     EXPECT_EQ(CheckSat(MakeNe(MakeExtract(MakeConcat(h, l), 8, 8), h)),
               SatStatus::kUnsat);
 }
 
 TEST(BitBlast, IteSelectsCorrectArm)
 {
-    const ExprRef c = MakeVar(1, "c", 1);
+    const ExprRef c = MakeVar(1, 1);
     const ExprRef picked = MakeIte(c, MakeConst(10, 8), MakeConst(20, 8));
     Assignment model;
     ASSERT_EQ(CheckSat(MakeEq(picked, MakeConst(10, 8)), &model),
@@ -209,7 +209,7 @@ TEST(BitBlast, StringEqualityStyleConstraints)
     ExprRef all = MakeBool(true);
     const char* word = "chef";
     for (int i = 0; i < 4; ++i) {
-        bytes.push_back(MakeVar(10 + i, "s" + std::to_string(i), 8));
+        bytes.push_back(MakeVar(10 + i, 8));
         all = MakeBoolAnd(
             all, MakeEq(bytes[i],
                         MakeConst(static_cast<uint8_t>(word[i]), 8)));
@@ -230,7 +230,7 @@ TEST(BitBlast, RepeatedConstantsLoadTheSameCnf)
     // blaster that saw a fresh node per use.
     ExprRef all = MakeBool(true);
     for (uint32_t i = 0; i < 12; ++i) {
-        const ExprRef x = MakeVar(100 + i, "x" + std::to_string(i), 8);
+        const ExprRef x = MakeVar(100 + i, 8);
         const ExprRef wide = MakeZExt(x, 16);
         all = MakeBoolAnd(all, MakeUlt(MakeAdd(x, MakeConst(7, 8)),
                                        MakeConst(200, 8)));

@@ -33,7 +33,7 @@ using solver::Solver;
 std::vector<ExprRef>
 IntervalQuery(uint32_t var_id, uint64_t lo, uint64_t hi)
 {
-    const ExprRef x = MakeVar(var_id, "x" + std::to_string(var_id), 16);
+    const ExprRef x = MakeVar(var_id, 16);
     return {MakeUgt(x, MakeConst(lo, 16)), MakeUlt(x, MakeConst(hi, 16))};
 }
 
@@ -235,7 +235,7 @@ TEST(SharedSolverCache, CounterexampleReuseAcrossQueries)
     model.Set(1, 55);
     cache.PublishModel(model);
 
-    const ExprRef x = MakeVar(1, "x", 16);
+    const ExprRef x = MakeVar(1, 16);
     Assignment out;
     EXPECT_TRUE(cache.TryCounterexamples(
         {MakeUgt(x, MakeConst(50, 16))}, &out));
@@ -258,7 +258,7 @@ TEST(SharedSolverCache, CounterexampleStoreIsBoundedNewestFirst)
         model.Set(1, v);
         cache.PublishModel(model);
     }
-    const ExprRef x = MakeVar(1, "x", 16);
+    const ExprRef x = MakeVar(1, 16);
     // Values 1..6 were displaced; only 7..10 remain.
     EXPECT_FALSE(cache.TryCounterexamples(
         {MakeEq(x, MakeConst(6, 16))}, nullptr));

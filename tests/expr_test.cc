@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "lowlevel/symvalue.h"
 #include "support/rng.h"
 
 namespace chef::solver {
@@ -37,7 +39,7 @@ TEST(ExprBasics, SignExtend)
 
 TEST(ExprFolding, ArithmeticIdentities)
 {
-    const ExprRef x = MakeVar(1, "x", 32);
+    const ExprRef x = MakeVar(1, 32);
     const ExprRef zero = MakeConst(0, 32);
     const ExprRef one = MakeConst(1, 32);
 
@@ -63,7 +65,7 @@ TEST(ExprFolding, ComparisonsOnConstants)
 
 TEST(ExprFolding, SelfComparisons)
 {
-    const ExprRef x = MakeVar(1, "x", 32);
+    const ExprRef x = MakeVar(1, 32);
     EXPECT_TRUE(MakeEq(x, x)->IsTrue());
     EXPECT_TRUE(MakeUlt(x, x)->IsFalse());
     EXPECT_TRUE(MakeUle(x, x)->IsTrue());
@@ -73,22 +75,22 @@ TEST(ExprFolding, SelfComparisons)
 
 TEST(ExprFolding, DoubleNegationCancels)
 {
-    const ExprRef x = MakeVar(1, "x", 1);
+    const ExprRef x = MakeVar(1, 1);
     EXPECT_EQ(MakeBoolNot(MakeBoolNot(x)).get(), x.get());
 }
 
 TEST(ExprFolding, IteWithConstantCondition)
 {
-    const ExprRef x = MakeVar(1, "x", 8);
-    const ExprRef y = MakeVar(2, "y", 8);
+    const ExprRef x = MakeVar(1, 8);
+    const ExprRef y = MakeVar(2, 8);
     EXPECT_EQ(MakeIte(MakeBool(true), x, y).get(), x.get());
     EXPECT_EQ(MakeIte(MakeBool(false), x, y).get(), y.get());
-    EXPECT_EQ(MakeIte(MakeVar(3, "c", 1), x, x).get(), x.get());
+    EXPECT_EQ(MakeIte(MakeVar(3, 1), x, x).get(), x.get());
 }
 
 TEST(ExprFolding, BooleanIteCollapsesToCondition)
 {
-    const ExprRef c = MakeVar(1, "c", 1);
+    const ExprRef c = MakeVar(1, 1);
     EXPECT_EQ(MakeIte(c, MakeBool(true), MakeBool(false)).get(), c.get());
     const ExprRef negated = MakeIte(c, MakeBool(false), MakeBool(true));
     EXPECT_EQ(negated->kind(), ExprKind::kNot);
@@ -97,8 +99,8 @@ TEST(ExprFolding, BooleanIteCollapsesToCondition)
 
 TEST(ExprFolding, ExtractThroughConcat)
 {
-    const ExprRef high = MakeVar(1, "h", 8);
-    const ExprRef low = MakeVar(2, "l", 8);
+    const ExprRef high = MakeVar(1, 8);
+    const ExprRef low = MakeVar(2, 8);
     const ExprRef concat = MakeConcat(high, low);
     EXPECT_EQ(MakeExtract(concat, 0, 8).get(), low.get());
     EXPECT_EQ(MakeExtract(concat, 8, 8).get(), high.get());
@@ -106,7 +108,7 @@ TEST(ExprFolding, ExtractThroughConcat)
 
 TEST(ExprFolding, ExtractOfExtract)
 {
-    const ExprRef x = MakeVar(1, "x", 32);
+    const ExprRef x = MakeVar(1, 32);
     const ExprRef inner = MakeExtract(x, 8, 16);
     const ExprRef outer = MakeExtract(inner, 4, 8);
     EXPECT_EQ(outer->kind(), ExprKind::kExtract);
@@ -132,8 +134,8 @@ TEST(ExprFolding, DivisionSmtSemantics)
 
 TEST(ExprEquality, StructuralEqualityIgnoresNodeIdentity)
 {
-    const ExprRef x1 = MakeVar(1, "x", 32);
-    const ExprRef x2 = MakeVar(1, "x", 32);
+    const ExprRef x1 = MakeVar(1, 32);
+    const ExprRef x2 = MakeVar(1, 32);
     const ExprRef e1 = MakeAdd(x1, MakeConst(3, 32));
     const ExprRef e2 = MakeAdd(x2, MakeConst(3, 32));
     EXPECT_TRUE(Expr::Equal(e1, e2));
@@ -144,8 +146,8 @@ TEST(ExprEquality, StructuralEqualityIgnoresNodeIdentity)
 
 TEST(ExprEval, EvaluatesUnderAssignment)
 {
-    const ExprRef x = MakeVar(1, "x", 32);
-    const ExprRef y = MakeVar(2, "y", 32);
+    const ExprRef x = MakeVar(1, 32);
+    const ExprRef y = MakeVar(2, 32);
     const ExprRef e =
         MakeAdd(MakeMul(x, MakeConst(3, 32)), y);  // 3x + y
     Assignment assignment;
@@ -158,15 +160,15 @@ TEST(ExprEval, EvaluatesUnderAssignment)
 
 TEST(ExprEval, UnassignedVariablesAreZero)
 {
-    const ExprRef x = MakeVar(9, "x", 16);
+    const ExprRef x = MakeVar(9, 16);
     Assignment assignment;
     EXPECT_EQ(EvalConcrete(x, assignment), 0u);
 }
 
 TEST(ExprVariables, CollectsDistinctVariables)
 {
-    const ExprRef x = MakeVar(1, "x", 8);
-    const ExprRef y = MakeVar(2, "y", 8);
+    const ExprRef x = MakeVar(1, 8);
+    const ExprRef y = MakeVar(2, 8);
     const ExprRef e = MakeAdd(MakeXor(x, y), x);
     std::vector<ExprRef> vars;
     CollectVariables(e, &vars);
@@ -197,8 +199,8 @@ TEST_P(FoldEvalAgreement, BinaryOpsOnConstants)
             ASSERT_TRUE(folded->IsConstant());
             // Folding and evaluation must produce the same value when the
             // same operator is applied to variables bound to the operands.
-            const ExprRef xa = MakeVar(1, "a", width);
-            const ExprRef xb = MakeVar(2, "b", width);
+            const ExprRef xa = MakeVar(1, width);
+            const ExprRef xb = MakeVar(2, width);
             Assignment assignment;
             assignment.Set(1, av);
             assignment.Set(2, bv);
@@ -246,7 +248,7 @@ TEST(ExprInterning, HashesAreTheStructuralOnes)
     EXPECT_EQ(MakeConst(255, 8)->hash(), 5217400152003365053ull);
     EXPECT_EQ(MakeBool(true)->hash(), 5217400152005213927ull);
     EXPECT_EQ(MakeConst(1000, 16)->hash(), 5217400152011031414ull);
-    EXPECT_EQ(MakeAdd(MakeVar(1, "x", 32), MakeConst(3, 32))->hash(),
+    EXPECT_EQ(MakeAdd(MakeVar(1, 32), MakeConst(3, 32))->hash(),
               16785329707323380682ull);
 }
 
@@ -277,7 +279,7 @@ TEST(ExprInterning, EachThreadHasItsOwnNodes)
         workers.emplace_back([&, t] {
             for (int i = 0; i < 1000; ++i) {
                 const ExprRef copy = here;
-                const ExprRef sum = MakeAdd(MakeVar(1, "x", 8), copy);
+                const ExprRef sum = MakeAdd(MakeVar(1, 8), copy);
                 EXPECT_EQ(sum->b().get(), here.get());
                 own[t] = MakeConst(42, 8);
             }
@@ -294,6 +296,133 @@ TEST(ExprInterning, EachThreadHasItsOwnNodes)
         }
         EXPECT_TRUE(Expr::Equal(own[t], here));
     }
+}
+
+// A long exploration keeps hundreds of thousands of nodes alive through
+// path conditions and SymValues: the handle stays one pointer,
+static_assert(sizeof(ExprRef) == 8, "expression handles stay 8 bytes");
+// a node stays within one 64-byte malloc chunk,
+static_assert(sizeof(Expr) <= 56, "expression nodes stay within 56 bytes");
+// and a concolic value (every SymStr byte is one) stays 24 bytes.
+static_assert(sizeof(lowlevel::SymValue) == 24,
+              "concolic values stay 24 bytes");
+
+TEST(ExprHandle, CopyMoveAndResetTrackTheCount)
+{
+    ExprRef x = MakeVar(1, 8);
+    EXPECT_EQ(x.use_count(), 1);
+    ExprRef copy = x;
+    EXPECT_EQ(copy, x);
+    EXPECT_EQ(x.use_count(), 2);
+    EXPECT_EQ(copy.use_count(), 2);
+
+    ExprRef moved = std::move(copy);
+    EXPECT_EQ(copy, nullptr);
+    EXPECT_FALSE(copy);
+    EXPECT_EQ(copy.use_count(), 0);
+    EXPECT_EQ(moved.get(), x.get());
+    EXPECT_EQ(x.use_count(), 2);
+
+    ExprRef assigned;
+    assigned = moved;
+    EXPECT_EQ(x.use_count(), 3);
+    assigned = std::move(moved);
+    EXPECT_EQ(moved, nullptr);
+    EXPECT_EQ(x.use_count(), 2);
+
+    // Self-assignment, by copy and by move, keeps the reference.
+    ExprRef& alias = assigned;
+    assigned = alias;
+    EXPECT_EQ(x.use_count(), 2);
+    assigned = std::move(alias);
+    EXPECT_EQ(assigned.get(), x.get());
+    EXPECT_EQ(x.use_count(), 2);
+
+    assigned.reset();
+    EXPECT_EQ(assigned, nullptr);
+    EXPECT_NE(x, nullptr);
+    EXPECT_EQ(x.use_count(), 1);
+    assigned.reset();  // Resetting a null handle is a no-op.
+    EXPECT_EQ(assigned.use_count(), 0);
+
+    // Assigning another node drops the old one's reference.
+    ExprRef y = MakeVar(2, 8);
+    assigned = x;
+    assigned = y;
+    EXPECT_EQ(x.use_count(), 1);
+    EXPECT_EQ(y.use_count(), 2);
+    EXPECT_NE(assigned, x);
+}
+
+TEST(ExprHandle, ChildrenHoldReferences)
+{
+    const ExprRef x = MakeVar(1, 16);
+    ExprRef sum = MakeAdd(x, MakeVar(2, 16));
+    EXPECT_EQ(x.use_count(), 2);
+    EXPECT_EQ((*sum).a(), x);
+    sum.reset();
+    EXPECT_EQ(x.use_count(), 1);
+}
+
+TEST(ExprHandle, RawPointerTakesANewReference)
+{
+    ExprRef original = MakeAdd(MakeVar(1, 32), MakeVar(2, 32));
+    const Expr* raw = original.get();
+    const uint64_t hash = raw->hash();
+    const ExprRef again(raw);
+    EXPECT_EQ(again.get(), raw);
+    EXPECT_EQ(again.use_count(), 2);
+    original.reset();
+    EXPECT_EQ(again.use_count(), 1);
+    // The node is still alive and whole.
+    EXPECT_EQ(again->hash(), hash);
+    EXPECT_EQ(again->kind(), ExprKind::kAdd);
+    EXPECT_EQ(again->a()->var_id(), 1u);
+    EXPECT_EQ(again->b()->var_id(), 2u);
+    EXPECT_EQ(ExprRef(static_cast<const Expr*>(nullptr)), nullptr);
+}
+
+TEST(ExprHandle, VariablesPrintTheirId)
+{
+    EXPECT_EQ(MakeAdd(MakeVar(7, 8), MakeConst(3, 8))->ToString(),
+              "(add v7 3:8)");
+}
+
+TEST(ExprHandle, ThreadsShareOneNode)
+{
+    // Every count change is atomic: threads copying and dropping handles
+    // to one node leave its count exact.
+    const ExprRef shared = MakeAdd(MakeVar(1, 32), MakeVar(2, 32));
+    constexpr int kThreads = 8;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&shared] {
+            for (int i = 0; i < 2000; ++i) {
+                ExprRef copy = shared;
+                ExprRef moved = std::move(copy);
+                const ExprRef raw(moved.get());
+                EXPECT_EQ(raw->kind(), ExprKind::kAdd);
+            }
+        });
+    }
+    for (std::thread& thread : threads) {
+        thread.join();
+    }
+    EXPECT_EQ(shared.use_count(), 1);
+}
+
+TEST(ExprHandle, DroppingADeepChainUsesConstantStack)
+{
+    // A recursive release would need a stack frame per node: a million
+    // frames overflow the default 8 MB stack.
+    const ExprRef x = MakeVar(1, 32);
+    ExprRef chain = x;
+    for (int i = 0; i < 1'000'000; ++i) {
+        chain = MakeAdd(chain, x);
+    }
+    EXPECT_EQ(x.use_count(), 1'000'002);
+    chain.reset();
+    EXPECT_EQ(x.use_count(), 1);
 }
 
 }  // namespace

@@ -26,9 +26,9 @@ namespace {
 
 TEST(CollectVarIds, WalksIteConditionAndBothArms)
 {
-    const ExprRef c = MakeVar(1, "c", 1);
-    const ExprRef t = MakeVar(2, "t", 8);
-    const ExprRef e = MakeVar(3, "e", 8);
+    const ExprRef c = MakeVar(1, 1);
+    const ExprRef t = MakeVar(2, 8);
+    const ExprRef e = MakeVar(3, 8);
     std::vector<uint32_t> ids;
     CollectVarIds(MakeIte(c, t, e), &ids);
     EXPECT_EQ(ids.size(), 3u);
@@ -39,8 +39,8 @@ TEST(CollectVarIds, WalksIteConditionAndBothArms)
 
 TEST(CollectVarIds, WalksConcatHalvesAndExtractOperand)
 {
-    const ExprRef high = MakeVar(7, "high", 8);
-    const ExprRef low = MakeVar(9, "low", 8);
+    const ExprRef high = MakeVar(7, 8);
+    const ExprRef low = MakeVar(9, 8);
     std::vector<uint32_t> ids;
     CollectVarIds(MakeExtract(MakeConcat(high, low), 4, 8), &ids);
     EXPECT_EQ(ids.size(), 2u);
@@ -50,8 +50,8 @@ TEST(CollectVarIds, WalksConcatHalvesAndExtractOperand)
 
 TEST(CollectVarIds, WalksSignAndZeroExtension)
 {
-    const ExprRef x = MakeVar(3, "x", 8);
-    const ExprRef y = MakeVar(4, "y", 8);
+    const ExprRef x = MakeVar(3, 8);
+    const ExprRef y = MakeVar(4, 8);
     std::vector<uint32_t> ids;
     CollectVarIds(MakeUlt(MakeSExt(x, 16), MakeZExt(y, 16)), &ids);
     EXPECT_EQ(ids.size(), 2u);
@@ -59,7 +59,7 @@ TEST(CollectVarIds, WalksSignAndZeroExtension)
 
 TEST(CollectVarIds, DeduplicatesAgainstExistingEntries)
 {
-    const ExprRef x = MakeVar(5, "x", 8);
+    const ExprRef x = MakeVar(5, 8);
     std::vector<uint32_t> ids = {5};
     CollectVarIds(MakeEq(x, MakeConst(1, 8)), &ids);
     EXPECT_EQ(ids.size(), 1u);
@@ -75,8 +75,7 @@ TEST(CollectVarIds, DeduplicatesAgainstExistingEntries)
 ExprRef
 ByteEq(uint32_t id, uint64_t value)
 {
-    return MakeEq(MakeVar(id, "b" + std::to_string(id), 8),
-                  MakeConst(value, 8));
+    return MakeEq(MakeVar(id, 8), MakeConst(value, 8));
 }
 
 TEST(PartitionIndependent, DisjointAssertionsEachFormASlice)
@@ -95,9 +94,9 @@ TEST(PartitionIndependent, DisjointAssertionsEachFormASlice)
 
 TEST(PartitionIndependent, SharedVariableMergesTransitively)
 {
-    const ExprRef x = MakeVar(1, "x", 8);
-    const ExprRef y = MakeVar(2, "y", 8);
-    const ExprRef z = MakeVar(3, "z", 8);
+    const ExprRef x = MakeVar(1, 8);
+    const ExprRef y = MakeVar(2, 8);
+    const ExprRef z = MakeVar(3, 8);
     // {x,y} and {y,z} chain into one slice even though x and z never
     // appear together; the unrelated {w} stays separate.
     const std::vector<ExprRef> assertions = {
@@ -115,8 +114,8 @@ TEST(PartitionIndependent, SharedVariableMergesTransitively)
 
 TEST(PartitionIndependent, LaterAssertionCanBridgeEarlierSlices)
 {
-    const ExprRef x = MakeVar(1, "x", 8);
-    const ExprRef y = MakeVar(2, "y", 8);
+    const ExprRef x = MakeVar(1, 8);
+    const ExprRef y = MakeVar(2, 8);
     // {x} and {y} look independent until the third assertion links them.
     const std::vector<ExprRef> assertions = {
         MakeUlt(x, MakeConst(50, 8)),
@@ -169,7 +168,7 @@ TEST(SlicedSolver, PrefixSlicesAnswerFromCacheAcrossQueries)
 TEST(SlicedSolver, UnsatSliceDecidesTheWholeQuery)
 {
     Solver solver;
-    const ExprRef x = MakeVar(1, "x", 8);
+    const ExprRef x = MakeVar(1, 8);
     const std::vector<ExprRef> query = {
         ByteEq(2, 7),
         MakeUlt(x, MakeConst(5, 8)),
@@ -206,7 +205,7 @@ TEST(SlicedSolver, UpperBoundUnaffectedByIndependentClutter)
     // the unrelated byte constraint lives in its own slice and must not
     // perturb the bound.
     Solver solver;
-    const ExprRef x = MakeVar(1, "x", 8);
+    const ExprRef x = MakeVar(1, 8);
     uint64_t bound = 0;
     ASSERT_TRUE(solver.UpperBound(
         {MakeUlt(x, MakeConst(57, 8)), ByteEq(2, 3)}, x, &bound));
@@ -233,7 +232,7 @@ RandomQuery(Rng& rng)
 {
     std::vector<ExprRef> vars;
     for (uint32_t id = 1; id <= 6; ++id) {
-        vars.push_back(MakeVar(id, "v" + std::to_string(id), 8));
+        vars.push_back(MakeVar(id, 8));
     }
     std::vector<ExprRef> query;
     const int n = 2 + static_cast<int>(rng.NextBelow(5));
@@ -355,7 +354,7 @@ ReferenceVarIds(const ExprRef& expr, std::vector<uint32_t> out)
 ExprRef
 Byte(uint32_t id)
 {
-    return MakeVar(id, "v" + std::to_string(id), 8);
+    return MakeVar(id, 8);
 }
 
 /// A chain whose every level names the two levels before it, over

@@ -30,7 +30,7 @@ TEST(SymValue, ConcreteOnlyCarriesNoExpr)
 
 TEST(SymValue, SymbolicPropagates)
 {
-    const SymValue x(5, 32, solver::MakeVar(1, "x", 32));
+    const SymValue x(5, 32, solver::MakeVar(1, 32));
     const SymValue sum = SvAdd(x, SymValue(7, 32));
     EXPECT_EQ(sum.concrete(), 12u);
     ASSERT_TRUE(sum.IsSymbolic());
@@ -57,8 +57,8 @@ TEST_P(SymValueConsistency, ConcreteMatchesExprEval)
     const uint64_t yv = rng.Next() & 0xffffffffu;
     inputs.Set(1, xv);
     inputs.Set(2, yv);
-    const SymValue x(xv, 32, solver::MakeVar(1, "x", 32));
-    const SymValue y(yv, 32, solver::MakeVar(2, "y", 32));
+    const SymValue x(xv, 32, solver::MakeVar(1, 32));
+    const SymValue y(yv, 32, solver::MakeVar(2, 32));
 
     using Op = SymValue (*)(const SymValue&, const SymValue&);
     const Op ops[] = {SvAdd, SvSub, SvMul,  SvUDiv, SvSDiv, SvURem,
@@ -94,7 +94,7 @@ TEST(ExecTree, RegistersAlternateOnFirstBranch)
 {
     ExecutionTree tree;
     ExecutionTree::Cursor cursor;
-    const auto cond = solver::MakeEq(solver::MakeVar(1, "x", 8),
+    const auto cond = solver::MakeEq(solver::MakeVar(1, 8),
                                      solver::MakeConst(1, 8));
     const auto negated = solver::MakeBoolNot(cond);
     tree.BeginRun(cursor);
@@ -114,7 +114,7 @@ TEST(ExecTree, NoDuplicateRegistration)
 {
     ExecutionTree tree;
     ExecutionTree::Cursor cursor;
-    const auto cond = solver::MakeEq(solver::MakeVar(1, "x", 8),
+    const auto cond = solver::MakeEq(solver::MakeVar(1, 8),
                                      solver::MakeConst(1, 8));
     const auto negated = solver::MakeBoolNot(cond);
     tree.BeginRun(cursor);
@@ -133,7 +133,7 @@ TEST(ExecTree, NaturalExplorationRemovesPending)
     std::vector<StateId> removed;
     tree.set_on_pending_removed(
         [&removed](StateId id) { removed.push_back(id); });
-    const auto cond = solver::MakeEq(solver::MakeVar(1, "x", 8),
+    const auto cond = solver::MakeEq(solver::MakeVar(1, 8),
                                      solver::MakeConst(1, 8));
     const auto negated = solver::MakeBoolNot(cond);
     tree.BeginRun(cursor);
@@ -153,7 +153,7 @@ TEST(ExecTree, PathConditionAccumulates)
 {
     ExecutionTree tree;
     ExecutionTree::Cursor cursor;
-    const auto x = solver::MakeVar(1, "x", 8);
+    const auto x = solver::MakeVar(1, 8);
     const auto c1 = solver::MakeUgt(x, solver::MakeConst(10, 8));
     const auto c2 = solver::MakeUlt(x, solver::MakeConst(100, 8));
     tree.BeginRun(cursor);
@@ -175,7 +175,7 @@ TEST(ExecTree, TakePendingAndMarkInfeasible)
 {
     ExecutionTree tree;
     ExecutionTree::Cursor cursor;
-    const auto cond = solver::MakeEq(solver::MakeVar(1, "x", 8),
+    const auto cond = solver::MakeEq(solver::MakeVar(1, 8),
                                      solver::MakeConst(1, 8));
     tree.BeginRun(cursor);
     auto result = Step(tree, cursor, 7, true, cond, solver::MakeBoolNot(cond));
@@ -202,7 +202,7 @@ TEST_P(SharedPathCondition, EqualsFlatPrefixPlusNegation)
     Rng rng(GetParam());
     ExecutionTree tree;
     ExecutionTree::Cursor cursor;
-    const auto x = solver::MakeVar(1, "x", 16);
+    const auto x = solver::MakeVar(1, 16);
     uint64_t next_constant = 0;
     auto fresh = [&]() {
         return solver::MakeUlt(x, solver::MakeConst(next_constant++, 16));
@@ -248,7 +248,7 @@ TEST(ExecTree, AlternatesShareTheirRunsPrefix)
     // the cursor's flat vector and one link — not once per alternate.
     ExecutionTree tree;
     ExecutionTree::Cursor cursor;
-    const auto x = solver::MakeVar(1, "x", 16);
+    const auto x = solver::MakeVar(1, 16);
     const auto first = solver::MakeUlt(x, solver::MakeConst(1000, 16));
     tree.BeginRun(cursor);
     StateId last = 0;
@@ -275,7 +275,7 @@ TEST(ExecTree, DeepChainTearsDownWithoutRecursion)
     constexpr size_t kDepth = 1'000'000;
     ExecutionTree tree;
     ExecutionTree::Cursor cursor;
-    const auto cond = solver::MakeEq(solver::MakeVar(1, "x", 8),
+    const auto cond = solver::MakeEq(solver::MakeVar(1, 8),
                                      solver::MakeConst(1, 8));
     const auto negated = solver::MakeBoolNot(cond);
     const long handles_before = cond.use_count();

@@ -650,7 +650,7 @@ BitBlastedSessionDigest(uint64_t seed, uint64_t* purged)
     Rng rng(seed);
     std::vector<ExprRef> vars;
     for (uint32_t id = 0; id < 4; ++id) {
-        vars.push_back(MakeVar(id, "x" + std::to_string(id), 8));
+        vars.push_back(MakeVar(id, 8));
     }
     CnfFormula formula;
     BitBlaster blaster(&formula);

@@ -47,8 +47,7 @@ class FormulaGenerator
     explicit FormulaGenerator(uint64_t seed) : rng_(seed)
     {
         for (uint32_t id = 1; id <= kNumInputs; ++id) {
-            inputs_.push_back(
-                MakeVar(id, "in" + std::to_string(id), RandomWidth()));
+            inputs_.push_back(MakeVar(id, RandomWidth()));
         }
     }
 

@@ -35,8 +35,8 @@ TEST(Solver, TrivialFalseAssertionIsUnsat)
 TEST(Solver, ModelSatisfiesQuery)
 {
     Solver solver;
-    const ExprRef x = MakeVar(1, "x", 32);
-    const ExprRef y = MakeVar(2, "y", 32);
+    const ExprRef x = MakeVar(1, 32);
+    const ExprRef y = MakeVar(2, 32);
     const std::vector<ExprRef> assertions = {
         MakeUgt(x, MakeConst(100, 32)),
         MakeUlt(x, MakeConst(110, 32)),
@@ -54,7 +54,7 @@ TEST(Solver, ModelSatisfiesQuery)
 TEST(Solver, ContradictionIsUnsat)
 {
     Solver solver;
-    const ExprRef x = MakeVar(1, "x", 8);
+    const ExprRef x = MakeVar(1, 8);
     EXPECT_EQ(solver.Solve({MakeUlt(x, MakeConst(5, 8)),
                             MakeUgt(x, MakeConst(10, 8))},
                            nullptr),
@@ -64,14 +64,14 @@ TEST(Solver, ContradictionIsUnsat)
 TEST(Solver, QueryCacheHitsOnRepeat)
 {
     Solver solver;
-    const ExprRef x = MakeVar(1, "x", 16);
+    const ExprRef x = MakeVar(1, 16);
     const std::vector<ExprRef> assertions = {
         MakeEq(x, MakeConst(77, 16))};
     Assignment model;
     ASSERT_EQ(solver.Solve(assertions, &model), QueryResult::kSat);
     const uint64_t sat_calls = solver.stats().sat_calls;
     // Structurally identical but freshly constructed assertion.
-    const ExprRef x2 = MakeVar(1, "x", 16);
+    const ExprRef x2 = MakeVar(1, 16);
     Assignment model2;
     ASSERT_EQ(solver.Solve({MakeEq(x2, MakeConst(77, 16))}, &model2),
               QueryResult::kSat);
@@ -83,7 +83,7 @@ TEST(Solver, QueryCacheHitsOnRepeat)
 TEST(Solver, CacheIsOrderInsensitive)
 {
     Solver solver;
-    const ExprRef x = MakeVar(1, "x", 16);
+    const ExprRef x = MakeVar(1, 16);
     const ExprRef a = MakeUgt(x, MakeConst(10, 16));
     const ExprRef b = MakeUlt(x, MakeConst(20, 16));
     ASSERT_EQ(solver.Solve({a, b}, nullptr), QueryResult::kSat);
@@ -95,7 +95,7 @@ TEST(Solver, CacheIsOrderInsensitive)
 TEST(Solver, ModelReuseAvoidsSatCalls)
 {
     Solver solver;
-    const ExprRef x = MakeVar(1, "x", 32);
+    const ExprRef x = MakeVar(1, 32);
     Assignment model;
     ASSERT_EQ(solver.Solve({MakeUgt(x, MakeConst(50, 32))}, &model),
               QueryResult::kSat);
@@ -113,7 +113,7 @@ TEST(Solver, DisablingCacheForcesResolve)
     options.enable_query_cache = false;
     options.enable_model_reuse = false;
     Solver solver(options);
-    const ExprRef x = MakeVar(1, "x", 16);
+    const ExprRef x = MakeVar(1, 16);
     ASSERT_EQ(solver.Solve({MakeEq(x, MakeConst(5, 16))}, nullptr),
               QueryResult::kSat);
     ASSERT_EQ(solver.Solve({MakeEq(x, MakeConst(5, 16))}, nullptr),
@@ -140,8 +140,8 @@ TEST(Solver, TinyLearnedClauseCapKeepsOutcomesCorrect)
     // clause database (a purge needs one that outlives many conflicts),
     // and the last queries are unsat proofs that take thousands of
     // conflicts at this width.
-    const ExprRef x = MakeVar(1, "x", 20);
-    const ExprRef y = MakeVar(2, "y", 20);
+    const ExprRef x = MakeVar(1, 20);
+    const ExprRef y = MakeVar(2, 20);
     const uint64_t x0 = 0x3a7;
     const uint64_t y0 = 0x95;
     std::vector<ExprRef> path = {
@@ -181,7 +181,7 @@ TEST(Solver, IncrementalPropagationsStayProportionalToTheCone)
     constexpr uint32_t kBytes = 16;
     std::vector<ExprRef> bytes;
     for (uint32_t i = 0; i < kBytes; ++i) {
-        bytes.push_back(MakeVar(i + 1, "b" + std::to_string(i), 8));
+        bytes.push_back(MakeVar(i + 1, 8));
     }
     Rng rng(3);
     for (int path_index = 0; path_index < 40; ++path_index) {
@@ -224,7 +224,7 @@ TEST(Solver, IncrementalPropagationsStayProportionalToTheCone)
 TEST(Solver, UpperBoundExact)
 {
     Solver solver;
-    const ExprRef x = MakeVar(1, "x", 8);
+    const ExprRef x = MakeVar(1, 8);
     uint64_t bound = 0;
     // x < 57 constrains max to 56.
     ASSERT_TRUE(solver.UpperBound({MakeUlt(x, MakeConst(57, 8))}, x,
@@ -235,7 +235,7 @@ TEST(Solver, UpperBoundExact)
 TEST(Solver, UpperBoundUnconstrained)
 {
     Solver solver;
-    const ExprRef x = MakeVar(1, "x", 8);
+    const ExprRef x = MakeVar(1, 8);
     uint64_t bound = 0;
     ASSERT_TRUE(solver.UpperBound({}, x, &bound));
     EXPECT_EQ(bound, 255u);
@@ -244,7 +244,7 @@ TEST(Solver, UpperBoundUnconstrained)
 TEST(Solver, UpperBoundOfDerivedExpression)
 {
     Solver solver;
-    const ExprRef x = MakeVar(1, "x", 8);
+    const ExprRef x = MakeVar(1, 8);
     uint64_t bound = 0;
     // max of 2*x for x < 10 is 18 (within 8 bits).
     const ExprRef doubled = MakeMul(x, MakeConst(2, 8));
@@ -256,7 +256,7 @@ TEST(Solver, UpperBoundOfDerivedExpression)
 TEST(Solver, UpperBoundUnsatAssertions)
 {
     Solver solver;
-    const ExprRef x = MakeVar(1, "x", 8);
+    const ExprRef x = MakeVar(1, 8);
     uint64_t bound = 0;
     EXPECT_FALSE(solver.UpperBound({MakeBool(false)}, x, &bound));
 
@@ -274,7 +274,7 @@ TEST(Solver, UpperBoundBinarySearchPopulatesQueryCache)
     // The binary search issues one query per probe; repeating the same
     // UpperBound call must answer every probe from the query cache.
     Solver solver;
-    const ExprRef x = MakeVar(1, "x", 8);
+    const ExprRef x = MakeVar(1, 8);
     uint64_t bound = 0;
     ASSERT_TRUE(solver.UpperBound({MakeUlt(x, MakeConst(57, 8))}, x,
                                   &bound));
@@ -296,7 +296,7 @@ TEST(Solver, UpperBoundWithCacheDisabledStillExact)
     options.enable_query_cache = false;
     options.enable_model_reuse = false;
     Solver solver(options);
-    const ExprRef x = MakeVar(1, "x", 8);
+    const ExprRef x = MakeVar(1, 8);
     uint64_t bound = 0;
     ASSERT_TRUE(solver.UpperBound({MakeUlt(x, MakeConst(57, 8))}, x,
                                   &bound));
@@ -310,7 +310,7 @@ TEST(Solver, CacheBytesGaugeTracksInsertsAndSkipsUnsatModels)
     Solver solver;
     EXPECT_EQ(solver.stats().cache_bytes, 0u);
 
-    const ExprRef x = MakeVar(1, "x", 16);
+    const ExprRef x = MakeVar(1, 16);
     ASSERT_EQ(solver.Solve({MakeEq(x, MakeConst(5, 16))}, nullptr),
               QueryResult::kSat);
     const uint64_t after_sat = solver.stats().cache_bytes;
@@ -342,7 +342,7 @@ TEST(Solver, LocalCacheEvictsLruBeyondByteBudget)
     options.enable_model_reuse = false;  // Force distinct cache inserts.
     Solver solver(options);
 
-    const ExprRef x = MakeVar(1, "x", 16);
+    const ExprRef x = MakeVar(1, 16);
     ASSERT_EQ(solver.Solve({MakeEq(x, MakeConst(0, 16))}, nullptr),
               QueryResult::kSat);
     const uint64_t one_entry = solver.stats().cache_bytes;
@@ -375,7 +375,7 @@ TEST(Solver, LocalCacheEvictsLruBeyondByteBudget)
 
 TEST(Solver, SyntacticContradictionShortCircuitsBothOrientations)
 {
-    const ExprRef x = MakeVar(1, "x", 8);
+    const ExprRef x = MakeVar(1, 8);
     const ExprRef c = MakeUlt(x, MakeConst(5, 8));
 
     // Plain condition in the prefix, negation last.
@@ -401,10 +401,10 @@ TEST(Solver, DisablingSlicingAndIncrementalStillSolves)
     options.enable_independence_slicing = false;
     options.enable_incremental_sat = false;
     Solver solver(options);
-    const ExprRef x = MakeVar(1, "x", 8);
+    const ExprRef x = MakeVar(1, 8);
     Assignment model;
     ASSERT_EQ(solver.Solve({MakeEq(x, MakeConst(9, 8)),
-                            MakeEq(MakeVar(2, "y", 8), MakeConst(4, 8))},
+                            MakeEq(MakeVar(2, 8), MakeConst(4, 8))},
                            &model),
               QueryResult::kSat);
     EXPECT_EQ(model.Get(1), 9u);
@@ -424,7 +424,7 @@ TEST_P(SolverIntervalProperty, ModelsRespectIntervals)
     for (int round = 0; round < 10; ++round) {
         const uint64_t lo = rng.NextBelow(200);
         const uint64_t hi = lo + 1 + rng.NextBelow(55);
-        const ExprRef x = MakeVar(1, "x", 8);
+        const ExprRef x = MakeVar(1, 8);
         const std::vector<ExprRef> assertions = {
             MakeUge(x, MakeConst(lo, 8)), MakeUle(x, MakeConst(hi, 8))};
         Assignment model;
