@@ -65,6 +65,9 @@ Engine::Engine(Options options)
         m_run_latency_ = registry.histogram("engine.run_seconds");
     }
     tracker_.Attach(&runtime_);
+    // ChargeRunAttribution charges a step per trace entry; nothing else
+    // reads the trace, so a session without the profiler keeps none.
+    tracker_.set_keep_trace(options_.obs.attribution != nullptr);
     strategy_ = MakeStrategy();
     tree_.set_on_pending_removed(
         [this](lowlevel::StateId id) { strategy_->OnStateRemoved(id); });
@@ -261,8 +264,7 @@ Engine::ChargeRunAttribution(uint64_t origin_hlpc, bool new_hl_path,
 uint64_t
 Engine::LastTraceLocation() const
 {
-    const std::vector<uint64_t>& trace = tracker_.current_trace();
-    return trace.empty() ? 0 : trace.back();
+    return tracker_.last_hlpc();
 }
 
 bool

@@ -18,9 +18,7 @@ HlExecutionTree::Reset()
     chunks_.clear();
     hlpcs_.clear();
     num_nodes_ = 0;
-    Node root;
-    root.path_hash = FnvHash(nullptr, 0);
-    Append(root);
+    Append(Node());
     num_terminals_ = 0;
 }
 
@@ -44,22 +42,35 @@ HlExecutionTree::Advance(uint32_t node, uint64_t hlpc, HlCfg& cfg,
     CHEF_CHECK(node < num_nodes_);
     for (uint32_t child = At(node).first_child; child != kNoId;
          child = At(child).next_sibling) {
-        if (hlpcs_[At(child).cfg_id] == hlpc) {
+        if (hlpcs_[At(child).cfg_bits & kCfgIdMask] == hlpc) {
             if (created != nullptr) {
                 *created = false;
             }
             return child;
         }
     }
-    Node fresh;
-    fresh.cfg_id = cfg.Intern(hlpc);
-    if (fresh.cfg_id >= hlpcs_.size()) {
-        hlpcs_.resize(fresh.cfg_id + 1);
+    // A transfer seen before from the parent's static HLPC (on another
+    // path through the tree) already names the id; Intern only the rest.
+    uint32_t id = kNoId;
+    const uint32_t parent_id = cfg_id_of(node);
+    if (parent_id != kNoId) {
+        for (const uint32_t successor : cfg.successors(parent_id)) {
+            if (successor < hlpcs_.size() && hlpcs_[successor] == hlpc) {
+                id = successor;
+                break;
+            }
+        }
     }
-    hlpcs_[fresh.cfg_id] = hlpc;
-    // FNV over a concatenation is FNV over the suffix seeded with the
-    // prefix's hash.
-    fresh.path_hash = FnvHash(&hlpc, sizeof(hlpc), At(node).path_hash);
+    if (id == kNoId) {
+        id = cfg.Intern(hlpc);
+        CHEF_CHECK(id < kRootCfgId);
+        if (id >= hlpcs_.size()) {
+            hlpcs_.resize(id + 1);
+        }
+        hlpcs_[id] = hlpc;
+    }
+    Node fresh;
+    fresh.cfg_bits = id;
     fresh.next_sibling = At(node).first_child;
     const uint32_t child = Append(fresh);
     At(node).first_child = child;
@@ -73,10 +84,11 @@ bool
 HlExecutionTree::MarkTerminal(uint32_t node)
 {
     CHEF_CHECK(node < num_nodes_);
-    if (At(node).terminal) {
+    Node& marked = At(node);
+    if (marked.cfg_bits & kTerminalBit) {
         return false;
     }
-    At(node).terminal = true;
+    marked.cfg_bits |= kTerminalBit;
     ++num_terminals_;
     return true;
 }
@@ -209,7 +221,10 @@ HlCfg::DistanceWeight(uint64_t hlpc) const
     return 1.0 / static_cast<double>(1 + d);
 }
 
-HlpcTracker::HlpcTracker() = default;
+HlpcTracker::HlpcTracker()
+{
+    BeginRun();
+}
 
 void
 HlpcTracker::Attach(lowlevel::LowLevelRuntime* runtime)
@@ -231,6 +246,9 @@ void
 HlpcTracker::BeginRun()
 {
     current_node_ = 0;
+    length_ = 0;
+    last_hlpc_ = 0;
+    path_hash_ = FnvHash(nullptr, 0);
     trace_.clear();
 }
 
@@ -239,9 +257,9 @@ HlpcTracker::EndRun()
 {
     HlPathInfo info;
     info.final_node = current_node_;
-    info.length = trace_.size();
+    info.length = length_;
     info.is_new_path = tree_.MarkTerminal(current_node_);
-    info.path_hash = tree_.path_hash_of(current_node_);
+    info.path_hash = path_hash_;
     return info;
 }
 
@@ -258,7 +276,14 @@ HlpcTracker::OnLogPc(uint64_t hlpc, uint32_t opcode)
         cfg_.RecordEdgeById(tree_.cfg_id_of(parent), id);
     }
     cfg_.RecordNodeById(id, opcode);
-    trace_.push_back(hlpc);
+    // FNV over a concatenation is FNV over the suffix seeded with the
+    // prefix's hash.
+    path_hash_ = FnvHash(&hlpc, sizeof(hlpc), path_hash_);
+    ++length_;
+    last_hlpc_ = hlpc;
+    if (keep_trace_) {
+        trace_.push_back(hlpc);
+    }
     if (runtime_ != nullptr) {
         runtime_->SetHlPosition(hlpc, current_node_, opcode);
     }

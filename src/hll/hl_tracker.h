@@ -18,20 +18,30 @@
 ///  - tree nodes are stored in creation order, in fixed-size chunks, and
 ///    link their children through first-child / next-sibling indices.
 ///    The node id is the dynamic HLPC stamped into alternate states, so
-///    ids never move;
+///    ids never move. A node is 12 bytes: the two links and its HLPC's
+///    CFG id, whose top bit is the terminal flag (the tree keeps one HLPC
+///    per CFG id, not one per node);
 ///  - the CFG interns a static HLPC to a dense id the first time a tree
 ///    node with that HLPC is created, and keeps opcode, execution count
-///    and successor / predecessor id lists in a vector indexed by it. Each
-///    tree node stores its HLPC's CFG id (the tree keeps one HLPC per id)
-///    and the FNV hash of its path from the root, so a run's path hash is
-///    read off its final node.
+///    and successor / predecessor id lists in a vector indexed by it. A
+///    new node under a parent whose CFG successors already include its
+///    HLPC takes that successor's id without an interning lookup.
+///
+/// A run's path hash is not stored in the tree: every run starts at the
+/// root, so the tracker extends the run's FNV state by each HLPC as it is
+/// reported (FNV over a concatenation is FNV over the suffix seeded with
+/// the prefix's hash). Nor does the tracker keep the run's HLPC trace,
+/// only its length and last HLPC, unless asked to (set_keep_trace) for a
+/// per-step consumer such as the attribution profiler: a hang run is
+/// hundreds of thousands of events long.
 ///
 /// Edges are recorded only when a tree node is new. A log_pc event that
 /// moves from node p to an existing child c repeats the transfer
 /// (hlpc_of(p), hlpc_of(c)), and that edge was recorded when c was
 /// created. Recording it on creation alone therefore yields the same
 /// successor and predecessor sets, and an event on a known path costs one
-/// child probe, a counter increment and an opcode store.
+/// child probe, a counter increment, an opcode store and an 8-byte FNV
+/// step.
 
 #include <cstdint>
 #include <unordered_map>
@@ -58,7 +68,9 @@ class HlExecutionTree
 
     /// Returns the child of \p node labeled \p hlpc, creating it if absent;
     /// \p created (if given) reports whether it was created. A new child
-    /// takes its static HLPC's id from \p cfg.Intern(hlpc).
+    /// takes its static HLPC's id from \p node's CFG successors when one
+    /// of them is \p hlpc, else from \p cfg.Intern(hlpc); both give the
+    /// same id.
     uint32_t Advance(uint32_t node, uint64_t hlpc, HlCfg& cfg,
                      bool* created = nullptr);
 
@@ -70,30 +82,36 @@ class HlExecutionTree
     /// The static HLPC of \p node; 0 for the root.
     uint64_t hlpc_of(uint32_t node) const
     {
-        const uint32_t id = At(node).cfg_id;
+        const uint32_t id = cfg_id_of(node);
         return id == kNoId ? 0 : hlpcs_[id];
     }
-    /// FnvHash of the HLPC sequence from the root to \p node, as the bytes
-    /// of a uint64_t array: each node extends its parent's hash by its own
-    /// HLPC when it is created.
-    uint64_t path_hash_of(uint32_t node) const { return At(node).path_hash; }
     size_t num_nodes() const { return num_nodes_; }
     uint64_t num_terminal_paths() const { return num_terminals_; }
 
     /// The CFG id of \p node's HLPC; kNoId for the root.
-    uint32_t cfg_id_of(uint32_t node) const { return At(node).cfg_id; }
+    uint32_t cfg_id_of(uint32_t node) const
+    {
+        const uint32_t id = At(node).cfg_bits & kCfgIdMask;
+        return id == kRootCfgId ? kNoId : id;
+    }
 
   private:
+    /// Top bit of Node::cfg_bits: a run ended at the node.
+    static constexpr uint32_t kTerminalBit = 1u << 31;
+    static constexpr uint32_t kCfgIdMask = kTerminalBit - 1;
+    /// The root's CFG id bits (it has no HLPC); cfg_id_of reads kNoId.
+    static constexpr uint32_t kRootCfgId = kCfgIdMask;
+
     struct Node {
-        uint64_t path_hash = 0;
         uint32_t first_child = kNoId;
         uint32_t next_sibling = kNoId;
-        uint32_t cfg_id = kNoId;
-        bool terminal = false;
+        /// The CFG id of the node's HLPC (kRootCfgId for the root), with
+        /// kTerminalBit set once a run has ended at the node.
+        uint32_t cfg_bits = kRootCfgId;
     };
-    // A session can reach hundreds of thousands of nodes: the HLPC lives
-    // once per CFG id in hlpcs_, not in every node.
-    static_assert(sizeof(Node) == 24, "HL tree nodes stay 24 bytes");
+    // A session can reach a million nodes: the HLPC lives once per CFG id
+    // in hlpcs_ and the path hash in the tracker, not in every node.
+    static_assert(sizeof(Node) == 12, "HL tree nodes stay 12 bytes");
 
     /// Nodes live in chunks of kChunkSize, so the tree grows without
     /// copying itself: one vector would copy every node on each doubling
@@ -179,6 +197,12 @@ class HlCfg
     /// (capped below by 1 so potential branch points themselves weigh 1.0).
     double DistanceWeight(uint64_t hlpc) const;
 
+    /// The ids observed to follow \p id, in first-seen order.
+    const std::vector<uint32_t>& successors(uint32_t id) const
+    {
+        return nodes_[id].successors;
+    }
+
     size_t num_nodes() const { return nodes_.size(); }
     size_t num_potential_branch_points() const { return num_potential_; }
 
@@ -244,14 +268,29 @@ class HlpcTracker
     /// Current dynamic HLPC (execution tree node of the last log_pc).
     uint32_t current_node() const { return current_node_; }
 
-    /// The trace of static HLPCs reported so far in the current run.
+    /// Whether runs keep their full HLPC trace (current_trace()); off by
+    /// default. Survives Reset().
+    void set_keep_trace(bool keep) { keep_trace_ = keep; }
+
+    /// The static HLPCs reported so far in the current run; empty unless
+    /// set_keep_trace(true).
     const std::vector<uint64_t>& current_trace() const { return trace_; }
+
+    /// The last static HLPC reported in the current run; 0 before the
+    /// first.
+    uint64_t last_hlpc() const { return last_hlpc_; }
 
   private:
     lowlevel::LowLevelRuntime* runtime_ = nullptr;
     HlExecutionTree tree_;
     HlCfg cfg_;
     uint32_t current_node_ = 0;
+    /// The current run: its length, last HLPC and FnvHash of its HLPCs
+    /// (as the bytes of a uint64_t array).
+    size_t length_ = 0;
+    uint64_t last_hlpc_ = 0;
+    uint64_t path_hash_ = 0;
+    bool keep_trace_ = false;
     std::vector<uint64_t> trace_;
 };
 

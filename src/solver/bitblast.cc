@@ -322,9 +322,6 @@ BitBlaster::BlastNode(const Expr* e)
             return it->second.bits;
         }
         VarInfo info;
-        // The node carries its own count, so the raw pointer yields a
-        // new reference.
-        info.var = ExprRef(e);
         info.bits.resize(width);
         for (int i = 0; i < width; ++i) {
             info.bits[i] = cnf_->NewVar();

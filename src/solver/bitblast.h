@@ -49,7 +49,6 @@ class BitBlaster
 
     /// Bitvector input variable that appeared during blasting.
     struct VarInfo {
-        ExprRef var;
         std::vector<Lit> bits;  ///< LSB first.
     };
 

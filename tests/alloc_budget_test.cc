@@ -12,8 +12,9 @@
 /// interned constants, lazily allocated guest hash buckets,
 /// allocation-free HLPC interning and lazily made minipy builtins landed;
 /// the tree before those changes fails both. The byte budgets sit a few
-/// percent above the counts measured with 56-byte expression nodes; a tree
-/// with the older 128-byte nodes fails both. The counts are
+/// percent above the counts measured with 56-byte expression nodes and
+/// 12-byte HL tree nodes; a tree with the older 128-byte expression nodes
+/// fails both. The counts are
 /// deterministic: one thread, a fixed seed, no shared solver cache.
 /// Sanitizer builds interpose their own allocator, so the budget tests
 /// skip themselves there.
@@ -52,12 +53,13 @@ struct Budget {
 /// changes these read 2.079 and 1.713; before MiniLua's slot frames,
 /// lua/haml read 1.399 (451k).
 ///
-/// Bytes requested per step, about 4% above the measured 155.98
-/// (py/unicodecsv: 77.5 MB over 497k steps) and 102.44 (lua/haml: 33.0 MB
-/// over 322k). With shared_ptr expression nodes (128 bytes each, name
-/// string included) these read 189.51 and 126.34.
-constexpr Budget kPyBudget = {1.07, 162.0};
-constexpr Budget kLuaBudget = {1.05, 106.5};
+/// Bytes requested per step, about 3% above the measured 154.09
+/// (py/unicodecsv: 76.6 MB over 497k steps) and 101.05 (lua/haml: 32.6 MB
+/// over 322k). With 24-byte HL tree nodes and a per-run HLPC trace these
+/// read 155.98 and 102.44; with shared_ptr expression nodes (128 bytes
+/// each, name string included) before that, 189.51 and 126.34.
+constexpr Budget kPyBudget = {1.07, 159.0};
+constexpr Budget kLuaBudget = {1.05, 104.0};
 
 struct SessionCount {
     uint64_t allocations = 0;

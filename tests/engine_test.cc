@@ -358,6 +358,33 @@ TEST(Engine, StopAfterClaimReleasesTheClaimedState)
     EXPECT_EQ(forks, engine.tree().total_registered());
 }
 
+// With a profiler attached, the engine keeps each run's HLPC trace and
+// charges a step per entry, so the table's steps add up to the test cases'
+// high-level lengths. ThreeBranchGuest makes no assumptions: every run is a
+// test case and none is charged twice.
+TEST(Engine, AttributionChargesEveryHlStep)
+{
+    obs::AttributionProfiler profiler("three-branch");
+    Engine::Options options;
+    options.obs.attribution = &profiler;
+    Engine engine(options);
+    const std::vector<TestCase> tests = engine.Explore(ThreeBranchGuest);
+    ASSERT_EQ(tests.size(), 8u);
+    uint64_t hl_steps = 0;
+    for (const TestCase& test : tests) {
+        hl_steps += test.hl_length;
+    }
+    uint64_t charged = 0;
+    for (const auto& [workload, table] :
+         engine.stats().attribution.workloads) {
+        for (const auto& [hl_pc, row] : table) {
+            charged += row.steps;
+        }
+    }
+    EXPECT_EQ(hl_steps, 8u * 7u);
+    EXPECT_EQ(charged, hl_steps);
+}
+
 // ---------------------------------------------------------------------------
 // Serial bit-identity: golden digests of whole sessions.
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -64,20 +65,6 @@ TEST(HlExecutionTree, TerminalMarksCountNewPathsOnce)
     EXPECT_TRUE(tree.MarkTerminal(a));
     EXPECT_FALSE(tree.MarkTerminal(a));
     EXPECT_EQ(tree.num_terminal_paths(), 1u);
-}
-
-TEST(HlExecutionTree, PathHashExtendsTheParentsHash)
-{
-    HlExecutionTree tree;
-    HlCfg cfg;
-    const std::vector<uint64_t> trace = {7, 0x1234567890abcdefull, 7};
-    uint32_t node = 0;
-    EXPECT_EQ(tree.path_hash_of(node), FnvHash(nullptr, 0));
-    for (size_t i = 0; i < trace.size(); ++i) {
-        node = tree.Advance(node, trace[i], cfg);
-        EXPECT_EQ(tree.path_hash_of(node),
-                  FnvHash(trace.data(), (i + 1) * sizeof(uint64_t)));
-    }
 }
 
 TEST(HlExecutionTree, LargeTreesKeepIdsAndLinksAcrossChunks)
@@ -277,6 +264,109 @@ TEST(HlpcTracker, DistinguishesHlPaths)
     tracker.BeginRun();
     runtime.LogPc(100, kOpLoad);
     EXPECT_TRUE(tracker.EndRun().is_new_path);
+}
+
+TEST(HlpcTracker, PathHashIsTheFnvHashOfTheTrace)
+{
+    // A trace that revisits HLPCs, so later runs replay known nodes and
+    // create nodes under parents whose CFG successors are known.
+    const std::vector<uint64_t> trace = {7,  0x1234567890abcdefull, 7, 8,
+                                         7,  8, 9, 0xffffffffffffffffull,
+                                         7};
+    for (const bool keep_trace : {false, true}) {
+        HlpcTracker tracker;
+        tracker.set_keep_trace(keep_trace);
+        tracker.Reset();
+        for (size_t start = 0; start < 3; ++start) {
+            tracker.BeginRun();
+            HlPathInfo info = tracker.EndRun();
+            EXPECT_EQ(info.path_hash, FnvHash(nullptr, 0));
+            EXPECT_EQ(info.length, 0u);
+            EXPECT_EQ(tracker.last_hlpc(), 0u);
+            // EndRun reads the run so far: check it at every prefix.
+            for (size_t i = start; i < trace.size(); ++i) {
+                tracker.OnLogPc(trace[i], kOpLoad);
+                info = tracker.EndRun();
+                const std::vector<uint64_t> prefix(
+                    trace.begin() + static_cast<std::ptrdiff_t>(start),
+                    trace.begin() + static_cast<std::ptrdiff_t>(i + 1));
+                ASSERT_EQ(info.path_hash,
+                          FnvHash(prefix.data(),
+                                  prefix.size() * sizeof(uint64_t)))
+                    << "start " << start << " end " << i;
+                EXPECT_EQ(info.length, prefix.size());
+                EXPECT_EQ(tracker.last_hlpc(), trace[i]);
+                EXPECT_EQ(tracker.current_trace(),
+                          keep_trace ? prefix : std::vector<uint64_t>());
+            }
+        }
+    }
+}
+
+TEST(HlpcTracker, LongRunKeepsNoTraceUnlessAsked)
+{
+    // A hang-sized run: half a million events around a 7-instruction loop.
+    constexpr size_t kEvents = 500'000;
+    std::vector<uint64_t> trace(kEvents);
+    for (size_t i = 0; i < kEvents; ++i) {
+        trace[i] = 100 + i % 7;
+    }
+    const uint64_t want_hash =
+        FnvHash(trace.data(), trace.size() * sizeof(uint64_t));
+    for (const bool keep_trace : {false, true}) {
+        HlpcTracker tracker;
+        tracker.set_keep_trace(keep_trace);
+        tracker.Reset();
+        tracker.BeginRun();
+        for (const uint64_t hlpc : trace) {
+            tracker.OnLogPc(hlpc, kOpLoad);
+        }
+        if (keep_trace) {
+            EXPECT_EQ(tracker.current_trace(), trace);
+        } else {
+            EXPECT_TRUE(tracker.current_trace().empty());
+            EXPECT_EQ(tracker.current_trace().capacity(), 0u);
+        }
+        EXPECT_EQ(tracker.last_hlpc(), trace.back());
+        const HlPathInfo info = tracker.EndRun();
+        EXPECT_EQ(info.length, kEvents);
+        EXPECT_EQ(info.path_hash, want_hash);
+        EXPECT_EQ(tracker.tree().num_nodes(), kEvents + 1);
+        EXPECT_EQ(tracker.cfg().num_nodes(), 7u);
+    }
+}
+
+TEST(HlpcTracker, NodesTakeTheIdsInternReturns)
+{
+    // Random walks over a small program: most new nodes find their HLPC
+    // among the parent's CFG successors and skip interning. Each must
+    // carry the id Intern gives that HLPC.
+    std::mt19937_64 rng(3);
+    std::vector<uint64_t> hlpcs(24);
+    for (uint64_t& hlpc : hlpcs) {
+        hlpc = rng();
+    }
+    HlpcTracker tracker;
+    tracker.Reset();
+    for (int run = 0; run < 300; ++run) {
+        tracker.BeginRun();
+        size_t site = 0;
+        for (int step = 0; step < 40; ++step) {
+            tracker.OnLogPc(hlpcs[site], kOpLoad);
+            site = (site + 1 + rng() % 3) % hlpcs.size();
+        }
+        tracker.EndRun();
+    }
+    const HlExecutionTree& tree = tracker.tree();
+    ASSERT_GT(tree.num_nodes(), 10 * hlpcs.size());
+    const size_t interned = tracker.cfg().num_nodes();
+    EXPECT_EQ(interned, hlpcs.size());
+    for (uint32_t node = 1; node < tree.num_nodes(); ++node) {
+        ASSERT_EQ(tracker.cfg().Intern(tree.hlpc_of(node)),
+                  tree.cfg_id_of(node))
+            << "node " << node;
+    }
+    EXPECT_EQ(tracker.cfg().num_nodes(), interned);
 }
 
 /// The straightforward map-based tracker: a per-node map of children, and
