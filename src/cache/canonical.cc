@@ -9,8 +9,7 @@ uint64_t
 QueryHash(const std::vector<solver::ExprRef>& assertions)
 {
     // Commutative combination (sum of mixed per-assertion hashes) so that
-    // permuted assertion sets hit the same cache line. Keep in sync with
-    // nothing: this *is* the one definition.
+    // permuted assertion sets hit the same cache line.
     uint64_t combined = 0x51ed270b4d2d3c75ull;
     for (const solver::ExprRef& assertion : assertions) {
         combined += assertion->hash() * 0x9e3779b97f4a7c15ull;
@@ -43,13 +42,12 @@ SameAssertions(const std::vector<solver::ExprRef>& sorted_a,
     return true;
 }
 
-CanonicalQuery
-Canonicalize(std::vector<solver::ExprRef> assertions)
+size_t
+QueryEntryBytes(size_t num_assertions, size_t num_model_entries)
 {
-    CanonicalQuery query;
-    query.hash = QueryHash(assertions);
-    query.sorted_assertions = SortedByHash(std::move(assertions));
-    return query;
+    constexpr size_t kEntryOverhead = 128;
+    return kEntryOverhead + num_assertions * sizeof(solver::ExprRef) +
+           num_model_entries * sizeof(std::pair<uint32_t, uint64_t>);
 }
 
 bool

@@ -2,17 +2,16 @@
 #define CHEF_CACHE_CANONICAL_H_
 
 /// \file
-/// Canonical form for solver queries, shared by the per-solver query
-/// cache and the cross-worker SharedSolverCache.
+/// Canonical form for the Solver's query cache.
 ///
 /// A query is the conjunction of a set of width-1 assertions; two queries
 /// are the same cache key iff they contain structurally equal assertions,
-/// in any order. The canonical form is (order-insensitive hash, assertions
-/// sorted by structural hash); the sorted vector is kept alongside the
-/// hash so lookups can reject hash collisions with an exact structural
-/// comparison. Hoisted out of Solver (which used private equivalents) so
-/// every cache layer agrees on one canonicalization.
+/// in any order. The key is (order-insensitive hash, assertions sorted by
+/// structural hash); the sorted vector is kept alongside the hash so
+/// lookups can reject hash collisions with an exact structural
+/// comparison.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -33,21 +32,16 @@ SortedByHash(std::vector<solver::ExprRef> assertions);
 bool SameAssertions(const std::vector<solver::ExprRef>& sorted_a,
                     const std::vector<solver::ExprRef>& sorted_b);
 
-/// A query in canonical form. Build via Canonicalize(); the fields are
-/// public so tests can fabricate colliding keys.
-struct CanonicalQuery {
-    uint64_t hash = 0;
-    /// Assertions sorted by structural hash.
-    std::vector<solver::ExprRef> sorted_assertions;
-};
-
-CanonicalQuery Canonicalize(std::vector<solver::ExprRef> assertions);
+/// Approximate footprint of one cached query entry (structure overhead
+/// plus per-ref/per-binding costs — not deep DAG sizes, since expression
+/// nodes are shared across entries and with the engine's own trees).
+/// Feeds the Solver's cache_bytes gauge and byte budget. Pass 0 model
+/// entries for results that store no model (unsat).
+size_t QueryEntryBytes(size_t num_assertions, size_t num_model_entries);
 
 /// True if every assertion evaluates to 1 under the model. Evaluates
 /// newest-first: for concolic negation queries the violated assertion is
-/// almost always the freshly flipped branch at the end. One definition
-/// serves both the solver's local model-reuse window and the shared
-/// counterexample store.
+/// almost always the freshly flipped branch at the end.
 bool ModelSatisfies(const std::vector<solver::ExprRef>& assertions,
                     const solver::Assignment& model);
 

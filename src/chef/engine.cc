@@ -347,9 +347,6 @@ void
 Engine::FinalizeStats()
 {
     stats_.solver_queries = solver_.stats().queries;
-    stats_.solver_shared_hits = solver_.stats().shared_cache_hits;
-    stats_.solver_shared_model_hits =
-        solver_.stats().shared_model_reuse_hits;
     stats_.solver_sliced_queries = solver_.stats().sliced_queries;
     stats_.solver_incremental_sat_calls =
         solver_.stats().incremental_sat_calls;

@@ -78,11 +78,6 @@ struct EngineStats {
     /// session solver at the end of Explore so callers can total
     /// per-session work without reaching into the solver).
     uint64_t solver_queries = 0;
-    /// Queries answered by the batch-shared solver cache / satisfied by a
-    /// sibling session's published model (0 unless
-    /// Options::solver_options.shared_cache was set).
-    uint64_t solver_shared_hits = 0;
-    uint64_t solver_shared_model_hits = 0;
     /// Queries that independence slicing split into multiple slices, SAT
     /// calls served by the persistent incremental session, and CNF
     /// clauses loaded into the CDCL backend (copied like solver_queries).
@@ -132,15 +127,9 @@ class Engine
         double fork_weight_decay = 0.75;
         /// §3.4 least-frequent branching opcode cutoff.
         double branch_opcode_drop_fraction = 0.10;
-        /// Per-session solver configuration. Point
-        /// solver_options.shared_cache at a cache::SharedSolverCache to
-        /// share query results and counterexamples with sibling sessions
-        /// (the exploration service does this per batch when its
-        /// share_solver_cache option is on). Note: a shared hit may hand
-        /// the session a different model than a fresh solve would, so
-        /// its results depend on what sibling sessions have published;
-        /// cross-run bit-reproducibility only holds without one (or with
-        /// a cold, private one).
+        /// Per-session solver configuration. The session's solver and
+        /// its caches are its own, so a session's results do not depend
+        /// on sibling sessions.
         solver::Solver::Options solver_options = {};
         bool collect_timeline = true;
         /// Cooperative cancellation hook. Checked between concolic

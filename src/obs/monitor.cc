@@ -22,9 +22,9 @@ std::string RenderMonitorFrame(const ClusterSeries& series,
                   window_seconds);
     out += line;
     std::snprintf(line, sizeof(line),
-                  "%-10s %8s %8s %10s %10s %9s %8s %8s %-8s\n",
+                  "%-10s %8s %8s %10s %10s %8s %8s %-8s\n",
                   "source", "jobs/s", "fp/s", "solv-s/s", "p95(s)",
-                  "cachehit", "corpus", "cancels", "state");
+                  "corpus", "cancels", "state");
     out += line;
     for (const std::string& source : series.Sources()) {
         const std::vector<SeriesSample>& samples = *series.SeriesFor(source);
@@ -39,9 +39,6 @@ std::string RenderMonitorFrame(const ClusterSeries& series,
             samples, kFingerprintsNewCounter, window_seconds);
         const double solver_rate = WindowedHistogramSumRate(
             samples, kSolverSolveHistogram, window_seconds);
-        const double hit_rate = WindowedCounterRatio(
-            samples, kSharedCacheHitsCounter, kSolverQueriesCounter,
-            window_seconds);
         HistogramSnapshot delta;
         const double p95 =
             WindowedHistogramDelta(samples, kSolverSolveHistogram,
@@ -53,8 +50,8 @@ std::string RenderMonitorFrame(const ClusterSeries& series,
                                                : "flat";
         std::snprintf(
             line, sizeof(line),
-            "%-10s %8.2f %8.2f %10.3f %10.4f %9.2f %8lld %8llu %-8s\n",
-            source.c_str(), jobs_rate, fp_rate, solver_rate, p95, hit_rate,
+            "%-10s %8.2f %8.2f %10.3f %10.4f %8lld %8llu %-8s\n",
+            source.c_str(), jobs_rate, fp_rate, solver_rate, p95,
             static_cast<long long>(
                 SnapshotGauge(latest.metrics, kCorpusSizeGauge)),
             static_cast<unsigned long long>(

@@ -75,22 +75,6 @@ double WindowedCounterRate(const std::vector<SeriesSample>& samples,
     return static_cast<double>(delta) / dt;
 }
 
-double WindowedCounterRatio(const std::vector<SeriesSample>& samples,
-                            const std::string& numerator,
-                            const std::string& denominator,
-                            double window_seconds)
-{
-    uint64_t num = 0;
-    uint64_t den = 0;
-    double dt = 0.0;
-    if (!WindowDelta(samples, denominator, window_seconds, &den, &dt) ||
-        den == 0) {
-        return 0.0;
-    }
-    WindowDelta(samples, numerator, window_seconds, &num, &dt);
-    return static_cast<double>(num) / static_cast<double>(den);
-}
-
 double WindowedHistogramSumRate(const std::vector<SeriesSample>& samples,
                                 const std::string& histogram,
                                 double window_seconds)
@@ -469,9 +453,6 @@ std::string RenderSeriesSampleNdjson(const ClusterSeries& series,
     json.Key("solver_seconds_per_second");
     json.Value(WindowedHistogramSumRate(prefix, kSolverSolveHistogram,
                                         window_seconds));
-    json.Key("shared_cache_hit_rate");
-    json.Value(WindowedCounterRatio(prefix, kSharedCacheHitsCounter,
-                                    kSolverQueriesCounter, window_seconds));
     HistogramSnapshot delta;
     json.Key("solver_p95_seconds");
     json.Value(WindowedHistogramDelta(prefix, kSolverSolveHistogram,

@@ -19,7 +19,7 @@
 /// Windowed rates over a sample vector are counter deltas between the
 /// newest sample and the newest sample at least `window` seconds older
 /// (falling back to the oldest sample for short runs): jobs/s,
-/// new-fingerprints/s, solver-seconds/s, shared-cache hit rate.
+/// new-fingerprints/s, solver-seconds/s.
 /// Windowed latency quantiles come from bucket-wise histogram deltas
 /// between the same two samples.
 ///
@@ -59,8 +59,6 @@ inline constexpr char kJobsFinishedCounter[] = "service.jobs_finished";
 inline constexpr char kFingerprintsNewCounter[] = "corpus.fingerprints_new";
 inline constexpr char kCorpusSizeGauge[] = "corpus.size";
 inline constexpr char kSolverSolveHistogram[] = "solver.solve_seconds";
-inline constexpr char kSolverQueriesCounter[] = "solver.queries";
-inline constexpr char kSharedCacheHitsCounter[] = "solver.shared_cache_hits";
 inline constexpr char kPlateauCancelsCounter[] = "scheduler.plateau_cancels";
 
 /// One point on the time axis: a whole-registry snapshot stamped with
@@ -87,13 +85,6 @@ int64_t SnapshotGauge(const MetricsSnapshot& snapshot,
 double WindowedCounterRate(const std::vector<SeriesSample>& samples,
                            const std::string& counter,
                            double window_seconds);
-
-/// delta(numerator) / delta(denominator) over the window; 0 when the
-/// denominator did not move.
-double WindowedCounterRatio(const std::vector<SeriesSample>& samples,
-                            const std::string& numerator,
-                            const std::string& denominator,
-                            double window_seconds);
 
 /// Histogram-sum rate: delta(sum_nanos)/1e9 per elapsed second — e.g.
 /// solver-seconds spent per wall second over the window.
@@ -226,7 +217,7 @@ std::string RenderClusterSeriesJson(const ClusterSeries& series);
 /// One NDJSON line (newline-terminated strict JSON object) describing
 /// \p sample from \p source plus the cluster context at that point:
 /// windowed per-source rates (jobs/s, fingerprints/s, solver-seconds/s,
-/// shared-cache hit rate, solver p95), corpus size, plateau cancels,
+/// solver p95), corpus size, plateau cancels,
 /// and merged cluster totals. This is the --stats-out record schema.
 std::string RenderSeriesSampleNdjson(const ClusterSeries& series,
                                      const std::string& source,

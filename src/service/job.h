@@ -171,22 +171,8 @@ struct ServiceStats {
     uint64_t solver_sliced_queries = 0;
     uint64_t solver_incremental_sat_calls = 0;
     uint64_t solver_clauses_loaded = 0;
-    /// Sum of per-session solver wall times (the quantity solver-cache
-    /// sharing exists to shrink).
+    /// Sum of per-session solver wall times.
     double solver_seconds = 0.0;
-    /// Whether the last batch ran with a batch-shared solver cache.
-    bool solver_cache_shared = false;
-    /// Shared-solver-cache counters, accumulated across batches (0 when
-    /// sharing is off). Hits/misses depend on cross-worker interleaving,
-    /// so they are throughput telemetry, not deterministic quantities.
-    uint64_t shared_cache_hits = 0;
-    uint64_t shared_cache_misses = 0;
-    uint64_t shared_cache_inserts = 0;
-    uint64_t shared_cache_evictions = 0;
-    uint64_t shared_cache_model_hits = 0;
-    /// Shared-cache gauges after the last batch.
-    size_t shared_cache_bytes = 0;
-    size_t shared_cache_entries = 0;
     /// Size of the shared deduplicated corpus after the last batch.
     size_t corpus_size = 0;
     /// Sum of per-job wall times on the workers (CPU-side work measure).

@@ -34,20 +34,6 @@ WriteServiceStats(JsonWriter& json, const ServiceStats& stats)
     json.Key("solver_clauses_loaded"),
         json.Value(stats.solver_clauses_loaded);
     json.Key("solver_seconds"), json.Value(stats.solver_seconds);
-    json.Key("solver_cache_shared"),
-        json.Value(stats.solver_cache_shared);
-    json.Key("shared_cache_hits"), json.Value(stats.shared_cache_hits);
-    json.Key("shared_cache_misses"),
-        json.Value(stats.shared_cache_misses);
-    json.Key("shared_cache_inserts"),
-        json.Value(stats.shared_cache_inserts);
-    json.Key("shared_cache_evictions"),
-        json.Value(stats.shared_cache_evictions);
-    json.Key("shared_cache_model_hits"),
-        json.Value(stats.shared_cache_model_hits);
-    json.Key("shared_cache_bytes"), json.Value(stats.shared_cache_bytes);
-    json.Key("shared_cache_entries"),
-        json.Value(stats.shared_cache_entries);
     json.Key("corpus_size"), json.Value(stats.corpus_size);
     json.Key("engine_seconds"), json.Value(stats.engine_seconds);
     json.Key("wall_seconds"), json.Value(stats.wall_seconds);
@@ -89,10 +75,6 @@ WriteJobResult(JsonWriter& json, const JobResult& result)
         json.Value(result.engine_stats.solver_clauses_loaded);
     json.Key("solver_seconds"),
         json.Value(result.engine_stats.solver_seconds);
-    json.Key("solver_shared_hits"),
-        json.Value(result.engine_stats.solver_shared_hits);
-    json.Key("solver_shared_model_hits"),
-        json.Value(result.engine_stats.solver_shared_model_hits);
     json.Key("stopped"), json.Value(result.engine_stats.stopped);
     json.Key("elapsed_seconds"),
         json.Value(result.engine_stats.elapsed_seconds);

@@ -119,13 +119,6 @@ StatsFromMetrics(const obs::MetricsSnapshot& snapshot)
     stats.solver_incremental_sat_calls =
         count("solver.incremental_sat_calls");
     stats.solver_clauses_loaded = count("solver.clauses_loaded");
-    stats.shared_cache_hits = count("shared_cache.hits");
-    stats.shared_cache_misses = count("shared_cache.misses");
-    stats.shared_cache_inserts = count("shared_cache.inserts");
-    stats.shared_cache_evictions = count("shared_cache.evictions");
-    stats.shared_cache_model_hits = count("shared_cache.model_hits");
-    stats.shared_cache_bytes = level("shared_cache.bytes");
-    stats.shared_cache_entries = level("shared_cache.entries");
     stats.corpus_size = level(obs::kCorpusSizeGauge);
     stats.solver_seconds = sum_seconds("solver.solve_seconds");
     stats.engine_seconds = sum_seconds("service.job_seconds");
@@ -144,7 +137,6 @@ ExplorationService::stats() const
     stats.corpus_size = corpus_.size();
     stats.num_workers = options_.num_workers;
     stats.schedule_policy = options_.schedule_policy;
-    stats.solver_cache_shared = options_.share_solver_cache;
     return stats;
 }
 
@@ -219,11 +211,6 @@ ExplorationService::RunJob(const JobSpec& spec, size_t job_index,
         profiler =
             std::make_unique<obs::AttributionProfiler>(spec.workload);
         engine_options.obs.attribution = profiler.get();
-    }
-    if (shared_cache_ != nullptr) {
-        // Batch-level sharing overrides any cache the spec carried: one
-        // cache per batch is the unit the stats and report describe.
-        engine_options.solver_options.shared_cache = shared_cache_.get();
     }
     const std::function<bool()> user_stop = spec.options.stop_requested;
     // Latch which check fires first: a session ended by the spec's own
@@ -330,13 +317,6 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
     stop_.store(false, std::memory_order_relaxed);
     obs::MetricsRegistry* metrics = options_.obs.metrics;
     metrics->counter("service.jobs_submitted")->Add(jobs.size());
-
-    // One shared solver cache per batch (when enabled): jobs in a batch
-    // overlap heavily, across batches the workload may change entirely.
-    shared_cache_.reset();
-    if (options_.share_solver_cache) {
-        shared_cache_ = std::make_unique<cache::SharedSolverCache>();
-    }
 
     std::vector<JobResult> results(jobs.size());
 
@@ -578,24 +558,6 @@ ExplorationService::RunBatch(const std::vector<JobSpec>& jobs)
         dispatcher.join();
     }
 
-    if (shared_cache_ != nullptr) {
-        // The batch's cache dies with the next batch: its counts join
-        // the registry's running totals, its levels replace the last
-        // batch's.
-        const cache::SharedSolverCache::Stats cache_stats =
-            shared_cache_->stats();
-        metrics->counter("shared_cache.hits")->Add(cache_stats.hits);
-        metrics->counter("shared_cache.misses")->Add(cache_stats.misses);
-        metrics->counter("shared_cache.inserts")->Add(cache_stats.inserts);
-        metrics->counter("shared_cache.evictions")
-            ->Add(cache_stats.evictions);
-        metrics->counter("shared_cache.model_hits")
-            ->Add(cache_stats.model_reuse_hits);
-        metrics->gauge("shared_cache.bytes")
-            ->Set(static_cast<int64_t>(cache_stats.bytes));
-        metrics->gauge("shared_cache.entries")
-            ->Set(static_cast<int64_t>(cache_stats.entries));
-    }
     corpus_size->Set(static_cast<int64_t>(corpus_.size()));
     metrics->histogram("service.batch_seconds")
         ->Record(SecondsSince(batch_start));

@@ -38,7 +38,6 @@
 #include <mutex>
 #include <vector>
 
-#include "cache/shared_cache.h"
 #include "service/corpus.h"
 #include "service/job.h"
 #include "service/scheduler.h"
@@ -60,15 +59,6 @@ class ExplorationService
         /// cooperatively stopped (they still report their partial
         /// results) and queued jobs are marked cancelled.
         double max_total_seconds = 0.0;
-        /// Share one solver cache (query results + counterexamples)
-        /// across every job in a batch. Off by default because a shared
-        /// hit may hand a session a different satisfying model than a
-        /// fresh SAT call would, which makes per-job exploration depend
-        /// on sibling jobs (sat/unsat outcomes stay invariant; see
-        /// cache/shared_cache.h). A fresh cache is created per RunBatch
-        /// call (SharedSolverCache defaults) and its stats land in
-        /// ServiceStats / the JSON report.
-        bool share_solver_cache = false;
         /// Dispatch order for pending jobs. Yield-weighted by default;
         /// ordering does not change per-job results for bounded jobs
         /// (sessions are seeded independently), so the worker-count
@@ -152,13 +142,6 @@ class ExplorationService
     /// mutex, so a mid-batch read sees a consistent prefix.
     obs::AttributionSnapshot attribution() const;
 
-    /// The last batch's shared solver cache (null when sharing is off or
-    /// no batch has run). Exposed for stats inspection and tests.
-    const cache::SharedSolverCache* shared_solver_cache() const
-    {
-        return shared_cache_.get();
-    }
-
     /// The per-job seed derivation (exposed for determinism tests).
     static uint64_t DeriveJobSeed(uint64_t service_seed, size_t job_index,
                                   uint64_t spec_seed);
@@ -183,9 +166,6 @@ class ExplorationService
     /// guarded so NotifyYieldsChanged can't race scheduler teardown).
     std::mutex scheduler_mutex_;
     BatchScheduler* active_scheduler_ = nullptr;
-    /// One cache per batch; rebuilt at each RunBatch entry when
-    /// share_solver_cache is on (kept afterwards for inspection).
-    std::unique_ptr<cache::SharedSolverCache> shared_cache_;
     /// Aggregate of completed jobs' attribution tables (order-independent
     /// merge, so worker scheduling cannot change it).
     mutable std::mutex attribution_mutex_;
@@ -205,9 +185,6 @@ class ExplorationService
 ///   solver_{sliced_queries,                counters solver.<suffix>
 ///     incremental_sat_calls,
 ///     clauses_loaded}
-///   shared_cache_{hits,misses,inserts,     counters shared_cache.<suffix>
-///     evictions,model_hits}
-///   shared_cache_{bytes,entries}           gauges shared_cache.<suffix>
 ///   corpus_size                            gauge corpus.size
 ///   solver_seconds                         histogram solver.solve_seconds
 ///   engine_seconds                         histogram service.job_seconds
@@ -217,9 +194,8 @@ class ExplorationService
 /// Seconds are a histogram's sum_nanos. A gauge is read under its own
 /// name in one registry's snapshot and as `<name>_total` in a merged one
 /// (MetricsSnapshot::MergeFrom). The configuration fields (num_workers,
-/// schedule_policy, solver_cache_shared) are left for the owner of the
-/// batch to set, as are the clock and corpus fields
-/// when the owner keeps its own.
+/// schedule_policy) are left for the owner of the batch to set, as are
+/// the clock and corpus fields when the owner keeps its own.
 ServiceStats StatsFromMetrics(const obs::MetricsSnapshot& snapshot);
 
 }  // namespace chef::service

@@ -63,7 +63,6 @@ StatsFor(const obs::MetricsSnapshot& telemetry, const ServiceConfig& config)
     service::ServiceStats stats = service::StatsFromMetrics(telemetry);
     stats.num_workers = std::max<size_t>(1, config.num_workers);
     stats.schedule_policy = config.schedule_policy;
-    stats.solver_cache_shared = config.share_solver_cache;
     return stats;
 }
 

@@ -473,10 +473,6 @@ DecodeJobResult(const JsonValue& object, JobResult* result,
                  &result->engine_stats.solver_clauses_loaded, error) ||
         !ReadDouble(object, "solver_seconds",
                     &result->engine_stats.solver_seconds, error) ||
-        !ReadU64(object, "solver_shared_hits",
-                 &result->engine_stats.solver_shared_hits, error) ||
-        !ReadU64(object, "solver_shared_model_hits",
-                 &result->engine_stats.solver_shared_model_hits, error) ||
         !ReadBool(object, "stopped", &result->engine_stats.stopped,
                   error) ||
         !ReadDouble(object, "elapsed_seconds",
@@ -581,7 +577,6 @@ ServiceConfig::ToServiceOptions() const
     options.seed = seed;
     options.num_workers = num_workers;
     options.max_total_seconds = max_total_seconds;
-    options.share_solver_cache = share_solver_cache;
     options.schedule_policy = schedule_policy;
     options.plateau = plateau;
     // Options::obs is deliberately left null: telemetry scopes never
@@ -600,16 +595,6 @@ CheckSerializable(const service::JobSpec& spec, std::string* why)
                    "serializable; express job budgets via "
                    "max_runs/max_seconds, service budgets via "
                    "max_total_seconds";
-        }
-        return false;
-    }
-    if (spec.options.solver_options.shared_cache != nullptr) {
-        if (why != nullptr) {
-            *why = "JobSpec '" + spec.workload +
-                   "': solver_options.shared_cache points at process "
-                   "memory and is not serializable; enable the service "
-                   "option share_solver_cache instead (each shard builds "
-                   "its own batch cache)";
         }
         return false;
     }
@@ -641,8 +626,6 @@ EncodeRun(const RunRequest& request)
     json.Key("num_workers"), json.Value(request.service.num_workers);
     json.Key("max_total_seconds"),
         json.Value(request.service.max_total_seconds);
-    json.Key("share_solver_cache"),
-        json.Value(request.service.share_solver_cache);
     json.Key("schedule_policy"),
         json.Value(SchedulePolicyName(request.service.schedule_policy));
     json.Key("tracing"), json.Value(request.service.tracing);
@@ -794,8 +777,6 @@ DecodeMessage(const std::string& line, Message* message,
                       error) ||
             !ReadDouble(*svc, "max_total_seconds",
                         &run.service.max_total_seconds, error) ||
-            !ReadBool(*svc, "share_solver_cache",
-                      &run.service.share_solver_cache, error) ||
             !ReadString(*svc, "schedule_policy", &policy, error) ||
             !ReadBool(*svc, "tracing", &run.service.tracing, error) ||
             !ReadDouble(*svc, "metrics_interval_seconds",

@@ -27,11 +27,10 @@
 /// trace go on `result`. `gossip` flows only downstream: the
 /// coordinator's compact form of another shard's progress.
 ///
-/// Only the declarative subset of a JobSpec is serializable: callbacks
-/// (Engine stop_requested hooks) and shared pointers (a pre-wired
-/// solver_options.shared_cache) cannot cross a process boundary, and
-/// CheckSerializable rejects them with a clear error at submit time
-/// rather than silently dropping behavior. 64-bit identities (seeds,
+/// Only the declarative subset of a JobSpec is serializable: a callback
+/// (an Engine stop_requested hook) cannot cross a process boundary, and
+/// CheckSerializable rejects it with a clear error at submit time rather
+/// than silently dropping behavior. 64-bit identities (seeds,
 /// fingerprints) travel as "0x..." hex strings; non-finite doubles
 /// serialize as null and decode as 0.0 (support/json.h).
 
@@ -51,7 +50,7 @@ namespace chef::shard {
 
 /// The coordinator refuses a worker whose hello announces any other
 /// version instead of mis-decoding mid-batch.
-constexpr int kProtocolVersion = 7;
+constexpr int kProtocolVersion = 8;
 
 enum class MessageType {
     kHello,      ///< worker -> coordinator: ready, protocol version.
@@ -81,7 +80,6 @@ struct ServiceConfig {
     uint64_t seed = 1;
     size_t num_workers = 1;
     double max_total_seconds = 0.0;
-    bool share_solver_cache = false;
     service::SchedulePolicy schedule_policy =
         service::SchedulePolicy::kYieldPriority;
     /// The plateau rule (service/job.h), on or off.

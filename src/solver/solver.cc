@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "cache/canonical.h"
-#include "cache/shared_cache.h"
 #include "obs/attribution.h"
 #include "solver/bitblast.h"
 #include "solver/independence.h"
@@ -66,7 +65,6 @@ Solver::Solver(Options options) : options_(options)
         obs::MetricsRegistry& registry = *options_.obs.metrics;
         m_queries_ = registry.counter("solver.queries");
         m_cache_hits_ = registry.counter("solver.cache_hits");
-        m_shared_cache_hits_ = registry.counter("solver.shared_cache_hits");
         m_model_reuse_hits_ = registry.counter("solver.model_reuse_hits");
         m_sat_calls_ = registry.counter("solver.sat_calls");
         m_incremental_sat_calls_ =
@@ -80,9 +78,9 @@ Solver::Solver(Options options) : options_(options)
 }
 
 void
-Solver::StoreLocal(uint64_t key, QueryResult result,
-                   const Assignment& model,
-                   const std::vector<ExprRef>& sorted_assertions)
+Solver::StoreInCache(uint64_t key, QueryResult result,
+                     const Assignment& model,
+                     const std::vector<ExprRef>& sorted_assertions)
 {
     if (!options_.enable_query_cache) {
         return;
@@ -199,50 +197,6 @@ Solver::Solve(const std::vector<ExprRef>& assertions, Assignment* model)
                 m_sliced_queries_->Add();
             }
             stats_.slices_solved += slices.size();
-            // Whole-query shared prefetch: a sibling worker that solved
-            // this exact query published it *whole* (below), so one
-            // striped-lock lookup can answer every slice at once — and
-            // on a sat hit the slice projections of the stored model
-            // prime the local per-slice caches, so follow-up queries
-            // that share a prefix slice stay entirely local.
-            cache::CanonicalQuery whole;
-            if (options_.shared_cache != nullptr) {
-                whole.hash = cache::QueryHash(live);
-                whole.sorted_assertions = cache::SortedByHash(live);
-                cache::CachedResult shared_result;
-                Assignment shared_model;
-                if (options_.shared_cache->Lookup(whole, &shared_result,
-                                                  &shared_model)) {
-                    ++stats_.shared_whole_query_hits;
-                    if (shared_result == cache::CachedResult::kUnsat) {
-                        ++stats_.unsat_results;
-                        return QueryResult::kUnsat;
-                    }
-                    Assignment whole_merged;
-                    for (const IndependentSlice& slice : slices) {
-                        Assignment slice_model;
-                        for (const uint32_t var_id : slice.var_ids) {
-                            // Get() zero-fills variables the stored
-                            // model satisfied by absence, as in the
-                            // per-slice path below.
-                            const uint64_t value =
-                                shared_model.Get(var_id);
-                            slice_model.Set(var_id, value);
-                            whole_merged.Set(var_id, value);
-                        }
-                        StoreLocal(cache::QueryHash(slice.assertions),
-                                   QueryResult::kSat, slice_model,
-                                   cache::SortedByHash(slice.assertions));
-                        ++stats_.shared_slices_primed;
-                    }
-                    ++stats_.sat_results;
-                    RememberModel(whole_merged);
-                    if (model != nullptr) {
-                        *model = std::move(whole_merged);
-                    }
-                    return QueryResult::kSat;
-                }
-            }
             Assignment merged;
             bool unknown = false;
             for (const IndependentSlice& slice : slices) {
@@ -250,14 +204,6 @@ Solver::Solve(const std::vector<ExprRef>& assertions, Assignment* model)
                 const QueryResult result =
                     SolveLeaf(slice.assertions, &slice_model);
                 if (result == QueryResult::kUnsat) {
-                    if (options_.shared_cache != nullptr) {
-                        // Any unsat slice proves the whole query unsat;
-                        // publish it so siblings short-circuit the whole
-                        // pipeline on one lookup.
-                        options_.shared_cache->Insert(
-                            whole, cache::CachedResult::kUnsat,
-                            Assignment());
-                    }
                     ++stats_.unsat_results;
                     return QueryResult::kUnsat;
                 }
@@ -283,15 +229,6 @@ Solver::Solve(const std::vector<ExprRef>& assertions, Assignment* model)
             if (unknown) {
                 ++stats_.unknown_results;
                 return QueryResult::kUnknown;
-            }
-            if (options_.shared_cache != nullptr) {
-                // Publish the *whole* sliced query (slices partition the
-                // assertions, so the union of slice models is a model of
-                // the conjunction): siblings prime all their slices from
-                // this one entry instead of paying a shared lookup per
-                // slice.
-                options_.shared_cache->Insert(
-                    whole, cache::CachedResult::kSat, merged);
             }
             ++stats_.sat_results;
             RememberModel(merged);
@@ -346,41 +283,6 @@ Solver::SolveLeaf(const std::vector<ExprRef>& live, Assignment* model)
         }
     }
 
-    // Built after the local-cache check so local hits (the steady-state
-    // majority) never pay the copy; reused by the shared lookup and both
-    // insert paths below.
-    cache::CanonicalQuery canonical;
-    if (options_.shared_cache != nullptr) {
-        canonical.hash = key;
-        canonical.sorted_assertions = sorted_live;
-    }
-
-    // Cross-worker shared cache: cheap (one striped lock) relative to
-    // everything below, and a hit also primes the local layers.
-    if (options_.shared_cache != nullptr) {
-        cache::CachedResult shared_result;
-        Assignment shared_model;
-        if (options_.shared_cache->Lookup(canonical, &shared_result,
-                                          &shared_model)) {
-            ++stats_.shared_cache_hits;
-            if (m_shared_cache_hits_ != nullptr) {
-                m_shared_cache_hits_->Add();
-            }
-            const QueryResult result =
-                shared_result == cache::CachedResult::kSat
-                    ? QueryResult::kSat
-                    : QueryResult::kUnsat;
-            StoreLocal(key, result, shared_model, sorted_live);
-            if (result == QueryResult::kSat) {
-                RememberModel(shared_model);
-                if (model != nullptr) {
-                    *model = std::move(shared_model);
-                }
-            }
-            return result;
-        }
-    }
-
     if (options_.enable_model_reuse) {
         for (const Assignment& candidate : recent_models_) {
             if (cache::ModelSatisfies(live, candidate)) {
@@ -391,24 +293,9 @@ Solver::SolveLeaf(const std::vector<ExprRef>& live, Assignment* model)
                 if (model != nullptr) {
                     *model = candidate;
                 }
-                StoreLocal(key, QueryResult::kSat, candidate, sorted_live);
+                StoreInCache(key, QueryResult::kSat, candidate, sorted_live);
                 return QueryResult::kSat;
             }
-        }
-    }
-
-    // Sibling sessions' counterexamples: a model another worker published
-    // often satisfies this worker's negation query outright.
-    if (options_.shared_cache != nullptr) {
-        Assignment candidate;
-        if (options_.shared_cache->TryCounterexamples(live, &candidate)) {
-            ++stats_.shared_model_reuse_hits;
-            StoreLocal(key, QueryResult::kSat, candidate, sorted_live);
-            RememberModel(candidate);
-            if (model != nullptr) {
-                *model = std::move(candidate);
-            }
-            return QueryResult::kSat;
         }
     }
 
@@ -514,14 +401,7 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
         return QueryResult::kUnknown;
     }
     if (status == SatStatus::kUnsat) {
-        StoreLocal(key, QueryResult::kUnsat, Assignment(), sorted_live);
-        if (options_.shared_cache != nullptr) {
-            cache::CanonicalQuery canonical;
-            canonical.hash = key;
-            canonical.sorted_assertions = sorted_live;
-            options_.shared_cache->Insert(
-                canonical, cache::CachedResult::kUnsat, Assignment());
-        }
+        StoreInCache(key, QueryResult::kUnsat, Assignment(), sorted_live);
         return QueryResult::kUnsat;
     }
 
@@ -529,15 +409,7 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
     CHEF_CHECK_MSG(cache::ModelSatisfies(live, extracted),
                    "bit-blasted model does not satisfy the query");
 
-    StoreLocal(key, QueryResult::kSat, extracted, sorted_live);
-    if (options_.shared_cache != nullptr) {
-        cache::CanonicalQuery canonical;
-        canonical.hash = key;
-        canonical.sorted_assertions = sorted_live;
-        options_.shared_cache->Insert(canonical, cache::CachedResult::kSat,
-                                      extracted);
-        options_.shared_cache->PublishModel(extracted);
-    }
+    StoreInCache(key, QueryResult::kSat, extracted, sorted_live);
     RememberModel(extracted);
     if (model != nullptr) {
         *model = std::move(extracted);

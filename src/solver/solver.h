@@ -29,13 +29,12 @@
 /// clauses; otherwise it rebuilds the instance from the cone alone, so a
 /// query never propagates through circuits of unrelated past queries.
 ///
-/// The cache accelerations also exist at batch scope: when
-/// Options::shared_cache points at a cache::SharedSolverCache, slices
-/// consult (and feed) the cross-worker cache between the local layers and
-/// the SAT call — the lookup order is local cache, shared cache, local
-/// model reuse, shared counterexample store, SAT. Query canonicalization
-/// lives in cache/canonical.h so every layer agrees on one key; slicing
-/// shrinks those keys, which is what lifts local *and* shared hit rates.
+/// Each slice's lookup order is: the Solver's own query cache, its
+/// recent-model window, SAT. Both caches belong to one Solver (one
+/// session); nothing is shared across sessions, so a session's answers
+/// do not depend on what its siblings solved. Query keys come from
+/// cache/canonical.h; slicing shrinks those keys, which is what lifts the
+/// hit rate.
 
 #include <cstdint>
 #include <deque>
@@ -49,10 +48,6 @@
 #include "solver/expr.h"
 #include "solver/sat.h"
 
-namespace chef::cache {
-class SharedSolverCache;
-}  // namespace chef::cache
-
 namespace chef::solver {
 
 /// Result of a satisfiability query.
@@ -65,25 +60,13 @@ enum class QueryResult {
 /// Aggregate statistics across a Solver's lifetime.
 ///
 /// Outcome counters (sat/unsat/unknown_results) count top-level Solve()
-/// calls. Pipeline counters (cache_hits, model_reuse_hits, shared_*,
-/// sat_calls) count per *slice*, since each independent slice runs the
-/// cache pipeline on its own — so they can exceed `queries`.
+/// calls. Pipeline counters (cache_hits, model_reuse_hits, sat_calls)
+/// count per *slice*, since each independent slice runs the cache
+/// pipeline on its own — so they can exceed `queries`.
 struct SolverStats {
     uint64_t queries = 0;
     uint64_t cache_hits = 0;
     uint64_t model_reuse_hits = 0;
-    /// Slices answered by the cross-worker shared cache.
-    uint64_t shared_cache_hits = 0;
-    /// Slices satisfied by a sibling session's published model.
-    uint64_t shared_model_reuse_hits = 0;
-    /// Sliced queries answered whole by the shared cache before the
-    /// per-slice pipeline ran: a sibling published the full query, so
-    /// one striped-lock lookup replaced every per-slice probe.
-    uint64_t shared_whole_query_hits = 0;
-    /// Local per-slice cache entries primed from whole-query hits, so
-    /// follow-up queries sharing a prefix slice hit locally without
-    /// touching the shared cache at all.
-    uint64_t shared_slices_primed = 0;
     /// Queries that split into more than one independent slice, and the
     /// total number of slices those queries produced.
     uint64_t sliced_queries = 0;
@@ -111,10 +94,10 @@ struct SolverStats {
     /// (SatStats::propagations deltas): the cost that loading only a
     /// query's cone keeps proportional to that cone.
     uint64_t sat_propagations = 0;
-    /// Approximate bytes held by the local query cache (gauge; bounded by
+    /// Approximate bytes held by the query cache (gauge; bounded by
     /// Options::max_cache_bytes via LRU eviction).
     uint64_t cache_bytes = 0;
-    /// Local cache entries evicted to respect the byte budget.
+    /// Query cache entries evicted to respect the byte budget.
     uint64_t cache_evictions = 0;
     /// Learned clauses dropped by the SAT backend's activity-based purge
     /// (Options::max_learned_clauses); bounds the persistent incremental
@@ -143,9 +126,9 @@ class Solver
         /// CDCL instance per call.
         bool enable_incremental_sat = true;
         size_t model_reuse_window = 16;
-        /// Byte budget for the local query cache (approximate, the same
-        /// accounting as the shared cache); least-recently-used entries
-        /// are evicted beyond it. 0 = unbounded.
+        /// Byte budget for the query cache (approximate, see
+        /// cache::QueryEntryBytes); least-recently-used entries are
+        /// evicted beyond it. 0 = unbounded.
         size_t max_cache_bytes = 8u << 20;
         /// Conflict budget per SAT call (0 = unlimited).
         uint64_t max_conflicts = 2'000'000;
@@ -156,14 +139,6 @@ class Solver
         /// backend purges the lowest-activity half
         /// (SolverStats::learned_clauses_purged counts the drops).
         size_t max_learned_clauses = 50'000;
-        /// Optional cross-worker cache, owned by the caller (typically
-        /// one per ExplorationService batch) and shared by many Solvers.
-        /// Consulted after the local cache and fed after every proven SAT
-        /// call. Sat/unsat outcomes are cache-invariant; the satisfying
-        /// *model* a query returns may come from a sibling session, which
-        /// makes exploration order model-dependent — see
-        /// cache/shared_cache.h for the determinism contract.
-        cache::SharedSolverCache* shared_cache = nullptr;
         /// Telemetry (obs/obs.h). Default-disabled; when set, the solver
         /// mirrors its hot counters into the registry (handles resolved
         /// once at construction) and emits solver/solve, solver/leaf and
@@ -257,10 +232,9 @@ class Solver
     };
 
     /// Runs the cache pipeline for one independent slice (or for the
-    /// whole query when slicing is off or found a single slice): local
-    /// cache, shared cache, model reuse, shared counterexamples, SAT.
-    /// Does not touch the outcome counters — Solve() counts those once
-    /// per top-level query.
+    /// whole query when slicing is off or found a single slice): query
+    /// cache, model reuse, SAT. Does not touch the outcome counters —
+    /// Solve() counts those once per top-level query.
     QueryResult SolveLeaf(const std::vector<ExprRef>& live,
                           Assignment* model);
 
@@ -269,12 +243,12 @@ class Solver
                             const std::vector<ExprRef>& sorted_live,
                             Assignment* model);
 
-    /// Inserts into the local query cache (no-op when disabled); stores
+    /// Inserts into the query cache (no-op when disabled); stores
     /// the model only for kSat, maintains the cache_bytes gauge and LRU
     /// order, and evicts beyond Options::max_cache_bytes.
-    void StoreLocal(uint64_t key, QueryResult result,
-                    const Assignment& model,
-                    const std::vector<ExprRef>& sorted_assertions);
+    void StoreInCache(uint64_t key, QueryResult result,
+                      const Assignment& model,
+                      const std::vector<ExprRef>& sorted_assertions);
 
     /// Pushes a satisfying model into the bounded recent-model window
     /// (no-op when model reuse is disabled).
@@ -287,7 +261,6 @@ class Solver
     // the registry's name map.
     obs::Counter* m_queries_ = nullptr;
     obs::Counter* m_cache_hits_ = nullptr;
-    obs::Counter* m_shared_cache_hits_ = nullptr;
     obs::Counter* m_model_reuse_hits_ = nullptr;
     obs::Counter* m_sat_calls_ = nullptr;
     obs::Counter* m_incremental_sat_calls_ = nullptr;

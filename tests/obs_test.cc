@@ -10,66 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "counting_allocator.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "service/job.h"
 #include "shard/coordinator.h"
 #include "support/json.h"
-
-// --------------------------------------------------------------------------
-// Allocation counting for the hot-path test: replace global operator new
-// so the test can assert that Counter::Add and Histogram::RecordNanos
-// perform zero heap allocations. Counting is a relaxed atomic bump, so
-// the replacement does not perturb what it measures.
-
-static std::atomic<uint64_t> g_allocations{0};
-
-void*
-operator new(std::size_t size)
-{
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    void* ptr = std::malloc(size);
-    if (ptr == nullptr) {
-        throw std::bad_alloc();
-    }
-    return ptr;
-}
-
-void*
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void* ptr) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete(void* ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete[](void* ptr) noexcept
-{
-    std::free(ptr);
-}
-
-void
-operator delete[](void* ptr, std::size_t) noexcept
-{
-    std::free(ptr);
-}
 
 namespace chef::obs {
 namespace {

@@ -39,13 +39,6 @@ ExpectSameCounts(const service::ServiceStats& actual,
     EXPECT_EQ(actual.solver_incremental_sat_calls,
               expected.solver_incremental_sat_calls);
     EXPECT_EQ(actual.solver_clauses_loaded, expected.solver_clauses_loaded);
-    EXPECT_EQ(actual.shared_cache_hits, expected.shared_cache_hits);
-    EXPECT_EQ(actual.shared_cache_misses, expected.shared_cache_misses);
-    EXPECT_EQ(actual.shared_cache_inserts, expected.shared_cache_inserts);
-    EXPECT_EQ(actual.shared_cache_evictions,
-              expected.shared_cache_evictions);
-    EXPECT_EQ(actual.shared_cache_model_hits,
-              expected.shared_cache_model_hits);
     EXPECT_EQ(actual.events_delivered, expected.events_delivered);
 }
 

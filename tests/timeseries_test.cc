@@ -82,13 +82,11 @@ TEST(TimeSeriesTest, RawRingWrapsAndSamplesSinceStaysAscending)
 TEST(TimeSeriesTest, WindowedRatesMatchSyntheticSlopes)
 {
     TimeSeriesRecorder recorder;
-    // Linear counters: jobs at 10/s, hits at 5/s, queries at 10/s, plus
-    // a cumulative histogram accruing 1000 nanos per second.
+    // A linear counter (jobs at 10/s) plus a cumulative histogram
+    // accruing 1000 nanos per second.
     for (int t = 0; t <= 10; ++t) {
-        MetricsSnapshot snapshot = CountersSnapshot(
-            {{"hits", static_cast<uint64_t>(5 * t)},
-             {"jobs", static_cast<uint64_t>(10 * t)},
-             {"queries", static_cast<uint64_t>(10 * t)}});
+        MetricsSnapshot snapshot =
+            CountersSnapshot({{"jobs", static_cast<uint64_t>(10 * t)}});
         HistogramSnapshot h;
         h.name = "h";
         h.count = static_cast<uint64_t>(t);
@@ -107,8 +105,6 @@ TEST(TimeSeriesTest, WindowedRatesMatchSyntheticSlopes)
     EXPECT_DOUBLE_EQ(WindowedCounterRate(samples, "jobs", 2.0), 10.0);
     // Window larger than the series: falls back to the oldest sample.
     EXPECT_DOUBLE_EQ(WindowedCounterRate(samples, "jobs", 100.0), 10.0);
-    EXPECT_DOUBLE_EQ(WindowedCounterRatio(samples, "hits", "queries", 2.0),
-                     0.5);
     // Unknown counters read as flat zero, not an error.
     EXPECT_DOUBLE_EQ(WindowedCounterRate(samples, "absent", 2.0), 0.0);
 

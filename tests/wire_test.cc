@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "support/json.h"
-#include "cache/shared_cache.h"
 #include "support/rng.h"
 
 namespace chef::shard {
@@ -204,7 +203,6 @@ TEST(Wire, RunRequestRoundTripsRandomSpecs)
         request.service.num_workers = 1 + rng.Next() % 8;
         request.service.max_total_seconds =
             static_cast<double>(rng.Next() % 100);
-        request.service.share_solver_cache = (rng.Next() & 1) != 0;
         request.service.schedule_policy = (rng.Next() & 1) != 0
                                               ? SchedulePolicy::kFifo
                                               : SchedulePolicy::kYieldPriority;
@@ -250,14 +248,6 @@ TEST(Wire, NonSerializableSpecsAreRejectedWithClearErrors)
     EXPECT_FALSE(CheckSerializable(with_hook, &why));
     EXPECT_NE(why.find("stop_requested"), std::string::npos);
     EXPECT_NE(why.find("py/argparse"), std::string::npos);
-
-    cache::SharedSolverCache cache;
-    JobSpec with_cache;
-    with_cache.workload = "lua/JSON";
-    with_cache.options.solver_options.shared_cache = &cache;
-    EXPECT_FALSE(CheckSerializable(with_cache, &why));
-    EXPECT_NE(why.find("shared_cache"), std::string::npos);
-    EXPECT_NE(why.find("share_solver_cache"), std::string::npos);
 
     JobSpec plain;
     plain.workload = "py/argparse";
