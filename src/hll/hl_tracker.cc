@@ -17,13 +17,15 @@ HlExecutionTree::Reset()
 {
     chunks_.clear();
     hlpcs_.clear();
+    links_.clear();
+    num_links_ = 0;
     num_nodes_ = 0;
-    Append(Node());
+    Append(kRootCfgId);
     num_terminals_ = 0;
 }
 
 uint32_t
-HlExecutionTree::Append(const Node& node)
+HlExecutionTree::Append(uint32_t cfg_id)
 {
     if (chunks_.empty() || chunks_.back().size() == kChunkSize) {
         chunks_.emplace_back();
@@ -31,8 +33,44 @@ HlExecutionTree::Append(const Node& node)
             chunks_.back().reserve(kChunkSize);
         }
     }
-    chunks_.back().push_back(node);
+    chunks_.back().push_back(Node{cfg_id});
     return num_nodes_++;
+}
+
+size_t
+HlExecutionTree::ProbeLinks(uint32_t node) const
+{
+    const size_t mask = links_.size() - 1;
+    size_t slot = static_cast<size_t>((node * 0x9e3779b97f4a7c15ull) >> 32) &
+                  mask;
+    while (links_[slot].node != node && links_[slot].node != kNoId) {
+        slot = (slot + 1) & mask;
+    }
+    return slot;
+}
+
+HlExecutionTree::Links&
+HlExecutionTree::LinksOf(uint32_t node)
+{
+    Node& entry = At(node);
+    if (entry.bits & kLinkedBit) {
+        return links_[ProbeLinks(node)];
+    }
+    if (2 * (num_links_ + 1) > links_.size()) {
+        std::vector<Links> old(std::max<size_t>(16, 2 * links_.size()));
+        old.swap(links_);
+        for (const Links& moved : old) {
+            if (moved.node != kNoId) {
+                links_[ProbeLinks(moved.node)] = moved;
+            }
+        }
+    }
+    Links& links = links_[ProbeLinks(node)];
+    links.node = node;
+    links.first_child = (entry.bits & kChainBit) ? node + 1 : kNoId;
+    entry.bits |= kLinkedBit;
+    ++num_links_;
+    return links;
 }
 
 uint32_t
@@ -40,14 +78,16 @@ HlExecutionTree::Advance(uint32_t node, uint64_t hlpc, HlCfg& cfg,
                          bool* created)
 {
     CHEF_CHECK(node < num_nodes_);
-    for (uint32_t child = At(node).first_child; child != kNoId;
-         child = At(child).next_sibling) {
-        if (hlpcs_[At(child).cfg_bits & kCfgIdMask] == hlpc) {
+    uint32_t last = kNoId;
+    for (uint32_t child = FirstChild(node); child != kNoId;
+         child = NextSibling(child)) {
+        if (hlpcs_[At(child).bits & kCfgIdMask] == hlpc) {
             if (created != nullptr) {
                 *created = false;
             }
             return child;
         }
+        last = child;
     }
     // A transfer seen before from the parent's static HLPC (on another
     // path through the tree) already names the id; Intern only the rest.
@@ -69,11 +109,18 @@ HlExecutionTree::Advance(uint32_t node, uint64_t hlpc, HlCfg& cfg,
         }
         hlpcs_[id] = hlpc;
     }
-    Node fresh;
-    fresh.cfg_bits = id;
-    fresh.next_sibling = At(node).first_child;
-    const uint32_t child = Append(fresh);
-    At(node).first_child = child;
+    const uint32_t child = Append(id);
+    // The new child goes last among its siblings. A first child made right
+    // after its parent, as along a new path, needs only the chain flag:
+    // that parent has no side links yet, as it has no children and a
+    // sibling of it would have taken the id node + 1.
+    if (last != kNoId) {
+        LinksOf(last).next_sibling = child;
+    } else if (child == node + 1) {
+        At(node).bits |= kChainBit;
+    } else {
+        LinksOf(node).first_child = child;
+    }
     if (created != nullptr) {
         *created = true;
     }
@@ -85,10 +132,10 @@ HlExecutionTree::MarkTerminal(uint32_t node)
 {
     CHEF_CHECK(node < num_nodes_);
     Node& marked = At(node);
-    if (marked.cfg_bits & kTerminalBit) {
+    if (marked.bits & kTerminalBit) {
         return false;
     }
-    marked.cfg_bits |= kTerminalBit;
+    marked.bits |= kTerminalBit;
     ++num_terminals_;
     return true;
 }

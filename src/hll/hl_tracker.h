@@ -15,12 +15,17 @@
 ///    point analysis used by coverage-optimized CUPA (§3.4).
 ///
 /// Layout. Both structures are indexed by dense ids:
-///  - tree nodes are stored in creation order, in fixed-size chunks, and
-///    link their children through first-child / next-sibling indices.
-///    The node id is the dynamic HLPC stamped into alternate states, so
-///    ids never move. A node is 12 bytes: the two links and its HLPC's
-///    CFG id, whose top bit is the terminal flag (the tree keeps one HLPC
-///    per CFG id, not one per node);
+///  - tree nodes are stored in creation order, in fixed-size chunks. The
+///    node id is the dynamic HLPC stamped into alternate states, so ids
+///    never move. A node is 4 bytes: its HLPC's CFG id (the tree keeps one
+///    HLPC per CFG id, not one per node) and three flags: a run ended
+///    there, its first child is the next id, and it has side links. Most
+///    nodes need no more: a new path creates each node right after its
+///    parent, so a chain's links are implied by the ids. A node that forks
+///    (its first child is not the next id, or it has a next sibling) keeps
+///    both links in a side table, open-addressed in one array, so an entry
+///    costs no allocation of its own. Children are listed in creation
+///    order;
 ///  - the CFG interns a static HLPC to a dense id the first time a tree
 ///    node with that HLPC is created, and keeps opcode, execution count
 ///    and successor / predecessor id lists in a vector indexed by it. A
@@ -91,27 +96,38 @@ class HlExecutionTree
     /// The CFG id of \p node's HLPC; kNoId for the root.
     uint32_t cfg_id_of(uint32_t node) const
     {
-        const uint32_t id = At(node).cfg_bits & kCfgIdMask;
+        const uint32_t id = At(node).bits & kCfgIdMask;
         return id == kRootCfgId ? kNoId : id;
     }
 
   private:
-    /// Top bit of Node::cfg_bits: a run ended at the node.
+    /// Node::bits: the flags in the top three bits, the CFG id below.
+    /// A run ended at the node.
     static constexpr uint32_t kTerminalBit = 1u << 31;
-    static constexpr uint32_t kCfgIdMask = kTerminalBit - 1;
+    /// The node's first child is node + 1 (read only without kLinkedBit).
+    static constexpr uint32_t kChainBit = 1u << 30;
+    /// The node's links are in the side table.
+    static constexpr uint32_t kLinkedBit = 1u << 29;
+    static constexpr uint32_t kCfgIdMask = kLinkedBit - 1;
     /// The root's CFG id bits (it has no HLPC); cfg_id_of reads kNoId.
     static constexpr uint32_t kRootCfgId = kCfgIdMask;
 
     struct Node {
-        uint32_t first_child = kNoId;
-        uint32_t next_sibling = kNoId;
-        /// The CFG id of the node's HLPC (kRootCfgId for the root), with
-        /// kTerminalBit set once a run has ended at the node.
-        uint32_t cfg_bits = kRootCfgId;
+        /// The CFG id of the node's HLPC (kRootCfgId for the root) and the
+        /// flags.
+        uint32_t bits = kRootCfgId;
     };
     // A session can reach a million nodes: the HLPC lives once per CFG id
-    // in hlpcs_ and the path hash in the tracker, not in every node.
-    static_assert(sizeof(Node) == 12, "HL tree nodes stay 12 bytes");
+    // in hlpcs_, the path hash in the tracker and the links of the few
+    // forking nodes in links_, not in every node.
+    static_assert(sizeof(Node) == 4, "HL tree nodes stay 4 bytes");
+
+    /// A side-table entry: the links of a node with kLinkedBit.
+    struct Links {
+        uint32_t node = kNoId;  ///< kNoId marks a free slot.
+        uint32_t first_child = kNoId;
+        uint32_t next_sibling = kNoId;
+    };
 
     /// Nodes live in chunks of kChunkSize, so the tree grows without
     /// copying itself: one vector would copy every node on each doubling
@@ -130,12 +146,41 @@ class HlExecutionTree
     {
         return chunks_[node >> kChunkBits][node & (kChunkSize - 1)];
     }
-    /// Appends \p node; returns its id.
-    uint32_t Append(const Node& node);
+    /// Appends a node with CFG id \p cfg_id; returns its id.
+    uint32_t Append(uint32_t cfg_id);
+
+    uint32_t FirstChild(uint32_t node) const
+    {
+        const uint32_t bits = At(node).bits;
+        if (bits & kLinkedBit) {
+            return FindLinks(node).first_child;
+        }
+        return (bits & kChainBit) ? node + 1 : kNoId;
+    }
+    uint32_t NextSibling(uint32_t node) const
+    {
+        return (At(node).bits & kLinkedBit) ? FindLinks(node).next_sibling
+                                            : kNoId;
+    }
+    /// The side-table slot of \p node's links, or the free slot they
+    /// would take.
+    size_t ProbeLinks(uint32_t node) const;
+    /// The links of \p node, which has kLinkedBit.
+    const Links& FindLinks(uint32_t node) const
+    {
+        return links_[ProbeLinks(node)];
+    }
+    /// The links of \p node, moved into the side table (and kLinkedBit
+    /// set) on first use. The reference lasts until the next call.
+    Links& LinksOf(uint32_t node);
 
     std::vector<std::vector<Node>> chunks_;
     /// The static HLPC of each CFG id a node carries.
     std::vector<uint64_t> hlpcs_;
+    /// Open addressing with linear probing over a power-of-two array, at
+    /// most half full.
+    std::vector<Links> links_;
+    uint32_t num_links_ = 0;
     uint32_t num_nodes_ = 0;
     uint64_t num_terminals_ = 0;
 };

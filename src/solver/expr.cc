@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <new>
 #include <unordered_set>
 
 #include "support/diagnostics.h"
@@ -57,25 +58,32 @@ SignExtend(uint64_t value, int width)
     return static_cast<int64_t>((masked ^ sign_bit) - sign_bit);
 }
 
+const ExprRef Expr::kNoChild;
+
 Expr::Expr(ExprKind kind, int width, uint64_t value, uint32_t var_id,
            int extract_offset, ExprRef a, ExprRef b, ExprRef c)
     : kind_(kind),
       width_(static_cast<uint8_t>(width)),
       extract_offset_(static_cast<uint8_t>(extract_offset)),
-      var_id_(var_id),
-      value_(value),
       a_(std::move(a)),
       b_(std::move(b)),
-      c_(std::move(c))
+      value_(kind == ExprKind::kConstant ? value : var_id)
 {
     CHEF_CHECK(width >= 1 && width <= 64);
+    if (IsLeaf()) {
+        CHEF_CHECK(!a_ && !b_ && !c);
+    } else {
+        // An inner node's third child takes the payload's word.
+        CHEF_CHECK(value == 0 && var_id == 0);
+        new (&c_) ExprRef(std::move(c));
+    }
     uint64_t h = HashCombine(static_cast<uint64_t>(kind_), width_);
-    h = HashCombine(h, value_);
-    h = HashCombine(h, var_id_);
+    h = HashCombine(h, constant_value());
+    h = HashCombine(h, this->var_id());
     h = HashCombine(h, static_cast<uint64_t>(extract_offset_));
     if (a_) h = HashCombine(h, a_->hash());
     if (b_) h = HashCombine(h, b_->hash());
-    if (c_) h = HashCombine(h, c_->hash());
+    if (!IsLeaf() && c_) h = HashCombine(h, c_->hash());
     hash_ = h;
 }
 
@@ -99,12 +107,14 @@ Expr::Destroy(const Expr* node) noexcept
     while (dead != nullptr) {
         Expr* next =
             reinterpret_cast<Expr*>(static_cast<uintptr_t>(dead->hash_));
-        for (ExprRef* child : {&dead->a_, &dead->b_, &dead->c_}) {
-            const Expr* kid = std::exchange(child->node_, nullptr);
-            if (kid != nullptr && kid->Unref()) {
-                Expr* freed = const_cast<Expr*>(kid);
-                freed->hash_ = reinterpret_cast<uintptr_t>(next);
-                next = freed;
+        if (!dead->IsLeaf()) {
+            for (ExprRef* child : {&dead->a_, &dead->b_, &dead->c_}) {
+                const Expr* kid = std::exchange(child->node_, nullptr);
+                if (kid != nullptr && kid->Unref()) {
+                    Expr* freed = const_cast<Expr*>(kid);
+                    freed->hash_ = reinterpret_cast<uintptr_t>(next);
+                    next = freed;
+                }
             }
         }
         delete dead;  // Its child handles are null: nothing recurses.
@@ -122,10 +132,12 @@ Expr::Equal(const ExprRef& x, const ExprRef& y)
         return false;
     }
     if (x->hash_ != y->hash_ || x->kind_ != y->kind_ ||
-        x->width_ != y->width_ || x->value_ != y->value_ ||
-        x->var_id_ != y->var_id_ ||
+        x->width_ != y->width_ ||
         x->extract_offset_ != y->extract_offset_) {
         return false;
+    }
+    if (x->IsLeaf()) {
+        return x->value_ == y->value_;
     }
     return Equal(x->a_, y->a_) && Equal(x->b_, y->b_) && Equal(x->c_, y->c_);
 }
@@ -137,7 +149,7 @@ Expr::ToString() const
       case ExprKind::kConstant:
         return std::to_string(value_) + ":" + std::to_string(width_);
       case ExprKind::kVariable:
-        return "v" + std::to_string(var_id_);
+        return "v" + std::to_string(var_id());
       case ExprKind::kExtract:
         return std::string("(extract ") + std::to_string(extract_offset_) +
                " " + std::to_string(width_) + " " + a_->ToString() + ")";

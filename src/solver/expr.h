@@ -15,17 +15,22 @@
 /// Handles and nodes. An ExprRef is one pointer (8 bytes) to a node that
 /// carries its own reference count, so every SymValue, path-condition
 /// link and solver query holds a node at the cost of a pointer. A node is
-/// 56 bytes, one 64-byte malloc chunk: the count, kind, width and extract
-/// offset; the variable id, constant value and cached structural hash;
-/// and three child handles. A path condition can keep a few hundred
-/// thousand nodes alive at once, so their size is most of a long
-/// exploration's memory. Nodes hold no variable names: a variable is its
-/// id, whose name and width LowLevelRuntime keeps in its VarDecl list,
-/// and ToString renders it as v<id>.
+/// 40 bytes, one 48-byte malloc chunk: the count, kind, width and extract
+/// offset in one word, the cached structural hash, and three words for
+/// the two child handles and a third word shared by two uses. An inner
+/// node keeps its third child there and has no payload; a leaf has no
+/// children and keeps its payload there, the constant value or the
+/// variable id. The accessors hide the sharing: a leaf's children read
+/// null and an inner node's payloads read 0. A path condition can keep a
+/// few hundred thousand nodes alive at once, so their size is most of a
+/// long exploration's memory. Nodes hold no variable names: a variable
+/// is its id, whose name and width LowLevelRuntime keeps in its VarDecl
+/// list, and ToString renders it as v<id>.
 ///
-/// The count is atomic. Nodes cross threads: the shared solver cache keeps
-/// queries that several service workers copy and drop, and an interned
-/// constant outlives the thread that made it. As in libstdc++'s
+/// The count is atomic, so a handle may be copied or dropped on any
+/// thread. A session makes and drops its nodes on its own thread; what
+/// still crosses threads is an interned constant, which outlives the
+/// thread that made it while a handle to it does. As in libstdc++'s
 /// shared_ptr, a process that has never started a second thread changes
 /// counts with plain loads and stores (SingleThreaded), which keeps a
 /// locked instruction off every copy in a one-thread session. Dropping
@@ -187,18 +192,23 @@ class Expr
     ExprKind kind() const { return kind_; }
     int width() const { return width_; }
 
-    /// Constant payload; meaningful only for kConstant.
-    uint64_t constant_value() const { return value_; }
+    /// Constant payload; 0 unless kConstant.
+    uint64_t constant_value() const { return IsConstant() ? value_ : 0; }
 
-    /// Variable payload; meaningful only for kVariable.
-    uint32_t var_id() const { return var_id_; }
+    /// Variable payload; 0 unless kVariable.
+    uint32_t var_id() const
+    {
+        return kind_ == ExprKind::kVariable ? static_cast<uint32_t>(value_)
+                                            : 0;
+    }
 
     /// Extract offset; meaningful only for kExtract.
     int extract_offset() const { return extract_offset_; }
 
+    /// The children; null handles on leaves (constants and variables).
     const ExprRef& a() const { return a_; }
     const ExprRef& b() const { return b_; }
-    const ExprRef& c() const { return c_; }
+    const ExprRef& c() const { return IsLeaf() ? kNoChild : c_; }
 
     /// Structural hash, computed at construction.
     uint64_t hash() const { return hash_; }
@@ -206,6 +216,8 @@ class Expr
     bool IsConstant() const { return kind_ == ExprKind::kConstant; }
     bool IsTrue() const { return IsConstant() && value_ == 1 && width_ == 1; }
     bool IsFalse() const { return IsConstant() && value_ == 0 && width_ == 1; }
+    /// A constant or a variable: a node with a payload and no children.
+    bool IsLeaf() const { return kind_ <= ExprKind::kVariable; }
 
     /// Deep structural equality (hash-accelerated).
     static bool Equal(const ExprRef& x, const ExprRef& y);
@@ -224,7 +236,11 @@ class Expr
 
     Expr(ExprKind kind, int width, uint64_t value, uint32_t var_id,
          int extract_offset, ExprRef a, ExprRef b, ExprRef c);
-    ~Expr() = default;
+    /// Destroy has emptied the child handles already.
+    ~Expr() {}
+
+    /// What c() returns on a leaf.
+    static const ExprRef kNoChild;
 
     /// True while the process has never started a second thread. glibc
     /// keeps the flag, and libstdc++'s shared_ptr reads it the same way:
@@ -278,11 +294,16 @@ class Expr
     ExprKind kind_;
     uint8_t width_;
     uint8_t extract_offset_;  ///< Below 64: MakeExtract checks the range.
-    uint32_t var_id_;
-    uint64_t value_;
     /// Also links a dead node into Destroy's list of nodes to free.
     uint64_t hash_ = 0;
-    ExprRef a_, b_, c_;
+    /// Null on leaves.
+    ExprRef a_, b_;
+    /// A leaf has no third child, an inner node no payload: they share a
+    /// word. value_ is the constant value or the variable id.
+    union {
+        ExprRef c_;
+        uint64_t value_;
+    };
 };
 
 inline ExprRef::ExprRef(const Expr* node) noexcept : node_(node)

@@ -11,11 +11,12 @@
 /// The call budgets sit a few percent above the counts measured when
 /// interned constants, lazily allocated guest hash buckets,
 /// allocation-free HLPC interning and lazily made minipy builtins landed;
-/// the tree before those changes fails both. The byte budgets sit a few
-/// percent above the counts measured with 56-byte expression nodes and
-/// 12-byte HL tree nodes; a tree with the older 128-byte expression nodes
-/// fails both. The counts are
-/// deterministic: one thread, a fixed seed, no shared solver cache.
+/// the tree before those changes fails both. The byte budgets sit about
+/// 3% above the counts measured with 40-byte expression nodes and 4-byte
+/// HL tree nodes; a tree with 56-byte expression nodes and 12-byte HL
+/// tree nodes fails both. A third test bounds the peak live heap of the
+/// lua/JSON hang session, the peak of the interp-bound benchmark's
+/// memory. The counts are deterministic: one thread, a fixed seed.
 /// Sanitizer builds interpose their own allocator, so the budget tests
 /// skip themselves there.
 
@@ -53,13 +54,17 @@ struct Budget {
 /// changes these read 2.079 and 1.713; before MiniLua's slot frames,
 /// lua/haml read 1.399 (451k).
 ///
-/// Bytes requested per step, about 3% above the measured 154.09
-/// (py/unicodecsv: 76.6 MB over 497k steps) and 101.05 (lua/haml: 32.6 MB
-/// over 322k). With 24-byte HL tree nodes and a per-run HLPC trace these
-/// read 155.98 and 102.44; with shared_ptr expression nodes (128 bytes
-/// each, name string included) before that, 189.51 and 126.34.
-constexpr Budget kPyBudget = {1.07, 159.0};
-constexpr Budget kLuaBudget = {1.05, 104.0};
+/// Bytes requested per step, about 3% above the measured 148.32
+/// (py/unicodecsv: 73.7 MB over 497k steps) and 97.02 (lua/haml: 31.3 MB
+/// over 322k). With 56-byte expression nodes and 12-byte HL tree nodes
+/// these read 154.07 and 101.05; with 24-byte HL tree nodes and a per-run
+/// HLPC trace before that, 155.98 and 102.44; with shared_ptr expression
+/// nodes (128 bytes each, name string included) before that, 189.51 and
+/// 126.34.
+constexpr Budget kPyBudget = {1.07, 153.0};
+constexpr Budget kLuaBudget = {1.05, 100.0};
+
+constexpr uint64_t kLuaJsonPeakLiveBytes = 16'300'000;
 
 struct SessionCount {
     uint64_t allocations = 0;
@@ -144,6 +149,48 @@ TEST(AllocBudget, CountingAllocatorSeesAllocations)
     const uint64_t after = g_allocations.load(std::memory_order_relaxed);
     delete sink;
     EXPECT_GE(after - before, 2u);  // The string object and its buffer.
+#endif
+}
+
+/// Peak live heap of the lua/JSON Table-3 hang session, run as the
+/// interp-bound perfbench workload runs it (breadth-first, 150 runs),
+/// measured above the heap held before Explore. That session sets the
+/// workload's peak RSS. The budget sits about 3% above the measured
+/// 15.84 MB; with 56-byte expression nodes and 12-byte HL tree nodes it
+/// read 25.23 MB.
+TEST(AllocBudget, LuaJsonHangSessionPeakStaysWithinBudget)
+{
+#ifdef CHEF_ALLOC_SANITIZED
+    GTEST_SKIP() << "sanitizer allocators interpose operator new";
+#else
+    const workloads::WorkloadInfo* info = workloads::FindWorkload("lua/JSON");
+    ASSERT_NE(info, nullptr);
+    const Engine::RunFn run_fn =
+        info->make_run(interp::InterpBuildOptions::FullyOptimized());
+    Engine::Options options;
+    options.strategy = StrategyKind::kBfs;
+    options.seed = 1;
+    options.max_runs = 150;
+    options.max_seconds = 1e9;
+    Engine engine(options);
+
+    const uint64_t live_before = g_live_bytes.load(std::memory_order_relaxed);
+    ResetPeakLiveBytes();
+    const std::vector<TestCase> tests = engine.Explore(run_fn);
+    const uint64_t peak =
+        g_peak_live_bytes.load(std::memory_order_relaxed) - live_before;
+    EXPECT_EQ(engine.stats().ll_paths, options.max_runs);
+    EXPECT_GT(engine.stats().hangs, 0u);
+    std::printf("lua/JSON: peak live heap %llu bytes above the %llu before "
+                "Explore (budget %llu), %llu runs, %llu hangs, %zu HL tree "
+                "nodes\n",
+                static_cast<unsigned long long>(peak),
+                static_cast<unsigned long long>(live_before),
+                static_cast<unsigned long long>(kLuaJsonPeakLiveBytes),
+                static_cast<unsigned long long>(engine.stats().ll_paths),
+                static_cast<unsigned long long>(engine.stats().hangs),
+                engine.tracker().tree().num_nodes());
+    EXPECT_LE(peak, kLuaJsonPeakLiveBytes);
 #endif
 }
 

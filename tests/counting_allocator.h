@@ -18,5 +18,17 @@
 extern std::atomic<uint64_t> g_allocations;
 /// Bytes those allocations requested (malloc's rounding not included).
 extern std::atomic<uint64_t> g_allocated_bytes;
+/// Bytes of the blocks operator new has handed out and operator delete
+/// has not yet taken back, each counted at malloc's usable size (the
+/// request rounded up to malloc's granularity), so the count follows the
+/// heap that the process really holds.
+extern std::atomic<uint64_t> g_live_bytes;
+/// The highest g_live_bytes has been since the program started or since
+/// the last ResetPeakLiveBytes().
+extern std::atomic<uint64_t> g_peak_live_bytes;
+
+/// Lowers g_peak_live_bytes to the current g_live_bytes, to measure the
+/// peak of the code that follows.
+void ResetPeakLiveBytes();
 
 #endif  // CHEF_TESTS_COUNTING_ALLOCATOR_H_

@@ -250,6 +250,20 @@ TEST(ExprInterning, HashesAreTheStructuralOnes)
     EXPECT_EQ(MakeConst(1000, 16)->hash(), 5217400152011031414ull);
     EXPECT_EQ(MakeAdd(MakeVar(1, 32), MakeConst(3, 32))->hash(),
               16785329707323380682ull);
+    // A leaf's payload shares a word with the third child: the hash still
+    // mixes in a zero value or id for the absent payload, as with
+    // separate fields.
+    const ExprRef x = MakeVar(1, 32);
+    const ExprRef y = MakeVar(2, 32);
+    const ExprRef byte = MakeVar(3, 8);
+    EXPECT_EQ(x->hash(), 5217400151962964460ull);
+    EXPECT_EQ(MakeExtract(x, 8, 8)->hash(), 6544636439132090104ull);
+    EXPECT_EQ(MakeZExt(byte, 32)->hash(), 6544636356012846962ull);
+    EXPECT_EQ(MakeSExt(byte, 32)->hash(), 6544636358034364980ull);
+    EXPECT_EQ(MakeConcat(byte, x)->hash(), 16785285307436404869ull);
+    EXPECT_EQ(MakeEq(x, y)->hash(), 16785285300726067739ull);
+    EXPECT_EQ(MakeIte(MakeEq(x, y), x, MakeConst(7, 32))->hash(),
+              1431623149693769455ull);
 }
 
 TEST(ExprInterning, EachThreadHasItsOwnNodes)
@@ -301,8 +315,8 @@ TEST(ExprInterning, EachThreadHasItsOwnNodes)
 // A long exploration keeps hundreds of thousands of nodes alive through
 // path conditions and SymValues: the handle stays one pointer,
 static_assert(sizeof(ExprRef) == 8, "expression handles stay 8 bytes");
-// a node stays within one 64-byte malloc chunk,
-static_assert(sizeof(Expr) <= 56, "expression nodes stay within 56 bytes");
+// a node fills one 48-byte malloc chunk,
+static_assert(sizeof(Expr) == 40, "expression nodes stay 40 bytes");
 // and a concolic value (every SymStr byte is one) stays 24 bytes.
 static_assert(sizeof(lowlevel::SymValue) == 24,
               "concolic values stay 24 bytes");
@@ -362,6 +376,36 @@ TEST(ExprHandle, ChildrenHoldReferences)
     EXPECT_EQ((*sum).a(), x);
     sum.reset();
     EXPECT_EQ(x.use_count(), 1);
+}
+
+TEST(ExprHandle, LeavesHaveNullChildren)
+{
+    // A leaf keeps its payload where an inner node keeps its third child;
+    // the accessors still read a leaf's children as null and an inner
+    // node's payloads as 0.
+    for (const ExprRef& leaf :
+         {MakeConst(0xdeadbeef, 32), MakeConst(~0ull, 64), MakeConst(5, 8),
+          MakeVar(0xffffffffu, 16), MakeVar(9, 1)}) {
+        EXPECT_EQ(leaf->a(), nullptr) << leaf->ToString();
+        EXPECT_EQ(leaf->b(), nullptr) << leaf->ToString();
+        EXPECT_EQ(leaf->c(), nullptr) << leaf->ToString();
+    }
+    EXPECT_EQ(MakeConst(~0ull, 64)->constant_value(), ~0ull);
+    EXPECT_EQ(MakeConst(~0ull, 64)->var_id(), 0u);
+    EXPECT_EQ(MakeVar(0xffffffffu, 16)->var_id(), 0xffffffffu);
+    EXPECT_EQ(MakeVar(0xffffffffu, 16)->constant_value(), 0u);
+
+    const ExprRef cond = MakeEq(MakeVar(1, 8), MakeVar(2, 8));
+    const ExprRef ite = MakeIte(cond, MakeVar(3, 8), MakeConst(4, 8));
+    EXPECT_EQ(ite->c()->constant_value(), 4u);
+    EXPECT_EQ(ite->constant_value(), 0u);
+    EXPECT_EQ(ite->var_id(), 0u);
+    EXPECT_EQ(ite->ToString(), "(ite (eq v1 v2) v3 4:8)");
+    // A leaf equals only a leaf of the same kind, width and payload.
+    EXPECT_TRUE(Expr::Equal(MakeVar(3, 8), ite->b()));
+    EXPECT_FALSE(Expr::Equal(MakeVar(4, 8), ite->c()));
+    EXPECT_FALSE(Expr::Equal(MakeVar(3, 8), MakeVar(3, 16)));
+    EXPECT_FALSE(Expr::Equal(MakeConst(300, 16), MakeConst(301, 16)));
 }
 
 TEST(ExprHandle, RawPointerTakesANewReference)

@@ -111,6 +111,97 @@ TEST(HlExecutionTree, LargeTreesKeepIdsAndLinksAcrossChunks)
     EXPECT_EQ(tree.hlpc_of(1), 7u);
 }
 
+TEST(HlExecutionTree, MatchesMapPrefixTreeOnRandomForkingWalks)
+{
+    // Seeded random walks against a std::map prefix tree. Each walk
+    // replays a random earlier walk to a random depth, then goes on with
+    // HLPCs from a small alphabet: it re-finds existing children, extends
+    // chains, and adds siblings under nodes in the middle of a chain, as
+    // forks do. Each round runs past several chunks, then resets.
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+        std::mt19937_64 rng(seed);
+        HlExecutionTree tree;
+        HlCfg cfg;
+        for (int round = 0; round < 2; ++round) {
+            tree.Reset();
+            cfg.Reset();
+            std::vector<std::map<uint64_t, uint32_t>> children(1);
+            std::vector<uint64_t> hlpc_of(1, 0);
+            std::vector<bool> terminal(1, false);
+            std::map<uint64_t, uint32_t> cfg_ids;
+            uint64_t terminals = 0;
+            std::vector<std::vector<uint64_t>> walks;
+            const size_t alphabet = 4 + rng() % 28;
+            while (children.size() < 14'000) {
+                std::vector<uint64_t> walk;
+                if (!walks.empty()) {
+                    const std::vector<uint64_t>& earlier =
+                        walks[rng() % walks.size()];
+                    walk.assign(earlier.begin(),
+                                earlier.begin() +
+                                    rng() % (earlier.size() + 1));
+                }
+                const size_t extra = 1 + rng() % 120;
+                for (size_t i = 0; i < extra; ++i) {
+                    walk.push_back(1000 + rng() % alphabet);
+                }
+                uint32_t node = 0;
+                uint32_t want = 0;
+                for (const uint64_t hlpc : walk) {
+                    bool created = false;
+                    node = tree.Advance(node, hlpc, cfg, &created);
+                    auto [it, fresh] = children[want].try_emplace(
+                        hlpc, static_cast<uint32_t>(children.size()));
+                    if (fresh) {
+                        children.emplace_back();
+                        hlpc_of.push_back(hlpc);
+                        terminal.push_back(false);
+                        cfg_ids.try_emplace(
+                            hlpc, static_cast<uint32_t>(cfg_ids.size()));
+                    }
+                    want = it->second;
+                    ASSERT_EQ(node, want) << "seed " << seed;
+                    ASSERT_EQ(created, fresh) << "seed " << seed;
+                    // Now and then a run ends in the middle of the walk.
+                    if (rng() % 64 == 0) {
+                        EXPECT_EQ(tree.MarkTerminal(node), !terminal[node]);
+                        terminals += !terminal[node];
+                        terminal[node] = true;
+                    }
+                }
+                EXPECT_EQ(tree.MarkTerminal(node), !terminal[node]);
+                terminals += !terminal[node];
+                terminal[node] = true;
+                walks.push_back(std::move(walk));
+            }
+            ASSERT_EQ(tree.num_nodes(), children.size());
+            EXPECT_EQ(tree.num_terminal_paths(), terminals);
+            EXPECT_EQ(tree.hlpc_of(0), 0u);
+            EXPECT_EQ(tree.cfg_id_of(0), kNoId);
+            for (uint32_t node = 1; node < children.size(); ++node) {
+                ASSERT_EQ(tree.hlpc_of(node), hlpc_of[node]) << node;
+                ASSERT_EQ(tree.cfg_id_of(node), cfg_ids.at(hlpc_of[node]))
+                    << node;
+                // Every child is found again under its parent.
+                for (const auto& [hlpc, child] : children[node]) {
+                    bool created = true;
+                    ASSERT_EQ(tree.Advance(node, hlpc, cfg, &created), child);
+                    ASSERT_FALSE(created);
+                }
+                // A second terminal mark never counts again.
+                EXPECT_EQ(tree.MarkTerminal(node), !terminal[node]);
+                terminals += !terminal[node];
+                terminal[node] = true;
+            }
+            EXPECT_EQ(tree.num_nodes(), children.size());
+            EXPECT_EQ(tree.num_terminal_paths(), terminals);
+        }
+        tree.Reset();
+        EXPECT_EQ(tree.num_nodes(), 1u);
+        EXPECT_EQ(tree.num_terminal_paths(), 0u);
+    }
+}
+
 TEST(HlCfg, BranchingOpcodeInference)
 {
     HlCfg cfg;
