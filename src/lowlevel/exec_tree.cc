@@ -93,12 +93,12 @@ ExecutionTree::Advance(Cursor& cursor, uint64_t llpc, bool taken,
         const std::vector<solver::ExprRef>& prefix = cursor.path_condition_;
         for (size_t i = cursor.chain_ != nullptr ? cursor.chain_->size : 0;
              i < prefix.size(); ++i) {
-            cursor.chain_ = std::make_shared<PathLink>(
+            cursor.chain_ = support::MakePooled<PathLink>(
                 prefix[i], std::move(cursor.chain_), i + 1);
         }
         AlternateState state;
         state.id = next_state_id_++;
-        state.path = std::make_shared<const PathLink>(
+        state.path = support::MakePooled<PathLink>(
             negated_constraint, cursor.chain_, prefix.size() + 1);
         state.node = static_cast<uint32_t>(slot);
         state.direction = !taken;

@@ -29,7 +29,8 @@
 /// long as the last state or cursor that reaches it. A chain is as long
 /// as its run's path condition, which only the run's step budget bounds;
 /// a destructor that recursed link by link could overflow the stack, so
-/// the last owner of a chain frees it in a loop (~PathLink).
+/// the last owner of a chain frees it in a loop (~PathLink). Links and
+/// their counts share one slot of the node pool (support/node_pool.h).
 
 #include <cstdint>
 #include <functional>
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "solver/expr.h"
+#include "support/node_pool.h"
 
 namespace chef::lowlevel {
 

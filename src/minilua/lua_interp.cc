@@ -86,10 +86,10 @@ LuaValue::IntC(int64_t value)
 LuaValue
 LuaValue::Str(SymStr value)
 {
-    LuaValue v;
-    v.type = Type::kStr;
-    v.str = std::make_shared<SymStr>(std::move(value));
-    return v;
+    // The block comes from the node pool. Tables, functions and
+    // iterators stay on the default allocator: HashKey hashes their
+    // addresses (lua_value.h).
+    return Str(support::MakePooled<SymStr>(std::move(value)));
 }
 
 LuaValue
@@ -352,9 +352,9 @@ LuaInterp::HashKey(const LuaValue& key)
 LuaValue
 LuaInterp::NewString(SymStr bytes)
 {
-    // The bytes move into one shared copy, which the overload below
-    // interns.
-    return NewString(std::make_shared<const SymStr>(std::move(bytes)));
+    // The bytes move into one pooled copy (not a table: lua_value.h),
+    // which the overload below interns.
+    return NewString(support::MakePooled<SymStr>(std::move(bytes)));
 }
 
 SymStr
@@ -632,11 +632,11 @@ LuaFramePtr
 LuaInterp::NewFrame(uint32_t num_slots, uint32_t declared,
                     const LuaFramePtr& parent)
 {
-    auto frame = std::make_shared<LuaFrame>();
-    frame->slots.resize(num_slots);
-    frame->declared = declared;
-    frame->parent = parent;
-    return frame;
+    // Frames come from the node pool. Tables, functions and iterators
+    // stay on the default allocator: HashKey hashes their addresses into
+    // a table's bucket order, which would then follow the pool's slot
+    // reuse (lua_value.h).
+    return support::MakePooled<LuaFrame>(num_slots, declared, parent);
 }
 
 void

@@ -11,6 +11,13 @@
 /// instrumented hash part, whose buckets are allocated on the first insert.
 /// Locals live in slot frames, one per activation of a scope that declares
 /// names; the parser resolves each name to a slot (lua_ast.h).
+///
+/// Frames and string blocks come from the node pool
+/// (support/node_pool.h). Tables, functions and iterators stay on the
+/// default allocator: LuaInterp::HashKey hashes a table key's address
+/// into its bucket, so where the allocator puts these objects decides a
+/// table's bucket order, and a pool would tie that order to its slot
+/// reuse.
 
 #include <memory>
 #include <string>
@@ -19,6 +26,7 @@
 #include "interp/str_ops.h"
 #include "lowlevel/symvalue.h"
 #include "minilua/lua_ast.h"
+#include "support/node_pool.h"
 
 namespace chef::minilua {
 
@@ -72,6 +80,12 @@ const char* LuaTypeName(LuaValue::Type type);
 /// slots the parser assigned. Closures capture the frame chain, so frames
 /// are shared and outlive their activation.
 struct LuaFrame {
+    LuaFrame(uint32_t num_slots, uint32_t declared,
+             std::shared_ptr<LuaFrame> parent)
+        : slots(num_slots), declared(declared), parent(std::move(parent))
+    {
+    }
+
     std::vector<LuaValue> slots;
     /// Slots [0, declared) are declared: a scope declares its names in
     /// slot order, so the declared ones are always a prefix.

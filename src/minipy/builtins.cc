@@ -186,7 +186,7 @@ Vm::CallBuiltinFunction(int builtin_id, std::vector<PyRef>& args)
                 return MakeNone();
             }
         }
-        auto range = std::make_shared<PyObject>(PyType::kRange);
+        auto range = NewObject(PyType::kRange);
         if (args.size() == 1) {
             range->range_start = SymValue(0, 64);
             range->range_stop = args[0]->num;

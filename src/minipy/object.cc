@@ -33,14 +33,14 @@ PyTypeName(PyType type)
 PyRef
 MakeNone()
 {
-    static const PyRef none = std::make_shared<PyObject>(PyType::kNone);
+    static const PyRef none = NewObject(PyType::kNone);
     return none;
 }
 
 PyRef
 MakeBool(SymValue value)
 {
-    auto object = std::make_shared<PyObject>(PyType::kBool);
+    auto object = NewObject(PyType::kBool);
     object->num = SvZExt(value, 64);
     return object;
 }
@@ -48,7 +48,7 @@ MakeBool(SymValue value)
 PyRef
 MakeInt(SymValue value)
 {
-    auto object = std::make_shared<PyObject>(PyType::kInt);
+    auto object = NewObject(PyType::kInt);
     object->num = value.width() == 64 ? value : SvSExt(value, 64);
     return object;
 }
@@ -62,7 +62,7 @@ MakeInt64(int64_t value)
 PyRef
 MakeStr(SymStr value)
 {
-    auto object = std::make_shared<PyObject>(PyType::kStr);
+    auto object = NewObject(PyType::kStr);
     object->str = std::move(value);
     return object;
 }
@@ -76,7 +76,7 @@ MakeStrC(const std::string& value)
 PyRef
 MakeList(std::vector<PyRef> items)
 {
-    auto object = std::make_shared<PyObject>(PyType::kList);
+    auto object = NewObject(PyType::kList);
     object->items = std::move(items);
     return object;
 }
@@ -84,7 +84,7 @@ MakeList(std::vector<PyRef> items)
 PyRef
 MakeTuple(std::vector<PyRef> items)
 {
-    auto object = std::make_shared<PyObject>(PyType::kTuple);
+    auto object = NewObject(PyType::kTuple);
     object->items = std::move(items);
     return object;
 }
@@ -92,7 +92,7 @@ MakeTuple(std::vector<PyRef> items)
 PyRef
 MakeDict()
 {
-    return std::make_shared<PyObject>(PyType::kDict);
+    return NewObject(PyType::kDict);
 }
 
 uint64_t

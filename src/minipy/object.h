@@ -22,6 +22,7 @@
 
 #include "interp/str_ops.h"
 #include "lowlevel/symvalue.h"
+#include "support/node_pool.h"
 
 namespace chef::minipy {
 
@@ -147,6 +148,14 @@ struct PyObject {
     size_t iter_index = 0;
     SymValue iter_value{0, 64};  ///< Range iterator position.
 };
+
+/// A new object of \p type. Objects and their counts share one slot of
+/// the node pool (support/node_pool.h): a guest step can make several.
+inline PyRef
+NewObject(PyType type)
+{
+    return support::MakePooled<PyObject>(type);
+}
 
 // Constructors for common values.
 PyRef MakeNone();

@@ -23,7 +23,7 @@ MakeHlpc(int32_t code_id, size_t ip)
 PyRef
 MakeClassObject(const std::string& name, PyRef base)
 {
-    auto object = std::make_shared<PyObject>(PyType::kClass);
+    auto object = NewObject(PyType::kClass);
     object->cls = std::make_shared<PyClass>();
     object->cls->name = name;
     object->cls->base = std::move(base);
@@ -101,7 +101,7 @@ Vm::RaiseError(const std::string& class_name, const std::string& message)
         return;  // First exception wins until handled.
     }
     PyRef cls = BuiltinClass(class_name);
-    auto instance = std::make_shared<PyObject>(PyType::kInstance);
+    auto instance = NewObject(PyType::kInstance);
     instance->cls = cls->cls;
     instance->attrs["args"] = MakeTuple({MakeStrC(message)});
     current_exception_ = instance;
@@ -470,7 +470,7 @@ Vm::LoadAttribute(const PyRef& object, const std::string& name)
             if (entry != walk->ns.end()) {
                 if (entry->second->type == PyType::kFunction) {
                     auto bound =
-                        std::make_shared<PyObject>(PyType::kBoundMethod);
+                        NewObject(PyType::kBoundMethod);
                     bound->self = object;
                     bound->callee = entry->second;
                     return bound;
@@ -508,7 +508,7 @@ Vm::LoadAttribute(const PyRef& object, const std::string& name)
                            "' object has no attribute '" + name + "'");
             return MakeNone();
         }
-        auto bound = std::make_shared<PyObject>(PyType::kBoundMethod);
+        auto bound = NewObject(PyType::kBoundMethod);
         bound->self = object;
         bound->builtin_id = method;
         return bound;
@@ -682,7 +682,7 @@ Vm::SliceLoad(const PyRef& object, PyRef start, PyRef stop)
 PyRef
 Vm::GetIter(const PyRef& iterable)
 {
-    auto iterator = std::make_shared<PyObject>(PyType::kIterator);
+    auto iterator = NewObject(PyType::kIterator);
     switch (iterable->type) {
       case PyType::kList:
       case PyType::kTuple:
@@ -755,7 +755,7 @@ Vm::IterNext(const PyRef& iterator, bool* exhausted)
 PyRef
 Vm::MakeFunctionObject(const CodeObject* code, std::vector<PyRef> defaults)
 {
-    auto object = std::make_shared<PyObject>(PyType::kFunction);
+    auto object = NewObject(PyType::kFunction);
     object->func.code = code;
     object->func.defaults = std::move(defaults);
     return object;
@@ -764,7 +764,7 @@ Vm::MakeFunctionObject(const CodeObject* code, std::vector<PyRef> defaults)
 PyRef
 Vm::InstantiateClass(const PyRef& cls, std::vector<PyRef> args)
 {
-    auto instance = std::make_shared<PyObject>(PyType::kInstance);
+    auto instance = NewObject(PyType::kInstance);
     instance->cls = cls->cls;
     // Find __init__ along the chain.
     const PyClass* walk = cls->cls.get();
@@ -1735,7 +1735,7 @@ Vm::LookupBuiltin(const std::string& name)
     };
     for (const BuiltinFnEntry& fn : kBuiltinFns) {
         if (name == fn.name) {
-            auto object = std::make_shared<PyObject>(PyType::kBuiltin);
+            auto object = NewObject(PyType::kBuiltin);
             object->builtin_id = fn.id;
             return keep(std::move(object));
         }

@@ -13,19 +13,20 @@
 /// the SAT backend.
 ///
 /// Handles and nodes. An ExprRef is one pointer (8 bytes) to a node that
-/// carries its own reference count, so every SymValue, path-condition
-/// link and solver query holds a node at the cost of a pointer. A node is
-/// 40 bytes, one 48-byte malloc chunk: the count, kind, width and extract
-/// offset in one word, the cached structural hash, and three words for
-/// the two child handles and a third word shared by two uses. An inner
-/// node keeps its third child there and has no payload; a leaf has no
-/// children and keeps its payload there, the constant value or the
-/// variable id. The accessors hide the sharing: a leaf's children read
-/// null and an inner node's payloads read 0. A path condition can keep a
-/// few hundred thousand nodes alive at once, so their size is most of a
-/// long exploration's memory. Nodes hold no variable names: a variable
-/// is its id, whose name and width LowLevelRuntime keeps in its VarDecl
-/// list, and ToString renders it as v<id>.
+/// carries its own reference count, so every SymValue, path-condition link
+/// and solver query holds a node at the cost of a pointer. A node is 40
+/// bytes, one 40-byte slot of the node pool (support/node_pool.h), which
+/// hands it out and takes it back without a lock or a malloc call. It holds
+/// the count, kind, width and extract offset in one word, the cached
+/// structural hash, and three words for the two child handles and a third
+/// word shared by two uses. An inner node keeps its third child there and has
+/// no payload; a leaf has no children and keeps its payload there, the
+/// constant value or the variable id. The accessors hide the sharing: a
+/// leaf's children read null and an inner node's payloads read 0. A path
+/// condition can keep a few hundred thousand nodes alive at once, so their
+/// size is most of a long exploration's memory. Nodes hold no variable names:
+/// a variable is its id, whose name and width LowLevelRuntime keeps in its
+/// VarDecl list, and ToString renders it as v<id>.
 ///
 /// The count is atomic, so a handle may be copied or dropped on any
 /// thread. A session makes and drops its nodes on its own thread; what
@@ -54,6 +55,7 @@
 #include <vector>
 
 #include "support/diagnostics.h"
+#include "support/node_pool.h"
 
 #if __has_include(<sys/single_threaded.h>)
 #include <sys/single_threaded.h>
@@ -238,6 +240,18 @@ class Expr
          int extract_offset, ExprRef a, ExprRef b, ExprRef c);
     /// Destroy has emptied the child handles already.
     ~Expr() {}
+
+    /// Nodes live in the node pool.
+    static void*
+    operator new(std::size_t size)
+    {
+        return support::PoolAllocate(size);
+    }
+    static void
+    operator delete(void* ptr, std::size_t size) noexcept
+    {
+        support::PoolFree(ptr, size);
+    }
 
     /// What c() returns on a leaf.
     static const ExprRef kNoChild;

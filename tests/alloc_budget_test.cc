@@ -8,17 +8,17 @@
 /// exhaustion, then checks both per interpreter step against fixed
 /// budgets.
 ///
-/// The call budgets sit a few percent above the counts measured when
-/// interned constants, lazily allocated guest hash buckets,
-/// allocation-free HLPC interning and lazily made minipy builtins landed;
-/// the tree before those changes fails both. The byte budgets sit about
-/// 3% above the counts measured with 40-byte expression nodes and 4-byte
-/// HL tree nodes; a tree with 56-byte expression nodes and 12-byte HL
-/// tree nodes fails both. A third test bounds the peak live heap of the
-/// lua/JSON hang session, the peak of the interp-bound benchmark's
-/// memory. The counts are deterministic: one thread, a fixed seed.
-/// Sanitizer builds interpose their own allocator, so the budget tests
-/// skip themselves there.
+/// The call and byte budgets sit a few percent above the counts measured
+/// once expression nodes, minipy objects, path links, Lua frames and Lua
+/// string blocks came from the node pool (support/node_pool.h), which
+/// takes a 16 KiB chunk from operator new where malloc served each node;
+/// a tree without the pool fails all four. A third test bounds the peak
+/// live heap of the lua/JSON hang session, the peak of the interp-bound
+/// benchmark's memory. The counts are deterministic: one thread, a fixed
+/// seed. The pool keeps the slots a test frees for the tests after it,
+/// so a later test counts fewer chunks than it would alone; the budgets
+/// hold for each test run alone too. Sanitizer builds interpose their
+/// own allocator, so the budget tests skip themselves there.
 
 #include <gtest/gtest.h>
 
@@ -48,22 +48,29 @@ struct Budget {
     double bytes_per_step;
 };
 
-/// Allocations per interpreter step allowed in each session, about 4%
-/// above the measured 1.031 (py/unicodecsv: 512k allocations over 497k
-/// steps) and 1.015 (lua/haml: 327k over 322k). Before the allocation
-/// changes these read 2.079 and 1.713; before MiniLua's slot frames,
-/// lua/haml read 1.399 (451k).
+/// Allocations per interpreter step allowed in each session, about 3%
+/// above the 0.4265 (py/unicodecsv: 212k allocations over 497k steps)
+/// and 0.6570 (lua/haml: 212k over 322k) measured with each test run
+/// alone. Before the node pool these read 1.031 and 1.015 (budgets 1.07
+/// and 1.05); before interned constants, lazily allocated guest hash
+/// buckets, allocation-free HLPC interning and lazily made minipy
+/// builtins, 2.079 and 1.713.
 ///
-/// Bytes requested per step, about 3% above the measured 148.32
-/// (py/unicodecsv: 73.7 MB over 497k steps) and 97.02 (lua/haml: 31.3 MB
-/// over 322k). With 56-byte expression nodes and 12-byte HL tree nodes
-/// these read 154.07 and 101.05; with 24-byte HL tree nodes and a per-run
-/// HLPC trace before that, 155.98 and 102.44; with shared_ptr expression
-/// nodes (128 bytes each, name string included) before that, 189.51 and
-/// 126.34.
-constexpr Budget kPyBudget = {1.07, 153.0};
-constexpr Budget kLuaBudget = {1.05, 100.0};
+/// Bytes requested per step, about 3% above the measured 22.40
+/// (py/unicodecsv: 11.1 MB over 497k steps) and 82.98 (lua/haml: 26.8 MB
+/// over 322k). Before the node pool these read 148.32 and 97.02 (budgets
+/// 153 and 100); with 56-byte expression nodes and 12-byte HL tree nodes
+/// before that, 154.07 and 101.05; with shared_ptr expression nodes
+/// (128 bytes each, name string included), 189.51 and 126.34.
+constexpr Budget kPyBudget = {0.44, 23.1};
+constexpr Budget kLuaBudget = {0.68, 85.5};
 
+/// The measured peak is 15.90 MB; without the node pool it read 15.84 MB
+/// (the counter reads malloc's usable size, which leaves out the 8-byte
+/// chunk header the pool saves per node, and the pool holds each size
+/// class's high-water mark where malloc reuses a freed block for any
+/// size). With 56-byte expression nodes and 12-byte HL tree nodes it
+/// read 25.23 MB.
 constexpr uint64_t kLuaJsonPeakLiveBytes = 16'300'000;
 
 struct SessionCount {
@@ -137,27 +144,13 @@ ExpectWithinBudget(const std::string& workload, const Budget& budget)
 #endif
 }
 
-TEST(AllocBudget, CountingAllocatorSeesAllocations)
-{
-#ifdef CHEF_ALLOC_SANITIZED
-    GTEST_SKIP() << "sanitizer allocators interpose operator new";
-#else
-    // Stored through a volatile pointer so the pair is not elided.
-    static std::string* volatile sink = nullptr;
-    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-    sink = new std::string(100, 'x');
-    const uint64_t after = g_allocations.load(std::memory_order_relaxed);
-    delete sink;
-    EXPECT_GE(after - before, 2u);  // The string object and its buffer.
-#endif
-}
-
 /// Peak live heap of the lua/JSON Table-3 hang session, run as the
 /// interp-bound perfbench workload runs it (breadth-first, 150 runs),
 /// measured above the heap held before Explore. That session sets the
-/// workload's peak RSS. The budget sits about 3% above the measured
-/// 15.84 MB; with 56-byte expression nodes and 12-byte HL tree nodes it
-/// read 25.23 MB.
+/// workload's peak RSS. This test comes first in the file: the node
+/// pool's chunks count as live from the moment they are taken, so slots
+/// an earlier test left in the pool would serve this session without
+/// reaching the counter and hide part of its heap.
 TEST(AllocBudget, LuaJsonHangSessionPeakStaysWithinBudget)
 {
 #ifdef CHEF_ALLOC_SANITIZED
@@ -191,6 +184,21 @@ TEST(AllocBudget, LuaJsonHangSessionPeakStaysWithinBudget)
                 static_cast<unsigned long long>(engine.stats().hangs),
                 engine.tracker().tree().num_nodes());
     EXPECT_LE(peak, kLuaJsonPeakLiveBytes);
+#endif
+}
+
+TEST(AllocBudget, CountingAllocatorSeesAllocations)
+{
+#ifdef CHEF_ALLOC_SANITIZED
+    GTEST_SKIP() << "sanitizer allocators interpose operator new";
+#else
+    // Stored through a volatile pointer so the pair is not elided.
+    static std::string* volatile sink = nullptr;
+    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    sink = new std::string(100, 'x');
+    const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    delete sink;
+    EXPECT_GE(after - before, 2u);  // The string object and its buffer.
 #endif
 }
 
