@@ -37,7 +37,6 @@ MakeBatch(int reps)
             // own wall clock under CPU contention would break the
             // corpus-equality check across worker counts.
             spec.options.max_seconds = 1e9;
-            spec.options.collect_timeline = false;
             jobs.push_back(std::move(spec));
         }
     }

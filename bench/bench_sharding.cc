@@ -53,7 +53,6 @@ MakeJob(const char* workload, int copy, uint64_t max_runs)
     spec.seed = static_cast<uint64_t>(copy) + 1;
     spec.options.max_runs = max_runs;
     spec.options.max_seconds = 1e9;
-    spec.options.collect_timeline = false;
     return spec;
 }
 

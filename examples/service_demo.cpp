@@ -24,7 +24,7 @@ main(int argc, char** argv)
     }
 
     // 1. Describe the batch declaratively: workload ids from the registry
-    //    plus per-session engine options. No closures, no interpreter
+    //    plus a per-session run and time budget. No closures, no interpreter
     //    setup — the service resolves and instantiates everything on its
     //    worker threads.
     std::vector<JobSpec> jobs;
@@ -34,7 +34,6 @@ main(int argc, char** argv)
         spec.workload = id;
         spec.options.max_runs = 20;
         spec.options.max_seconds = 10.0;
-        spec.options.collect_timeline = false;
         jobs.push_back(std::move(spec));
     }
 

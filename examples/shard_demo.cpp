@@ -35,7 +35,6 @@ main()
         spec.seed = static_cast<uint64_t>(++copy);
         spec.options.max_runs = 25;
         spec.options.max_seconds = 10.0;
-        spec.options.collect_timeline = false;
         jobs.push_back(std::move(spec));
     }
 

@@ -22,16 +22,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// The session's solver shares each telemetry facility of the engine
-/// that the caller did not wire into solver_options directly.
-solver::Solver::Options
-SolverOptionsFor(const Engine::Options& options)
-{
-    solver::Solver::Options solver_options = options.solver_options;
-    solver_options.obs = solver_options.obs.WithDefaultsFrom(options.obs);
-    return solver_options;
-}
-
 }  // namespace
 
 /// The session's one in-flight run: the assignment it runs under, the
@@ -48,7 +38,13 @@ struct Engine::InFlightRun {
 Engine::Engine(Options options)
     : options_(options),
       rng_(options.seed),
-      solver_(SolverOptionsFor(options)),
+      // The session's solver: Solver::Options defaults plus the
+      // engine's telemetry.
+      solver_([&options] {
+          solver::Solver::Options solver_options;
+          solver_options.obs = options.obs;
+          return solver_options;
+      }()),
       tree_(),
       runtime_(&tree_, &solver_,
                lowlevel::LowLevelRuntime::Options{
@@ -149,8 +145,7 @@ Engine::Explore(const RunFn& run)
         // Coverage-optimized CUPA consults CFG distances; refresh the
         // analysis with the newly observed edges.
         if (options_.strategy == StrategyKind::kCupaCoverage) {
-            tracker_.cfg().RecomputeAnalysis(
-                options_.branch_opcode_drop_fraction);
+            tracker_.cfg().RecomputeAnalysis(kBranchOpcodeDropFraction);
         }
         // An assume-retry assignment runs next, unclaimed. Otherwise the
         // next state is solved before the budget check above can end the

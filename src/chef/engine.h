@@ -43,6 +43,15 @@ enum class StrategyKind {
 
 const char* StrategyKindName(StrategyKind kind);
 
+/// A session's default budget, shared by Engine::Options and
+/// service::JobSpec.
+inline constexpr uint64_t kDefaultMaxRuns = 2000;
+inline constexpr double kDefaultMaxSeconds = 30.0;
+
+/// §3.4 least-frequent branching opcode cutoff of coverage-optimized
+/// CUPA.
+inline constexpr double kBranchOpcodeDropFraction = 0.10;
+
 /// A concrete test case produced from one completed concolic run.
 struct TestCase {
     /// Input values, one per declared variable (complete: defaults merged).
@@ -114,23 +123,17 @@ class Engine
         StrategyKind strategy = StrategyKind::kCupaPath;
         uint64_t seed = 1;
         /// Exploration stops after this many completed low-level runs.
-        uint64_t max_runs = 2000;
+        uint64_t max_runs = kDefaultMaxRuns;
         /// ... or after this much wall time. Checked between concolic
         /// iterations and between state-selection solver calls; a guest
         /// run is never interrupted (the per-run step budget bounds it),
         /// so the overshoot is at most one run.
-        double max_seconds = 30.0;
+        double max_seconds = kDefaultMaxSeconds;
         /// Per-run low-level step budget (hang detector). Also bounds the
         /// depth of loop-carried symbolic expression chains, which are
         /// processed recursively.
         uint64_t max_steps_per_run = 500'000;
         double fork_weight_decay = 0.75;
-        /// §3.4 least-frequent branching opcode cutoff.
-        double branch_opcode_drop_fraction = 0.10;
-        /// Per-session solver configuration. The session's solver and
-        /// its caches are its own, so a session's results do not depend
-        /// on sibling sessions.
-        solver::Solver::Options solver_options = {};
         bool collect_timeline = true;
         /// Cooperative cancellation hook. Checked between concolic
         /// iterations and between state-selection solver calls, on the
@@ -139,12 +142,11 @@ class Engine
         /// produced so far. Used by the exploration service to enforce
         /// service-wide wall-clock budgets and user-requested shutdown.
         std::function<bool()> stop_requested;
-        /// Telemetry (obs/obs.h). Every facility solver_options.obs
-        /// leaves null is taken from here, so the session's solvers
-        /// share the same registry and tracer; the engine itself emits
-        /// engine/run (interpreter dispatch) and engine/select (state
-        /// selection) spans plus engine.* counters (runs, ll_paths,
-        /// hl_paths, hangs, ...).
+        /// Telemetry (obs/obs.h). The session's solver, which is its
+        /// own and otherwise runs with Solver::Options defaults, shares
+        /// it; the engine itself emits engine/run (interpreter dispatch)
+        /// and engine/select (state selection) spans plus engine.*
+        /// counters (runs, ll_paths, hl_paths, hangs, ...).
         obs::ObsContext obs;
     };
 

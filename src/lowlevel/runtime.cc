@@ -76,7 +76,7 @@ LowLevelRuntime::Branch(const SymValue& cond, uint64_t llpc)
     const solver::ExprRef taken_constraint =
         taken ? cond.ToExpr() : solver::MakeBoolNot(cond.ToExpr());
     ++stats_.symbolic_branches;
-    if (stats_.registered_states >= options_.max_registered_per_run) {
+    if (stats_.registered_states >= kMaxRegisteredPerRun) {
         // Pool-pressure throttle: keep executing concretely, but record
         // the constraint so the path condition stays sound.
         tree_->AddConstraint(cursor_, taken_constraint);

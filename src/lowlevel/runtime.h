@@ -80,13 +80,14 @@ class LowLevelRuntime
         uint64_t max_steps_per_run = 4'000'000;
         /// Fork-weight decay for consecutive forks at one LLPC (§3.4).
         double fork_weight_decay = 0.75;
-        /// State-pool pressure control: after this many alternate states
-        /// registered by one run, further branches follow the concrete
-        /// path without registering (S2E similarly throttles forking
-        /// under memory pressure). Runs that hit the cap are almost
-        /// always runaway input-dependent loops already flagged as hangs.
-        uint32_t max_registered_per_run = 2048;
     };
+
+    /// State-pool pressure control: after this many alternate states
+    /// registered by one run, further branches follow the concrete path
+    /// without registering (S2E similarly throttles forking under memory
+    /// pressure). Runs that hit the cap are almost always runaway
+    /// input-dependent loops already flagged as hangs.
+    static constexpr uint32_t kMaxRegisteredPerRun = 2048;
 
     LowLevelRuntime(ExecutionTree* tree, solver::Solver* solver,
                     Options options);

@@ -1009,7 +1009,7 @@ LuaInterp::CallFunctionMulti(const LuaValue& callee,
               std::string(LuaTypeName(callee.type)) + " value");
         return {};
     }
-    if (++depth_ > options_.max_depth) {
+    if (++depth_ > kMaxDepth) {
         --depth_;
         Error("stack overflow");
         return {};

@@ -44,8 +44,11 @@ class LuaInterp
         interp::InterpBuildOptions build =
             interp::InterpBuildOptions::FullyOptimized();
         bool coverage = false;
-        int max_depth = 48;
     };
+
+    /// Guest call depth beyond which a call raises a stack overflow
+    /// error.
+    static constexpr int kMaxDepth = 48;
 
     LuaInterp(lowlevel::LowLevelRuntime* rt,
               std::shared_ptr<LuaChunk> chunk, Options options);

@@ -830,7 +830,7 @@ Vm::CallCallable(const PyRef& callable, std::vector<PyRef> args)
                            std::to_string(args.size()));
             return MakeNone();
         }
-        if (++call_depth_ > options_.max_recursion) {
+        if (++call_depth_ > kMaxRecursion) {
             --call_depth_;
             RaiseError("RecursionError",
                        "maximum recursion depth exceeded");

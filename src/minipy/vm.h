@@ -45,8 +45,10 @@ class Vm
             interp::InterpBuildOptions::FullyOptimized();
         /// Record executed source lines (replay/coverage mode).
         bool coverage = false;
-        int max_recursion = 64;
     };
+
+    /// Guest call depth beyond which a call raises RecursionError.
+    static constexpr int kMaxRecursion = 64;
 
     Vm(lowlevel::LowLevelRuntime* rt, std::shared_ptr<Program> program,
        Options options);

@@ -45,17 +45,6 @@ struct ObsContext {
         return timeseries != nullptr && metrics != nullptr;
     }
     bool attribution_enabled() const { return attribution != nullptr; }
-
-    /// This context with each facility it leaves null taken from
-    /// \p parent, one pointer at a time: a child that wires only its own
-    /// tracer still counts into the parent's registry.
-    ObsContext WithDefaultsFrom(const ObsContext& parent) const
-    {
-        return {metrics != nullptr ? metrics : parent.metrics,
-                tracer != nullptr ? tracer : parent.tracer,
-                timeseries != nullptr ? timeseries : parent.timeseries,
-                attribution != nullptr ? attribution : parent.attribution};
-    }
 };
 
 }  // namespace chef::obs

@@ -5,9 +5,10 @@
 /// Job and statistics types for the parallel exploration service.
 ///
 /// A job is one symbolic-test session described declaratively: a workload
-/// id resolved through the workload registry, the engine options for the
-/// session, and a seed. The service runs each job on a worker thread with
-/// its own Engine (engine internals stay single-threaded) and aggregates
+/// id resolved through the workload registry, a seed and a budget. The
+/// service runs each job on a worker thread with its own Engine (engine
+/// internals stay single-threaded), built by ExplorationService::RunJob
+/// from the spec and the service's own configuration, and aggregates
 /// outcomes into JobResult / ServiceStats.
 
 #include <cstdint>
@@ -15,23 +16,28 @@
 #include <string>
 
 #include "chef/engine.h"
-#include "interp/build_options.h"
 
 namespace chef::service {
 
-/// Declarative description of one symbolic-test session.
+/// A job's exploration budget: the session stops after max_runs
+/// completed low-level runs or max_seconds of wall time, whichever comes
+/// first (Engine::Options has the same two fields and defaults).
+struct JobBudget {
+    uint64_t max_runs = kDefaultMaxRuns;
+    double max_seconds = kDefaultMaxSeconds;
+};
+
+/// Declarative description of one symbolic-test session. Every field is
+/// plain data, so every spec can cross a process boundary (shard/wire.h).
 struct JobSpec {
     /// Workload id resolved via chef::workloads::FindWorkload, e.g.
     /// "py/argparse" or "lua/JSON".
     std::string workload;
-    /// Engine configuration for the session. The seed field inside is
-    /// overwritten by the service's derived per-job seed, and
-    /// stop_requested is chained with the service's cancellation/budget
-    /// check.
-    Engine::Options options;
-    /// Interpreter build the session runs against.
-    interp::InterpBuildOptions build =
-        interp::InterpBuildOptions::FullyOptimized();
+    /// The session's budget. Everything else about the session is the
+    /// service's: ExplorationService::RunJob runs the fully optimized
+    /// interpreter build under Engine::Options defaults with the derived
+    /// seed, no timeline, the service's telemetry and its stop check.
+    JobBudget options;
     /// Optional job-specific seed material. 0 means "derive purely from
     /// the service seed and the job index" — see
     /// ExplorationService::DeriveJobSeed.
@@ -127,10 +133,8 @@ struct JobResult {
     std::string error;
     /// What ended the session: "none" (ran to exhaustion/budget),
     /// "service_stop" (RequestStop), "service_budget" (the service-wide
-    /// wall clock), "job_hook" (the spec's own stop_requested hook —
-    /// reported kCompleted, since the job's declared budget is not a
-    /// service cancellation), or "plateau" (the plateau rule cancelled
-    /// the job before dispatch).
+    /// wall clock), or "plateau" (the plateau rule cancelled the job
+    /// before dispatch).
     std::string stop_source = "none";
     /// The seed the session actually ran with (derived, deterministic in
     /// (service_seed, job_index, spec seed) and independent of worker

@@ -10,6 +10,7 @@
 #include <thread>
 #include <utility>
 
+#include "interp/build_options.h"
 #include "obs/attribution.h"
 #include "obs/obs.h"
 #include "obs/timeseries.h"
@@ -28,12 +29,11 @@ SecondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Which check in a job's chained stop hook fired first.
+/// Which check in a job's stop hook fired first.
 enum class StopSource {
     kNone,
     kServiceStop,
     kServiceBudget,
-    kJobHook,
 };
 
 const char*
@@ -43,7 +43,6 @@ StopSourceName(StopSource source)
       case StopSource::kNone: return "none";
       case StopSource::kServiceStop: return "service_stop";
       case StopSource::kServiceBudget: return "service_budget";
-      case StopSource::kJobHook: return "job_hook";
     }
     return "?";
 }
@@ -195,31 +194,32 @@ ExplorationService::RunJob(const JobSpec& spec, size_t job_index,
         return result;
     }
 
-    // The service budget is enforced purely through the stop hook (not by
-    // clamping max_seconds): a session that ends via the hook is
-    // unambiguously "cancelled", one that exhausts its own budget is
-    // "completed".
-    Engine::Options engine_options = spec.options;
+    // The session runs under Engine::Options defaults except for what
+    // the spec and the service decide. The service budget is enforced
+    // purely through the stop hook (not by clamping max_seconds): a
+    // session that ends via the hook is unambiguously "cancelled", one
+    // that exhausts its own budget is "completed".
+    Engine::Options engine_options;
     engine_options.seed = result.seed_used;
-    engine_options.obs = engine_options.obs.WithDefaultsFrom(options_.obs);
+    engine_options.max_runs = spec.options.max_runs;
+    engine_options.max_seconds = spec.options.max_seconds;
+    engine_options.collect_timeline = false;
+    engine_options.obs = options_.obs;
     // One profiler per job, bound to the job's workload. Stack-owned:
     // the engine snapshots it into its stats before Explore returns,
     // and the solver pointers it flows to die with the engine.
     std::unique_ptr<obs::AttributionProfiler> profiler;
-    if (options_.attribution &&
-        engine_options.obs.attribution == nullptr) {
+    if (options_.attribution) {
         profiler =
             std::make_unique<obs::AttributionProfiler>(spec.workload);
         engine_options.obs.attribution = profiler.get();
     }
-    const std::function<bool()> user_stop = spec.options.stop_requested;
-    // Latch which check fires first: a session ended by the spec's own
-    // hook is the job's declared budget, not a service cancellation, and
-    // must not be misreported as one. The hook only runs on the job's
-    // engine thread, so plain shared state suffices.
+    // Latch which check fires first, so the result names it. The hook
+    // only runs on the job's engine thread, so plain shared state
+    // suffices.
     auto source = std::make_shared<StopSource>(StopSource::kNone);
-    engine_options.stop_requested = [this, user_stop, start,
-                                     remaining_seconds, source] {
+    engine_options.stop_requested = [this, start, remaining_seconds,
+                                     source] {
         if (*source != StopSource::kNone) {
             return true;
         }
@@ -232,10 +232,6 @@ ExplorationService::RunJob(const JobSpec& spec, size_t job_index,
             *source = StopSource::kServiceBudget;
             return true;
         }
-        if (user_stop && user_stop()) {
-            *source = StopSource::kJobHook;
-            return true;
-        }
         return false;
     };
 
@@ -246,7 +242,8 @@ ExplorationService::RunJob(const JobSpec& spec, size_t job_index,
         CHEF_OBS_SPAN(job_span, options_.obs.tracer, "job", "service");
         job_span.set_detail(result.label);
         Engine engine(engine_options);
-        const Engine::RunFn run = info->make_run(spec.build);
+        const Engine::RunFn run =
+            info->make_run(interp::InterpBuildOptions::FullyOptimized());
         const std::vector<TestCase> tests = engine.Explore(run);
         result.engine_stats = engine.stats();
         result.num_test_cases = tests.size();
@@ -270,11 +267,6 @@ ExplorationService::RunJob(const JobSpec& spec, size_t job_index,
         }
         if (!result.engine_stats.stopped) {
             result.status = JobStatus::kCompleted;
-        } else if (*source == StopSource::kJobHook) {
-            // The spec's own hook ended the session: completed within
-            // its declared budget, with the source on record.
-            result.status = JobStatus::kCompleted;
-            result.stop_source = StopSourceName(StopSource::kJobHook);
         } else {
             const StopSource attributed =
                 *source == StopSource::kNone ? StopSource::kServiceStop

@@ -16,13 +16,14 @@
 /// point. Scheduling-dependent fields (corpus first-discoverer
 /// attribution) vary between runs either way.
 ///
-/// Cancellation and budgets are cooperative: the service chains a check of
-/// its stop flag and wall-clock budget into each engine's
-/// Options::stop_requested hook, which the explore loop polls between
-/// concolic iterations and solver calls. The chained hook latches which
-/// check fired first, so a session ended by the *spec's own* hook reports
-/// kCompleted (its declared budget) rather than a service cancellation —
-/// JobResult::stop_source carries the attribution either way.
+/// Each job's Engine::Options are built here, not carried by the spec:
+/// the spec gives the budget, the service the derived seed, its
+/// telemetry and a stop hook; every other engine value keeps its
+/// default. Cancellation and budgets are cooperative: the stop hook
+/// checks the service's stop flag and wall-clock budget, and the explore
+/// loop polls it between concolic iterations and solver calls. The hook
+/// latches which check fired first, and JobResult::stop_source carries
+/// it.
 ///
 /// Dispatch order comes from a BatchScheduler (service/scheduler.h):
 /// yield-weighted priorities by default, plain FIFO via
@@ -76,11 +77,11 @@ class ExplorationService
         /// every job a worker runs, and exactly one kJobCompleted event
         /// for every job.
         std::function<void(const JobEvent&)> on_job_event;
-        /// Telemetry (obs/obs.h). Each facility is propagated into every
-        /// job's engine (and through it the solver) unless the spec wired
-        /// its own. The service itself emits service/job spans and
-        /// service.* counters. Without a registry the service owns one:
-        /// stats() is read from it (StatsFromMetrics).
+        /// Telemetry (obs/obs.h), propagated into every job's engine
+        /// (and through it the solver). The service itself emits
+        /// service/job spans and service.* counters. Without a registry
+        /// the service owns one: stats() is read from it
+        /// (StatsFromMetrics).
         obs::ObsContext obs;
         /// Per-location attribution profiling (obs/attribution.h): each
         /// job gets a profiler bound to its workload, the engine and

@@ -56,13 +56,13 @@ constexpr int kIdleSleepMs = 10;
 constexpr double kHelloTimeoutSeconds = 30.0;
 
 /// One shard's (or the cluster's) stats: the counts from its telemetry,
-/// the configuration every shard ran with.
+/// the configuration every shard ran with (schedule_policy keeps the
+/// service default, which every shard runs).
 service::ServiceStats
 StatsFor(const obs::MetricsSnapshot& telemetry, const ServiceConfig& config)
 {
     service::ServiceStats stats = service::StatsFromMetrics(telemetry);
     stats.num_workers = std::max<size_t>(1, config.num_workers);
-    stats.schedule_policy = config.schedule_policy;
     return stats;
 }
 
@@ -82,16 +82,6 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
     const size_t num_shards = transports.size();
     if (num_shards == 0) {
         return Fail(error, "no shard transports");
-    }
-
-    // Reject non-serializable specs up front, before any shard has been
-    // asked to do anything — a clear error at submit beats a worker
-    // silently running a spec with its callbacks dropped.
-    for (const service::JobSpec& spec : jobs) {
-        std::string why;
-        if (!CheckSerializable(spec, &why)) {
-            return Fail(error, why);
-        }
     }
 
     results_.clear();
@@ -283,7 +273,7 @@ ShardCoordinator::Run(const std::vector<service::JobSpec>& jobs,
             rt.respawn_scheduled = true;
             rt.respawn_at =
                 Clock::now() +
-                DurationFrom(options_.respawn_backoff_seconds *
+                DurationFrom(kRespawnBackoffSeconds *
                              static_cast<double>(
                                  uint64_t{1} << std::min<size_t>(
                                      shards_[shard].respawns, 16)));

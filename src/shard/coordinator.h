@@ -72,10 +72,14 @@ class ShardSupervisor
 class ShardCoordinator
 {
   public:
+    /// The first respawn attempt's backoff; each later attempt of the
+    /// same shard doubles it.
+    static constexpr double kRespawnBackoffSeconds = 0.25;
+
     struct Options {
         /// Per-shard service configuration (seed, workers per shard,
-        /// schedule/plateau policy, ...). The seed also feeds the
-        /// global-index seed derivation.
+        /// service budget, plateau rule, tracing, metrics cadence). The
+        /// seed also feeds the global-index seed derivation.
         ServiceConfig service;
         /// Forward corpus/yield gossip between shards. Off, shards only
         /// dedup at the coordinator's merge — the ablation baseline the
@@ -100,9 +104,8 @@ class ShardCoordinator
         size_t min_live_shards = 1;
         /// Respawn budget per shard (0 = never respawn). Needs a
         /// supervisor; each attempt backs off exponentially from
-        /// respawn_backoff_seconds.
+        /// kRespawnBackoffSeconds.
         size_t max_respawns = 0;
-        double respawn_backoff_seconds = 0.25;
         /// Optional process-level liveness/revival hook (not owned).
         ShardSupervisor* supervisor = nullptr;
         /// Invoked (on the Run thread) when a shard is declared dead,

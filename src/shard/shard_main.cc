@@ -355,7 +355,6 @@ BuildBatch(const CliOptions& options)
             spec.seed = static_cast<uint64_t>(++copy);
             spec.options.max_runs = options.max_runs;
             spec.options.max_seconds = 1e9;
-            spec.options.collect_timeline = false;
             jobs.push_back(std::move(spec));
         }
     }

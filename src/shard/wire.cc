@@ -14,7 +14,6 @@ namespace {
 using service::JobResult;
 using service::JobSpec;
 using service::JobStatus;
-using service::SchedulePolicy;
 using service::TestCorpus;
 using support::JsonValue;
 using support::JsonWriter;
@@ -29,39 +28,9 @@ DecodeFail(std::string* error, const std::string& reason)
 }
 
 // ---------------------------------------------------------------------------
-// Enum name round-trips. The canonical names come from the existing
-// *Name() functions; these are the reverse maps.
+// Enum name round-trip. The canonical names come from JobStatusName;
+// this is the reverse map.
 // ---------------------------------------------------------------------------
-
-bool
-StrategyFromName(const std::string& name, StrategyKind* kind)
-{
-    static const StrategyKind kAll[] = {
-        StrategyKind::kRandom,        StrategyKind::kDfs,
-        StrategyKind::kBfs,           StrategyKind::kCupaPath,
-        StrategyKind::kCupaCoverage,  StrategyKind::kCupaPathInverted,
-    };
-    for (const StrategyKind candidate : kAll) {
-        if (name == StrategyKindName(candidate)) {
-            *kind = candidate;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-SchedulePolicyFromName(const std::string& name, SchedulePolicy* policy)
-{
-    for (const SchedulePolicy candidate :
-         {SchedulePolicy::kFifo, SchedulePolicy::kYieldPriority}) {
-        if (name == SchedulePolicyName(candidate)) {
-            *policy = candidate;
-            return true;
-        }
-    }
-    return false;
-}
 
 bool
 JobStatusFromName(const std::string& name, JobStatus* status)
@@ -195,101 +164,21 @@ WriteJobSpec(JsonWriter& json, const JobSpec& spec)
     json.Key("label"), json.Value(spec.label);
     json.Key("seed"), json.HexValue(spec.seed);
     json.Key("exact_seed"), json.Value(spec.exact_seed);
-    json.Key("build");
-    json.BeginObject();
-    json.Key("avoid_symbolic_pointers"),
-        json.Value(spec.build.avoid_symbolic_pointers);
-    json.Key("neutralize_hashes"), json.Value(spec.build.neutralize_hashes);
-    json.Key("eliminate_fast_paths"),
-        json.Value(spec.build.eliminate_fast_paths);
-    json.EndObject();
-    json.Key("engine");
-    json.BeginObject();
-    json.Key("strategy"),
-        json.Value(StrategyKindName(spec.options.strategy));
     json.Key("max_runs"), json.Value(spec.options.max_runs);
     json.Key("max_seconds"), json.Value(spec.options.max_seconds);
-    json.Key("max_steps_per_run"),
-        json.Value(spec.options.max_steps_per_run);
-    json.Key("fork_weight_decay"),
-        json.Value(spec.options.fork_weight_decay);
-    json.Key("branch_opcode_drop_fraction"),
-        json.Value(spec.options.branch_opcode_drop_fraction);
-    json.Key("collect_timeline"), json.Value(spec.options.collect_timeline);
-    const solver::Solver::Options& so = spec.options.solver_options;
-    json.Key("solver");
-    json.BeginObject();
-    json.Key("enable_query_cache"), json.Value(so.enable_query_cache);
-    json.Key("enable_model_reuse"), json.Value(so.enable_model_reuse);
-    json.Key("enable_independence_slicing"),
-        json.Value(so.enable_independence_slicing);
-    json.Key("enable_incremental_sat"),
-        json.Value(so.enable_incremental_sat);
-    json.Key("model_reuse_window"), json.Value(so.model_reuse_window);
-    json.Key("max_cache_bytes"), json.Value(so.max_cache_bytes);
-    json.Key("max_conflicts"), json.Value(so.max_conflicts);
-    json.Key("max_learned_clauses"), json.Value(so.max_learned_clauses);
-    json.EndObject();
-    json.EndObject();
     json.EndObject();
 }
 
 bool
 DecodeJobSpec(const JsonValue& object, JobSpec* spec, std::string* error)
 {
-    if (!ReadString(object, "workload", &spec->workload, error) ||
-        !ReadString(object, "label", &spec->label, error) ||
-        !ReadU64(object, "seed", &spec->seed, error) ||
-        !ReadBool(object, "exact_seed", &spec->exact_seed, error)) {
-        return false;
-    }
-    const JsonValue* build = ReadObject(object, "build", error);
-    if (build == nullptr ||
-        !ReadBool(*build, "avoid_symbolic_pointers",
-                  &spec->build.avoid_symbolic_pointers, error) ||
-        !ReadBool(*build, "neutralize_hashes",
-                  &spec->build.neutralize_hashes, error) ||
-        !ReadBool(*build, "eliminate_fast_paths",
-                  &spec->build.eliminate_fast_paths, error)) {
-        return false;
-    }
-    const JsonValue* engine = ReadObject(object, "engine", error);
-    std::string strategy;
-    if (engine == nullptr ||
-        !ReadString(*engine, "strategy", &strategy, error) ||
-        !ReadU64(*engine, "max_runs", &spec->options.max_runs, error) ||
-        !ReadDouble(*engine, "max_seconds", &spec->options.max_seconds,
-                    error) ||
-        !ReadU64(*engine, "max_steps_per_run",
-                 &spec->options.max_steps_per_run, error) ||
-        !ReadDouble(*engine, "fork_weight_decay",
-                    &spec->options.fork_weight_decay, error) ||
-        !ReadDouble(*engine, "branch_opcode_drop_fraction",
-                    &spec->options.branch_opcode_drop_fraction, error) ||
-        !ReadBool(*engine, "collect_timeline",
-                  &spec->options.collect_timeline, error)) {
-        return false;
-    }
-    if (!StrategyFromName(strategy, &spec->options.strategy)) {
-        return DecodeFail(error, "unknown strategy '" + strategy + "'");
-    }
-    const JsonValue* sol = ReadObject(*engine, "solver", error);
-    solver::Solver::Options& so = spec->options.solver_options;
-    return sol != nullptr &&
-           ReadBool(*sol, "enable_query_cache", &so.enable_query_cache,
-                    error) &&
-           ReadBool(*sol, "enable_model_reuse", &so.enable_model_reuse,
-                    error) &&
-           ReadBool(*sol, "enable_independence_slicing",
-                    &so.enable_independence_slicing, error) &&
-           ReadBool(*sol, "enable_incremental_sat",
-                    &so.enable_incremental_sat, error) &&
-           ReadSize(*sol, "model_reuse_window", &so.model_reuse_window,
-                    error) &&
-           ReadSize(*sol, "max_cache_bytes", &so.max_cache_bytes, error) &&
-           ReadU64(*sol, "max_conflicts", &so.max_conflicts, error) &&
-           ReadSize(*sol, "max_learned_clauses", &so.max_learned_clauses,
-                    error);
+    return ReadString(object, "workload", &spec->workload, error) &&
+           ReadString(object, "label", &spec->label, error) &&
+           ReadU64(object, "seed", &spec->seed, error) &&
+           ReadBool(object, "exact_seed", &spec->exact_seed, error) &&
+           ReadU64(object, "max_runs", &spec->options.max_runs, error) &&
+           ReadDouble(object, "max_seconds", &spec->options.max_seconds,
+                      error);
 }
 
 // ---------------------------------------------------------------------------
@@ -577,28 +466,11 @@ ServiceConfig::ToServiceOptions() const
     options.seed = seed;
     options.num_workers = num_workers;
     options.max_total_seconds = max_total_seconds;
-    options.schedule_policy = schedule_policy;
     options.plateau = plateau;
     // Options::obs is deliberately left null: telemetry scopes never
     // cross the wire. The worker builds its own registry/tracer per run
     // (see ShardWorker::HandleRun) and wires them in there.
     return options;
-}
-
-bool
-CheckSerializable(const service::JobSpec& spec, std::string* why)
-{
-    if (spec.options.stop_requested) {
-        if (why != nullptr) {
-            *why = "JobSpec '" + spec.workload +
-                   "': Engine stop_requested callback is not "
-                   "serializable; express job budgets via "
-                   "max_runs/max_seconds, service budgets via "
-                   "max_total_seconds";
-        }
-        return false;
-    }
-    return true;
 }
 
 std::string
@@ -626,8 +498,6 @@ EncodeRun(const RunRequest& request)
     json.Key("num_workers"), json.Value(request.service.num_workers);
     json.Key("max_total_seconds"),
         json.Value(request.service.max_total_seconds);
-    json.Key("schedule_policy"),
-        json.Value(SchedulePolicyName(request.service.schedule_policy));
     json.Key("tracing"), json.Value(request.service.tracing);
     json.Key("metrics_interval_seconds"),
         json.Value(request.service.metrics_interval_seconds);
@@ -768,7 +638,6 @@ DecodeMessage(const std::string& line, Message* message,
         message->type = MessageType::kRun;
         RunRequest& run = message->run;
         const JsonValue* svc = ReadObject(root, "service", error);
-        std::string policy;
         if (!ReadSize(root, "shard_id", &run.shard_id, error) ||
             !ReadSize(root, "num_shards", &run.num_shards, error) ||
             svc == nullptr ||
@@ -777,17 +646,11 @@ DecodeMessage(const std::string& line, Message* message,
                       error) ||
             !ReadDouble(*svc, "max_total_seconds",
                         &run.service.max_total_seconds, error) ||
-            !ReadString(*svc, "schedule_policy", &policy, error) ||
             !ReadBool(*svc, "tracing", &run.service.tracing, error) ||
             !ReadDouble(*svc, "metrics_interval_seconds",
                         &run.service.metrics_interval_seconds, error) ||
             !ReadBool(*svc, "plateau", &run.service.plateau, error)) {
             return false;
-        }
-        if (!SchedulePolicyFromName(policy,
-                                    &run.service.schedule_policy)) {
-            return DecodeFail(error,
-                              "unknown schedule policy '" + policy + "'");
         }
         const JsonValue* jobs = ReadArray(root, "jobs", error);
         if (jobs == nullptr) {

@@ -27,10 +27,8 @@
 /// trace go on `result`. `gossip` flows only downstream: the
 /// coordinator's compact form of another shard's progress.
 ///
-/// Only the declarative subset of a JobSpec is serializable: a callback
-/// (an Engine stop_requested hook) cannot cross a process boundary, and
-/// CheckSerializable rejects it with a clear error at submit time rather
-/// than silently dropping behavior. 64-bit identities (seeds,
+/// A JobSpec is plain data (workload, label, seed, exact seed, run and
+/// time budget) and crosses the wire whole. 64-bit identities (seeds,
 /// fingerprints) travel as "0x..." hex strings; non-finite doubles
 /// serialize as null and decode as 0.0 (support/json.h).
 
@@ -50,7 +48,7 @@ namespace chef::shard {
 
 /// The coordinator refuses a worker whose hello announces any other
 /// version instead of mis-decoding mid-batch.
-constexpr int kProtocolVersion = 8;
+constexpr int kProtocolVersion = 9;
 
 enum class MessageType {
     kHello,      ///< worker -> coordinator: ready, protocol version.
@@ -73,15 +71,15 @@ struct WireJob {
     service::JobSpec spec;
 };
 
-/// The serializable subset of ExplorationService::Options. The streaming
-/// sink (on_job_event) is a callback and never crosses the wire; the
-/// shard worker installs its own.
+/// The part of ExplorationService::Options a shard's service takes from
+/// the coordinator; the rest keeps its defaults (yield-priority
+/// dispatch, attribution on). The streaming sink (on_job_event) is a
+/// callback and never crosses the wire; the shard worker installs its
+/// own.
 struct ServiceConfig {
     uint64_t seed = 1;
     size_t num_workers = 1;
     double max_total_seconds = 0.0;
-    service::SchedulePolicy schedule_policy =
-        service::SchedulePolicy::kYieldPriority;
     /// The plateau rule (service/job.h), on or off.
     bool plateau = false;
     /// Workers run their batch with phase tracing on and ship the spans
@@ -162,10 +160,6 @@ struct Message {
     ResultMessage result;                     ///< kResult.
     std::string error;                        ///< kError.
 };
-
-/// True iff the spec can cross a process boundary. On failure fills
-/// \p why with which field is non-serializable and what to use instead.
-bool CheckSerializable(const service::JobSpec& spec, std::string* why);
 
 std::string EncodeHello();
 std::string EncodeRun(const RunRequest& request);

@@ -647,8 +647,7 @@ SatSolver::Search(const std::vector<Lit>& assumptions)
             ++stats_.restarts;
             conflicts_since_restart = 0;
             restart_limit = static_cast<uint64_t>(
-                static_cast<double>(restart_limit) *
-                options_.restart_growth);
+                static_cast<double>(restart_limit) * kRestartGrowth);
             // Restarting pops the assumption levels too; the decision
             // loop above re-places them.
             Backtrack(0);

@@ -176,13 +176,16 @@ struct SatStats {
 class SatSolver
 {
   public:
+    /// Factor by which the restart interval grows after each restart.
+    static constexpr double kRestartGrowth = 1.5;
+
     struct Options {
         /// Give up after this many conflicts (0 = no limit).
         uint64_t max_conflicts = 0;
         double var_decay = 0.95;
-        /// Initial restart interval in conflicts; grows geometrically.
+        /// Initial restart interval in conflicts; grows geometrically
+        /// by kRestartGrowth.
         uint64_t restart_base = 100;
-        double restart_growth = 1.5;
         /// Learned-clause cap (0 = unbounded). When the database holds
         /// this many learned clauses, the lowest-activity half is purged
         /// — essential for persistent incremental sessions, whose

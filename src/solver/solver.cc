@@ -128,7 +128,7 @@ Solver::RememberModel(const Assignment& model)
         return;
     }
     recent_models_.push_front(model);
-    if (recent_models_.size() > options_.model_reuse_window) {
+    if (recent_models_.size() > kModelReuseWindow) {
         recent_models_.pop_back();
     }
 }
@@ -329,7 +329,7 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
     if (options_.enable_incremental_sat) {
         if (session_ == nullptr) {
             SatSolver::Options sat_options;
-            sat_options.max_conflicts = options_.max_conflicts;
+            sat_options.max_conflicts = kMaxConflicts;
             sat_options.max_learned_clauses = options_.max_learned_clauses;
             session_ = std::make_unique<SatSession>(sat_options);
         }
@@ -378,7 +378,7 @@ Solver::SolveViaSat(const std::vector<ExprRef>& live, uint64_t key,
         stats_.clauses_loaded += cnf.num_clauses();
 
         SatSolver::Options sat_options;
-        sat_options.max_conflicts = options_.max_conflicts;
+        sat_options.max_conflicts = kMaxConflicts;
         sat_options.max_learned_clauses = options_.max_learned_clauses;
         SatSolver sat(sat_options);
         ++stats_.sat_calls;

@@ -111,6 +111,11 @@ struct SolverStats {
 class Solver
 {
   public:
+    /// Models kept for model reuse (the most recent ones).
+    static constexpr size_t kModelReuseWindow = 16;
+    /// Conflict budget per SAT call.
+    static constexpr uint64_t kMaxConflicts = 2'000'000;
+
     struct Options {
         bool enable_query_cache = true;
         bool enable_model_reuse = true;
@@ -125,13 +130,10 @@ class Solver
         /// instead of re-blasting the whole slice and running a fresh
         /// CDCL instance per call.
         bool enable_incremental_sat = true;
-        size_t model_reuse_window = 16;
         /// Byte budget for the query cache (approximate, see
         /// cache::QueryEntryBytes); least-recently-used entries are
         /// evicted beyond it. 0 = unbounded.
         size_t max_cache_bytes = 8u << 20;
-        /// Conflict budget per SAT call (0 = unlimited).
-        uint64_t max_conflicts = 2'000'000;
         /// Learned-clause cap for the SAT backend (0 = unbounded). The
         /// persistent incremental session keeps learned clauses across
         /// every query of a Solver's lifetime; without a cap a long

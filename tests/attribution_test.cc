@@ -440,7 +440,6 @@ TEST(Attribution, TwoShardClusterTableMatchesSingleShard)
         spec.seed = static_cast<uint64_t>(++copy);
         spec.options.max_runs = 6;
         spec.options.max_seconds = 1e9;
-        spec.options.collect_timeline = false;
         jobs.push_back(std::move(spec));
     }
     shard::ShardCoordinator::Options options;

@@ -192,7 +192,6 @@ SmallBatch(uint64_t max_runs)
         spec.seed = static_cast<uint64_t>(++copy);
         spec.options.max_runs = max_runs;
         spec.options.max_seconds = 1e9;
-        spec.options.collect_timeline = false;
         jobs.push_back(std::move(spec));
     }
     return jobs;
@@ -464,7 +463,6 @@ KillDrillBatch()
         spec.seed = jobs.size() + 1;
         spec.options.max_runs = max_runs;
         spec.options.max_seconds = 1e9;
-        spec.options.collect_timeline = false;
         jobs.push_back(std::move(spec));
     }
     return jobs;
@@ -829,7 +827,6 @@ TEST(CoordinatorFaults, WorkerCancelsInFlightBatchWhenCoordinatorDies)
     job.spec.workload = "py/argparse";
     job.spec.options.max_runs = 100000000;
     job.spec.options.max_seconds = 1e9;
-    job.spec.options.collect_timeline = false;
     request.jobs.push_back(job);
     ASSERT_TRUE(pair.a->Send(EncodeRun(request)));
 

@@ -339,6 +339,26 @@ TEST_F(RuntimeFixture, SymbolicBranchForksAndFollowsConcrete)
     EXPECT_EQ(stats.registered_states, 1u);
 }
 
+TEST_F(RuntimeFixture, RegistrationCapStopsForkingButKeepsConstraints)
+{
+    // One run meets more symbolic branches than the cap: it registers
+    // exactly kMaxRegisteredPerRun alternates, then follows the concrete
+    // path, and its path condition still holds one constraint per
+    // symbolic branch.
+    constexpr uint32_t kCap = LowLevelRuntime::kMaxRegisteredPerRun;
+    constexpr uint32_t kBranches = kCap + 100;
+    runtime_.BeginRun(Assignment());
+    const SymValue x = runtime_.MakeSymbolicValue("x", 16, 0xffff);
+    for (uint32_t i = 0; i < kBranches; ++i) {
+        EXPECT_FALSE(runtime_.Branch(SvEq(x, SymValue(i, 16)), 1000 + i));
+    }
+    EXPECT_EQ(tree_.pending().size(), kCap);
+    EXPECT_EQ(runtime_.current_path_condition().size(), kBranches);
+    const RunStats stats = runtime_.EndRun();
+    EXPECT_EQ(stats.symbolic_branches, kBranches);
+    EXPECT_EQ(stats.registered_states, kCap);
+}
+
 TEST_F(RuntimeFixture, AssumeViolationAbortsPath)
 {
     runtime_.BeginRun(Assignment());

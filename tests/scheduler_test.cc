@@ -116,7 +116,6 @@ MixedBatch()
         spec.workload = id;
         spec.options.max_runs = 10;
         spec.options.max_seconds = 1e9;
-        spec.options.collect_timeline = false;
         jobs.push_back(std::move(spec));
     }
     return jobs;
@@ -362,7 +361,6 @@ TEST(Scheduler, EventOrderingUnderRequestStopMidStream)
     spec.workload = "test/sched-hang";
     spec.options.max_runs = 1'000'000;
     spec.options.max_seconds = 20.0;
-    spec.options.collect_timeline = false;
     const std::vector<JobSpec> jobs = {spec, spec, spec};
 
     std::vector<JobEvent> events;
@@ -422,7 +420,6 @@ TEST(Scheduler, PlateauCancelsAndAttributes)
         spec.label = "two-path#" + std::to_string(i);
         spec.options.max_runs = 8;
         spec.options.max_seconds = 1e9;
-        spec.options.collect_timeline = false;
         jobs.push_back(std::move(spec));
     }
 
@@ -475,29 +472,6 @@ TEST(Scheduler, PlateauCancelsAndAttributes)
 // Stop-source attribution.
 // ---------------------------------------------------------------------------
 
-TEST(Scheduler, UserStopHookReportsCompletedNotCancelled)
-{
-    // Regression: a session ended by the *spec's own* stop_requested
-    // hook was misreported as service-cancelled with an empty error.
-    JobSpec spec;
-    spec.workload = "py/argparse";
-    spec.options.max_runs = 1'000'000;
-    spec.options.max_seconds = 1e9;
-    spec.options.collect_timeline = false;
-    int calls = 0;
-    spec.options.stop_requested = [&calls] { return ++calls > 3; };
-
-    ExplorationService service({});
-    const std::vector<JobResult> results = service.RunBatch({spec});
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_TRUE(results[0].engine_stats.stopped);
-    EXPECT_EQ(results[0].status, JobStatus::kCompleted);
-    EXPECT_EQ(results[0].stop_source, "job_hook");
-    EXPECT_TRUE(results[0].error.empty());
-    EXPECT_EQ(service.stats().jobs_completed, 1u);
-    EXPECT_EQ(service.stats().jobs_cancelled, 0u);
-}
-
 TEST(Scheduler, ServiceBudgetStopIsAttributed)
 {
     EnsureTestWorkloads();
@@ -505,7 +479,6 @@ TEST(Scheduler, ServiceBudgetStopIsAttributed)
     spec.workload = "test/sched-hang";
     spec.options.max_runs = 1'000'000;
     spec.options.max_seconds = 20.0;
-    spec.options.collect_timeline = false;
 
     ExplorationService::Options options;
     options.max_total_seconds = 0.2;
@@ -580,7 +553,6 @@ TEST(JsonReport, NewFieldsParseStrictOnRealBatch)
     JobSpec spec;
     spec.workload = "py/argparse";
     spec.options.max_runs = 6;
-    spec.options.collect_timeline = false;
 
     ExplorationService::Options options;
     options.on_job_event = [](const JobEvent&) {};

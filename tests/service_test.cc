@@ -83,7 +83,6 @@ SmallBatch()
         // so results stay worker-count-deterministic even on a loaded
         // machine (a session truncated by its own wall clock is not).
         spec.options.max_seconds = 1e9;
-        spec.options.collect_timeline = false;
         jobs.push_back(std::move(spec));
     }
     return jobs;
@@ -203,8 +202,6 @@ TEST(ExplorationService, BudgetCancelsHangHeavyJob)
     // ever regress (the test would fail on wall time, not hang).
     spec.options.max_runs = 1'000'000;
     spec.options.max_seconds = 20.0;
-    spec.options.max_steps_per_run = 500'000;
-    spec.options.collect_timeline = false;
 
     ExplorationService::Options options;
     options.num_workers = 2;
@@ -240,7 +237,6 @@ TEST(ExplorationService, RequestStopDuringBatchCancelsRunningAndQueued)
     spec.workload = "test/hang-heavy";
     spec.options.max_runs = 1'000'000;
     spec.options.max_seconds = 20.0;
-    spec.options.collect_timeline = false;
 
     std::thread watchdog([&service] {
         std::this_thread::sleep_for(std::chrono::milliseconds(200));
@@ -271,7 +267,6 @@ TEST(ExplorationService, StaleStopFlagDoesNotCancelNextBatch)
     JobSpec spec;
     spec.workload = "py/argparse";
     spec.options.max_runs = 4;
-    spec.options.collect_timeline = false;
     const std::vector<JobResult> results = service.RunBatch({spec});
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].status, JobStatus::kCompleted);
@@ -321,32 +316,6 @@ TEST(ExplorationService, StatsTotalsEqualSumOfJobStats)
     EXPECT_GT(stats.jobs_per_second, 0.0);
 }
 
-TEST(ExplorationService, SpecWithOnlyATracerStillCountsIntoTheRegistry)
-{
-    // A job that wires its own tracer keeps the service's registry: each
-    // telemetry facility defaults on its own.
-    obs::MetricsRegistry metrics;
-    obs::PhaseTracer tracer;
-    std::vector<JobSpec> jobs = SmallBatch();
-    for (JobSpec& spec : jobs) {
-        spec.options.obs.tracer = &tracer;
-    }
-    ExplorationService::Options options;
-    options.num_workers = 2;
-    options.obs.metrics = &metrics;
-    ExplorationService service(options);
-    const std::vector<JobResult> results = service.RunBatch(jobs);
-
-    uint64_t solver_queries = 0;
-    for (const JobResult& result : results) {
-        solver_queries += result.engine_stats.solver_queries;
-    }
-    EXPECT_GT(solver_queries, 0u);
-    EXPECT_EQ(metrics.Snapshot().CounterValue("solver.queries"),
-              solver_queries);
-    EXPECT_EQ(service.stats().solver_queries, solver_queries);
-}
-
 // ---------------------------------------------------------------------------
 // Registry.
 // ---------------------------------------------------------------------------
@@ -390,7 +359,6 @@ TEST(JsonReport, RendersBatchOutcome)
     JobSpec spec;
     spec.workload = "py/argparse";
     spec.options.max_runs = 6;
-    spec.options.collect_timeline = false;
     jobs.push_back(spec);
 
     ExplorationService service({});

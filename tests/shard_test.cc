@@ -289,7 +289,6 @@ MixedBatch(uint64_t max_runs)
         spec.seed = static_cast<uint64_t>(++copy);
         spec.options.max_runs = max_runs;
         spec.options.max_seconds = 1e9;
-        spec.options.collect_timeline = false;
         jobs.push_back(std::move(spec));
     }
     return jobs;
@@ -525,18 +524,6 @@ TEST(Coordinator, EveryResultAndEntryCrossesUpstreamOnce)
     }
 }
 
-TEST(Coordinator, RejectsNonSerializableSpecsAtSubmit)
-{
-    std::vector<JobSpec> jobs = MixedBatch(4);
-    jobs[2].options.stop_requested = [] { return false; };
-
-    ShardCoordinator coordinator(CoordinatorOptions());
-    std::string error;
-    EXPECT_FALSE(RunLoopbackShards(&coordinator, jobs, 2, &error));
-    EXPECT_NE(error.find("stop_requested"), std::string::npos);
-    EXPECT_NE(error.find("not "), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // Cross-shard dedup on a duplicate-skewed batch.
 // ---------------------------------------------------------------------------
@@ -589,7 +576,6 @@ TEST(Coordinator, PlateauPlusGossipSuppressesDuplicateJobs)
         spec.label = "dup#" + std::to_string(i);
         spec.options.max_runs = 8;
         spec.options.max_seconds = 1e9;
-        spec.options.collect_timeline = false;
         jobs.push_back(std::move(spec));
     }
 

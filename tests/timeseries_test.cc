@@ -287,7 +287,6 @@ TEST(TimeSeriesTest, LoopbackShardsMergedCurveIsSumOfShardCurves)
         spec.seed = static_cast<uint64_t>(++copy);
         spec.options.max_runs = 8;
         spec.options.max_seconds = 1e9;
-        spec.options.collect_timeline = false;
         jobs.push_back(std::move(spec));
     }
 

@@ -2,14 +2,15 @@
 /// Tests for support/json.h (DOM parser + strict validation) and the
 /// shard wire format: round-trip property tests over JobSpecs, gossip,
 /// progress frames (full corpus entries, yields, job results, optional
-/// telemetry), the reduced result frame; NaN/Inf-to-null doubles;
-/// rejection of non-serializable JobSpecs and of the removed heartbeat
-/// frame.
+/// telemetry), the reduced result frame; NaN/Inf-to-null doubles; run
+/// frames missing any one job-spec or service key, and the removed
+/// heartbeat frame.
 
 #include "shard/wire.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -24,7 +25,6 @@ namespace {
 using service::JobResult;
 using service::JobSpec;
 using service::JobStatus;
-using service::SchedulePolicy;
 using service::ServiceStats;
 using service::TestCorpus;
 using support::JsonValid;
@@ -113,7 +113,7 @@ TEST(Json, EscapedStringsRoundTrip)
 }
 
 // ---------------------------------------------------------------------------
-// JobSpec round-trips and serializability.
+// Run frame round-trips and required keys.
 // ---------------------------------------------------------------------------
 
 JobSpec
@@ -121,41 +121,13 @@ RandomSpec(Rng& rng)
 {
     static const char* kWorkloads[] = {"py/argparse", "lua/JSON",
                                        "py/simplejson", "lua/haml"};
-    static const StrategyKind kStrategies[] = {
-        StrategyKind::kRandom,       StrategyKind::kDfs,
-        StrategyKind::kBfs,          StrategyKind::kCupaPath,
-        StrategyKind::kCupaCoverage, StrategyKind::kCupaPathInverted,
-    };
     JobSpec spec;
     spec.workload = kWorkloads[rng.Next() % 4];
     spec.label = "label#" + std::to_string(rng.Next() % 100);
     spec.seed = rng.Next();
     spec.exact_seed = (rng.Next() & 1) != 0;
-    spec.build.avoid_symbolic_pointers = (rng.Next() & 1) != 0;
-    spec.build.neutralize_hashes = (rng.Next() & 1) != 0;
-    spec.build.eliminate_fast_paths = (rng.Next() & 1) != 0;
-    spec.options.strategy = kStrategies[rng.Next() % 6];
     spec.options.max_runs = rng.Next() % 100000;
     spec.options.max_seconds = static_cast<double>(rng.Next() % 1000);
-    spec.options.max_steps_per_run = rng.Next() % 1000000;
-    spec.options.fork_weight_decay =
-        static_cast<double>(rng.Next() % 1000) / 1000.0;
-    spec.options.branch_opcode_drop_fraction =
-        static_cast<double>(rng.Next() % 1000) / 1000.0;
-    spec.options.collect_timeline = (rng.Next() & 1) != 0;
-    spec.options.solver_options.enable_query_cache =
-        (rng.Next() & 1) != 0;
-    spec.options.solver_options.enable_model_reuse =
-        (rng.Next() & 1) != 0;
-    spec.options.solver_options.enable_independence_slicing =
-        (rng.Next() & 1) != 0;
-    spec.options.solver_options.enable_incremental_sat =
-        (rng.Next() & 1) != 0;
-    spec.options.solver_options.model_reuse_window = rng.Next() % 64;
-    spec.options.solver_options.max_cache_bytes = rng.Next() % (1u << 24);
-    spec.options.solver_options.max_conflicts = rng.Next() % 1000000;
-    spec.options.solver_options.max_learned_clauses =
-        rng.Next() % 100000;
     return spec;
 }
 
@@ -166,30 +138,8 @@ ExpectSpecsEqual(const JobSpec& a, const JobSpec& b)
     EXPECT_EQ(a.label, b.label);
     EXPECT_EQ(a.seed, b.seed);
     EXPECT_EQ(a.exact_seed, b.exact_seed);
-    EXPECT_EQ(a.build.avoid_symbolic_pointers,
-              b.build.avoid_symbolic_pointers);
-    EXPECT_EQ(a.build.neutralize_hashes, b.build.neutralize_hashes);
-    EXPECT_EQ(a.build.eliminate_fast_paths, b.build.eliminate_fast_paths);
-    EXPECT_EQ(a.options.strategy, b.options.strategy);
     EXPECT_EQ(a.options.max_runs, b.options.max_runs);
     EXPECT_DOUBLE_EQ(a.options.max_seconds, b.options.max_seconds);
-    EXPECT_EQ(a.options.max_steps_per_run, b.options.max_steps_per_run);
-    EXPECT_NEAR(a.options.fork_weight_decay, b.options.fork_weight_decay,
-                1e-6);
-    EXPECT_NEAR(a.options.branch_opcode_drop_fraction,
-                b.options.branch_opcode_drop_fraction, 1e-6);
-    EXPECT_EQ(a.options.collect_timeline, b.options.collect_timeline);
-    const auto& sa = a.options.solver_options;
-    const auto& sb = b.options.solver_options;
-    EXPECT_EQ(sa.enable_query_cache, sb.enable_query_cache);
-    EXPECT_EQ(sa.enable_model_reuse, sb.enable_model_reuse);
-    EXPECT_EQ(sa.enable_independence_slicing,
-              sb.enable_independence_slicing);
-    EXPECT_EQ(sa.enable_incremental_sat, sb.enable_incremental_sat);
-    EXPECT_EQ(sa.model_reuse_window, sb.model_reuse_window);
-    EXPECT_EQ(sa.max_cache_bytes, sb.max_cache_bytes);
-    EXPECT_EQ(sa.max_conflicts, sb.max_conflicts);
-    EXPECT_EQ(sa.max_learned_clauses, sb.max_learned_clauses);
 }
 
 TEST(Wire, RunRequestRoundTripsRandomSpecs)
@@ -203,9 +153,6 @@ TEST(Wire, RunRequestRoundTripsRandomSpecs)
         request.service.num_workers = 1 + rng.Next() % 8;
         request.service.max_total_seconds =
             static_cast<double>(rng.Next() % 100);
-        request.service.schedule_policy = (rng.Next() & 1) != 0
-                                              ? SchedulePolicy::kFifo
-                                              : SchedulePolicy::kYieldPriority;
         request.service.plateau = (rng.Next() & 1) != 0;
         const size_t jobs = 1 + rng.Next() % 5;
         for (size_t i = 0; i < jobs; ++i) {
@@ -227,8 +174,8 @@ TEST(Wire, RunRequestRoundTripsRandomSpecs)
         EXPECT_EQ(decoded.service.seed, request.service.seed);
         EXPECT_EQ(decoded.service.num_workers,
                   request.service.num_workers);
-        EXPECT_EQ(decoded.service.schedule_policy,
-                  request.service.schedule_policy);
+        EXPECT_DOUBLE_EQ(decoded.service.max_total_seconds,
+                         request.service.max_total_seconds);
         EXPECT_EQ(decoded.service.plateau, request.service.plateau);
         ASSERT_EQ(decoded.jobs.size(), request.jobs.size());
         for (size_t i = 0; i < request.jobs.size(); ++i) {
@@ -239,19 +186,85 @@ TEST(Wire, RunRequestRoundTripsRandomSpecs)
     }
 }
 
-TEST(Wire, NonSerializableSpecsAreRejectedWithClearErrors)
+/// \p line with the member \p key removed from its flat object
+/// \p object (one whose values hold no comma or brace); empty when the
+/// frame has no such member.
+std::string
+WithoutMember(const std::string& line, const std::string& object,
+              const std::string& key)
 {
-    JobSpec with_hook;
-    with_hook.workload = "py/argparse";
-    with_hook.options.stop_requested = [] { return false; };
-    std::string why;
-    EXPECT_FALSE(CheckSerializable(with_hook, &why));
-    EXPECT_NE(why.find("stop_requested"), std::string::npos);
-    EXPECT_NE(why.find("py/argparse"), std::string::npos);
+    const std::string open = "\"" + object + "\":{";
+    const size_t begin = line.find(open);
+    if (begin == std::string::npos) {
+        return "";
+    }
+    const size_t first = begin + open.size();
+    const size_t end = line.find('}', first);
+    std::vector<std::string> members;
+    for (size_t at = first; at < end;) {
+        const size_t comma = std::min(line.find(',', at), end);
+        members.push_back(line.substr(at, comma - at));
+        at = comma + 1;
+    }
+    const auto match = std::find_if(
+        members.begin(), members.end(), [&key](const std::string& member) {
+            return member.rfind("\"" + key + "\":", 0) == 0;
+        });
+    if (match == members.end()) {
+        return "";
+    }
+    members.erase(match);
+    std::string inner;
+    for (const std::string& member : members) {
+        inner += (inner.empty() ? "" : ",") + member;
+    }
+    return line.substr(0, first) + inner + line.substr(end);
+}
 
-    JobSpec plain;
-    plain.workload = "py/argparse";
-    EXPECT_TRUE(CheckSerializable(plain, &why));
+TEST(Wire, RunFrameWithoutAnyOneKeyFailsNamingIt)
+{
+    RunRequest request;
+    request.service.seed = 7;
+    WireJob job;
+    job.job_index = 3;
+    job.spec.workload = "py/argparse";
+    job.spec.label = "argparse#3";
+    job.spec.seed = 0x1234;
+    request.jobs.push_back(job);
+    const std::string line = EncodeRun(request);
+    Message message;
+    std::string error;
+    ASSERT_TRUE(DecodeMessage(line, &message, &error)) << error;
+
+    const std::pair<const char*, std::vector<std::string>> objects[] = {
+        {"spec",
+         {"workload", "label", "seed", "exact_seed", "max_runs",
+          "max_seconds"}},
+        {"service",
+         {"seed", "num_workers", "max_total_seconds", "tracing",
+          "metrics_interval_seconds", "plateau"}},
+    };
+    for (const auto& [object, keys] : objects) {
+        for (const std::string& key : keys) {
+            const std::string broken = WithoutMember(line, object, key);
+            ASSERT_FALSE(broken.empty()) << object << "." << key;
+            ASSERT_TRUE(JsonValid(broken)) << broken;
+            Message decoded;
+            error.clear();
+            EXPECT_FALSE(DecodeMessage(broken, &decoded, &error)) << broken;
+            EXPECT_NE(error.find("'" + key + "'"), std::string::npos)
+                << object << "." << key << ": " << error;
+        }
+        // Those are all the object's keys: without every one of them it
+        // is empty.
+        std::string stripped = line;
+        for (const std::string& key : keys) {
+            stripped = WithoutMember(stripped, object, key);
+        }
+        EXPECT_NE(stripped.find(std::string("\"") + object + "\":{}"),
+                  std::string::npos)
+            << stripped;
+    }
 }
 
 // ---------------------------------------------------------------------------
